@@ -22,6 +22,7 @@ from .costs import CYCLES_BY_CAT
 from .layout import NATIVE_INSTR_BYTES, TextRegion
 from .nisa import (
     FLAG_TAKEN,
+    FLAG_TRANSLATE,
     FLAG_WRITE,
     N_CATEGORIES,
     NCat,
@@ -39,6 +40,8 @@ class Template:
     Attributes are parallel numpy arrays of length :attr:`n`; the
     ``patch_*`` arrays hold the row indices whose corresponding field is
     filled in per emission, in the order the builder declared them.
+    ``translate`` is true when the block belongs to the JIT's translate
+    routine (its first instruction carries ``FLAG_TRANSLATE``).
     """
 
     __slots__ = (
@@ -57,6 +60,7 @@ class Template:
         "patch_target",
         "cycles",
         "cat_counts",
+        "translate",
     )
 
     def __init__(
@@ -89,6 +93,7 @@ class Template:
         self.patch_target = patch_target
         self.cycles = int(CYCLES_BY_CAT[cat].sum())
         self.cat_counts = np.bincount(cat, minlength=N_CATEGORIES).astype(np.int64)
+        self.translate = bool(self.n and flags[0] & FLAG_TRANSLATE)
 
     @property
     def base_pc(self) -> int:

@@ -6,12 +6,23 @@ exist: :class:`CountingSink` only accumulates cycle and category counts
 :class:`RecordingSink` additionally records the full event stream into a
 columnar :class:`Trace` archive that the cache / branch / pipeline
 simulators replay (the Shade-trace equivalent).
+
+The hot-loop contract: ``emit`` runs once per executed bytecode (and
+more for runtime stubs), so a sink does as little as possible there.
+Only ``cycles`` is a live running total that callers may read mid-run
+(the profiler, tiering, the traffic clock and the translate stubs do).
+``instructions``, ``cat_counts`` and ``translate_cycles`` are derived
+when read, from a per-template emission count, so they are exact at
+any time but cost a pass over the distinct templates.  Per-event data
+(effective addresses, branch outcomes, targets) is only consumed by a
+recording sink: code that would build it for the sink's sake must
+check ``sink.records`` first.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +31,6 @@ from .nisa import (
     FLAG_TAKEN,
     FLAG_TRANSLATE,
     FLAG_WRITE,
-    INDIRECT_CATS,
     MEMORY_CATS,
     N_CATEGORIES,
     NCat,
@@ -150,10 +160,6 @@ class Trace:
         return np.isin(self.cat, list(TRANSFER_CATS))
 
     @property
-    def is_indirect(self) -> np.ndarray:
-        return np.isin(self.cat, list(INDIRECT_CATS))
-
-    @property
     def is_taken(self) -> np.ndarray:
         return (self.flags & FLAG_TAKEN) != 0
 
@@ -172,11 +178,6 @@ class Trace:
     def __len__(self) -> int:
         return self.n
 
-    def iter_events(self) -> Iterator[tuple]:
-        """Row-wise iteration (slow; for tests and debugging)."""
-        for i in range(self.n):
-            yield tuple(int(getattr(self, c)[i]) for c in _COLUMNS)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trace(n={self.n})"
 
@@ -186,23 +187,35 @@ class CountingSink:
 
     Also tracks the same totals split by the *translate* flag so that
     Section 3's translate-vs-execute accounting works without a full
-    trace.
+    trace.  ``cycles`` is live; the other totals are exact integer sums
+    over ``emits`` (template -> times emitted), computed when read.
     """
 
     records = False
 
     def __init__(self) -> None:
         self.cycles = 0
-        self.translate_cycles = 0
-        self.cat_counts = np.zeros(N_CATEGORIES, dtype=np.int64)
-        self.instructions = 0
+        self.emits: dict[Template, int] = {}
 
     def emit(self, template: Template, eas=(), takens=(), targets=()) -> None:
         self.cycles += template.cycles
-        self.instructions += template.n
-        self.cat_counts += template.cat_counts
-        if template.n and (template.flags[0] & FLAG_TRANSLATE):
-            self.translate_cycles += template.cycles
+        emits = self.emits
+        emits[template] = emits.get(template, 0) + 1
+
+    @property
+    def instructions(self) -> int:
+        return sum(t.n * k for t, k in self.emits.items())
+
+    @property
+    def translate_cycles(self) -> int:
+        return sum(t.cycles * k for t, k in self.emits.items() if t.translate)
+
+    @property
+    def cat_counts(self) -> np.ndarray:
+        counts = np.zeros(N_CATEGORIES, dtype=np.int64)
+        for t, k in self.emits.items():
+            counts += t.cat_counts * k
+        return counts
 
     def emit_cycles(self, cycles: int) -> None:
         """Charge raw cycles with no instruction stream (lock spins etc.)."""

@@ -458,14 +458,6 @@ class InterpreterTemplates:
         b.instr(NCat.RET, target=PATCH)
         self._finish(Op.RETURN, b)
 
-    # ------------------------------------------------------------------
-    # emission interface (one method per handler shape)
-    # ------------------------------------------------------------------
-    def emit(self, sink, op_key, eas=(), takens=(), targets=()) -> Template:
-        tpl = self.tpl[op_key]
-        sink.emit(tpl, eas, takens, targets)
-        return tpl
-
 
 _SHARED: InterpreterTemplates | None = None
 

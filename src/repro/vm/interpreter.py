@@ -61,6 +61,7 @@ class Interpreter:
             return self._step_traced(thread, budget)
         executed = 0
         vm = self.vm
+        loader = self.loader
         profiler = vm.profiler
         sink = self.sink
         handlers = self._handlers
@@ -70,13 +71,16 @@ class Interpreter:
             instr = frame.code[frame.ip]
             frame.ip += 1
             opcode_counts[instr.op] += 1
+            # Translate and class-loading cycles land in the sink too but
+            # are overhead, not the method's: they are diffed out below.
             cycles_before = sink.cycles
-            overhead_before = vm.overhead_cycles
+            overhead_before = vm.translate_overhead + loader.overhead_cycles
             handlers[instr.op](thread, frame, instr)
             executed += 1
             if profiler is not None:
                 delta = (sink.cycles - cycles_before) - (
-                    vm.overhead_cycles - overhead_before
+                    vm.translate_overhead + loader.overhead_cycles
+                    - overhead_before
                 )
                 if delta > 0:
                     # The frame caches its MethodProfile at push time, so
@@ -106,6 +110,7 @@ class Interpreter:
         """
         executed = 0
         vm = self.vm
+        loader = self.loader
         profiler = vm.profiler
         sink = self.sink
         handlers = self._handlers
@@ -119,7 +124,7 @@ class Interpreter:
             frame.ip += 1
             opcode_counts[instr.op] += 1
             cycles_before = sink.cycles
-            overhead_before = vm.overhead_cycles
+            overhead_before = vm.translate_overhead + loader.overhead_cycles
             mode = frame.emit_mode
             started = clock()
             handlers[instr.op](thread, frame, instr)
@@ -128,7 +133,8 @@ class Interpreter:
             executed += 1
             if profiler is not None:
                 delta = (sink.cycles - cycles_before) - (
-                    vm.overhead_cycles - overhead_before
+                    vm.translate_overhead + loader.overhead_cycles
+                    - overhead_before
                 )
                 profiler.charge(frame, delta)
         thread.bytecodes_executed += executed

@@ -20,7 +20,7 @@ class Chunk:
     stepper passes them all); otherwise it is a sequence of
     ``(is_frame_relative, value)`` pairs where frame-relative entries
     are spill-slot offsets and the rest are filled from the dynamic
-    values in order.
+    values in order.  The plan is only assembled for a recording sink.
     """
 
     __slots__ = ("template", "ea_plan")
@@ -35,7 +35,8 @@ class Chunk:
 
     def emit(self, sink, frame: Frame, dyn=(), takens=(), targets=()) -> None:
         plan = self.ea_plan
-        if plan is None:
+        if plan is None or not sink.records:
+            # A counting sink ignores effective addresses: skip the plan.
             sink.emit(self.template, dyn, takens, targets)
             return
         it = iter(dyn)

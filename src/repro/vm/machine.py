@@ -10,7 +10,10 @@ the experiment harness consumes.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..isa.method import Method, Program
+from ..isa.opcodes import N_OPCODES
 from ..native.layout import WORD_BYTES
 from ..native.trace import CountingSink, RecordingSink, Trace
 from ..obs import TRACER
@@ -57,7 +60,7 @@ class VMResult:
         self.cycles = sink.cycles
         self.instructions = sink.instructions
         self.translate_cycles = sink.translate_cycles
-        self.category_counts = sink.cat_counts.copy()
+        self.category_counts = sink.cat_counts
         self.bytecodes_executed = sum(t.bytecodes_executed for t in vm.threads)
         self.methods_compiled = vm.jit.methods_compiled
         self.methods_installed = vm.jit.methods_installed
@@ -73,7 +76,7 @@ class VMResult:
         self.profiles = vm.profiler.snapshot() if vm.profiler else {}
         self.strategy_config = vm.strategy.describe()
         self.tiering = vm.tiered.snapshot() if vm.tiered else None
-        self.opcode_counts = vm.opcode_counts.copy()
+        self.opcode_counts = np.array(vm.opcode_counts, dtype=np.int64)
         self.footprint = vm.footprint()
         self.stdout = list(vm.stdout)
         self.classes_loaded = vm.loader.classes_loaded
@@ -178,10 +181,10 @@ class JavaVM:
         self.max_bytecodes = max_bytecodes
         self.spawn_daemons = spawn_daemons
 
-        import numpy as _np
-        from ..isa.opcodes import N_OPCODES as _N_OPS
-        #: dynamic bytecode-frequency histogram (locality studies)
-        self.opcode_counts = _np.zeros(_N_OPS, dtype=_np.int64)
+        #: dynamic bytecode-frequency histogram (locality studies); a
+        #: plain list because the stepper bumps it once per bytecode —
+        #: VMResult hands it out as an int64 array
+        self.opcode_counts = [0] * N_OPCODES
         self.threads: list[JThread] = []
         self.stdout: list[str] = []
         # Per-emit-mode dispatch wall time / bytecode counts, filled by
@@ -203,16 +206,11 @@ class JavaVM:
         # scan over self.threads scales O(threads) per call.
         self._thread_by_obj: dict[JObject, JThread] = {}
         self._compiled: dict[int, object] = {}   # method_id -> CompiledMethod
-        self._translate_overhead = 0
+        #: translate/install cycles charged so far (part of the sink's
+        #: cycles, excluded from per-method attribution)
+        self.translate_overhead = 0
         self._booted = False
         self._finished = False
-
-    # ------------------------------------------------------------------
-    # overhead accounting (excluded from per-method attribution)
-    # ------------------------------------------------------------------
-    @property
-    def overhead_cycles(self) -> int:
-        return self._translate_overhead + self.loader.overhead_cycles
 
     # ------------------------------------------------------------------
     # boot and scheduling
@@ -406,7 +404,7 @@ class JavaVM:
         strategy-compile path, the tiered promotion path, and the
         archive-install path all account here, so the Figure 1
         translate/execute split cannot drift between modes."""
-        self._translate_overhead += compiled.translate_cycles
+        self.translate_overhead += compiled.translate_cycles
         if self.profiler:
             self.profiler.note_translate(method, compiled.translate_cycles,
                                          installed=compiled.from_archive)

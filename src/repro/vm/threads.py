@@ -131,10 +131,6 @@ class JThread:
         return frame
 
     @property
-    def current_frame(self) -> Frame | None:
-        return self.frames[-1] if self.frames else None
-
-    @property
     def is_alive(self) -> bool:
         return self.state != FINISHED
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.native import (
     CYCLES_BY_CAT,
@@ -197,6 +199,55 @@ class TestRecordingSink:
         assert c.cycles == r.cycles == 7 * t.cycles
         assert c.instructions == r.instructions == 21
         assert (c.cat_counts == r.cat_counts).all()
+
+    @pytest.mark.parametrize("sink_cls", [CountingSink, RecordingSink])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_derived_totals_match_eager_reference(self, sink_cls, data):
+        """The totals a sink derives from its per-template emission
+        counts equal a reference that sums eagerly on every emit, at
+        every point of a random emit / emit_cycles sequence."""
+        # A small pool of templates; each instruction may carry
+        # FLAG_TRANSLATE (only the first one decides), and a template
+        # may be empty.
+        rows = st.tuples(st.sampled_from(list(NCat)),
+                         st.sampled_from([0, FLAG_TRANSLATE]))
+        pool = []
+        for spec in data.draw(st.lists(st.lists(rows, max_size=5),
+                                       min_size=1, max_size=6)):
+            b = TemplateBuilder(f"t{len(pool)}")
+            for cat, flags in spec:
+                b.instr(cat, ea=0x40, flags=flags)
+            pool.append(b.build(base_pc=0x1000 * (len(pool) + 1)))
+        ops = data.draw(st.lists(
+            st.one_of(st.integers(0, len(pool) - 1),
+                      st.tuples(st.just("cycles"), st.integers(0, 500))),
+            max_size=40))
+
+        sink = sink_cls()
+        cycles = instructions = translate = 0
+        cats = np.zeros(len(NCat), dtype=np.int64)
+        for op in ops:
+            if isinstance(op, tuple):
+                sink.emit_cycles(op[1])
+                cycles += op[1]
+            else:
+                t = pool[op]
+                sink.emit(t)
+                cost = int(CYCLES_BY_CAT[t.cat].sum())
+                cycles += cost
+                instructions += t.n
+                cats += np.bincount(t.cat, minlength=len(NCat))
+                if t.n and t.flags[0] & FLAG_TRANSLATE:
+                    translate += cost
+            assert sink.cycles == cycles
+            assert sink.instructions == instructions
+            assert sink.translate_cycles == translate
+            assert sink.cat_counts.tolist() == cats.tolist()
+        if sink.records:
+            trace = sink.trace()
+            assert trace.n == instructions
+            assert trace.category_counts().tolist() == cats.tolist()
 
     def test_translate_cycles_tracked_by_flag(self):
         b = TemplateBuilder("x", base_flags=FLAG_TRANSLATE)
