@@ -11,7 +11,7 @@ Usage::
 
 from repro.isa.asm import assemble, list_method
 from repro.native.disasm import disassemble, format_region_profile
-from repro.vm import InterpretOnly, JavaVM
+from repro.vm import JavaVM
 
 SOURCE = """
 ; gcd(1071, 462) by repeated subtraction, then print it
@@ -55,7 +55,7 @@ def main() -> None:
     print("bytecode listing:")
     print(list_method(program.get_class("demo/Gcd").methods["gcd"]))
 
-    vm = JavaVM(program, strategy=InterpretOnly(), record=True)
+    vm = JavaVM(program, "interp,record=True")
     result = vm.run()
     print(f"\nprogram output: {result.stdout}   "
           f"({result.bytecodes_executed} bytecodes, "

@@ -13,7 +13,7 @@ Usage::
 from repro.analysis.hybrid import OracleAnalysis
 from repro.arch.branch import compare_predictors
 from repro.isa import ProgramBuilder
-from repro.vm import CompileOnFirstUse, InterpretOnly, JavaVM
+from repro.vm import JavaVM
 
 
 def build_program():
@@ -83,10 +83,8 @@ def build_program():
 
 def main() -> None:
     print("building and verifying demo/Main...\n")
-    interp = JavaVM(build_program().build(),
-                    strategy=InterpretOnly(), record=True).run()
-    jit = JavaVM(build_program().build(),
-                 strategy=CompileOnFirstUse(), record=True).run()
+    interp = JavaVM(build_program().build(), "interp,record=True").run()
+    jit = JavaVM(build_program().build(), "jit,record=True").run()
     assert interp.stdout == jit.stdout
     print(f"fib(25) = {interp.stdout[0]}")
     print(f"interpreter: {interp.cycles:,} cycles   "

@@ -12,6 +12,7 @@ Usage::
 import sys
 
 from repro.analysis import run_vm
+from repro.vm import RunConfig
 
 
 def main() -> None:
@@ -21,8 +22,8 @@ def main() -> None:
     print(f"lock designs on {benchmark} ({scale}), JIT mode\n")
     results = {}
     for mgr in ("monitor-cache", "thin-lock", "one-bit-lock"):
-        results[mgr] = run_vm(benchmark, scale=scale, mode="jit",
-                              lock_manager=mgr, profile=False)
+        results[mgr] = run_vm(benchmark, scale,
+                              RunConfig(lock_manager=mgr, profile=False))
 
     mc = results["monitor-cache"]
     counts = mc.sync["case_counts"]

@@ -18,8 +18,8 @@ def main() -> None:
     scale = sys.argv[1] if len(sys.argv) > 1 else "s1"
 
     print(f"running compress ({scale}) on the simulated JVM...\n")
-    interp = run_vm("compress", scale=scale, mode="interp")
-    jit = run_vm("compress", scale=scale, mode="jit")
+    interp = run_vm("compress", scale, "interp")
+    jit = run_vm("compress", scale, "jit")
 
     assert interp.stdout == jit.stdout, "modes must agree semantically"
     print(f"program output          : {interp.stdout}")

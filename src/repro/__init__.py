@@ -6,7 +6,7 @@ designs, evaluated on SpecJVM98-like synthetic workloads.
 Quick start::
 
     from repro.analysis import run_vm
-    result = run_vm("compress", scale="s1", mode="jit")
+    result = run_vm("compress", "s1", "jit")
     print(result.cycles, result.stdout)
 
 Reproduce a paper figure::

@@ -5,13 +5,7 @@ from .hybrid import MethodDecision, OracleAnalysis
 from .mix import indirect_fraction, mix_from_counts, mix_from_trace, summarize
 from .parallel import Job, oracle_job, run_job, run_jobs, trace_job
 from .report import format_bars, format_stacked_bars, format_table
-from .runner import (
-    get_trace,
-    make_strategy,
-    oracle_analysis,
-    oracle_run,
-    run_vm,
-)
+from .runner import get_trace, oracle_analysis, oracle_run, run_vm
 
 __all__ = [
     "CacheStats",
@@ -25,7 +19,6 @@ __all__ = [
     "format_table",
     "get_trace",
     "indirect_fraction",
-    "make_strategy",
     "mix_from_counts",
     "mix_from_trace",
     "oracle_analysis",

@@ -8,7 +8,7 @@ key that hashes
 - the *source* of every trace-affecting module (``repro.isa``,
   ``repro.native``, ``repro.sync``, ``repro.vm``, ``repro.workloads``
   and the runner itself), and
-- the full job configuration (workload, scale, mode, VM options).
+- the job: workload, scale and the run config's token.
 
 Editing any of those modules, or changing any config field, changes the
 key — no manual invalidation step exists anymore.  Stale archives are
@@ -493,19 +493,22 @@ def _quarantine(path: str) -> None:
 
 # -- entry paths -------------------------------------------------------
 
-def trace_path(cache_dir: str, workload: str, scale: str, mode: str,
+# ``name`` is a readable label (the run config's policy name); the key
+# is what tells two configs apart.
+
+def trace_path(cache_dir: str, workload: str, scale: str, name: str,
                key: str) -> str:
     # ``.npy`` record arrays reopen with ``mmap_mode="r"``: a warm
     # lookup maps pages instead of decompressing the whole archive.
     return os.path.join(
-        cache_dir, "traces", f"{workload}-{scale}-{mode}-{key[:16]}.npy"
+        cache_dir, "traces", f"{workload}-{scale}-{name}-{key[:16]}.npy"
     )
 
 
-def run_path(cache_dir: str, workload: str, scale: str, mode: str,
+def run_path(cache_dir: str, workload: str, scale: str, name: str,
              key: str) -> str:
     return os.path.join(
-        cache_dir, "runs", f"{workload}-{scale}-{mode}-{key[:16]}.pkl"
+        cache_dir, "runs", f"{workload}-{scale}-{name}-{key[:16]}.pkl"
     )
 
 

@@ -69,14 +69,6 @@ class CFG:
         order.reverse()
         return order
 
-    def unreachable_instrs(self) -> list[int]:
-        reach = set(self.reachable_rpo())
-        out = []
-        for block in self.blocks:
-            if block.index not in reach:
-                out.extend(range(block.start, block.end))
-        return out
-
 
 def build_cfg(method: Method) -> CFG:
     """Build the CFG of a (structurally verified) bytecode method."""

@@ -23,7 +23,7 @@ static, semantics-level subsumption of the compile-time half of that
 idea: constants are proven per program point and constant branches are
 reported (``RL003``) rather than merely counted at run time.  The two
 deliberately coexist — the folding sink stays as the picoJava
-comparison's mechanism, experiments keep their ``interp-fold`` mode.
+comparison's mechanism, experiments keep their ``folding=True`` runs.
 """
 
 from __future__ import annotations

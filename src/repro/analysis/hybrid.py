@@ -8,15 +8,15 @@ JIT run (the runs are deterministic, so ``n_i`` matches), the oracle's
 total time for each method is simply ``min(T_i + E_i*n_i, I_i*n_i)``.
 
 This module computes the per-method decisions, the oracle's projected
-total time, and an :class:`~repro.vm.strategy.OracleStrategy` that makes
-a real mixed-mode VM run enact them.
+total time, and the oracle-policy :class:`~repro.vm.config.RunConfig`
+that makes a real mixed-mode VM run enact them.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..vm.strategy import OracleStrategy
+from ..vm.config import RunConfig
 
 
 class MethodDecision:
@@ -87,9 +87,10 @@ class OracleAnalysis:
     def methods_to_compile(self) -> set[str]:
         return {d.name for d in self.decisions.values() if d.compile}
 
-    def strategy(self) -> OracleStrategy:
-        """An enactable strategy for a real mixed-mode run."""
-        return OracleStrategy(self.methods_to_compile)
+    def config(self) -> RunConfig:
+        """The run config enacting these decisions in a real mixed-mode
+        run."""
+        return RunConfig(policy="oracle", compile_set=self.methods_to_compile)
 
     # ------------------------------------------------------------------
     # projected times (the paper's analytical opt model)

@@ -1,6 +1,6 @@
 """Parallel experiment scheduler.
 
-Experiments declare the (workload, scale, mode, config) combinations
+Experiments declare the (workload, scale, run config) combinations
 they will measure as :class:`Job` descriptors — plain frozen dataclasses
 that pickle cleanly under the ``spawn`` start method.  The scheduler
 fans the deduplicated job list out over a ``ProcessPoolExecutor`` whose
@@ -45,11 +45,12 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .. import faults
 from ..obs import TRACER
+from ..vm.config import RunConfig
 from . import cache
 
 #: Job kinds and the runner entry point each one exercises.
@@ -60,38 +61,39 @@ KINDS = ("trace", "run", "oracle")
 class Job:
     """One unit of schedulable work, hashable and spawn-safe.
 
-    ``mode`` is a mode name (or a ``("counter", n)`` tuple) and
-    ``options`` a sorted tuple of extra ``run_vm`` keyword pairs, so two
-    textually different declarations of the same measurement compare
-    (and deduplicate) equal.
+    ``config`` is a :class:`RunConfig` (a token string is parsed), so
+    two declarations of the same measurement compare (and deduplicate)
+    equal however they were spelled.  ``code_archive`` is the run's
+    shared code archive directory (``None`` resolves the environment).
     """
 
     kind: str
     workload: str
     scale: str = "s1"
-    mode: object = "jit"
-    options: tuple = field(default_factory=tuple)
+    config: RunConfig = RunConfig()
+    code_archive: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}")
+        object.__setattr__(self, "config", RunConfig.of(self.config))
 
     def describe(self) -> str:
-        opts = " ".join(f"{k}={v}" for k, v in self.options)
-        mode = "" if self.kind == "oracle" else f"/{self.mode}"
-        return (f"{self.kind:6s} {self.workload}/{self.scale}{mode}"
-                + (f" [{opts}]" if opts else ""))
+        config = "" if self.kind == "oracle" else f"/{self.config.token}"
+        archive = ("" if self.code_archive is None
+                   else f" [code_archive={self.code_archive}]")
+        return f"{self.kind:6s} {self.workload}/{self.scale}{config}{archive}"
 
 
-def trace_job(workload: str, scale: str = "s1", mode: str = "jit") -> Job:
+def trace_job(workload: str, scale: str = "s1", config="jit") -> Job:
     """A job that records (and caches) one full native trace."""
-    return Job("trace", workload, scale, mode)
+    return Job("trace", workload, scale, config)
 
 
-def run_job(workload: str, scale: str = "s1", mode="jit", **options) -> Job:
+def run_job(workload: str, scale: str = "s1", config="jit",
+            code_archive: str | None = None) -> Job:
     """A job that executes (and caches) one non-recording VM run."""
-    return Job("run", workload, scale, mode,
-               tuple(sorted(options.items())))
+    return Job("run", workload, scale, config, code_archive)
 
 
 def oracle_job(workload: str, scale: str = "s1") -> Job:
@@ -101,10 +103,10 @@ def oracle_job(workload: str, scale: str = "s1") -> Job:
 
 
 def trace_jobs(benchmarks, scale: str = "s1",
-               modes=("interp", "jit")) -> list[Job]:
-    """Trace jobs for each benchmark under each mode (the common
+               configs=("interp", "jit")) -> list[Job]:
+    """Trace jobs for each benchmark under each config (the common
     shape of the cache/branch/pipeline experiments)."""
-    return [trace_job(n, scale, m) for n in benchmarks for m in modes]
+    return [trace_job(n, scale, c) for n in benchmarks for c in configs]
 
 
 def dedupe(jobs) -> list[Job]:
@@ -188,14 +190,15 @@ def execute_job(job: Job, cache_dir: str | None = None,
     started = time.perf_counter()
     error = None
     with TRACER.span("job", kind=job.kind, workload=job.workload,
-                     scale=job.scale, mode=str(job.mode)):
+                     scale=job.scale, mode=job.config.token):
         try:
             if job.kind == "trace":
-                runner.get_trace(job.workload, job.scale, job.mode,
+                runner.get_trace(job.workload, job.scale, job.config,
                                  cache_dir=cache_dir)
             elif job.kind == "run":
-                runner.run_vm(job.workload, scale=job.scale, mode=job.mode,
-                              cache_dir=cache_dir, **dict(job.options))
+                runner.run_vm(job.workload, job.scale, job.config,
+                              cache_dir=cache_dir,
+                              code_archive=job.code_archive)
             else:
                 runner.oracle_run(job.workload, job.scale,
                                   cache_dir=cache_dir)

@@ -5,7 +5,7 @@ itself — the memory mask, the data-reference columns, the transfer
 events, the branch replay context.  A :class:`TraceReplay` wraps one
 :class:`~repro.native.trace.Trace` and memoizes those derived streams,
 and :func:`get_replay` adds a small process-level LRU so consecutive
-consumers of the same (workload, scale, mode) share one decode.
+consumers of the same (workload, scale, run config) share one decode.
 
 The simulators accept a ``TraceReplay`` wherever they accept a
 ``Trace`` (duck-typed: ``simulate_split_l1`` uses the cached streams,
@@ -85,24 +85,26 @@ class TraceReplay:
 
 
 #: Process-level LRU of decoded replays, keyed by (workload, scale,
-#: mode, resolved cache dir).  Small: replays hold full traces.
+#: run config, resolved cache dir).  Small: replays hold full traces.
 _REPLAY_MEMO: "OrderedDict[tuple, TraceReplay]" = OrderedDict()
 _REPLAY_CAPACITY = 4
 
 
-def get_replay(workload: str, scale: str = "s1", mode: str = "jit",
+def get_replay(workload: str, scale: str = "s1", config="jit",
                cache_dir: str | None = None) -> TraceReplay:
-    """The :class:`TraceReplay` for (workload, scale, mode), decoding
-    the cached trace at most once per process (LRU-bounded)."""
+    """The :class:`TraceReplay` for (workload, scale, run config),
+    decoding the cached trace at most once per process (LRU-bounded)."""
+    from ..vm.config import RunConfig
     from . import cache as _cache
     from .runner import get_trace
 
-    key = (workload, scale, mode, _cache.resolve_dir(cache_dir))
+    config = RunConfig.of(config)
+    key = (workload, scale, config, _cache.resolve_dir(cache_dir))
     replay = _REPLAY_MEMO.get(key)
     if replay is not None:
         _REPLAY_MEMO.move_to_end(key)
         return replay
-    replay = TraceReplay(get_trace(workload, scale, mode,
+    replay = TraceReplay(get_trace(workload, scale, config,
                                    cache_dir=cache_dir))
     _REPLAY_MEMO[key] = replay
     while len(_REPLAY_MEMO) > _REPLAY_CAPACITY:

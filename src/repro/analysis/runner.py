@@ -5,12 +5,12 @@
 the full native trace.  Both are backed by a transparent on-disk cache
 (:mod:`repro.analysis.cache`): every experiment replays the same
 deterministic traces through different simulators, so recording each
-(workload, scale, mode, config) once pays off across the whole harness
+(workload, scale, run config) once pays off across the whole harness
 — and across concurrent worker processes, which share one
 content-addressed store.
 
 Cache entries are addressed by a hash of the trace-affecting module
-sources plus the full job configuration; there is no version constant to
+sources plus the run config's token; there is no version constant to
 bump.  Set ``REPRO_TRACE_CACHE=""`` (or pass ``cache_dir=""``) to
 disable caching; the environment variable is consulted at *call* time,
 so tests can redirect the cache per-test.
@@ -19,85 +19,24 @@ so tests can redirect the cache per-test.
 from __future__ import annotations
 
 from ..native.trace import Trace
-from ..sync import LOCK_MANAGERS
+from ..vm.config import RunConfig
 from ..vm.machine import JavaVM, VMResult
-from ..vm.strategy import (
-    CompileOnFirstUse,
-    CounterThreshold,
-    InterpretOnly,
-    OracleStrategy,
-    Strategy,
-    TieredStrategy,
-)
 from ..workloads.base import get_workload
 from . import cache
 from .hybrid import OracleAnalysis
 
-MODES = ("interp", "jit")
 
+def run_vm(workload: str, scale: str = "s1",
+           config: RunConfig | str = "jit", *,
+           cache_dir: str | None = None,
+           code_archive: str | None = None) -> VMResult:
+    """Build a fresh VM for the workload and run it under ``config``.
 
-def make_strategy(mode, oracle_set=None) -> Strategy:
-    """Strategy instance from a mode name."""
-    if isinstance(mode, Strategy):
-        return mode
-    if mode == "interp":
-        return InterpretOnly()
-    if mode == "jit":
-        return CompileOnFirstUse()
-    if mode == "oracle":
-        return OracleStrategy(oracle_set or set())
-    if mode == "tiered":
-        return TieredStrategy()
-    if isinstance(mode, tuple) and mode[0] == "counter":
-        return CounterThreshold(mode[1])
-    if isinstance(mode, tuple) and mode[0] == "tiered":
-        t1, t2, osr = mode[1], mode[2], mode[3]
-        kwargs = {}
-        if len(mode) > 4:                       # optional compile_ratio
-            kwargs["compile_ratio"] = mode[4]
-        return TieredStrategy(t1_invocations=t1, t2_invocations=t2,
-                              osr_backedges=osr, t2_backedges=8 * osr,
-                              **kwargs)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def mode_token(mode) -> str | None:
-    """A stable string for a mode, or ``None`` when it cannot be keyed
-    (ad-hoc :class:`Strategy` instances are not content-addressable)."""
-    if isinstance(mode, str):
-        return mode
-    if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "counter":
-        return f"counter{int(mode[1])}"
-    if isinstance(mode, tuple) and mode[0] == "tiered" and len(mode) in (4, 5):
-        token = "tiered{}-{}-{}".format(*(int(v) for v in mode[1:4]))
-        if len(mode) == 5:
-            token += f"-r{float(mode[4]):g}"
-        return token
-    return None
-
-
-def run_vm(
-    workload: str,
-    scale: str = "s1",
-    mode="jit",
-    record: bool = False,
-    lock_manager: str = "monitor-cache",
-    inline: bool = True,
-    profile: bool = True,
-    oracle_set: set | None = None,
-    folding: bool = False,
-    jit_opt: bool = False,
-    lock_elision: bool = False,
-    cache_dir: str | None = None,
-    code_archive: str | None = None,
-) -> VMResult:
-    """Build a fresh VM for the workload and run it to completion.
-
-    Non-recording runs with nameable modes are served from the
-    content-addressed result cache when one is configured
-    (``cache_dir=None`` resolves ``REPRO_TRACE_CACHE`` at call time;
-    pass ``""`` to force a fresh run).  Runs are deterministic, so a
-    cached result is byte-identical to a fresh one.
+    Non-recording runs are served from the content-addressed result
+    cache when one is configured (``cache_dir=None`` resolves
+    ``REPRO_TRACE_CACHE`` at call time; pass ``""`` to force a fresh
+    run).  Runs are deterministic, so a cached result is byte-identical
+    to a fresh one.
 
     ``code_archive`` names a shared compiled-code archive directory
     (``None`` resolves ``REPRO_CODE_ARCHIVE``; ``""`` disables).
@@ -106,73 +45,47 @@ def run_vm(
     reports, so serving a pickled cold result would misreport it.
     """
     from ..vm.codecache_archive import resolve_archive_dir
+    config = RunConfig.of(config)
     archive_dir = resolve_archive_dir(code_archive)
-    token = mode_token(mode)
-    resolved = (None if record or token is None or archive_dir
+    resolved = (None if config.record or archive_dir
                 else cache.resolve_dir(cache_dir))
     path = None
     if resolved:
-        key = cache.cache_key(
-            "run",
-            workload=workload,
-            scale=scale,
-            mode=token,
-            lock_manager=lock_manager,
-            inline=inline,
-            profile=profile,
-            folding=folding,
-            jit_opt=jit_opt,
-            lock_elision=lock_elision,
-            oracle=sorted(oracle_set) if oracle_set else None,
-        )
-        path = cache.run_path(resolved, workload, scale, token, key)
+        key = cache.cache_key("run", workload=workload, scale=scale,
+                              config=config.token)
+        path = cache.run_path(resolved, workload, scale, config.name, key)
         cached = cache.load_run(path)
         if cached is not None:
             return cached
     program = get_workload(workload).build(scale)
-    vm = JavaVM(
-        program,
-        strategy=make_strategy(mode, oracle_set),
-        lock_manager=LOCK_MANAGERS[lock_manager](),
-        record=record,
-        inline=inline,
-        profile=profile,
-        folding=folding,
-        jit_opt=jit_opt,
-        lock_elision=lock_elision,
-        code_archive=archive_dir or "",
-    )
-    result = vm.run()
+    result = JavaVM(program, config, code_archive=archive_dir or "").run()
     if path:
         cache.store_run(path, result)
     return result
 
 
-def get_trace(
-    workload: str,
-    scale: str = "s1",
-    mode: str = "jit",
-    cache_dir: str | None = None,
-) -> Trace:
-    """Full native trace for (workload, scale, mode), cached on disk.
+def get_trace(workload: str, scale: str = "s1",
+              config: RunConfig | str = "jit",
+              cache_dir: str | None = None) -> Trace:
+    """Full native trace of ``workload`` run under ``config``, cached on
+    disk.  The trace is always recorded with profiling off, so
+    ``config``'s own ``record`` and ``profile`` are ignored.
 
     ``cache_dir=None`` resolves ``REPRO_TRACE_CACHE`` at call time;
     pass ``""`` to disable the cache for this call.
     """
+    config = RunConfig.of(config).replace(record=False, profile=True)
     resolved = cache.resolve_dir(cache_dir)
     path = None
     if resolved:
         key = cache.cache_key("trace", workload=workload, scale=scale,
-                              mode=mode)
-        path = cache.trace_path(resolved, workload, scale, mode, key)
+                              config=config.token)
+        path = cache.trace_path(resolved, workload, scale, config.name, key)
         trace = cache.load_trace(path)
         if trace is not None:
             return trace
-    folding = mode.endswith("-fold")
-    vm_mode = mode[:-5] if folding else mode
-    result = run_vm(workload, scale=scale, mode=vm_mode, record=True,
-                    profile=False, folding=folding)
-    trace = result.trace
+    trace = run_vm(workload, scale, config.replace(record=True,
+                                                  profile=False)).trace
     if path:
         cache.store_trace(path, trace)
     return trace
@@ -181,9 +94,8 @@ def get_trace(
 def oracle_analysis(workload: str, scale: str = "s1",
                     cache_dir: str | None = None) -> OracleAnalysis:
     """Profile interpreter and JIT runs; return the opt-model analysis."""
-    interp = run_vm(workload, scale=scale, mode="interp",
-                    cache_dir=cache_dir)
-    jit = run_vm(workload, scale=scale, mode="jit", cache_dir=cache_dir)
+    interp = run_vm(workload, scale, "interp", cache_dir=cache_dir)
+    jit = run_vm(workload, scale, "jit", cache_dir=cache_dir)
     return OracleAnalysis(interp, jit)
 
 
@@ -192,7 +104,5 @@ def oracle_run(workload: str, scale: str = "s1",
                ) -> tuple[OracleAnalysis, VMResult]:
     """The opt analysis plus a *real* mixed-mode run enacting it."""
     analysis = oracle_analysis(workload, scale, cache_dir=cache_dir)
-    mixed = run_vm(workload, scale=scale, mode="oracle",
-                   oracle_set=analysis.methods_to_compile,
-                   cache_dir=cache_dir)
+    mixed = run_vm(workload, scale, analysis.config(), cache_dir=cache_dir)
     return analysis, mixed

@@ -28,24 +28,6 @@ def _aslist(values) -> list:
     return np.asarray(values).tolist()
 
 
-class TwoBitCounter:
-    """Saturating 2-bit counter starting weakly taken."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = 2) -> None:
-        self.value = value
-
-    def predict(self) -> bool:
-        return self.value >= 2
-
-    def update(self, taken: bool) -> None:
-        if taken:
-            self.value = min(3, self.value + 1)
-        else:
-            self.value = max(0, self.value - 1)
-
-
 class DirectionPredictor:
     """Interface for direction predictors."""
 

@@ -18,6 +18,7 @@ from ..analysis.parallel import oracle_job, run_job, trace_job, trace_jobs
 from ..analysis.runner import get_trace, oracle_run, run_vm
 from ..arch.caches import simulate_split_l1
 from ..native.layout import CODE_CACHE_BASE, CODE_CACHE_SIZE
+from ..vm.config import RunConfig
 from ..workloads.base import SPEC_BENCHMARKS
 from .base import ExperimentResult, experiment
 
@@ -29,7 +30,7 @@ def _strategy_jobs(scale: str = "s1", benchmarks=None) -> list:
     jobs = []
     for name in benchmarks or _STRATEGY_BENCHMARKS:
         jobs.append(oracle_job(name, scale))
-        jobs.extend(run_job(name, scale, ("counter", t))
+        jobs.extend(run_job(name, scale, RunConfig(threshold=t))
                     for t in _THRESHOLDS)
     return jobs
 
@@ -44,7 +45,7 @@ def run_strategy(scale: str = "s1", benchmarks=None) -> ExperimentResult:
         jit_total = analysis.jit_result.cycles
         row = [name, 1.0]
         for threshold in _THRESHOLDS:
-            res = run_vm(name, scale=scale, mode=("counter", threshold))
+            res = run_vm(name, scale, RunConfig(threshold=threshold))
             row.append(round(res.cycles / jit_total, 3))
         row.append(round(analysis.interp_result.cycles / jit_total, 3))
         row.append(round(mixed.cycles / jit_total, 3))
@@ -122,7 +123,7 @@ _LOCK_BENCHMARKS = ("jack", "db", "jess", "mtrt")
 
 
 def _lock_jobs(scale: str = "s1", benchmarks=None) -> list:
-    return [run_job(n, scale, "jit", lock_manager=mgr, profile=False)
+    return [run_job(n, scale, RunConfig(lock_manager=mgr, profile=False))
             for n in benchmarks or _LOCK_BENCHMARKS
             for mgr in ("monitor-cache", "thin-lock", "one-bit-lock")]
 
@@ -135,8 +136,8 @@ def run_locks(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     for name in benchmarks:
         cycles = {}
         for mgr in ("monitor-cache", "thin-lock", "one-bit-lock"):
-            res = run_vm(name, scale=scale, mode="jit", lock_manager=mgr,
-                         profile=False)
+            res = run_vm(name, scale,
+                         RunConfig(lock_manager=mgr, profile=False))
             cycles[mgr] = res.sync_cycles
         mc = cycles["monitor-cache"] or 1
         rows.append([
@@ -159,14 +160,15 @@ def run_locks(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     )
 
 
+#: Plain thin locks, and the same plus the optimizer and lock elision.
+_THIN = RunConfig(lock_manager="thin-lock", profile=False)
+_THIN_ELIDED = _THIN.replace(jit_opt=True, lock_elision=True)
+
+
 def _elision_jobs(scale: str = "s1", benchmarks=None) -> list:
-    jobs = []
-    for name in benchmarks or SPEC_BENCHMARKS:
-        jobs.append(run_job(name, scale, "jit", lock_manager="thin-lock",
-                            profile=False))
-        jobs.append(run_job(name, scale, "jit", lock_manager="thin-lock",
-                            profile=False, jit_opt=True, lock_elision=True))
-    return jobs
+    return [run_job(name, scale, config)
+            for name in benchmarks or SPEC_BENCHMARKS
+            for config in (_THIN, _THIN_ELIDED)]
 
 
 @experiment("ablation_lock_elision", jobs=_elision_jobs)
@@ -185,11 +187,8 @@ def run_lock_elision(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     rows = []
     elided_total = base_total = 0
     for name in benchmarks:
-        base = run_vm(name, scale=scale, mode="jit",
-                      lock_manager="thin-lock", profile=False)
-        opt = run_vm(name, scale=scale, mode="jit",
-                     lock_manager="thin-lock", profile=False,
-                     jit_opt=True, lock_elision=True)
+        base = run_vm(name, scale, _THIN)
+        opt = run_vm(name, scale, _THIN_ELIDED)
         if base.stdout != opt.stdout:      # pragma: no cover - safety net
             raise AssertionError(f"{name}: optimized run diverged")
         if opt.sync["elision_violations"]:  # pragma: no cover - safety net
@@ -232,7 +231,7 @@ _INLINE_BENCHMARKS = ("db", "javac", "mpegaudio")
 
 
 def _inline_jobs(scale: str = "s1", benchmarks=None) -> list:
-    return [run_job(n, scale, "jit", inline=flag, profile=False)
+    return [run_job(n, scale, RunConfig(inline=flag, profile=False))
             for n in benchmarks or _INLINE_BENCHMARKS
             for flag in (True, False)]
 
@@ -243,9 +242,8 @@ def run_inline(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     benchmarks = benchmarks or _INLINE_BENCHMARKS
     rows = []
     for name in benchmarks:
-        on = run_vm(name, scale=scale, mode="jit", inline=True, profile=False)
-        off = run_vm(name, scale=scale, mode="jit", inline=False,
-                     profile=False)
+        on = run_vm(name, scale, RunConfig(inline=True, profile=False))
+        off = run_vm(name, scale, RunConfig(inline=False, profile=False))
         ind_on = _indirect(on)
         ind_off = _indirect(off)
         rows.append([
@@ -337,11 +335,12 @@ def run_indirect(scale: str = "s1", benchmarks=None) -> ExperimentResult:
 
 
 _FOLDING_BENCHMARKS = ("compress", "jess", "mpegaudio")
+_FOLDING = RunConfig(threshold=None, folding=True)
 
 
 def _folding_jobs(scale: str = "s1", benchmarks=None) -> list:
     return trace_jobs(benchmarks or _FOLDING_BENCHMARKS, scale,
-                      modes=("interp", "interp-fold"))
+                      configs=("interp", _FOLDING))
 
 
 @experiment("ablation_folding", jobs=_folding_jobs)
@@ -356,7 +355,7 @@ def run_folding(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     savings = []
     for name in benchmarks:
         base_trace = get_trace(name, scale, "interp")
-        fold_trace = get_trace(name, scale, "interp-fold")
+        fold_trace = get_trace(name, scale, _FOLDING)
         base_cycles = base_trace.base_cycles()
         fold_cycles = fold_trace.base_cycles()
         saving = 1 - fold_cycles / base_cycles

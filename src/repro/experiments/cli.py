@@ -3,7 +3,7 @@
 Regenerates any of the paper's tables/figures (or all of them) and
 prints the rows the paper reports.
 
-With ``--jobs N`` the declared (workload, scale, mode, config) job
+With ``--jobs N`` the declared (workload, scale, run config) job
 lists of the selected experiments are deduplicated and fanned out over
 ``N`` worker processes to pre-warm the shared content-addressed cache;
 the rendering pass then runs serially against a warm cache, so parallel

@@ -50,7 +50,7 @@ def _run(name: str, scale: str, mode, archive: str):
     """Archive-enabled runs bypass the run-result cache automatically
     (the warm/cold split must be measured fresh); the archive-disabled
     baselines are deterministic and cacheable like any other run."""
-    return run_vm(name, scale=scale, mode=mode, code_archive=archive)
+    return run_vm(name, scale, mode, code_archive=archive)
 
 
 def _jobs(scale: str = "s1", benchmarks=None) -> list:

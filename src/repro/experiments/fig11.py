@@ -13,6 +13,7 @@ from __future__ import annotations
 from ..analysis.parallel import run_job
 from ..analysis.runner import run_vm
 from ..sync.base import ALL_CASES
+from ..vm.config import RunConfig
 from ..workloads.base import SPEC_BENCHMARKS
 from .base import ExperimentResult, experiment
 
@@ -20,7 +21,7 @@ _MANAGERS = ("monitor-cache", "thin-lock", "one-bit-lock")
 
 
 def _jobs(scale: str = "s1", benchmarks=None) -> list:
-    return [run_job(n, scale, "jit", lock_manager=mgr, profile=False)
+    return [run_job(n, scale, RunConfig(lock_manager=mgr, profile=False))
             for n in benchmarks or SPEC_BENCHMARKS
             for mgr in _MANAGERS]
 
@@ -34,8 +35,8 @@ def run(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     for name in benchmarks:
         per_mgr = {}
         for mgr in _MANAGERS:
-            result = run_vm(name, scale=scale, mode="jit",
-                            lock_manager=mgr, profile=False)
+            result = run_vm(name, scale,
+                            RunConfig(lock_manager=mgr, profile=False))
             per_mgr[mgr] = result
         mc = per_mgr["monitor-cache"]
         tl = per_mgr["thin-lock"]

@@ -17,7 +17,7 @@ from .base import ExperimentResult, experiment
 
 
 def _jobs(scale: str = "s1", benchmarks=None) -> list:
-    return trace_jobs(benchmarks or SPEC_BENCHMARKS, scale, modes=("jit",))
+    return trace_jobs(benchmarks or SPEC_BENCHMARKS, scale, configs=("jit",))
 
 
 @experiment("fig5", jobs=_jobs)

@@ -34,7 +34,7 @@ def run(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     small = []
     for name in benchmarks:
         program = get_workload(name).build(scale)
-        result = run_vm(name, scale=scale, mode="interp")
+        result = run_vm(name, scale, "interp")
         bl = BytecodeLocality(result.opcode_counts)
         ml = MethodLocality(result.profiles, method_sizes_of(program))
         b = bl.summary()

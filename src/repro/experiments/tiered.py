@@ -3,7 +3,7 @@
 Two experiments plus a benchmark emitter:
 
 - ``tiered``: the seven SPEC-style workloads under interp, first-use
-  JIT, the online :class:`~repro.vm.strategy.TieredStrategy`, and the
+  JIT, the online tiered policy (:mod:`repro.vm.tiering`), and the
   oracle, reporting how much of the oracle's cycle advantage over the
   JIT the online ladder recovers — the realizable fraction of the
   paper's Section 3 bound.
@@ -36,17 +36,23 @@ from __future__ import annotations
 from ..analysis.parallel import oracle_job, run_job
 from ..analysis.runner import oracle_run, run_vm
 from ..isa import ProgramBuilder
-from ..vm import JavaVM, TieredStrategy
+from ..vm import JavaVM, RunConfig
+from ..vm.config import STRESS_TIERED
 from ..workloads.base import SPEC_BENCHMARKS
 from .base import ExperimentResult, experiment
 
 #: compile_ratio values for the hotness-threshold sweep.
 SWEEP_RATIOS = (0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0)
 
-#: Thresholds for the deopt scenarios: promote fast, screen off, so the
-#: speculative paths are reached within a few dozen iterations.
-AGGRESSIVE = dict(t1_invocations=2, t2_invocations=3, osr_backedges=4,
-                  t2_backedges=8, compile_ratio=0.01, t2_screen=False)
+#: The online ladder at its default thresholds.
+TIERED = RunConfig(policy="tiered")
+
+
+def sweep_config(ratio: float) -> RunConfig:
+    """The ladder of the ``compile_ratio`` sweep at one ratio.  Its
+    ``t2_backedges`` is 8 x ``osr_backedges``, as the sweep has always
+    run, not the default ladder's 512."""
+    return TIERED.replace(t2_backedges=32, compile_ratio=ratio)
 
 
 # ----------------------------------------------------------------------
@@ -164,14 +170,13 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, strategy=None, static_concurrency=False):
-    """Run one deopt scenario under the tiered engine; returns VMResult."""
+def run_scenario(name: str, config: RunConfig | str = STRESS_TIERED):
+    """Run one deopt scenario (without daemon threads); returns the
+    VMResult.  The default ladder promotes fast with the screen off, so
+    the speculative paths are reached within a few dozen iterations."""
     builder, _expected = SCENARIOS[name]
-    vm = JavaVM(builder().build(),
-                strategy=strategy or TieredStrategy(**AGGRESSIVE),
-                spawn_daemons=False,
-                static_concurrency=static_concurrency)
-    return vm.run()
+    config = RunConfig.of(config).replace(spawn_daemons=False)
+    return JavaVM(builder().build(), config).run()
 
 
 def run_scenarios() -> dict:
@@ -204,7 +209,8 @@ def static_concurrency_comparison() -> dict:
     zero elision violations, identical stdout.  CI guards all three."""
     out = {}
     for label, static in (("static_off", False), ("static_on", True)):
-        res = run_scenario("lock_escape", static_concurrency=static)
+        res = run_scenario("lock_escape", STRESS_TIERED.replace(
+            static_concurrency=static))
         t = res.tiering
         out[label] = {
             "stdout_ok": res.stdout == SCENARIOS["lock_escape"][1],
@@ -228,14 +234,8 @@ def _tiered_jobs(scale: str = "s1", benchmarks=None) -> list:
     jobs = []
     for name in benchmarks or SPEC_BENCHMARKS:
         jobs.append(oracle_job(name, scale))
-        jobs.append(run_job(name, scale, "tiered"))
+        jobs.append(run_job(name, scale, TIERED))
     return jobs
-
-
-def _suite(scale, benchmarks, mode):
-    """(total cycles, per-workload VMResult map) for one mode."""
-    results = {n: run_vm(n, scale=scale, mode=mode) for n in benchmarks}
-    return sum(r.cycles for r in results.values()), results
 
 
 def gap_recovered(scale: str = "s1", benchmarks=None) -> dict:
@@ -249,7 +249,7 @@ def gap_recovered(scale: str = "s1", benchmarks=None) -> dict:
                 "deopts": 0, "speculative_marks": 0}
     for name in benchmarks:
         analysis, mixed = oracle_run(name, scale)
-        tiered = run_vm(name, scale=scale, mode="tiered")
+        tiered = run_vm(name, scale, TIERED)
         row = {
             "interp": analysis.interp_result.cycles,
             "jit": analysis.jit_result.cycles,
@@ -268,7 +268,7 @@ def gap_recovered(scale: str = "s1", benchmarks=None) -> dict:
     return {
         "scale": scale,
         "benchmarks": list(benchmarks),
-        "strategy": TieredStrategy().describe(),
+        "strategy": TIERED.describe(),
         "per_workload": per,
         "totals": {
             "interp": interp_total,
@@ -338,8 +338,7 @@ def _ablation_jobs(scale: str = "s1", benchmarks=None) -> list:
     for name in benchmarks or SPEC_BENCHMARKS:
         jobs.append(oracle_job(name, scale))
         for ratio in SWEEP_RATIOS:
-            jobs.append(run_job(name, scale,
-                                ("tiered", 2, 64, 4, ratio)))
+            jobs.append(run_job(name, scale, sweep_config(ratio)))
     return jobs
 
 
@@ -359,8 +358,7 @@ def run_ablation(scale: str = "s1", benchmarks=None) -> ExperimentResult:
         total = 0
         t1 = osr = 0
         for name in benchmarks:
-            res = run_vm(name, scale=scale,
-                         mode=("tiered", 2, 64, 4, ratio))
+            res = run_vm(name, scale, sweep_config(ratio))
             total += res.cycles
             t1 += res.tiering["promotions_t1"]
             osr += res.tiering["osr_entries"]
@@ -408,7 +406,7 @@ def sample_wall_times(workload: str = "db", scale: str = "s0",
     samples = []
     for _ in range(repeats):
         started = _time.perf_counter()
-        run_vm(workload, scale=scale, mode="tiered", cache_dir="")
+        run_vm(workload, scale, TIERED, cache_dir="")
         samples.append(_time.perf_counter() - started)
     return {"workload": workload, "scale": scale, "repeats": repeats,
             **steady_report(samples)}
@@ -422,7 +420,7 @@ def write_bench(path: str, scale: str = "s1", benchmarks=None) -> dict:
     sweep = []
     for ratio in SWEEP_RATIOS:
         total = sum(
-            run_vm(n, scale=scale, mode=("tiered", 2, 64, 4, ratio)).cycles
+            run_vm(n, scale, sweep_config(ratio)).cycles
             for n in data["benchmarks"])
         sweep.append({"compile_ratio": ratio, "suite_cycles": total})
     data["sweep"] = sweep

@@ -78,10 +78,6 @@ def activate_from_env() -> ActivePlan | None:
 
 # -- ledger conveniences ------------------------------------------------
 
-def note_injected(kind: str, **attrs) -> None:
-    LEDGER.note("injected", kind, **attrs)
-
-
 def note_observed(kind: str, **attrs) -> None:
     LEDGER.note("observed", kind, **attrs)
 

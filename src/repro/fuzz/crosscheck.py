@@ -24,20 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..vm import InterpretOnly, JavaVM, TieredStrategy
+from ..vm import JavaVM
+from ..vm.config import STRESS_TIERED
 from .gen import FUEL, ProgramSpec, gen_mt_program
 from .harness import SEED_STRIDE
 
 __all__ = ["SeedCheck", "CrossCheckResult", "check_spec", "run_crosscheck"]
-
-
-def _tiered_vm(program, static: bool) -> JavaVM:
-    # Same hair-trigger ladder as the differential oracle's ``tiered``
-    # config, so speculation and deopt fire inside small programs.
-    return JavaVM(program, strategy=TieredStrategy(
-        t1_invocations=2, t2_invocations=3, osr_backedges=4,
-        t2_backedges=8, compile_ratio=0.01, t2_screen=False),
-        static_concurrency=static)
 
 
 def static_claims(program) -> tuple[set, set]:
@@ -91,15 +83,17 @@ def check_spec(spec: ProgramSpec, fuel: int = FUEL) -> SeedCheck:
         check.racy_claims = len(racy_locs)
 
         # dynamic ground truth: interpret with the confinement tracker
-        vm = JavaVM(spec.render(), strategy=InterpretOnly(),
-                    track_confinement=True)
+        vm = JavaVM(spec.render(), "interp,track_confinement=True")
         result = vm.run(max_bytecodes=fuel)
         tracker = vm.confinement
         check.foreign_sites = len(tracker.foreign_locked_sites)
         check.violations = sorted(claims & tracker.foreign_locked_sites)
 
         # equivalence: tiered-with-static-summaries vs interpretation
-        tvm = _tiered_vm(spec.render(), static=True)
+        # the differential oracle's hair-trigger ladder, so speculation
+        # and deopt fire inside small programs
+        tvm = JavaVM(spec.render(),
+                     STRESS_TIERED.replace(static_concurrency=True))
         tresult = tvm.run(max_bytecodes=fuel)
         violations = tresult.sync.get("elision_violations", 0)
         if tuple(tresult.stdout) != tuple(result.stdout):

@@ -28,20 +28,22 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..isa.method import Program
-from ..vm import (
-    CompileOnFirstUse,
-    InterpretOnly,
-    JavaVM,
-    TieredStrategy,
-    VMResult,
-)
+from ..vm import JavaVM, RunConfig, VMResult
+from ..vm.config import STRESS_TIERED
 from .gen import FUEL, ProgramSpec
 
 #: The execution-configuration matrix, in comparison order.  ``tiered``
 #: runs the online ladder with deliberately hair-trigger thresholds and
 #: the tier-2 benefit screen off, so promotion, OSR, speculation and
 #: deoptimization all fire inside even small generated programs.
-CONFIGS = ("interp", "jit", "jit_opt", "lock_elision", "tiered")
+MATRIX = {
+    "interp": RunConfig(threshold=None),
+    "jit": RunConfig(),
+    "jit_opt": RunConfig(jit_opt=True),
+    "lock_elision": RunConfig(lock_elision=True),
+    "tiered": STRESS_TIERED,
+}
+CONFIGS = tuple(MATRIX)
 
 #: Configs whose sync comparison must use elision-normalized keys
 #: (tier 2 elides speculatively, so ``tiered`` belongs here too).
@@ -54,23 +56,6 @@ DEFAULT_TOLERANCE = 0.02
 #: compile-cost outlier (the paper's hello/db phenomenon, taken to its
 #: extreme).  Calibrated so only ~1-2% of generated programs qualify.
 TRANSLATE_SHARE = 0.77
-
-
-def _make_vm(program: Program, config: str) -> JavaVM:
-    if config == "interp":
-        return JavaVM(program, strategy=InterpretOnly())
-    if config == "jit":
-        return JavaVM(program, strategy=CompileOnFirstUse())
-    if config == "jit_opt":
-        return JavaVM(program, strategy=CompileOnFirstUse(), jit_opt=True)
-    if config == "lock_elision":
-        return JavaVM(program, strategy=CompileOnFirstUse(),
-                      lock_elision=True)
-    if config == "tiered":
-        return JavaVM(program, strategy=TieredStrategy(
-            t1_invocations=2, t2_invocations=3, osr_backedges=4,
-            t2_backedges=8, compile_ratio=0.01, t2_screen=False))
-    raise ValueError(f"unknown config {config!r}")
 
 
 @dataclass
@@ -164,7 +149,7 @@ def run_config(program: Program, config: str,
     """Execute ``program`` under one configuration, capturing errors."""
     outcome = Outcome(config)
     try:
-        vm = _make_vm(program, config)
+        vm = JavaVM(program, MATRIX[config])
         outcome.result = vm.run(max_bytecodes=fuel)
     except Exception as exc:  # noqa: BLE001 - errors are oracle data
         outcome.error = f"{type(exc).__name__}: {exc}"

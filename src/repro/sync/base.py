@@ -15,7 +15,6 @@ and therefore cycles — each case costs (Figure 11(ii)).
 
 from __future__ import annotations
 
-from ..native.nisa import FLAG_SYNC
 
 #: Recursion threshold separating cases (b) and (c).
 RECURSION_LIMIT = 256
@@ -57,14 +56,6 @@ class SyncStats:
         self.elided_releases = 0
         self.elided_case_counts = {c: 0 for c in ALL_CASES}
         self.elision_violations = 0
-
-    @property
-    def total_ops(self) -> int:
-        return self.acquire_ops + self.release_ops
-
-    def case_fractions(self) -> dict[str, float]:
-        total = sum(self.case_counts.values()) or 1
-        return {c: n / total for c, n in self.case_counts.items()}
 
     def snapshot(self) -> dict:
         return {
@@ -140,8 +131,3 @@ class LockManager:
 
     def _release_cost(self, obj, state: LockState, sink) -> int:
         raise NotImplementedError
-
-
-def sync_flags() -> int:
-    """Flag bits for lock-manager trace templates."""
-    return FLAG_SYNC

@@ -15,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..vm.config import RunConfig
 from .engine import DEFAULT_WINDOWS, run_scenario
 from .spec import ARRIVALS, PRESETS, ScenarioSpec, get_preset
 
@@ -27,8 +28,9 @@ def main(argv=None) -> int:
     src.add_argument("--scenario", default="api",
                      help=f"preset name (one of {sorted(PRESETS)})")
     src.add_argument("--spec", help="path to a ScenarioSpec JSON file")
-    parser.add_argument("--mode", default="tiered",
-                        help="execution config (interp/jit/tiered/...)")
+    parser.add_argument("--mode", default="tiered", type=RunConfig.parse,
+                        help="run config token (interp, jit, tiered, "
+                             "tiered,compile_ratio=0.5, ...)")
     parser.add_argument("--code-archive", default="",
                         help="shared code archive dir ('' disables)")
     parser.add_argument("--requests", type=int)

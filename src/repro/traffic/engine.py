@@ -11,8 +11,8 @@ machine goes idle the tracker advances the cycle clock to the next
 arrival — so queueing delay, burst backlogs and diurnal ramps are
 visible in the latency distribution instead of being simulated away.
 
-:func:`run_scenario` builds the program, runs it under any execution
-config (``interp``/``jit``/``tiered``/tuple modes, optionally against a
+:func:`run_scenario` builds the program, runs it under any
+:class:`~repro.vm.config.RunConfig` (or its token, optionally against a
 shared code archive), and reduces the per-request record to the
 measurements the server bench guards: throughput, exact tail-latency
 percentiles in cycles, per-window cycles-per-request samples with
@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.runner import make_strategy, mode_token
 from ..bench.stats import detect_steady, percentiles
 from ..obs import TRACER
-from ..sync import LOCK_MANAGERS
+from ..vm.config import RunConfig
 from ..vm.machine import JavaVM, VMResult
 from ..vm.threads import RUNNABLE, WAITING
 from .codegen import KIND_BITS, build_program
@@ -128,7 +127,7 @@ class TrafficResult:
     """One scenario run: the VM result plus the per-request record."""
 
     spec: ScenarioSpec
-    mode: object
+    config: RunConfig
     vm_result: VMResult
     tracker: RequestTracker
     wall_seconds: float
@@ -180,7 +179,7 @@ class TrafficResult:
                                  minlength=len(kinds)).tolist()
         out = {
             "scenario": self.spec.name,
-            "mode": mode_token(self.mode) or str(self.mode),
+            "mode": self.config.token,
             "requests": t.n,
             "stdout": list(r.stdout),
             "wall_seconds": round(self.wall_seconds, 3),
@@ -224,40 +223,37 @@ class TrafficResult:
 
 def run_scenario(
     spec: ScenarioSpec,
-    mode="tiered",
+    config: RunConfig | str = "tiered",
     *,
     code_archive: str = "",
-    lock_manager: str = "monitor-cache",
     windows: int = DEFAULT_WINDOWS,
     window_requests: int | None = None,
     steady_window: int = 5,
     steady_cv: float = 0.10,
-    static_concurrency: bool = False,
-    max_bytecodes: int | None = None,
 ) -> TrafficResult:
-    """Build, run and measure one scenario under one execution config.
+    """Build, run and measure one scenario under one run config.
 
+    The scenario runs without daemon threads.  A config that keeps the
+    default ``max_bytecodes`` gets a budget scaled to the request count.
     ``code_archive`` names a shared compiled-code archive directory
     (empty string disables, mirroring ``run_vm``).  Results are never
     served from the run cache: the per-request record lives outside
     :class:`VMResult`, and archive warmth must stay observable.
     """
+    config = RunConfig.of(config)
+    budget = config.max_bytecodes
+    if budget == RunConfig.max_bytecodes:
+        budget = max(budget, 300 * spec.requests)
     program = build_program(spec)
     tracker = RequestTracker(spec)
-    vm = JavaVM(
-        program,
-        strategy=make_strategy(mode),
-        lock_manager=LOCK_MANAGERS[lock_manager](),
-        spawn_daemons=False,
-        static_concurrency=static_concurrency,
-        code_archive=code_archive,
-        max_bytecodes=max_bytecodes or max(80_000_000, 300 * spec.requests),
-    )
+    vm = JavaVM(program,
+                config.replace(spawn_daemons=False, max_bytecodes=budget),
+                code_archive=code_archive)
     vm.request_source = tracker
     started = time.perf_counter()
     if TRACER.enabled:
         with TRACER.span("traffic.scenario", scenario=spec.name,
-                         mode=mode_token(mode) or str(mode),
+                         mode=config.token,
                          requests=spec.requests, threads=spec.threads,
                          arrival=spec.arrival) as sp:
             result = vm.run()
@@ -275,7 +271,7 @@ def run_scenario(
             f"{spec.requests} requests completed")
 
     w = window_requests or max(1, spec.requests // max(1, windows))
-    traffic = TrafficResult(spec, mode, result, tracker, wall, w,
+    traffic = TrafficResult(spec, config, result, tracker, wall, w,
                             steady_window, steady_cv)
     if TRACER.enabled:
         for k, cpr in enumerate(traffic.window_samples().tolist()):

@@ -1,42 +1,30 @@
 """The simulated Java virtual machine."""
 
+from .config import RunConfig
 from .heap import Heap, OutOfMemoryError
 from .interpreter import Interpreter, VMError
 from .machine import DeadlockError, ExecutionLimitExceeded, JavaVM, VMResult
 from .objects import JArray, JObject, JString
 from .profiler import MethodProfile, Profiler
-from .strategy import (
-    CompileOnFirstUse,
-    CounterThreshold,
-    InterpretOnly,
-    OracleStrategy,
-    Strategy,
-    TieredStrategy,
-)
 from .threads import Frame, JThread
 from .tiering import TieredController
 
 __all__ = [
-    "CompileOnFirstUse",
-    "CounterThreshold",
     "DeadlockError",
     "ExecutionLimitExceeded",
     "Frame",
     "Heap",
     "Interpreter",
-    "InterpretOnly",
     "JArray",
     "JObject",
     "JString",
     "JThread",
     "JavaVM",
     "MethodProfile",
-    "OracleStrategy",
     "OutOfMemoryError",
     "Profiler",
-    "Strategy",
+    "RunConfig",
     "TieredController",
-    "TieredStrategy",
     "VMError",
     "VMResult",
 ]

@@ -1,11 +1,11 @@
 """Runtime thread-confinement tracking (the cross-check oracle's eyes).
 
-When ``JavaVM(track_confinement=True)``, allocation handlers tag every
-bytecode-allocated object with ``(method, site, allocating thread)`` and
-``monitor_enter`` reports each acquisition, so after a run we know which
-allocation *sites* produced objects that a foreign thread locked.  A
-static "safe to elide" claim (escape or concurrency analysis) for a
-site observed here is a soundness bug — exactly what
+When the run config sets ``track_confinement``, allocation handlers tag
+every bytecode-allocated object with ``(method, site, allocating
+thread)`` and ``monitor_enter`` reports each acquisition, so after a run
+we know which allocation *sites* produced objects that a foreign thread
+locked.  A static "safe to elide" claim (escape or concurrency analysis)
+for a site observed here is a soundness bug — exactly what
 ``repro.fuzz.crosscheck`` hunts.
 
 Field handlers additionally record which threads read/wrote each

@@ -47,6 +47,7 @@ class Interpreter:
         self.stubs = vm.stubs
         self.loader = vm.loader
         self.tiered = vm.tiered
+        self.lock_elision = vm.config.lock_elision
         self._handlers = self._build_dispatch()
 
     # ------------------------------------------------------------------
@@ -665,7 +666,7 @@ class Interpreter:
     def _op_new(self, thread, frame, instr):
         cls = self.loader.resolve_class(frame.method.jclass, instr.a)
         obj = self.vm.heap.new_object(cls)
-        if self.vm.lock_elision:
+        if self.lock_elision:
             self._mark_thread_local(thread, frame, obj)
         elif self.tiered is not None:
             self.tiered.mark_allocation(thread, frame, obj)
@@ -676,7 +677,7 @@ class Interpreter:
     def _op_newarray(self, thread, frame, instr):
         length = frame.stack.pop()
         arr = self.vm.heap.new_array(ArrayType(instr.a), length)
-        if self.vm.lock_elision:
+        if self.lock_elision:
             self._mark_thread_local(thread, frame, arr)
         elif self.tiered is not None:
             self.tiered.mark_allocation(thread, frame, arr)
@@ -688,7 +689,7 @@ class Interpreter:
         cls = self.loader.resolve_class(frame.method.jclass, instr.a)
         length = frame.stack.pop()
         arr = self.vm.heap.new_array("ref", length, ref_class=cls)
-        if self.vm.lock_elision:
+        if self.lock_elision:
             self._mark_thread_local(thread, frame, arr)
         elif self.tiered is not None:
             self.tiered.mark_allocation(thread, frame, arr)

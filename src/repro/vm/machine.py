@@ -17,8 +17,9 @@ from ..isa.opcodes import N_OPCODES
 from ..native.layout import WORD_BYTES
 from ..native.trace import CountingSink, RecordingSink, Trace
 from ..obs import TRACER
-from ..sync.monitor_cache import MonitorCacheLockManager
+from ..sync import LOCK_MANAGERS
 from .classloader import ClassLoader
+from .config import RunConfig
 from .heap import Heap
 from .interp_templates import shared_templates
 from .interpreter import Interpreter, VMError
@@ -27,7 +28,6 @@ from .jit.inline import ClassHierarchy
 from .objects import JObject, JString
 from .profiler import Profiler
 from .stubs import shared_stubs
-from .strategy import CompileOnFirstUse, InterpretOnly, Strategy, TieredStrategy
 from .threads import (
     BLOCKED,
     EMIT_COMPILED,
@@ -56,7 +56,7 @@ class VMResult:
     def __init__(self, vm: "JavaVM") -> None:
         sink = vm.sink
         self.program_name = vm.program.name
-        self.strategy = vm.strategy.name
+        self.strategy = vm.config.name
         self.cycles = sink.cycles
         self.instructions = sink.instructions
         self.translate_cycles = sink.translate_cycles
@@ -74,7 +74,7 @@ class VMResult:
         self.sync_cycles = vm.lock_manager.stats.cycles
         self.heap = vm.heap.stats.snapshot()
         self.profiles = vm.profiler.snapshot() if vm.profiler else {}
-        self.strategy_config = vm.strategy.describe()
+        self.strategy_config = vm.config.describe()
         self.tiering = vm.tiered.snapshot() if vm.tiered else None
         self.opcode_counts = np.array(vm.opcode_counts, dtype=np.int64)
         self.footprint = vm.footprint()
@@ -106,80 +106,56 @@ class JavaVM:
     #: Sentinel a native method returns when it must block and retry.
     NATIVE_BLOCKED = object()
 
-    def __init__(
-        self,
-        program: Program,
-        strategy: Strategy | None = None,
-        lock_manager=None,
-        record: bool = False,
-        heap_limit: int = 64 << 20,
-        quantum: int = 60,
-        profile: bool = True,
-        inline: bool = True,
-        max_bytecodes: int = 80_000_000,
-        spawn_daemons: bool = True,
-        folding: bool = False,
-        jit_opt: bool = False,
-        lock_elision: bool = False,
-        static_concurrency: bool = False,
-        track_confinement: bool = False,
-        code_archive: str | None = None,
-    ) -> None:
+    def __init__(self, program: Program,
+                 config: RunConfig | str = RunConfig(), *,
+                 code_archive: str | None = None) -> None:
         from .library import ensure_library  # local import: cycle avoidance
 
         JThread.reset_ids()
         self.program = program
         ensure_library(program)
-        self.strategy = strategy or CompileOnFirstUse()
-        self.sink = RecordingSink() if record else CountingSink()
+        self.config = config = RunConfig.of(config)
+        self.sink = RecordingSink() if config.record else CountingSink()
         self.stubs = shared_stubs()
         self.templates = shared_templates()
-        self.folding = folding
-        if folding:
+        if config.folding:
             from .folding import FoldingSink
             self.sink = FoldingSink(self.sink, self.templates)
         self.loader = ClassLoader(program, self.stubs, self.sink)
-        self.heap = Heap(limit_bytes=heap_limit)
+        self.heap = Heap(limit_bytes=config.heap_limit)
         self.heap.root_provider = self._gc_roots
-        self.lock_manager = lock_manager or MonitorCacheLockManager()
+        self.lock_manager = LOCK_MANAGERS[config.lock_manager]()
         self.hierarchy = ClassHierarchy(program)
         self.code_cache = CodeCache()
         self.jit = JITCompiler(self.loader, self.code_cache, self.sink,
-                               self.hierarchy, inline=inline,
-                               optimize=jit_opt)
+                               self.hierarchy, inline=config.inline,
+                               optimize=config.jit_opt)
         from .codecache_archive import CodeArchive, resolve_archive_dir
         archive_dir = resolve_archive_dir(code_archive)
         if archive_dir:
             self.jit.archive = CodeArchive(archive_dir)
-        self.jit_opt = jit_opt
-        self.lock_elision = lock_elision
         self._escape_summaries = None
         self._elision_plan: dict[int, frozenset] = {}
         # Static concurrency summaries (analysis.concurrency): safe sites
         # pre-seed tier-2 elision, racy sites are pre-blacklisted.
-        self.static_concurrency = static_concurrency
         self._concurrency = None
         self._concurrency_plan: dict[int, tuple] = {}
-        self.profiler = Profiler() if profile else None
-        if isinstance(self.strategy, TieredStrategy):
-            # Tiering is profile-driven: the controller needs invocation
-            # and backedge counts regardless of the profile flag.
-            if self.profiler is None:
-                self.profiler = Profiler()
-            self.tiered = TieredController(self, self.strategy)
+        # Tiering is profile-driven: the controller needs invocation and
+        # backedge counts regardless of the profile flag.
+        tiered = config.policy == "tiered"
+        self.profiler = Profiler() if config.profile or tiered else None
+        if tiered:
+            self.tiered = TieredController(self, config)
             self.loader.on_load = self.tiered.on_class_loaded
         else:
             self.tiered = None
         self.interp = Interpreter(self)
-        if track_confinement:
+        if config.track_confinement:
             from .confinement import ConfinementTracker
             self.confinement = ConfinementTracker(self)
             self.confinement.install()
         else:
             self.confinement = None
-        self.quantum = quantum
-        self.max_bytecodes = max_bytecodes
-        self.spawn_daemons = spawn_daemons
 
         #: dynamic bytecode-frequency histogram (locality studies); a
         #: plain list because the stepper bumps it once per bytecode —
@@ -232,7 +208,8 @@ class JavaVM:
             raise VMError("main must be a static bytecode method")
         self._push_entry(main_thread, main)
 
-        if self.spawn_daemons and "repro/Finalizer" in self.program.classes:
+        if (self.config.spawn_daemons
+                and "repro/Finalizer" in self.program.classes):
             for name in ("repro/Finalizer", "repro/RefCleaner"):
                 cls = self.loader.ensure_loaded(name)
                 obj = self.heap.new_object(cls)
@@ -281,7 +258,7 @@ class JavaVM:
         if not TRACER.enabled:
             return self._run(max_bytecodes)
         with TRACER.span("vm.run", program=self.program.name,
-                         strategy=self.strategy.name) as sp:
+                         strategy=self.config.name) as sp:
             result = self._run(max_bytecodes)
             seconds, counts = self.dispatch_seconds, self.dispatch_counts
             TRACER.emit("vm.interp.dispatch", seconds[EMIT_INTERP],
@@ -319,7 +296,8 @@ class JavaVM:
 
     def _run(self, max_bytecodes: int | None = None) -> VMResult:
         self.boot()
-        budget = max_bytecodes or self.max_bytecodes
+        budget = max_bytecodes or self.config.max_bytecodes
+        quantum_cap = self.config.quantum
         executed_total = 0
         while True:
             runnable = [t for t in self.threads if t.state == RUNNABLE]
@@ -334,7 +312,7 @@ class JavaVM:
                     f"all threads blocked: "
                     f"{[(t.name, t.state) for t in live]}"
                 )
-            quantum = self.quantum if len(runnable) > 1 else 100_000
+            quantum = quantum_cap if len(runnable) > 1 else 100_000
             for thread in runnable:
                 if thread.state != RUNNABLE:
                     continue
@@ -377,7 +355,7 @@ class JavaVM:
     # compilation service
     # ------------------------------------------------------------------
     def prepare_method(self, method: Method, count: bool = True):
-        """Count the invocation and compile if the strategy says so.
+        """Count the invocation and compile if the config's policy says so.
 
         Returns the :class:`CompiledMethod` if the method is (now)
         compiled, else ``None``.
@@ -392,7 +370,7 @@ class JavaVM:
             return compiled
         if method.is_native:
             return None
-        if self.strategy.should_compile(method, n):
+        if self.config.should_compile(method, n):
             compiled = self.jit.compile(method)
             self._compiled[method.method_id] = compiled
             self._account_translation(method, compiled)
@@ -401,7 +379,7 @@ class JavaVM:
 
     def _account_translation(self, method: Method, compiled) -> None:
         """Single choke point for translate/install charging.  The
-        strategy-compile path, the tiered promotion path, and the
+        policy-compile path, the tiered promotion path, and the
         archive-install path all account here, so the Figure 1
         translate/execute split cannot drift between modes."""
         self.translate_overhead += compiled.translate_cycles

@@ -90,9 +90,9 @@ class TierState:
 class TieredController:
     """Owns tier decisions, OSR and deoptimization for one VM."""
 
-    def __init__(self, vm, strategy) -> None:
+    def __init__(self, vm, config) -> None:
         self.vm = vm
-        self.strategy = strategy
+        self.config = config
         self.states: dict[int, TierState] = {}
         # Aggregate transition counters (VMResult / manifests / spans).
         self.promotions_t1 = 0
@@ -134,7 +134,7 @@ class TieredController:
         for ``T_i``; methods too cold to ever repay translation never
         pass, methods with expensive loops pass mid-first-invocation."""
         spent = profile.interp_cycles - st.interp_base
-        return spent >= (self.strategy.compile_ratio
+        return spent >= (self.config.compile_ratio
                          * self._promotion_price(method))
 
     def _promotion_price(self, method) -> int:
@@ -159,13 +159,13 @@ class TieredController:
         translate again, so it only happens when the optimizer can remove
         real work.  On this VM that means lock elision: the method must
         allocate a class that has synchronized methods at a site escape
-        analysis proves thread-local (certain win) or, with speculation
-        on, at an unproven site that has not been blacklisted by a prior
-        deopt (insured win).  Dead-store elimination and CHA inlining
+        analysis proves thread-local (certain win) or at an unproven site
+        that has not been blacklisted by a prior deopt (speculative,
+        insured win).  Dead-store elimination and CHA inlining
         alone never repay a retranslate here, so they ride along rather
-        than justify the trip.  ``strategy.t2_screen=False`` disables
-        the screen (stress configs that want every deopt path hot)."""
-        if not self.strategy.t2_screen:
+        than justify the trip.  ``config.t2_screen=False`` disables the
+        screen (stress configs that want every deopt path hot)."""
+        if not self.config.t2_screen:
             return True
         sites = self._sync_alloc_sites.get(method.method_id)
         if sites is None:
@@ -184,13 +184,12 @@ class TieredController:
                     sites.append((pc, proven))
             self._sync_alloc_sites[method.method_id] = sites
         static_safe = static_racy = frozenset()
-        if self.vm.static_concurrency:
+        if self.vm.config.static_concurrency:
             static_safe, static_racy = self.vm.concurrency_plan(method)
         for pc, proven in sites:
             if proven or pc in static_safe:
                 return True
-            if (self.strategy.speculate and pc not in st.elide_blacklist
-                    and pc not in static_racy):
+            if pc not in st.elide_blacklist and pc not in static_racy:
                 return True
         return False
 
@@ -204,7 +203,7 @@ class TieredController:
         st = self.state_for(method)
         profile = self.vm.profiler.profile_for(method)
         n = profile.invocations - st.invocation_base
-        s = self.strategy
+        s = self.config
         if st.tier == 0:
             if n >= s.t1_invocations and self._hot_enough(method, st, profile):
                 return self._promote(method, st, profile, 1)
@@ -225,7 +224,7 @@ class TieredController:
         method = frame.method
         st = self.state_for(method)
         edges = profile.backedges - st.backedge_base
-        s = self.strategy
+        s = self.config
         if st.tier == 0:
             if edges >= s.osr_backedges \
                     and self._hot_enough(method, st, profile):
@@ -253,7 +252,7 @@ class TieredController:
         if tier >= 2:
             compiled = vm.jit.compile(
                 method, tier=2, optimize=True,
-                speculate_cha=self.strategy.speculate,
+                speculate_cha=True,
                 cha_blacklist=frozenset(st.cha_blacklist),
             )
             for cname, mname, target in compiled.assumptions:
@@ -328,7 +327,7 @@ class TieredController:
         if site in self.vm.elidable_sites(method):
             obj.tl_thread = thread.thread_id
             return
-        if self.vm.static_concurrency:
+        if self.vm.config.static_concurrency:
             safe, racy = self.vm.concurrency_plan(method)
             if site in safe:
                 # Concurrency analysis proved every locker is the
@@ -337,8 +336,6 @@ class TieredController:
                 return
             if site in racy:
                 return   # pre-blacklisted: a foreign lock is expected
-        if not self.strategy.speculate:
-            return
         st = self.states.get(method.method_id)
         if st is not None and site in st.elide_blacklist:
             return
@@ -472,7 +469,7 @@ class TieredController:
                 "tier": st.tier,
                 "transitions": [list(t) for t in st.transitions],
             }
-        snap = {"strategy": self.strategy.describe()}
+        snap = {"strategy": self.config.describe()}
         snap.update(self.counters())
         snap["deopt_reasons"] = dict(self.deopt_reasons)
         snap["methods"] = methods

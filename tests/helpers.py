@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.isa import ArrayType, ProgramBuilder
-from repro.vm import CompileOnFirstUse, InterpretOnly, JavaVM
+from repro.vm import JavaVM
 
 
 def expr_main(body) -> "ProgramBuilder":
@@ -25,26 +25,25 @@ def expr_main(body) -> "ProgramBuilder":
     return pb
 
 
-def run_program(pb_or_program, mode="interp", **vm_kwargs):
-    """Build+run; returns the VMResult."""
+def run_program(pb_or_program, config="interp"):
+    """Build+run under ``config`` (a RunConfig or its token); returns
+    the VMResult."""
     program = (pb_or_program.build()
                if isinstance(pb_or_program, ProgramBuilder)
                else pb_or_program)
-    strategy = InterpretOnly() if mode == "interp" else CompileOnFirstUse()
-    vm = JavaVM(program, strategy=strategy, **vm_kwargs)
-    return vm.run()
+    return JavaVM(program, config).run()
 
 
-def eval_int(body, mode="interp", **vm_kwargs) -> int:
+def eval_int(body, config="interp") -> int:
     """Evaluate a main() body that leaves an int on the stack."""
-    result = run_program(expr_main(body), mode=mode, **vm_kwargs)
+    result = run_program(expr_main(body), config)
     assert result.stdout, "program printed nothing"
     return int(result.stdout[-1])
 
 
-def eval_both_modes(body, **vm_kwargs) -> int:
+def eval_both_modes(body) -> int:
     """Evaluate under interpreter and JIT; assert they agree."""
-    interp = eval_int(body, mode="interp", **vm_kwargs)
-    jit = eval_int(body, mode="jit", **vm_kwargs)
+    interp = eval_int(body, "interp")
+    jit = eval_int(body, "jit")
     assert interp == jit, f"mode divergence: interp={interp} jit={jit}"
     return interp

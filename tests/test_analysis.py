@@ -9,7 +9,6 @@ from repro.analysis import (
     format_stacked_bars,
     format_table,
     indirect_fraction,
-    make_strategy,
     mix_from_counts,
     oracle_run,
     run_vm,
@@ -17,12 +16,7 @@ from repro.analysis import (
 )
 from repro.analysis.hybrid import MethodDecision
 from repro.native.nisa import MIX_BUCKETS, N_CATEGORIES, NCat
-from repro.vm.strategy import (
-    CompileOnFirstUse,
-    CounterThreshold,
-    InterpretOnly,
-    OracleStrategy,
-)
+from repro.vm import RunConfig
 
 
 class TestMix:
@@ -103,9 +97,10 @@ class TestOracleModel:
 
     def test_strategy_round_trip(self, analysis):
         a, _ = analysis
-        strategy = a.strategy()
-        assert isinstance(strategy, OracleStrategy)
-        assert strategy.compile_set == frozenset(a.methods_to_compile)
+        config = a.config()
+        assert config.name == "oracle"
+        assert config.compile_set == frozenset(a.methods_to_compile)
+        assert RunConfig.parse(config.token) == config
 
     def test_summary_keys(self, analysis):
         a, _ = analysis
@@ -116,27 +111,31 @@ class TestOracleModel:
 
 
 class TestRunner:
-    def test_make_strategy_names(self):
-        assert isinstance(make_strategy("interp"), InterpretOnly)
-        assert isinstance(make_strategy("jit"), CompileOnFirstUse)
-        assert isinstance(make_strategy(("counter", 3)), CounterThreshold)
-        assert isinstance(make_strategy("oracle", {"A.m"}), OracleStrategy)
-        with pytest.raises(ValueError):
-            make_strategy("warp-speed")
+    def test_token_heads_name_the_policy(self):
+        assert RunConfig.parse("interp").threshold is None
+        assert RunConfig.parse("jit") == RunConfig(threshold=1)
+        assert RunConfig.parse("counter3").name == "counter"
+        assert RunConfig.parse("oracle,compile_set=A.m").compile_set == {
+            "A.m"}
+        for token in ("warp-speed", "jit,warp=1", "counter", "jit,inline"):
+            with pytest.raises(ValueError):
+                RunConfig.parse(token)
 
-    def test_strategy_passthrough(self):
-        s = CounterThreshold(5)
-        assert make_strategy(s) is s
+    def test_config_passthrough(self):
+        c = RunConfig(threshold=5)
+        assert RunConfig.of(c) is c
+        assert RunConfig.of("counter5") == c
+        with pytest.raises(TypeError):
+            RunConfig.of(("counter", 5))
 
     def test_run_vm_modes(self):
-        interp = run_vm("hello", scale="s0", mode="interp")
-        jit = run_vm("hello", scale="s0", mode="jit")
+        interp = run_vm("hello", "s0", "interp")
+        jit = run_vm("hello", "s0", "jit")
         assert interp.methods_compiled == 0
         assert jit.methods_compiled > 0
 
     def test_run_vm_lock_manager_selection(self):
-        r = run_vm("hello", scale="s0", mode="jit",
-                   lock_manager="thin-lock")
+        r = run_vm("hello", "s0", "jit,lock_manager=thin-lock")
         assert r.sync["acquire_ops"] > 0
 
     def test_trace_cache_round_trip(self, tmp_path):
@@ -152,17 +151,18 @@ class TestRunner:
 
 class TestCounterThresholdBehaviour:
     def test_threshold_interpolates(self):
-        jit = run_vm("db", scale="s0", mode="jit")
-        counter = run_vm("db", scale="s0", mode=("counter", 4))
-        interp = run_vm("db", scale="s0", mode="interp")
+        jit = run_vm("db", "s0", "jit")
+        counter = run_vm("db", "s0", "counter4")
+        interp = run_vm("db", "s0", "interp")
         assert interp.stdout == counter.stdout == jit.stdout
         assert 0 < counter.methods_compiled < jit.methods_compiled or \
             counter.methods_compiled <= jit.methods_compiled
         assert counter.translate_cycles < jit.translate_cycles
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            CounterThreshold(0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                RunConfig(threshold=bad)
 
 
 class TestReporting:

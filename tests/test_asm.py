@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa.asm import AsmError, assemble, list_method
-from repro.vm import CompileOnFirstUse, InterpretOnly, JavaVM
+from repro.vm import JavaVM
 
 COUNTER = """
 .class demo/Main
@@ -26,8 +26,7 @@ done:
 
 
 def _run(program, mode="interp"):
-    strategy = InterpretOnly() if mode == "interp" else CompileOnFirstUse()
-    return JavaVM(program, strategy=strategy).run()
+    return JavaVM(program, mode).run()
 
 
 class TestAssemble:

@@ -10,6 +10,7 @@ at call time, so tests can redirect it per-test.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 
@@ -19,6 +20,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import cache
 from repro.analysis.runner import get_trace, run_vm
+from repro.sync import LOCK_MANAGERS
+from repro.vm import RunConfig
+from repro.vm.config import STRESS_TIERED
 
 # -- key properties ----------------------------------------------------
 
@@ -37,6 +41,47 @@ _configs = st.dictionaries(
     min_size=1,
     max_size=6,
 )
+
+
+#: Values for each RunConfig field (the policy fields come from
+#: ``_run_configs``).
+_RUN_FIELDS = {
+    "jit_opt": st.booleans(),
+    "lock_elision": st.booleans(),
+    "inline": st.booleans(),
+    "folding": st.booleans(),
+    "profile": st.booleans(),
+    "record": st.booleans(),
+    "lock_manager": st.sampled_from(sorted(LOCK_MANAGERS)),
+    "static_concurrency": st.booleans(),
+    "track_confinement": st.booleans(),
+    "spawn_daemons": st.booleans(),
+    "quantum": st.integers(1, 10_000),
+    "heap_limit": st.integers(1, 1 << 40),
+    "max_bytecodes": st.integers(1, 10**12),
+}
+_ratios = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
+_names = st.from_regex(r"[A-Za-z/$]{1,8}\.[a-z<>]{1,6}", fullmatch=True)
+_policies = st.one_of(
+    st.builds(lambda t: RunConfig(threshold=t),
+              st.none() | st.integers(1, 10**6)),
+    st.builds(lambda t1, extra, osr, edges, ratio, screen: RunConfig(
+        policy="tiered", t1_invocations=t1, t2_invocations=t1 + extra,
+        osr_backedges=osr, t2_backedges=edges, compile_ratio=ratio,
+        t2_screen=screen),
+        st.integers(1, 100), st.integers(1, 100), st.integers(1, 1000),
+        st.integers(1, 10_000), _ratios, st.booleans()),
+    st.builds(lambda names: RunConfig(policy="oracle", compile_set=names),
+              st.frozensets(_names, max_size=4)),
+)
+_run_configs = st.builds(lambda base, **fields: base.replace(**fields),
+                         _policies, **_RUN_FIELDS)
+
+
+def _run_key(config: RunConfig) -> str:
+    """The run-cache key ``run_vm`` files ``config`` under."""
+    return cache.cache_key("run", workload="db", scale="s0",
+                           config=config.token)
 
 
 class TestKeyProperties:
@@ -61,6 +106,26 @@ class TestKeyProperties:
     def test_kind_is_part_of_the_key(self, config):
         assert (cache.cache_key("trace", **config)
                 != cache.cache_key("run", **config))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_run_configs)
+    def test_run_config_token_round_trips(self, config):
+        assert RunConfig.parse(config.token) == config
+
+    @settings(max_examples=200, deadline=None)
+    @given(_run_configs, _run_configs, st.data())
+    def test_distinct_run_configs_get_distinct_keys(self, a, b, data):
+        """Two unrelated configs, and one config against a copy with a
+        single field nudged (the near-duplicates a lossy token would
+        merge), never share a run-cache entry."""
+        name = data.draw(st.sampled_from(sorted(_RUN_FIELDS)))
+        nudged = a.replace(**{name: data.draw(_RUN_FIELDS[name])})
+        if a.policy == "tiered":
+            ratio = a.compile_ratio
+            nudged = nudged.replace(compile_ratio=data.draw(st.sampled_from(
+                [ratio, math.nextafter(ratio, 0), ratio * (1 + 1e-7)])))
+        for other in (b, nudged):
+            assert (a == other) == (_run_key(a) == _run_key(other))
 
     def test_added_and_removed_fields_change_key(self):
         base = cache.cache_key("run", workload="db", scale="s1")
@@ -126,7 +191,7 @@ class TestSourceDigest:
 class TestCorruptArchives:
     def _trace_path(self, cache_dir):
         key = cache.cache_key("trace", workload="hello", scale="s0",
-                              mode="interp")
+                              config="interp")
         return cache.trace_path(cache_dir, "hello", "s0", "interp", key)
 
     def test_corrupt_trace_recomputed(self, tmp_path):
@@ -161,8 +226,7 @@ class TestCorruptArchives:
 
     def test_corrupt_run_result_recomputed(self, tmp_path):
         cache_dir = str(tmp_path)
-        fresh = run_vm("hello", scale="s0", mode="interp",
-                       cache_dir=cache_dir)
+        fresh = run_vm("hello", "s0", "interp", cache_dir=cache_dir)
         runs = os.path.join(cache_dir, "runs")
         pkls = [f for f in os.listdir(runs) if f.endswith(".pkl")]
         assert len(pkls) == 1
@@ -170,8 +234,7 @@ class TestCorruptArchives:
         with open(path, "wb") as fh:
             fh.write(pickle.dumps({"not": "a VMResult"})[:-4])
         cache.reset_stats()
-        recovered = run_vm("hello", scale="s0", mode="interp",
-                           cache_dir=cache_dir)
+        recovered = run_vm("hello", "s0", "interp", cache_dir=cache_dir)
         assert recovered.stdout == fresh.stdout
         assert recovered.cycles == fresh.cycles
         assert cache.STATS.corrupt == 1
@@ -181,25 +244,73 @@ class TestCorruptArchives:
 
 class TestRoundTrip:
     def test_cached_run_equals_fresh_run(self, tmp_path):
-        cold = run_vm("db", scale="s0", mode="jit", cache_dir=str(tmp_path))
-        warm = run_vm("db", scale="s0", mode="jit", cache_dir=str(tmp_path))
+        cold = run_vm("db", "s0", "jit", cache_dir=str(tmp_path))
+        warm = run_vm("db", "s0", "jit", cache_dir=str(tmp_path))
         assert warm.stdout == cold.stdout
         assert warm.cycles == cold.cycles
         assert warm.translate_cycles == cold.translate_cycles
         assert (warm.category_counts == cold.category_counts).all()
         assert warm.footprint == cold.footprint
 
-    def test_uncacheable_modes_bypass_cache(self, tmp_path):
-        from repro.vm.strategy import InterpretOnly
-        run_vm("hello", scale="s0", mode=InterpretOnly(),
-               cache_dir=str(tmp_path))
-        assert not os.path.exists(os.path.join(str(tmp_path), "runs"))
-
     def test_recording_runs_bypass_result_cache(self, tmp_path):
-        result = run_vm("hello", scale="s0", mode="interp", record=True,
+        result = run_vm("hello", "s0", "interp,record=True",
                         cache_dir=str(tmp_path))
         assert result.trace is not None
         assert not os.path.exists(os.path.join(str(tmp_path), "runs"))
+
+    def test_close_ratios_get_their_own_entries(self, tmp_path):
+        """Two ladders whose ratios agree to six digits are two runs: the
+        second must not be served the first one's cached result."""
+        results = [run_vm("hello", "s0", RunConfig(
+            policy="tiered", t2_backedges=32, compile_ratio=ratio),
+            cache_dir=str(tmp_path)) for ratio in (0.1234567, 0.1234568)]
+        assert (results[0].strategy_config["compile_ratio"]
+                != results[1].strategy_config["compile_ratio"])
+
+
+# -- every run spelling in use before RunConfig -------------------------
+
+#: Each spelling the runner accepted before ``RunConfig`` (as a comment),
+#: the config it is now, and the ``strategy_config`` it produced then,
+#: less the removed ``speculate`` key.  The tuple form's ladder used
+#: ``t2_backedges = 8 * osr``; the bare ``"tiered"`` uses 512.
+_TIERED = {"name": "tiered", "t1_invocations": 2, "t2_invocations": 64,
+           "osr_backedges": 4, "t2_backedges": 512, "compile_ratio": 0.125,
+           "t2_screen": True}
+SPELLINGS = [
+    # "interp"
+    ("interp", {"name": "interp"}),
+    # "jit"
+    ("jit", {"name": "jit"}),
+    # "tiered"
+    ("tiered", _TIERED),
+    # "oracle"
+    ("oracle", {"name": "oracle", "compile_set_size": 0}),
+    # ("counter", 4)
+    ("counter4", {"name": "counter", "threshold": 4}),
+    # ("tiered", 2, 3, 4)
+    ("tiered,t2_invocations=3,t2_backedges=32",
+     dict(_TIERED, t2_invocations=3, t2_backedges=32)),
+    # ("tiered", 2, 64, 4, 0.5)
+    ("tiered,t2_backedges=32,compile_ratio=0.5",
+     dict(_TIERED, t2_backedges=32, compile_ratio=0.5)),
+    # mode="interp", folding=True
+    ("interp,folding=True", {"name": "interp"}),
+    # the fuzz oracle's TieredStrategy(t2_invocations=3, t2_backedges=8,
+    # compile_ratio=0.01, t2_screen=False)
+    (STRESS_TIERED.token,
+     dict(_TIERED, t2_invocations=3, t2_backedges=8, compile_ratio=0.01,
+          t2_screen=False)),
+]
+
+
+@pytest.mark.parametrize("token,expected", SPELLINGS,
+                         ids=[t for t, _ in SPELLINGS])
+def test_spelling_keeps_its_strategy_config(token, expected):
+    result = run_vm("hello", "s0", token, cache_dir="", code_archive="")
+    assert result.strategy == expected["name"]
+    assert result.strategy_config == expected
+    assert RunConfig.parse(token).token == token
 
 
 # -- call-time environment resolution (the DEFAULT_CACHE_DIR fix) ------

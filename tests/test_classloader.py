@@ -5,7 +5,7 @@ import pytest
 from repro.isa import ProgramBuilder
 from repro.native.layout import BYTECODE_BASE, STATICS_BASE, VM_DATA_BASE
 from repro.native.trace import CountingSink
-from repro.vm import InterpretOnly, JavaVM
+from repro.vm import JavaVM
 from repro.vm.classloader import ClassLoadError
 
 
@@ -29,8 +29,7 @@ def _program_with_hierarchy():
 
 
 def _vm(program=None):
-    vm = JavaVM(program or _program_with_hierarchy(),
-                strategy=InterpretOnly())
+    vm = JavaVM(program or _program_with_hierarchy(), "interp")
     return vm
 
 
@@ -48,8 +47,7 @@ class TestLaziness:
 
     def test_load_emits_classload_trace(self):
         from repro.native.nisa import FLAG_CLASSLOAD
-        vm = JavaVM(_program_with_hierarchy(), strategy=InterpretOnly(),
-                    record=True)
+        vm = JavaVM(_program_with_hierarchy(), "interp,record=True")
         result = vm.run()
         tr = result.trace
         marked = tr.select((tr.flags & FLAG_CLASSLOAD) != 0)

@@ -30,9 +30,8 @@ def _clean_fault_state():
     faults.LEDGER.reset()
 
 
-def _run(workload, archive, mode="jit", **kw):
-    return run_vm(workload, scale="s0", mode=mode, cache_dir="",
-                  code_archive=archive, **kw)
+def _run(workload, archive, config="jit"):
+    return run_vm(workload, "s0", config, cache_dir="", code_archive=archive)
 
 
 def _same_execution(a, b):
@@ -82,7 +81,7 @@ class TestWarmColdDifferential:
         d = str(tmp_path / "via-env")
         monkeypatch.setenv("REPRO_CODE_ARCHIVE", d)
         assert resolve_archive_dir(None) == d
-        res = run_vm("hello", scale="s0", mode="jit", cache_dir="")
+        res = run_vm("hello", "s0", "jit", cache_dir="")
         assert res.archive is not None and res.archive["dir"] == d
 
 
@@ -131,7 +130,7 @@ class TestKeySensitivity:
             self, tmp_path):
         d = str(tmp_path / "archive")
         _run("db", d)  # populate with inlining on
-        other = _run("db", d, inline=False)
+        other = _run("db", d, "jit,inline=False")
         assert other.archive["hits"] == 0
         assert other.archive["misses"] == other.methods_compiled
         # and the original config still hits
@@ -178,8 +177,8 @@ class TestTieredArchive:
     def test_promotions_price_against_install_and_record_provenance(
             self, tmp_path):
         d = str(tmp_path / "archive")
-        cold = _run("jess", d, mode="tiered")
-        warm = _run("jess", d, mode="tiered")
+        cold = _run("jess", d, "tiered")
+        warm = _run("jess", d, "tiered")
         assert cold.tiering["archive_installs"] == 0
         assert warm.tiering["archive_installs"] >= 1
         # the cheaper promotion price makes the whole run cheaper
@@ -202,7 +201,7 @@ class TestAccountingChokePoint:
     def test_profiles_reconcile_with_sink(self, tmp_path, mode):
         d = str(tmp_path / "archive")
         for attempt in ("cold", "warm"):
-            res = _run("jess", d, mode=mode)
+            res = _run("jess", d, mode)
             psum = sum(p["translate_cycles"]
                        for p in res.profiles.values())
             isum = sum(p.get("install_cycles", 0)
@@ -224,7 +223,7 @@ class TestThreadForMap:
         to an identity-keyed dict; both must agree on every thread."""
         from repro.experiments.tiered import lock_escape_program
         from repro.vm import JavaVM
-        vm = JavaVM(lock_escape_program().build(), spawn_daemons=False)
+        vm = JavaVM(lock_escape_program().build(), "jit,spawn_daemons=False")
         vm.run()
         with_obj = [t for t in vm.threads if t.java_obj is not None]
         assert len(with_obj) >= 2   # spinner + toucher at minimum

@@ -165,7 +165,7 @@ class TestStaticPlansInVM:
     def test_concurrency_plan_blacklists_shared_class(self):
         from repro.lint.corpus import _shared_counter
         program = _shared_counter(synchronized=True)
-        vm = JavaVM(program, static_concurrency=True)
+        vm = JavaVM(program, "jit,static_concurrency=True")
         main = program.entry_method
         safe, racy = vm.concurrency_plan(main)
         assert 0 in racy            # the shared T/Result allocation
@@ -174,7 +174,7 @@ class TestStaticPlansInVM:
     def test_concurrency_plan_proves_single_locker(self):
         from repro.lint.corpus import _single_locker
         program = _single_locker()
-        vm = JavaVM(program, static_concurrency=True)
+        vm = JavaVM(program, "jit,static_concurrency=True")
         main = program.entry_method
         safe, racy = vm.concurrency_plan(main)
         assert 0 in safe

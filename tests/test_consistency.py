@@ -12,7 +12,7 @@ from repro.vm.interp_templates import JUMPTABLE_BASE
 
 @pytest.fixture(scope="module")
 def interp_run():
-    return run_vm("jess", scale="s0", mode="interp", record=True)
+    return run_vm("jess", "s0", "interp,record=True")
 
 
 class TestInterpreterEmissionInvariants:
@@ -63,7 +63,7 @@ class TestCycleConservation:
                 == interp_run.trace.category_counts()).all()
 
     def test_profiled_plus_overhead_below_total(self):
-        result = run_vm("jess", scale="s0", mode="jit")
+        result = run_vm("jess", "s0", "jit")
         attributed = sum(
             p["interp_cycles"] + p["compiled_cycles"] + p["translate_cycles"]
             for p in result.profiles.values()
@@ -71,7 +71,7 @@ class TestCycleConservation:
         assert 0 < attributed <= result.cycles
 
     def test_translate_flag_cycles_match_profiler(self):
-        result = run_vm("jess", scale="s0", mode="jit")
+        result = run_vm("jess", "s0", "jit")
         profiled_translate = sum(
             p["translate_cycles"] for p in result.profiles.values()
         )
@@ -82,26 +82,24 @@ class TestCycleConservation:
 class TestSchedulerInvariance:
     def test_quantum_does_not_change_single_thread_results(self):
         results = [
-            run_vm("db", scale="s0", mode="jit", profile=False)
+            run_vm("db", "s0", "jit,profile=False")
             for _ in range(1)
         ]
-        from repro.vm import CompileOnFirstUse, JavaVM
+        from repro.vm import JavaVM
         from repro.workloads import get_workload
         small_q = JavaVM(get_workload("db").build("s0"),
-                         strategy=CompileOnFirstUse(), quantum=7,
-                         profile=False).run()
+                         "jit,profile=False,quantum=7").run()
         assert small_q.stdout == results[0].stdout
         assert small_q.cycles == results[0].cycles
 
     def test_quantum_changes_mtrt_interleaving_not_output(self):
-        from repro.vm import CompileOnFirstUse, JavaVM
+        from repro.vm import JavaVM, RunConfig
         from repro.workloads import get_workload
         outs = set()
         sync_d = []
         for quantum in (11, 60, 400):
             vm = JavaVM(get_workload("mtrt").build("s0"),
-                        strategy=CompileOnFirstUse(), quantum=quantum,
-                        profile=False)
+                        RunConfig(profile=False, quantum=quantum))
             r = vm.run()
             outs.add(tuple(r.stdout))
             sync_d.append(r.sync["case_counts"]["d"])

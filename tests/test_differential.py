@@ -19,6 +19,7 @@ import itertools
 import pytest
 
 from repro.analysis.runner import run_vm
+from repro.vm import RunConfig
 from repro.workloads.base import all_workloads
 
 WORKLOADS = sorted(all_workloads())
@@ -26,15 +27,15 @@ WORKLOADS = sorted(all_workloads())
 #: s0 covers every workload; s1 re-checks everything at the paper's scale.
 SCALES = ("s0", "s1")
 
-#: The full configuration matrix: name -> run_vm keyword arguments.
-#: ``tiered`` uses hair-trigger thresholds so promotion and OSR fire
-#: even inside the small s0 runs.
+#: The full configuration matrix: name -> run config.  ``tiered`` uses
+#: hair-trigger thresholds so promotion and OSR fire even inside the
+#: small s0 runs.
 CONFIGS = {
-    "interp": {"mode": "interp"},
-    "jit": {"mode": "jit"},
-    "jit_opt": {"mode": "jit", "jit_opt": True},
-    "lock_elision": {"mode": "jit", "lock_elision": True},
-    "tiered": {"mode": ("tiered", 2, 3, 4)},
+    "interp": RunConfig(threshold=None),
+    "jit": RunConfig(),
+    "jit_opt": RunConfig(jit_opt=True),
+    "lock_elision": RunConfig(lock_elision=True),
+    "tiered": RunConfig(policy="tiered", t2_invocations=3, t2_backedges=32),
 }
 
 #: Configs whose sync comparison needs the elision-normalized view
@@ -72,7 +73,7 @@ def _observables(result, elision: bool = False) -> dict:
 
 
 def _run(workload: str, scale: str, config: str):
-    result = run_vm(workload, scale=scale, **CONFIGS[config])
+    result = run_vm(workload, scale, CONFIGS[config])
     CYCLE_RECORD[(f"{workload}@{scale}", config)] = result.cycles
     return result
 
@@ -116,8 +117,8 @@ def test_cycle_counts_recorded_for_all_configs():
 @pytest.mark.parametrize("workload", WORKLOADS)
 class TestInterpVsJit:
     def test_observables_identical(self, workload, scale):
-        interp = run_vm(workload, scale=scale, mode="interp")
-        jit = run_vm(workload, scale=scale, mode="jit")
+        interp = run_vm(workload, scale, "interp")
+        jit = run_vm(workload, scale, "jit")
         oi, oj = _observables(interp), _observables(jit)
         for key in oi:
             assert oi[key] == oj[key], (
@@ -135,23 +136,19 @@ class TestOtherEnginesAgree:
     with both on every observable."""
 
     def test_counter_threshold_matches(self, workload):
-        base = _observables(run_vm(workload, scale="s0", mode="interp"))
-        counter = _observables(
-            run_vm(workload, scale="s0", mode=("counter", 4))
-        )
+        base = _observables(run_vm(workload, "s0", "interp"))
+        counter = _observables(run_vm(workload, "s0", "counter4"))
         assert counter == base
 
     def test_folding_interpreter_matches(self, workload):
-        base = _observables(run_vm(workload, scale="s0", mode="interp"))
-        folded = _observables(
-            run_vm(workload, scale="s0", mode="interp", folding=True)
-        )
+        base = _observables(run_vm(workload, "s0", "interp"))
+        folded = _observables(run_vm(workload, "s0", "interp,folding=True"))
         assert folded == base
 
     def test_tiered_matches_and_promotes(self, workload):
-        base = _observables(run_vm(workload, scale="s0", mode="interp"),
+        base = _observables(run_vm(workload, "s0", "interp"),
                             elision=True)
-        result = run_vm(workload, scale="s0", mode=("tiered", 2, 3, 4))
+        result = run_vm(workload, "s0", CONFIGS["tiered"])
         assert _observables(result, elision=True) == base
         # Hair-trigger thresholds: the ladder must actually climb.
         assert result.tiering["promotions_t1"] > 0
@@ -160,5 +157,5 @@ class TestOtherEnginesAgree:
 def test_stdout_nonempty_for_checksum_workloads():
     """The net has teeth only if workloads actually print checksums."""
     silent = [w for w in WORKLOADS
-              if not run_vm(w, scale="s0", mode="interp").stdout]
+              if not run_vm(w, "s0", "interp").stdout]
     assert not silent, f"workloads with no observable output: {silent}"

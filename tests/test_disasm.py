@@ -40,8 +40,8 @@ class TestDisassemble:
         assert "r5" in text and "r6" in text
 
     def test_real_trace(self):
-        trace = run_vm("hello", scale="s0", mode="interp", record=True,
-                       profile=False).trace
+        trace = run_vm("hello", "s0",
+                       "interp,profile=False,record=True").trace
         text = disassemble(trace, start=0, count=50)
         assert len(text.splitlines()) == 50
 
@@ -58,8 +58,8 @@ class TestRegionProfile:
         assert "fetch" in out and "interp_text" in out and "%" in out
 
     def test_real_interpreter_profile(self):
-        trace = run_vm("hello", scale="s0", mode="interp", record=True,
-                       profile=False).trace
+        trace = run_vm("hello", "s0",
+                       "interp,profile=False,record=True").trace
         profile = region_profile(trace)
         assert "interp_text" in profile["fetch"]
         assert "bytecode" in profile["data_read"]

@@ -1,15 +1,9 @@
-"""VM engine: results, footprint, GC under the VM, strategy plumbing."""
+"""VM engine: results, footprint, GC under the VM, compile policies."""
 
 import pytest
 
 from repro.isa import ArrayType, ProgramBuilder
-from repro.vm import (
-    CompileOnFirstUse,
-    CounterThreshold,
-    InterpretOnly,
-    JavaVM,
-    OracleStrategy,
-)
+from repro.vm import JavaVM, RunConfig
 
 from helpers import expr_main, run_program
 
@@ -17,7 +11,7 @@ from helpers import expr_main, run_program
 class TestVMResult:
     def test_result_fields_consistent(self):
         result = run_program(expr_main(lambda m: m.iconst(1) and None),
-                             mode="jit")
+                             "jit")
         assert result.cycles > 0
         assert result.instructions > 0
         assert result.execute_cycles == result.cycles - result.translate_cycles
@@ -31,15 +25,15 @@ class TestVMResult:
 
     def test_trace_matches_counts_when_recording(self):
         result = run_program(expr_main(lambda m: m.iconst(1) and None),
-                             record=True)
+                             "interp,record=True")
         assert result.trace.n == result.instructions
         assert result.trace.base_cycles() == result.cycles
 
     def test_counting_and_recording_agree(self):
         pb = expr_main(lambda m: m.iconst(5).iconst(6).imul() and None)
-        counted = run_program(pb, mode="jit")
+        counted = run_program(pb, "jit")
         pb2 = expr_main(lambda m: m.iconst(5).iconst(6).imul() and None)
-        recorded = run_program(pb2, mode="jit", record=True)
+        recorded = run_program(pb2, "jit,record=True")
         assert counted.cycles == recorded.cycles
         assert counted.instructions == recorded.instructions
 
@@ -47,7 +41,7 @@ class TestVMResult:
 class TestFootprint:
     def test_components_positive(self):
         result = run_program(expr_main(lambda m: m.iconst(1) and None),
-                             mode="jit")
+                             "jit")
         fp = result.footprint
         for key in ("vm_metadata", "bytecode", "heap_peak", "stacks",
                     "interp_text", "code_cache"):
@@ -56,7 +50,7 @@ class TestFootprint:
 
     def test_interp_mode_has_no_code_cache(self):
         result = run_program(expr_main(lambda m: m.iconst(1) and None),
-                             mode="interp")
+                             "interp")
         assert result.footprint["code_cache"] == 0
         assert result.methods_compiled == 0
 
@@ -79,7 +73,7 @@ class TestGCUnderVM:
 
     def test_collector_reclaims_garbage(self):
         program = self._alloc_loop(500).build()
-        vm = JavaVM(program, strategy=InterpretOnly(), heap_limit=64 << 10)
+        vm = JavaVM(program, RunConfig(threshold=None, heap_limit=64 << 10))
         result = vm.run()
         assert result.stdout == ["500"]
         assert result.heap["gc_count"] >= 1
@@ -100,16 +94,16 @@ class TestGCUnderVM:
             m.bind(done)
             m.aload(2).iconst(0).iaload()
         program = expr_main(body).build()
-        vm = JavaVM(program, strategy=InterpretOnly(), heap_limit=64 << 10)
+        vm = JavaVM(program, RunConfig(threshold=None, heap_limit=64 << 10))
         result = vm.run()
         assert result.stdout == ["777"]
         assert result.heap["gc_count"] >= 1
 
     def test_gc_consistent_across_modes(self):
         outs = []
-        for strategy in (InterpretOnly(), CompileOnFirstUse()):
-            vm = JavaVM(self._alloc_loop(300).build(), strategy=strategy,
-                        heap_limit=64 << 10)
+        for threshold in (None, 1):
+            vm = JavaVM(self._alloc_loop(300).build(),
+                        RunConfig(threshold=threshold, heap_limit=64 << 10))
             outs.append(vm.run().stdout)
         assert outs[0] == outs[1]
 
@@ -130,7 +124,7 @@ class TestStrategies:
         return pb.build()
 
     def test_counter_threshold_compiles_later(self):
-        vm = JavaVM(self._counting_program(), strategy=CounterThreshold(5))
+        vm = JavaVM(self._counting_program(), "counter5")
         result = vm.run()
         assert result.stdout == ["10"]
         prof = result.profiles["Main.f"]
@@ -140,7 +134,7 @@ class TestStrategies:
 
     def test_oracle_strategy_honours_set(self):
         vm = JavaVM(self._counting_program(),
-                    strategy=OracleStrategy({"Main.f"}))
+                    RunConfig(policy="oracle", compile_set={"Main.f"}))
         result = vm.run()
         prof = result.profiles["Main.f"]
         assert prof["translate_cycles"] > 0
@@ -149,7 +143,7 @@ class TestStrategies:
         assert main_prof["interp_cycles"] > 0
 
     def test_methods_compiled_once(self):
-        vm = JavaVM(self._counting_program(), strategy=CompileOnFirstUse())
+        vm = JavaVM(self._counting_program(), "jit")
         result = vm.run()
         assert result.methods_compiled == len(
             {k for k, p in result.profiles.items()

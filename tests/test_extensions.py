@@ -23,39 +23,35 @@ from repro.native.nisa import NCat
 class TestFoldingInterpreter:
     def test_semantics_preserved(self):
         for wl in ("compress", "db", "mtrt"):
-            base = run_vm(wl, scale="s0", mode="interp", profile=False)
-            fold = run_vm(wl, scale="s0", mode="interp", profile=False,
-                          folding=True)
+            base = run_vm(wl, "s0", "interp,profile=False")
+            fold = run_vm(wl, "s0", "interp,folding=True,profile=False")
             assert base.stdout == fold.stdout, wl
             assert base.bytecodes_executed == fold.bytecodes_executed
 
     def test_fewer_instructions_and_cycles(self):
-        base = run_vm("compress", scale="s0", mode="interp", profile=False)
-        fold = run_vm("compress", scale="s0", mode="interp", profile=False,
-                      folding=True)
+        base = run_vm("compress", "s0", "interp,profile=False")
+        fold = run_vm("compress", "s0", "interp,folding=True,profile=False")
         assert fold.instructions < base.instructions
         assert fold.cycles < base.cycles
         assert fold.folded_bytecodes > 1000
 
     def test_dispatch_jumps_reduced(self):
-        base = run_vm("jess", scale="s0", mode="interp", profile=False)
-        fold = run_vm("jess", scale="s0", mode="interp", profile=False,
-                      folding=True)
+        base = run_vm("jess", "s0", "interp,profile=False")
+        fold = run_vm("jess", "s0", "interp,folding=True,profile=False")
         assert (fold.category_counts[NCat.IJUMP]
                 < 0.8 * base.category_counts[NCat.IJUMP])
 
     def test_folded_trace_well_formed(self):
-        fold = run_vm("db", scale="s0", mode="interp", record=True,
-                      profile=False, folding=True)
+        fold = run_vm("db", "s0",
+                      "interp,folding=True,profile=False,record=True")
         tr = fold.trace
         assert tr.n == fold.instructions
         # folded groups: a dispatch block is followed by >1 handler body
         assert tr.base_cycles() == fold.cycles
 
     def test_folding_noop_for_jit_mode(self):
-        base = run_vm("db", scale="s0", mode="jit", profile=False)
-        fold = run_vm("db", scale="s0", mode="jit", profile=False,
-                      folding=True)
+        base = run_vm("db", "s0", "jit,profile=False")
+        fold = run_vm("db", "s0", "jit,folding=True,profile=False")
         # compiled chunks are not interp templates: nothing folds except
         # around interpreted library paths
         assert fold.stdout == base.stdout
@@ -110,8 +106,8 @@ class TestIndirectPredictors:
         assert res["correct"] >= 98
 
     def test_real_interpreter_trace_gain(self):
-        trace = run_vm("compress", scale="s0", mode="interp", record=True,
-                       profile=False).trace
+        trace = run_vm("compress", "s0",
+                       "interp,profile=False,record=True").trace
         from repro.arch.branch import extract_transfers
         events = extract_transfers(trace)
         tc = run_indirect_predictor(TargetCache(), *events)
@@ -165,7 +161,7 @@ class TestBytecodeLocality:
         assert bl.coverage_of_top(15) == 0.0
 
     def test_vm_histogram_populated(self):
-        result = run_vm("compress", scale="s0", mode="interp")
+        result = run_vm("compress", "s0", "interp")
         bl = BytecodeLocality(result.opcode_counts)
         assert bl.total == result.bytecodes_executed
         assert bl.coverage_of_top(15) > 0.5   # the paper's concentration
@@ -263,8 +259,7 @@ class TestVictimCache:
     def test_victim_on_real_trace_helps_dm_icache(self):
         from repro.analysis import run_vm
         from repro.arch.caches import CacheConfig, CacheSim
-        trace = run_vm("javac", scale="s0", mode="jit", record=True,
-                       profile=False).trace
+        trace = run_vm("javac", "s0", "jit,profile=False,record=True").trace
         plain = CacheSim(CacheConfig(8 << 10, 32, 1)).run(trace.pc)
         helped = CacheSim(CacheConfig(8 << 10, 32, 1,
                                       victim_entries=8)).run(trace.pc)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fuzz.gen import FUEL, gen_program
 from repro.isa.asm import assemble, disassemble_program
 from repro.isa.verifier import verify_program
-from repro.vm import InterpretOnly, JavaVM
+from repro.vm import JavaVM
 
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -42,8 +42,7 @@ def test_assembly_round_trip_is_fixpoint(seed):
 @given(_seeds)
 def test_terminates_within_fuel(seed):
     spec = gen_program(seed)
-    result = JavaVM(spec.render(),
-                    strategy=InterpretOnly()).run(max_bytecodes=FUEL)
+    result = JavaVM(spec.render(), "interp").run(max_bytecodes=FUEL)
     assert 0 < result.bytecodes_executed <= FUEL
     assert result.stdout, "every generated program must print state"
 
@@ -61,10 +60,8 @@ def test_generation_is_deterministic(seed):
 def test_round_trip_preserves_semantics(seed):
     """The reassembled program behaves identically to the original."""
     spec = gen_program(seed)
-    original = JavaVM(spec.render(),
-                      strategy=InterpretOnly()).run(max_bytecodes=FUEL)
+    original = JavaVM(spec.render(), "interp").run(max_bytecodes=FUEL)
     rebuilt = assemble(disassemble_program(spec.render()))
-    replay = JavaVM(rebuilt,
-                    strategy=InterpretOnly()).run(max_bytecodes=FUEL)
+    replay = JavaVM(rebuilt, "interp").run(max_bytecodes=FUEL)
     assert replay.stdout == original.stdout
     assert replay.bytecodes_executed == original.bytecodes_executed

@@ -23,20 +23,21 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import run_vm
+from repro.vm import RunConfig
 
 WORKLOADS = ("jess", "mtrt")
 
 #: The five configs of ``test_differential.py`` plus the folding
 #: interpreter and the two recording paths.
 CONFIGS = {
-    "interp": {"mode": "interp"},
-    "jit": {"mode": "jit"},
-    "jit_opt": {"mode": "jit", "jit_opt": True},
-    "lock_elision": {"mode": "jit", "lock_elision": True},
-    "tiered": {"mode": ("tiered", 2, 3, 4)},
-    "interp_fold": {"mode": "interp", "folding": True},
-    "jit_rec": {"mode": "jit", "record": True},
-    "interp_fold_rec": {"mode": "interp", "folding": True, "record": True},
+    "interp": RunConfig(threshold=None),
+    "jit": RunConfig(),
+    "jit_opt": RunConfig(jit_opt=True),
+    "lock_elision": RunConfig(lock_elision=True),
+    "tiered": RunConfig(policy="tiered", t2_invocations=3, t2_backedges=32),
+    "interp_fold": RunConfig(threshold=None, folding=True),
+    "jit_rec": RunConfig(record=True),
+    "interp_fold_rec": RunConfig(threshold=None, folding=True, record=True),
 }
 
 _TRACE_COLUMNS = ("pc", "cat", "ea", "flags", "target", "dst", "src1",
@@ -100,8 +101,8 @@ def digest(result) -> str:
 
 
 def _run(workload: str, config: str):
-    return run_vm(workload, scale="s0", cache_dir="", code_archive="",
-                  **CONFIGS[config])
+    return run_vm(workload, "s0", CONFIGS[config], cache_dir="",
+                  code_archive="")
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -109,7 +110,7 @@ def _run(workload: str, config: str):
 def test_simulated_totals_unchanged(workload, config):
     result = _run(workload, config)
     assert result.opcode_counts.dtype == np.int64
-    assert (result.trace is not None) == CONFIGS[config].get("record", False)
+    assert (result.trace is not None) == CONFIGS[config].record
     assert digest(result) == EXPECTED[f"{workload}/{config}"]
 
 

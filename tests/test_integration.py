@@ -9,12 +9,12 @@ from repro.workloads import all_workloads
 
 WORKLOADS = sorted(all_workloads())
 CONFIGS = [
-    ("interp", "monitor-cache", True),
-    ("jit", "monitor-cache", True),
-    ("jit", "thin-lock", True),
-    ("jit", "one-bit-lock", True),
-    ("jit", "monitor-cache", False),
-    (("counter", 3), "thin-lock", True),
+    "interp",
+    "jit",
+    "jit,lock_manager=thin-lock",
+    "jit,lock_manager=one-bit-lock",
+    "jit,inline=False",
+    "counter3,lock_manager=thin-lock",
 ]
 
 
@@ -22,16 +22,15 @@ CONFIGS = [
 def test_output_invariant_under_configuration(workload):
     """The architectural configuration must never change program output."""
     outputs = set()
-    for mode, lock, inline in CONFIGS:
-        result = run_vm(workload, scale="s0", mode=mode, lock_manager=lock,
-                        inline=inline, profile=False)
+    for config in CONFIGS:
+        result = run_vm(workload, "s0", f"{config},profile=False")
         outputs.add(tuple(result.stdout))
     assert len(outputs) == 1, f"{workload}: divergent outputs {outputs}"
 
 
 @pytest.mark.parametrize("workload", ("db", "compress", "mtrt"))
 def test_cycle_accounting_consistent(workload):
-    r = run_vm(workload, scale="s0", mode="jit")
+    r = run_vm(workload, "s0", "jit")
     assert 0 <= r.translate_cycles < r.cycles
     assert 0 <= r.sync_cycles < r.cycles
     method_cycles = sum(
@@ -45,24 +44,23 @@ def test_cycle_accounting_consistent(workload):
 
 @pytest.mark.parametrize("workload", ("db", "jack"))
 def test_bytecode_count_mode_invariant(workload):
-    a = run_vm(workload, scale="s0", mode="interp", profile=False)
-    b = run_vm(workload, scale="s0", mode="jit", profile=False)
+    a = run_vm(workload, "s0", "interp,profile=False")
+    b = run_vm(workload, "s0", "jit,profile=False")
     assert a.bytecodes_executed == b.bytecodes_executed
 
 
 def test_trace_instruction_totals_match_counting():
     for mode in ("interp", "jit"):
-        counted = run_vm("jess", scale="s0", mode=mode, profile=False)
-        recorded = run_vm("jess", scale="s0", mode=mode, record=True,
-                          profile=False)
+        counted = run_vm("jess", "s0", f"{mode},profile=False")
+        recorded = run_vm("jess", "s0", f"{mode},profile=False,record=True")
         assert counted.instructions == recorded.trace.n
         assert counted.cycles == recorded.trace.base_cycles()
 
 
 def test_interp_jit_native_instruction_ratio():
     """The JIT's whole point: far fewer native instructions per bytecode."""
-    interp = run_vm("compress", scale="s0", mode="interp", profile=False)
-    jit = run_vm("compress", scale="s0", mode="jit", profile=False)
+    interp = run_vm("compress", "s0", "interp,profile=False")
+    jit = run_vm("compress", "s0", "jit,profile=False")
     per_bc_interp = interp.instructions / interp.bytecodes_executed
     per_bc_jit = jit.instructions / jit.bytecodes_executed
     assert 18 <= per_bc_interp <= 32      # the paper's ~25

@@ -322,7 +322,7 @@ class TestFieldsAndObjects:
             m.aload(1).getfield("Point", "x"),
         ) and None)
         self._with_point(pb)
-        res_i = run_program(pb, mode="interp")
+        res_i = run_program(pb, "interp")
         pb2 = expr_main(lambda m: (
             m.new("Point").dup(),
             m.invokespecial("Point", "<init>", 0),
@@ -331,7 +331,7 @@ class TestFieldsAndObjects:
             m.aload(1).getfield("Point", "x"),
         ) and None)
         self._with_point(pb2)
-        res_j = run_program(pb2, mode="jit")
+        res_j = run_program(pb2, "jit")
         assert res_i.stdout == res_j.stdout == ["33"]
 
     def test_static_fields(self):
@@ -345,7 +345,7 @@ class TestFieldsAndObjects:
         for mode in ("interp", "jit"):
             pb = expr_main(body)
             pb._class_builders[0].static_field("counter", "int")
-            assert run_program(pb, mode=mode).stdout == ["8"]
+            assert run_program(pb, mode).stdout == ["8"]
 
     def test_instanceof_and_checkcast(self):
         from helpers import expr_main, run_program
@@ -365,7 +365,7 @@ class TestFieldsAndObjects:
             sub.method("<init>").return_()
             return pb
         for mode in ("interp", "jit"):
-            assert run_program(make(), mode=mode).stdout == ["1"]
+            assert run_program(make(), mode).stdout == ["1"]
 
     def test_bad_cast_raises(self):
         from repro.vm import VMError

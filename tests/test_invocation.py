@@ -3,14 +3,14 @@
 import pytest
 
 from repro.isa import ProgramBuilder
-from repro.vm import CompileOnFirstUse, InterpretOnly, JavaVM, VMError
+from repro.vm import JavaVM, VMError
 
 from helpers import run_program
 
 
 def _both(pb_factory, expected):
     for mode in ("interp", "jit"):
-        result = run_program(pb_factory(), mode=mode)
+        result = run_program(pb_factory(), mode)
         assert result.stdout == [str(expected)], mode
 
 
@@ -176,7 +176,7 @@ class TestProfiling:
             m.invokestatic("Main", "f", 0, True)
             m.pop()
         m.return_()
-        vm = JavaVM(pb.build(), strategy=InterpretOnly())
+        vm = JavaVM(pb.build(), "interp")
         result = vm.run()
         assert result.profiles["Main.f"]["invocations"] == 5
         assert result.profiles["Main.f"]["interp_cycles"] > 0
@@ -192,7 +192,7 @@ class TestProfiling:
         m.pop()
         m.return_()
         # Disable inlining so the callee actually executes as compiled code.
-        vm = JavaVM(pb.build(), strategy=CompileOnFirstUse(), inline=False)
+        vm = JavaVM(pb.build(), "jit,inline=False")
         result = vm.run()
         prof = result.profiles["Main.f"]
         assert prof["translate_cycles"] > 0

@@ -5,7 +5,7 @@ import pytest
 from repro.isa import ArrayType, ProgramBuilder
 from repro.native.layout import CODE_CACHE_BASE
 from repro.native.nisa import NCat
-from repro.vm import CompileOnFirstUse, JavaVM
+from repro.vm import JavaVM
 from repro.vm.jit.inline import ClassHierarchy, is_inlinable
 
 from helpers import eval_both_modes, expr_main, run_program
@@ -15,7 +15,7 @@ def _compile_main(body_fn):
     """Build a main with ``body_fn`` and compile it; returns CompiledMethod."""
     pb = expr_main(body_fn)
     program = pb.build()
-    vm = JavaVM(program, strategy=CompileOnFirstUse())
+    vm = JavaVM(program, "jit")
     vm.boot()
     main = program.entry_method
     return vm._compiled[main.method_id], vm
@@ -75,7 +75,7 @@ class TestChunkGeneration:
         pb = expr_main(body)
         pb._class_builders[0].static_field("s", "int")
         program = pb.build()
-        vm = JavaVM(program, strategy=CompileOnFirstUse())
+        vm = JavaVM(program, "jit")
         vm.boot()
         compiled = vm._compiled[program.entry_method.method_id]
         loads = []
@@ -147,13 +147,13 @@ class TestInlining:
         return pb
 
     def test_monomorphic_getter_inlined(self):
-        result = run_program(self._getter_program(), mode="jit")
+        result = run_program(self._getter_program(), "jit")
         assert result.stdout == ["42"]
         assert result.inlined_sites >= 1
 
     def test_inline_disabled_flag(self):
         program = self._getter_program().build()
-        vm = JavaVM(program, strategy=CompileOnFirstUse(), inline=False)
+        vm = JavaVM(program, "jit,inline=False")
         result = vm.run()
         assert result.stdout == ["42"]
         assert result.inlined_sites == 0
@@ -177,7 +177,7 @@ class TestInlining:
         program = pb.build()
         hierarchy = ClassHierarchy(program)
         assert hierarchy.unique_target("B", "f") is None
-        result = run_program(pb, mode="jit")
+        result = run_program(pb, "jit")
         assert result.stdout == ["2"]
 
     def test_cha_unique_target(self):
@@ -216,7 +216,7 @@ class TestTranslateTrace:
     def test_translation_charged_to_trace(self):
         pb = expr_main(lambda m: m.iconst(1) and None)
         program = pb.build()
-        vm = JavaVM(program, strategy=CompileOnFirstUse(), record=True)
+        vm = JavaVM(program, "jit,record=True")
         result = vm.run()
         assert result.translate_cycles > 0
         trace = result.trace

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.isa import ProgramBuilder
-from repro.vm import InterpretOnly, JavaVM
+from repro.vm import JavaVM
 
 from helpers import expr_main, run_program
 
 
 def _run_body(body, mode="interp"):
-    return run_program(expr_main(body), mode=mode)
+    return run_program(expr_main(body), mode)
 
 
 class TestVector:

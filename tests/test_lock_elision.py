@@ -9,11 +9,11 @@ import pytest
 
 from repro.analysis.runner import run_vm
 from repro.isa import ProgramBuilder
-from repro.vm import CompileOnFirstUse, InterpretOnly, JavaVM
+from repro.vm import JavaVM
 
 
-def _fresh(pb, **kwargs):
-    vm = JavaVM(pb.build(), spawn_daemons=False, **kwargs)
+def _fresh(pb, config):
+    vm = JavaVM(pb.build(), f"{config},spawn_daemons=False")
     return vm.run()
 
 
@@ -60,9 +60,8 @@ def _escaping_lock_program():
 
 class TestLockElision:
     def test_thread_local_locks_elided(self):
-        base = _fresh(_local_lock_program(), strategy=InterpretOnly())
-        opt = _fresh(_local_lock_program(), strategy=InterpretOnly(),
-                     lock_elision=True)
+        base = _fresh(_local_lock_program(), "interp")
+        opt = _fresh(_local_lock_program(), "interp,lock_elision=True")
         assert base.stdout == opt.stdout == ["5"]
         assert opt.sync["elided_acquires"] == 5
         assert opt.sync["elided_releases"] == 5
@@ -71,8 +70,7 @@ class TestLockElision:
         assert opt.sync["acquire_ops"] == base.sync["acquire_ops"] - 5
 
     def test_escaping_object_not_elided(self):
-        opt = _fresh(_escaping_lock_program(), strategy=InterpretOnly(),
-                     lock_elision=True)
+        opt = _fresh(_escaping_lock_program(), "interp,lock_elision=True")
         assert opt.stdout == ["1"]
         assert opt.sync["elided_acquires"] == 0
 
@@ -89,28 +87,28 @@ class TestLockElision:
         m.getstatic("java/lang/System", "out").iconst(1)
         m.invokevirtual("java/io/PrintStream", "printlnInt", 1, False)
         m.return_()
-        opt = _fresh(pb, strategy=InterpretOnly(), lock_elision=True)
+        opt = _fresh(pb, "interp,lock_elision=True")
         assert opt.stdout == ["1"]
         cases = opt.sync["elided_case_counts"]
         assert (cases["a"], cases["b"], cases["c"]) == (1, 1, 0)
 
     def test_disabled_by_default(self):
-        res = _fresh(_local_lock_program(), strategy=InterpretOnly())
+        res = _fresh(_local_lock_program(), "interp")
         assert res.sync["elided_acquires"] == 0
 
     @pytest.mark.parametrize("workload", ("jack", "jess", "javac"))
     def test_workload_semantics_preserved(self, workload):
-        base = run_vm(workload, scale="s0", mode="jit", cache_dir="")
-        opt = run_vm(workload, scale="s0", mode="jit", cache_dir="",
-                     jit_opt=True, lock_elision=True)
+        base = run_vm(workload, "s0", "jit", cache_dir="")
+        opt = run_vm(workload, "s0", "jit,jit_opt=True,lock_elision=True",
+                     cache_dir="")
         assert base.stdout == opt.stdout
         assert base.bytecodes_executed == opt.bytecodes_executed
         assert opt.sync["elision_violations"] == 0
 
     def test_jack_elides_most_acquisitions(self):
-        base = run_vm("jack", scale="s0", mode="jit", cache_dir="")
-        opt = run_vm("jack", scale="s0", mode="jit", cache_dir="",
-                     jit_opt=True, lock_elision=True)
+        base = run_vm("jack", "s0", "jit", cache_dir="")
+        opt = run_vm("jack", "s0", "jit,jit_opt=True,lock_elision=True",
+                     cache_dir="")
         elided = opt.sync["elided_acquires"]
         assert elided > 0
         assert opt.sync["acquire_ops"] == base.sync["acquire_ops"] - elided
@@ -130,20 +128,19 @@ class TestJitDeadStoreElimination:
 
     def test_dead_store_dropped_from_compiled_code(self):
         base = _fresh(self._dead_store_program(),
-                      strategy=CompileOnFirstUse())
+                      "jit")
         opt = _fresh(self._dead_store_program(),
-                     strategy=CompileOnFirstUse(), jit_opt=True)
+                     "jit,jit_opt=True")
         assert base.stdout == opt.stdout == ["42"]
         assert opt.dead_stores_eliminated >= 1
         assert opt.instructions <= base.instructions
 
     def test_javac_workload_has_dead_store(self):
-        opt = run_vm("javac", scale="s0", mode="jit", cache_dir="",
-                     jit_opt=True)
+        opt = run_vm("javac", "s0", "jit,jit_opt=True", cache_dir="")
         assert opt.dead_stores_eliminated >= 1
 
     def test_counters_zero_when_disabled(self):
         base = _fresh(self._dead_store_program(),
-                      strategy=CompileOnFirstUse())
+                      "jit")
         assert base.dead_stores_eliminated == 0
         assert base.spill_stores_eliminated == 0

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.isa import ProgramBuilder
-from repro.vm import JavaVM, OracleStrategy
+from repro.vm import JavaVM, RunConfig
 
 
 def _call_chain_program():
@@ -50,7 +50,8 @@ EXPECTED = "107"
 def test_every_interleaving_agrees(compiled_set):
     """Interp->compiled and compiled->interp call transitions must be
     semantically invisible, whatever the mix."""
-    vm = JavaVM(_call_chain_program(), strategy=OracleStrategy(compiled_set))
+    vm = JavaVM(_call_chain_program(),
+                RunConfig(policy="oracle", compile_set=compiled_set))
     result = vm.run()
     assert result.stdout == [EXPECTED], compiled_set
     compiled = {name for name, p in result.profiles.items()
@@ -64,9 +65,8 @@ def test_mixed_trace_switches_fetch_regions():
     from repro.native.layout import (
         CODE_CACHE_BASE, CODE_CACHE_SIZE, INTERP_TEXT_BASE, INTERP_TEXT_SIZE,
     )
-    vm = JavaVM(_call_chain_program(),
-                strategy=OracleStrategy({"Main.main", "Main.a"}),
-                record=True)
+    vm = JavaVM(_call_chain_program(), "oracle,compile_set=Main.a;Main.main,"
+                                       "record=True")
     trace = vm.run().trace
     in_cc = ((trace.pc >= CODE_CACHE_BASE)
              & (trace.pc < CODE_CACHE_BASE + CODE_CACHE_SIZE))
@@ -89,8 +89,7 @@ def test_counter_strategy_mixes_over_time():
     m.getstatic("java/lang/System", "out").iload(1)
     m.invokevirtual("java/io/PrintStream", "printlnInt", 1, False)
     m.return_()
-    from repro.vm import CounterThreshold
-    vm = JavaVM(pb.build(), strategy=CounterThreshold(3), inline=False)
+    vm = JavaVM(pb.build(), "counter3,inline=False")
     result = vm.run()
     assert result.stdout == ["6"]
     prof = result.profiles["Main.f"]

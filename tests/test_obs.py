@@ -203,7 +203,7 @@ class TestManifest:
 class TestVMSpans:
     def test_jit_run_emits_phase_spans(self):
         TRACER.enable()
-        run_vm("hello", scale="s0", mode="jit", cache_dir="")
+        run_vm("hello", "s0", "jit", cache_dir="")
         names = [e["name"] for e in TRACER.events]
         assert "vm.run" in names
         assert "vm.jit.translate" in names
@@ -219,7 +219,7 @@ class TestVMSpans:
 
     def test_interp_run_charges_dispatch(self):
         TRACER.enable()
-        run_vm("hello", scale="s0", mode="interp", cache_dir="")
+        run_vm("hello", "s0", "interp", cache_dir="")
         dispatch = next(e for e in TRACER.events
                         if e["name"] == "vm.interp.dispatch")
         assert dispatch["attrs"]["bytecodes"] > 0
@@ -228,7 +228,7 @@ class TestVMSpans:
                        for e in TRACER.events)
 
     def test_disabled_run_emits_nothing(self):
-        result = run_vm("hello", scale="s0", mode="jit", cache_dir="")
+        result = run_vm("hello", "s0", "jit", cache_dir="")
         assert result.cycles > 0
         assert TRACER.events == []
 

@@ -19,19 +19,20 @@ from repro.analysis.parallel import (
     trace_jobs,
 )
 from repro.experiments.base import all_experiments, collect_jobs, jobs_for
+from repro.vm import RunConfig
 
 
 class TestJobDescriptors:
     def test_constructors_and_equality(self):
         assert trace_job("db") == Job("trace", "db", "s1", "jit")
-        assert run_job("db", "s0", "interp", profile=False) == Job(
-            "run", "db", "s0", "interp", (("profile", False),)
+        assert run_job("db", "s0", "interp,profile=False") == Job(
+            "run", "db", "s0", RunConfig(threshold=None, profile=False)
         )
         assert oracle_job("db").kind == "oracle"
 
     def test_option_order_is_canonical(self):
-        a = run_job("db", "s0", "jit", inline=True, profile=False)
-        b = run_job("db", "s0", "jit", profile=False, inline=True)
+        a = run_job("db", "s0", "jit,inline=False,profile=False")
+        b = run_job("db", "s0", "jit,profile=False,inline=False")
         assert a == b
         assert len(dedupe([a, b])) == 1
 
@@ -40,7 +41,7 @@ class TestJobDescriptors:
             Job("frobnicate", "db")
 
     def test_describe_mentions_the_measurement(self):
-        text = run_job("db", "s0", "jit", profile=False).describe()
+        text = run_job("db", "s0", "jit,profile=False").describe()
         assert "db/s0/jit" in text and "profile=False" in text
 
     def test_dedupe_preserves_order(self):
@@ -49,7 +50,7 @@ class TestJobDescriptors:
 
     def test_jobs_are_spawn_safe(self):
         import pickle
-        job = run_job("db", "s0", ("counter", 4), profile=False)
+        job = run_job("db", "s0", "counter4,profile=False")
         assert pickle.loads(pickle.dumps(job)) == job
 
 
@@ -115,7 +116,7 @@ class TestRunJobsPooled:
 
     def test_pool_populates_shared_cache(self, tmp_path):
         jobs = trace_jobs(("hello",), "s0") + [
-            run_job("hello", "s0", "jit", profile=False)
+            run_job("hello", "s0", "jit,profile=False")
         ]
         summary = run_jobs(jobs, max_workers=2, cache_dir=str(tmp_path))
         assert not summary.errors

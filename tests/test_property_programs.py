@@ -5,7 +5,7 @@ interpreter — the contract the paper's whole methodology stands on."""
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import ProgramBuilder
-from repro.vm import CompileOnFirstUse, InterpretOnly, JavaVM
+from repro.vm import JavaVM
 
 # Operations on a (depth, locals) abstract state.  Each entry:
 # (name, min_depth, depth_delta).
@@ -73,17 +73,15 @@ def _build(ops):
     return pb
 
 
-def _run(pb, strategy, **kwargs):
-    vm = JavaVM(pb.build(), strategy=strategy, spawn_daemons=False,
-                **kwargs)
-    return vm.run()
+def _run(pb, config):
+    return JavaVM(pb.build(), f"{config},spawn_daemons=False").run()
 
 
 @settings(max_examples=60, deadline=None)
 @given(_op_indices)
 def test_interpreter_and_jit_agree(ops):
-    interp = _run(_build(ops), InterpretOnly())
-    jit = _run(_build(ops), CompileOnFirstUse())
+    interp = _run(_build(ops), "interp")
+    jit = _run(_build(ops), "jit")
     assert interp.stdout == jit.stdout
     assert interp.bytecodes_executed == jit.bytecodes_executed
 
@@ -91,8 +89,8 @@ def test_interpreter_and_jit_agree(ops):
 @settings(max_examples=25, deadline=None)
 @given(_op_indices)
 def test_folding_interpreter_agrees(ops):
-    base = _run(_build(ops), InterpretOnly())
-    folded = _run(_build(ops), InterpretOnly(), folding=True)
+    base = _run(_build(ops), "interp")
+    folded = _run(_build(ops), "interp,folding=True")
     assert base.stdout == folded.stdout
     assert folded.instructions <= base.instructions
 
@@ -100,7 +98,7 @@ def test_folding_interpreter_agrees(ops):
 @settings(max_examples=25, deadline=None)
 @given(_op_indices)
 def test_result_is_a_java_int(ops):
-    result = _run(_build(ops), InterpretOnly())
+    result = _run(_build(ops), "interp")
     value = int(result.stdout[-1])
     assert -(2**31) <= value < 2**31
 
@@ -111,7 +109,7 @@ def test_trace_replay_simulators_accept_any_program(ops):
     """Whatever the program, its trace must be simulable end to end."""
     from repro.arch.branch import compare_predictors
     from repro.arch.caches import simulate_split_l1
-    result = _run(_build(ops), CompileOnFirstUse(), record=True)
+    result = _run(_build(ops), "jit,record=True")
     res = simulate_split_l1(result.trace)
     assert res.icache.total_refs == result.trace.n
     preds = compare_predictors(result.trace, names=("gshare",))
@@ -148,7 +146,7 @@ def test_typed_verifier_accepts_generated_programs(ops):
     result = typecheck_method(method, program)
     assert not result.errors
     # the same program still runs
-    vm = JavaVM(program, strategy=InterpretOnly(), spawn_daemons=False)
+    vm = JavaVM(program, "interp,spawn_daemons=False")
     assert vm.run().stdout
 
 
@@ -156,9 +154,8 @@ def test_typed_verifier_accepts_generated_programs(ops):
 @given(_op_indices)
 def test_jit_optimizations_preserve_semantics(ops):
     """Liveness DSE + escape-analysis lock elision never change output."""
-    base = _run(_build(ops), CompileOnFirstUse())
-    opt = _run(_build(ops), CompileOnFirstUse(), jit_opt=True,
-               lock_elision=True)
+    base = _run(_build(ops), "jit")
+    opt = _run(_build(ops), "jit,jit_opt=True,lock_elision=True")
     assert base.stdout == opt.stdout
     assert base.bytecodes_executed == opt.bytecodes_executed
     assert opt.sync["elision_violations"] == 0

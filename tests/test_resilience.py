@@ -320,15 +320,14 @@ class TestQuarantine:
                                                             tmp_path):
         from repro.analysis.runner import run_vm
         cache_dir = str(tmp_path)
-        run_vm("hello", scale="s0", mode="interp", cache_dir=cache_dir)
+        run_vm("hello", "s0", "interp", cache_dir=cache_dir)
         runs = os.path.join(cache_dir, "runs")
         (entry,) = [f for f in os.listdir(runs) if f.endswith(".pkl")]
         path = os.path.join(runs, entry)
         with open(path, "wb") as fh:
             fh.write(b"\x80garbage")  # digest mismatch
         before = cache.STATS.snapshot()
-        again = run_vm("hello", scale="s0", mode="interp",
-                       cache_dir=cache_dir)
+        again = run_vm("hello", "s0", "interp", cache_dir=cache_dir)
         delta = cache.CacheStats.diff(cache.STATS.snapshot(), before)
         assert delta["corrupt"] == 1
         assert delta["quarantined"] == 1

@@ -4,7 +4,7 @@ monitors, recursion, static-method class locks."""
 import pytest
 
 from repro.isa import ProgramBuilder
-from repro.vm import CompileOnFirstUse, InterpretOnly, JavaVM
+from repro.vm import JavaVM
 
 from helpers import run_program
 
@@ -37,7 +37,7 @@ class TestSynchronizedMethods:
 
     def test_semantics(self):
         assert run_program(self._program()).stdout == ["2"]
-        assert run_program(self._program(), mode="jit").stdout == ["2"]
+        assert run_program(self._program(), "jit").stdout == ["2"]
 
     def test_recursive_case_b_recorded(self):
         result = run_program(self._program())
@@ -46,7 +46,7 @@ class TestSynchronizedMethods:
     def test_lock_released_after_return(self):
         pb = self._program()
         program = pb.build()
-        vm = JavaVM(program, strategy=InterpretOnly())
+        vm = JavaVM(program, "interp")
         vm.run()
         # every monitor released: all lock states have count 0
         for obj in vm.heap.objects.values():
@@ -70,7 +70,7 @@ class TestStaticSynchronized:
         m.invokevirtual("java/io/PrintStream", "printlnInt", 1, False)
         m.return_()
         program = pb.build()
-        vm = JavaVM(program, strategy=InterpretOnly())
+        vm = JavaVM(program, "interp")
         result = vm.run()
         assert result.stdout == ["7"]
         cls = program.get_class("Main")
@@ -96,7 +96,7 @@ class TestExplicitMonitors:
 
     def test_nested_enter_exit(self):
         for mode in ("interp", "jit"):
-            result = run_program(self._program(), mode=mode)
+            result = run_program(self._program(), mode)
             assert result.stdout == ["1"]
             assert result.sync["case_counts"]["b"] >= 1
 
@@ -117,7 +117,8 @@ class TestDeterminism:
     def test_recorded_traces_bit_identical(self):
         results = []
         for _ in range(2):
-            results.append(run_program(self._any_program(), record=True))
+            results.append(run_program(self._any_program(),
+                                       "interp,record=True"))
         a, b = results
         assert a.trace.n == b.trace.n
         assert (a.trace.pc == b.trace.pc).all()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa import ProgramBuilder
-from repro.vm import DeadlockError, InterpretOnly, JavaVM
+from repro.vm import DeadlockError, JavaVM
 
 from helpers import run_program
 
@@ -62,22 +62,22 @@ def _two_counter_threads(with_sync: bool):
 
 class TestThreads:
     def test_two_threads_complete_and_join(self):
-        result = run_program(_two_counter_threads(True), quantum=20)
+        result = run_program(_two_counter_threads(True), "interp,quantum=20")
         assert result.stdout == [str(2 * sum(range(50)))]
 
     def test_both_modes_agree(self):
-        a = run_program(_two_counter_threads(True), mode="interp", quantum=20)
-        b = run_program(_two_counter_threads(True), mode="jit", quantum=20)
+        a = run_program(_two_counter_threads(True), "interp,quantum=20")
+        b = run_program(_two_counter_threads(True), "jit,quantum=20")
         assert a.stdout == b.stdout
 
     def test_contention_occurs_with_small_quantum(self):
-        result = run_program(_two_counter_threads(True), quantum=7)
+        result = run_program(_two_counter_threads(True), "interp,quantum=7")
         assert result.sync["case_counts"]["d"] > 0
 
     def test_threads_interleave(self):
         # With a small quantum, neither thread runs to completion alone:
         # the scheduler switches between them (both see fresh state).
-        result = run_program(_two_counter_threads(True), quantum=5)
+        result = run_program(_two_counter_threads(True), "interp,quantum=5")
         assert result.stdout == [str(2 * sum(range(50)))]
 
     def test_join_on_finished_thread_is_noop(self):
@@ -140,7 +140,7 @@ class TestDaemons:
     def test_daemon_threads_run_at_boot(self):
         pb = ProgramBuilder("t", main_class="Main")
         pb.cls("Main").method("main", static=True).return_()
-        vm = JavaVM(pb.build(), strategy=InterpretOnly())
+        vm = JavaVM(pb.build(), "interp")
         result = vm.run()
         names = {t.name for t in vm.threads}
         assert "finalizer" in names and "refcleaner" in names
@@ -151,8 +151,7 @@ class TestDaemons:
     def test_daemons_can_be_disabled(self):
         pb = ProgramBuilder("t", main_class="Main")
         pb.cls("Main").method("main", static=True).return_()
-        vm = JavaVM(pb.build(), strategy=InterpretOnly(),
-                    spawn_daemons=False)
+        vm = JavaVM(pb.build(), "interp,spawn_daemons=False")
         vm.run()
         assert len(vm.threads) == 1
 
@@ -166,7 +165,7 @@ class TestExecutionLimits:
         m.bind(top)
         m.goto(top)
         m.return_()
-        vm = JavaVM(pb.build(), strategy=InterpretOnly(), max_bytecodes=5000)
+        vm = JavaVM(pb.build(), "interp,max_bytecodes=5000")
         with pytest.raises(ExecutionLimitExceeded):
             vm.run()
 
@@ -180,6 +179,6 @@ class TestExecutionLimits:
         m = cb.method("main", static=True)
         m.invokestatic("Main", "f", 0, False)
         m.return_()
-        vm = JavaVM(pb.build(), strategy=InterpretOnly())
+        vm = JavaVM(pb.build(), "interp")
         with pytest.raises(StackOverflow):
             vm.run()

@@ -15,22 +15,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.runner import run_vm
 from repro.experiments.tiered import (
-    AGGRESSIVE,
     SCENARIOS,
+    TIERED,
     class_load_program,
     lock_escape_program,
     run_scenario,
 )
 from repro.isa import ProgramBuilder
-from repro.vm import (
-    CompileOnFirstUse,
-    InterpretOnly,
-    JavaVM,
-    TieredStrategy,
-)
+from repro.vm import JavaVM, RunConfig
+from repro.vm.config import STRESS_TIERED
 from repro.vm.tiering import estimated_translate_cycles
 
-AGG = dict(AGGRESSIVE)
+INTERP = RunConfig(threshold=None)
+JIT = RunConfig()
 
 
 def _hot_loop_program(iters: int = 500) -> ProgramBuilder:
@@ -53,26 +50,25 @@ def _hot_loop_program(iters: int = 500) -> ProgramBuilder:
     return pb
 
 
-def _run(pb, strategy):
-    vm = JavaVM(pb.build(), strategy=strategy, spawn_daemons=False)
-    return vm.run()
+def _run(pb, config):
+    return JavaVM(pb.build(), config.replace(spawn_daemons=False)).run()
 
 
 class TestPromotion:
     def test_cold_methods_stay_interpreted(self):
         res = _run(_hot_loop_program(3),
-                   TieredStrategy())           # 3 backedges < osr gate
+                   TIERED)                     # 3 backedges < osr gate
         assert res.methods_compiled == 0
         assert res.tiering["promotions_t1"] == 0
 
     def test_priced_promotion_waits_for_spent_cycles(self):
         """With an enormous compile_ratio nothing ever repays translate."""
         res = _run(_hot_loop_program(500),
-                   TieredStrategy(compile_ratio=1e9))
+                   TIERED.replace(compile_ratio=1e9))
         assert res.tiering["promotions_t1"] == 0
 
     def test_snapshot_records_strategy_and_transitions(self):
-        res = _run(_hot_loop_program(500), TieredStrategy(**AGG))
+        res = _run(_hot_loop_program(500), STRESS_TIERED)
         assert res.strategy_config["name"] == "tiered"
         assert res.tiering["strategy"]["t2_screen"] is False
         assert any(
@@ -81,7 +77,7 @@ class TestPromotion:
         )
 
     def test_non_tiered_runs_have_no_tiering(self):
-        res = _run(_hot_loop_program(50), CompileOnFirstUse())
+        res = _run(_hot_loop_program(50), JIT)
         assert res.tiering is None
         assert res.strategy_config["name"] == "jit"
 
@@ -97,22 +93,22 @@ class TestOSR:
     def test_single_invocation_loop_is_osr_compiled(self):
         """main runs once, so only the backedge rung can promote it —
         and the running frame must hop into the compiled code."""
-        res = _run(_hot_loop_program(500), TieredStrategy(**AGG))
+        res = _run(_hot_loop_program(500), STRESS_TIERED)
         assert res.stdout == [str(sum(range(500)))]
         assert res.tiering["promotions_t1"] >= 1
         assert res.tiering["osr_entries"] >= 1
         assert res.tiering["methods"]["Main.main"]["tier"] >= 1
 
     def test_osr_preserves_observables_vs_interp(self):
-        base = _run(_hot_loop_program(500), InterpretOnly())
-        osr = _run(_hot_loop_program(500), TieredStrategy(**AGG))
+        base = _run(_hot_loop_program(500), INTERP)
+        osr = _run(_hot_loop_program(500), STRESS_TIERED)
         assert osr.stdout == base.stdout
         assert osr.bytecodes_executed == base.bytecodes_executed
         assert osr.heap == base.heap
 
     def test_osr_entry_charged_to_compiled_execution(self):
         """After OSR the remaining iterations run as compiled code."""
-        res = _run(_hot_loop_program(500), TieredStrategy(**AGG))
+        res = _run(_hot_loop_program(500), STRESS_TIERED)
         profile = res.profiles["Main.main"]
         assert profile["osr_entries"] >= 1
         assert profile["compiled_cycles"] > 0
@@ -129,7 +125,7 @@ class TestLockEscapeDeopt:
     def test_exact_repair_keeps_sync_consistent(self):
         """Elided + real acquire totals must match the interpreter run,
         and the repair must never be misfiled as an elision violation."""
-        base = _run(lock_escape_program(), InterpretOnly())
+        base = _run(lock_escape_program(), INTERP)
         res = run_scenario("lock_escape")
         assert (res.sync["acquire_ops"] + res.sync["elided_acquires"]
                 == base.sync["acquire_ops"])
@@ -160,8 +156,8 @@ class TestClassLoadDeopt:
         assert res.tiering["deopt_reasons"] == {"class_load": 1}
 
     def test_result_matches_interp_and_jit(self):
-        for strategy in (InterpretOnly(), CompileOnFirstUse()):
-            res = _run(class_load_program(), strategy)
+        for config in (INTERP, JIT):
+            res = _run(class_load_program(), config)
             assert res.stdout == SCENARIOS["class_load"][1]
 
     def test_deopt_invalidates_then_ladder_restarts(self):
@@ -185,9 +181,10 @@ WORKLOAD_SAMPLE = ("db", "jack", "mtrt")
 def test_workload_observables_identical_across_engines(workload):
     """interp / jit / tiered on real workloads: stdout, heap and
     normalized sync effects must be indistinguishable."""
-    interp = run_vm(workload, scale="s0", mode="interp")
-    jit = run_vm(workload, scale="s0", mode="jit")
-    tiered = run_vm(workload, scale="s0", mode=("tiered", 2, 3, 4))
+    interp = run_vm(workload, "s0", "interp")
+    jit = run_vm(workload, "s0", "jit")
+    tiered = run_vm(workload, "s0",
+                    "tiered,t2_invocations=3,t2_backedges=32")
     for res in (jit, tiered):
         assert res.stdout == interp.stdout
         assert res.bytecodes_executed == interp.bytecodes_executed
@@ -225,11 +222,11 @@ def _check_transition_wellformedness(snapshot):
 def test_property_ladder_wellformed(t1, t2_extra, osr, ratio, scenario):
     """Any threshold assignment: observables match the interpreter and
     the transition log forms legal promote/OSR/deopt cycles."""
-    strategy = TieredStrategy(
+    config = TIERED.replace(
         t1_invocations=t1, t2_invocations=t1 + t2_extra,
         osr_backedges=osr, t2_backedges=8 * osr,
         compile_ratio=ratio, t2_screen=False)
     builder, expected = SCENARIOS[scenario]
-    res = run_scenario(scenario, strategy=strategy)
+    res = run_scenario(scenario, config)
     assert res.stdout == expected
     _check_transition_wellformedness(res.tiering)

@@ -158,7 +158,7 @@ def test_incomplete_scenarios_raise():
     # wrong budget is not): starve the VM with a tiny bytecode budget.
     from repro.vm.machine import ExecutionLimitExceeded
     with pytest.raises(ExecutionLimitExceeded):
-        run_scenario(SMALL, "interp", max_bytecodes=1000)
+        run_scenario(SMALL, "interp,max_bytecodes=1000")
 
 
 # -- the server experiment ladder --------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.vm import CompileOnFirstUse, InterpretOnly, JavaVM
+from repro.vm import JavaVM
 from repro.workloads import SPEC_BENCHMARKS, all_workloads, get_workload
 
 ALL = sorted(all_workloads())
@@ -35,20 +35,20 @@ class TestRegistry:
 class TestEveryWorkload:
     def test_verifies_and_runs_interp(self, name):
         program = get_workload(name).build("s0")
-        result = JavaVM(program, strategy=InterpretOnly()).run()
+        result = JavaVM(program, "interp").run()
         assert result.stdout, f"{name} produced no output"
         assert result.bytecodes_executed > 0
 
     def test_modes_agree(self, name):
         w = get_workload(name)
-        interp = JavaVM(w.build("s0"), strategy=InterpretOnly()).run()
-        jit = JavaVM(w.build("s0"), strategy=CompileOnFirstUse()).run()
+        interp = JavaVM(w.build("s0"), "interp").run()
+        jit = JavaVM(w.build("s0"), "jit").run()
         assert interp.stdout == jit.stdout
 
     def test_deterministic(self, name):
         w = get_workload(name)
-        a = JavaVM(w.build("s0"), strategy=InterpretOnly()).run()
-        b = JavaVM(w.build("s0"), strategy=InterpretOnly()).run()
+        a = JavaVM(w.build("s0"), "interp").run()
+        b = JavaVM(w.build("s0"), "interp").run()
         assert a.stdout == b.stdout
         assert a.cycles == b.cycles
         assert a.bytecodes_executed == b.bytecodes_executed
@@ -57,8 +57,8 @@ class TestEveryWorkload:
         if name == "hello":
             pytest.skip("hello has no scale knob")
         w = get_workload(name)
-        small = JavaVM(w.build("s0"), strategy=InterpretOnly()).run()
-        big = JavaVM(w.build("s1"), strategy=InterpretOnly()).run()
+        small = JavaVM(w.build("s0"), "interp").run()
+        big = JavaVM(w.build("s1"), "interp").run()
         assert big.bytecodes_executed > small.bytecodes_executed
 
 
@@ -67,9 +67,7 @@ class TestCharacteristics:
     commentary), asserted at s0 so the suite stays fast."""
 
     def _run(self, name, mode="jit", scale="s0"):
-        strategy = (CompileOnFirstUse() if mode == "jit"
-                    else InterpretOnly())
-        return JavaVM(get_workload(name).build(scale), strategy=strategy).run()
+        return JavaVM(get_workload(name).build(scale), mode).run()
 
     def test_jit_beats_interpreter_on_hot_code(self):
         for name in ("compress", "mpegaudio", "mtrt"):
@@ -89,7 +87,7 @@ class TestCharacteristics:
 
     def test_mtrt_uses_two_worker_threads(self):
         program = get_workload("mtrt").build("s0")
-        vm = JavaVM(program, strategy=InterpretOnly())
+        vm = JavaVM(program, "interp")
         vm.run()
         workers = [t for t in vm.threads if t.name == "spec/RenderThread"]
         assert len(workers) == 2
