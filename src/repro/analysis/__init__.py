@@ -1,6 +1,6 @@
 """Analyses: hybrid oracle model, instruction mix, runners, reporting."""
 
-from .cache import CacheStats, cache_key, default_cache_dir, source_digest
+from .cache import CacheStats, cache_key, source_digest
 from .hybrid import MethodDecision, OracleAnalysis
 from .mix import indirect_fraction, mix_from_counts, mix_from_trace, summarize
 from .parallel import Job, oracle_job, run_job, run_jobs, trace_job
@@ -13,7 +13,6 @@ __all__ = [
     "MethodDecision",
     "OracleAnalysis",
     "cache_key",
-    "default_cache_dir",
     "format_bars",
     "format_stacked_bars",
     "format_table",

@@ -1,25 +1,34 @@
-"""Content-addressed on-disk cache shared by traces and VM results.
+"""The content-addressed on-disk store: traces, run results, compiled code.
+
+Every entry lives in one of three namespaces (:data:`NAMESPACES`):
+recorded native traces (``traces/*.npy``), pickled VM results
+(``runs/*.pkl``) and the shared compiled-code archive of
+:mod:`repro.vm.codecache_archive` (``code/*.pkl``).  This module is the
+only code that knows how an entry is addressed, verified, counted,
+quarantined, pruned and removed; the namespaces differ only in their
+file extension, their counters and how a caller decodes the bytes.
 
 The old scheme keyed archives on a hand-bumped ``CACHE_VERSION``; any
 change to trace-affecting code silently served stale traces until
-someone remembered to bump it.  Here every archive is addressed by a
+someone remembered to bump it.  Here every entry is addressed by a
 key that hashes
 
 - the *source* of every trace-affecting module (``repro.isa``,
   ``repro.native``, ``repro.sync``, ``repro.vm``, ``repro.workloads``
   and the runner itself), and
-- the job: workload, scale and the run config's token.
+- the job: workload, scale and the run config's token (or, for
+  compiled code, the method's link signature and tier).
 
 Editing any of those modules, or changing any config field, changes the
-key — no manual invalidation step exists anymore.  Stale archives are
+key — no manual invalidation step exists anymore.  Stale entries are
 simply never addressed again (and can be pruned with ``prune``).
 
-Concurrent workers share one cache directory safely: writes go to a
-temp file in the same directory followed by an atomic ``os.replace``,
+Concurrent workers share one directory safely: writes go to a temp
+file in the same directory followed by an atomic ``os.replace``,
 serialized per-entry by a pid-file lock that detects and breaks locks
 abandoned by dead processes (owner pid + liveness probe).  Every store
 records a content-digest sidecar (``<entry>.sha256``) verified on
-load; corrupt or truncated archives — parse failures *or* digest
+load; corrupt or truncated entries — parse failures *or* digest
 mismatches — are moved to ``quarantine/`` and recomputed rather than
 crashing the run.
 
@@ -40,6 +49,7 @@ import os
 import pickle
 import time
 import zipfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +68,44 @@ TRACE_AFFECTING = (
     os.path.join("analysis", "runner.py"),
 )
 
+
+@dataclass(frozen=True)
+class Namespace:
+    """One kind of entry: its ``cache.lookup``/``cache.store`` event
+    ``kind``, file extension and :class:`CacheStats` counters."""
+
+    kind: str
+    ext: str
+    hits: str
+    misses: str
+    stores: str
+    #: Hits refresh the entry's mtime, the recency LRU eviction reads.
+    touch: bool = False
+
+
+#: Subdirectory name -> namespace.  Traces and runs live under the
+#: trace cache directory, code under the code-archive directory.
+NAMESPACES = {
+    "traces": Namespace("trace", ".npy", "trace_hits", "trace_misses",
+                        "stores"),
+    "runs": Namespace("run", ".pkl", "run_hits", "run_misses", "stores"),
+    "code": Namespace("code", ".pkl", "code_hits", "code_misses",
+                      "code_stores", touch=True),
+}
+
+
 class CorruptEntry(Exception):
-    """Archive bytes fail their recorded content digest."""
+    """Entry bytes fail their recorded content digest (or a decoder's
+    own integrity check)."""
 
 
-#: Errors that mean "archive unreadable", never "bug": recompute instead.
+class Unusable(Exception):
+    """A decoder's verdict that an intact entry cannot be used here
+    (e.g. compiled code referencing a method this program lacks): the
+    lookup counts a miss, never corruption."""
+
+
+#: Errors that mean "entry unreadable", never "bug": recompute instead.
 _CORRUPT_ERRORS = (
     CorruptEntry,
     zipfile.BadZipFile,
@@ -75,23 +118,23 @@ _CORRUPT_ERRORS = (
     ImportError,
 )
 
+#: Directory environment variables and the value each takes when
+#: unset: the trace/run cache is on by default, the code archive opt-in.
+CACHE_ENV = "REPRO_TRACE_CACHE"
+ARCHIVE_ENV = "REPRO_CODE_ARCHIVE"
+_UNSET = {CACHE_ENV: ".trace_cache", ARCHIVE_ENV: ""}
 
-def default_cache_dir() -> str | None:
-    """The cache directory, resolved from the environment *at call time*
-    (so tests and tools can redirect it per-call).  Empty string disables
-    caching."""
-    return os.environ.get("REPRO_TRACE_CACHE", ".trace_cache") or None
 
+def resolve_dir(arg: str | None, env_var: str = CACHE_ENV) -> str | None:
+    """Map a directory argument to an effective directory.
 
-def resolve_dir(cache_dir: str | None) -> str | None:
-    """Map a ``cache_dir`` argument to an effective directory.
-
-    ``None`` means "use the environment default"; an empty string (or
-    any falsy value) disables caching.
+    ``None`` means "use ``env_var``", read *at call time* so tests and
+    tools can redirect it per call; an empty string (or any falsy
+    value), passed or read, disables the store.
     """
-    if cache_dir is None:
-        return default_cache_dir()
-    return cache_dir or None
+    if arg is None:
+        arg = os.environ.get(env_var, _UNSET[env_var])
+    return arg or None
 
 
 # -- source digest -----------------------------------------------------
@@ -331,10 +374,7 @@ class FileLock:
             # disk is theirs now and removing it would hand the entry to
             # a third contender.
             if _read_pid(self.lock_path) == os.getpid():
-                try:
-                    os.remove(self.lock_path)
-                except OSError:  # pragma: no cover - broken by a waiter
-                    pass
+                _unlink(self.lock_path)
 
     # -- stale detection ----------------------------------------------
     def _owner_pid(self) -> int | None:
@@ -386,15 +426,9 @@ class FileLock:
                 os.link(grave, self.lock_path)
             except OSError:
                 pass
-            try:
-                os.remove(grave)
-            except OSError:  # pragma: no cover - grave name is private
-                pass
+            _unlink(grave)
             return False
-        try:
-            os.remove(grave)
-        except OSError:  # pragma: no cover - grave name is private
-            pass
+        _unlink(grave)
         STATS.count("locks_broken")
         faults.note_recovery(kind, reason=reason,
                              entry=os.path.basename(self.lock_path))
@@ -407,9 +441,18 @@ class FileLock:
 _TMP_IDS = itertools.count(1)
 
 
+def _unlink(path: str) -> bool:
+    """Remove one file; ``False`` when it was not there to remove."""
+    try:
+        os.remove(path)
+    except OSError:
+        return False
+    return True
+
+
 def _atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` via a same-directory temp file and an
-    atomic rename, so readers never observe a partial archive."""
+    atomic rename, so readers never observe a partial entry."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(
@@ -422,10 +465,7 @@ def _atomic_write(path: str, data: bytes) -> None:
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # pragma: no cover - only on write failure
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
+            _unlink(tmp)
 
 
 def _digest_path(path: str) -> str:
@@ -433,7 +473,7 @@ def _digest_path(path: str) -> str:
 
 
 def _read_verified(path: str) -> bytes:
-    """Archive bytes, checked against the stored content digest.
+    """Entry bytes, checked against the stored content digest.
 
     Raises ``FileNotFoundError`` on absence and :class:`CorruptEntry`
     on a digest mismatch; entries predating digests (no sidecar) pass
@@ -451,22 +491,8 @@ def _read_verified(path: str) -> bytes:
     return data
 
 
-def _store_bytes(path: str, data: bytes) -> None:
-    """Store archive bytes plus their content-digest sidecar under the
-    entry lock.  The digest is computed *before* the fault layer can
-    mutate the payload, so injected corruption is always detectable on
-    the next load."""
-    digest = hashlib.sha256(data).hexdigest()
-    if faults.ACTIVE is not None:
-        faults.ACTIVE.on_io("store")
-        data = faults.ACTIVE.corrupt_store(path, data)
-    with FileLock(path):
-        _atomic_write(path, data)
-        _atomic_write(_digest_path(path), digest.encode())
-
-
 def _quarantine(path: str) -> None:
-    """Move a corrupt archive (and drop its sidecar) into the cache's
+    """Move a corrupt entry (and drop its sidecar) into the store's
     ``quarantine/`` directory: the recomputed entry replaces it while
     the bad bytes stay available for diagnosis."""
     qdir = os.path.join(os.path.dirname(os.path.dirname(path)),
@@ -478,156 +504,134 @@ def _quarantine(path: str) -> None:
             os.replace(path, os.path.join(qdir, os.path.basename(path)))
             moved = True
         except OSError:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        try:
-            os.remove(_digest_path(path))
-        except OSError:
-            pass
+            _unlink(path)
+        _unlink(_digest_path(path))
     if moved:
         STATS.count("quarantined")
         faults.note_recovery("quarantine", entry=os.path.basename(path))
 
 
-# -- entry paths -------------------------------------------------------
+# -- the store ---------------------------------------------------------
 
-# ``name`` is a readable label (the run config's policy name); the key
-# is what tells two configs apart.
-
-def trace_path(cache_dir: str, workload: str, scale: str, name: str,
-               key: str) -> str:
-    # ``.npy`` record arrays reopen with ``mmap_mode="r"``: a warm
-    # lookup maps pages instead of decompressing the whole archive.
+def entry_path(root: str, namespace: str, label: str, key: str) -> str:
+    """``<root>/<namespace>/<label>-<key[:16]><ext>``: ``label`` is a
+    readable name, the key is what tells two entries apart."""
     return os.path.join(
-        cache_dir, "traces", f"{workload}-{scale}-{name}-{key[:16]}.npy"
-    )
+        root, namespace, f"{label}-{key[:16]}{NAMESPACES[namespace].ext}")
 
 
-def run_path(cache_dir: str, workload: str, scale: str, name: str,
-             key: str) -> str:
-    return os.path.join(
-        cache_dir, "runs", f"{workload}-{scale}-{name}-{key[:16]}.pkl"
-    )
+def lookup(namespace: str, path: str, decode):
+    """``decode(data)`` of the verified entry at ``path``, or ``None``.
 
-
-# -- trace archives ----------------------------------------------------
-
-def load_trace(path: str) -> Trace | None:
-    """Load a trace archive, tolerating absent/corrupt files.
-
-    Counts a hit, a miss, or a corrupt-recompute in :data:`STATS`.
+    An absent entry, or one ``decode`` rejects with :class:`Unusable`,
+    counts a miss; unreadable bytes (any of the corrupt errors, digest
+    mismatches included) count a corrupt miss and are quarantined.
     """
+    ns = NAMESPACES[namespace]
     if faults.ACTIVE is not None:
         faults.ACTIVE.on_io("load")
     started = time.perf_counter()
-    trace = None
+    value = None
     outcome = "hit"
     try:
-        _read_verified(path)
-        trace = Trace.load(path)
-    except FileNotFoundError:
+        value = decode(_read_verified(path))
+    except (FileNotFoundError, Unusable):
         outcome = "miss"
-        STATS.count("trace_misses")
     except _CORRUPT_ERRORS:
         outcome = "corrupt"
         STATS.count("corrupt")
-        STATS.count("trace_misses")
         _quarantine(path)
+    if outcome == "hit":
+        STATS.count(ns.hits)
+        if ns.touch:
+            try:
+                os.utime(path)
+            except OSError:  # pragma: no cover - raced with eviction
+                pass
     else:
-        STATS.count("trace_hits")
+        STATS.count(ns.misses)
     elapsed = time.perf_counter() - started
     STATS.time("lookup_seconds", elapsed)
     if TRACER.enabled:
-        TRACER.emit("cache.lookup", elapsed, kind="trace", outcome=outcome)
-        TRACER.add(f"cache.trace_{outcome}")
-    return trace
+        TRACER.emit("cache.lookup", elapsed, kind=ns.kind, outcome=outcome)
+        TRACER.add(f"cache.{ns.kind}_{outcome}")
+    return value
+
+
+def store(namespace: str, path: str, data: bytes) -> None:
+    """Store entry bytes plus their content-digest sidecar under the
+    entry lock.  The digest is computed *before* the fault layer can
+    mutate the payload, so injected corruption is always detectable on
+    the next load."""
+    ns = NAMESPACES[namespace]
+    started = time.perf_counter()
+    digest = hashlib.sha256(data).hexdigest()
+    if faults.ACTIVE is not None:
+        faults.ACTIVE.on_io("store")
+        data = faults.ACTIVE.corrupt_store(path, data)
+    with FileLock(path):
+        _atomic_write(path, data)
+        _atomic_write(_digest_path(path), digest.encode())
+    STATS.count(ns.stores)
+    elapsed = time.perf_counter() - started
+    STATS.time("store_seconds", elapsed)
+    if TRACER.enabled:
+        TRACER.emit("cache.store", elapsed, kind=ns.kind)
+
+
+def remove_entry(path: str) -> bool:
+    """Delete one entry and its digest sidecar under the entry lock;
+    ``False`` when the entry was already gone."""
+    with FileLock(path):
+        removed = _unlink(path)
+        _unlink(_digest_path(path))
+    return removed
+
+
+def load_trace(path: str) -> Trace | None:
+    """A cached trace, memory-mapped from its ``.npy`` record array;
+    ``None`` on absence or corruption."""
+    return lookup("traces", path, lambda _data: Trace.load(path))
 
 
 def store_trace(path: str, trace: Trace) -> None:
-    started = time.perf_counter()
+    # Staged through memory so the write is atomic.
     buf = io.BytesIO()
-    # Trace.save's ``.npy`` format, staged through memory so the write
-    # is atomic.
     np.save(buf, trace.to_records(), allow_pickle=False)
-    _store_bytes(path, buf.getvalue())
-    STATS.count("stores")
-    elapsed = time.perf_counter() - started
-    STATS.time("store_seconds", elapsed)
-    if TRACER.enabled:
-        TRACER.emit("cache.store", elapsed, kind="trace")
+    store("traces", path, buf.getvalue())
 
-
-# -- pickled run results -----------------------------------------------
 
 def load_run(path: str):
     """Load a cached ``VMResult``; ``None`` on absence or corruption."""
-    if faults.ACTIVE is not None:
-        faults.ACTIVE.on_io("load")
-    started = time.perf_counter()
-    result = None
-    outcome = "hit"
-    try:
-        result = pickle.loads(_read_verified(path))
-    except FileNotFoundError:
-        outcome = "miss"
-        STATS.count("run_misses")
-    except _CORRUPT_ERRORS:
-        outcome = "corrupt"
-        STATS.count("corrupt")
-        STATS.count("run_misses")
-        _quarantine(path)
-    else:
-        STATS.count("run_hits")
-    elapsed = time.perf_counter() - started
-    STATS.time("lookup_seconds", elapsed)
-    if TRACER.enabled:
-        TRACER.emit("cache.lookup", elapsed, kind="run", outcome=outcome)
-        TRACER.add(f"cache.run_{outcome}")
-    return result
+    return lookup("runs", path, pickle.loads)
 
 
 def store_run(path: str, result) -> None:
-    started = time.perf_counter()
-    blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    _store_bytes(path, blob)
-    STATS.count("stores")
-    elapsed = time.perf_counter() - started
-    STATS.time("store_seconds", elapsed)
-    if TRACER.enabled:
-        TRACER.emit("cache.store", elapsed, kind="run")
+    store("runs", path,
+          pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def prune(cache_dir: str | None = None) -> int:
     """Housekeeping: delete stale lock files, temp droppings, and
-    quarantined corpses.
+    quarantined corpses in every namespace under ``cache_dir``.
 
-    Content addressing means superseded archives are never served, so
+    Content addressing means superseded entries are never served, so
     pruning is purely about disk space; returns the number removed.
     """
     cache_dir = resolve_dir(cache_dir)
     if not cache_dir or not os.path.isdir(cache_dir):
         return 0
     removed = 0
-    for sub in ("traces", "runs"):
+    for sub in NAMESPACES:
         directory = os.path.join(cache_dir, sub)
         if not os.path.isdir(directory):
             continue
         for name in os.listdir(directory):
             if (name.endswith(".lock") or name.startswith(".tmp-")
                     or ".lock.break-" in name):
-                try:
-                    os.remove(os.path.join(directory, name))
-                    removed += 1
-                except OSError:
-                    pass
+                removed += _unlink(os.path.join(directory, name))
     qdir = os.path.join(cache_dir, "quarantine")
     if os.path.isdir(qdir):
         for name in os.listdir(qdir):
-            try:
-                os.remove(os.path.join(qdir, name))
-                removed += 1
-            except OSError:
-                pass
+            removed += _unlink(os.path.join(qdir, name))
     return removed

@@ -44,16 +44,16 @@ def run_vm(workload: str, scale: str = "s1",
     archive is warm changes the translate/install split a fresh run
     reports, so serving a pickled cold result would misreport it.
     """
-    from ..vm.codecache_archive import resolve_archive_dir
     config = RunConfig.of(config)
-    archive_dir = resolve_archive_dir(code_archive)
+    archive_dir = cache.resolve_dir(code_archive, cache.ARCHIVE_ENV)
     resolved = (None if config.record or archive_dir
                 else cache.resolve_dir(cache_dir))
     path = None
     if resolved:
         key = cache.cache_key("run", workload=workload, scale=scale,
                               config=config.token)
-        path = cache.run_path(resolved, workload, scale, config.name, key)
+        path = cache.entry_path(resolved, "runs",
+                                f"{workload}-{scale}-{config.name}", key)
         cached = cache.load_run(path)
         if cached is not None:
             return cached
@@ -80,7 +80,8 @@ def get_trace(workload: str, scale: str = "s1",
     if resolved:
         key = cache.cache_key("trace", workload=workload, scale=scale,
                               config=config.token)
-        path = cache.trace_path(resolved, workload, scale, config.name, key)
+        path = cache.entry_path(resolved, "traces",
+                                f"{workload}-{scale}-{config.name}", key)
         trace = cache.load_trace(path)
         if trace is not None:
             return trace

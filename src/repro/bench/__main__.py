@@ -63,8 +63,8 @@ def main(argv=None) -> int:
     if args.cache_dir is not None:
         os.environ["REPRO_TRACE_CACHE"] = args.cache_dir
 
-    trace_path = args.trace or os.environ.get("REPRO_OBS") or None
-    if trace_path:
+    events_path = args.trace or os.environ.get("REPRO_OBS") or None
+    if events_path:
         obs.TRACER.enable()
         obs.TRACER.reset()
 
@@ -107,9 +107,9 @@ def main(argv=None) -> int:
         manifest_path = obs.manifest_path_for(args.out)
         obs.write_manifest(manifest_path, manifest)
         print(f"wrote manifest to {manifest_path}")
-    if trace_path:
-        n_events = obs.write_events(trace_path)
-        print(f"wrote {n_events} events to {trace_path}")
+    if events_path:
+        n_events = obs.write_events(events_path)
+        print(f"wrote {n_events} events to {events_path}")
 
     if args.check:
         failures = check_regression(report, load_report(args.check),

@@ -111,8 +111,8 @@ def main(argv=None) -> int:
         # repeatedly in-process (tests), and budgets must be fresh.
         faults.activate_from_env()
 
-    trace_path = args.trace or os.environ.get("REPRO_OBS") or None
-    if trace_path:
+    events_path = args.trace or os.environ.get("REPRO_OBS") or None
+    if events_path:
         obs.TRACER.enable()
         obs.TRACER.reset()  # scope the stream to this invocation
 
@@ -234,9 +234,9 @@ def main(argv=None) -> int:
         manifest_path = obs.manifest_path_for(args.json)
         obs.write_manifest(manifest_path, manifest)
         print(f"wrote manifest to {manifest_path}")
-    if trace_path:
-        n_events = obs.write_events(trace_path)
-        print(f"wrote {n_events} events to {trace_path}")
+    if events_path:
+        n_events = obs.write_events(events_path)
+        print(f"wrote {n_events} events to {events_path}")
 
     if failures:
         print(f"{len(failures)} experiment(s) failed: "

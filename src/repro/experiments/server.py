@@ -236,8 +236,8 @@ def main(argv=None) -> int:
                  else f"{len(failures)} guard(s) failed"))
         return 1 if failures else 0
 
-    trace_path = args.trace or os.environ.get("REPRO_OBS") or None
-    if trace_path:
+    events_path = args.trace or os.environ.get("REPRO_OBS") or None
+    if events_path:
         obs.TRACER.enable()
         obs.TRACER.reset()
 
@@ -263,9 +263,9 @@ def main(argv=None) -> int:
     _print_summary(data)
     failures = guard_failures(data)
     print(f"wrote {args.out} (+ {obs.manifest_path_for(args.out)})")
-    if trace_path:
-        n_events = obs.write_events(trace_path)
-        print(f"wrote {n_events} events to {trace_path}")
+    if events_path:
+        n_events = obs.write_events(events_path)
+        print(f"wrote {n_events} events to {events_path}")
     return 1 if failures else 0
 
 

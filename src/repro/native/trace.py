@@ -21,7 +21,6 @@ check ``sink.records`` first.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
@@ -122,25 +121,12 @@ class Trace:
         # simulators touch each column.
         return cls(**{c: records[c] for c in _COLUMNS})
 
-    def save(self, path: str) -> None:
-        """Persist by extension: ``.npy`` (mappable record array,
-        the cache format) or anything else as a compressed ``.npz``."""
-        if str(path).endswith(".npy"):
-            np.save(path, self.to_records(), allow_pickle=False)
-        else:
-            np.savez_compressed(
-                path, **{c: getattr(self, c) for c in _COLUMNS}
-            )
-
     @classmethod
     def load(cls, path: str) -> "Trace":
-        if not os.path.exists(path):
-            raise FileNotFoundError(path)
-        if str(path).endswith(".npy"):
-            records = np.load(path, mmap_mode="r", allow_pickle=False)
-            return cls.from_records(records)
-        with np.load(path) as data:
-            return cls(**{c: data[c] for c in _COLUMNS})
+        """Map a ``.npy`` record array, the format
+        :func:`repro.analysis.cache.store_trace` writes."""
+        records = np.load(path, mmap_mode="r", allow_pickle=False)
+        return cls.from_records(records)
 
     # -- derived views ---------------------------------------------------
     def select(self, mask: np.ndarray) -> "Trace":

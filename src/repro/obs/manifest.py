@@ -45,10 +45,10 @@ def config_snapshot() -> dict:
     """The effective run configuration, resolved like the runtime does."""
     return {
         "REPRO_SIM_KERNEL": os.environ.get(_KERNEL_ENV) or DEFAULT_KERNEL,
-        "REPRO_TRACE_CACHE": _cache.default_cache_dir(),
+        "REPRO_TRACE_CACHE": _cache.resolve_dir(None),
         "REPRO_OBS": os.environ.get("REPRO_OBS") or None,
         "REPRO_FAULTS": os.environ.get(_faults.ENV_VAR) or None,
-        "REPRO_CODE_ARCHIVE": os.environ.get("REPRO_CODE_ARCHIVE") or None,
+        "REPRO_CODE_ARCHIVE": _cache.resolve_dir(None, _cache.ARCHIVE_ENV),
         "REPRO_BENCH_ROUNDS": os.environ.get("REPRO_BENCH_ROUNDS") or None,
     }
 
@@ -92,8 +92,9 @@ def build_manifest(tool: str, argv=None, experiments=None,
 
     snap = dict(cache_stats if cache_stats is not None
                 else _cache.STATS.snapshot())
-    snap["hits"] = snap.get("trace_hits", 0) + snap.get("run_hits", 0)
-    snap["misses"] = snap.get("trace_misses", 0) + snap.get("run_misses", 0)
+    totals = _cache.CacheStats()
+    totals.merge(snap)
+    snap.update(hits=totals.hits, misses=totals.misses)
     manifest = {
         "schema": SCHEMA,
         "tool": tool,

@@ -30,12 +30,12 @@ so archive-enabled runs resolve and load classes identically whether
 they translate or install, and cold/warm runs produce byte-identical
 execution traces.
 
-Storage reuses the trace-cache machinery in
+Entries are the ``code`` namespace of the one content-addressed store,
 :mod:`repro.analysis.cache`: pid-file locks, atomic writes, sha256
 digest sidecars verified on load, and quarantine-and-recompile on
 corruption — a corrupt archive entry is never executed.  Eviction is
 size-capped LRU over entry mtimes (hits touch their entry), bounded by
-``REPRO_CODE_ARCHIVE_LIMIT`` bytes.
+:data:`LIMIT_BYTES`.
 """
 
 from __future__ import annotations
@@ -43,11 +43,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import time
 
 import numpy as np
 
-from .. import faults
 from ..analysis import cache
 from ..isa.opcodes import Op, OPINFO
 from ..native.template import Template
@@ -59,9 +57,8 @@ from .jit.inline import inline_field_offsets, is_inlinable
 #: the source digest in the key already invalidates on code edits).
 SCHEMA = 1
 
-ENV_VAR = "REPRO_CODE_ARCHIVE"
-LIMIT_ENV_VAR = "REPRO_CODE_ARCHIVE_LIMIT"
-DEFAULT_LIMIT_BYTES = 64 * 1024 * 1024
+#: Size budget the LRU eviction keeps the archive within.
+LIMIT_BYTES = 64 * 1024 * 1024
 
 #: Run the (cheap) eviction scan every this many stores.
 _GC_EVERY = 16
@@ -69,32 +66,6 @@ _GC_EVERY = 16
 #: Template array fields serialized verbatim (numpy arrays).
 _ARRAY_FIELDS = ("pc", "cat", "ea", "flags", "target", "dst", "src1",
                  "src2", "patch_ea", "patch_taken", "patch_target")
-
-
-def default_archive_dir() -> str | None:
-    """Archive directory from the environment; unset/empty disables."""
-    return os.environ.get(ENV_VAR, "") or None
-
-
-def resolve_archive_dir(arg: str | None) -> str | None:
-    """``None`` means "use the environment default"; an empty string (or
-    any falsy value) disables the archive — same contract as
-    :func:`repro.analysis.cache.resolve_dir`."""
-    if arg is None:
-        return default_archive_dir()
-    return arg or None
-
-
-def archive_limit_bytes() -> int:
-    try:
-        return int(os.environ.get(LIMIT_ENV_VAR, "") or DEFAULT_LIMIT_BYTES)
-    except ValueError:  # pragma: no cover - bad env value
-        return DEFAULT_LIMIT_BYTES
-
-
-class _Unshareable(Exception):
-    """The method's link context cannot be reproduced here; treat the
-    archive entry as absent (never as an error)."""
 
 
 # -- link-context signature --------------------------------------------
@@ -212,7 +183,9 @@ def _find_method(program, qualified_name: str):
     jclass = program.classes.get(cname)
     method = jclass.find_method(mname) if jclass is not None else None
     if method is None:
-        raise _Unshareable(qualified_name)
+        # The link context cannot be reproduced here: a miss, never an
+        # error.
+        raise cache.Unusable(qualified_name)
     return method
 
 
@@ -237,8 +210,8 @@ def _rebased_chunk(payload: dict, old_entry: int, old_end: int,
 def materialize_compiled(payload: dict, method, program,
                          code_cache) -> CompiledMethod:
     """Rebuild a :class:`CompiledMethod` at a freshly allocated position
-    in this VM's code cache.  Raises :class:`_Unshareable` when a
-    referenced method does not exist in this program."""
+    in this VM's code cache.  Raises :class:`repro.analysis.cache.Unusable`
+    when a referenced method does not exist in this program."""
     old_entry = payload["entry_pc"]
     old_end = payload["end_pc"]
     n_words = (old_end - old_entry) // 4
@@ -266,24 +239,11 @@ def materialize_compiled(payload: dict, method, program,
 
 # -- the archive -------------------------------------------------------
 
-class _EntryRef:
-    """Resolved address of one archive entry: key plus on-disk path."""
-
-    __slots__ = ("key", "path")
-
-    def __init__(self, key: str, path: str) -> None:
-        self.key = key
-        self.path = path
-
-
 class CodeArchive:
     """One VM's handle on a shared on-disk compiled-code archive."""
 
-    def __init__(self, directory: str,
-                 limit_bytes: int | None = None) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.limit_bytes = (archive_limit_bytes() if limit_bytes is None
-                            else limit_bytes)
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -293,7 +253,8 @@ class CodeArchive:
     def entry_for(self, compiler, method, *, tier: int,
                   optimize: bool | None = None,
                   speculate_cha: bool = False,
-                  cha_blacklist: frozenset = frozenset()) -> _EntryRef:
+                  cha_blacklist: frozenset = frozenset()) -> str:
+        """Path of the entry holding ``method`` compiled at ``tier``."""
         effective_opt = (compiler.optimize_enabled if optimize is None
                          else optimize)
         sig = link_signature(
@@ -301,83 +262,51 @@ class CodeArchive:
             speculate_cha=speculate_cha, cha_blacklist=cha_blacklist)
         key = cache.cache_key("code", signature=sig, tier=tier)
         safe = method.qualified_name.replace("/", "_").replace(":", "_")
-        path = os.path.join(self.directory, "code",
-                            f"{safe}-t{tier}-{key[:16]}.pkl")
-        return _EntryRef(key, path)
+        return cache.entry_path(self.directory, "code", f"{safe}-t{tier}",
+                                key)
 
     def probe(self, compiler, method, *, tier: int,
               optimize: bool | None = None) -> bool:
         """Existence check (no counters) for promotion pricing."""
-        entry = self.entry_for(compiler, method, tier=tier,
-                               optimize=optimize)
-        return os.path.exists(entry.path)
+        return os.path.exists(self.entry_for(compiler, method, tier=tier,
+                                             optimize=optimize))
 
     # -- load ----------------------------------------------------------
-    def load(self, entry: _EntryRef, method, compiler) -> CompiledMethod | None:
+    def load(self, path: str, method, compiler) -> CompiledMethod | None:
         """The archived compiled method, installed into this VM's code
         cache; ``None`` on miss, corruption (quarantined), or an
         unreproducible link context."""
-        if faults.ACTIVE is not None:
-            faults.ACTIVE.on_io("load")
-        started = time.perf_counter()
-        outcome = "hit"
-        compiled = None
-        try:
-            payload = pickle.loads(cache._read_verified(entry.path))
+        def decode(data: bytes) -> CompiledMethod:
+            payload = pickle.loads(data)
             if payload.get("schema") != SCHEMA:
-                raise cache.CorruptEntry(os.path.basename(entry.path))
-            compiled = materialize_compiled(
+                raise cache.CorruptEntry(os.path.basename(path))
+            return materialize_compiled(
                 payload, method, compiler.hierarchy.program,
                 compiler.code_cache)
-        except FileNotFoundError:
-            outcome = "miss"
-        except _Unshareable:
-            outcome = "miss"
-        except cache._CORRUPT_ERRORS:
-            outcome = "corrupt"
-            cache.STATS.count("corrupt")
-            cache._quarantine(entry.path)
+
+        compiled = cache.lookup("code", path, decode)
         if compiled is None:
             self.misses += 1
-            cache.STATS.count("code_misses")
         else:
             self.hits += 1
-            cache.STATS.count("code_hits")
-            try:
-                os.utime(entry.path)    # LRU recency for eviction
-            except OSError:  # pragma: no cover - raced with eviction
-                pass
-        elapsed = time.perf_counter() - started
-        cache.STATS.time("lookup_seconds", elapsed)
-        if TRACER.enabled:
-            TRACER.emit("cache.lookup", elapsed, kind="code",
-                        outcome=outcome)
-            TRACER.add(f"cache.code_{outcome}")
         return compiled
 
     # -- store ---------------------------------------------------------
-    def store(self, entry: _EntryRef, compiled: CompiledMethod) -> None:
-        started = time.perf_counter()
-        blob = pickle.dumps(serialize_compiled(compiled),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        cache._store_bytes(entry.path, blob)
+    def store(self, path: str, compiled: CompiledMethod) -> None:
+        cache.store("code", path,
+                    pickle.dumps(serialize_compiled(compiled),
+                                 protocol=pickle.HIGHEST_PROTOCOL))
         self.stores += 1
-        cache.STATS.count("code_stores")
-        elapsed = time.perf_counter() - started
-        cache.STATS.time("store_seconds", elapsed)
-        if TRACER.enabled:
-            TRACER.emit("cache.store", elapsed, kind="code")
         self._stores_since_gc += 1
         if self._stores_since_gc >= _GC_EVERY:
             self._stores_since_gc = 0
             self.gc()
 
     # -- eviction ------------------------------------------------------
-    def gc(self, limit_bytes: int | None = None) -> int:
+    def gc(self, limit_bytes: int = LIMIT_BYTES) -> int:
         """Evict least-recently-used entries until the archive fits the
         size budget; returns the number of entries evicted.  Hits touch
         their entry's mtime, so recency tracks use, not creation."""
-        limit = self.limit_bytes if limit_bytes is None else limit_bytes
         directory = os.path.join(self.directory, "code")
         entries = []
         try:
@@ -396,17 +325,10 @@ class CodeArchive:
         total = sum(size for _, size, _ in entries)
         entries.sort()
         evicted = 0
-        while entries and total > limit:
+        while entries and total > limit_bytes:
             _, size, path = entries.pop(0)
-            with cache.FileLock(path):
-                try:
-                    os.remove(path)
-                except OSError:
-                    continue
-                try:
-                    os.remove(cache._digest_path(path))
-                except OSError:
-                    pass
+            if not cache.remove_entry(path):
+                continue
             total -= size
             evicted += 1
             cache.STATS.count("code_evicted")

@@ -130,8 +130,9 @@ class JavaVM:
         self.jit = JITCompiler(self.loader, self.code_cache, self.sink,
                                self.hierarchy, inline=config.inline,
                                optimize=config.jit_opt)
-        from .codecache_archive import CodeArchive, resolve_archive_dir
-        archive_dir = resolve_archive_dir(code_archive)
+        from ..analysis.cache import ARCHIVE_ENV, resolve_dir
+        from .codecache_archive import CodeArchive
+        archive_dir = resolve_dir(code_archive, ARCHIVE_ENV)
         if archive_dir:
             self.jit.archive = CodeArchive(archive_dir)
         self._escape_summaries = None

@@ -192,7 +192,7 @@ class TestCorruptArchives:
     def _trace_path(self, cache_dir):
         key = cache.cache_key("trace", workload="hello", scale="s0",
                               config="interp")
-        return cache.trace_path(cache_dir, "hello", "s0", "interp", key)
+        return cache.entry_path(cache_dir, "traces", "hello-s0-interp", key)
 
     def test_corrupt_trace_recomputed(self, tmp_path):
         cache_dir = str(tmp_path)
@@ -200,7 +200,7 @@ class TestCorruptArchives:
         path = self._trace_path(cache_dir)
         assert os.path.exists(path)
         with open(path, "wb") as fh:
-            fh.write(b"this is not an npz archive")
+            fh.write(b"this is not an npy archive")
         cache.reset_stats()
         recovered = get_trace("hello", "s0", "interp", cache_dir=cache_dir)
         assert recovered.n == fresh.n
@@ -320,7 +320,7 @@ class TestCallTimeCacheDir:
         """REPRO_TRACE_CACHE is honoured per call, not frozen at import."""
         target = tmp_path / "redirected"
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(target))
-        assert cache.default_cache_dir() == str(target)
+        assert cache.resolve_dir(None) == str(target)
         get_trace("hello", "s0", "interp")
         assert (target / "traces").is_dir()
         assert any(f.endswith(".npy")
@@ -328,7 +328,7 @@ class TestCallTimeCacheDir:
 
     def test_empty_env_disables_cache(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "")
-        assert cache.default_cache_dir() is None
+        assert cache.resolve_dir(None) is None
         monkeypatch.chdir(tmp_path)
         get_trace("hello", "s0", "interp")
         assert not os.path.exists(tmp_path / ".trace_cache")

@@ -18,7 +18,7 @@ import pytest
 from repro import faults
 from repro.analysis import cache
 from repro.analysis.runner import run_vm
-from repro.vm.codecache_archive import CodeArchive, resolve_archive_dir
+from repro.vm.codecache_archive import CodeArchive
 
 
 @pytest.fixture(autouse=True)
@@ -72,15 +72,15 @@ class TestWarmColdDifferential:
 
     def test_disabled_when_unconfigured(self, monkeypatch):
         monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
-        assert resolve_archive_dir(None) is None
-        assert resolve_archive_dir("") is None
+        assert cache.resolve_dir(None, cache.ARCHIVE_ENV) is None
+        assert cache.resolve_dir("", cache.ARCHIVE_ENV) is None
         res = _run("hello", "")
         assert res.archive is None
 
     def test_env_var_enables_archive(self, tmp_path, monkeypatch):
         d = str(tmp_path / "via-env")
         monkeypatch.setenv("REPRO_CODE_ARCHIVE", d)
-        assert resolve_archive_dir(None) == d
+        assert cache.resolve_dir(None, cache.ARCHIVE_ENV) == d
         res = run_vm("hello", "s0", "jit", cache_dir="")
         assert res.archive is not None and res.archive["dir"] == d
 
@@ -159,7 +159,7 @@ class TestEviction:
         total = sum(os.path.getsize(p) for p in entries)
         keep = total // 3
         before = cache.STATS.snapshot()
-        CodeArchive(d, limit_bytes=keep).gc()
+        CodeArchive(d).gc(limit_bytes=keep)
         delta = cache.CacheStats.diff(cache.STATS.snapshot(), before)
         left = glob.glob(os.path.join(code_dir, "*.pkl"))
         assert delta["code_evicted"] >= 1

@@ -216,29 +216,33 @@ class TestLedger:
 
 class TestCacheInjection:
     def test_corrupt_store_quarantined_on_load(self, tmp_path):
-        path = str(tmp_path / "x.pkl")
+        path = str(tmp_path / "runs" / "x.pkl")
         faults.activate("corrupt-archive")
-        cache._store_bytes(path, b"A" * 300)
+        cache.store("runs", path, b"A" * 300)
         faults.deactivate()
-        with pytest.raises(cache.CorruptEntry):
-            cache._read_verified(path)
+        before = cache.STATS.snapshot()
+        # ``bytes`` decodes anything, so only the digest can reject it.
+        assert cache.lookup("runs", path, bytes) is None
+        delta = cache.CacheStats.diff(cache.STATS.snapshot(), before)
+        assert delta["corrupt"] == 1 and delta["quarantined"] == 1
+        assert os.listdir(tmp_path / "quarantine") == ["x.pkl"]
 
     def test_clean_store_verifies(self, tmp_path):
-        path = str(tmp_path / "x.pkl")
-        cache._store_bytes(path, b"A" * 300)
-        assert cache._read_verified(path) == b"A" * 300
+        path = str(tmp_path / "runs" / "x.pkl")
+        cache.store("runs", path, b"A" * 300)
+        assert cache.lookup("runs", path, bytes) == b"A" * 300
 
     def test_stale_lock_broken_during_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LOCK_TIMEOUT", "5")
-        path = str(tmp_path / "x.pkl")
+        path = str(tmp_path / "runs" / "x.pkl")
         faults.activate("stale-lock")
         before = cache.STATS.snapshot()
-        cache._store_bytes(path, b"payload")
+        cache.store("runs", path, b"payload")
         delta = cache.CacheStats.diff(cache.STATS.snapshot(), before)
         assert delta.get("locks_broken", 0) >= 1
         assert faults.LEDGER.count("injected", "stale-lock") == 1
         assert faults.LEDGER.count("recovered", "lock_break") == 1
-        assert cache._read_verified(path) == b"payload"
+        assert cache.lookup("runs", path, bytes) == b"payload"
 
 
 # -- end-to-end determinism (the chaos-CI contract) --------------------

@@ -331,10 +331,11 @@ class TestTraceNpyFormat:
         )
 
     def test_npy_roundtrip_is_mapped(self, tmp_path):
+        from repro.analysis.cache import load_trace, store_trace
         trace = self._trace()
-        path = str(tmp_path / "t.npy")
-        trace.save(path)
-        loaded = Trace.load(path)
+        path = str(tmp_path / "traces" / "t.npy")
+        store_trace(path, trace)
+        loaded = load_trace(path)
         assert isinstance(
             loaded.pc if loaded.pc.base is None else loaded.pc.base,
             np.memmap)
@@ -342,13 +343,6 @@ class TestTraceNpyFormat:
                        "dst", "src1", "src2"):
             assert np.array_equal(getattr(trace, column),
                                   getattr(loaded, column)), column
-
-    def test_npz_roundtrip_still_works(self, tmp_path):
-        trace = self._trace()
-        path = str(tmp_path / "t.npz")
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert np.array_equal(trace.pc, loaded.pc)
 
     def test_npy_rejects_foreign_arrays(self, tmp_path):
         path = str(tmp_path / "bogus.npy")

@@ -262,19 +262,20 @@ class TestRecordingSink:
 
 class TestTrace:
     def test_roundtrip_save_load(self, tmp_path):
+        from repro.analysis.cache import load_trace, store_trace
         sink = RecordingSink()
         sink.emit(_simple_template(), (0x99,), (True,), (0x123,))
         tr = sink.trace()
-        path = str(tmp_path / "t.npz")
-        tr.save(path)
-        tr2 = Trace.load(path)
+        path = str(tmp_path / "traces" / "t.npy")
+        store_trace(path, tr)
+        tr2 = load_trace(path)
         assert tr2.n == tr.n
         assert (tr2.pc == tr.pc).all()
         assert (tr2.flags == tr.flags).all()
 
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            Trace.load(str(tmp_path / "nope.npz"))
+            Trace.load(str(tmp_path / "nope.npy"))
 
     def test_select_and_views(self):
         sink = RecordingSink()

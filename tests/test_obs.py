@@ -261,8 +261,9 @@ class TestCacheSpans:
         TRACER.enable()
         cache.reset_stats()
         assert cache.load_trace(path) is None
-        # _discard removed the corrupt archive outright.
+        # The corrupt archive was quarantined, out of the lookup path.
         assert not os.path.exists(path)
+        assert os.listdir(os.path.join(cache_dir, "quarantine")) == [archive]
         assert cache.STATS.corrupt == 1
         (lookup,) = [e for e in TRACER.events if e["name"] == "cache.lookup"]
         assert lookup["attrs"]["outcome"] == "corrupt"

@@ -338,3 +338,16 @@ class TestQuarantine:
         # pruning clears the corpse
         assert cache.prune(cache_dir) >= 1
         assert not os.listdir(qdir)
+
+    @pytest.mark.parametrize("namespace", ["traces", "runs", "code"])
+    def test_prune_clears_droppings_in_every_namespace(self, tmp_path,
+                                                       namespace):
+        directory = tmp_path / namespace
+        directory.mkdir()
+        entry = directory / "x.pkl"
+        entry.write_bytes(b"entry")
+        droppings = ["x.pkl.lock", ".tmp-1-1-x.pkl", "x.pkl.lock.break-1-1"]
+        for name in droppings:
+            (directory / name).write_text("1")
+        assert cache.prune(str(tmp_path)) == len(droppings)
+        assert os.listdir(directory) == ["x.pkl"]
