@@ -10,7 +10,7 @@ consumers of the same (workload, scale, run config) share one decode.
 The simulators accept a ``TraceReplay`` wherever they accept a
 ``Trace`` (duck-typed: ``simulate_split_l1`` uses the cached streams,
 ``extract_transfers``/``compare_predictors`` use ``transfers()`` /
-``branch_context()``, ``simulate_pipeline`` unwraps ``.trace``).
+``branch_context()``, ``simulate_pipeline`` uses ``pipeline_columns()``).
 """
 
 from __future__ import annotations
@@ -79,6 +79,15 @@ class TraceReplay:
                                        btb_entries=btb_entries,
                                        use_ras=use_ras)
         return self._get(("branch_context", btb_entries, use_ras), build)
+
+    def pipeline_columns(self, config, kernel: str):
+        """The pipeline model's width-independent
+        :func:`~repro.arch.pipeline.superscalar.event_columns`, shared
+        by every width of a sweep."""
+        from ..arch.pipeline.superscalar import event_columns
+        return self._get(
+            ("pipeline_columns", kernel, config.columns_key()),
+            lambda: event_columns(self.trace, config, kernel))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceReplay(n={self.n}, derived={sorted(self._memo)})"

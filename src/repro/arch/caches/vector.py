@@ -361,20 +361,6 @@ def classify(cfg, sets_state, blocks, writes, clock0, need_installs=False):
                            need_installs)
 
 
-def miss_stream(size, block, assoc, addrs):
-    """Boolean miss mask of a fresh write-allocate LRU cache over
-    ``addrs`` (the pipeline model's inline caches)."""
-    from .cache import CacheConfig
-
-    cfg = CacheConfig(size, block, assoc)
-    state = [dict() for _ in range(cfg.n_sets)]
-    blocks = np.asarray(addrs, dtype=np.int64) >> (block.bit_length() - 1)
-    if len(blocks) == 0:
-        return np.zeros(0, dtype=bool)
-    miss, _ = classify(cfg, state, blocks, None, 0)
-    return miss
-
-
 def run_vector(sim, addrs, writes, groups, n_groups, window):
     """Vector implementation of :meth:`CacheSim.run` (bit-identical to
     the scalar loop, including persistent state)."""

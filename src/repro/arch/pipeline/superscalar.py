@@ -14,18 +14,27 @@ dominate wide-issue behaviour for this study:
   dependences delay an instruction's start, in-order retirement frees
   ROB slots.
 
+Everything but the fetch width and the ROB size is a property of the
+trace and the cache/penalty config, so :func:`event_columns` computes it
+once as per-event columns (the ``scalar`` kernel with per-event caches,
+gshare, BTB and RAS — the reference oracle — the ``vector`` kernel with
+numpy), a ``TraceReplay`` memoizes them across a width sweep, and one
+scheduler loop consumes them under either kernel.
+
 The absolute IPC is a model artifact; the experiments use its *relative*
 behaviour across modes and widths, as the paper does.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from ...native.nisa import FLAG_TAKEN, FLAG_WRITE, NCat
+from ...native.nisa import FLAG_TAKEN, NCat
 from ..branch.predictors import BTB, Gshare
+from ..caches import CacheConfig, CacheSim
 from ..kernels import active_kernel
 
 #: Execution latency per category (cycles).
@@ -37,64 +46,38 @@ LATENCY = {
     int(NCat.CALL): 1, int(NCat.ICALL): 1, int(NCat.RET): 1,
 }
 
+_BRANCH, _CALL, _ICALL = int(NCat.BRANCH), int(NCat.CALL), int(NCat.ICALL)
+_IJUMP, _RET = int(NCat.IJUMP), int(NCat.RET)
+_LOAD, _STORE = int(NCat.LOAD), int(NCat.STORE)
 
+#: Scheduler register file: registers 0..32, then the slot every absent
+#: source (``-1``) reads, which stays 0, and the write-only slot every
+#: absent destination writes.
+_NO_SRC, _NO_DST = 33, 34
+
+#: Events per scheduler chunk; columns become lists one chunk at a time.
+_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     """Machine parameters."""
 
-    def __init__(
-        self,
-        width: int = 4,
-        rob_size: int = 64,
-        mispredict_penalty: int = 4,
-        icache_size: int = 64 << 10,
-        dcache_size: int = 64 << 10,
-        block: int = 32,
-        icache_assoc: int = 2,
-        dcache_assoc: int = 4,
-        imiss_penalty: int = 8,
-        dmiss_penalty: int = 8,
-    ) -> None:
-        self.width = width
-        self.rob_size = rob_size
-        self.mispredict_penalty = mispredict_penalty
-        self.icache_size = icache_size
-        self.dcache_size = dcache_size
-        self.block = block
-        self.icache_assoc = icache_assoc
-        self.dcache_assoc = dcache_assoc
-        self.imiss_penalty = imiss_penalty
-        self.dmiss_penalty = dmiss_penalty
+    width: int = 4
+    rob_size: int = 64
+    mispredict_penalty: int = 4
+    icache_size: int = 64 << 10
+    dcache_size: int = 64 << 10
+    block: int = 32
+    icache_assoc: int = 2
+    dcache_assoc: int = 4
+    imiss_penalty: int = 8
+    dmiss_penalty: int = 8
 
-    def __repr__(self) -> str:
-        return f"PipelineConfig(width={self.width})"
-
-
-class _InlineCache:
-    """Minimal LRU set-associative cache for the pipeline's inner loop."""
-
-    __slots__ = ("sets", "set_mask", "block_shift", "assoc", "clock")
-
-    def __init__(self, size: int, block: int, assoc: int) -> None:
-        n_sets = size // (block * assoc)
-        self.sets = [dict() for _ in range(n_sets)]
-        self.set_mask = n_sets - 1
-        self.block_shift = block.bit_length() - 1
-        self.assoc = assoc
-        self.clock = 0
-
-    def access(self, addr: int) -> bool:
-        """True on hit."""
-        block = addr >> self.block_shift
-        s = self.sets[block & self.set_mask]
-        self.clock += 1
-        if block in s:
-            s[block] = self.clock
-            return True
-        if len(s) >= self.assoc:
-            victim = min(s, key=s.get)
-            del s[victim]
-        s[block] = self.clock
-        return False
+    def columns_key(self) -> "PipelineConfig":
+        """This config without the scheduler-only fields (width, ROB
+        size): configs with equal keys have equal :func:`event_columns`."""
+        return replace(self, width=0, rob_size=0)
 
 
 class PipelineResult:
@@ -119,276 +102,211 @@ class PipelineResult:
         )
 
 
+class EventColumns(NamedTuple):
+    """Width-independent scheduler inputs, one entry per event.
+
+    ``fetch`` is the fetch disruption just before the event: the
+    previous event's taken transfer or mispredict, and this event's
+    I-miss.  0 means none; otherwise bit 1 is set, bits 2 and up hold
+    the stall cycles, and bit 0 marks a disruption that is an I-miss
+    alone, where a full fetch group still takes its own cycle first
+    (after a transfer the group has already ended).  ``drain`` is the
+    stall after the last event.  ``lat`` is the execution latency
+    including any D-miss penalty.  Absent register operands are
+    remapped to :data:`_NO_SRC` / :data:`_NO_DST`.
+    """
+
+    fetch: np.ndarray
+    lat: np.ndarray
+    dst: np.ndarray
+    src1: np.ndarray
+    src2: np.ndarray
+    drain: int
+    mispredicts: int
+    imisses: int
+    dmisses: int
+
+
+def event_columns(trace, cfg: PipelineConfig,
+                  kernel: str | None = None) -> EventColumns:
+    """The scheduler's per-event columns for the native ``trace`` under
+    ``cfg``.
+
+    The kernels differ only in how they derive the I/D miss masks and
+    the mispredict mask; both yield identical columns.
+    """
+    kernel = active_kernel(kernel)
+    n = trace.n
+    cat = np.asarray(trace.cat, dtype=np.int64)
+    taken = (np.asarray(trace.flags) & FLAG_TAKEN) != 0
+    mem = (cat == _LOAD) | (cat == _STORE)
+    transfer = cat >= _BRANCH
+
+    imiss = _miss_mask(cfg.icache_size, cfg.block, cfg.icache_assoc,
+                       trace.pc, kernel)
+    dmiss = np.zeros(n, dtype=bool)
+    dmiss[mem] = _miss_mask(cfg.dcache_size, cfg.block, cfg.dcache_assoc,
+                            np.asarray(trace.ea)[mem], kernel)
+    misp = np.zeros(n, dtype=bool)
+    mispredicted = (_mispredicts_vector if kernel == "vector"
+                    else _mispredicts_scalar)
+    misp[transfer] = mispredicted(
+        np.asarray(trace.pc, dtype=np.int64)[transfer], cat[transfer],
+        taken[transfer], np.asarray(trace.target, dtype=np.int64)[transfer])
+
+    lat_table = np.zeros(max(LATENCY) + 1, dtype=np.int64)
+    lat_table[list(LATENCY)] = list(LATENCY.values())
+    lat = lat_table[cat]
+    lat[(cat == _LOAD) & dmiss] += cfg.dmiss_penalty
+
+    # An I-miss stalls fetch before its event; a mispredict or a taken
+    # transfer ends the fetch group after its event.
+    ends = misp | (transfer & taken)
+    after = np.where(misp, cfg.mispredict_penalty, ends.astype(np.int64))
+    ended = np.zeros(n, dtype=bool)
+    ended[1:] = ends[:-1]
+    stall = np.where(imiss, cfg.imiss_penalty, 0)
+    stall[1:] += after[:-1]
+    fetch = np.where(ended | imiss, 4 * stall + 2 + (imiss & ~ended), 0)
+    drain = int(after[-1]) if n else 0
+
+    dst = np.where(trace.dst < 0, _NO_DST, trace.dst)
+    src1 = np.where(trace.src1 < 0, _NO_SRC, trace.src1)
+    src2 = np.where(trace.src2 < 0, _NO_SRC, trace.src2)
+    return EventColumns(
+        *(_compact(c) for c in (fetch, lat, dst, src1, src2)), drain,
+        int(misp.sum()), int(imiss.sum()), int(dmiss.sum()))
+
+
+def _compact(column: np.ndarray) -> np.ndarray:
+    """The column in the smallest unsigned type that holds it (memoized
+    columns stay a few bytes per event)."""
+    return column.astype(np.min_scalar_type(int(column.max(initial=0))))
+
+
+def _miss_mask(size: int, block: int, assoc: int, addrs,
+               kernel: str) -> np.ndarray:
+    """Per-reference miss mask of a fresh write-allocate LRU cache."""
+    stats = CacheSim(CacheConfig(size, block, assoc)).run(
+        np.asarray(addrs, dtype=np.int64), window=1, kernel=kernel)
+    return stats.window_misses.astype(bool)
+
+
+def _mispredicts_scalar(pcs, cats, takens, targets) -> np.ndarray:
+    """Reference oracle: per-transfer gshare, BTB and 16-entry RAS."""
+    predictor = Gshare()
+    btb = BTB()
+    ras: list[int] = []
+    out: list[bool] = []
+    for pc, cat, taken, target in zip(pcs.tolist(), cats.tolist(),
+                                      takens.tolist(), targets.tolist()):
+        wrong = False
+        if cat == _BRANCH:
+            wrong = (predictor.predict(pc) != taken
+                     or (taken and btb.lookup(pc) != target))
+            predictor.update(pc, taken)
+            if taken:
+                btb.update(pc, target)
+        elif cat == _RET:
+            wrong = (ras.pop() if ras else btb.lookup(pc)) != target
+            btb.update(pc, target)
+        elif cat in (_IJUMP, _ICALL):
+            wrong = btb.lookup(pc) != target
+            btb.update(pc, target)
+        if cat in (_CALL, _ICALL):
+            ras.append(pc + 4)
+            if len(ras) > 16:
+                del ras[0]
+        out.append(wrong)
+    return np.asarray(out, dtype=bool)
+
+
+def _mispredicts_vector(pcs, cats, takens, targets) -> np.ndarray:
+    """Batch replay of :func:`_mispredicts_scalar`."""
+    from ..branch.vector import BranchReplayContext
+
+    ctx = BranchReplayContext(pcs, cats, takens, targets)
+    misp = np.zeros(ctx.n, dtype=bool)
+    if ctx.n == 0:
+        return misp
+    predicted = Gshare().predict_batch(ctx.cond_pc, ctx.cond_taken)
+    wrong_dir = predicted != ctx.cond_taken
+    misp[ctx.is_branch] = wrong_dir | (
+        ctx.cond_taken & ~wrong_dir & ~ctx.btb_correct[ctx.is_branch])
+    misp[ctx.is_ijc] = ~ctx.btb_correct[ctx.is_ijc]
+    used, popped = ctx.ras_outcome(trim_call=True)
+    misp[ctx.is_ret] = np.where(used, popped != ctx.target[ctx.is_ret],
+                                ~ctx.btb_correct[ctx.is_ret])
+    return misp
+
+
+def _schedule(cols: EventColumns, width: int, rob_size: int) -> int:
+    """Total cycles of the fetch / ROB / in-order-issue scheduler.
+
+    The ROB is a sliding window: event ``i`` cannot issue before event
+    ``i - rob_size`` is done.  ``window`` holds the done times of the
+    previous ``rob_size`` events followed by those of the current chunk.
+    """
+    ready = [0] * (_NO_DST + 1)   # per-register done time
+    window = [0] * rob_size
+    issue = 1                     # earliest issue cycle of the next event
+    free = width                  # fetch slots left in the current cycle
+    last_done = 0
+    for lo in range(0, len(cols.lat), _CHUNK):
+        chunk = [c[lo:lo + _CHUNK].tolist() for c in (
+            cols.fetch, cols.lat, cols.dst, cols.src1, cols.src2)]
+        window = window[-rob_size:]
+        append = window.append
+        # ``zip`` reads ``window`` through a list iterator while the
+        # loop appends to it, so ``head`` is the done time appended
+        # ``rob_size`` events earlier.
+        for fetch, lat, dst, s1, s2, head in zip(*chunk, window):
+            # -- fetch --------------------------------------------------
+            if fetch:
+                if fetch & 1 and not free:
+                    issue += 1
+                issue += fetch >> 2
+                free = width
+            elif not free:
+                issue += 1
+                free = width
+            # -- ROB space, then dependences ----------------------------
+            # In-order issue (UltraSPARC-class): an instruction whose
+            # operands are not ready stalls issue, so dense dependence
+            # chains (compiled code) pay; independent filler
+            # (interpreter handler bookkeeping) streams through.
+            t = ready[s1]
+            u = ready[s2]
+            if u > t:
+                t = u
+            if head >= t:
+                t = head + 1
+            if t > issue:
+                issue = t
+                free = width
+            done = issue + lat
+            ready[dst] = done
+            append(done)
+            free -= 1
+        last_done = max(last_done, max(window))
+    return max(issue - 1 + cols.drain, last_done)
+
+
 def simulate_pipeline(trace, config: PipelineConfig | None = None,
                       kernel: str | None = None) -> PipelineResult:
     """Run a native trace through the pipeline model.
 
-    Accepts a :class:`Trace` or an ``analysis.replay.TraceReplay``.
+    Accepts a :class:`Trace` or an ``analysis.replay.TraceReplay``; a
+    replay memoizes the :func:`event_columns`, so every width of a sweep
+    shares one computation of them.
     """
-    trace = getattr(trace, "trace", trace)
     cfg = config or PipelineConfig()
-    if active_kernel(kernel) == "vector":
-        return _simulate_vector(trace, cfg)
-    return _simulate_scalar(trace, cfg)
-
-
-def _simulate_scalar(trace, cfg: PipelineConfig) -> PipelineResult:
-    """Reference oracle: the original per-event scheduler loop."""
-    n = trace.n
-    if n == 0:
-        return PipelineResult(0, 1, 0, 0, 0)
-
-    pcs = trace.pc.tolist()
-    cats = trace.cat.tolist()
-    eas = trace.ea.tolist()
-    flags = trace.flags.tolist()
-    targets = trace.target.tolist()
-    dsts = trace.dst.tolist()
-    src1s = trace.src1.tolist()
-    src2s = trace.src2.tolist()
-
-    icache = _InlineCache(cfg.icache_size, cfg.block, cfg.icache_assoc)
-    dcache = _InlineCache(cfg.dcache_size, cfg.block, cfg.dcache_assoc)
-    predictor = Gshare()
-    btb = BTB()
-    ras: list[int] = []
-
-    latency = LATENCY
-    BRANCH, JUMP, CALL = int(NCat.BRANCH), int(NCat.JUMP), int(NCat.CALL)
-    ICALL, IJUMP, RET = int(NCat.ICALL), int(NCat.IJUMP), int(NCat.RET)
-    LOAD, STORE = int(NCat.LOAD), int(NCat.STORE)
-    W = cfg.width
-    ROB = cfg.rob_size
-    MISP = cfg.mispredict_penalty
-    IMISS = cfg.imiss_penalty
-    DMISS = cfg.dmiss_penalty
-
-    ready = [0] * 33          # per-register availability (index -1 -> [32])
-    rob: deque[int] = deque()
-    cycle = 0
-    slots = 0                  # fetch slots used this cycle
-    last_done = 0
-    mispredicts = imisses = dmisses = 0
-
-    for i in range(n):
-        cat = cats[i]
-        # -- fetch ------------------------------------------------------
-        if slots >= W:
-            cycle += 1
-            slots = 0
-        if not icache.access(pcs[i]):
-            imisses += 1
-            cycle += IMISS
-            slots = 0
-        # -- ROB space ---------------------------------------------------
-        while len(rob) >= ROB:
-            head = rob.popleft()
-            if head > cycle:
-                cycle = head
-                slots = 0
-        # -- dependences / execute ----------------------------------------
-        # In-order issue (UltraSPARC-class): an instruction whose
-        # operands are not ready stalls issue, so dense dependence
-        # chains (compiled code) pay; independent filler (interpreter
-        # handler bookkeeping) streams through.
-        start = cycle + 1
-        s1, s2 = src1s[i], src2s[i]
-        if s1 >= 0 and ready[s1] > start:
-            start = ready[s1]
-        if s2 >= 0 and ready[s2] > start:
-            start = ready[s2]
-        if start > cycle + 1:
-            cycle = start - 1
-            slots = 0
-        lat = latency[cat]
-        if cat == LOAD:
-            if not dcache.access(eas[i]):
-                dmisses += 1
-                lat += DMISS
-        elif cat == STORE:
-            if not dcache.access(eas[i]):
-                dmisses += 1   # write-allocate fill, but stores retire early
-        done = start + lat
-        dst = dsts[i]
-        if dst >= 0:
-            ready[dst] = done
-        rob.append(done)
-        if done > last_done:
-            last_done = done
-        slots += 1
-
-        # -- control transfers -------------------------------------------
-        if cat >= BRANCH:
-            pc = pcs[i]
-            taken = bool(flags[i] & FLAG_TAKEN)
-            target = targets[i]
-            mispredicted = False
-            if cat == BRANCH:
-                predicted = predictor.predict(pc)
-                if predicted != taken:
-                    mispredicted = True
-                elif taken and btb.lookup(pc) != target:
-                    mispredicted = True
-                predictor.update(pc, taken)
-                if taken:
-                    btb.update(pc, target)
-            elif cat in (JUMP, CALL):
-                if cat == CALL:
-                    ras.append(pc + 4)
-                    if len(ras) > 16:
-                        del ras[0]
-            elif cat == RET:
-                predicted_target = ras.pop() if ras else btb.lookup(pc)
-                mispredicted = predicted_target != target
-                btb.update(pc, target)
-            else:  # IJUMP / ICALL
-                mispredicted = btb.lookup(pc) != target
-                btb.update(pc, target)
-                if cat == ICALL:
-                    ras.append(pc + 4)
-                    if len(ras) > 16:
-                        del ras[0]
-            if mispredicted:
-                mispredicts += 1
-                # Fixed redirect penalty (shallow late-90s pipelines).
-                cycle += MISP
-                slots = 0
-            elif taken:
-                # Taken transfer ends the fetch group.
-                cycle += 1
-                slots = 0
-
-    total_cycles = max(cycle, last_done)
-    return PipelineResult(n, total_cycles, mispredicts, imisses, dmisses)
-
-
-def _simulate_vector(trace, cfg: PipelineConfig) -> PipelineResult:
-    """Vector kernel: every cache access, branch prediction and latency
-    is precomputed in batch, leaving a scheduler loop that reads five
-    small chunked columns instead of eight full ones plus three
-    simulator state machines."""
-    n = trace.n
-    if n == 0:
-        return PipelineResult(0, 1, 0, 0, 0)
-
-    from ..branch.vector import BranchReplayContext
-    from ..caches.vector import miss_stream
-
-    pc = np.asarray(trace.pc, dtype=np.int64)
-    cat = np.asarray(trace.cat, dtype=np.int64)
-    taken = (np.asarray(trace.flags) & FLAG_TAKEN) != 0
-    target = np.asarray(trace.target, dtype=np.int64)
-
-    BRANCH = int(NCat.BRANCH)
-    LOAD, STORE = int(NCat.LOAD), int(NCat.STORE)
-
-    # -- caches: per-event miss masks ---------------------------------
-    imiss = miss_stream(cfg.icache_size, cfg.block, cfg.icache_assoc, pc)
-    mem_idx = np.flatnonzero((cat == LOAD) | (cat == STORE))
-    dmiss = np.zeros(n, dtype=bool)
-    dmiss[mem_idx] = miss_stream(
-        cfg.dcache_size, cfg.block, cfg.dcache_assoc,
-        np.asarray(trace.ea, dtype=np.int64)[mem_idx])
-
-    # -- effective latency per event ----------------------------------
-    lat_table = np.zeros(max(LATENCY) + 1, dtype=np.int64)
-    for c, v in LATENCY.items():
-        lat_table[c] = v
-    lat = lat_table[cat]
-    lat[(cat == LOAD) & dmiss] += cfg.dmiss_penalty
-
-    # -- branch outcomes ----------------------------------------------
-    transfer_idx = np.flatnonzero(cat >= BRANCH)
-    misp = np.zeros(n, dtype=bool)
-    if len(transfer_idx):
-        ctx = BranchReplayContext(
-            pc[transfer_idx], cat[transfer_idx], taken[transfer_idx],
-            target[transfer_idx])
-        predicted = Gshare().predict_batch(ctx.cond_pc, ctx.cond_taken)
-        wrong_dir = predicted != ctx.cond_taken
-        misp_tr = np.zeros(ctx.n, dtype=bool)
-        misp_tr[np.flatnonzero(ctx.is_branch)] = wrong_dir | (
-            ctx.cond_taken & ~wrong_dir & ~ctx.btb_correct[ctx.is_branch])
-        misp_tr[ctx.is_ijc] = ~ctx.btb_correct[ctx.is_ijc]
-        used, popped = ctx.ras_outcome(trim_call=True)
-        ret_idx = np.flatnonzero(ctx.is_ret)
-        misp_tr[ret_idx] = np.where(used, popped != ctx.target[ret_idx],
-                                    ~ctx.btb_correct[ret_idx])
-        misp[transfer_idx] = misp_tr
-
-    # Per-event fetch-disruption code: bit 0 = I-miss, upper bits =
-    # control outcome (0 none, 1 taken transfer, 2 mispredict).
-    control = np.zeros(n, dtype=np.int64)
-    control[(cat >= BRANCH) & taken] = 1
-    control[misp] = 2
-    code = (control << 1) | imiss
-
-    mispredicts = int(misp.sum())
-    imisses = int(imiss.sum())
-    dmisses = int(dmiss.sum())
-
-    # -- scheduler loop over chunked views ----------------------------
-    dst_col = np.asarray(trace.dst)
-    src1_col = np.asarray(trace.src1)
-    src2_col = np.asarray(trace.src2)
-    W = cfg.width
-    ROB = cfg.rob_size
-    MISP = cfg.mispredict_penalty
-    IMISS = cfg.imiss_penalty
-
-    ready = [0] * 33
-    rob: deque[int] = deque()
-    cycle = 0
-    slots = 0
-    last_done = 0
-    CHUNK = 1 << 16
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        codes = code[lo:hi].tolist()
-        lats = lat[lo:hi].tolist()
-        dsts = dst_col[lo:hi].tolist()
-        src1s = src1_col[lo:hi].tolist()
-        src2s = src2_col[lo:hi].tolist()
-        for k in range(hi - lo):
-            if slots >= W:
-                cycle += 1
-                slots = 0
-            c = codes[k]
-            if c & 1:
-                cycle += IMISS
-                slots = 0
-            while len(rob) >= ROB:
-                head = rob.popleft()
-                if head > cycle:
-                    cycle = head
-                    slots = 0
-            start = cycle + 1
-            s1, s2 = src1s[k], src2s[k]
-            if s1 >= 0 and ready[s1] > start:
-                start = ready[s1]
-            if s2 >= 0 and ready[s2] > start:
-                start = ready[s2]
-            if start > cycle + 1:
-                cycle = start - 1
-                slots = 0
-            done = start + lats[k]
-            dst = dsts[k]
-            if dst >= 0:
-                ready[dst] = done
-            rob.append(done)
-            if done > last_done:
-                last_done = done
-            slots += 1
-            c >>= 1
-            if c:
-                if c == 2:
-                    cycle += MISP
-                else:
-                    cycle += 1
-                slots = 0
-
-    return PipelineResult(n, max(cycle, last_done), mispredicts, imisses,
-                          dmisses)
+    memo = getattr(trace, "pipeline_columns", None)
+    cols = (memo(cfg, active_kernel(kernel)) if memo is not None
+            else event_columns(trace, cfg, kernel))
+    return PipelineResult(len(cols.lat), _schedule(cols, cfg.width,
+                                                   cfg.rob_size),
+                          cols.mispredicts, cols.imisses, cols.dmisses)
 
 
 def ipc_by_width(trace, widths=(1, 2, 4, 8), **kwargs) -> dict[int, PipelineResult]:

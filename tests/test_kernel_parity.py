@@ -12,12 +12,14 @@ simulator instance.
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.replay import TraceReplay
 from repro.arch.branch.predictors import (
     PREDICTORS,
     BranchSimResult,
@@ -26,7 +28,8 @@ from repro.arch.branch.predictors import (
 )
 from repro.arch.caches import CacheConfig, CacheSim
 from repro.arch.kernels import ENV_VAR, active_kernel
-from repro.arch.pipeline import PipelineConfig, simulate_pipeline
+from repro.arch.pipeline import PipelineConfig, ipc_by_width, simulate_pipeline
+from repro.arch.pipeline.superscalar import event_columns
 from repro.native.nisa import FLAG_TAKEN, FLAG_WRITE, NCat
 from repro.native.trace import Trace
 
@@ -233,7 +236,7 @@ pipe_events = st.lists(
 
 pipe_configs = st.builds(
     PipelineConfig,
-    width=st.sampled_from([1, 2, 4]),
+    width=st.sampled_from([1, 2, 4, 8]),
     rob_size=st.sampled_from([8, 32]),
     mispredict_penalty=st.sampled_from([2, 4]),
     icache_size=st.sampled_from([1024, 4096]),
@@ -276,6 +279,37 @@ class TestPipelineParity:
                 f"PipelineResult.{field} diverges: "
                 f"{getattr(s, field)} != {getattr(v, field)}"
             )
+
+    @RELAXED
+    @given(events=pipe_events, config=pipe_configs)
+    def test_event_columns(self, events, config):
+        """The kernels feed one scheduler, so every per-event column
+        they compute must match, not only the totals."""
+        trace = _build_trace(events)
+        s = event_columns(trace, config, kernel="scalar")
+        v = event_columns(trace, config, kernel="vector")
+        for field, a, b in zip(s._fields, s, v):
+            assert np.array_equal(a, b), f"EventColumns.{field} diverges"
+
+    @RELAXED
+    @given(events=pipe_events, config=pipe_configs,
+           widths=st.permutations([1, 2, 4, 8]),
+           kernel=st.sampled_from(["scalar", "vector"]))
+    def test_memoized_sweep(self, events, config, widths, kernel):
+        """A width sweep over a replay's memoized columns, run twice in
+        any width order, equals a fresh run on the bare trace: no
+        scheduler state leaks through the memo."""
+        trace = _build_trace(events)
+        replay = TraceReplay(trace)
+        machine = {k: v for k, v in asdict(config).items() if k != "width"}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(ENV_VAR, kernel)
+            for _ in range(2):
+                swept = ipc_by_width(replay, widths=widths, **machine)
+                for w in widths:
+                    fresh = simulate_pipeline(trace, PipelineConfig(
+                        width=w, **machine))
+                    assert vars(swept[w]) == vars(fresh), (kernel, w)
 
 
 # -- kernel selection --------------------------------------------------
