@@ -8,8 +8,9 @@ time the corresponding work executes, with the per-execution values
 (effective addresses, branch outcomes, indirect-jump targets) patched in.
 
 This block-copy design is what makes whole-benchmark native traces
-tractable in Python: the inner loop of trace generation is a handful of
-numpy slice assignments per bytecode instead of per native instruction.
+tractable in Python: per bytecode, the inner loop of trace generation
+only logs which template ran and its patch values; the recorder expands
+the log into columns with one numpy gather when the trace is frozen.
 """
 
 from __future__ import annotations

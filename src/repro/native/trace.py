@@ -13,7 +13,10 @@ Only ``cycles`` is a live running total that callers may read mid-run
 (the profiler, tiering, the traffic clock and the translate stubs do).
 ``instructions``, ``cat_counts`` and ``translate_cycles`` are derived
 when read, from a per-template emission count, so they are exact at
-any time but cost a pass over the distinct templates.  Per-event data
+any time but cost a pass over the distinct templates.  A recording
+sink writes no array per emission either: it appends the template to a
+log and the patch values to three flat lists, and expands the log into
+columns once, in :meth:`RecordingSink.trace`.  Per-event data
 (effective addresses, branch outcomes, targets) is only consumed by a
 recording sink: code that would build it for the sink's sake must
 check ``sink.records`` first.
@@ -208,63 +211,116 @@ class CountingSink:
         self.cycles += cycles
 
 
+#: Patch values a recording sink keeps as Python ints before packing
+#: them into arrays.  Unpacked, every value of a long recording stays
+#: alive until the freeze, which leaves the heap fragmented for whatever
+#: the process runs next.
+_PACK_VALUES = 1 << 13
+
+
 class RecordingSink(CountingSink):
-    """Counts *and* records the full native event stream."""
+    """Counts *and* records the full native event stream.
+
+    Recording is a log, expanded once.  ``emit`` appends the template to
+    the log and extends three flat lists with the emission's patch
+    values, which are packed into arrays every few thousand values; no
+    column is written per emission.  :meth:`trace` builds every column
+    with one gather over the concatenated rows of the distinct
+    templates, then scatters each patch stream into the rows its
+    templates' ``patch_*`` indices name.
+    """
 
     records = True
 
-    def __init__(self, initial_capacity: int = 1 << 16) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._cap = max(int(initial_capacity), 16)
-        self._n = 0
-        self._cols = {
-            c: np.zeros(self._cap, dtype=_DTYPES[c]) for c in _COLUMNS
-        }
-
-    def _ensure(self, extra: int) -> None:
-        need = self._n + extra
-        if need <= self._cap:
-            return
-        new_cap = self._cap
-        while new_cap < need:
-            new_cap *= 2
-        for c in _COLUMNS:
-            grown = np.zeros(new_cap, dtype=_DTYPES[c])
-            grown[: self._n] = self._cols[c][: self._n]
-            self._cols[c] = grown
-        self._cap = new_cap
+        self._log: list[Template] = []
+        self._eas: list[int] = []
+        self._takens: list[bool] = []
+        self._targets: list[int] = []
+        #: ``(eas, takens, targets)`` arrays packed from the lists above.
+        self._packed: list[tuple[np.ndarray, ...]] = []
 
     def emit(self, template: Template, eas=(), takens=(), targets=()) -> None:
-        super().emit(template, eas, takens, targets)
-        n = template.n
-        if n == 0:
-            return
-        self._ensure(n)
-        s = self._n
-        cols = self._cols
-        cols["pc"][s : s + n] = template.pc
-        cols["cat"][s : s + n] = template.cat
-        cols["ea"][s : s + n] = template.ea
-        cols["flags"][s : s + n] = template.flags
-        cols["target"][s : s + n] = template.target
-        cols["dst"][s : s + n] = template.dst
-        cols["src1"][s : s + n] = template.src1
-        cols["src2"][s : s + n] = template.src2
-        if len(template.patch_ea):
-            cols["ea"][s + template.patch_ea] = eas
-        if len(template.patch_taken):
-            rows = s + template.patch_taken
-            taken_bits = np.asarray(takens, dtype=np.int16) * FLAG_TAKEN
-            cols["flags"][rows] = (cols["flags"][rows] & ~FLAG_TAKEN) | taken_bits
-        if len(template.patch_target):
-            cols["target"][s + template.patch_target] = targets
-        self._n += n
+        # CountingSink.emit, inlined: this runs once per emission.
+        self.cycles += template.cycles
+        emits = self.emits
+        emits[template] = emits.get(template, 0) + 1
+        self._log.append(template)
+        self._eas.extend(eas)
+        self._takens.extend(takens)
+        self._targets.extend(targets)
+        if len(self._eas) > _PACK_VALUES:
+            self._pack()
+
+    def _pack(self) -> None:
+        """Move the listed patch values into one packed array each."""
+        self._packed.append((np.array(self._eas, dtype=np.int64),
+                             np.array(self._takens, dtype=np.int16),
+                             np.array(self._targets, dtype=np.int64)))
+        self._eas.clear()
+        self._takens.clear()
+        self._targets.clear()
 
     def trace(self) -> Trace:
-        """Freeze the recorded stream into a :class:`Trace`."""
-        return Trace(
-            **{c: self._cols[c][: self._n].copy() for c in _COLUMNS}
-        )
+        """Freeze the recorded stream into a :class:`Trace`.
+
+        Raises :class:`ValueError` naming the field when the ``ea``,
+        ``taken`` or ``target`` values logged differ in number from the
+        patch rows the logged templates declare.
+        """
+        if not self._log:
+            return Trace.empty()
+        # ``emits`` holds the distinct templates in first-emission order.
+        table = list(self.emits)
+        index = {t: i for i, t in enumerate(table)}
+        ids = np.fromiter(map(index.__getitem__, self._log), dtype=np.intp,
+                          count=len(self._log))
+        src, lengths = _expand([t.pc for t in table], ids)
+        cols = {
+            c: _concat([getattr(t, c) for t in table], _DTYPES[c])[src]
+            for c in _COLUMNS
+        }
+        starts = _exclusive_cumsum(lengths)
+        self._pack()
+        for k, field in enumerate(("ea", "taken", "target")):
+            values = np.concatenate([chunk[k] for chunk in self._packed])
+            patch = [getattr(t, "patch_" + field) for t in table]
+            pick, counts = _expand(patch, ids)
+            if len(pick) != len(values):
+                raise ValueError(
+                    f"{field}: {len(values)} patch values logged for "
+                    f"{len(pick)} patch rows"
+                )
+            rows = _concat(patch, np.intp)[pick] + np.repeat(starts, counts)
+            if field == "taken":
+                flags = cols["flags"]
+                flags[rows] = (flags[rows] & ~FLAG_TAKEN) | values * FLAG_TAKEN
+            else:
+                cols[field][rows] = values
+        return Trace(**cols)
 
     def __len__(self) -> int:
-        return self._n
+        return self.instructions
+
+
+def _concat(blocks: list, dtype) -> np.ndarray:
+    return np.concatenate(blocks).astype(dtype, copy=False)
+
+
+def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(a), dtype=np.intp)
+    np.cumsum(a[:-1], out=out[1:])
+    return out
+
+
+def _expand(blocks: list, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index into ``concat(blocks)`` that yields
+    ``concat(blocks[i] for i in ids)``, and the length of each picked
+    block: one ``repeat`` of per-pick offsets plus one ``arange``."""
+    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+    lengths = sizes[ids]
+    offsets = _exclusive_cumsum(sizes)[ids] - _exclusive_cumsum(lengths)
+    gather = np.repeat(offsets, lengths) + np.arange(int(lengths.sum()),
+                                                     dtype=np.intp)
+    return gather, lengths

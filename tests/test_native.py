@@ -1,10 +1,14 @@
 """Native layer: layout, templates, trace recording."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa.opcodes import OPINFO, Op
 from repro.native import (
     CYCLES_BY_CAT,
     CountingSink,
@@ -22,6 +26,7 @@ from repro.native import (
     mix_bucket,
     region_name,
 )
+from repro.native import trace as trace_module
 from repro.native.layout import (
     BYTECODE_BASE,
     CODE_CACHE_BASE,
@@ -30,6 +35,10 @@ from repro.native.layout import (
     NATIVE_INSTR_BYTES,
     thread_stack_base,
 )
+from repro.native.trace import _COLUMNS as TRACE_COLUMNS
+from repro.native.trace import _DTYPES as TRACE_DTYPES
+from repro.vm.folding import _FOLDABLE_KINDS, FoldingSink
+from repro.vm.interp_templates import _DISPATCH_LEN
 
 
 class TestLayout:
@@ -182,12 +191,42 @@ class TestRecordingSink:
         tr = sink.trace()
         assert not (tr.flags[1] & FLAG_TAKEN)
 
-    def test_grows_past_initial_capacity(self):
-        sink = RecordingSink(initial_capacity=4)
+    def test_long_sequence_patches_each_emission(self, monkeypatch):
+        # Pack the patch values several times along the sequence.
+        monkeypatch.setattr(trace_module, "_PACK_VALUES", 16)
+        sink = RecordingSink()
         t = _simple_template()
-        for _ in range(100):
-            sink.emit(t, (1,), (False,), (2,))
+        for k in range(100):
+            sink.emit(t, (0x1000 + k,), (k % 2 == 0,), (0x2000 + k,))
         assert len(sink) == 300
+        tr = sink.trace()
+        k = np.arange(100)
+        assert tr.ea[3 * k].tolist() == (0x1000 + k).tolist()
+        assert tr.target[3 * k + 1].tolist() == (0x2000 + k).tolist()
+        assert ((tr.flags[3 * k + 1] & FLAG_TAKEN) != 0).tolist() == (
+            (k % 2 == 0).tolist())
+        assert (tr.ea[3 * k + 2] == 0xAA).all()
+
+    @pytest.mark.parametrize("field", ["ea", "taken", "target"])
+    def test_patch_count_mismatch_raises_at_freeze(self, field):
+        patches = {"ea": (0x99,), "taken": (True,), "target": (0x123,)}
+        sink = RecordingSink()
+        t = _simple_template()
+        sink.emit(t, patches["ea"], patches["taken"], patches["target"])
+        short = dict(patches, **{field: ()})
+        sink.emit(t, short["ea"], short["taken"], short["target"])
+        sink.emit(t, patches["ea"], patches["taken"], patches["target"])
+        with pytest.raises(ValueError, match=f"^{field}: 2 patch values "
+                                             f"logged for 3 patch rows"):
+            sink.trace()
+
+    def test_numpy_patch_values(self):
+        sink = RecordingSink()
+        sink.emit(_simple_template(), np.array([0x99]), np.array([True]),
+                  np.array([0x123]))
+        tr = sink.trace()
+        assert tr.ea[0] == 0x99 and tr.target[1] == 0x123
+        assert tr.flags[1] & FLAG_TAKEN
 
     def test_counting_totals_match(self):
         t = _simple_template()
@@ -258,6 +297,136 @@ class TestRecordingSink:
         assert sink.translate_cycles == t.cycles
         sink.emit(_simple_template(), (1,), (True,), (2,))
         assert sink.translate_cycles == t.cycles  # unflagged not counted
+
+
+class _EagerRecordingSink(CountingSink):
+    """Reference recorder: writes every emission into numpy columns at
+    once, with slice writes plus fancy-indexed patch writes into
+    doubling buffers."""
+
+    records = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._cap = 16
+        self._n = 0
+        self._cols = {c: np.zeros(self._cap, dtype=TRACE_DTYPES[c])
+                      for c in TRACE_COLUMNS}
+
+    def _ensure(self, extra):
+        need = self._n + extra
+        if need <= self._cap:
+            return
+        while self._cap < need:
+            self._cap *= 2
+        for c in TRACE_COLUMNS:
+            grown = np.zeros(self._cap, dtype=TRACE_DTYPES[c])
+            grown[: self._n] = self._cols[c][: self._n]
+            self._cols[c] = grown
+
+    def emit(self, template, eas=(), takens=(), targets=()):
+        super().emit(template, eas, takens, targets)
+        n = template.n
+        if n == 0:
+            return
+        self._ensure(n)
+        s, cols = self._n, self._cols
+        for c in TRACE_COLUMNS:
+            cols[c][s : s + n] = getattr(template, c)
+        if len(template.patch_ea):
+            cols["ea"][s + template.patch_ea] = eas
+        if len(template.patch_taken):
+            rows = s + template.patch_taken
+            bits = np.asarray(takens, dtype=np.int16) * FLAG_TAKEN
+            cols["flags"][rows] = (cols["flags"][rows] & ~FLAG_TAKEN) | bits
+        if len(template.patch_target):
+            cols["target"][s + template.patch_target] = targets
+        self._n += n
+
+    def trace(self):
+        return Trace(**{c: self._cols[c][: self._n].copy()
+                        for c in TRACE_COLUMNS})
+
+
+_FOLDABLE_OPS = [op for op in Op if OPINFO[op].kind in _FOLDABLE_KINDS]
+
+#: One random instruction: category, and whether ea / taken / target is
+#: a PATCH slot (else a fixed value).
+_ROWS = st.tuples(
+    st.sampled_from(list(NCat)),
+    st.one_of(st.just(PATCH), st.none(), st.integers(0, 2**40)),
+    st.one_of(st.just(PATCH), st.none(), st.booleans()),
+    st.one_of(st.just(PATCH), st.none(), st.integers(0, 2**40)),
+    st.sampled_from([0, FLAG_TRANSLATE]),
+)
+
+
+def _build(name, rows, base_pc, handler=False):
+    """A template from drawn rows.  ``handler`` wraps them the way an
+    interpreter handler is shaped, so a FoldingSink can fold it: a
+    dispatch block whose only patch is its first-row ea, the rows, and
+    a final back-jump."""
+    b = TemplateBuilder(name)
+    if handler:
+        b.load(dst=1, ea=PATCH)
+        b.ialu(dst=2, src1=1, n=_DISPATCH_LEN - 2)
+        b.instr(NCat.IJUMP, src1=2,
+                target=base_pc + NATIVE_INSTR_BYTES * _DISPATCH_LEN)
+    for k, (cat, ea, taken, target, flags) in enumerate(rows):
+        b.instr(cat, dst=k % 7, src1=k % 5, ea=ea, taken=taken,
+                target=target, flags=flags)
+    if handler:
+        b.instr(NCat.JUMP, target=base_pc)
+    return b.build(base_pc=base_pc)
+
+
+class TestTemplateLogEquivalence:
+    """The template-log recorder yields the same trace, column for
+    column and dtype for dtype, as eager per-emission slice writes,
+    whatever the number of patch values it packs at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_template_log_matches_eager_writes(self, data):
+        specs = data.draw(st.lists(
+            st.tuples(st.booleans(), st.lists(_ROWS, max_size=6)),
+            min_size=1, max_size=6))
+        pool, handlers = [], {}
+        for i, (handler, rows) in enumerate(specs):
+            t = _build(f"t{i}", rows, 0x10000 * (i + 1), handler)
+            if handler:
+                handlers[_FOLDABLE_OPS[i]] = t
+            pool.append(t)
+        # Alias some templates at extra pool slots: repeated templates.
+        pool += [pool[i] for i in data.draw(st.lists(
+            st.integers(0, len(pool) - 1), max_size=3))]
+        def values(strategy, rows):
+            n = len(rows)
+            return tuple(data.draw(st.lists(strategy, min_size=n,
+                                            max_size=n)))
+
+        emissions = [
+            (t, values(st.integers(0, 2**40), t.patch_ea),
+             values(st.booleans(), t.patch_taken),
+             values(st.integers(0, 2**40), t.patch_target))
+            for t in (pool[i] for i in data.draw(st.lists(
+                st.integers(0, len(pool) - 1), max_size=40)))
+        ]
+        pack = data.draw(st.sampled_from([0, 1, 5, trace_module._PACK_VALUES]))
+
+        templates = SimpleNamespace(tpl=handlers)
+        for wrap in (lambda sink: sink,
+                     lambda sink: FoldingSink(sink, templates)):
+            log, eager = wrap(RecordingSink()), wrap(_EagerRecordingSink())
+            with mock.patch.object(trace_module, "_PACK_VALUES", pack):
+                for emission in emissions:
+                    log.emit(*emission)
+                    eager.emit(*emission)
+                got, want = log.trace(), eager.trace()
+            assert got.n == want.n == log.instructions
+            for c in TRACE_COLUMNS:
+                assert getattr(got, c).dtype == getattr(want, c).dtype, c
+                assert getattr(got, c).tolist() == getattr(want, c).tolist(), c
 
 
 class TestTrace:
