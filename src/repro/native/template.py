@@ -11,6 +11,12 @@ This block-copy design is what makes whole-benchmark native traces
 tractable in Python: per bytecode, the inner loop of trace generation
 only logs which template ran and its patch values; the recorder expands
 the log into columns with one numpy gather when the trace is frozen.
+
+A template may also be *deferred*: the JIT compiles tens of thousands of
+chunks that a counting sink only ever asks for ``n``, ``cycles``,
+``translate`` and ``cat_counts``.  A deferred template carries those
+and builds its numpy columns on the first read of any of them, through
+the same :meth:`TemplateBuilder.build` an eager template comes from.
 """
 
 from __future__ import annotations
@@ -35,6 +41,11 @@ from .nisa import (
 PATCH = object()
 
 
+#: Template attributes a deferred template builds on first read.
+_COLUMN_FIELDS = ("pc", "cat", "ea", "flags", "target", "dst", "src1",
+                  "src2", "patch_ea", "patch_taken", "patch_target")
+
+
 class Template:
     """An immutable, pc-resolved native instruction block.
 
@@ -43,25 +54,22 @@ class Template:
     filled in per emission, in the order the builder declared them.
     ``translate`` is true when the block belongs to the JIT's translate
     routine (its first instruction carries ``FLAG_TRANSLATE``).
+
+    A template made by :meth:`deferred` starts with only ``name``,
+    ``n``, ``cycles``, ``cat_counts``, ``translate``, ``base_pc`` and
+    ``end_pc``; reading any column builds the columns, so every reader
+    sees the attributes an eager template has.
     """
 
-    __slots__ = (
+    __slots__ = _COLUMN_FIELDS + (
         "name",
         "n",
-        "pc",
-        "cat",
-        "ea",
-        "flags",
-        "target",
-        "dst",
-        "src1",
-        "src2",
-        "patch_ea",
-        "patch_taken",
-        "patch_target",
         "cycles",
         "cat_counts",
         "translate",
+        "base_pc",
+        "end_pc",
+        "_build",
     )
 
     def __init__(
@@ -80,7 +88,7 @@ class Template:
         patch_target: np.ndarray,
     ) -> None:
         self.name = name
-        self.n = len(pc)
+        self.n = n = len(pc)
         self.pc = pc
         self.cat = cat
         self.ea = ea
@@ -94,17 +102,49 @@ class Template:
         self.patch_target = patch_target
         self.cycles = int(CYCLES_BY_CAT[cat].sum())
         self.cat_counts = np.bincount(cat, minlength=N_CATEGORIES).astype(np.int64)
-        self.translate = bool(self.n and flags[0] & FLAG_TRANSLATE)
+        self.translate = bool(n and flags[0] & FLAG_TRANSLATE)
+        #: pc of the first instruction (templates are contiguous).
+        self.base_pc = int(pc[0]) if n else 0
+        #: pc one past the last instruction.
+        self.end_pc = int(pc[-1]) + NATIVE_INSTR_BYTES if n else 0
+        self._build = None
+
+    @classmethod
+    def deferred(cls, name: str, n: int, cycles: int, cat_counts: np.ndarray,
+                 translate: bool, base_pc: int, build) -> "Template":
+        """A template whose columns are built on first read.
+
+        ``build()`` returns the equivalent eager template, whose arrays
+        this one adopts the first time any column is read; ``build`` is
+        then dropped.  The caller vouches that the scalars and
+        ``cat_counts`` equal what the build yields.
+        """
+        t = cls.__new__(cls)
+        t.name = name
+        t.n = n
+        t.cycles = cycles
+        t.cat_counts = cat_counts
+        t.translate = translate
+        t.base_pc = base_pc if n else 0
+        t.end_pc = base_pc + NATIVE_INSTR_BYTES * n if n else 0
+        t._build = build
+        return t
 
     @property
-    def base_pc(self) -> int:
-        """pc of the first instruction (templates are contiguous)."""
-        return int(self.pc[0]) if self.n else 0
+    def materialized(self) -> bool:
+        """Whether the columns exist (always, for an eager template)."""
+        return self._build is None
 
-    @property
-    def end_pc(self) -> int:
-        """pc one past the last instruction."""
-        return int(self.pc[-1]) + NATIVE_INSTR_BYTES if self.n else 0
+    def __getattr__(self, name: str):
+        # Reached only when a slot is unset: a deferred template's
+        # columns, before the first read of any of them.
+        if name not in _COLUMN_FIELDS or self._build is None:
+            raise AttributeError(name)
+        built = self._build()
+        for field in _COLUMN_FIELDS:
+            setattr(self, field, getattr(built, field))
+        self._build = None
+        return getattr(self, name)
 
     def __len__(self) -> int:
         return self.n

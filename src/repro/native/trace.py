@@ -20,6 +20,13 @@ columns once, in :meth:`RecordingSink.trace`.  Per-event data
 (effective addresses, branch outcomes, targets) is only consumed by a
 recording sink: code that would build it for the sink's sake must
 check ``sink.records`` first.
+
+``emit_run(template, k, eas, takens, targets)`` stands for ``k``
+consecutive ``emit`` calls of one template, with the patch streams of
+the ``k`` emissions concatenated: a counting sink multiplies, and a
+recording sink logs the run as ``k`` entries.  Loops that emit one
+template per installed instruction or per class-file word use it, so a
+counting sink costs them one call per loop, not one per iteration.
 """
 
 from __future__ import annotations
@@ -191,6 +198,14 @@ class CountingSink:
         emits = self.emits
         emits[template] = emits.get(template, 0) + 1
 
+    def emit_run(self, template: Template, k: int, eas=(), takens=(),
+                 targets=()) -> None:
+        """``k`` consecutive emissions of ``template`` (module docs)."""
+        if k:
+            self.cycles += template.cycles * k
+            emits = self.emits
+            emits[template] = emits.get(template, 0) + k
+
     @property
     def instructions(self) -> int:
         return sum(t.n * k for t, k in self.emits.items())
@@ -224,10 +239,11 @@ class RecordingSink(CountingSink):
     Recording is a log, expanded once.  ``emit`` appends the template to
     the log and extends three flat lists with the emission's patch
     values, which are packed into arrays every few thousand values; no
-    column is written per emission.  :meth:`trace` builds every column
-    with one gather over the concatenated rows of the distinct
-    templates, then scatters each patch stream into the rows its
-    templates' ``patch_*`` indices name.
+    column is written per emission (``emit_run`` appends ``k`` log
+    entries and the run's concatenated values the same way).
+    :meth:`trace` builds every column with one gather over the
+    concatenated rows of the distinct templates, then scatters each
+    patch stream into the rows its templates' ``patch_*`` indices name.
     """
 
     records = True
@@ -247,6 +263,20 @@ class RecordingSink(CountingSink):
         emits = self.emits
         emits[template] = emits.get(template, 0) + 1
         self._log.append(template)
+        self._eas.extend(eas)
+        self._takens.extend(takens)
+        self._targets.extend(targets)
+        if len(self._eas) > _PACK_VALUES:
+            self._pack()
+
+    def emit_run(self, template: Template, k: int, eas=(), takens=(),
+                 targets=()) -> None:
+        if not k:
+            return
+        self.cycles += template.cycles * k
+        emits = self.emits
+        emits[template] = emits.get(template, 0) + k
+        self._log.extend([template] * k)
         self._eas.extend(eas)
         self._takens.extend(takens)
         self._targets.extend(targets)

@@ -37,6 +37,11 @@ METHOD_BLOCK_BYTES = 32
 POOL_ENTRY_BYTES = 8
 
 
+def _loop_takens(n: int) -> list[bool]:
+    """Back-branch outcomes of an ``n``-iteration loop (``n >= 1``)."""
+    return [True] * (n - 1) + [False]
+
+
 class ClassLoadError(Exception):
     """Raised for unknown classes or loader address-space exhaustion."""
 
@@ -177,23 +182,24 @@ class ClassLoader:
         src, dst = cls.classfile_addr, cls.meta_addr
         meta_words = max(1, (cls.pool_addr + POOL_ENTRY_BYTES * len(cls.pool)
                              - cls.meta_addr) // 8)
-        for i in range(iters):
-            sink.emit(
-                stubs.classload_parse,
-                (src + 8 * i, dst + 8 * (i % meta_words)),
-                (i + 1 < iters,),
-            )
+        eas, takens = [], []
+        if sink.records:
+            for i in range(iters):
+                eas += (src + 8 * i, dst + 8 * (i % meta_words))
+            takens = _loop_takens(iters)
+        sink.emit_run(stubs.classload_parse, iters, eas, takens)
         # Bytecode copy loops.
         for method in cls.methods.values():
             if method.is_native:
                 continue
             n = max(1, method.bc_length // 4)
-            for i in range(n):
-                sink.emit(
-                    stubs.classload_bccopy,
-                    (cls.classfile_addr + 40 + 4 * i, method.bc_addr + 4 * i),
-                    (i + 1 < n,),
-                )
+            if sink.records:
+                eas = []
+                for i in range(n):
+                    eas += (cls.classfile_addr + 40 + 4 * i,
+                            method.bc_addr + 4 * i)
+                takens = _loop_takens(n)
+            sink.emit_run(stubs.classload_bccopy, n, eas, takens)
         # Fixed per-class fixup.
         sink.emit(
             stubs.classload_fixup,

@@ -107,6 +107,23 @@ class FoldingSink:
         self._inner.emit(hv.body if stripped else hv.full,
                          eas, takens, targets)
 
+    def emit_run(self, template, k, eas=(), takens=(), targets=()) -> None:
+        if not k:
+            return
+        if id(template) in self._fold_map:
+            # A run of one handler folds within itself: emit it singly.
+            ne, nt, ng = (len(template.patch_ea), len(template.patch_taken),
+                          len(template.patch_target))
+            for i in range(k):
+                self.emit(template, eas[i * ne:(i + 1) * ne],
+                          takens[i * nt:(i + 1) * nt],
+                          targets[i * ng:(i + 1) * ng])
+            return
+        # Explicit, not delegated: a held handler must reach the inner
+        # sink before the run does.
+        self.flush()
+        self._inner.emit_run(template, k, eas, takens, targets)
+
     def emit_cycles(self, cycles: int) -> None:
         self._inner.emit_cycles(cycles)
 

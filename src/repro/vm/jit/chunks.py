@@ -21,22 +21,39 @@ class Chunk:
     ``(is_frame_relative, value)`` pairs where frame-relative entries
     are spill-slot offsets and the rest are filled from the dynamic
     values in order.  The plan is only assembled for a recording sink.
+
+    A chunk built with ``build_plan`` (the compiler's deferred
+    lowering) has a deferred template and sets ``ea_plan`` to
+    ``build_plan()`` on first read; a counting sink never reads it.
     """
 
-    __slots__ = ("template", "ea_plan")
+    __slots__ = ("template", "ea_plan", "_build_plan")
 
-    def __init__(self, template, ea_plan=None) -> None:
+    def __init__(self, template, ea_plan=None, build_plan=None) -> None:
         self.template = template
-        self.ea_plan = ea_plan
+        self._build_plan = build_plan
+        if build_plan is None:
+            self.ea_plan = ea_plan
+
+    def __getattr__(self, name: str):
+        # Reached only while a deferred chunk's plan is unset.
+        if name != "ea_plan" or self._build_plan is None:
+            raise AttributeError(name)
+        self.ea_plan = self._build_plan()
+        self._build_plan = None
+        return self.ea_plan
 
     @property
     def base_pc(self) -> int:
         return self.template.base_pc
 
     def emit(self, sink, frame: Frame, dyn=(), takens=(), targets=()) -> None:
-        plan = self.ea_plan
-        if plan is None or not sink.records:
+        if not sink.records:
             # A counting sink ignores effective addresses: skip the plan.
+            sink.emit(self.template, dyn, takens, targets)
+            return
+        plan = self.ea_plan
+        if plan is None:
             sink.emit(self.template, dyn, takens, targets)
             return
         it = iter(dyn)

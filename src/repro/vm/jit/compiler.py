@@ -14,11 +14,22 @@ code-cache write misses) that Section 4.3 of the paper studies.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ...isa.method import Method
 from ...isa.opcodes import Op, OPINFO
+from ...native.costs import CYCLES_BY_CAT
 from ...native.layout import CODE_CACHE_BASE, CODE_CACHE_SIZE, TextRegion
-from ...native.nisa import NCat, NO_REG, REG_ARG0, REG_RETVAL, REG_TMP0, REG_TMP1
-from ...native.template import TemplateBuilder
+from ...native.nisa import (
+    N_CATEGORIES,
+    NCat,
+    NO_REG,
+    REG_ARG0,
+    REG_RETVAL,
+    REG_TMP0,
+    REG_TMP1,
+)
+from ...native.template import PATCH, Template, TemplateBuilder
 from ...obs import TRACER
 from ..objects import ARRAY_HEADER_BYTES, OBJECT_HEADER_BYTES
 from ..threads import FRAME_HEADER_BYTES
@@ -54,6 +65,82 @@ class _Proto:
         self.ea = ea          # None | ("abs", a) | ("frame", off) | "dyn"
         self.taken = taken    # None | bool | "dyn"
         self.target = target  # None | ("abs", pc) | ("chunk", i) | "dyn"
+
+
+#: Cycles per category as Python ints, for the compile-time summary.
+_CYCLES = tuple(CYCLES_BY_CAT.tolist())
+
+#: The four codegen-overhead sequences, by ``idx % 4``.  Chunks share
+#: these protos; only switch-table protos are ever mutated in place.
+_OVERHEAD = tuple(
+    [
+        _Proto(NCat.LOAD, dst=REG_TMP1,
+               ea=("frame", FRAME_HEADER_BYTES + 4 * r)),
+        _Proto(NCat.IALU, dst=REG_TMP0, src1=REG_TMP1),
+        _Proto(NCat.IALU, dst=REG_TMP1, src1=REG_TMP0),
+        _Proto(NCat.IALU, dst=REG_TMP0, src1=REG_TMP1),
+    ]
+    for r in range(4)
+)
+
+
+def lower(name, protos, base_pc, chunk_pcs) -> tuple[Template, list | None]:
+    """Lower protos to a pc-resolved Template and the chunk's ea plan."""
+    b = TemplateBuilder(name)
+    ea_plan: list[tuple[bool, int]] = []
+    any_frame_rel = False
+    for proto in protos:
+        ea = proto.ea
+        taken = proto.taken
+        target = proto.target
+        if ea == "dyn":
+            ea_arg = PATCH
+            ea_plan.append((False, 0))
+        elif isinstance(ea, tuple) and ea[0] == "frame":
+            ea_arg = PATCH
+            ea_plan.append((True, ea[1]))
+            any_frame_rel = True
+        elif isinstance(ea, tuple) and ea[0] == "abs":
+            ea_arg = ea[1]
+        else:
+            ea_arg = None
+
+        taken_arg = PATCH if taken == "dyn" else taken
+        if target == "dyn":
+            target_arg = PATCH
+        elif isinstance(target, tuple) and target[0] == "chunk":
+            target_arg = chunk_pcs[target[1]]
+        elif isinstance(target, tuple) and target[0] == "abs":
+            target_arg = target[1]
+        else:
+            target_arg = None
+
+        b.instr(proto.cat, dst=proto.dst, src1=proto.src1,
+                src2=proto.src2, ea=ea_arg, taken=taken_arg,
+                target=target_arg)
+    return b.build(base_pc=base_pc), (ea_plan if any_frame_rel else None)
+
+
+class _Lowering:
+    """The protos of one chunk until something needs them lowered: the
+    first :meth:`template` or :meth:`plan` call lowers both at once and
+    drops the protos."""
+
+    __slots__ = ("args", "lowered")
+
+    def __init__(self, name, protos, base_pc, chunk_pcs) -> None:
+        self.args = (name, protos, base_pc, chunk_pcs)
+        self.lowered = None
+
+    def template(self) -> Template:
+        if self.lowered is None:
+            self.lowered = lower(*self.args)
+            self.args = None
+        return self.lowered[0]
+
+    def plan(self) -> list | None:
+        self.template()
+        return self.lowered[1]
 
 
 class CodeCache:
@@ -268,14 +355,13 @@ class JITCompiler:
             method, chunks, prologue, entry_pc, end_pc, inline_info
         )
         install_pcs = [
-            [chunk_pcs[i] + 4 * k for k in range(len(p))]
-            for i, p in enumerate(protos_per_index)
+            range(pc, pc + 4 * len(p), 4)
+            for pc, p in zip(chunk_pcs, protos_per_index)
         ]
         if install_pcs:
-            # the prologue is generated/installed with the first chunk
-            install_pcs[0] = [
-                entry_pc + 4 * k for k in range(len(prologue_protos))
-            ] + install_pcs[0]
+            # the prologue is generated/installed with the first chunk,
+            # which it directly precedes
+            install_pcs[0] = range(entry_pc, install_pcs[0].stop, 4)
         compiled.translate_cycles = self.stubs.emit_translation(
             self.sink, method, install_pcs
         )
@@ -298,13 +384,7 @@ class JITCompiler:
         measures ~25 generated SPARC instructions per bytecode for the
         whole translation unit).
         """
-        return [
-            _Proto(NCat.LOAD, dst=REG_TMP1,
-                   ea=("frame", FRAME_HEADER_BYTES + 4 * (idx % 4))),
-            _Proto(NCat.IALU, dst=REG_TMP0, src1=REG_TMP1),
-            _Proto(NCat.IALU, dst=REG_TMP1, src1=REG_TMP0),
-            _Proto(NCat.IALU, dst=REG_TMP0, src1=REG_TMP1),
-        ]
+        return _OVERHEAD[idx % 4]
 
     # ------------------------------------------------------------------
     # register mapping
@@ -687,41 +767,23 @@ class JITCompiler:
     # ------------------------------------------------------------------
     # materialization
     # ------------------------------------------------------------------
-    def _materialize(self, name, protos, base_pc, chunk_pcs) -> Chunk:
-        """Turn protos into a pc-resolved Template wrapped in a Chunk."""
-        from ...native.template import PATCH
+    @staticmethod
+    def _materialize(name, protos, base_pc, chunk_pcs) -> Chunk:
+        """Wrap protos in a Chunk whose template is deferred.
 
-        b = TemplateBuilder(name)
-        ea_plan: list[tuple[bool, int]] = []
-        any_frame_rel = False
+        One Python pass sums the cycles and the category histogram; the
+        columns and the ea plan are lowered only when a recording sink
+        or the code archive reads them (:class:`_Lowering`).  Chunk code
+        never carries ``FLAG_TRANSLATE``.
+        """
+        counts = [0] * N_CATEGORIES
+        cycles = 0
         for proto in protos:
-            ea = proto.ea
-            taken = proto.taken
-            target = proto.target
-            if ea == "dyn":
-                ea_arg = PATCH
-                ea_plan.append((False, 0))
-            elif isinstance(ea, tuple) and ea[0] == "frame":
-                ea_arg = PATCH
-                ea_plan.append((True, ea[1]))
-                any_frame_rel = True
-            elif isinstance(ea, tuple) and ea[0] == "abs":
-                ea_arg = ea[1]
-            else:
-                ea_arg = None
-
-            taken_arg = PATCH if taken == "dyn" else taken
-            if target == "dyn":
-                target_arg = PATCH
-            elif isinstance(target, tuple) and target[0] == "chunk":
-                target_arg = chunk_pcs[target[1]]
-            elif isinstance(target, tuple) and target[0] == "abs":
-                target_arg = target[1]
-            else:
-                target_arg = None
-
-            b.instr(proto.cat, dst=proto.dst, src1=proto.src1,
-                    src2=proto.src2, ea=ea_arg, taken=taken_arg,
-                    target=target_arg)
-        template = b.build(base_pc=base_pc)
-        return Chunk(template, ea_plan if any_frame_rel else None)
+            cat = proto.cat
+            counts[cat] += 1
+            cycles += _CYCLES[cat]
+        lowering = _Lowering(name, protos, base_pc, chunk_pcs)
+        template = Template.deferred(
+            name, len(protos), cycles, np.array(counts, dtype=np.int64),
+            False, base_pc, lowering.template)
+        return Chunk(template, build_plan=lowering.plan)

@@ -14,8 +14,16 @@ attribute misses to the translate portion in isolation.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ...isa.opcodes import Op, OPINFO
-from ...native.layout import JITC_TEXT_BASE, JITC_TEXT_SIZE, TextRegion, VM_DATA_BASE
+from ...native.layout import (
+    JITC_TEXT_BASE,
+    JITC_TEXT_SIZE,
+    NATIVE_INSTR_BYTES,
+    TextRegion,
+    VM_DATA_BASE,
+)
 from ...native.nisa import (
     FLAG_TRANSLATE,
     NCat,
@@ -155,9 +163,10 @@ class TranslateStubs:
                          work_cursor: int = 0) -> int:
         """Emit the full translate trace for ``method``.
 
-        ``install_pcs_per_index`` maps bytecode index -> list of code-cache
-        pcs the chunk's instructions were installed at.  Returns the
-        cycles charged (also accumulated in the sink).
+        ``install_pcs_per_index`` maps bytecode index -> the code-cache
+        pcs the chunk's instructions were installed at (a sequence; one
+        ``emit_instr`` run each).  Returns the cycles charged (also
+        accumulated in the sink).
         """
         before = sink.cycles
         work = WORK_AREA_BASE
@@ -174,8 +183,8 @@ class TranslateStubs:
             )
             sink.emit(gen, (w, w + 8, w + 16, w + 24, w + 12, w + 20),
                       (), (0,))
-            for pc in install_pcs_per_index[idx]:
-                sink.emit(self.emit_instr, (pc,))
+            pcs = install_pcs_per_index[idx]
+            sink.emit_run(self.emit_instr, len(pcs), pcs)
         sink.emit(
             self.method_overhead,
             tuple(
@@ -199,12 +208,14 @@ class TranslateStubs:
         templates = [compiled.prologue.template] + [
             c.template for c in compiled.chunks if c is not None
         ]
-        i = 0
-        for template in templates:
-            for pc in template.pc:
-                sink.emit(self.install_instr,
-                          (stage + (4 * i) % WORK_AREA_BYTES, int(pc)))
-                i += 1
+        eas = []
+        if sink.records:
+            pcs = chain.from_iterable(
+                range(t.base_pc, t.end_pc, NATIVE_INSTR_BYTES)
+                for t in templates)
+            for i, pc in enumerate(pcs):
+                eas += (stage + (4 * i) % WORK_AREA_BYTES, pc)
+        sink.emit_run(self.install_instr, sum(t.n for t in templates), eas)
         sink.emit(self.install_overhead, (stage, stage + 16), (), (0,))
         return sink.cycles - before
 

@@ -7,7 +7,10 @@ runs) the full native trace — is folded into one digest per run and
 compared against a digest recorded before the host-side stepper and
 sink were tuned.  Host-speed changes to the counting path must leave
 every one of these bit-for-bit unchanged; the qualitative margins in
-``test_golden_claims.py`` would not notice an off-by-one.
+``test_golden_claims.py`` would not notice an off-by-one.  Two more
+pins cover the JIT's other paths: a recorded jess run cold and then
+warm against one code archive (translate vs. install), and the totals
+of every oracle config over a short fuzz campaign (many small compiles).
 
 To re-record after an *intended* model change, run
 ``PYTHONPATH=src python tests/test_identity_pin.py`` and paste its
@@ -18,11 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.analysis.runner import run_vm
+from repro.fuzz.gen import gen_program
+from repro.fuzz.harness import SEED_STRIDE
+from repro.fuzz.oracle import run_oracle
 from repro.vm import RunConfig
 
 WORKLOADS = ("jess", "mtrt")
@@ -39,6 +46,7 @@ CONFIGS = {
     "jit_rec": RunConfig(record=True),
     "interp_fold_rec": RunConfig(threshold=None, folding=True, record=True),
 }
+CONFIGS["tiered_rec"] = CONFIGS["tiered"].replace(record=True)
 
 _TRACE_COLUMNS = ("pc", "cat", "ea", "flags", "target", "dst", "src1",
                   "src2")
@@ -60,6 +68,8 @@ EXPECTED = {
         "6fdedbfa0d9ec273f5c4a0de7ecc80453431152752184ef876219d747255a9d8",
     "jess/tiered":
         "3e34316581dd4631fe8a087d9389ab2d72660c946588fc35fd4d250ef0279ed9",
+    "jess/tiered_rec":
+        "7a8f56b0905b5000dea34744bcd06441a066c79cde178e0d26d6a2ef05232149",
     "mtrt/interp":
         "ba66d54ede58905a2a436dca73376ae70356859361171bf5c242043f8eb6df1a",
     "mtrt/interp_fold":
@@ -76,6 +86,14 @@ EXPECTED = {
         "327d0c15f10cc57a5d45a7b5f10c3c867f869fb6c324f8d5bfaf777969d56886",
     "mtrt/tiered":
         "b54a3ada66e65321bff06d2ddf8fe58767db2a9b77fc669dcdcc36ee0ce8996d",
+    "mtrt/tiered_rec":
+        "1814167040108831091b39a112dd9c74b48766c602461505fbe956408554be5c",
+    "jess/jit_rec/archive_cold":
+        "d9929a05d13cbeb5344744d7048d4527f0d5a2642548cd37a062c085e609a24f",
+    "jess/jit_rec/archive_warm":
+        "31442f74821f93a05e30ef3c3b514e44950d31ddd64d00093a0f604a59939099",
+    "fuzz/seed0x20":
+        "78b5f524fc2aa47c556b1511a98e62e67784193a69d6220af39626ea04896717",
 }
 
 
@@ -105,6 +123,42 @@ def _run(workload: str, config: str):
                   code_archive="")
 
 
+def _archive_runs(directory: str) -> dict[str, str]:
+    """Digests of a cold and then a warm recorded jess run against one
+    fresh code archive: the install path replaces translation in the
+    warm run, so its translate split and trace differ from the cold."""
+    return {
+        f"jess/jit_rec/archive_{state}": digest(run_vm(
+            "jess", "s0", CONFIGS["jit_rec"], cache_dir="",
+            code_archive=directory))
+        for state in ("cold", "warm")
+    }
+
+
+#: Programs ``0..FUZZ_PROGRAMS-1`` of campaign seed ``FUZZ_SEED``.
+FUZZ_SEED, FUZZ_PROGRAMS = 0, 20
+
+
+def fuzz_digest() -> str:
+    """SHA-256 over the simulated totals of every oracle config of a
+    short fuzz campaign (the e2e reference pins only its verdicts)."""
+    h = hashlib.sha256()
+    for index in range(FUZZ_PROGRAMS):
+        spec = gen_program(FUZZ_SEED * SEED_STRIDE + index)
+        try:
+            spec.render()
+        except Exception:  # noqa: BLE001 - rejected by the verifier
+            h.update(f"{index}:rejected".encode())
+            continue
+        for config, outcome in run_oracle(spec).outcomes.items():
+            r = outcome.result
+            totals = (outcome.error if r is None else
+                      [int(r.cycles), int(r.instructions),
+                       int(r.translate_cycles), int(r.execute_cycles)])
+            h.update(json.dumps([index, config, totals]).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_simulated_totals_unchanged(workload, config):
@@ -114,9 +168,26 @@ def test_simulated_totals_unchanged(workload, config):
     assert digest(result) == EXPECTED[f"{workload}/{config}"]
 
 
+def test_code_archive_cold_and_warm_unchanged(tmp_path):
+    got = _archive_runs(str(tmp_path / "archive"))
+    assert got == {k: EXPECTED[k] for k in got}
+
+
+def test_fuzz_campaign_totals_unchanged(monkeypatch):
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    assert fuzz_digest() == EXPECTED["fuzz/seed0x20"]
+
+
 if __name__ == "__main__":
+    import tempfile
+
+    os.environ.pop("REPRO_CODE_ARCHIVE", None)
     print("EXPECTED = {")
     for w in WORKLOADS:
         for c in sorted(CONFIGS):
             print(f'    "{w}/{c}":\n        "{digest(_run(w, c))}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, value in _archive_runs(os.path.join(tmp, "a")).items():
+            print(f'    "{key}":\n        "{value}",')
+    print(f'    "fuzz/seed0x20":\n        "{fuzz_digest()}",')
     print("}")

@@ -1,11 +1,17 @@
 """JIT compiler: chunk generation, layout, spills, inlining, code cache."""
 
+import numpy as np
 import pytest
 
+from repro.analysis.runner import run_vm
+from repro.fuzz.gen import gen_program
+from repro.fuzz.oracle import run_oracle
 from repro.isa import ArrayType, ProgramBuilder
 from repro.native.layout import CODE_CACHE_BASE
 from repro.native.nisa import NCat
+from repro.native.template import _COLUMN_FIELDS
 from repro.vm import JavaVM
+from repro.vm.jit import compiler as jit_compiler
 from repro.vm.jit.inline import ClassHierarchy, is_inlinable
 
 from helpers import eval_both_modes, expr_main, run_program
@@ -235,3 +241,72 @@ class TestTranslateTrace:
                 m.iadd()
         large, _ = _compile_main(big)
         assert large.translate_cycles > small.translate_cycles
+
+
+class TestDeferredTemplates:
+    """A compiled chunk's deferred template equals the eager template
+    ``TemplateBuilder.build`` makes from the same protos, and a counting
+    run never builds its columns."""
+
+    @pytest.fixture
+    def compiled_chunks(self, monkeypatch):
+        """Every (chunk, eager template, eager plan) compiled while the
+        fixture is active, the reference lowered at compile time."""
+        monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+        seen = []
+        deferred = jit_compiler.JITCompiler._materialize
+
+        def spy(name, protos, base_pc, chunk_pcs):
+            chunk = deferred(name, protos, base_pc, chunk_pcs)
+            seen.append((chunk, *jit_compiler.lower(
+                name, protos, base_pc, chunk_pcs)))
+            return chunk
+
+        monkeypatch.setattr(jit_compiler.JITCompiler, "_materialize",
+                            staticmethod(spy))
+        return seen
+
+    @staticmethod
+    def _check(seen):
+        assert seen
+        assert sum(":prologue" in c.template.name for c, _, _ in seen)
+        for i, (chunk, eager, plan) in enumerate(seen):
+            t = chunk.template
+            # A counting run reads only the eager scalars and the
+            # histogram, which deferred templates give without columns.
+            assert not t.materialized, t.name
+            for attr in ("name", "n", "cycles", "translate", "base_pc",
+                         "end_pc"):
+                assert getattr(t, attr) == getattr(eager, attr), attr
+            assert t.cat_counts.dtype == np.int64
+            assert t.cat_counts.tolist() == eager.cat_counts.tolist()
+            assert not t.materialized
+            # Either first read builds both the columns and the plan.
+            if i % 2:
+                assert chunk.ea_plan == plan
+            for field in _COLUMN_FIELDS:
+                got, want = getattr(t, field), getattr(eager, field)
+                assert got.dtype == want.dtype, field
+                assert got.tolist() == want.tolist(), field
+            assert t.materialized
+            assert chunk.ea_plan == plan
+
+    @pytest.mark.parametrize("config", [
+        "jit", "jit,jit_opt=True",
+        "tiered,t2_invocations=3,t2_backedges=32"])
+    @pytest.mark.parametrize("workload", ["jess", "mtrt"])
+    def test_workload_chunks(self, compiled_chunks, workload, config):
+        run_vm(workload, "s0", config, cache_dir="", code_archive="")
+        self._check(compiled_chunks)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fuzz_program_chunks(self, compiled_chunks, seed):
+        verdict = run_oracle(gen_program(seed))
+        assert all(o.ok for o in verdict.outcomes.values())
+        self._check(compiled_chunks)
+
+    def test_recording_emit_builds_columns(self, compiled_chunks):
+        run_vm("jess", "s0", "jit,record=True", cache_dir="",
+               code_archive="")
+        emitted = [c for c, _, _ in compiled_chunks if c.template.materialized]
+        assert emitted and len(emitted) < len(compiled_chunks)

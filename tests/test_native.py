@@ -380,10 +380,26 @@ def _build(name, rows, base_pc, handler=False):
     return b.build(base_pc=base_pc)
 
 
+def _split(template, k, eas, takens, targets):
+    """The ``k`` single emissions a run stands for."""
+    sizes = (len(template.patch_ea), len(template.patch_taken),
+             len(template.patch_target))
+    return [tuple(values[i * n:(i + 1) * n]
+                  for values, n in zip((eas, takens, targets), sizes))
+            for i in range(k)]
+
+
+def _totals(sink):
+    return (sink.cycles, sink.instructions, sink.translate_cycles,
+            sink.cat_counts.dtype, sink.cat_counts.tolist())
+
+
 class TestTemplateLogEquivalence:
     """The template-log recorder yields the same trace, column for
     column and dtype for dtype, as eager per-emission slice writes,
-    whatever the number of patch values it packs at a time."""
+    whatever the number of patch values it packs at a time.  A run
+    (``emit_run`` of ``k`` emissions) equals ``k`` single emits on
+    every sink, including through a folding sink."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -400,17 +416,20 @@ class TestTemplateLogEquivalence:
         # Alias some templates at extra pool slots: repeated templates.
         pool += [pool[i] for i in data.draw(st.lists(
             st.integers(0, len(pool) - 1), max_size=3))]
-        def values(strategy, rows):
-            n = len(rows)
+        def values(strategy, rows, k=1):
+            n = len(rows) * k
             return tuple(data.draw(st.lists(strategy, min_size=n,
                                             max_size=n)))
 
+        # ``k`` None is a single ``emit``; an int is an ``emit_run``.
         emissions = [
-            (t, values(st.integers(0, 2**40), t.patch_ea),
-             values(st.booleans(), t.patch_taken),
-             values(st.integers(0, 2**40), t.patch_target))
-            for t in (pool[i] for i in data.draw(st.lists(
-                st.integers(0, len(pool) - 1), max_size=40)))
+            (t, k, values(st.integers(0, 2**40), t.patch_ea, k or 1),
+             values(st.booleans(), t.patch_taken, k or 1),
+             values(st.integers(0, 2**40), t.patch_target, k or 1))
+            for t, k in data.draw(st.lists(
+                st.tuples(st.sampled_from(pool),
+                          st.one_of(st.none(), st.integers(0, 4))),
+                max_size=40))
         ]
         pack = data.draw(st.sampled_from([0, 1, 5, trace_module._PACK_VALUES]))
 
@@ -418,14 +437,48 @@ class TestTemplateLogEquivalence:
         for wrap in (lambda sink: sink,
                      lambda sink: FoldingSink(sink, templates)):
             log, eager = wrap(RecordingSink()), wrap(_EagerRecordingSink())
+            count, count_ref = wrap(CountingSink()), wrap(CountingSink())
             with mock.patch.object(trace_module, "_PACK_VALUES", pack):
-                for emission in emissions:
-                    log.emit(*emission)
-                    eager.emit(*emission)
+                for t, k, *patches in emissions:
+                    singles = [patches] if k is None else _split(t, k, *patches)
+                    for sink in (eager, count_ref):
+                        for single in singles:
+                            sink.emit(t, *single)
+                    for sink in (log, count):
+                        if k is None:
+                            sink.emit(t, *patches)
+                        else:
+                            sink.emit_run(t, k, *patches)
                 got, want = log.trace(), eager.trace()
             assert got.n == want.n == log.instructions
             for c in TRACE_COLUMNS:
                 assert getattr(got, c).dtype == getattr(want, c).dtype, c
+                assert getattr(got, c).tolist() == getattr(want, c).tolist(), c
+            for sink in (count, count_ref):
+                getattr(sink, "flush", lambda: None)()
+            assert _totals(log) == _totals(eager)
+            assert _totals(count) == _totals(count_ref) == _totals(eager)
+
+    @pytest.mark.parametrize("sink_cls", [CountingSink, RecordingSink])
+    def test_folding_run_flushes_held_handler_first(self, sink_cls):
+        """A handler held by the folding sink reaches the inner sink
+        before a run that follows it, as it would before ``k`` emits."""
+        handler = _build("h", [(NCat.IALU, None, None, None, 0)], 0x10000,
+                         handler=True)
+        body = _build("b", [(NCat.STORE, PATCH, None, None, 0)], 0x20000)
+        templates = SimpleNamespace(tpl={_FOLDABLE_OPS[0]: handler})
+        run, singles = (FoldingSink(sink_cls(), templates) for _ in "ab")
+        for sink in (run, singles):
+            sink.emit(handler, (0x40,))
+        run.emit_run(body, 3, (1, 2, 3))
+        for ea in (1, 2, 3):
+            singles.emit(body, (ea,))
+        assert list(run._inner.emits) == list(singles._inner.emits) == [
+            handler, body]
+        assert _totals(run._inner) == _totals(singles._inner)
+        if sink_cls.records:
+            got, want = run.trace(), singles.trace()
+            for c in TRACE_COLUMNS:
                 assert getattr(got, c).tolist() == getattr(want, c).tolist(), c
 
 
