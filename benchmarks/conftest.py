@@ -1,17 +1,10 @@
 """Benchmark configuration.
 
-Each benchmark regenerates one of the paper's tables/figures through the
-real experiment code path, timed once (the experiments are deterministic,
-so a single round measures the real cost without repeating minutes-long
-sweeps).  Scales and benchmark subsets are chosen to keep the whole
-harness runnable in a few minutes; the full-scale reproduction is
-``python -m repro.experiments all --scale s1`` (see EXPERIMENTS.md).
+``pytest benchmarks/e2e`` and the two disabled-layer overhead guards run
+here.  They must be self-contained and deterministic: no trace cache
+unless a test sets one up itself.
 """
 
 import os
-import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
-
-# Benchmarks must be self-contained and deterministic: no trace cache.
 os.environ.setdefault("REPRO_TRACE_CACHE", "")

@@ -6,8 +6,7 @@ None``).  Two guards keep that honest: an absolute per-check ceiling,
 and a relative budget — the hook crossings a cache-backed fig3 run
 actually performs (counted under an injection-free ``noop`` plan),
 priced at the disabled-check cost, must stay under 1% of fig3's wall
-time.  Plain pytest, no benchmark fixture, so CI can run it without
-pytest-benchmark.
+time.
 """
 
 import time

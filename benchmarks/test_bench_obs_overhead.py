@@ -5,8 +5,7 @@ attribute check at each instrumentation site.  This guard keeps that
 promise honest two ways: absolute per-call ceilings on the disabled
 fast path, and a relative budget — the events an *enabled* fig3 run
 actually records, priced at the disabled ``span()`` cost, must stay
-under 2% of fig3's wall time.  Plain pytest, no benchmark fixture, so
-CI can run it without pytest-benchmark.
+under 2% of fig3's wall time.
 """
 
 import time

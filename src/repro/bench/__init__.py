@@ -10,10 +10,12 @@ Each timing doubles as an equivalence check: the scalar and vector
 result dictionaries must be identical, or the benchmark fails.
 
 ``python -m repro.bench`` writes the measurements as JSON
-(``BENCH_kernels.json``) and can compare the speedups against a
-committed baseline (``--check``), failing on regressions beyond a
-tolerance — ratios, not absolute seconds, so the check is
-machine-independent.
+(``BENCH_kernels.json``) judged by :data:`GUARDS`: results identical,
+every sample stream steady, and each speedup within
+:data:`SPEEDUP_FLOOR` of the committed :data:`BASELINE` — ratios, not
+absolute seconds, so the guard is machine-independent.
+``python -m repro.bench check PATH...`` re-checks any record
+(:mod:`repro.obs.record`).
 """
 
 from __future__ import annotations
@@ -28,10 +30,18 @@ from ..analysis.replay import clear_replay_memo
 from ..arch.kernels import ENV_VAR, KERNELS
 from ..experiments.base import collect_jobs, get_experiment
 from ..obs import TRACER, measure_disabled_overhead
+from ..obs.record import correctness
 from .stats import DEFAULT_CV, DEFAULT_WINDOW, bootstrap_ci, detect_steady
 
 #: The replay-dominated experiments the acceptance targets name.
 DEFAULT_TARGETS = ("fig3", "fig7", "table3")
+
+#: The committed record every kernel run's speedups are held against.
+BASELINE = os.path.normpath(os.path.join(
+    os.path.dirname(__file__), "../../../benchmarks/bench_baseline.json"))
+
+#: A speedup may fall to this fraction of the baseline's (CI noise).
+SPEEDUP_FLOOR = 0.75
 
 
 def _time_target(fn, kernel: str, repeats: int, scale: str,
@@ -131,7 +141,7 @@ def _steady_median(runs, window: int, cv_threshold: float):
 
 
 def run_bench(targets=DEFAULT_TARGETS, scale: str = "s0",
-              benchmarks=None, repeats: int = 3,
+              benchmarks=None, repeats: int = 5,
               analysis: bool = True,
               steady_window: int = DEFAULT_WINDOW,
               steady_cv: float = DEFAULT_CV,
@@ -149,7 +159,7 @@ def run_bench(targets=DEFAULT_TARGETS, scale: str = "s0",
     (:func:`repro.bench.stats.detect_steady`) and the reported
     ``speedup`` is the ratio of steady medians with bootstrap CIs
     alongside — fewer than ``steady_window`` repeats can never be
-    declared steady, so ``--strict-steady`` also enforces a minimum
+    declared steady, so the ``steady`` guard also enforces a minimum
     sample count.
     """
     say = progress or (lambda msg: None)
@@ -214,49 +224,22 @@ def run_bench(targets=DEFAULT_TARGETS, scale: str = "s0",
     return report
 
 
-def check_regression(report: dict, baseline: dict,
-                     tolerance: float = 0.2) -> list[str]:
-    """Speedup regressions of ``report`` against ``baseline``.
-
-    A target regresses when its measured speedup falls below the
-    baseline speedup by more than ``tolerance`` (relative).  Absolute
-    times are never compared, so a slower CI machine doesn't fail the
-    check — only a kernel that lost its advantage does.
-    """
-    failures = []
-    for exp_id, base in baseline.get("targets", {}).items():
-        current = report["targets"].get(exp_id)
-        if current is None:
-            failures.append(f"{exp_id}: missing from benchmark run")
-            continue
-        floor = base["speedup"] * (1.0 - tolerance)
-        if current["speedup"] < floor:
-            failures.append(
-                f"{exp_id}: speedup {current['speedup']:.2f}x below "
-                f"floor {floor:.2f}x (baseline {base['speedup']:.2f}x, "
-                f"tolerance {tolerance:.0%})"
-            )
-    return failures
+def _baseline_speedups() -> dict:
+    with open(BASELINE) as fh:
+        return {t: e["speedup"] for t, e in json.load(fh)["targets"].items()}
 
 
-def nonsteady_targets(report: dict) -> list[str]:
-    """``"<target>/<kernel>"`` entries whose sample stream never
-    reached detected steady state (what ``--strict-steady`` gates on)."""
-    out = []
-    for exp_id, entry in report.get("targets", {}).items():
-        for kernel in report["meta"]["kernels"]:
-            steady = entry.get(f"{kernel}_steady")
-            if steady is not None and not steady["steady"]:
-                out.append(f"{exp_id}/{kernel}")
-    return out
-
-
-def save_report(report: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_report(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+#: Guards over a kernel record (see :mod:`repro.obs.record`).
+GUARDS = {
+    "schema": correctness(
+        lambda d: d["meta"]["kernels"] == list(KERNELS)
+        and d["meta"]["speedup_basis"] == "steady-median"),
+    "identical": correctness(
+        lambda d: all(e["identical"] for e in d["targets"].values())),
+    "steady": lambda d: all(e[f"{k}_steady"]["steady"]
+                            for e in d["targets"].values()
+                            for k in d["meta"]["kernels"]),
+    "speedup_floor": lambda d: all(
+        d["targets"][t]["speedup"] >= SPEEDUP_FLOOR * base
+        for t, base in _baseline_speedups().items()),
+}

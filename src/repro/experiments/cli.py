@@ -28,6 +28,7 @@ import traceback
 from .. import faults, obs
 from ..analysis import cache
 from ..analysis.parallel import RetryPolicy, run_jobs
+from ..obs.record import correctness
 from .base import all_experiments, collect_jobs, get_experiment
 
 #: Order used by ``all``: cheap scalar experiments first.
@@ -41,6 +42,15 @@ DEFAULT_ORDER = (
     "ablation_inline", "ablation_indirect", "ablation_folding",
     "ablation_victim",
 )
+
+#: Guards over a ``--json`` record (see :mod:`repro.obs.record`); a
+#: faulted run's injections and recoveries are the ``faults`` guard's.
+GUARDS = {
+    "schema": correctness(lambda d: all(
+        set(r) == {"id", "title", "headers", "rows", "paper_claim",
+                   "observed"} and r["id"] in all_experiments()
+        for r in d)),
+}
 
 
 def _progress(i: int, total: int, outcome: dict) -> None:

@@ -24,13 +24,8 @@ experiment measures that conversion on the seven SPEC-style workloads:
   the corrupt entry must be quarantined and recompiled, never executed.
 
 ``python -m repro.experiments.codecache --out BENCH_codecache.json``
-writes the machine-checkable summary CI guards (warm beats cold by at
-least half, hit rate > 0, byte-identical output, quarantine fired).
-
-Nothing here *asserts* those invariants — under an active
-``REPRO_FAULTS`` plan (the chaos CI job) injected corruption
-legitimately degrades hit rates mid-run.  The bench file records what
-happened; the CI guard asserts it on the clean run only.
+writes a record judged by :data:`GUARDS`; under a ``REPRO_FAULTS`` plan
+(the chaos CI job) only its correctness guards apply.
 """
 
 from __future__ import annotations
@@ -42,6 +37,7 @@ import tempfile
 from ..analysis import cache
 from ..analysis.parallel import run_job, run_jobs
 from ..analysis.runner import run_vm
+from ..obs.record import correctness, write
 from ..workloads.base import SPEC_BENCHMARKS
 from .base import ExperimentResult, experiment
 
@@ -115,7 +111,6 @@ def warm_cold_comparison(scale: str = "s1", benchmarks=None,
         "scale": scale,
         "mode": mode,
         "benchmarks": list(benchmarks),
-        "archive_dir": archive_dir,
         "per_workload": per,
         "totals": {
             "cold_translate": cold_total,
@@ -244,17 +239,31 @@ def run_codecache(scale: str = "s1", benchmarks=None) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # BENCH_codecache.json
 # ----------------------------------------------------------------------
-def write_bench(path: str, scale: str = "s1", benchmarks=None) -> dict:
-    """Emit the machine-checkable summary CI guards against."""
-    import json
-
-    data = warm_cold_comparison(scale, benchmarks)
-    data["tiered"] = tiered_warm_start()
-    data["pooled"] = pooled_sharing()
-    data["chaos"] = chaos_quarantine()
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-    return data
+#: Guards over a code-archive record (see :mod:`repro.obs.record`).
+GUARDS = {
+    "schema": correctness(lambda d: set(d) == {
+        "scale", "mode", "benchmarks", "per_workload", "totals",
+        "tiered", "pooled", "chaos"}),
+    "identical": correctness(lambda d: d["totals"]["all_identical"] and all(
+        r["identical"] for r in d["per_workload"].values())),
+    "disabled_equals_cold": correctness(lambda d: all(
+        r["disabled_equals_cold"] for r in d["per_workload"].values())),
+    "translate_halved": lambda d: d["totals"]["reduction_fraction"] >= 0.5,
+    "warm_all_hits": lambda d: d["totals"]["hit_rate"] > 0 and all(
+        r["archive_misses"] == 0 for r in d["per_workload"].values()),
+    "tiered_stdout_ok": correctness(lambda d: d["tiered"]["stdout_ok"]),
+    "tiered_warm_start": lambda d: (d["tiered"]["warm_beats_cold"]
+                                    and d["tiered"]["archive_installs"] >= 1),
+    "pool_errors": correctness(lambda d: d["pooled"]["errors"] == 0),
+    "pool_shared": lambda d: (
+        d["pooled"]["first_pass"]["code_stores"] >= 1
+        and d["pooled"]["second_pass"]["code_hits"] >= 1
+        and d["pooled"]["second_pass"]["code_misses"] == 0),
+    "quarantined": lambda d: (d["chaos"]["quarantined"] >= 1
+                              and d["chaos"]["recompiled_stores"] >= 1
+                              and d["chaos"]["quarantine_dir_exists"]),
+    "chaos_identical": correctness(lambda d: d["chaos"]["identical"]),
+}
 
 
 def main(argv=None) -> int:
@@ -268,18 +277,11 @@ def main(argv=None) -> int:
                         help="comma-separated workload subset")
     args = parser.parse_args(argv)
     benchmarks = args.benchmarks.split(",") if args.benchmarks else None
-    data = write_bench(args.out, scale=args.scale, benchmarks=benchmarks)
-    # Manifest rides along: fault plan + ledger (quarantines show up
-    # here under chaos plans) and the cache counter snapshot.
-    from .. import obs
+    data = warm_cold_comparison(args.scale, benchmarks)
+    data["tiered"] = tiered_warm_start()
+    data["pooled"] = pooled_sharing()
+    data["chaos"] = chaos_quarantine()
     tot = data["totals"]
-    manifest = obs.build_manifest(
-        "repro.experiments.codecache",
-        argv=argv if argv is not None else None,
-        extra={"scale": args.scale, "benchmarks": data["benchmarks"],
-               "totals": tot},
-    )
-    obs.write_manifest(obs.manifest_path_for(args.out), manifest)
     print(f"suite translate: cold={tot['cold_translate']} "
           f"warm={tot['warm_translate']} "
           f"({100 * (tot['reduction_fraction'] or 0):.1f}% saved, "
@@ -293,8 +295,8 @@ def main(argv=None) -> int:
     c = data["chaos"]
     print(f"chaos: quarantined={c['quarantined']} "
           f"recompiled={c['recompiled_stores']} identical={c['identical']}")
-    print(f"wrote {args.out} (+ {obs.manifest_path_for(args.out)})")
-    return 0
+    return write(args.out, "repro.experiments.codecache", data, vars(args),
+                 argv)
 
 
 if __name__ == "__main__":

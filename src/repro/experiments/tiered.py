@@ -13,9 +13,9 @@ Two experiments plus a benchmark emitter:
   pole) and "never compile" (the interp pole).
 
 ``python -m repro.experiments.tiered --out BENCH_tiered.json`` runs
-both plus the deoptimization scenarios below and writes a
-machine-checkable summary (CI asserts the recovered fraction and that
-every tier transition — promotion, OSR entry, deopt — actually fired).
+both plus the deoptimization scenarios below and writes a record
+judged by :data:`GUARDS` (the recovered fraction, and every tier
+transition — promotion, OSR entry, deopt — actually fired).
 
 The deopt scenarios are crafted programs for the speculation-failure
 paths no workload triggers organically:
@@ -36,6 +36,7 @@ from __future__ import annotations
 from ..analysis.parallel import oracle_job, run_job
 from ..analysis.runner import oracle_run, run_vm
 from ..isa import ProgramBuilder
+from ..obs.record import correctness, write
 from ..vm import JavaVM, RunConfig
 from ..vm.config import STRESS_TIERED
 from ..workloads.base import SPEC_BENCHMARKS
@@ -206,7 +207,7 @@ def static_concurrency_comparison() -> dict:
     the published object.  With ``static_concurrency=True`` the lockset
     analysis pre-blacklists the site (the Box class is locked by two
     threads), so the engine never speculates: zero lock-escape deopts,
-    zero elision violations, identical stdout.  CI guards all three."""
+    zero elision violations, identical stdout (all three guarded)."""
     out = {}
     for label, static in (("static_off", False), ("static_on", True)):
         res = run_scenario("lock_escape", STRESS_TIERED.replace(
@@ -397,7 +398,7 @@ def sample_wall_times(workload: str = "db", scale: str = "s0",
     Every sample is a full cache-bypassed run (``cache_dir=""``), so the
     stream measures what a user-facing invocation pays; the verdict
     comes from :func:`repro.bench.stats.steady_report` and feeds the
-    ``--strict-steady`` gate.
+    ``wall_steady`` guard.
     """
     import time as _time
 
@@ -412,29 +413,36 @@ def sample_wall_times(workload: str = "db", scale: str = "s0",
             **steady_report(samples)}
 
 
-def write_bench(path: str, scale: str = "s1", benchmarks=None) -> dict:
-    """Emit the machine-checkable summary CI guards against."""
-    import json
-
-    data = gap_recovered(scale, benchmarks)
-    sweep = []
-    for ratio in SWEEP_RATIOS:
-        total = sum(
-            run_vm(n, scale, sweep_config(ratio)).cycles
-            for n in data["benchmarks"])
-        sweep.append({"compile_ratio": ratio, "suite_cycles": total})
-    data["sweep"] = sweep
-    data["deopt_scenarios"] = run_scenarios()
-    data["static_concurrency"] = static_concurrency_comparison()
-    data["wall_sampling"] = sample_wall_times()
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-    return data
+#: Guards over a tiered record (see :mod:`repro.obs.record`).
+GUARDS = {
+    "schema": correctness(lambda d: d["strategy"] == TIERED.describe()),
+    "beats_jit": lambda d: d["totals"]["tiered"] < d["totals"]["jit"],
+    "not_below_oracle":
+        lambda d: d["totals"]["tiered"] >= d["totals"]["oracle"],
+    "recovers_half_gap": lambda d: d["recovered_fraction"] >= 0.5,
+    "ladder_climbed": lambda d: (d["tiering"]["promotions_t1"] >= 1
+                                 and d["tiering"]["osr_entries"] >= 1),
+    "deopt_stdout_ok": correctness(lambda d: all(
+        s["stdout_ok"] for s in d["deopt_scenarios"].values())),
+    "deopt_ladder_fired": lambda d: all(
+        sum(s[k] for s in d["deopt_scenarios"].values()) >= 1
+        for k in ("promotions_t1", "osr_entries", "deopts")),
+    "static_stdout_ok": correctness(
+        lambda d: d["static_concurrency"]["static_off"]["stdout_ok"]
+        and d["static_concurrency"]["static_on"]["stdout_ok"]),
+    "static_prevents_lock_escape_deopt": lambda d: (
+        d["static_concurrency"]["static_off"]["lock_escape_deopts"] >= 1
+        and d["static_concurrency"]["static_on"]["lock_escape_deopts"]
+        == 0),
+    "no_elision_violations": correctness(
+        lambda d: d["static_concurrency"]["static_on"]
+        ["elision_violations"] == 0),
+    "wall_steady": lambda d: d["wall_sampling"]["steady"],
+}
 
 
 def main(argv=None) -> int:
     import argparse
-    import sys
 
     parser = argparse.ArgumentParser(
         description="tiered-execution benchmark summary")
@@ -442,27 +450,17 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", default="s1")
     parser.add_argument("--benchmarks", default=None,
                         help="comma-separated workload subset")
-    parser.add_argument("--strict-steady", action="store_true",
-                        help="exit nonzero when the wall-clock sample "
-                             "stream never reaches detected steady state")
     args = parser.parse_args(argv)
     benchmarks = args.benchmarks.split(",") if args.benchmarks else None
-    data = write_bench(args.out, scale=args.scale, benchmarks=benchmarks)
-    # A manifest rides along with the bench file so two bench runs can
-    # be compared like any other traced run: it pins the strategy name,
-    # its thresholds, and the suite's tier-transition counters.
-    from .. import obs
-    manifest = obs.build_manifest(
-        "repro.experiments.tiered",
-        argv=argv if argv is not None else None,
-        extra={"scale": args.scale, "benchmarks": data["benchmarks"],
-               "strategy": data["strategy"], "tiering": data["tiering"],
-               "recovered_fraction": data["recovered_fraction"],
-               "wall_sampling": {
-                   "steady": data["wall_sampling"]["steady"],
-                   "cv": data["wall_sampling"]["cv"]}},
-    )
-    obs.write_manifest(obs.manifest_path_for(args.out), manifest)
+    data = gap_recovered(args.scale, benchmarks)
+    data["sweep"] = []
+    for ratio in SWEEP_RATIOS:
+        total = sum(run_vm(n, args.scale, sweep_config(ratio)).cycles
+                    for n in data["benchmarks"])
+        data["sweep"].append({"compile_ratio": ratio, "suite_cycles": total})
+    data["deopt_scenarios"] = run_scenarios()
+    data["static_concurrency"] = static_concurrency_comparison()
+    data["wall_sampling"] = sample_wall_times()
     tot = data["totals"]
     frac = data["recovered_fraction"]
     print(f"suite: jit={tot['jit']} tiered={tot['tiered']} "
@@ -481,12 +479,8 @@ def main(argv=None) -> int:
     print(f"wall sampling ({ws['workload']}/{ws['scale']}, "
           f"{ws['repeats']} fresh runs): steady={ws['steady']} "
           f"cv={ws['cv']}")
-    print(f"wrote {args.out} (+ {obs.manifest_path_for(args.out)})")
-    if args.strict_steady and not ws["steady"]:
-        print("STRICT-STEADY FAILURE: tiered wall-clock samples never "
-              "stabilized", file=sys.stderr)
-        return 1
-    return 0
+    return write(args.out, "repro.experiments.tiered", data, vars(args),
+                 argv)
 
 
 if __name__ == "__main__":

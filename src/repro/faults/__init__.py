@@ -18,7 +18,8 @@ sites in the cache and scheduler guard with ``if faults.ACTIVE is not
 None`` so the disabled layer costs one attribute check (bench guard:
 ``benchmarks/test_bench_faults_overhead.py``).  Every injected,
 observed, and recovered fault lands in :data:`LEDGER` (and the obs
-tracer when enabled) and is reported in the run manifest.
+tracer when enabled) and is reported in the run manifest, where the
+``faults`` guard of :mod:`repro.obs.record` checks it.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -185,8 +186,16 @@ def main(argv=None) -> int:
         say(f"  promoted workload: {name}")
 
     if args.json:
+        # Byte-stable across runs: the time lives in the manifest only,
+        # and reproducers are named relative to --out.
+        record = {k: v for k, v in summary.items()
+                  if k != "elapsed_seconds"}
+        for finding in record["findings"]:
+            if finding["reproducer"] and args.out:
+                finding["reproducer"] = os.path.relpath(
+                    finding["reproducer"], args.out)
         with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
         from ..obs.manifest import (
             build_manifest,

@@ -49,7 +49,6 @@ def config_snapshot() -> dict:
         "REPRO_OBS": os.environ.get("REPRO_OBS") or None,
         "REPRO_FAULTS": os.environ.get(_faults.ENV_VAR) or None,
         "REPRO_CODE_ARCHIVE": _cache.resolve_dir(None, _cache.ARCHIVE_ENV),
-        "REPRO_BENCH_ROUNDS": os.environ.get("REPRO_BENCH_ROUNDS") or None,
     }
 
 

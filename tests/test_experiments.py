@@ -86,6 +86,28 @@ class TestFig2:
         assert rows["java/jit"][7] < 0.5
 
 
+class TestFig4:
+    def test_interp_icache_not_worse_than_c(self):
+        rows = _run("fig4", benchmarks=("db",)).row_map()
+        assert rows["java/interp"][1] <= rows["C"][1]
+
+
+class TestFig6:
+    def test_one_row_per_mode(self):
+        assert len(_run("fig6", benchmarks=("db",)).rows) == 2
+
+
+class TestFig7:
+    def test_direct_mapped_dcache_not_better_than_2way(self):
+        for row in _run("fig7").rows:
+            assert row[6] >= row[7] - 1e-9   # D: 1-way >= 2-way
+
+
+class TestFig8:
+    def test_both_modes_present(self):
+        assert {r[1] for r in _run("fig8").rows} == {"interp", "jit"}
+
+
 class TestTable2:
     def test_interp_predicts_worse(self):
         # compress is execution-dominated even at s0, so the mode
@@ -137,12 +159,16 @@ class TestFig9And10:
         by_mode = {r[1]: r for r in res.rows}
         # compare at 4-wide (column index 4)
         assert by_mode["interp"][4] >= by_mode["jit"][4] * 0.95
+        for row in res.rows:
+            assert row[2] <= row[5] + 0.2    # wider issue not slower
 
     def test_jit_faster_in_absolute_time(self):
         res = _run("fig10", benchmarks=("compress",))
         by_mode = {r[1]: r for r in res.rows}
         abs_col = res.headers.index("abs cycles @4-wide")
         assert by_mode["jit"][abs_col] < by_mode["interp"][abs_col]
+        for row in res.rows:
+            assert all(t <= 1.0 for t in row[2:6])   # normalized to w=1
 
 
 class TestFig11:
@@ -173,6 +199,13 @@ class TestAblations:
         for row in res.rows:
             assert row[2] <= row[1]
             assert row[3] > 0
+
+    def test_thin_lock_wins(self):
+        res = get_experiment("ablation_locks")(
+            scale="s0", benchmarks=("jack", "db")
+        )
+        for row in res.rows:
+            assert row[4] > 1.0               # monitor-cache / thin-lock
 
     def test_inline_ablation(self):
         res = get_experiment("ablation_inline")(

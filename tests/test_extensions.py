@@ -219,6 +219,12 @@ class TestScaleStudyAndLocalityExperiments:
         interp = by[("compress", "interp")]
         assert interp[4] > interp[3] + 20   # target-cache >> BTB
 
+    def test_scale_study_translate_share_shrinks(self):
+        from repro.experiments import get_experiment
+        res = get_experiment("scale_study")(benchmarks=("db",))
+        shares = [r[3] for r in res.rows]   # s0, s1, s10 translate shares
+        assert shares[0] > shares[-1]
+
     def test_folding_experiment(self):
         from repro.experiments import get_experiment
         res = get_experiment("ablation_folding")(
@@ -264,3 +270,10 @@ class TestVictimCache:
         helped = CacheSim(CacheConfig(8 << 10, 32, 1,
                                       victim_entries=8)).run(trace.pc)
         assert helped.effective_miss_rate <= plain.miss_rate
+
+    def test_victim_ablation_never_hurts(self):
+        from repro.experiments import get_experiment
+        res = get_experiment("ablation_victim")(scale="s0",
+                                                benchmarks=("javac",))
+        for row in res.rows:
+            assert row[3] <= row[2] + 1e-9

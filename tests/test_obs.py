@@ -177,7 +177,7 @@ class TestManifest:
         assert manifest["numpy"] == np.__version__
         assert set(manifest["config"]) == {
             "REPRO_SIM_KERNEL", "REPRO_TRACE_CACHE", "REPRO_OBS",
-            "REPRO_FAULTS", "REPRO_CODE_ARCHIVE", "REPRO_BENCH_ROUNDS"}
+            "REPRO_FAULTS", "REPRO_CODE_ARCHIVE"}
         for field in ("trace_hits", "run_misses", "corrupt", "hits",
                       "misses"):
             assert field in manifest["cache"]

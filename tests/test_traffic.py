@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.server import evaluate_guards, run_server
+from repro.experiments.server import GUARDS, run_server
+from repro.obs.record import evaluate
 from repro.traffic import (HANDLERS, PRESETS, ScenarioSpec, get_preset,
                            run_scenario)
 
@@ -165,13 +166,14 @@ def test_incomplete_scenarios_raise():
 def test_server_ladder_guards_at_small_scale():
     spec = get_preset("api").replace(requests=2500)
     data = run_server(spec, windows=25)
+    guards = evaluate(GUARDS, data)
     # Checksums and completion must hold even at toy scale.
-    assert data["guards"]["checksums_agree"]
-    assert data["guards"]["requests_completed"]
-    assert data["guards"]["cold_archive_populated"]
-    assert data["guards"]["warm_archive_all_hits"]
-    assert data["guards"]["monitor_ladder_exercised"]
-    assert evaluate_guards(data) == data["guards"]
+    assert guards["schema"]
+    assert guards["checksums_agree"]
+    assert guards["requests_completed"]
+    assert guards["cold_archive_populated"]
+    assert guards["warm_archive_all_hits"]
+    assert guards["monitor_ladder_exercised"]
     cold = data["configs"]["tiered_cold"]
     warm = data["configs"]["tiered_warm"]
     assert warm["translate_cycles"] < cold["translate_cycles"]
