@@ -61,7 +61,10 @@ class ConcurrencyAnalysis:
     """Whole-program concurrency facts (see module docstring)."""
 
     def __init__(self, program: Program,
-                 escape: EscapeSummaries | None = None) -> None:
+                 escape: EscapeSummaries | None = None,
+                 order: dict | None = None) -> None:
+        """``order`` is a VM's ``loader.methods``: reachable methods are
+        then visited in load order, methods not loaded yet first."""
         self.program = program
         self.escape = escape if escape is not None else EscapeSummaries(program)
         self.cg = CallGraph(program, self.escape)
@@ -73,7 +76,9 @@ class ConcurrencyAnalysis:
             if not m.is_native and m.code:
                 self._reachable_bytecode.append(m)
                 self._infos[m] = analyze_method(m, self.escape)
-        self._reachable_bytecode.sort(key=lambda m: m.method_id)
+        if order is not None:
+            self._reachable_bytecode.sort(
+                key=lambda m: order[m].method_id if m in order else -1)
         entry_methods = {e.method for e in self.entries.values()}
         self._ctx = compute_contexts(
             self._infos, self._reachable_bytecode, entry_methods)

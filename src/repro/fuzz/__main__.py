@@ -39,7 +39,7 @@ def selftest(say) -> int:
     for seed in range(12):
         spec = gen_program(seed)
         try:
-            spec.render()
+            program = spec.render()
         except Exception:  # noqa: BLE001 - skip verify-rejected programs
             continue
         tried += 1
@@ -49,7 +49,8 @@ def selftest(say) -> int:
         # the program as covered when any one is flagged.
         for _ in range(6):
             verdict = run_oracle(
-                spec, mutate=("jit", lambda p: flip_one_opcode(p, rng)))
+                spec, mutate=("jit", lambda p: flip_one_opcode(p, rng)),
+                program=program)
             if not verdict.agreed:
                 caught += 1
                 break

@@ -76,14 +76,14 @@ def check_spec(spec: ProgramSpec, fuel: int = FUEL) -> SeedCheck:
 
     check = SeedCheck(seed=spec.seed)
     try:
-        analyzed = spec.render()
-        ensure_library(analyzed)
-        claims, racy_locs = static_claims(analyzed)
+        program = spec.render()
+        ensure_library(program)
+        claims, racy_locs = static_claims(program)
         check.claims = len(claims)
         check.racy_claims = len(racy_locs)
 
         # dynamic ground truth: interpret with the confinement tracker
-        vm = JavaVM(spec.render(), "interp,track_confinement=True")
+        vm = JavaVM(program, "interp,track_confinement=True")
         result = vm.run(max_bytecodes=fuel)
         tracker = vm.confinement
         check.foreign_sites = len(tracker.foreign_locked_sites)
@@ -92,7 +92,7 @@ def check_spec(spec: ProgramSpec, fuel: int = FUEL) -> SeedCheck:
         # equivalence: tiered-with-static-summaries vs interpretation
         # the differential oracle's hair-trigger ladder, so speculation
         # and deopt fire inside small programs
-        tvm = JavaVM(spec.render(),
+        tvm = JavaVM(program,
                      STRESS_TIERED.replace(static_concurrency=True))
         tresult = tvm.run(max_bytecodes=fuel)
         violations = tresult.sync.get("elision_violations", 0)

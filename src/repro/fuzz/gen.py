@@ -1,9 +1,9 @@
 """Seeded random bytecode-program generator.
 
 Programs are generated as a small statement/expression IR (``ProgramSpec``)
-and *rendered* through :class:`repro.isa.builder.ProgramBuilder`, so every
-render produces a fresh, runtime-state-free :class:`Program` — exactly what
-the differential oracle needs (one fresh program per execution config).
+and *rendered* through :class:`repro.isa.builder.ProgramBuilder` into a
+verified :class:`Program`.  A program carries no run-time state, so the
+differential oracle runs one render under every execution config.
 
 The grammar is validity-directed: statements are stack-neutral, every
 local slot has one fixed type for the whole method, reference locals are

@@ -130,13 +130,14 @@ def run_campaign(
         spec = gen_program(program_seed)
         result.generated += 1
         try:
-            spec.render()           # the typed verifier is the filter
+            program = spec.render()     # the typed verifier is the filter
         except Exception:  # noqa: BLE001 - rejection is a counter, not a bug
             result.verify_rejected += 1
             continue
         result.executed += 1
 
-        verdict = run_oracle(spec, fuel=fuel, tolerance=tolerance)
+        verdict = run_oracle(spec, fuel=fuel, tolerance=tolerance,
+                             program=program)
         if verdict.agreed and not verdict.anomalies:
             result.agreed += 1
         elif not verdict.agreed:

@@ -21,14 +21,6 @@ from .gen import If, Loop, ProgramSpec, Stmt, Switch, Sync
 from .oracle import Verdict, run_oracle
 
 
-def _renders(spec: ProgramSpec) -> bool:
-    try:
-        spec.render()
-    except Exception:  # noqa: BLE001 - any render failure disqualifies
-        return False
-    return True
-
-
 class Minimizer:
     """``predicate`` overrides the oracle-based interestingness test
     (used by the minimizer's own unit tests)."""
@@ -43,13 +35,15 @@ class Minimizer:
         self.oracle_runs = 0
 
     def _still_fails(self, candidate: ProgramSpec) -> bool:
-        if not _renders(candidate):
+        try:
+            program = candidate.render()
+        except Exception:  # noqa: BLE001 - any render failure disqualifies
             return False
         self.oracle_runs += 1
         if self.predicate is not None:
             return bool(self.predicate(candidate))
         verdict = run_oracle(candidate, fuel=self.fuel,
-                             tolerance=self.tolerance)
+                             tolerance=self.tolerance, program=program)
         return bool(verdict.signature & self.target)
 
     # -- one pass of each reduction family ----------------------------------

@@ -162,21 +162,24 @@ def run_oracle(
     tolerance: float = DEFAULT_TOLERANCE,
     mutate: tuple[str, Callable[[Program], Program]] | None = None,
     configs: tuple[str, ...] = CONFIGS,
+    program: Program | None = None,
 ) -> Verdict:
     """Run ``spec`` under every configuration and compare.
 
-    Each configuration gets a *fresh* render — runtime state (statics,
-    loaded-class marks) lives on the program object, so configs must
-    never share one.  ``mutate=(config, fn)`` applies ``fn`` to that one
-    config's program before execution: the planted-miscompile hook used
-    by the oracle's own sanity check.
+    Every configuration runs the same rendered program (``program``, or
+    one render of ``spec``): a program is never written by a run, all
+    run-time state lives in the VM.  ``mutate=(config, fn)`` applies
+    ``fn`` to a render of its own for that one config: the
+    planted-miscompile hook used by the oracle's own sanity check.
     """
     verdict = Verdict()
-    for config in configs:
+    if program is None:
         program = spec.render()
+    for config in configs:
+        victim = program
         if mutate and mutate[0] == config:
-            program = mutate[1](program)
-        verdict.outcomes[config] = run_config(program, config, fuel=fuel)
+            victim = mutate[1](spec.render())
+        verdict.outcomes[config] = run_config(victim, config, fuel=fuel)
 
     # -- semantic comparison (all pairs) ------------------------------------
     for i, left in enumerate(configs):

@@ -1,9 +1,12 @@
 """Method, field, class and program structures.
 
 These model the *loaded* form of a class file: bytecode plus symbolic
-constant pool.  Runtime-only state (vtable layout, bytecode addresses,
-compiled code) is attached by the class loader and the JIT at run time
-and kept in clearly named attributes initialized here to ``None``/empty.
+constant pool, and the layout linking derives from them (superclass,
+field offsets, per-instruction bytecode offsets).  Nothing here changes
+once a program is built and linked: addresses, static values, monitors,
+resolved pool slots and compiled code belong to the VM that runs the
+program (``repro.vm.classloader``), so one ``Program`` can be run by any
+number of VMs, one after another or side by side.
 
 Simplification relative to real class files: methods are keyed by name
 only (no overload resolution by descriptor); the workloads are written
@@ -75,11 +78,9 @@ class Method:
         n_params = argc + (0 if is_static else 1)
         self.max_locals = max_locals if max_locals is not None else n_params
 
-        # Filled in when the owning class is registered / loaded:
+        # Filled in when the owning class is registered / linked:
         self.jclass: "JClass | None" = None
         self.pool: ConstantPool | None = None
-        self.method_id: int = -1
-        self.bc_addr: int = 0              # base address in the bytecode region
         self.bc_offsets: list[int] = []    # per-instruction byte offset
         self.bc_length: int = 0
         self.depth_in: list[int] = []      # verifier: stack depth at entry
@@ -122,16 +123,12 @@ class JClass:
         self.methods: dict[str, Method] = {}
         self.pool = ConstantPool()
 
-        # Runtime state, attached by the class loader:
+        # Layout, filled in by :meth:`link`:
+        self.linked = False
         self.super_class: "JClass | None" = None
         self.field_offsets: dict[str, int] = {}
         self.field_types: dict[str, str] = {}
         self.instance_bytes: int = 0
-        self.static_addr: dict[str, int] = {}
-        self.statics: dict[str, object] = {}
-        self.loaded: bool = False
-        self.initialized: bool = False
-        self.class_id: int = -1
 
     def add_field(self, field: Field) -> None:
         self.fields.append(field)
@@ -144,6 +141,34 @@ class JClass:
         method.jclass = self
         method.pool = self.pool
         self.methods[method.name] = method
+
+    def link(self, super_class: "JClass | None") -> None:
+        """Lay the class out: superclass fields first, then its own
+        instance fields, each naturally aligned; bytecode offsets for
+        every method not laid out yet."""
+        offsets: dict[str, int] = {}
+        types: dict[str, str] = {}
+        size = 0
+        if super_class is not None:
+            offsets.update(super_class.field_offsets)
+            types.update(super_class.field_types)
+            size = super_class.instance_bytes
+        for field in self.fields:
+            if field.is_static:
+                continue
+            width = field.byte_size
+            size = (size + width - 1) & ~(width - 1)
+            offsets[field.name] = size
+            types[field.name] = field.ftype
+            size += width
+        self.super_class = super_class
+        self.field_offsets = offsets
+        self.field_types = types
+        self.instance_bytes = (size + 3) & ~3
+        for method in self.methods.values():
+            if not method.is_native and not method.bc_offsets:
+                method.compute_layout()
+        self.linked = True
 
     def find_method(self, name: str) -> Method | None:
         """Resolve a method by walking up the superclass chain."""
@@ -188,9 +213,27 @@ class Program:
             raise KeyError(f"class {name!r} not in program {self.name!r}") from None
 
     def merge(self, other: "Program") -> None:
-        """Add all of ``other``'s classes (used to link the library)."""
+        """Add all of ``other``'s classes."""
         for cls in other.classes.values():
             self.add_class(cls)
+
+    def link(self) -> None:
+        """Lay out every class whose superclass chain is present,
+        superclasses first.  Idempotent; a class with a missing
+        superclass stays unlinked, and loading it fails."""
+        for cls in self.classes.values():
+            self._link(cls)
+
+    def _link(self, cls: JClass) -> bool:
+        if cls.linked:
+            return True
+        sup = None
+        if cls.super_name is not None:
+            sup = self.classes.get(cls.super_name)
+            if sup is None or not self._link(sup):
+                return False
+        cls.link(sup)
+        return True
 
     @property
     def entry_method(self) -> Method:

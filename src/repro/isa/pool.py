@@ -1,10 +1,11 @@
-"""Per-class constant pools with lazy (resolution-cached) entries.
+"""Per-class constant pools of symbolic entries.
 
-Field and method references start *symbolic* — (class name, member name)
+Field and method references are *symbolic* — (class name, member name)
 — exactly as in real class files, and are resolved on first use by the
 class loader (which charges the resolution work to the trace).  The
-resolved pointer is cached in the entry, so later executions take the
-fast path, mirroring constant-pool quickening in real JVMs.
+resolved target is cached in the loader's per-VM slot for the entry, so
+later executions take the fast path, mirroring constant-pool quickening
+in real JVMs; the entries themselves never change.
 """
 
 from __future__ import annotations
@@ -13,17 +14,13 @@ from __future__ import annotations
 class PoolEntry:
     """Base class for constant-pool entries."""
 
-    __slots__ = ("resolved",)
-
-    def __init__(self) -> None:
-        self.resolved = None  # filled in by the class loader on first use
+    __slots__ = ()
 
 
 class StringConst(PoolEntry):
     __slots__ = ("value",)
 
     def __init__(self, value: str) -> None:
-        super().__init__()
         self.value = value
 
     def __repr__(self) -> str:
@@ -34,7 +31,6 @@ class FloatConst(PoolEntry):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
-        super().__init__()
         self.value = float(value)
 
     def __repr__(self) -> str:
@@ -45,7 +41,6 @@ class ClassRef(PoolEntry):
     __slots__ = ("class_name",)
 
     def __init__(self, class_name: str) -> None:
-        super().__init__()
         self.class_name = class_name
 
     def __repr__(self) -> str:
@@ -56,7 +51,6 @@ class FieldRef(PoolEntry):
     __slots__ = ("class_name", "field_name")
 
     def __init__(self, class_name: str, field_name: str) -> None:
-        super().__init__()
         self.class_name = class_name
         self.field_name = field_name
 
@@ -76,7 +70,6 @@ class MethodRef(PoolEntry):
 
     def __init__(self, class_name: str, method_name: str, argc: int,
                  has_result: bool) -> None:
-        super().__init__()
         self.class_name = class_name
         self.method_name = method_name
         self.argc = argc

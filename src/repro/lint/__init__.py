@@ -93,15 +93,13 @@ def lint_program(program: Program, escape: bool = True,
     return findings
 
 
-def lint_workload(name: str, scale: str = "s0",
-                  link_library: bool = True) -> list[Finding]:
+def lint_workload(name: str, scale: str = "s0") -> list[Finding]:
     """Build a bundled workload (library linked) and lint it."""
     from ..vm.library import ensure_library
     from ..workloads.base import get_workload
 
     program = get_workload(name).build(scale)
-    if link_library:
-        ensure_library(program)
+    ensure_library(program)
     return lint_program(program)
 
 

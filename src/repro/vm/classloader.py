@@ -1,4 +1,4 @@
-"""Class loading, layout and lazy constant-pool resolution.
+"""Class loading, address assignment and lazy constant-pool resolution.
 
 Loading a class (lazily, on first reference — as the JVM spec requires)
 assigns all its simulated addresses: the metadata block in the VM data
@@ -6,6 +6,12 @@ segment, static-field slots, and the method bytecode images in the
 bytecode area.  The work is charged to the trace through the loader-loop
 stub templates (flag ``FLAG_CLASSLOAD``), producing the class-loading
 miss spikes at program start that the paper's Figure 6 shows.
+
+Everything loading produces is this VM's: a :class:`ClassMirror` per
+loaded class (addresses, static values, the class monitor, resolved
+constant-pool slots) and a :class:`MethodMirror` per method (id and
+addresses).  The :class:`~repro.isa.method.Program` — declarations and
+link-time layout — is only read, so any number of VMs can run it.
 
 Simplification: there is no ``<clinit>``; workloads initialize their
 static state from ``main`` (documented in DESIGN.md).
@@ -42,6 +48,46 @@ def _loop_takens(n: int) -> list[bool]:
     return [True] * (n - 1) + [False]
 
 
+class ClassMirror:
+    """One VM's run-time image of a loaded class (``java.lang.Class``).
+
+    It is the monitor of the class's static synchronized methods, so it
+    carries the lock-object protocol (``lock``, ``lockword_addr``).
+    ``resolved[i]`` caches the target of constant-pool entry ``i``.
+    """
+
+    __slots__ = ("jclass", "meta_addr", "pool_addr", "lockword_addr",
+                 "static_addr", "statics", "lock", "resolved")
+
+    def __init__(self, jclass: JClass, meta_addr: int) -> None:
+        self.jclass = jclass
+        self.meta_addr = meta_addr
+        self.pool_addr = (meta_addr + CLASS_STRUCT_BYTES
+                          + METHOD_BLOCK_BYTES * len(jclass.methods))
+        self.lockword_addr = meta_addr + 4
+        self.static_addr: dict[str, int] = {}
+        self.statics: dict[str, object] = {}
+        self.lock = None
+        self.resolved: list = [None] * len(jclass.pool)
+
+    def __repr__(self) -> str:
+        return f"ClassMirror({self.jclass.name})"
+
+
+class MethodMirror:
+    """One VM's run-time facts about a method of a loaded class."""
+
+    __slots__ = ("method", "owner", "method_id", "meta_addr", "bc_addr")
+
+    def __init__(self, method: Method, owner: ClassMirror, method_id: int,
+                 meta_addr: int, bc_addr: int) -> None:
+        self.method = method
+        self.owner = owner
+        self.method_id = method_id
+        self.meta_addr = meta_addr
+        self.bc_addr = bc_addr
+
+
 class ClassLoadError(Exception):
     """Raised for unknown classes or loader address-space exhaustion."""
 
@@ -57,14 +103,15 @@ class ClassLoader:
         self._static_cursor = STATICS_BASE
         self._bytecode_cursor = BYTECODE_BASE
         self._classfile_cursor = CLASSFILE_BASE
-        self._next_class_id = 0
-        self._next_method_id = 0
         self.classes_loaded = 0
         self.metadata_bytes = 0
         self.bytecode_bytes = 0
         self.resolution_count = 0
         self.overhead_cycles = 0   # loader/resolver cycles charged to trace
-        self.methods_by_id: list[Method] = []
+        #: loaded classes, in load order (membership is the loaded mark)
+        self.mirrors: dict[JClass, ClassMirror] = {}
+        #: methods of loaded classes; ``method_id`` is the load order
+        self.methods: dict[Method, MethodMirror] = {}
         #: Optional callback invoked after each class finishes loading
         #: (the tiered controller hooks this to invalidate loaded-world
         #: CHA speculation before the new class can be dispatched on).
@@ -73,26 +120,25 @@ class ClassLoader:
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
-    def ensure_loaded(self, name: str) -> JClass:
-        """Load (and link) a class and its superclasses if needed."""
+    def ensure_loaded(self, name: str) -> ClassMirror:
+        """Load a class and its superclasses if needed."""
         try:
             cls = self.program.get_class(name)
         except KeyError as exc:
             raise ClassLoadError(str(exc)) from None
-        if cls.loaded:
-            return cls
-        # Mark early to tolerate (ignore) self-referential pools.
-        cls.loaded = True
+        mirror = self.mirrors.get(cls)
+        if mirror is not None:
+            return mirror
         if cls.super_name:
-            cls.super_class = self.ensure_loaded(cls.super_name)
-        self._layout(cls)
+            self.ensure_loaded(cls.super_name)
+        mirror = self._layout(cls)
         before = self.sink.cycles
-        self._emit_load_trace(cls)
+        self._emit_load_trace(mirror)
         self.overhead_cycles += self.sink.cycles - before
         self.classes_loaded += 1
         if self.on_load is not None:
             self.on_load(cls)
-        return cls
+        return mirror
 
     def _alloc_meta(self, nbytes: int) -> int:
         addr = self._meta_cursor
@@ -102,43 +148,11 @@ class ClassLoader:
         self.metadata_bytes += nbytes
         return addr
 
-    def _layout(self, cls: JClass) -> None:
-        """Assign addresses and compute the field layout."""
-        cls.class_id = self._next_class_id
-        self._next_class_id += 1
-
-        # Field layout: superclass fields first, then own, naturally aligned.
-        offsets: dict[str, int] = {}
-        types: dict[str, str] = {}
-        size = 0
-        if cls.super_class is not None:
-            offsets.update(cls.super_class.field_offsets)
-            types.update(cls.super_class.field_types)
-            size = cls.super_class.instance_bytes
-        for field in cls.fields:
-            if field.is_static:
-                continue
-            width = field.byte_size
-            size = (size + width - 1) & ~(width - 1)
-            offsets[field.name] = size
-            types[field.name] = field.ftype
-            size += width
-        cls.field_offsets = offsets
-        cls.field_types = types
-        cls.instance_bytes = (size + 3) & ~3
-
-        # Static fields.
-        for field in cls.fields:
-            if not field.is_static:
-                continue
-            if self._static_cursor + 4 > STATICS_BASE + STATICS_SIZE:
-                raise ClassLoadError("statics region exhausted")
-            cls.static_addr[field.name] = self._static_cursor
-            cls.statics[field.name] = 0.0 if field.ftype == "float" else (
-                None if field.ftype == "ref" else 0
-            )
-            self._static_cursor += 4
-
+    def _layout(self, cls: JClass) -> ClassMirror:
+        """Assign the class's addresses and create its mirror."""
+        statics = [f for f in cls.fields if f.is_static]
+        if self._static_cursor + 4 * len(statics) > STATICS_BASE + STATICS_SIZE:
+            raise ClassLoadError("statics region exhausted")
         # Metadata block: class struct + method blocks + pool entries.
         n_methods = len(cls.methods)
         meta_size = (
@@ -146,42 +160,47 @@ class ClassLoader:
             + METHOD_BLOCK_BYTES * n_methods
             + POOL_ENTRY_BYTES * len(cls.pool)
         )
-        cls.meta_addr = self._alloc_meta(meta_size)
-        cls.pool_addr = cls.meta_addr + CLASS_STRUCT_BYTES + METHOD_BLOCK_BYTES * n_methods
-        cls.lock = None
-        cls.lockword_addr = cls.meta_addr + 4
-        cls.gc_mark = False
+        mirror = ClassMirror(cls, self._alloc_meta(meta_size))
+        self.mirrors[cls] = mirror
+        for field in statics:
+            mirror.static_addr[field.name] = self._static_cursor
+            mirror.statics[field.name] = 0.0 if field.ftype == "float" else (
+                None if field.ftype == "ref" else 0
+            )
+            self._static_cursor += 4
 
         # Method blocks and bytecode images.
         for index, method in enumerate(cls.methods.values()):
-            method.method_id = self._next_method_id
-            self._next_method_id += 1
-            self.methods_by_id.append(method)
-            method.meta_addr = cls.meta_addr + CLASS_STRUCT_BYTES + METHOD_BLOCK_BYTES * index
+            bc_addr = 0
             if not method.is_native:
-                if not method.bc_offsets:
-                    method.compute_layout()
-                method.bc_addr = self._bytecode_cursor
+                bc_addr = self._bytecode_cursor
                 self._bytecode_cursor += (method.bc_length + 3) & ~3
                 if self._bytecode_cursor > BYTECODE_BASE + BYTECODE_SIZE:
                     raise ClassLoadError("bytecode region exhausted")
                 self.bytecode_bytes += method.bc_length
+            self.methods[method] = MethodMirror(
+                method, mirror, len(self.methods),
+                mirror.meta_addr + CLASS_STRUCT_BYTES
+                + METHOD_BLOCK_BYTES * index,
+                bc_addr)
+        return mirror
 
-        # The class-file image this was "read" from.
-        cls.classfile_addr = self._classfile_cursor
-        cls.classfile_bytes = meta_size + sum(
-            m.bc_length for m in cls.methods.values() if not m.is_native
-        ) + 40
-        self._classfile_cursor += (cls.classfile_bytes + 7) & ~7
-
-    def _emit_load_trace(self, cls: JClass) -> None:
+    def _emit_load_trace(self, mirror: ClassMirror) -> None:
         """Charge the parse / copy / fixup work to the native trace."""
         stubs, sink = self.stubs, self.sink
+        cls = mirror.jclass
+        methods = [self.methods[m] for m in cls.methods.values()
+                   if not m.is_native]
+        # The class-file image this was "read" from.
+        pool_end = mirror.pool_addr + POOL_ENTRY_BYTES * len(cls.pool)
+        classfile_addr = self._classfile_cursor
+        classfile_bytes = (pool_end - mirror.meta_addr + 40
+                           + sum(mm.method.bc_length for mm in methods))
+        self._classfile_cursor += (classfile_bytes + 7) & ~7
         # Parse loop: one iteration per 4 image bytes.
-        iters = max(1, cls.classfile_bytes // 4)
-        src, dst = cls.classfile_addr, cls.meta_addr
-        meta_words = max(1, (cls.pool_addr + POOL_ENTRY_BYTES * len(cls.pool)
-                             - cls.meta_addr) // 8)
+        iters = max(1, classfile_bytes // 4)
+        src, dst = classfile_addr, mirror.meta_addr
+        meta_words = max(1, (pool_end - mirror.meta_addr) // 8)
         eas, takens = [], []
         if sink.records:
             for i in range(iters):
@@ -189,21 +208,19 @@ class ClassLoader:
             takens = _loop_takens(iters)
         sink.emit_run(stubs.classload_parse, iters, eas, takens)
         # Bytecode copy loops.
-        for method in cls.methods.values():
-            if method.is_native:
-                continue
-            n = max(1, method.bc_length // 4)
+        for mm in methods:
+            n = max(1, mm.method.bc_length // 4)
             if sink.records:
                 eas = []
                 for i in range(n):
-                    eas += (cls.classfile_addr + 40 + 4 * i,
-                            method.bc_addr + 4 * i)
+                    eas += (classfile_addr + 40 + 4 * i, mm.bc_addr + 4 * i)
                 takens = _loop_takens(n)
             sink.emit_run(stubs.classload_bccopy, n, eas, takens)
         # Fixed per-class fixup.
+        meta = mirror.meta_addr
         sink.emit(
             stubs.classload_fixup,
-            (cls.meta_addr, cls.meta_addr + 8, cls.meta_addr + 12),
+            (meta, meta + 8, meta + 12),
             (),
             (stubs.classload_fixup.base_pc, 0),
         )
@@ -211,62 +228,62 @@ class ClassLoader:
     # ------------------------------------------------------------------
     # lazy resolution
     # ------------------------------------------------------------------
-    def pool_ea(self, cls: JClass, index: int) -> int:
+    @staticmethod
+    def pool_ea(mirror: ClassMirror, index: int) -> int:
         """Simulated address of a constant-pool entry."""
-        return cls.pool_addr + POOL_ENTRY_BYTES * index
+        return mirror.pool_addr + POOL_ENTRY_BYTES * index
 
-    def resolve_class(self, cls: JClass, index: int) -> JClass:
-        entry = cls.pool[index]
-        if entry.resolved is None:
+    def _charge_resolve(self, mirror: ClassMirror, index: int,
+                        target: ClassMirror) -> None:
+        self.resolution_count += 1
+        self.stubs.emit_resolve(
+            self.sink, self.pool_ea(mirror, index), target.meta_addr
+        )
+        self.overhead_cycles += self.stubs.resolve.cycles
+
+    def resolve_class(self, mirror: ClassMirror, index: int) -> ClassMirror:
+        target = mirror.resolved[index]
+        if target is None:
+            entry = mirror.jclass.pool[index]
             assert isinstance(entry, ClassRef)
-            target = self.ensure_loaded(entry.class_name)
-            entry.resolved = target
-            self.resolution_count += 1
-            self.stubs.emit_resolve(
-                self.sink, self.pool_ea(cls, index), target.meta_addr
-            )
-            self.overhead_cycles += self.stubs.resolve.cycles
-        return entry.resolved
+            target = mirror.resolved[index] = self.ensure_loaded(
+                entry.class_name)
+            self._charge_resolve(mirror, index, target)
+        return target
 
-    def resolve_field(self, cls: JClass, index: int):
-        """Resolve a field ref to ``(owner_class, field_name)``."""
-        entry = cls.pool[index]
-        if entry.resolved is None:
+    def resolve_field(self, mirror: ClassMirror, index: int):
+        """Resolve a field ref to ``(declaring class mirror, field_name)``."""
+        resolved = mirror.resolved[index]
+        if resolved is None:
+            entry = mirror.jclass.pool[index]
             assert isinstance(entry, FieldRef)
-            owner = self.ensure_loaded(entry.class_name)
+            name = entry.field_name
+            declarer = self.ensure_loaded(entry.class_name)
             # Walk up for the declaring class of a static field.
-            declarer = owner
-            while (declarer is not None
-                   and entry.field_name not in declarer.static_addr
-                   and entry.field_name not in declarer.field_offsets):
-                declarer = declarer.super_class
-            if declarer is None:
-                raise ClassLoadError(
-                    f"field {entry.class_name}.{entry.field_name} not found"
-                )
-            entry.resolved = (declarer, entry.field_name)
-            self.resolution_count += 1
-            self.stubs.emit_resolve(
-                self.sink, self.pool_ea(cls, index), declarer.meta_addr
-            )
-            self.overhead_cycles += self.stubs.resolve.cycles
-        return entry.resolved
+            while (name not in declarer.static_addr
+                   and name not in declarer.jclass.field_offsets):
+                sup = declarer.jclass.super_class
+                if sup is None:
+                    raise ClassLoadError(
+                        f"field {entry.class_name}.{name} not found"
+                    )
+                declarer = self.mirrors[sup]
+            resolved = mirror.resolved[index] = (declarer, name)
+            self._charge_resolve(mirror, index, declarer)
+        return resolved
 
-    def resolve_method(self, cls: JClass, index: int) -> Method:
+    def resolve_method(self, mirror: ClassMirror, index: int) -> Method:
         """Resolve a method ref to its statically-known target."""
-        entry = cls.pool[index]
-        if entry.resolved is None:
+        method = mirror.resolved[index]
+        if method is None:
+            entry = mirror.jclass.pool[index]
             assert isinstance(entry, MethodRef)
             owner = self.ensure_loaded(entry.class_name)
-            method = owner.find_method(entry.method_name)
+            method = owner.jclass.find_method(entry.method_name)
             if method is None:
                 raise ClassLoadError(
                     f"method {entry.class_name}.{entry.method_name} not found"
                 )
-            entry.resolved = method
-            self.resolution_count += 1
-            self.stubs.emit_resolve(
-                self.sink, self.pool_ea(cls, index), owner.meta_addr
-            )
-            self.overhead_cycles += self.stubs.resolve.cycles
-        return entry.resolved
+            mirror.resolved[index] = method
+            self._charge_resolve(mirror, index, owner)
+        return method

@@ -89,11 +89,12 @@ def _inline_signature(compiler, method, idx, instr, speculate_cha,
         if (target is None and speculate_cha
                 and (ref.class_name, ref.method_name) not in cha_blacklist):
             target = compiler.hierarchy.unique_loaded_target(
-                ref.class_name, ref.method_name)
+                ref.class_name, ref.method_name, compiler.loader.mirrors)
             speculative = target is not None
     else:
         try:
-            target = compiler.loader.resolve_method(method.jclass, instr.a)
+            target = compiler.loader.resolve_method(
+                compiler.loader.mirrors[method.jclass], instr.a)
         except Exception:
             return base
     if target is None or not is_inlinable(target):
@@ -131,9 +132,9 @@ def link_signature(compiler, method, *, optimize: bool,
         kind = OPINFO[instr.op].kind
         if kind == "field" and instr.op in (Op.GETSTATIC, Op.PUTSTATIC):
             owner, fname = compiler.loader.resolve_field(
-                method.jclass, instr.a)
-            parts.append(
-                ("static", idx, owner.name, fname, owner.static_addr[fname]))
+                compiler.loader.mirrors[method.jclass], instr.a)
+            parts.append(("static", idx, owner.jclass.name, fname,
+                          owner.static_addr[fname]))
         elif kind == "invoke":
             parts.append((idx,) + _inline_signature(
                 compiler, method, idx, instr, speculate_cha, cha_blacklist))

@@ -148,11 +148,10 @@ class Interpreter:
     # ------------------------------------------------------------------
     @staticmethod
     def _bc_ea(frame) -> int:
-        m = frame.method
-        return m.bc_addr + m.bc_offsets[frame.ip - 1]
+        return frame.bc_addr + frame.method.bc_offsets[frame.ip - 1]
 
     def _pool_ea(self, frame, idx) -> int:
-        return self.loader.pool_ea(frame.method.jclass, idx)
+        return self.loader.pool_ea(frame.mirror, idx)
 
     def class_of(self, ref):
         """Runtime class of a reference (for dispatch / type checks)."""
@@ -480,10 +479,10 @@ class Interpreter:
         idx = frame.ip - 1
         mode = frame.emit_mode
         if mode == EMIT_INTERP:
-            m = frame.method
             self.sink.emit(
                 self.tpls.tpl[instr.op],
-                (m.bc_addr + m.bc_offsets[idx], frame.slot_addr(d)),
+                (frame.bc_addr + frame.method.bc_offsets[idx],
+                 frame.slot_addr(d)),
                 (taken,),
             )
         elif mode >= EMIT_COMPILED:
@@ -516,10 +515,9 @@ class Interpreter:
         mode = frame.emit_mode
         if mode == EMIT_INTERP:
             s = frame.slot_addr
-            m = frame.method
             self.sink.emit(
                 self.tpls.tpl[instr.op],
-                (m.bc_addr + m.bc_offsets[idx], s(d), s(d + 1)),
+                (frame.bc_addr + frame.method.bc_offsets[idx], s(d), s(d + 1)),
                 (taken,),
             )
         elif mode >= EMIT_COMPILED:
@@ -535,9 +533,8 @@ class Interpreter:
         idx = frame.ip - 1
         mode = frame.emit_mode
         if mode == EMIT_INTERP:
-            m = frame.method
             self.sink.emit(self.tpls.tpl[Op.GOTO],
-                           (m.bc_addr + m.bc_offsets[idx],))
+                           (frame.bc_addr + frame.method.bc_offsets[idx],))
         elif mode >= EMIT_COMPILED:
             chunk = frame.chunks[idx]
             if chunk is not None:
@@ -565,8 +562,7 @@ class Interpreter:
     def _finish_switch(self, frame, instr, target, index):
         mode = frame.emit_mode
         if mode == EMIT_INTERP:
-            m = frame.method
-            bc = m.bc_addr + m.bc_offsets[frame.ip - 1]
+            bc = self._bc_ea(frame)
             table_ea = bc + 12 + 4 * max(0, int(index) % 64)
             key_ea = frame.slot_addr(len(frame.stack))
             self.sink.emit(
@@ -592,7 +588,7 @@ class Interpreter:
     # fields
     # ------------------------------------------------------------------
     def _op_getstatic(self, thread, frame, instr):
-        declarer, name = self.loader.resolve_field(frame.method.jclass, instr.a)
+        declarer, name = self.loader.resolve_field(frame.mirror, instr.a)
         d = len(frame.stack)
         frame.stack.append(declarer.statics[name])
         mode = frame.emit_mode
@@ -606,7 +602,7 @@ class Interpreter:
             self._emit_chunk(frame)
 
     def _op_putstatic(self, thread, frame, instr):
-        declarer, name = self.loader.resolve_field(frame.method.jclass, instr.a)
+        declarer, name = self.loader.resolve_field(frame.mirror, instr.a)
         value = frame.stack.pop()
         d = len(frame.stack)
         declarer.statics[name] = value
@@ -621,7 +617,7 @@ class Interpreter:
             self._emit_chunk(frame)
 
     def _op_getfield(self, thread, frame, instr):
-        self.loader.resolve_field(frame.method.jclass, instr.a)
+        self.loader.resolve_field(frame.mirror, instr.a)
         obj = frame.stack.pop()
         if not isinstance(obj, JObject):
             raise VMError(f"getfield on {obj!r}")
@@ -641,7 +637,7 @@ class Interpreter:
             self._emit_chunk(frame, (field_ea,))
 
     def _op_putfield(self, thread, frame, instr):
-        self.loader.resolve_field(frame.method.jclass, instr.a)
+        self.loader.resolve_field(frame.mirror, instr.a)
         value = frame.stack.pop()
         obj = frame.stack.pop()
         if not isinstance(obj, JObject):
@@ -664,8 +660,8 @@ class Interpreter:
     # allocation
     # ------------------------------------------------------------------
     def _op_new(self, thread, frame, instr):
-        cls = self.loader.resolve_class(frame.method.jclass, instr.a)
-        obj = self.vm.heap.new_object(cls)
+        cls = self.loader.resolve_class(frame.mirror, instr.a)
+        obj = self.vm.heap.new_object(cls.jclass)
         if self.lock_elision:
             self._mark_thread_local(thread, frame, obj)
         elif self.tiered is not None:
@@ -686,9 +682,9 @@ class Interpreter:
         self._emit_alloc(frame, instr, arr, frame.slot_addr(d))
 
     def _op_anewarray(self, thread, frame, instr):
-        cls = self.loader.resolve_class(frame.method.jclass, instr.a)
+        cls = self.loader.resolve_class(frame.mirror, instr.a)
         length = frame.stack.pop()
-        arr = self.vm.heap.new_array("ref", length, ref_class=cls)
+        arr = self.vm.heap.new_array("ref", length, ref_class=cls.jclass)
         if self.lock_elision:
             self._mark_thread_local(thread, frame, arr)
         elif self.tiered is not None:
@@ -710,7 +706,7 @@ class Interpreter:
             pool_ea = (self._pool_ea(frame, instr.a)
                        if instr.op is not Op.NEWARRAY
                        else self._pool_ea(frame, 0) if len(frame.method.pool)
-                       else frame.method.jclass.pool_addr)
+                       else frame.mirror.pool_addr)
             self.sink.emit(
                 self.tpls.tpl[instr.op],
                 (self._bc_ea(frame), pool_ea, push_ea),
@@ -796,18 +792,19 @@ class Interpreter:
     # type checks
     # ------------------------------------------------------------------
     def _op_checkcast(self, thread, frame, instr):
-        cls = self.loader.resolve_class(frame.method.jclass, instr.a)
+        cls = self.loader.resolve_class(frame.mirror, instr.a)
         ref = frame.stack[-1]
-        if ref is not None and not self._instance_of(ref, cls):
+        if ref is not None and not self._instance_of(ref, cls.jclass):
             raise VMError(
-                f"ClassCastException: {ref!r} is not a {cls.name}"
+                f"ClassCastException: {ref!r} is not a {cls.jclass.name}"
             )
         self._emit_typecheck(frame, instr, Op.CHECKCAST, ref, cls)
 
     def _op_instanceof(self, thread, frame, instr):
-        cls = self.loader.resolve_class(frame.method.jclass, instr.a)
+        cls = self.loader.resolve_class(frame.mirror, instr.a)
         ref = frame.stack.pop()
-        result = 1 if (ref is not None and self._instance_of(ref, cls)) else 0
+        result = 1 if (ref is not None
+                       and self._instance_of(ref, cls.jclass)) else 0
         frame.stack.append(result)
         self._emit_typecheck(frame, instr, Op.INSTANCEOF, ref, cls)
 
@@ -866,7 +863,7 @@ class Interpreter:
     def _op_invoke(self, thread, frame, instr):
         vm = self.vm
         method_ref = frame.method.pool[instr.a]
-        resolved = self.loader.resolve_method(frame.method.jclass, instr.a)
+        resolved = self.loader.resolve_method(frame.mirror, instr.a)
         op = instr.op
         stack = frame.stack
         n_args = method_ref.argc + (0 if op is Op.INVOKESTATIC else 1)
@@ -893,11 +890,14 @@ class Interpreter:
             else:
                 target = resolved
 
+        mm = self.loader.methods[target]
+
         # Synchronized methods lock before anything is popped, so a
-        # blocked thread can retry the invoke cleanly.
+        # blocked thread can retry the invoke cleanly.  A static one
+        # locks its class's mirror.
         sync_obj = None
         if target.is_synchronized:
-            sync_obj = receiver if receiver is not None else target.jclass
+            sync_obj = receiver if receiver is not None else mm.owner
             if not vm.monitor_enter(thread, sync_obj):
                 frame.ip -= 1
                 return
@@ -906,12 +906,12 @@ class Interpreter:
         del stack[len(stack) - n_args:]
 
         if target.is_native:
-            self._invoke_native(thread, frame, instr, target, args,
+            self._invoke_native(thread, frame, instr, mm, args,
                                 receiver, sync_obj, n_args)
             return
 
         compiled = vm.prepare_method(target)
-        callee = thread.push_frame(target)
+        callee = thread.push_frame(mm)
         if vm.profiler is not None:
             callee.profile = vm.profiler.profile_for(target)
         for i, value in enumerate(args):
@@ -946,7 +946,7 @@ class Interpreter:
             callee.emit_mode = EMIT_NONE
 
         callee.return_pc = self._return_site(frame)
-        self._emit_invoke(frame, instr, op, receiver, target, n_args,
+        self._emit_invoke(frame, instr, op, receiver, mm, n_args,
                           callee, entry_pc)
         if callee.emit_mode == EMIT_COMPILED:
             compiled.prologue.emit(self.sink, callee)
@@ -959,7 +959,7 @@ class Interpreter:
                 return chunk.template.end_pc
         return self.tpls.dispatch_pc
 
-    def _emit_invoke(self, frame, instr, op, receiver, target, n_args,
+    def _emit_invoke(self, frame, instr, op, receiver, mm, n_args,
                      callee, entry_pc):
         mode = frame.emit_mode
         if mode == EMIT_NONE:
@@ -968,7 +968,7 @@ class Interpreter:
             if op is Op.INVOKEVIRTUAL:
                 self._emit_chunk(
                     frame,
-                    (receiver.addr, target.meta_addr),
+                    (receiver.addr, mm.meta_addr),
                     (),
                     (entry_pc,),
                 )
@@ -982,7 +982,7 @@ class Interpreter:
         pool_ea = self._pool_ea(frame, instr.a)
         if op is Op.INVOKEVIRTUAL:
             argc_key = min(n_args - 1, MAX_INVOKE_ARGS)
-            eas = [bc, pool_ea, s(d), receiver.addr, target.meta_addr]
+            eas = [bc, pool_ea, s(d), receiver.addr, mm.meta_addr]
             pairs = argc_key + 1
         elif op is Op.INVOKESPECIAL:
             argc_key = min(n_args - 1, MAX_INVOKE_ARGS)
@@ -1001,9 +1001,10 @@ class Interpreter:
                 Op.INVOKESTATIC: "invokestatic"}[op], argc_key)
         self.sink.emit(self.tpls.tpl[key], tuple(eas), (), (entry_pc,))
 
-    def _invoke_native(self, thread, frame, instr, target, args, receiver,
+    def _invoke_native(self, thread, frame, instr, mm, args, receiver,
                        sync_obj, n_args):
         vm = self.vm
+        target = mm.method
         mode = frame.emit_mode
         callee_locals_base = frame.slot_addr(len(frame.stack))
         if mode == EMIT_INTERP:
@@ -1016,7 +1017,7 @@ class Interpreter:
             pool_ea = self._pool_ea(frame, instr.a)
             if op is Op.INVOKEVIRTUAL:
                 argc_key = min(n_args - 1, MAX_INVOKE_ARGS)
-                eas = [bc, pool_ea, s(d), receiver.addr, target.meta_addr]
+                eas = [bc, pool_ea, s(d), receiver.addr, mm.meta_addr]
                 pairs = argc_key + 1
                 key = ("invokevirtual", argc_key)
             elif op is Op.INVOKESPECIAL:
@@ -1037,7 +1038,7 @@ class Interpreter:
                            (), (self.stubs.region.base,))
         elif mode >= EMIT_COMPILED:
             if instr.op is Op.INVOKEVIRTUAL:
-                self._emit_chunk(frame, (receiver.addr, target.meta_addr),
+                self._emit_chunk(frame, (receiver.addr, mm.meta_addr),
                                  (), (self.stubs.region.base,))
             else:
                 self._emit_chunk(frame, (), (), (self.stubs.region.base,))

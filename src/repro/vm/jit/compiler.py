@@ -148,14 +148,10 @@ class CodeCache:
 
     def __init__(self) -> None:
         self.region = TextRegion(CODE_CACHE_BASE, CODE_CACHE_SIZE, "code_cache")
-        self.installed: dict[int, CompiledMethod] = {}
 
     @property
     def used_bytes(self) -> int:
         return self.region.used_bytes
-
-    def install(self, compiled: CompiledMethod) -> None:
-        self.installed[compiled.method.method_id] = compiled
 
 
 class JITCompiler:
@@ -265,7 +261,6 @@ class JITCompiler:
         compiled.translate_cycles = cycles
         compiled.install_cycles = cycles
         compiled.from_archive = True
-        self.code_cache.install(compiled)
         self.methods_installed += 1
         self.install_cycles_total += cycles
         self.inlined_sites += len(compiled.inline_info)
@@ -363,9 +358,9 @@ class JITCompiler:
             # which it directly precedes
             install_pcs[0] = range(entry_pc, install_pcs[0].stop, 4)
         compiled.translate_cycles = self.stubs.emit_translation(
-            self.sink, method, install_pcs
+            self.sink, method, self.loader.methods[method].bc_addr,
+            install_pcs
         )
-        self.code_cache.install(compiled)
         self.methods_compiled += 1
         self.bytecodes_compiled += len(method.code)
         self.native_instructions_emitted += total
@@ -561,7 +556,8 @@ class JITCompiler:
                 self._use(method, d - 2, REG_TMP1, out)
                 out.append(_Proto(NCat.STORE, src1=rv, ea="dyn"))
             else:
-                owner, fname = self.loader.resolve_field(method.jclass, instr.a)
+                owner, fname = self.loader.resolve_field(
+                    self.loader.mirrors[method.jclass], instr.a)
                 addr = owner.static_addr[fname]
                 if op is Op.GETSTATIC:
                     rd = self._dst(d)
@@ -671,11 +667,12 @@ class JITCompiler:
                 # record the assumption.  Loading an overriding class
                 # later triggers deoptimization of this method.
                 target = self.hierarchy.unique_loaded_target(
-                    ref.class_name, ref.method_name)
+                    ref.class_name, ref.method_name, self.loader.mirrors)
                 speculative = target is not None
         else:
             try:
-                target = self.loader.resolve_method(method.jclass, instr.a)
+                target = self.loader.resolve_method(
+                    self.loader.mirrors[method.jclass], instr.a)
             except Exception:
                 return None
         if target is None or not is_inlinable(target):
@@ -761,8 +758,9 @@ class JITCompiler:
         return InlineSite(target, dyn_offsets), protos
 
     def _inline_field_off(self, target, c_instr) -> int:
-        owner, fname = self.loader.resolve_field(target.jclass, c_instr.a)
-        return owner.field_offsets[fname]
+        owner, fname = self.loader.resolve_field(
+            self.loader.mirrors[target.jclass], c_instr.a)
+        return owner.jclass.field_offsets[fname]
 
     # ------------------------------------------------------------------
     # materialization

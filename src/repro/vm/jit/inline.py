@@ -58,15 +58,16 @@ class ClassHierarchy:
             return targets.pop()
         return None
 
-    def unique_loaded_target(self, class_name: str,
-                             method_name: str) -> Method | None:
-        """Open-world CHA: the single implementation among *loaded*
-        classes.  Unlike :meth:`unique_target` this is a speculation —
-        loading an overriding class later invalidates it, so callers
-        must register the assumption for deoptimization."""
+    def unique_loaded_target(self, class_name: str, method_name: str,
+                             loaded) -> Method | None:
+        """Open-world CHA: the single implementation among the
+        ``loaded`` classes (a VM's ``loader.mirrors``).  Unlike
+        :meth:`unique_target` this is a speculation — loading an
+        overriding class later invalidates it, so callers must register
+        the assumption for deoptimization."""
         targets = set()
         for cls in self.subclasses(class_name):
-            if not cls.loaded:
+            if cls not in loaded:
                 continue
             m = cls.find_method(method_name)
             if m is not None:
@@ -108,10 +109,17 @@ def inline_field_offsets(method: Method, loader) -> list[int] | None:
     for instr in method.code:
         if instr.op in (Op.GETFIELD, Op.PUTFIELD):
             try:
-                owner, field_name = loader.resolve_field(method.jclass, instr.a)
+                mirror = loader.mirrors.get(method.jclass)
+                if mirror is None:
+                    # Compiling a caller can reach a body whose class is
+                    # not loaded yet; resolving the ref loads the ref's
+                    # class, which is usually the body's own.
+                    loader.ensure_loaded(method.pool[instr.a].class_name)
+                    mirror = loader.mirrors[method.jclass]
+                owner, field_name = loader.resolve_field(mirror, instr.a)
             except Exception:
                 return None
-            off = owner.field_offsets.get(field_name)
+            off = owner.jclass.field_offsets.get(field_name)
             if off is None:
                 return None
             offsets.append(off)

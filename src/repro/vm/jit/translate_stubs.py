@@ -159,9 +159,10 @@ class TranslateStubs:
         self.text_bytes = region.used_bytes
 
     # ------------------------------------------------------------------
-    def emit_translation(self, sink, method, install_pcs_per_index,
-                         work_cursor: int = 0) -> int:
-        """Emit the full translate trace for ``method``.
+    def emit_translation(self, sink, method, bc_addr: int,
+                         install_pcs_per_index) -> int:
+        """Emit the full translate trace for ``method`` (whose bytecode
+        this VM placed at ``bc_addr``).
 
         ``install_pcs_per_index`` maps bytecode index -> the code-cache
         pcs the chunk's instructions were installed at (a sequence; one
@@ -172,7 +173,7 @@ class TranslateStubs:
         work = WORK_AREA_BASE
         n = len(method.code)
         for idx, instr in enumerate(method.code):
-            bc_ea = method.bc_addr + method.bc_offsets[idx]
+            bc_ea = bc_addr + method.bc_offsets[idx]
             gen = self.generators[generator_class(instr.op)]
             w = work + (idx * 32) % WORK_AREA_BYTES
             sink.emit(

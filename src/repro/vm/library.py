@@ -7,9 +7,12 @@ the paper: the heavily *synchronized* collection and I/O classes are
 where most monitor operations come from (Section 5), and tiny accessor
 methods are the JIT's inlining fodder (Section 4.1).
 
-``ensure_library`` links these classes into any program that does not
-already define them; ``boot_library`` creates the singletons
-(``System.out``, the daemon queues) at VM boot.
+The classes are built, verified and laid out once per process
+(``shared_library``) and carry no run-time state, so every program links
+the same objects: ``ensure_library`` adds them to a program that does
+not already define them and lays out the program's own classes;
+``boot_library`` creates the singletons (``System.out``, the daemon
+queues) in each VM at boot.
 """
 
 from __future__ import annotations
@@ -493,7 +496,8 @@ LIBRARY_CLASSES = (
 
 
 def build_library() -> list:
-    """Fresh library classes (runtime state must not be shared across VMs)."""
+    """Build, verify and lay out the library classes (see
+    :func:`shared_library`: one set serves every program and VM)."""
     builders = [
         _build_object(),
         _build_string(),
@@ -508,31 +512,45 @@ def build_library() -> list:
         _build_daemon("repro/Finalizer", 6),
         _build_daemon("repro/RefCleaner", 4),
     ]
-    classes = [cb.build() for cb in builders]
-    for cls in classes:
+    library = Program("library")
+    for cb in builders:
+        cls = library.add_class(cb.build())
         for method in cls.methods.values():
             if not method.is_native:
                 verify_method(method)
-                method.compute_layout()
-    return classes
+    library.link()
+    return list(library.classes.values())
+
+
+_SHARED: list | None = None
+
+
+def shared_library() -> list:
+    """Process-wide library classes."""
+    global _SHARED
+    if _SHARED is None:
+        _SHARED = build_library()
+    return _SHARED
 
 
 def ensure_library(program: Program) -> None:
-    """Link the library into a program that does not already carry it."""
-    if "java/lang/Object" in program.classes:
-        return
-    for cls in build_library():
-        if cls.name not in program.classes:
-            program.add_class(cls)
+    """Link ``program``: add the library classes it does not define
+    (none when it defines ``java/lang/Object``), then lay out its own
+    classes.  Idempotent; after linking, nothing writes the program."""
+    if "java/lang/Object" not in program.classes:
+        for cls in shared_library():
+            if cls.name not in program.classes:
+                program.add_class(cls)
+    program.link()
 
 
 def boot_library(vm) -> None:
     """Create library singletons (System.out, daemon queues)."""
     loader = vm.loader
     system = loader.ensure_loaded("java/lang/System")
-    ps = loader.ensure_loaded("java/io/PrintStream")
+    ps = loader.ensure_loaded("java/io/PrintStream").jclass
     system.statics["out"] = vm.heap.new_object(ps)
     for name in ("repro/Finalizer", "repro/RefCleaner"):
         if name in vm.program.classes:
-            cls = loader.ensure_loaded(name)
-            cls.statics["queue"] = vm.heap.new_object(vm.object_class)
+            loader.ensure_loaded(name).statics["queue"] = \
+                vm.heap.new_object(vm.object_class)

@@ -111,7 +111,6 @@ class JavaVM:
                  code_archive: str | None = None) -> None:
         from .library import ensure_library  # local import: cycle avoidance
 
-        JThread.reset_ids()
         self.program = program
         ensure_library(program)
         self.config = config = RunConfig.of(config)
@@ -136,11 +135,11 @@ class JavaVM:
         if archive_dir:
             self.jit.archive = CodeArchive(archive_dir)
         self._escape_summaries = None
-        self._elision_plan: dict[int, frozenset] = {}
+        self._elision_plan: dict[Method, frozenset] = {}
         # Static concurrency summaries (analysis.concurrency): safe sites
         # pre-seed tier-2 elision, racy sites are pre-blacklisted.
         self._concurrency = None
-        self._concurrency_plan: dict[int, tuple] = {}
+        self._concurrency_plan: dict[Method, tuple] = {}
         # Tiering is profile-driven: the controller needs invocation and
         # backedge counts regardless of the profile flag.
         tiered = config.policy == "tiered"
@@ -182,7 +181,7 @@ class JavaVM:
         # map).  thread_for sits on the join/isAlive sync path; a linear
         # scan over self.threads scales O(threads) per call.
         self._thread_by_obj: dict[JObject, JThread] = {}
-        self._compiled: dict[int, object] = {}   # method_id -> CompiledMethod
+        self._compiled: dict[Method, object] = {}   # -> CompiledMethod
         #: translate/install cycles charged so far (part of the sink's
         #: cycles, excluded from per-method attribution)
         self.translate_overhead = 0
@@ -197,13 +196,12 @@ class JavaVM:
             return
         self._booted = True
         from .library import boot_library
-        self.object_class = self.loader.ensure_loaded("java/lang/Object")
-        self.string_class = self.loader.ensure_loaded("java/lang/String")
+        self.object_class = self.loader.ensure_loaded("java/lang/Object").jclass
+        self.string_class = self.loader.ensure_loaded("java/lang/String").jclass
         boot_library(self)
         self.loader.ensure_loaded(self.program.main_class)
 
-        main_thread = JThread("main")
-        self.threads.append(main_thread)
+        main_thread = self._new_thread("main")
         main = self.program.entry_method
         if main.is_native or not main.is_static:
             raise VMError("main must be a static bytecode method")
@@ -212,23 +210,26 @@ class JavaVM:
         if (self.config.spawn_daemons
                 and "repro/Finalizer" in self.program.classes):
             for name in ("repro/Finalizer", "repro/RefCleaner"):
-                cls = self.loader.ensure_loaded(name)
+                cls = self.loader.ensure_loaded(name).jclass
                 obj = self.heap.new_object(cls)
-                t = JThread(name.split("/")[-1].lower(), daemon=True)
-                t.java_obj = obj
-                self._thread_by_obj[obj] = t
-                run = cls.find_method("run")
-                self.threads.append(t)
-                if self.profiler:
-                    self.profiler.count_invocation(run)
-                frame = t.push_frame(run)
-                frame.locals[0] = obj
-                self._set_entry_mode(frame, run)
+                t = self._new_thread(name.split("/")[-1].lower(), obj,
+                                     daemon=True)
+                self._push_entry(t, cls.find_method("run"), obj)
+
+    def _new_thread(self, name: str, java_obj=None,
+                    daemon: bool = False) -> JThread:
+        """A thread numbered in creation order (main is 0)."""
+        thread = JThread(len(self.threads), name, daemon)
+        self.threads.append(thread)
+        if java_obj is not None:
+            thread.java_obj = java_obj
+            self._thread_by_obj[java_obj] = thread
+        return thread
 
     def _push_entry(self, thread: JThread, method: Method, receiver=None):
         if self.profiler:
             self.profiler.count_invocation(method)
-        frame = thread.push_frame(method)
+        frame = thread.push_frame(self.loader.methods[method])
         if receiver is not None:
             frame.locals[0] = receiver
         self._set_entry_mode(frame, method)
@@ -337,16 +338,9 @@ class JavaVM:
         run = java_obj.jclass.find_method("run")
         if run is None or run.is_native:
             raise VMError(f"{java_obj.jclass.name} has no bytecode run()")
-        thread = JThread(java_obj.jclass.name)
-        thread.java_obj = java_obj
-        self._thread_by_obj[java_obj] = thread
+        thread = self._new_thread(java_obj.jclass.name, java_obj)
         java_obj.fields["_tid"] = thread.thread_id
-        self.threads.append(thread)
-        frame = thread.push_frame(run)
-        frame.locals[0] = java_obj
-        if self.profiler:
-            self.profiler.count_invocation(run)
-        self._set_entry_mode(frame, run)
+        self._push_entry(thread, run, java_obj)
         return thread
 
     def thread_for(self, java_obj: JObject) -> JThread | None:
@@ -366,14 +360,14 @@ class JavaVM:
         ) else 1
         if self.tiered is not None and not method.is_native:
             return self.tiered.on_invoke(method)
-        compiled = self._compiled.get(method.method_id)
+        compiled = self._compiled.get(method)
         if compiled is not None:
             return compiled
         if method.is_native:
             return None
         if self.config.should_compile(method, n):
             compiled = self.jit.compile(method)
-            self._compiled[method.method_id] = compiled
+            self._compiled[method] = compiled
             self._account_translation(method, compiled)
             return compiled
         return None
@@ -393,14 +387,14 @@ class JavaVM:
     # ------------------------------------------------------------------
     def elidable_sites(self, method: Method) -> frozenset:
         """Alloc-site indices in ``method`` proven non-escaping."""
-        sites = self._elision_plan.get(method.method_id)
+        sites = self._elision_plan.get(method)
         if sites is None:
             if self._escape_summaries is None:
                 from ..analysis.dataflow.escape import EscapeSummaries
                 self._escape_summaries = EscapeSummaries(self.program)
             info = self._escape_summaries.info(method)
             sites = info.elidable_allocs if info is not None else frozenset()
-            self._elision_plan[method.method_id] = sites
+            self._elision_plan[method] = sites
         return sites
 
     def concurrency_plan(self, method: Method) -> tuple:
@@ -410,7 +404,7 @@ class JavaVM:
         can lock instances of the allocated class is the allocating
         thread); ``racy`` sites are pre-blacklisted for speculation.
         """
-        plan = self._concurrency_plan.get(method.method_id)
+        plan = self._concurrency_plan.get(method)
         if plan is None:
             if self._concurrency is None:
                 from ..analysis.concurrency import ConcurrencyAnalysis
@@ -418,10 +412,11 @@ class JavaVM:
                     from ..analysis.dataflow.escape import EscapeSummaries
                     self._escape_summaries = EscapeSummaries(self.program)
                 self._concurrency = ConcurrencyAnalysis(
-                    self.program, escape=self._escape_summaries)
+                    self.program, escape=self._escape_summaries,
+                    order=self.loader.methods)
             plan = (self._concurrency.safe_sites(method),
                     self._concurrency.racy_sites(method))
-            self._concurrency_plan[method.method_id] = plan
+            self._concurrency_plan[method] = plan
         return plan
 
     # ------------------------------------------------------------------
@@ -501,9 +496,8 @@ class JavaVM:
                 yield from frame.locals
             if thread.java_obj is not None:
                 yield thread.java_obj
-        for cls in self.program.classes.values():
-            if cls.loaded:
-                yield from cls.statics.values()
+        for mirror in self.loader.mirrors.values():
+            yield from mirror.statics.values()
         yield from self._interned.values()
 
     # ------------------------------------------------------------------

@@ -37,7 +37,7 @@ class JObject:
         # elided region can still be classified and safely unwound.
         self.tl_thread = None
         self.elide_depth = 0
-        # Tiered tier-2 speculation: (method_id, alloc site) when the
+        # Tiered tier-2 speculation: (method, alloc site) when the
         # elision was speculative rather than proven, so a foreign touch
         # can repair and deoptimize instead of counting a violation.
         self.tl_spec = None

@@ -9,7 +9,6 @@ good data-cache behaviour reported by the paper.
 
 from __future__ import annotations
 
-from ..isa.method import Method
 from ..native.layout import STACK_SIZE_PER_THREAD, WORD_BYTES, thread_stack_base
 
 # Thread states.
@@ -41,6 +40,8 @@ class Frame:
 
     __slots__ = (
         "method",
+        "mirror",
+        "bc_addr",
         "code",
         "ip",
         "stack",
@@ -58,8 +59,10 @@ class Frame:
         "backedges",
     )
 
-    def __init__(self, method: Method, frame_base: int) -> None:
-        self.method = method
+    def __init__(self, mm, frame_base: int) -> None:
+        method = self.method = mm.method
+        self.mirror = mm.owner    # the method's ClassMirror (pool, statics)
+        self.bc_addr = mm.bc_addr
         self.code = method.code
         self.ip = 0
         self.stack: list = []
@@ -91,13 +94,11 @@ class Frame:
 
 
 class JThread:
-    """A green thread executing on the VM."""
+    """A green thread executing on the VM (numbered by the VM)."""
 
-    _next_id = 0
-
-    def __init__(self, name: str = "", daemon: bool = False) -> None:
-        self.thread_id = JThread._next_id
-        JThread._next_id += 1
+    def __init__(self, thread_id: int, name: str = "",
+                 daemon: bool = False) -> None:
+        self.thread_id = thread_id
         self.name = name or f"thread-{self.thread_id}"
         self.daemon = daemon
         self.state = RUNNABLE
@@ -109,17 +110,14 @@ class JThread:
         self.java_obj = None            # the java/lang/Thread instance, if any
         self.bytecodes_executed = 0
 
-    @classmethod
-    def reset_ids(cls) -> None:
-        """Restart thread-id numbering (one VM per process run)."""
-        cls._next_id = 0
-
     # -- frame management ----------------------------------------------------
-    def push_frame(self, method: Method) -> Frame:
-        frame = Frame(method, self.stack_base + self._stack_cursor)
+    def push_frame(self, mm) -> Frame:
+        """Activate the method of ``mm`` (the loader's MethodMirror)."""
+        frame = Frame(mm, self.stack_base + self._stack_cursor)
         if self._stack_cursor + frame.size_bytes > STACK_SIZE_PER_THREAD:
             raise StackOverflow(
-                f"{self.name}: stack overflow entering {method.qualified_name}"
+                f"{self.name}: stack overflow entering "
+                f"{frame.method.qualified_name}"
             )
         self._stack_cursor += frame.size_bytes
         self.frames.append(frame)

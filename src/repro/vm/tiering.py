@@ -39,6 +39,7 @@ so blocking behaviour matches a non-eliding run.
 
 from __future__ import annotations
 
+from ..isa.method import Method
 from ..isa.opcodes import Op
 from ..obs import TRACER
 from ..sync.base import RECURSION_LIMIT
@@ -69,7 +70,7 @@ def estimated_install_cycles(method) -> int:
 
 
 class TierState:
-    """Per-method ladder state (keyed by method_id on the controller)."""
+    """Per-method ladder state (keyed by method on the controller)."""
 
     __slots__ = ("tier", "invocation_base", "backedge_base", "interp_base",
                  "cha_blacklist", "elide_blacklist", "transitions")
@@ -93,7 +94,7 @@ class TieredController:
     def __init__(self, vm, config) -> None:
         self.vm = vm
         self.config = config
-        self.states: dict[int, TierState] = {}
+        self.states: dict[Method, TierState] = {}
         # Aggregate transition counters (VMResult / manifests / spans).
         self.promotions_t1 = 0
         self.promotions_t2 = 0
@@ -104,22 +105,22 @@ class TieredController:
         self.speculative_marks = 0
         self.speculation_failures = 0
         self.archive_installs = 0
-        #: method_id -> tier-1 archive probe result (memoized: the probe
+        #: method -> tier-1 archive probe result (memoized: the probe
         #: does a disk stat plus the key's resolution walk)
-        self._archive_probe: dict[int, bool] = {}
+        self._archive_probe: dict[Method, bool] = {}
         #: (class_name, method_name) -> [(dependent_method, assumed_target)]
         self.assumptions: dict[tuple, list] = {}
-        #: method_id -> [(alloc site, proven thread-local)] for sites that
+        #: method -> [(alloc site, proven thread-local)] for sites that
         #: allocate a class with synchronized methods (tier-2 screen).
-        self._sync_alloc_sites: dict[int, list] = {}
+        self._sync_alloc_sites: dict[Method, list] = {}
 
     # ------------------------------------------------------------------
     # ladder state
     # ------------------------------------------------------------------
     def state_for(self, method) -> TierState:
-        st = self.states.get(method.method_id)
+        st = self.states.get(method)
         if st is None:
-            st = self.states[method.method_id] = TierState()
+            st = self.states[method] = TierState()
         return st
 
     # ------------------------------------------------------------------
@@ -146,11 +147,11 @@ class TieredController:
         jit = self.vm.jit
         if jit.archive is None:
             return estimated_translate_cycles(method)
-        archived = self._archive_probe.get(method.method_id)
+        archived = self._archive_probe.get(method)
         if archived is None:
             archived = jit.archive.probe(jit, method, tier=1,
                                          optimize=False)
-            self._archive_probe[method.method_id] = archived
+            self._archive_probe[method] = archived
         return (estimated_install_cycles(method) if archived
                 else estimated_translate_cycles(method))
 
@@ -167,7 +168,7 @@ class TieredController:
         screen (stress configs that want every deopt path hot)."""
         if not self.config.t2_screen:
             return True
-        sites = self._sync_alloc_sites.get(method.method_id)
+        sites = self._sync_alloc_sites.get(method)
         if sites is None:
             sites = []
             program = self.vm.loader.program
@@ -182,7 +183,7 @@ class TieredController:
                 if any(m.is_synchronized for m in target.methods.values()):
                     proven = pc in self.vm.elidable_sites(method)
                     sites.append((pc, proven))
-            self._sync_alloc_sites[method.method_id] = sites
+            self._sync_alloc_sites[method] = sites
         static_safe = static_racy = frozenset()
         if self.vm.config.static_concurrency:
             static_safe, static_racy = self.vm.concurrency_plan(method)
@@ -210,7 +211,7 @@ class TieredController:
         elif st.tier == 1:
             if n >= s.t2_invocations and self._tier2_profitable(method, st):
                 return self._promote(method, st, profile, 2)
-        return self.vm._compiled.get(method.method_id)
+        return self.vm._compiled.get(method)
 
     def on_backedge(self, thread, frame) -> None:
         """Loop-backedge rung, called by the branch handlers after a
@@ -233,7 +234,7 @@ class TieredController:
             if edges >= s.t2_backedges \
                     and self._tier2_profitable(method, st):
                 self._promote(method, st, profile, 2)
-        compiled = self.vm._compiled.get(method.method_id)
+        compiled = self.vm._compiled.get(method)
         if compiled is None:
             return
         mode = frame.emit_mode
@@ -262,7 +263,7 @@ class TieredController:
             compiled = vm.jit.compile(method, tier=1, optimize=False)
         if profile.was_compiled:
             self.recompiles += 1
-        vm._compiled[method.method_id] = compiled
+        vm._compiled[method] = compiled
         vm._account_translation(method, compiled)
         st.tier = tier
         if compiled.from_archive:
@@ -336,11 +337,11 @@ class TieredController:
                 return
             if site in racy:
                 return   # pre-blacklisted: a foreign lock is expected
-        st = self.states.get(method.method_id)
+        st = self.states.get(method)
         if st is not None and site in st.elide_blacklist:
             return
         obj.tl_thread = thread.thread_id
-        obj.tl_spec = (method.method_id, site)
+        obj.tl_spec = (method, site)
         self.speculative_marks += 1
 
     def on_foreign_touch(self, obj) -> None:
@@ -353,7 +354,7 @@ class TieredController:
         where a non-eliding run would block.  The allocation site is
         blacklisted and the allocating method deoptimized.
         """
-        mid, site = obj.tl_spec
+        method, site = obj.tl_spec
         obj.tl_spec = None
         owner = obj.tl_thread
         obj.tl_thread = None
@@ -372,7 +373,6 @@ class TieredController:
             for _ in range(depth):
                 vm.lock_manager.acquire(owner, obj, vm.sink)
         self.speculation_failures += 1
-        method = vm.loader.methods_by_id[mid]
         self.state_for(method).elide_blacklist.add(site)
         self.deoptimize(method, "lock_escape")
 
@@ -395,7 +395,8 @@ class TieredController:
             cname, mname = key
             if cls not in hierarchy.subclasses(cname):
                 continue
-            current = hierarchy.unique_loaded_target(cname, mname)
+            current = hierarchy.unique_loaded_target(
+                cname, mname, self.vm.loader.mirrors)
             for method, assumed in list(deps):
                 if current is not assumed:
                     self.state_for(method).cha_blacklist.add(key)
@@ -408,9 +409,8 @@ class TieredController:
         """Throw away the method's compiled code, map every live
         activation back to the interpreter, and restart profiling."""
         vm = self.vm
-        mid = method.method_id
         st = self.state_for(method)
-        invalidated = vm._compiled.pop(mid, None)
+        invalidated = vm._compiled.pop(method, None)
         profile = vm.profiler.profile_for(method)
         st.tier = 0
         st.invocation_base = profile.invocations
@@ -424,8 +424,7 @@ class TieredController:
         dispatch_pc = vm.templates.dispatch_pc
         for thread in vm.threads:
             for fr in thread.frames:
-                if fr.method.method_id == mid \
-                        and fr.emit_mode >= EMIT_COMPILED:
+                if fr.method is method and fr.emit_mode >= EMIT_COMPILED:
                     vm.stubs.emit_deopt(vm.sink, fr, dispatch_pc)
                     fr.emit_mode = EMIT_INTERP
                     fr.chunks = None
@@ -436,8 +435,7 @@ class TieredController:
                 deps = self.assumptions.get((cname, mname))
                 if deps:
                     self.assumptions[(cname, mname)] = [
-                        (m, t) for (m, t) in deps
-                        if m.method_id != mid
+                        (m, t) for (m, t) in deps if m is not method
                     ]
         if TRACER.enabled:
             TRACER.add("vm.tier.deopt")
@@ -461,11 +459,10 @@ class TieredController:
     def snapshot(self) -> dict:
         """Manifest/VMResult-ready view of the run's tiering activity."""
         methods = {}
-        by_id = self.vm.loader.methods_by_id
-        for mid, st in self.states.items():
+        for method, st in self.states.items():
             if not st.transitions:
                 continue
-            methods[by_id[mid].qualified_name] = {
+            methods[method.qualified_name] = {
                 "tier": st.tier,
                 "transitions": [list(t) for t in st.transitions],
             }

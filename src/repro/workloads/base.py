@@ -32,7 +32,8 @@ class Workload:
         self.multithreaded = multithreaded
 
     def build(self, scale: str = "s1") -> Program:
-        """A fresh :class:`Program` (runtime state is per-VM)."""
+        """Build the :class:`Program` at ``scale``; any number of VMs
+        may run it (run-time state lives in each VM)."""
         if scale not in SCALES:
             raise ValueError(f"unknown scale {scale!r}; use one of {SCALES}")
         return self._build(scale)

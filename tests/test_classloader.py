@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.fuzz.oracle import MATRIX, run_config
 from repro.isa import ProgramBuilder
+from repro.isa.method import JClass, Method
 from repro.native.layout import BYTECODE_BASE, STATICS_BASE, VM_DATA_BASE
 from repro.native.trace import CountingSink
 from repro.vm import JavaVM
 from repro.vm.classloader import ClassLoadError
+from repro.vm.library import ensure_library
+from repro.workloads import get_workload
 
 
 def _program_with_hierarchy():
@@ -37,13 +41,13 @@ class TestLaziness:
     def test_unreferenced_class_not_loaded(self):
         vm = _vm()
         vm.run()
-        assert not vm.program.get_class("NeverUsed").loaded
-        assert vm.program.get_class("Sub").loaded
+        assert vm.program.get_class("NeverUsed") not in vm.loader.mirrors
+        assert vm.program.get_class("Sub") in vm.loader.mirrors
 
     def test_superclass_loaded_with_subclass(self):
         vm = _vm()
         vm.run()
-        assert vm.program.get_class("Base").loaded
+        assert vm.program.get_class("Base") in vm.loader.mirrors
 
     def test_load_emits_classload_trace(self):
         from repro.native.nisa import FLAG_CLASSLOAD
@@ -72,7 +76,7 @@ class TestLayout:
     def test_field_offsets_inherit(self):
         vm = _vm()
         vm.boot()
-        sub = vm.loader.ensure_loaded("Sub")
+        sub = vm.loader.ensure_loaded("Sub").jclass
         assert sub.field_offsets["a"] == 0          # inherited first
         assert sub.field_offsets["b"] == 4
         assert sub.field_offsets["c"] == 8
@@ -89,8 +93,8 @@ class TestLayout:
         vm = _vm()
         vm.boot()
         sub = vm.loader.ensure_loaded("Sub")
-        init = sub.methods["<init>"]
-        assert init.bc_addr >= BYTECODE_BASE
+        init = sub.jclass.methods["<init>"]
+        assert vm.loader.methods[init].bc_addr >= BYTECODE_BASE
         assert init.bc_length > 0
         assert init.bc_offsets[0] == 0
 
@@ -105,7 +109,7 @@ class TestLayout:
     def test_method_ids_unique(self):
         vm = _vm()
         vm.run()
-        ids = [m.method_id for m in vm.loader.methods_by_id]
+        ids = [mm.method_id for mm in vm.loader.methods.values()]
         assert len(ids) == len(set(ids))
 
     def test_footprint_counters(self):
@@ -119,11 +123,10 @@ class TestLayout:
 class TestResolution:
     def test_field_resolution_quickens(self):
         vm = _vm()
+        idx = vm.program.get_class("Sub").pool.field_ref("Sub", "b")
         vm.boot()
-        main = vm.program.get_class("Main")
         sub = vm.loader.ensure_loaded("Sub")
         # resolve a field ref twice: second time uses the cache
-        idx = sub.pool.field_ref("Sub", "b")
         first = vm.loader.resolve_field(sub, idx)
         count = vm.loader.resolution_count
         second = vm.loader.resolve_field(sub, idx)
@@ -146,9 +149,9 @@ class TestResolution:
 
     def test_missing_field_raises(self):
         vm = _vm()
+        idx = vm.program.get_class("Sub").pool.field_ref("Sub", "nope")
         vm.boot()
         sub = vm.loader.ensure_loaded("Sub")
-        idx = sub.pool.field_ref("Sub", "nope")
         with pytest.raises(ClassLoadError, match="not found"):
             vm.loader.resolve_field(sub, idx)
 
@@ -157,3 +160,49 @@ class TestResolution:
         vm.run()
         assert vm.loader.overhead_cycles > 0
         assert vm.loader.overhead_cycles < vm.sink.cycles
+
+
+def _freeze(value):
+    """A comparable deep copy of ``value``; classes and methods compare
+    by identity (each is snapshotted on its own)."""
+    if isinstance(value, (JClass, Method)):
+        return ("ref", id(value))
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _freeze(v)) for k, v in value.items())
+    if callable(value):
+        return ("callable", id(value))
+    return _attributes(value)
+
+
+def _attributes(obj) -> tuple:
+    names = set(getattr(obj, "__dict__", ()))
+    for klass in type(obj).__mro__:
+        names.update(getattr(klass, "__slots__", ()))
+    return (type(obj).__name__,) + tuple(
+        (n, _freeze(getattr(obj, n, "<unset>"))) for n in sorted(names))
+
+
+def _snapshot(program) -> dict:
+    """Every attribute of every class, method and pool entry."""
+    snap = {}
+    for cls in program.classes.values():
+        snap[cls.name] = _attributes(cls)
+        for method in cls.methods.values():
+            snap[method.qualified_name] = _attributes(method)
+    return snap
+
+
+class TestProgramIsReadOnly:
+    @pytest.mark.parametrize("workload", ["jess", "mtrt"])
+    def test_no_run_writes_the_program(self, workload):
+        program = get_workload(workload).build("s0")
+        ensure_library(program)
+        before = _snapshot(program)
+        assert any(k.endswith(".<init>") for k in before)
+        for config in MATRIX:
+            assert run_config(program, config).ok, config
+            assert _snapshot(program) == before, config

@@ -11,6 +11,9 @@ every one of these bit-for-bit unchanged; the qualitative margins in
 pins cover the JIT's other paths: a recorded jess run cold and then
 warm against one code archive (translate vs. install), and the totals
 of every oracle config over a short fuzz campaign (many small compiles).
+The same digest pins that a program is never written by a run: a
+second run of one ``Program`` and every oracle config on one shared
+render equal their fresh-program runs.
 
 To re-record after an *intended* model change, run
 ``PYTHONPATH=src python tests/test_identity_pin.py`` and paste its
@@ -29,8 +32,9 @@ import pytest
 from repro.analysis.runner import run_vm
 from repro.fuzz.gen import gen_program
 from repro.fuzz.harness import SEED_STRIDE
-from repro.fuzz.oracle import run_oracle
-from repro.vm import RunConfig
+from repro.fuzz.oracle import MATRIX, run_config, run_oracle
+from repro.vm import JavaVM, RunConfig
+from repro.workloads import get_workload
 
 WORKLOADS = ("jess", "mtrt")
 
@@ -176,6 +180,41 @@ def test_code_archive_cold_and_warm_unchanged(tmp_path):
 def test_fuzz_campaign_totals_unchanged(monkeypatch):
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
     assert fuzz_digest() == EXPECTED["fuzz/seed0x20"]
+
+
+def test_program_run_twice_matches_single_run(monkeypatch):
+    """A program is never written by a run: a second VM on the same
+    ``Program`` reproduces the first run exactly (class loading,
+    statics and pool resolution included)."""
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    program = get_workload("db").build("s0")
+    first, second = (digest(JavaVM(program, CONFIGS["jit"]).run())
+                     for _ in range(2))
+    assert second == first
+
+
+def _outcome_digest(outcome) -> str:
+    return outcome.error if outcome.result is None else digest(
+        outcome.result)
+
+
+@pytest.mark.parametrize("source", ["fuzz", "jess"])
+def test_shared_render_matches_fresh_render(source, monkeypatch):
+    """Every ``MATRIX`` config, run in turn on one shared render, sees
+    what it sees on a render of its own."""
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    if source == "jess":
+        renders = [lambda: get_workload("jess").build("s0")]
+    else:
+        renders = [gen_program(seed).render for seed in range(20)]
+    for render in renders:
+        try:
+            shared = render()
+        except Exception:  # noqa: BLE001 - rejected by the verifier
+            continue
+        for config in MATRIX:
+            assert (_outcome_digest(run_config(shared, config))
+                    == _outcome_digest(run_config(render(), config))), config
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ def _compile_main(body_fn):
     vm = JavaVM(program, "jit")
     vm.boot()
     main = program.entry_method
-    return vm._compiled[main.method_id], vm
+    return vm._compiled[main], vm
 
 
 class TestChunkGeneration:
@@ -83,7 +83,7 @@ class TestChunkGeneration:
         program = pb.build()
         vm = JavaVM(program, "jit")
         vm.boot()
-        compiled = vm._compiled[program.entry_method.method_id]
+        compiled = vm._compiled[program.entry_method]
         loads = []
         for chunk in compiled.chunks:
             if chunk is None:
@@ -92,7 +92,7 @@ class TestChunkGeneration:
             for i in range(t.n):
                 if t.cat[i] == int(NCat.LOAD) and t.ea[i]:
                     loads.append(int(t.ea[i]))
-        statics_addr = program.get_class("Test").static_addr["s"]
+        statics_addr = vm.loader.ensure_loaded("Test").static_addr["s"]
         assert statics_addr in loads
 
     def test_code_cache_accounting(self):

@@ -73,8 +73,8 @@ class TestStaticSynchronized:
         vm = JavaVM(program, "interp")
         result = vm.run()
         assert result.stdout == ["7"]
-        cls = program.get_class("Main")
-        assert cls.lock is not None       # the class object was locked
+        cls = vm.loader.mirrors[program.get_class("Main")]
+        assert cls.lock is not None       # the class mirror was locked
         assert cls.lock.count == 0
 
 

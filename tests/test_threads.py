@@ -136,6 +136,22 @@ class TestThreads:
             run_program(pb)
 
 
+    def test_vms_number_their_own_threads(self):
+        # Thread ids (and so each thread's stack region) are per VM:
+        # building a second VM before the first runs changes nothing.
+        def observe(vm):
+            r = vm.run()
+            return (r.cycles, r.stdout, [t.thread_id for t in vm.threads])
+
+        alone = [observe(JavaVM(_two_counter_threads(True).build(),
+                                "interp,quantum=20"))
+                 for _ in range(2)]
+        vms = [JavaVM(_two_counter_threads(True).build(), "interp,quantum=20")
+               for _ in range(2)]
+        assert [observe(vm) for vm in vms] == alone
+        assert alone[0][2] == list(range(len(alone[0][2])))
+
+
 class TestDaemons:
     def test_daemon_threads_run_at_boot(self):
         pb = ProgramBuilder("t", main_class="Main")
