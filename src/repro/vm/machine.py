@@ -164,9 +164,9 @@ class JavaVM:
         self.threads: list[JThread] = []
         self.stdout: list[str] = []
         # Per-emit-mode dispatch wall time / bytecode counts, filled by
-        # the traced stepper (observability only; empty when tracing is
-        # off).  Indexed by EMIT_NONE / EMIT_INTERP / EMIT_COMPILED /
-        # EMIT_OSR.
+        # the stepper's timing wrappers (observability only; empty when
+        # tracing is off).  Indexed by EMIT_NONE / EMIT_INTERP /
+        # EMIT_COMPILED / EMIT_OSR.
         self.dispatch_seconds = [0.0, 0.0, 0.0, 0.0]
         self.dispatch_counts = [0, 0, 0, 0]
         # External request dispatcher (repro.traffic): an object with

@@ -18,8 +18,6 @@ one attribute access instead of a per-bytecode dict lookup.
 
 from __future__ import annotations
 
-from .threads import EMIT_INTERP
-
 
 class MethodProfile:
     """Profile counters for one method."""
@@ -102,23 +100,6 @@ class Profiler:
         p = self.profile_for(method)
         p.invocations += 1
         return p.invocations
-
-    def charge(self, frame, cycles: int) -> None:
-        """Attribute cycles from one executed bytecode to its method.
-
-        The stepper inlines this logic against ``frame.profile``; this
-        method remains for callers outside the hot loop and falls back
-        to the dict lookup when the frame carries no cached profile.
-        """
-        if cycles <= 0:
-            return
-        p = frame.profile
-        if p is None:
-            p = self.profile_for(frame.method)
-        if frame.emit_mode == EMIT_INTERP:
-            p.interp_cycles += cycles
-        else:
-            p.compiled_cycles += cycles
 
     def note_translate(self, method, cycles: int,
                        installed: bool = False) -> None:

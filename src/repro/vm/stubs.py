@@ -72,6 +72,7 @@ class RuntimeStubs:
 
         # -- native-method bodies, by cost bucket --------------------------
         self.native_bodies: dict[int, Template] = {}
+        self._native_body_for: dict[int, Template] = {}
         for cost in NATIVE_COST_BUCKETS:
             b = TemplateBuilder(f"native:{cost}")
             # A realistic C-routine mix: ~60% alu, ~15% loads, ~10% branch.
@@ -182,9 +183,13 @@ class RuntimeStubs:
         self.region = region
 
     def native_body(self, cost: int) -> Template:
-        """Best-matching native-method body template for a cost estimate."""
-        best = min(NATIVE_COST_BUCKETS, key=lambda c: abs(c - cost))
-        return self.native_bodies[best]
+        """Best-matching native-method body template for a cost estimate
+        (memoized by cost: the bucket is a pure function of it)."""
+        tpl = self._native_body_for.get(cost)
+        if tpl is None:
+            best = min(NATIVE_COST_BUCKETS, key=lambda c: abs(c - cost))
+            tpl = self._native_body_for[cost] = self.native_bodies[best]
+        return tpl
 
     # ------------------------------------------------------------------
     # emission helpers (encapsulate each stub's patch-slot ordering)

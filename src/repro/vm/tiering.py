@@ -73,7 +73,8 @@ class TierState:
     """Per-method ladder state (keyed by method on the controller)."""
 
     __slots__ = ("tier", "invocation_base", "backedge_base", "interp_base",
-                 "cha_blacklist", "elide_blacklist", "transitions")
+                 "cha_blacklist", "elide_blacklist", "t2_verdict",
+                 "transitions")
 
     def __init__(self) -> None:
         self.tier = 0
@@ -85,6 +86,9 @@ class TierState:
         self.interp_base = 0
         self.cha_blacklist: set = set()      # (class_name, method_name)
         self.elide_blacklist: set = set()    # alloc-site bytecode index
+        #: the tier-2 screen's verdict; None until screened and again
+        #: whenever ``elide_blacklist`` grows (its only changing input)
+        self.t2_verdict = None
         self.transitions: list = []          # ("promote"|"osr"|"deopt", tier[, reason])
 
 
@@ -165,9 +169,17 @@ class TieredController:
         insured win).  Dead-store elimination and CHA inlining
         alone never repay a retranslate here, so they ride along rather
         than justify the trip.  ``config.t2_screen=False`` disables the
-        screen (stress configs that want every deopt path hot)."""
+        screen (stress configs that want every deopt path hot).
+
+        Every other input is static for the VM, so the verdict is kept
+        on the method's state until its elide blacklist grows."""
         if not self.config.t2_screen:
             return True
+        if st.t2_verdict is None:
+            st.t2_verdict = self._screen_tier2(method, st)
+        return st.t2_verdict
+
+    def _screen_tier2(self, method, st) -> bool:
         sites = self._sync_alloc_sites.get(method)
         if sites is None:
             sites = []
@@ -373,7 +385,9 @@ class TieredController:
             for _ in range(depth):
                 vm.lock_manager.acquire(owner, obj, vm.sink)
         self.speculation_failures += 1
-        self.state_for(method).elide_blacklist.add(site)
+        st = self.state_for(method)
+        st.elide_blacklist.add(site)
+        st.t2_verdict = None
         self.deoptimize(method, "lock_escape")
 
     # ------------------------------------------------------------------

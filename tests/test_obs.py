@@ -227,6 +227,26 @@ class TestVMSpans:
         assert not any(e["name"] == "vm.jit.translate"
                        for e in TRACER.events)
 
+    @pytest.mark.parametrize("record", [False, True])
+    def test_traced_run_matches_untraced(self, record):
+        """The stepper's timing wrappers change no simulated number, and
+        every bytecode lands in exactly one dispatch bucket."""
+        config = ("tiered,t2_invocations=3,t2_backedges=32"
+                  + (",record=True" if record else ""))
+
+        def observed(r):
+            return (r.cycles, r.instructions, r.translate_cycles,
+                    r.opcode_counts.tolist(), r.profiles, r.stdout)
+
+        plain = run_vm("jess", "s0", config, cache_dir="", code_archive="")
+        TRACER.enable()
+        traced = run_vm("jess", "s0", config, cache_dir="", code_archive="")
+        assert observed(traced) == observed(plain)
+        buckets = sum(e["attrs"]["bytecodes"] for e in TRACER.events
+                      if e["name"] in ("vm.interp.dispatch",
+                                       "vm.jit.execute"))
+        assert buckets == traced.bytecodes_executed
+
     def test_disabled_run_emits_nothing(self):
         result = run_vm("hello", "s0", "jit", cache_dir="")
         assert result.cycles > 0
