@@ -185,6 +185,10 @@ class CountingSink:
     Section 3's translate-vs-execute accounting works without a full
     trace.  ``cycles`` is live; the other totals are exact integer sums
     over ``emits`` (template -> times emitted), computed when read.
+
+    ``Interpreter.step`` inlines :meth:`emit` for the pure bytecodes it
+    quickens, so it relies on this layout: an emission adds
+    ``template.cycles`` to ``cycles`` and one to ``emits[template]``.
     """
 
     records = False

@@ -20,7 +20,7 @@ is fixed), so they are built once per process and shared.
 
 from __future__ import annotations
 
-from ..isa.opcodes import Op
+from ..isa.opcodes import N_OPCODES, Op
 from ..native.layout import INTERP_TEXT_BASE, INTERP_TEXT_SIZE, TextRegion, VM_DATA_BASE
 from ..native.nisa import (
     NCat,
@@ -63,6 +63,9 @@ class InterpreterTemplates:
         self._region = region
         self.tpl: dict = {}
         self._build_all()
+        #: ``tpl`` indexed by opcode (None for the invokes, keyed by
+        #: ``(kind, argc)``), for the stepper's per-bytecode lookup.
+        self.by_opcode = [self.tpl.get(op) for op in range(N_OPCODES)]
         self.text_bytes = region.used_bytes
 
     @property
