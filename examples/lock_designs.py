@@ -22,8 +22,7 @@ def main() -> None:
     print(f"lock designs on {benchmark} ({scale}), JIT mode\n")
     results = {}
     for mgr in ("monitor-cache", "thin-lock", "one-bit-lock"):
-        results[mgr] = run_vm(benchmark, scale,
-                              RunConfig(lock_manager=mgr, profile=False))
+        results[mgr] = run_vm(benchmark, scale, RunConfig(lock_manager=mgr))
 
     mc = results["monitor-cache"]
     counts = mc.sync["case_counts"]

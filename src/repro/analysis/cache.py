@@ -290,13 +290,25 @@ LOCK_POLL_CAP = 0.05
 LOCK_UNREADABLE_GRACE = 1.0
 
 
+def env_number(name: str, parse=float):
+    """The number environment variable ``name`` holds (``None`` when it
+    is unset or empty); a malformed value raises ``ValueError`` naming
+    the variable."""
+    text = os.environ.get(name)
+    if not text:
+        return None
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{name}={text!r} is not a valid "
+                         f"{parse.__name__}") from None
+
+
 def default_lock_timeout() -> float:
     """Max seconds to wait on a lock held by a live owner before
     breaking it anyway (``REPRO_LOCK_TIMEOUT`` overrides)."""
-    try:
-        return float(os.environ.get("REPRO_LOCK_TIMEOUT", "") or 10.0)
-    except ValueError:  # pragma: no cover - bad env value
-        return 10.0
+    timeout = env_number("REPRO_LOCK_TIMEOUT")
+    return 10.0 if timeout is None else timeout
 
 
 def _pid_alive(pid: int) -> bool:

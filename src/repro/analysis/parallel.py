@@ -147,17 +147,15 @@ class RetryPolicy:
     @classmethod
     def from_env(cls) -> "RetryPolicy":
         """Defaults, overridable via ``REPRO_JOB_RETRIES`` (extra
-        attempts after the first) and ``REPRO_JOB_TIMEOUT`` (seconds)."""
+        attempts after the first) and ``REPRO_JOB_TIMEOUT`` (seconds).
+        A malformed value raises ``ValueError`` naming its variable."""
         kwargs = {}
-        try:
-            retries = os.environ.get("REPRO_JOB_RETRIES")
-            if retries:
-                kwargs["max_attempts"] = max(1, int(retries) + 1)
-            timeout = os.environ.get("REPRO_JOB_TIMEOUT")
-            if timeout:
-                kwargs["job_timeout"] = float(timeout) or None
-        except ValueError:  # pragma: no cover - bad env values
-            pass
+        retries = cache.env_number("REPRO_JOB_RETRIES", int)
+        if retries is not None:
+            kwargs["max_attempts"] = max(1, retries + 1)
+        timeout = cache.env_number("REPRO_JOB_TIMEOUT")
+        if timeout is not None:
+            kwargs["job_timeout"] = timeout or None
         return cls(**kwargs)
 
 

@@ -11,9 +11,11 @@ content-addressed store.
 
 Cache entries are addressed by a hash of the trace-affecting module
 sources plus the run config's token; there is no version constant to
-bump.  Set ``REPRO_TRACE_CACHE=""`` (or pass ``cache_dir=""``) to
-disable caching; the environment variable is consulted at *call* time,
-so tests can redirect the cache per-test.
+bump.  A trace is keyed by the token of the counting run of its
+config; a recording is stored as a trace only, not as a run result.
+Set ``REPRO_TRACE_CACHE=""`` (or pass ``cache_dir=""``) to disable
+caching; the environment variable is consulted at *call* time, so
+tests can redirect the cache per-test.
 """
 
 from __future__ import annotations
@@ -68,13 +70,13 @@ def get_trace(workload: str, scale: str = "s1",
               config: RunConfig | str = "jit",
               cache_dir: str | None = None) -> Trace:
     """Full native trace of ``workload`` run under ``config``, cached on
-    disk.  The trace is always recorded with profiling off, so
-    ``config``'s own ``record`` and ``profile`` are ignored.
+    disk under the same config token a counting run of ``config`` uses
+    (``config``'s own ``record`` is ignored).
 
     ``cache_dir=None`` resolves ``REPRO_TRACE_CACHE`` at call time;
     pass ``""`` to disable the cache for this call.
     """
-    config = RunConfig.of(config).replace(record=False, profile=True)
+    config = RunConfig.of(config).replace(record=False)
     resolved = cache.resolve_dir(cache_dir)
     path = None
     if resolved:
@@ -85,8 +87,7 @@ def get_trace(workload: str, scale: str = "s1",
         trace = cache.load_trace(path)
         if trace is not None:
             return trace
-    trace = run_vm(workload, scale, config.replace(record=True,
-                                                  profile=False)).trace
+    trace = run_vm(workload, scale, config.replace(record=True)).trace
     if path:
         cache.store_trace(path, trace)
     return trace

@@ -123,7 +123,7 @@ _LOCK_BENCHMARKS = ("jack", "db", "jess", "mtrt")
 
 
 def _lock_jobs(scale: str = "s1", benchmarks=None) -> list:
-    return [run_job(n, scale, RunConfig(lock_manager=mgr, profile=False))
+    return [run_job(n, scale, RunConfig(lock_manager=mgr))
             for n in benchmarks or _LOCK_BENCHMARKS
             for mgr in ("monitor-cache", "thin-lock", "one-bit-lock")]
 
@@ -136,8 +136,7 @@ def run_locks(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     for name in benchmarks:
         cycles = {}
         for mgr in ("monitor-cache", "thin-lock", "one-bit-lock"):
-            res = run_vm(name, scale,
-                         RunConfig(lock_manager=mgr, profile=False))
+            res = run_vm(name, scale, RunConfig(lock_manager=mgr))
             cycles[mgr] = res.sync_cycles
         mc = cycles["monitor-cache"] or 1
         rows.append([
@@ -161,7 +160,7 @@ def run_locks(scale: str = "s1", benchmarks=None) -> ExperimentResult:
 
 
 #: Plain thin locks, and the same plus the optimizer and lock elision.
-_THIN = RunConfig(lock_manager="thin-lock", profile=False)
+_THIN = RunConfig(lock_manager="thin-lock")
 _THIN_ELIDED = _THIN.replace(jit_opt=True, lock_elision=True)
 
 
@@ -231,7 +230,7 @@ _INLINE_BENCHMARKS = ("db", "javac", "mpegaudio")
 
 
 def _inline_jobs(scale: str = "s1", benchmarks=None) -> list:
-    return [run_job(n, scale, RunConfig(inline=flag, profile=False))
+    return [run_job(n, scale, RunConfig(inline=flag))
             for n in benchmarks or _INLINE_BENCHMARKS
             for flag in (True, False)]
 
@@ -242,8 +241,8 @@ def run_inline(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     benchmarks = benchmarks or _INLINE_BENCHMARKS
     rows = []
     for name in benchmarks:
-        on = run_vm(name, scale, RunConfig(inline=True, profile=False))
-        off = run_vm(name, scale, RunConfig(inline=False, profile=False))
+        on = run_vm(name, scale, RunConfig(inline=True))
+        off = run_vm(name, scale, RunConfig(inline=False))
         ind_on = _indirect(on)
         ind_off = _indirect(off)
         rows.append([

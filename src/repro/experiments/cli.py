@@ -155,7 +155,11 @@ def main(argv=None) -> int:
         jobs = collect_jobs(known_ids, scale=args.scale,
                             benchmarks=benchmarks)
         if jobs:
-            policy = RetryPolicy.from_env()
+            try:
+                policy = RetryPolicy.from_env()
+            except ValueError as exc:
+                print(f"bad environment: {exc}", file=sys.stderr)
+                return 2
             if args.job_timeout is not None:
                 import dataclasses
                 policy = dataclasses.replace(

@@ -21,7 +21,7 @@ _MANAGERS = ("monitor-cache", "thin-lock", "one-bit-lock")
 
 
 def _jobs(scale: str = "s1", benchmarks=None) -> list:
-    return [run_job(n, scale, RunConfig(lock_manager=mgr, profile=False))
+    return [run_job(n, scale, RunConfig(lock_manager=mgr))
             for n in benchmarks or SPEC_BENCHMARKS
             for mgr in _MANAGERS]
 
@@ -35,8 +35,7 @@ def run(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     for name in benchmarks:
         per_mgr = {}
         for mgr in _MANAGERS:
-            result = run_vm(name, scale,
-                            RunConfig(lock_manager=mgr, profile=False))
+            result = run_vm(name, scale, RunConfig(lock_manager=mgr))
             per_mgr[mgr] = result
         mc = per_mgr["monitor-cache"]
         tl = per_mgr["thin-lock"]

@@ -20,7 +20,7 @@ from .base import ExperimentResult, experiment
 
 
 def _jobs(scale: str = "s1", benchmarks=None) -> list:
-    return [run_job(n, scale, f"{mode},profile=False")
+    return [run_job(n, scale, mode)
             for mode in ("interp", "jit")
             for n in benchmarks or SPEC_BENCHMARKS]
 
@@ -34,7 +34,7 @@ def run(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     for mode in ("interp", "jit"):
         counts = np.zeros(N_CATEGORIES, dtype=np.int64)
         for name in benchmarks:
-            result = run_vm(name, scale, f"{mode},profile=False")
+            result = run_vm(name, scale, mode)
             counts += result.category_counts
         rows.append(_row(f"java/{mode}", counts))
         mem_by_mode[mode] = rows[-1][1]

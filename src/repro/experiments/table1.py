@@ -20,15 +20,15 @@ from .base import ExperimentResult, experiment
 
 def _jobs(scale: str = "s1", benchmarks=None) -> list:
     scales = (scale,) if scale == "s0" else (scale, "s10")
-    return [run_job(n, sc, f"{mode},profile=False")
+    return [run_job(n, sc, mode)
             for n in benchmarks or SPEC_BENCHMARKS
             for sc in scales
             for mode in ("interp", "jit")]
 
 
 def _overhead(name: str, scale: str) -> tuple[float, float, dict]:
-    interp = run_vm(name, scale, "interp,profile=False")
-    jit = run_vm(name, scale, "jit,profile=False")
+    interp = run_vm(name, scale, "interp")
+    jit = run_vm(name, scale, "jit")
     interp_kb = interp.footprint["interpreter_total"] / 1024
     jit_kb = jit.footprint["jit_total"] / 1024
     return interp_kb, jit_kb, jit.footprint

@@ -4,7 +4,10 @@ A :class:`RunConfig` is the whole answer to "how was this program
 executed": the compile policy with its thresholds, the optimizer
 switches, the lock manager and the runtime limits.  It is a frozen,
 hashable value, so two runs compare equal exactly when they were
-configured the same way.
+configured the same way.  Profiling is not a field: every VM keeps
+per-method profiles (the oracle and the tiered ladder read them, and
+they never change a simulated number), so every field is one that
+decides what a run simulates.
 
 The paper's Section 3 compile policies are one field, ``policy``:
 
@@ -78,7 +81,6 @@ class RunConfig:
     lock_elision: bool = False
     inline: bool = True
     folding: bool = False
-    profile: bool = True
     record: bool = False
     #: a name from :data:`repro.sync.LOCK_MANAGERS`
     lock_manager: str = "monitor-cache"

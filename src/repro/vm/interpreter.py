@@ -384,7 +384,7 @@ class Interpreter:
                     cycles += (sink.cycles - cycles_before) - (
                         vm.translate_overhead + loader.overhead_cycles
                         - overhead_before)
-                if cycles <= 0 or profiler is None:
+                if cycles <= 0:
                     continue
             else:
                 # What a full handler emits is known only once it has
@@ -393,8 +393,6 @@ class Interpreter:
                 cycles_before = sink.cycles
                 overhead_before = vm.translate_overhead + loader.overhead_cycles
                 handlers[op](thread, frame, instr)
-                if profiler is None:
-                    continue
                 cycles = (sink.cycles - cycles_before) - (
                     vm.translate_overhead + loader.overhead_cycles
                     - overhead_before)
@@ -1048,8 +1046,7 @@ class Interpreter:
 
         compiled = vm.prepare_method(target)
         callee = thread.push_frame(mm)
-        if vm.profiler is not None:
-            callee.profile = vm.profiler.profile_for(target)
+        callee.profile = vm.profiler.profile_for(target)
         for i, value in enumerate(args):
             callee.locals[i] = value
         callee.sync_obj = sync_obj

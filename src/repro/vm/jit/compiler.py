@@ -687,7 +687,9 @@ class JITCompiler:
         n_args = ref.argc + (1 if has_receiver else 0)
         args_base = depth - n_args       # caller slot of first callee local
         protos: list[_Proto] = []
-        dyn_offsets: list[int] = []
+        # ``is_inlinable`` bodies end at their one return, so the loop
+        # below reaches every field access, in ``offsets`` order.
+        dyn_offsets = [OBJECT_HEADER_BYTES + off for off in offsets]
 
         # A tiny abstract interpreter over the callee, mapping callee
         # stack slot k -> caller slot (depth + k).
@@ -714,13 +716,9 @@ class JITCompiler:
             elif c_op is Op.GETFIELD:
                 rd = self._dst(cslot(sp - 1))
                 protos.append(_Proto(NCat.LOAD, dst=rd, ea="dyn"))
-                dyn_offsets.append(OBJECT_HEADER_BYTES +
-                                   self._inline_field_off(target, c_instr))
             elif c_op is Op.PUTFIELD:
                 rv = self._use(method, cslot(sp - 1), REG_TMP0, protos)
                 protos.append(_Proto(NCat.STORE, src1=rv, ea="dyn"))
-                dyn_offsets.append(OBJECT_HEADER_BYTES +
-                                   self._inline_field_off(target, c_instr))
                 sp -= 2
             elif c_kind == "binop":
                 ra = self._use(method, cslot(sp - 2), REG_TMP0, protos)
@@ -756,11 +754,6 @@ class JITCompiler:
             self._assumptions.append(
                 (ref.class_name, ref.method_name, target))
         return InlineSite(target, dyn_offsets), protos
-
-    def _inline_field_off(self, target, c_instr) -> int:
-        owner, fname = self.loader.resolve_field(
-            self.loader.mirrors[target.jclass], c_instr.a)
-        return owner.jclass.field_offsets[fname]
 
     # ------------------------------------------------------------------
     # materialization

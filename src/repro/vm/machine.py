@@ -73,7 +73,7 @@ class VMResult:
         self.sync = vm.lock_manager.stats.snapshot()
         self.sync_cycles = vm.lock_manager.stats.cycles
         self.heap = vm.heap.stats.snapshot()
-        self.profiles = vm.profiler.snapshot() if vm.profiler else {}
+        self.profiles = vm.profiler.snapshot()
         self.strategy_config = vm.config.describe()
         self.tiering = vm.tiered.snapshot() if vm.tiered else None
         self.opcode_counts = np.array(vm.opcode_counts, dtype=np.int64)
@@ -140,11 +140,8 @@ class JavaVM:
         # pre-seed tier-2 elision, racy sites are pre-blacklisted.
         self._concurrency = None
         self._concurrency_plan: dict[Method, tuple] = {}
-        # Tiering is profile-driven: the controller needs invocation and
-        # backedge counts regardless of the profile flag.
-        tiered = config.policy == "tiered"
-        self.profiler = Profiler() if config.profile or tiered else None
-        if tiered:
+        self.profiler = Profiler()
+        if config.policy == "tiered":
             self.tiered = TieredController(self, config)
             self.loader.on_load = self.tiered.on_class_loaded
         else:
@@ -227,8 +224,7 @@ class JavaVM:
         return thread
 
     def _push_entry(self, thread: JThread, method: Method, receiver=None):
-        if self.profiler:
-            self.profiler.count_invocation(method)
+        self.profiler.count_invocation(method)
         frame = thread.push_frame(self.loader.methods[method])
         if receiver is not None:
             frame.locals[0] = receiver
@@ -236,8 +232,7 @@ class JavaVM:
         return frame
 
     def _set_entry_mode(self, frame, method) -> None:
-        if self.profiler:
-            frame.profile = self.profiler.profile_for(method)
+        frame.profile = self.profiler.profile_for(method)
         compiled = self.prepare_method(method, count=False)
         if compiled is not None:
             frame.emit_mode = EMIT_COMPILED
@@ -355,9 +350,7 @@ class JavaVM:
         Returns the :class:`CompiledMethod` if the method is (now)
         compiled, else ``None``.
         """
-        n = self.profiler.count_invocation(method) if (
-            self.profiler and count
-        ) else 1
+        n = self.profiler.count_invocation(method) if count else 1
         if self.tiered is not None and not method.is_native:
             return self.tiered.on_invoke(method)
         compiled = self._compiled.get(method)
@@ -378,9 +371,8 @@ class JavaVM:
         archive-install path all account here, so the Figure 1
         translate/execute split cannot drift between modes."""
         self.translate_overhead += compiled.translate_cycles
-        if self.profiler:
-            self.profiler.note_translate(method, compiled.translate_cycles,
-                                         installed=compiled.from_archive)
+        self.profiler.note_translate(method, compiled.translate_cycles,
+                                     installed=compiled.from_archive)
 
     # ------------------------------------------------------------------
     # lock elision (escape analysis)

@@ -117,7 +117,8 @@ class TestRunner:
         assert RunConfig.parse("counter3").name == "counter"
         assert RunConfig.parse("oracle,compile_set=A.m").compile_set == {
             "A.m"}
-        for token in ("warp-speed", "jit,warp=1", "counter", "jit,inline"):
+        for token in ("warp-speed", "jit,warp=1", "counter", "jit,inline",
+                      "jit,profile=False"):
             with pytest.raises(ValueError):
                 RunConfig.parse(token)
 

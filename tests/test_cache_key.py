@@ -50,7 +50,6 @@ _RUN_FIELDS = {
     "lock_elision": st.booleans(),
     "inline": st.booleans(),
     "folding": st.booleans(),
-    "profile": st.booleans(),
     "record": st.booleans(),
     "lock_manager": st.sampled_from(sorted(LOCK_MANAGERS)),
     "static_concurrency": st.booleans(),

@@ -82,13 +82,13 @@ class TestCycleConservation:
 class TestSchedulerInvariance:
     def test_quantum_does_not_change_single_thread_results(self):
         results = [
-            run_vm("db", "s0", "jit,profile=False")
+            run_vm("db", "s0", "jit")
             for _ in range(1)
         ]
         from repro.vm import JavaVM
         from repro.workloads import get_workload
         small_q = JavaVM(get_workload("db").build("s0"),
-                         "jit,profile=False,quantum=7").run()
+                         "jit,quantum=7").run()
         assert small_q.stdout == results[0].stdout
         assert small_q.cycles == results[0].cycles
 
@@ -99,7 +99,7 @@ class TestSchedulerInvariance:
         sync_d = []
         for quantum in (11, 60, 400):
             vm = JavaVM(get_workload("mtrt").build("s0"),
-                        RunConfig(profile=False, quantum=quantum))
+                        RunConfig(quantum=quantum))
             r = vm.run()
             outs.add(tuple(r.stdout))
             sync_d.append(r.sync["case_counts"]["d"])

@@ -41,7 +41,7 @@ class TestDisassemble:
 
     def test_real_trace(self):
         trace = run_vm("hello", "s0",
-                       "interp,profile=False,record=True").trace
+                       "interp,record=True").trace
         text = disassemble(trace, start=0, count=50)
         assert len(text.splitlines()) == 50
 
@@ -59,7 +59,7 @@ class TestRegionProfile:
 
     def test_real_interpreter_profile(self):
         trace = run_vm("hello", "s0",
-                       "interp,profile=False,record=True").trace
+                       "interp,record=True").trace
         profile = region_profile(trace)
         assert "interp_text" in profile["fetch"]
         assert "bytecode" in profile["data_read"]

@@ -23,35 +23,35 @@ from repro.native.nisa import NCat
 class TestFoldingInterpreter:
     def test_semantics_preserved(self):
         for wl in ("compress", "db", "mtrt"):
-            base = run_vm(wl, "s0", "interp,profile=False")
-            fold = run_vm(wl, "s0", "interp,folding=True,profile=False")
+            base = run_vm(wl, "s0", "interp")
+            fold = run_vm(wl, "s0", "interp,folding=True")
             assert base.stdout == fold.stdout, wl
             assert base.bytecodes_executed == fold.bytecodes_executed
 
     def test_fewer_instructions_and_cycles(self):
-        base = run_vm("compress", "s0", "interp,profile=False")
-        fold = run_vm("compress", "s0", "interp,folding=True,profile=False")
+        base = run_vm("compress", "s0", "interp")
+        fold = run_vm("compress", "s0", "interp,folding=True")
         assert fold.instructions < base.instructions
         assert fold.cycles < base.cycles
         assert fold.folded_bytecodes > 1000
 
     def test_dispatch_jumps_reduced(self):
-        base = run_vm("jess", "s0", "interp,profile=False")
-        fold = run_vm("jess", "s0", "interp,folding=True,profile=False")
+        base = run_vm("jess", "s0", "interp")
+        fold = run_vm("jess", "s0", "interp,folding=True")
         assert (fold.category_counts[NCat.IJUMP]
                 < 0.8 * base.category_counts[NCat.IJUMP])
 
     def test_folded_trace_well_formed(self):
         fold = run_vm("db", "s0",
-                      "interp,folding=True,profile=False,record=True")
+                      "interp,folding=True,record=True")
         tr = fold.trace
         assert tr.n == fold.instructions
         # folded groups: a dispatch block is followed by >1 handler body
         assert tr.base_cycles() == fold.cycles
 
     def test_folding_noop_for_jit_mode(self):
-        base = run_vm("db", "s0", "jit,profile=False")
-        fold = run_vm("db", "s0", "jit,folding=True,profile=False")
+        base = run_vm("db", "s0", "jit")
+        fold = run_vm("db", "s0", "jit,folding=True")
         # compiled chunks are not interp templates: nothing folds except
         # around interpreted library paths
         assert fold.stdout == base.stdout
@@ -107,7 +107,7 @@ class TestIndirectPredictors:
 
     def test_real_interpreter_trace_gain(self):
         trace = run_vm("compress", "s0",
-                       "interp,profile=False,record=True").trace
+                       "interp,record=True").trace
         from repro.arch.branch import extract_transfers
         events = extract_transfers(trace)
         tc = run_indirect_predictor(TargetCache(), *events)
@@ -265,7 +265,7 @@ class TestVictimCache:
     def test_victim_on_real_trace_helps_dm_icache(self):
         from repro.analysis import run_vm
         from repro.arch.caches import CacheConfig, CacheSim
-        trace = run_vm("javac", "s0", "jit,profile=False,record=True").trace
+        trace = run_vm("javac", "s0", "jit,record=True").trace
         plain = CacheSim(CacheConfig(8 << 10, 32, 1)).run(trace.pc)
         helped = CacheSim(CacheConfig(8 << 10, 32, 1,
                                       victim_entries=8)).run(trace.pc)

@@ -233,8 +233,13 @@ class TestCacheInjection:
         assert cache.lookup("runs", path, bytes) == b"A" * 300
 
     def test_stale_lock_broken_during_store(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCK_TIMEOUT", "5")
         path = str(tmp_path / "runs" / "x.pkl")
+        # A malformed timeout fails the store loudly, not as 10 s.
+        monkeypatch.setenv("REPRO_LOCK_TIMEOUT", "ten")
+        with pytest.raises(ValueError, match="REPRO_LOCK_TIMEOUT"):
+            cache.store("runs", path, b"payload")
+        assert not os.path.exists(path)
+        monkeypatch.setenv("REPRO_LOCK_TIMEOUT", "5")
         faults.activate("stale-lock")
         before = cache.STATS.snapshot()
         cache.store("runs", path, b"payload")

@@ -44,8 +44,9 @@ from repro.workloads import get_workload
 
 WORKLOADS = ("jess", "mtrt")
 
-#: The five configs of ``test_differential.py`` plus the folding
-#: interpreter and the two recording paths.
+#: The five configs of ``test_differential.py``, the folding
+#: interpreter, and recordings of the interpreter (the trace every
+#: interpreter figure replays), the JIT, the folder and the ladder.
 CONFIGS = {
     "interp": RunConfig(threshold=None),
     "jit": RunConfig(),
@@ -55,6 +56,7 @@ CONFIGS = {
     "interp_fold": RunConfig(threshold=None, folding=True),
     "jit_rec": RunConfig(record=True),
     "interp_fold_rec": RunConfig(threshold=None, folding=True, record=True),
+    "interp_rec": RunConfig(threshold=None, record=True),
 }
 CONFIGS["tiered_rec"] = CONFIGS["tiered"].replace(record=True)
 
@@ -68,6 +70,8 @@ EXPECTED = {
         "8818ae5a936fdc655232e38c8b9cf90f9f9b30b91fac0a489d9645fa351409b4",
     "jess/interp_fold_rec":
         "3cf237550183dd54daccbc022e24e6f40736bb61b49733e1ec6445a94fb4549d",
+    "jess/interp_rec":
+        "d73787d7117e5d2f47d98ae2ce691fb9f39264e56e4f5d1a436bfd789f548a82",
     "jess/jit":
         "6fdedbfa0d9ec273f5c4a0de7ecc80453431152752184ef876219d747255a9d8",
     "jess/jit_opt":
@@ -86,6 +90,8 @@ EXPECTED = {
         "ebf4a19b16bf93f457eabaa0c6f271a8f2d5d9f9712d98d5fa70bc973fc40043",
     "mtrt/interp_fold_rec":
         "3c4dfa250b93653f07d48cb03d3b105563c7463fe4d3cad99e09b0a5873fb5b2",
+    "mtrt/interp_rec":
+        "fa20eac64df083d46cebe604e4ddf356f221d0379fd653cf6030e27adf14b514",
     "mtrt/jit":
         "327d0c15f10cc57a5d45a7b5f10c3c867f869fb6c324f8d5bfaf777969d56886",
     "mtrt/jit_opt":

@@ -23,7 +23,7 @@ def test_output_invariant_under_configuration(workload):
     """The architectural configuration must never change program output."""
     outputs = set()
     for config in CONFIGS:
-        result = run_vm(workload, "s0", f"{config},profile=False")
+        result = run_vm(workload, "s0", config)
         outputs.add(tuple(result.stdout))
     assert len(outputs) == 1, f"{workload}: divergent outputs {outputs}"
 
@@ -44,23 +44,23 @@ def test_cycle_accounting_consistent(workload):
 
 @pytest.mark.parametrize("workload", ("db", "jack"))
 def test_bytecode_count_mode_invariant(workload):
-    a = run_vm(workload, "s0", "interp,profile=False")
-    b = run_vm(workload, "s0", "jit,profile=False")
+    a = run_vm(workload, "s0", "interp")
+    b = run_vm(workload, "s0", "jit")
     assert a.bytecodes_executed == b.bytecodes_executed
 
 
 def test_trace_instruction_totals_match_counting():
     for mode in ("interp", "jit"):
-        counted = run_vm("jess", "s0", f"{mode},profile=False")
-        recorded = run_vm("jess", "s0", f"{mode},profile=False,record=True")
+        counted = run_vm("jess", "s0", mode)
+        recorded = run_vm("jess", "s0", f"{mode},record=True")
         assert counted.instructions == recorded.trace.n
         assert counted.cycles == recorded.trace.base_cycles()
 
 
 def test_interp_jit_native_instruction_ratio():
     """The JIT's whole point: far fewer native instructions per bytecode."""
-    interp = run_vm("compress", "s0", "interp,profile=False")
-    jit = run_vm("compress", "s0", "jit,profile=False")
+    interp = run_vm("compress", "s0", "interp")
+    jit = run_vm("compress", "s0", "jit")
     per_bc_interp = interp.instructions / interp.bytecodes_executed
     per_bc_jit = jit.instructions / jit.bytecodes_executed
     assert 18 <= per_bc_interp <= 32      # the paper's ~25

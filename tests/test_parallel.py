@@ -25,14 +25,14 @@ from repro.vm import RunConfig
 class TestJobDescriptors:
     def test_constructors_and_equality(self):
         assert trace_job("db") == Job("trace", "db", "s1", "jit")
-        assert run_job("db", "s0", "interp,profile=False") == Job(
-            "run", "db", "s0", RunConfig(threshold=None, profile=False)
+        assert run_job("db", "s0", "interp,inline=False") == Job(
+            "run", "db", "s0", RunConfig(threshold=None, inline=False)
         )
         assert oracle_job("db").kind == "oracle"
 
     def test_option_order_is_canonical(self):
-        a = run_job("db", "s0", "jit,inline=False,profile=False")
-        b = run_job("db", "s0", "jit,profile=False,inline=False")
+        a = run_job("db", "s0", "jit,inline=False,folding=True")
+        b = run_job("db", "s0", "jit,folding=True,inline=False")
         assert a == b
         assert len(dedupe([a, b])) == 1
 
@@ -41,8 +41,8 @@ class TestJobDescriptors:
             Job("frobnicate", "db")
 
     def test_describe_mentions_the_measurement(self):
-        text = run_job("db", "s0", "jit,profile=False").describe()
-        assert "db/s0/jit" in text and "profile=False" in text
+        text = run_job("db", "s0", "jit,inline=False").describe()
+        assert "db/s0/jit" in text and "inline=False" in text
 
     def test_dedupe_preserves_order(self):
         jobs = [trace_job("a"), trace_job("b"), trace_job("a")]
@@ -50,7 +50,7 @@ class TestJobDescriptors:
 
     def test_jobs_are_spawn_safe(self):
         import pickle
-        job = run_job("db", "s0", "counter4,profile=False")
+        job = run_job("db", "s0", "counter4,inline=False")
         assert pickle.loads(pickle.dumps(job)) == job
 
 
@@ -66,17 +66,21 @@ class TestDeclaredJobs:
         assert union == [trace_job("db", "s0", "interp"),
                          trace_job("db", "s0", "jit")]
 
-    def test_declared_jobs_cover_the_run(self, tmp_path, monkeypatch):
-        """Pre-warming fig3's declared jobs makes its run 100% cache
-        hits — the declaration is complete."""
+    @pytest.mark.parametrize("eid", [
+        "fig3", "table1", "fig2", "fig11", "ablation_locks",
+        "ablation_lock_elision", "ablation_inline",
+    ])
+    def test_declared_jobs_cover_the_run(self, eid, tmp_path, monkeypatch):
+        """Pre-warming an experiment's declared jobs makes its run 100%
+        cache hits — the declaration is complete."""
         cache_dir = str(tmp_path)
-        for job in jobs_for("fig3", scale="s0", benchmarks=("db",)):
+        for job in jobs_for(eid, scale="s0", benchmarks=("db",)):
             outcome = execute_job(job, cache_dir=cache_dir)
             assert outcome["error"] is None
         cache.reset_stats()
         from repro.experiments import get_experiment
         monkeypatch.setenv("REPRO_TRACE_CACHE", cache_dir)
-        get_experiment("fig3")(scale="s0", benchmarks=("db",))
+        get_experiment(eid)(scale="s0", benchmarks=("db",))
         assert cache.STATS.misses == 0
         assert cache.STATS.hits > 0
 
@@ -116,7 +120,7 @@ class TestRunJobsPooled:
 
     def test_pool_populates_shared_cache(self, tmp_path):
         jobs = trace_jobs(("hello",), "s0") + [
-            run_job("hello", "s0", "jit,profile=False")
+            run_job("hello", "s0", "jit")
         ]
         summary = run_jobs(jobs, max_workers=2, cache_dir=str(tmp_path))
         assert not summary.errors

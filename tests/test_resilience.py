@@ -41,6 +41,15 @@ class TestRetryPolicy:
         policy = RetryPolicy.from_env()
         assert policy.max_attempts == 5
         assert policy.job_timeout == 12.5
+        # A malformed value fails loudly, naming its variable, instead
+        # of being dropped along with its valid neighbour.
+        for retries, timeout, bad in (("two", "30", "REPRO_JOB_RETRIES"),
+                                      ("4", "soon", "REPRO_JOB_TIMEOUT"),
+                                      ("1.5", "", "REPRO_JOB_RETRIES")):
+            monkeypatch.setenv("REPRO_JOB_RETRIES", retries)
+            monkeypatch.setenv("REPRO_JOB_TIMEOUT", timeout)
+            with pytest.raises(ValueError, match=bad):
+                RetryPolicy.from_env()
         monkeypatch.delenv("REPRO_JOB_RETRIES")
         monkeypatch.delenv("REPRO_JOB_TIMEOUT")
         assert RetryPolicy.from_env() == RetryPolicy()
@@ -170,6 +179,19 @@ class TestPrewarmFailureExit:
         # the rendering pass recomputed inline and still delivered
         assert "(fig3 completed" in out.out
         assert os.path.exists(out_json)
+
+    def test_malformed_retry_env_exits_before_running(self, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "")
+        monkeypatch.setenv("REPRO_JOB_RETRIES", "two")
+        from repro.experiments import cli
+        status = cli.main(["fig3", "--scale", "s0", "--benchmarks", "db",
+                           "--jobs", "2",
+                           "--cache-dir", str(tmp_path / "c")])
+        assert status == 2
+        out = capsys.readouterr()
+        assert "REPRO_JOB_RETRIES" in out.err
+        assert "(fig3 completed" not in out.out
 
 
 class TestStaleLockRecovery:

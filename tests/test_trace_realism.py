@@ -28,12 +28,12 @@ def _in(arr, base, size):
 
 @pytest.fixture(scope="module")
 def interp_trace():
-    return run_vm("db", "s0", "interp,profile=False,record=True").trace
+    return run_vm("db", "s0", "interp,record=True").trace
 
 
 @pytest.fixture(scope="module")
 def jit_trace():
-    return run_vm("db", "s0", "jit,profile=False,record=True").trace
+    return run_vm("db", "s0", "jit,record=True").trace
 
 
 class TestInterpreterMode:
