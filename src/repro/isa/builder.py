@@ -471,10 +471,6 @@ class ProgramBuilder:
         self._class_builders.append(cb)
         return cb
 
-    def include(self, jclass: JClass) -> "ProgramBuilder":
-        self.program.add_class(jclass)
-        return self
-
     def build(self, verify: bool = True, typed: bool = False) -> Program:
         for cb in self._class_builders:
             self.program.add_class(cb.build())

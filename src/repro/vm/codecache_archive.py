@@ -24,11 +24,11 @@ therefore covers
   into chunk effective addresses, plus the inlining decision (target,
   field offsets, speculative or proven) at every call site.
 
-Computing that signature performs the same pool resolutions, in the
-same order, that translation itself would — on hits *and* misses —
-so archive-enabled runs resolve and load classes identically whether
-they translate or install, and cold/warm runs produce byte-identical
-execution traces.
+The link context is the one the compiler resolves once per compile,
+before it would translate (:meth:`~repro.vm.jit.compiler.JITCompiler.link`)
+— on hits *and* misses — so archive-enabled runs resolve and load
+classes identically whether they translate or install, and cold/warm
+runs produce byte-identical execution traces.
 
 Entries are the ``code`` namespace of the one content-addressed store,
 :mod:`repro.analysis.cache`: pid-file locks, atomic writes, sha256
@@ -47,11 +47,9 @@ import pickle
 import numpy as np
 
 from ..analysis import cache
-from ..isa.opcodes import Op, OPINFO
 from ..native.template import Template
 from ..obs import TRACER
 from .jit.chunks import Chunk, CompiledMethod, InlineSite
-from .jit.inline import inline_field_offsets, is_inlinable
 
 #: Payload schema version; bump on layout changes (defense in depth —
 #: the source digest in the key already invalidates on code edits).
@@ -70,74 +68,27 @@ _ARRAY_FIELDS = ("pc", "cat", "ea", "flags", "target", "dst", "src1",
 
 # -- link-context signature --------------------------------------------
 
-def _bytecode_signature(method) -> list:
-    return [(int(i.op), i.a, i.b, repr(i.extra)) for i in method.code]
-
-
-def _inline_signature(compiler, method, idx, instr, speculate_cha,
-                      cha_blacklist) -> tuple:
-    """Mirror :meth:`JITCompiler._try_inline`'s decision (and its
-    resolution side effects) without generating code."""
-    ref = method.pool[instr.a]
-    base = ("call", ref.class_name, ref.method_name, ref.argc)
-    if not compiler.inline_enabled:
-        return base
-    speculative = False
-    if instr.op is Op.INVOKEVIRTUAL:
-        target = compiler.hierarchy.unique_target(
-            ref.class_name, ref.method_name)
-        if (target is None and speculate_cha
-                and (ref.class_name, ref.method_name) not in cha_blacklist):
-            target = compiler.hierarchy.unique_loaded_target(
-                ref.class_name, ref.method_name, compiler.loader.mirrors)
-            speculative = target is not None
-    else:
-        try:
-            target = compiler.loader.resolve_method(
-                compiler.loader.mirrors[method.jclass], instr.a)
-        except Exception:
-            return base
-    if target is None or not is_inlinable(target):
-        return base
-    offsets = inline_field_offsets(target, compiler.loader)
-    if offsets is None:
-        return base
-    has_receiver = instr.op is not Op.INVOKESTATIC
-    if not has_receiver and offsets:
-        return base
-    return ("inline", target.qualified_name, tuple(offsets), speculative)
-
-
-def link_signature(compiler, method, *, optimize: bool,
-                   speculate_cha: bool, cha_blacklist: frozenset) -> str:
-    """Digest of everything translation would bake into the chunks.
-
-    Walks the bytecode exactly like ``JITCompiler._translate`` — same
-    reachability skips, same pool resolutions in the same order — so
-    computing the key is observationally identical (loader charges,
-    class loading) to starting a translation.  That property is what
-    keeps cold and warm runs cycle-identical outside the
-    translate/install split.
-    """
+def link_signature(link, optimize: bool) -> str:
+    """Digest of everything translation bakes into the chunks: the
+    method's code and compiler flags plus its link context
+    (:class:`repro.vm.jit.compiler.Link`), the very resolutions
+    translation reads."""
+    method = link.method
     parts: list = [
         SCHEMA, method.qualified_name, method.argc, method.max_locals,
         int(method.is_static), int(method.is_synchronized),
-        bool(optimize), bool(compiler.inline_enabled),
-        bool(speculate_cha), sorted(cha_blacklist),
-        _bytecode_signature(method),
+        bool(optimize), bool(link.inline_enabled),
+        bool(link.speculate_cha), sorted(link.cha_blacklist),
+        [(int(i.op), i.a, i.b, repr(i.extra)) for i in method.code],
+        sorted(link.statics.items()),
     ]
-    for idx, instr in enumerate(method.code):
-        if method.depth_in[idx] < 0:    # unreachable: _translate skips too
-            continue
-        kind = OPINFO[instr.op].kind
-        if kind == "field" and instr.op in (Op.GETSTATIC, Op.PUTSTATIC):
-            owner, fname = compiler.loader.resolve_field(
-                compiler.loader.mirrors[method.jclass], instr.a)
-            parts.append(("static", idx, owner.jclass.name, fname,
-                          owner.static_addr[fname]))
-        elif kind == "invoke":
-            parts.append((idx,) + _inline_signature(
-                compiler, method, idx, instr, speculate_cha, cha_blacklist))
+    for idx, decision in link.inlines.items():
+        ref = method.pool[method.code[idx].a]
+        site = (idx, ref.class_name, ref.method_name, ref.argc)
+        if decision is not None:
+            target, offsets, speculative = decision
+            site += (target.qualified_name, tuple(offsets), speculative)
+        parts.append(site)
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
@@ -251,25 +202,22 @@ class CodeArchive:
         self._stores_since_gc = 0
 
     # -- addressing ----------------------------------------------------
-    def entry_for(self, compiler, method, *, tier: int,
-                  optimize: bool | None = None,
-                  speculate_cha: bool = False,
-                  cha_blacklist: frozenset = frozenset()) -> str:
-        """Path of the entry holding ``method`` compiled at ``tier``."""
-        effective_opt = (compiler.optimize_enabled if optimize is None
-                         else optimize)
-        sig = link_signature(
-            compiler, method, optimize=effective_opt,
-            speculate_cha=speculate_cha, cha_blacklist=cha_blacklist)
-        key = cache.cache_key("code", signature=sig, tier=tier)
+    def entry_for(self, link, *, tier: int, optimize: bool) -> str:
+        """Path of the entry holding ``link.method`` compiled at
+        ``tier``."""
+        key = cache.cache_key("code", signature=link_signature(link, optimize),
+                              tier=tier)
+        method = link.method
         safe = method.qualified_name.replace("/", "_").replace(":", "_")
         return cache.entry_path(self.directory, "code", f"{safe}-t{tier}",
                                 key)
 
-    def probe(self, compiler, method, *, tier: int,
-              optimize: bool | None = None) -> bool:
-        """Existence check (no counters) for promotion pricing."""
-        return os.path.exists(self.entry_for(compiler, method, tier=tier,
+    def probe(self, compiler, method, tier: int) -> bool:
+        """Existence check (no counters) for promotion pricing; links
+        ``method`` as a ``tier`` compile would."""
+        optimize, speculate_cha = compiler.tier_flags(tier)
+        link = compiler.link(method, speculate_cha)
+        return os.path.exists(self.entry_for(link, tier=tier,
                                              optimize=optimize))
 
     # -- load ----------------------------------------------------------

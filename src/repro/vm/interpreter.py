@@ -866,10 +866,7 @@ class Interpreter:
     def _op_new(self, thread, frame, instr):
         cls = self.loader.resolve_class(frame.mirror, instr.a)
         obj = self.vm.heap.new_object(cls.jclass)
-        if self.lock_elision:
-            self._mark_thread_local(thread, frame, obj)
-        elif self.tiered is not None:
-            self.tiered.mark_allocation(thread, frame, obj)
+        self._mark_allocation(thread, frame, obj)
         d = len(frame.stack)
         frame.stack.append(obj)
         self._emit_alloc(frame, instr, obj, frame.slot_addr(d))
@@ -877,10 +874,7 @@ class Interpreter:
     def _op_newarray(self, thread, frame, instr):
         length = frame.stack.pop()
         arr = self.vm.heap.new_array(ArrayType(instr.a), length)
-        if self.lock_elision:
-            self._mark_thread_local(thread, frame, arr)
-        elif self.tiered is not None:
-            self.tiered.mark_allocation(thread, frame, arr)
+        self._mark_allocation(thread, frame, arr)
         d = len(frame.stack)
         frame.stack.append(arr)
         self._emit_alloc(frame, instr, arr, frame.slot_addr(d))
@@ -889,19 +883,20 @@ class Interpreter:
         cls = self.loader.resolve_class(frame.mirror, instr.a)
         length = frame.stack.pop()
         arr = self.vm.heap.new_array("ref", length, ref_class=cls.jclass)
-        if self.lock_elision:
-            self._mark_thread_local(thread, frame, arr)
-        elif self.tiered is not None:
-            self.tiered.mark_allocation(thread, frame, arr)
+        self._mark_allocation(thread, frame, arr)
         d = len(frame.stack)
         frame.stack.append(arr)
         self._emit_alloc(frame, instr, arr, frame.slot_addr(d))
 
-    def _mark_thread_local(self, thread, frame, obj) -> None:
+    def _mark_allocation(self, thread, frame, obj) -> None:
         """Tag ``obj`` for lock elision when this allocation site is
-        proven non-escaping (the instruction just fetched is ip-1)."""
-        if (frame.ip - 1) in self.vm.elidable_sites(frame.method):
-            obj.tl_thread = thread.thread_id
+        proven non-escaping (the instruction just fetched is ip-1), or
+        let the tiered engine mark it."""
+        if self.lock_elision:
+            if (frame.ip - 1) in self.vm.elidable_sites(frame.method):
+                obj.tl_thread = thread.thread_id
+        elif self.tiered is not None:
+            self.tiered.mark_allocation(thread, frame, obj)
 
     def _emit_alloc(self, frame, instr, obj, push_ea):
         mode = frame.emit_mode
@@ -1079,8 +1074,8 @@ class Interpreter:
             callee.emit_mode = EMIT_NONE
 
         callee.return_pc = self._return_site(frame)
-        self._emit_invoke(frame, instr, op, receiver, mm, n_args,
-                          callee, entry_pc)
+        self._emit_invoke(frame, instr, receiver, mm, n_args,
+                          callee.locals_addr, callee.frame_base, entry_pc)
         if callee.emit_mode == EMIT_COMPILED:
             compiled.prologue.emit(self.sink, callee)
 
@@ -1092,21 +1087,26 @@ class Interpreter:
                 return chunk.template.end_pc
         return self.tpls.dispatch_pc
 
-    def _emit_invoke(self, frame, instr, op, receiver, mm, n_args,
-                     callee, entry_pc):
+    def _emit_invoke(self, frame, instr, receiver, mm, n_args,
+                     locals_base, saved_vpc, target_pc):
+        """Emit the call in the caller's mode: its compiled chunk, or the
+        interpreter's invoke template, which copies the args into the
+        callee's locals at ``locals_base`` and saves ``saved_vpc``;
+        either transfers to ``target_pc``."""
         mode = frame.emit_mode
         if mode == EMIT_NONE:
             return
+        op = instr.op
         if mode >= EMIT_COMPILED:
             if op is Op.INVOKEVIRTUAL:
                 self._emit_chunk(
                     frame,
                     (receiver.addr, mm.meta_addr),
                     (),
-                    (entry_pc,),
+                    (target_pc,),
                 )
             else:
-                self._emit_chunk(frame, (), (), (entry_pc,))
+                self._emit_chunk(frame, (), (), (target_pc,))
             return
         # Interpreter emission.
         d = len(frame.stack)  # args already popped
@@ -1127,54 +1127,23 @@ class Interpreter:
             pairs = argc_key
         for k in range(pairs):
             eas.append(s(d + k))                    # arg load (caller stack)
-            eas.append(callee.local_addr(k))        # arg store (callee locals)
-        eas.append(callee.frame_base)               # saved vpc
+            eas.append(locals_base + 4 * k)         # arg store (callee locals)
+        eas.append(saved_vpc)
         key = ({Op.INVOKEVIRTUAL: "invokevirtual",
                 Op.INVOKESPECIAL: "invokespecial",
                 Op.INVOKESTATIC: "invokestatic"}[op], argc_key)
-        self.sink.emit(self.tpls.tpl[key], tuple(eas), (), (entry_pc,))
+        self.sink.emit(self.tpls.tpl[key], tuple(eas), (), (target_pc,))
 
     def _invoke_native(self, thread, frame, instr, mm, args, receiver,
                        sync_obj, n_args):
         vm = self.vm
         target = mm.method
         mode = frame.emit_mode
-        callee_locals_base = frame.slot_addr(len(frame.stack))
-        if mode == EMIT_INTERP:
-            # The invoke handler models the call; a static-cost native
-            # body follows.
-            op = instr.op
-            d = len(frame.stack)
-            s = frame.slot_addr
-            bc = self._bc_ea(frame)
-            pool_ea = self._pool_ea(frame, instr.a)
-            if op is Op.INVOKEVIRTUAL:
-                argc_key = min(n_args - 1, MAX_INVOKE_ARGS)
-                eas = [bc, pool_ea, s(d), receiver.addr, mm.meta_addr]
-                pairs = argc_key + 1
-                key = ("invokevirtual", argc_key)
-            elif op is Op.INVOKESPECIAL:
-                argc_key = min(n_args - 1, MAX_INVOKE_ARGS)
-                eas = [bc, pool_ea]
-                pairs = argc_key + 1
-                key = ("invokespecial", argc_key)
-            else:
-                argc_key = min(n_args, MAX_INVOKE_ARGS)
-                eas = [bc, pool_ea]
-                pairs = argc_key
-                key = ("invokestatic", argc_key)
-            for k in range(pairs):
-                eas.append(s(d + k))
-                eas.append(callee_locals_base + 4 * k)
-            eas.append(callee_locals_base)
-            self.sink.emit(self.tpls.tpl[key], tuple(eas),
-                           (), (self.stubs.region.base,))
-        elif mode >= EMIT_COMPILED:
-            if instr.op is Op.INVOKEVIRTUAL:
-                self._emit_chunk(frame, (receiver.addr, mm.meta_addr),
-                                 (), (self.stubs.region.base,))
-            else:
-                self._emit_chunk(frame, (), (), (self.stubs.region.base,))
+        # The invoke handler models the call into a static-cost native
+        # body, whose locals start where the args were.
+        locals_base = frame.slot_addr(len(frame.stack))
+        self._emit_invoke(frame, instr, receiver, mm, n_args, locals_base,
+                          locals_base, self.stubs.region.base)
 
         result = target.native_impl(vm, thread, args)
         if result is vm.NATIVE_BLOCKED:

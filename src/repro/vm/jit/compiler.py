@@ -143,6 +143,41 @@ class _Lowering:
         return self.lowered[1]
 
 
+class Link:
+    """A method's link context: what translation bakes in from the VM's
+    loader and class hierarchy, resolved once per compile in code order
+    by :meth:`JITCompiler.link`.
+
+    ``statics`` maps a GETSTATIC/PUTSTATIC index to ``(class name,
+    field, address)``; ``inlines`` maps each reachable invoke's index to
+    ``(target, field offsets, speculative)``, or ``None`` for a call.
+    The code archive digests it (``codecache_archive.link_signature``).
+    """
+
+    __slots__ = ("method", "inline_enabled", "speculate_cha",
+                 "cha_blacklist", "statics", "inlines")
+
+    def __init__(self, method, inline_enabled, speculate_cha,
+                 cha_blacklist) -> None:
+        self.method = method
+        self.inline_enabled = inline_enabled
+        self.speculate_cha = speculate_cha
+        self.cha_blacklist = cha_blacklist
+        self.statics: dict[int, tuple] = {}
+        self.inlines: dict[int, tuple | None] = {}
+
+    def assumptions(self) -> tuple:
+        """``(class name, method name, target)`` of each speculative
+        devirtualization, in code order."""
+        method = self.method
+        out = []
+        for idx, decision in self.inlines.items():
+            if decision is not None and decision[2]:
+                ref = method.pool[method.code[idx].a]
+                out.append((ref.class_name, ref.method_name, decision[0]))
+        return tuple(out)
+
+
 class CodeCache:
     """Per-VM code cache; tracks installed bytes for the footprint study."""
 
@@ -180,70 +215,117 @@ class JITCompiler:
         self.dead_stores_eliminated = 0
         self.spill_stores_eliminated = 0
         self._skip_spill = False
-        # Per-compile tiering state (reset by compile()).
-        self._opt_override: bool | None = None
-        self._speculate_cha = False
-        self._cha_blacklist: frozenset = frozenset()
-        self._assumptions: list = []
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def compile(self, method: Method, tier: int = 0,
-                optimize: bool | None = None,
-                speculate_cha: bool = False,
                 cha_blacklist: frozenset = frozenset()) -> CompiledMethod:
         """Translate one method, charge the work to the trace, install.
 
-        The tiered engine parameterizes each translation: ``optimize``
-        overrides the VM-wide flag (tier 1 compiles baseline code even
-        in an optimizing VM; tier 2 always optimizes), ``speculate_cha``
-        lets devirtualization use loaded-world CHA (recorded as
-        assumptions on the :class:`CompiledMethod` for invalidation),
-        and ``cha_blacklist`` names call targets whose speculation
-        already failed once.
+        The tier decides the translation (:meth:`tier_flags`); at tier 2
+        ``cha_blacklist`` names call targets whose speculation already
+        failed once.  The method's :meth:`link` is resolved once, before
+        any code is generated: translation reads it and the code archive
+        keys on it, so an archive hit and a translation make the same
+        loader charges and class loads in the same order.
 
         With the tracer on, each translation is a ``vm.jit.translate``
         span — the wall-clock counterpart of the simulated
         translate-cycles the paper's Figure 1 accounts for.
         """
-        self._opt_override = optimize
-        self._speculate_cha = speculate_cha
-        self._cha_blacklist = cha_blacklist
-        self._assumptions = []
-        try:
-            entry = None
-            if self.archive is not None:
-                # Addressing the archive performs the same resolutions,
-                # in the same order, that translation would — on hits
-                # *and* misses — so archive-enabled runs stay
-                # cycle-identical outside the translate/install split.
-                entry = self.archive.entry_for(
-                    self, method, tier=tier, optimize=optimize,
-                    speculate_cha=speculate_cha,
-                    cha_blacklist=cha_blacklist)
-                archived = self.archive.load(entry, method, self)
-                if archived is not None:
-                    return self._install_archived(archived, method, tier)
-            if not TRACER.enabled:
-                compiled = self._translate(method)
-            else:
-                with TRACER.span("vm.jit.translate",
-                                 method=method.qualified_name,
-                                 tier=tier) as sp:
-                    compiled = self._translate(method)
-                    sp.attrs["translate_cycles"] = compiled.translate_cycles
-                    sp.attrs["bytecodes"] = len(method.code)
-            compiled.tier = tier
-            compiled.assumptions = tuple(self._assumptions)
-            if entry is not None:
-                self.archive.store(entry, compiled)
-            return compiled
-        finally:
-            self._opt_override = None
-            self._speculate_cha = False
-            self._cha_blacklist = frozenset()
-            self._assumptions = []
+        optimize, speculate_cha = self.tier_flags(tier)
+        link = self.link(method, speculate_cha, cha_blacklist)
+        entry = None
+        if self.archive is not None:
+            entry = self.archive.entry_for(link, tier=tier, optimize=optimize)
+            archived = self.archive.load(entry, method, self)
+            if archived is not None:
+                return self._install_archived(archived, method, tier)
+        if not TRACER.enabled:
+            compiled = self._translate(method, link, optimize)
+        else:
+            with TRACER.span("vm.jit.translate",
+                             method=method.qualified_name,
+                             tier=tier) as sp:
+                compiled = self._translate(method, link, optimize)
+                sp.attrs["translate_cycles"] = compiled.translate_cycles
+                sp.attrs["bytecodes"] = len(method.code)
+        compiled.tier = tier
+        if entry is not None:
+            self.archive.store(entry, compiled)
+        return compiled
+
+    def tier_flags(self, tier: int) -> tuple[bool, bool]:
+        """``(optimize, speculate_cha)`` for a translation at ``tier``.
+
+        Tier 2 optimizes and devirtualizes on loaded-world CHA
+        (recorded as assumptions for invalidation); tier 1 is baseline
+        code even in an optimizing VM; tier 0, the one-shot JIT, follows
+        the VM's ``jit_opt``.
+        """
+        if tier == 2:
+            return True, True
+        if tier == 1:
+            return False, False
+        return self.optimize_enabled, False
+
+    def link(self, method: Method, speculate_cha: bool = False,
+             cha_blacklist: frozenset = frozenset()) -> Link:
+        """Resolve everything translation bakes in from the VM's link
+        state, walking the reachable code in order: each static field's
+        address and each call site's inlining decision."""
+        loader = self.loader
+        link = Link(method, self.inline_enabled, speculate_cha, cha_blacklist)
+        for idx, instr in enumerate(method.code):
+            if method.depth_in[idx] < 0:      # unreachable: no code
+                continue
+            op = instr.op
+            if op is Op.GETSTATIC or op is Op.PUTSTATIC:
+                owner, fname = loader.resolve_field(
+                    loader.mirrors[method.jclass], instr.a)
+                link.statics[idx] = (owner.jclass.name, fname,
+                                     owner.static_addr[fname])
+            elif OPINFO[op].kind == "invoke":
+                link.inlines[idx] = self._inline_decision(link, instr)
+        return link
+
+    def _inline_decision(self, link: Link, instr):
+        """``(target, field offsets, speculative)`` when the call site
+        inlines, else ``None``."""
+        if not link.inline_enabled:
+            return None
+        method = link.method
+        ref = method.pool[instr.a]
+        op = instr.op
+        speculative = False
+        if op is Op.INVOKEVIRTUAL:
+            target = self.hierarchy.unique_target(ref.class_name,
+                                                  ref.method_name)
+            if (target is None and link.speculate_cha
+                    and (ref.class_name, ref.method_name)
+                    not in link.cha_blacklist):
+                # Closed-world CHA sees several implementations, but only
+                # one is loaded so far: devirtualize speculatively and
+                # record the assumption.  Loading an overriding class
+                # later triggers deoptimization of this method.
+                target = self.hierarchy.unique_loaded_target(
+                    ref.class_name, ref.method_name, self.loader.mirrors)
+                speculative = target is not None
+        else:
+            try:
+                target = self.loader.resolve_method(
+                    self.loader.mirrors[method.jclass], instr.a)
+            except Exception:
+                return None
+        if target is None or not is_inlinable(target):
+            return None
+        offsets = inline_field_offsets(target, self.loader)
+        if offsets is None:
+            return None
+        if op is Op.INVOKESTATIC and offsets:
+            return None  # field access needs a receiver
+        return target, offsets, speculative
 
     def _install_archived(self, compiled: CompiledMethod, method: Method,
                           tier: int) -> CompiledMethod:
@@ -266,11 +348,10 @@ class JITCompiler:
         self.inlined_sites += len(compiled.inline_info)
         return compiled
 
-    def _translate(self, method: Method) -> CompiledMethod:
+    def _translate(self, method: Method, link: Link,
+                   optimize: bool) -> CompiledMethod:
         assert not method.is_native, "native methods are never JIT-compiled"
         dead, pop_only = frozenset(), frozenset()
-        optimize = (self.optimize_enabled if self._opt_override is None
-                    else self._opt_override)
         if optimize:
             # Liveness-driven DSE: stores whose local is never read again
             # and pushes only ever consumed by POP produce no native code.
@@ -294,7 +375,8 @@ class JITCompiler:
                 protos_per_index.append([])
                 continue
             self._skip_spill = idx in pop_only
-            protos = self._gen_instr(method, idx, instr, depth, inline_info)
+            protos = self._gen_instr(method, idx, instr, depth, link,
+                                     inline_info)
             self._skip_spill = False
             if protos:
                 protos = self._codegen_overhead(idx) + protos
@@ -349,6 +431,7 @@ class JITCompiler:
         compiled = CompiledMethod(
             method, chunks, prologue, entry_pc, end_pc, inline_info
         )
+        compiled.assumptions = link.assumptions()
         install_pcs = [
             range(pc, pc + 4 * len(p), 4)
             for pc, p in zip(chunk_pcs, protos_per_index)
@@ -427,7 +510,8 @@ class JITCompiler:
     # ------------------------------------------------------------------
     # per-opcode generation
     # ------------------------------------------------------------------
-    def _gen_instr(self, method, idx, instr, depth, inline_info) -> list[_Proto]:
+    def _gen_instr(self, method, idx, instr, depth, link,
+                   inline_info) -> list[_Proto]:
         op = instr.op
         kind = OPINFO[op].kind
         out: list[_Proto] = []
@@ -556,9 +640,7 @@ class JITCompiler:
                 self._use(method, d - 2, REG_TMP1, out)
                 out.append(_Proto(NCat.STORE, src1=rv, ea="dyn"))
             else:
-                owner, fname = self.loader.resolve_field(
-                    self.loader.mirrors[method.jclass], instr.a)
-                addr = owner.static_addr[fname]
+                addr = link.statics[idx][2]
                 if op is Op.GETSTATIC:
                     rd = self._dst(d)
                     out.append(_Proto(NCat.LOAD, dst=rd, ea=("abs", addr)))
@@ -568,8 +650,9 @@ class JITCompiler:
                     out.append(_Proto(NCat.STORE, src1=rv, ea=("abs", addr)))
 
         elif kind == "invoke":
-            site = self._try_inline(method, idx, instr, d)
-            if site is not None:
+            decision = link.inlines[idx]
+            if decision is not None:
+                site = self._inline(method, instr, d, decision)
                 inline_info[idx] = site[0]
                 out.extend(site[1])
                 self.inlined_sites += 1
@@ -648,42 +731,14 @@ class JITCompiler:
     # ------------------------------------------------------------------
     # inlining
     # ------------------------------------------------------------------
-    def _try_inline(self, method, idx, instr, depth):
-        """Attempt to inline the call site; returns (InlineSite, protos)."""
-        if not self.inline_enabled:
-            return None
+    def _inline(self, method, instr, depth, decision):
+        """Splice the linked target's body into the call site; returns
+        (InlineSite, protos)."""
         # caller-side stack liveness does not describe the callee's slots
         self._skip_spill = False
+        target, offsets, _ = decision
         ref = method.pool[instr.a]
-        op = instr.op
-        speculative = False
-        if op is Op.INVOKEVIRTUAL:
-            target = self.hierarchy.unique_target(ref.class_name, ref.method_name)
-            if (target is None and self._speculate_cha
-                    and (ref.class_name, ref.method_name)
-                    not in self._cha_blacklist):
-                # Closed-world CHA sees several implementations, but only
-                # one is loaded so far: devirtualize speculatively and
-                # record the assumption.  Loading an overriding class
-                # later triggers deoptimization of this method.
-                target = self.hierarchy.unique_loaded_target(
-                    ref.class_name, ref.method_name, self.loader.mirrors)
-                speculative = target is not None
-        else:
-            try:
-                target = self.loader.resolve_method(
-                    self.loader.mirrors[method.jclass], instr.a)
-            except Exception:
-                return None
-        if target is None or not is_inlinable(target):
-            return None
-        offsets = inline_field_offsets(target, self.loader)
-        if offsets is None:
-            return None
-        has_receiver = op is not Op.INVOKESTATIC
-        if not has_receiver and offsets:
-            return None  # field access needs a receiver
-
+        has_receiver = instr.op is not Op.INVOKESTATIC
         n_args = ref.argc + (1 if has_receiver else 0)
         args_base = depth - n_args       # caller slot of first callee local
         protos: list[_Proto] = []
@@ -748,11 +803,8 @@ class JITCompiler:
             elif c_op is Op.NOP:
                 pass
             else:  # pragma: no cover - is_inlinable filters these out
-                return None
+                raise NotImplementedError(f"cannot inline {c_op!r}")
 
-        if speculative:
-            self._assumptions.append(
-                (ref.class_name, ref.method_name, target))
         return InlineSite(target, dyn_offsets), protos
 
     # ------------------------------------------------------------------

@@ -153,8 +153,7 @@ class TieredController:
             return estimated_translate_cycles(method)
         archived = self._archive_probe.get(method)
         if archived is None:
-            archived = jit.archive.probe(jit, method, tier=1,
-                                         optimize=False)
+            archived = jit.archive.probe(jit, method, tier=1)
             self._archive_probe[method] = archived
         return (estimated_install_cycles(method) if archived
                 else estimated_translate_cycles(method))
@@ -264,15 +263,12 @@ class TieredController:
         vm = self.vm
         if tier >= 2:
             compiled = vm.jit.compile(
-                method, tier=2, optimize=True,
-                speculate_cha=True,
-                cha_blacklist=frozenset(st.cha_blacklist),
-            )
+                method, tier=2, cha_blacklist=frozenset(st.cha_blacklist))
             for cname, mname, target in compiled.assumptions:
                 self.assumptions.setdefault((cname, mname), []).append(
                     (method, target))
         else:
-            compiled = vm.jit.compile(method, tier=1, optimize=False)
+            compiled = vm.jit.compile(method, tier=1)
         if profile.was_compiled:
             self.recompiles += 1
         vm._compiled[method] = compiled

@@ -18,6 +18,7 @@ import pytest
 from repro import faults
 from repro.analysis import cache
 from repro.analysis.runner import run_vm
+from repro.vm.classloader import ClassLoader
 from repro.vm.codecache_archive import CodeArchive
 
 
@@ -34,6 +35,18 @@ def _run(workload, archive, config="jit"):
     return run_vm(workload, "s0", config, cache_dir="", code_archive=archive)
 
 
+def _count_resolutions(monkeypatch) -> dict:
+    """Count ``ClassLoader`` pool resolutions from here on, by kind."""
+    counts = {"resolve_method": 0, "resolve_field": 0}
+    for name in counts:
+        def counted(self, *args, _real=getattr(ClassLoader, name),
+                    _name=name):
+            counts[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(ClassLoader, name, counted)
+    return counts
+
+
 def _same_execution(a, b):
     assert a.stdout == b.stdout
     assert a.heap == b.heap
@@ -42,10 +55,15 @@ def _same_execution(a, b):
 
 
 class TestWarmColdDifferential:
-    def test_disabled_cold_warm_execute_identically(self, tmp_path):
+    def test_disabled_cold_warm_execute_identically(self, tmp_path,
+                                                    monkeypatch):
         d = str(tmp_path / "archive")
+        counts = _count_resolutions(monkeypatch)
         base = _run("db", "")
+        base_resolutions = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
         cold = _run("db", d)
+        cold_resolutions = dict(counts)
         warm = _run("db", d)
         _same_execution(base, cold)
         _same_execution(base, warm)
@@ -53,6 +71,10 @@ class TestWarmColdDifferential:
         assert base.cycles == cold.cycles
         assert base.translate_cycles == cold.translate_cycles
         assert base.archive is None and cold.archive is not None
+        # ...and one resolution walk per compile: keying the archive
+        # reads the link context translation resolves, not a copy
+        assert base_resolutions["resolve_method"] > 0
+        assert cold_resolutions == base_resolutions
 
     def test_warm_run_pays_install_not_translate(self, tmp_path):
         d = str(tmp_path / "archive")
