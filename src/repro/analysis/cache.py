@@ -16,8 +16,9 @@ key that hashes
 - the *source* of every trace-affecting module (``repro.isa``,
   ``repro.native``, ``repro.sync``, ``repro.vm``, ``repro.workloads``
   and the runner itself), and
-- the job: workload, scale and the run config's token (or, for
-  compiled code, the method's link signature and tier).
+- the run: workload, scale and the token of the run config's counting
+  run, which a recording's trace and result share (or, for compiled
+  code, the method's link signature and tier).
 
 Editing any of those modules, or changing any config field, changes the
 key — no manual invalidation step exists anymore.  Stale entries are

@@ -2,13 +2,16 @@
 
 Experiments declare the (workload, scale, run config) combinations
 they will measure as :class:`Job` descriptors — plain frozen dataclasses
-that pickle cleanly under the ``spawn`` start method.  The scheduler
-fans the deduplicated job list out over a ``ProcessPoolExecutor`` whose
-workers populate the shared content-addressed cache
-(:mod:`repro.analysis.cache`); the experiments themselves then run
-serially against a warm cache, so parallel and serial invocations
-produce byte-identical output while a cold full-suite run scales with
-cores.
+that pickle cleanly under the ``spawn`` start method.  A job is one
+``run_vm`` call (a recording when its config records), except the
+oracle job.  :func:`dedupe` puts recordings first and drops each
+counting job a recording subsumes, since a recording stores its run
+result too.  The scheduler fans the deduplicated job list out over a
+``ProcessPoolExecutor`` whose workers populate the shared
+content-addressed cache (:mod:`repro.analysis.cache`); the experiments
+themselves then run serially against a warm cache, so parallel and
+serial invocations produce byte-identical output while a cold
+full-suite run scales with cores.
 
 Workers ship per-job timing, cache-stats, and fault-ledger deltas back
 to the parent, which streams progress lines and aggregates the counters
@@ -45,7 +48,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 from .. import faults
@@ -53,13 +56,12 @@ from ..obs import TRACER
 from ..vm.config import RunConfig
 from . import cache
 
-#: Job kinds and the runner entry point each one exercises.
-KINDS = ("trace", "run", "oracle")
-
 
 @dataclass(frozen=True)
 class Job:
-    """One unit of schedulable work, hashable and spawn-safe.
+    """One unit of schedulable work, hashable and spawn-safe: one
+    ``run_vm`` call, a recording when ``config.record`` is set, or the
+    oracle's three runs when ``config`` is the bare ``oracle``.
 
     ``config`` is a :class:`RunConfig` (a token string is parsed), so
     two declarations of the same measurement compare (and deduplicate)
@@ -67,39 +69,41 @@ class Job:
     shared code archive directory (``None`` resolves the environment).
     """
 
-    kind: str
     workload: str
     scale: str = "s1"
     config: RunConfig = RunConfig()
     code_archive: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown job kind {self.kind!r}")
         object.__setattr__(self, "config", RunConfig.of(self.config))
 
     def describe(self) -> str:
-        config = "" if self.kind == "oracle" else f"/{self.config.token}"
         archive = ("" if self.code_archive is None
                    else f" [code_archive={self.code_archive}]")
-        return f"{self.kind:6s} {self.workload}/{self.scale}{config}{archive}"
+        return f"{self.workload}/{self.scale}/{self.config.token}{archive}"
+
+
+#: The config of the job covering the interp + JIT profile runs and the
+#: mixed-mode oracle run they induce (``runner.oracle_run``).
+ORACLE = RunConfig(policy="oracle")
 
 
 def trace_job(workload: str, scale: str = "s1", config="jit") -> Job:
-    """A job that records (and caches) one full native trace."""
-    return Job("trace", workload, scale, config)
+    """A job that records (and caches) one full native trace and its
+    run result."""
+    return Job(workload, scale, RunConfig.of(config).replace(record=True))
 
 
 def run_job(workload: str, scale: str = "s1", config="jit",
             code_archive: str | None = None) -> Job:
-    """A job that executes (and caches) one non-recording VM run."""
-    return Job("run", workload, scale, config, code_archive)
+    """A job that executes (and caches) one VM run."""
+    return Job(workload, scale, config, code_archive)
 
 
 def oracle_job(workload: str, scale: str = "s1") -> Job:
     """A job covering the interp + JIT profile runs and the mixed-mode
     oracle run they induce."""
-    return Job("oracle", workload, scale, "oracle")
+    return Job(workload, scale, ORACLE)
 
 
 def trace_jobs(benchmarks, scale: str = "s1",
@@ -110,14 +114,16 @@ def trace_jobs(benchmarks, scale: str = "s1",
 
 
 def dedupe(jobs) -> list[Job]:
-    """Drop duplicate jobs, preserving first-seen order."""
-    seen: set[Job] = set()
-    out: list[Job] = []
-    for job in jobs:
-        if job not in seen:
-            seen.add(job)
-            out.append(job)
-    return out
+    """Drop duplicate jobs, recordings first, each group in first-seen
+    order.  A counting job whose recording twin (same workload, scale
+    and archive) is in the list is dropped too: the recording stores
+    the run result it would have stored."""
+    jobs = list(dict.fromkeys(jobs))
+    recordings = [job for job in jobs if job.config.record]
+    twins = {replace(job, config=job.config.replace(record=False))
+             for job in recordings}
+    return recordings + [job for job in jobs
+                         if not job.config.record and job not in twins]
 
 
 @dataclass(frozen=True)
@@ -187,19 +193,17 @@ def execute_job(job: Job, cache_dir: str | None = None,
     before = cache.STATS.snapshot()
     started = time.perf_counter()
     error = None
-    with TRACER.span("job", kind=job.kind, workload=job.workload,
-                     scale=job.scale, mode=job.config.token):
+    with TRACER.span("job", workload=job.workload, scale=job.scale,
+                     mode=job.config.replace(record=False).token,
+                     record=job.config.record):
         try:
-            if job.kind == "trace":
-                runner.get_trace(job.workload, job.scale, job.config,
-                                 cache_dir=cache_dir)
-            elif job.kind == "run":
+            if job.config == ORACLE:
+                runner.oracle_run(job.workload, job.scale,
+                                  cache_dir=cache_dir)
+            else:
                 runner.run_vm(job.workload, job.scale, job.config,
                               cache_dir=cache_dir,
                               code_archive=job.code_archive)
-            else:
-                runner.oracle_run(job.workload, job.scale,
-                                  cache_dir=cache_dir)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             error = f"{type(exc).__name__}: {exc}"
     outcome = {

@@ -47,3 +47,9 @@ def eval_both_modes(body) -> int:
     jit = eval_int(body, "jit")
     assert interp == jit, f"mode divergence: interp={interp} jit={jit}"
     return interp
+
+
+def observables(result) -> dict:
+    """Every ``VMResult`` attribute but the trace, arrays as lists."""
+    return {name: value.tolist() if hasattr(value, "tolist") else value
+            for name, value in vars(result).items() if name != "trace"}

@@ -147,7 +147,7 @@ class TestRunner:
         assert t1.n == t2.n
         assert (t1.pc == t2.pc).all()
         import os
-        assert len(os.listdir(cache)) == 1
+        assert sorted(os.listdir(cache)) == ["runs", "traces"]
 
 
 class TestCounterThresholdBehaviour:

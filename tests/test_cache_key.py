@@ -24,6 +24,8 @@ from repro.sync import LOCK_MANAGERS
 from repro.vm import RunConfig
 from repro.vm.config import STRESS_TIERED
 
+from helpers import observables
+
 # -- key properties ----------------------------------------------------
 
 _field_values = st.one_of(
@@ -189,7 +191,7 @@ class TestSourceDigest:
 
 class TestCorruptArchives:
     def _trace_path(self, cache_dir):
-        key = cache.cache_key("trace", workload="hello", scale="s0",
+        key = cache.cache_key("run", workload="hello", scale="s0",
                               config="interp")
         return cache.entry_path(cache_dir, "traces", "hello-s0-interp", key)
 
@@ -251,11 +253,17 @@ class TestRoundTrip:
         assert (warm.category_counts == cold.category_counts).all()
         assert warm.footprint == cold.footprint
 
-    def test_recording_runs_bypass_result_cache(self, tmp_path):
+    def test_recording_stores_its_trace_and_run(self, tmp_path):
+        """A recording files its trace and its run result under one
+        key."""
         result = run_vm("hello", "s0", "interp,record=True",
                         cache_dir=str(tmp_path))
         assert result.trace is not None
-        assert not os.path.exists(os.path.join(str(tmp_path), "runs"))
+        (trace,) = [f for f in os.listdir(tmp_path / "traces")
+                    if f.endswith(".npy")]
+        (run,) = [f for f in os.listdir(tmp_path / "runs")
+                  if f.endswith(".pkl")]
+        assert trace[:-4] == run[:-4]
 
     def test_close_ratios_get_their_own_entries(self, tmp_path):
         """Two ladders whose ratios agree to six digits are two runs: the
@@ -265,6 +273,68 @@ class TestRoundTrip:
             cache_dir=str(tmp_path)) for ratio in (0.1234567, 0.1234568)]
         assert (results[0].strategy_config["compile_ratio"]
                 != results[1].strategy_config["compile_ratio"])
+
+
+# -- one cached execution per (workload, scale, config) ----------------
+
+def _count_vm_runs(monkeypatch) -> dict:
+    """Count ``JavaVM.run`` calls from here on."""
+    from repro.vm import JavaVM
+    calls = {"n": 0}
+
+    def counted(self, *args, _real=JavaVM.run, **kwargs):
+        calls["n"] += 1
+        return _real(self, *args, **kwargs)
+    monkeypatch.setattr(JavaVM, "run", counted)
+    return calls
+
+
+class TestOneExecution:
+    def test_archive_trace_never_serves_archive_off_callers(
+            self, tmp_path, monkeypatch):
+        """A recording made against a code archive is not stored: a
+        warm archive halves db's translate events, so serving its trace
+        to an archive-off caller would hand it another run's trace."""
+        archive = str(tmp_path / "archive")
+        cache_dir = str(tmp_path / "cache")
+        run_vm("db", "s0", "jit", cache_dir="", code_archive=archive)
+        monkeypatch.setenv("REPRO_CODE_ARCHIVE", archive)
+        get_trace("db", "s0", "jit", cache_dir=cache_dir)
+        monkeypatch.delenv("REPRO_CODE_ARCHIVE")
+        served = get_trace("db", "s0", "jit", cache_dir=cache_dir)
+        fresh = get_trace("db", "s0", "jit", cache_dir="")
+        assert served.n == fresh.n
+        assert (served.to_records() == fresh.to_records()).all()
+
+    @pytest.mark.parametrize("workload,config",
+                             [("hello", "jit"), ("db", "interp")])
+    def test_recording_serves_the_counting_run(self, workload, config,
+                                               tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+        cache_dir = str(tmp_path)
+        fresh = run_vm(workload, "s0", config, cache_dir="")
+        calls = _count_vm_runs(monkeypatch)
+        get_trace(workload, "s0", config, cache_dir=cache_dir)
+        assert calls["n"] == 1
+        counted = run_vm(workload, "s0", config, cache_dir=cache_dir)
+        assert calls["n"] == 1
+        assert counted.trace is None
+        assert observables(counted) == observables(fresh)
+
+    def test_stored_counting_run_records_once(self, tmp_path, monkeypatch):
+        """A counting run leaves the trace missing: the first recording
+        executes (and stores it); later ones are served."""
+        monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+        cache_dir = str(tmp_path)
+        calls = _count_vm_runs(monkeypatch)
+        run_vm("hello", "s0", "interp", cache_dir=cache_dir)
+        assert calls["n"] == 1
+        first = get_trace("hello", "s0", "interp", cache_dir=cache_dir)
+        assert calls["n"] == 2
+        again = get_trace("hello", "s0", "interp", cache_dir=cache_dir)
+        run_vm("hello", "s0", "interp", cache_dir=cache_dir)
+        assert calls["n"] == 2
+        assert again.n == first.n and (again.pc == first.pc).all()
 
 
 # -- every run spelling in use before RunConfig -------------------------

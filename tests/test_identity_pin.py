@@ -16,8 +16,9 @@ second run of one ``Program`` and every oracle config on one shared
 render equal their fresh-program runs.  A short tiered ``api`` server
 scenario pins a traffic run, profiles included, so a back-edge charged
 to the wrong emit mode shows.  Finally, a counting run equals its
-recording twin on every totals field: the recording sink drives the
-stepper's full handlers, the counting sink its quickened path.
+recording twin on every result attribute but the trace: the recording
+sink drives the stepper's full handlers, the counting sink its
+quickened path, and the run cache serves one's result for the other.
 
 To re-record after an *intended* model change, run
 ``PYTHONPATH=src python tests/test_identity_pin.py`` and paste its
@@ -41,6 +42,8 @@ from repro.traffic.engine import run_scenario
 from repro.traffic.spec import get_preset
 from repro.vm import JavaVM, RunConfig
 from repro.workloads import get_workload
+
+from helpers import observables
 
 WORKLOADS = ("jess", "mtrt")
 
@@ -214,9 +217,9 @@ def test_server_run_unchanged():
 
 
 def _vm_outcome(program, config: RunConfig):
-    """``summary`` of one fuzz-fueled run, or its error text."""
+    """``observables`` of one fuzz-fueled run, or its error text."""
     try:
-        return summary(JavaVM(program, config).run(max_bytecodes=FUEL))
+        return observables(JavaVM(program, config).run(max_bytecodes=FUEL))
     except Exception as exc:  # noqa: BLE001 - errors are oracle data
         return f"{type(exc).__name__}: {exc}"
 
@@ -224,16 +227,17 @@ def _vm_outcome(program, config: RunConfig):
 @pytest.mark.parametrize("case", [
     *(f"{w}/{c}" for w in ("jess", "mtrt", "db")
       for c in ("interp", "jit", "tiered")),
-    "fuzz", "server/api",
+    "jess/interp_fold", "fuzz", "server/api",
 ])
 def test_counting_run_matches_recording_run(case, monkeypatch):
     """Counting sink (quickened stepper) == recording sink (the full
-    handlers) on every simulated total and profile."""
+    handlers) on every ``VMResult`` attribute but the trace, so the run
+    cache may serve a recording's stored result to counting callers."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
     if case == "server/api":
         config = RunConfig.of("tiered")
-        assert (summary(_server_run(config))
-                == summary(_server_run(config.replace(record=True))))
+        assert (observables(_server_run(config))
+                == observables(_server_run(config.replace(record=True))))
     elif case == "fuzz":
         # Every one of these seeds renders, so each is compared.
         for seed in range(20):
@@ -250,7 +254,7 @@ def test_counting_run_matches_recording_run(case, monkeypatch):
             run_vm(workload, "s0", c, cache_dir="", code_archive="")
             for c in (config, config.replace(record=True)))
         assert recorded.trace is not None
-        assert summary(counted) == summary(recorded)
+        assert observables(counted) == observables(recorded)
 
 
 def test_program_run_twice_matches_single_run(monkeypatch):

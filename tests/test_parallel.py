@@ -24,11 +24,13 @@ from repro.vm import RunConfig
 
 class TestJobDescriptors:
     def test_constructors_and_equality(self):
-        assert trace_job("db") == Job("trace", "db", "s1", "jit")
+        assert trace_job("db") == Job("db", "s1", "jit,record=True")
         assert run_job("db", "s0", "interp,inline=False") == Job(
-            "run", "db", "s0", RunConfig(threshold=None, inline=False)
+            "db", "s0", RunConfig(threshold=None, inline=False)
         )
-        assert oracle_job("db").kind == "oracle"
+        assert oracle_job("db") == Job("db", "s1", "oracle")
+        assert trace_job("db", "s0", "interp,record=True") == trace_job(
+            "db", "s0", "interp")
 
     def test_option_order_is_canonical(self):
         a = run_job("db", "s0", "jit,inline=False,folding=True")
@@ -36,17 +38,32 @@ class TestJobDescriptors:
         assert a == b
         assert len(dedupe([a, b])) == 1
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Job("frobnicate", "db")
-
     def test_describe_mentions_the_measurement(self):
         text = run_job("db", "s0", "jit,inline=False").describe()
         assert "db/s0/jit" in text and "inline=False" in text
+        assert "record=True" in trace_job("db", "s0").describe()
 
     def test_dedupe_preserves_order(self):
         jobs = [trace_job("a"), trace_job("b"), trace_job("a")]
         assert dedupe(jobs) == [trace_job("a"), trace_job("b")]
+
+    def test_dedupe_lets_a_recording_subsume_its_counting_twin(self):
+        jobs = [
+            oracle_job("db", "s0"),
+            run_job("db", "s0", "jit"),
+            run_job("db", "s0", "jit", code_archive="/archive"),
+            run_job("db", "s0", "interp"),
+            trace_job("db", "s0", "jit"),
+            run_job("jess", "s0", "jit"),
+            oracle_job("db", "s0"),
+        ]
+        assert dedupe(jobs) == [
+            trace_job("db", "s0", "jit"),
+            oracle_job("db", "s0"),
+            run_job("db", "s0", "jit", code_archive="/archive"),
+            run_job("db", "s0", "interp"),
+            run_job("jess", "s0", "jit"),
+        ]
 
     def test_jobs_are_spawn_safe(self):
         import pickle
@@ -119,22 +136,25 @@ class TestRunJobsPooled:
     """Real spawn workers sharing the on-disk cache."""
 
     def test_pool_populates_shared_cache(self, tmp_path):
+        # The jit run job is subsumed by the jit recording, and each
+        # recording stores its trace and its run result.
         jobs = trace_jobs(("hello",), "s0") + [
             run_job("hello", "s0", "jit")
         ]
         summary = run_jobs(jobs, max_workers=2, cache_dir=str(tmp_path))
         assert not summary.errors
+        assert len(summary.outcomes) == 2
         assert summary.stats.trace_misses == 2
-        assert summary.stats.run_misses == 1
+        assert summary.stats.run_misses == 0
         archives = []
         for sub in ("traces", "runs"):
             directory = tmp_path / sub
             archives += [f for f in os.listdir(directory)
                          if not f.endswith((".lock", ".sha256"))]
-        assert len(archives) == 3
+        assert len(archives) == 4
         # The parent sees the workers' archives as hits.
         warm = run_jobs(jobs, max_workers=1, cache_dir=str(tmp_path))
-        assert warm.stats.hits == 3 and warm.stats.misses == 0
+        assert warm.stats.hits == 4 and warm.stats.misses == 0
 
 
 class TestCliParity:

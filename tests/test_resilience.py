@@ -59,7 +59,7 @@ class TestInlineRetry:
     def test_transient_failure_retried_to_success(self, tmp_path,
                                                   monkeypatch):
         from repro.analysis import runner
-        real = runner.get_trace
+        real = runner.run_vm
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -68,7 +68,7 @@ class TestInlineRetry:
                 raise OSError("transient infrastructure failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "get_trace", flaky)
+        monkeypatch.setattr(runner, "run_vm", flaky)
         policy = RetryPolicy(max_attempts=3, backoff_base=0.001)
         summary = run_jobs([trace_job("hello", "s0", "interp")],
                            max_workers=1, cache_dir=str(tmp_path),
@@ -105,9 +105,11 @@ class TestPooledResilience:
         assert faults.LEDGER.count("injected", "worker-kill") == 1
         assert faults.LEDGER.total("recovered") >= 1
         # the cache is complete despite the crash: warm rerun is all hits
+        # (each recording finds its trace and its run result)
         faults.deactivate()
         warm = run_jobs(jobs, max_workers=1, cache_dir=str(tmp_path))
-        assert warm.stats.hits == len(jobs) and warm.stats.misses == 0
+        assert warm.stats.trace_hits == warm.stats.run_hits == len(jobs)
+        assert warm.stats.misses == 0
 
     def test_worker_raise_falls_back_to_serial(self, tmp_path):
         faults.activate("worker-raise@1:times=5")
