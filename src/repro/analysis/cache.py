@@ -1,12 +1,15 @@
 """The content-addressed on-disk store: traces, run results, compiled code.
 
-Every entry lives in one of three namespaces (:data:`NAMESPACES`):
+Every entry lives in one of four namespaces (:data:`NAMESPACES`):
 recorded native traces (``traces/*.npy``), pickled VM results
-(``runs/*.pkl``) and the shared compiled-code archive of
-:mod:`repro.vm.codecache_archive` (``code/*.pkl``).  This module is the
-only code that knows how an entry is addressed, verified, counted,
-quarantined, pruned and removed; the namespaces differ only in their
-file extension, their counters and how a caller decodes the bytes.
+(``runs/*.pkl``), the shared compiled-code archive of
+:mod:`repro.vm.codecache_archive` (``code/*.pkl``) and the host-compiled
+simulation kernels of :mod:`repro.arch.pipeline.compiled`
+(``kernels/*.so``, keyed by their C source and build command).  This
+module is the only code that knows how an entry is addressed, verified,
+counted, quarantined, pruned and removed; the namespaces differ only in
+their file extension, their counters and how a caller decodes the
+bytes.
 
 The old scheme keyed archives on a hand-bumped ``CACHE_VERSION``; any
 change to trace-affecting code silently served stale traces until
@@ -84,14 +87,16 @@ class Namespace:
     touch: bool = False
 
 
-#: Subdirectory name -> namespace.  Traces and runs live under the
-#: trace cache directory, code under the code-archive directory.
+#: Subdirectory name -> namespace.  Traces, runs and kernels live under
+#: the trace cache directory, code under the code-archive directory.
 NAMESPACES = {
     "traces": Namespace("trace", ".npy", "trace_hits", "trace_misses",
                         "stores"),
     "runs": Namespace("run", ".pkl", "run_hits", "run_misses", "stores"),
     "code": Namespace("code", ".pkl", "code_hits", "code_misses",
                       "code_stores", touch=True),
+    "kernels": Namespace("kernel", ".so", "kernel_hits", "kernel_misses",
+                         "kernel_stores"),
 }
 
 
@@ -214,6 +219,8 @@ _STAT_FIELDS = (
     # Shared compiled-code archive (repro.vm.codecache_archive); kept
     # here so pool workers ship them parent-side with the other fields.
     "code_hits", "code_misses", "code_stores", "code_evicted",
+    # Host-compiled simulation kernels (repro.arch.pipeline.compiled).
+    "kernel_hits", "kernel_misses", "kernel_stores",
 )
 _TIME_FIELDS = ("lookup_seconds", "store_seconds")
 

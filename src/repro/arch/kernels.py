@@ -5,7 +5,9 @@ Every hot simulator (cache, branch, pipeline) has two implementations:
 - ``scalar`` — the original event-at-a-time Python loops, kept as the
   reference oracle;
 - ``vector`` — batched numpy kernels that produce bit-identical
-  results (the default).
+  results (the default), plus the pipeline scheduler's serial
+  recurrence compiled from C (:mod:`repro.arch.pipeline.compiled`),
+  which falls back to the Python one without a C compiler.
 
 The kernel is chosen per call: an explicit ``kernel=`` argument wins,
 then the ``REPRO_SIM_KERNEL`` environment variable (consulted at call

@@ -18,8 +18,11 @@ Everything but the fetch width and the ROB size is a property of the
 trace and the cache/penalty config, so :func:`event_columns` computes it
 once as per-event columns (the ``scalar`` kernel with per-event caches,
 gshare, BTB and RAS — the reference oracle — the ``vector`` kernel with
-numpy), a ``TraceReplay`` memoizes them across a width sweep, and one
-scheduler loop consumes them under either kernel.
+numpy), and a ``TraceReplay`` memoizes them across a width sweep.  One
+scheduler recurrence consumes them: :func:`_schedule` in Python, the
+reference, under ``scalar``; the same recurrence compiled from C
+(:mod:`.compiled`) under ``vector``, falling back to :func:`_schedule`
+when no C compiler is available.
 
 The absolute IPC is a model artifact; the experiments use its *relative*
 behaviour across modes and widths, as the paper does.
@@ -27,7 +30,7 @@ behaviour across modes and widths, as the paper does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +39,7 @@ from ...native.nisa import FLAG_TAKEN, NCat
 from ..branch.predictors import BTB, Gshare
 from ..caches import CacheConfig, CacheSim
 from ..kernels import active_kernel
+from . import compiled
 
 #: Execution latency per category (cycles).
 LATENCY = {
@@ -58,6 +62,10 @@ _NO_SRC, _NO_DST = 33, 34
 #: Events per scheduler chunk; columns become lists one chunk at a time.
 _CHUNK = 1 << 16
 
+#: Kernel -> the scheduler (``"c"`` or ``"python"``) that last ran under
+#: it in this process; run manifests and kernel records name it.
+SCHEDULERS: dict[str, str] = {}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -74,10 +82,19 @@ class PipelineConfig:
     imiss_penalty: int = 8
     dmiss_penalty: int = 8
 
-    def columns_key(self) -> "PipelineConfig":
-        """This config without the scheduler-only fields (width, ROB
+    def __post_init__(self) -> None:
+        # Width 0 would never end a fetch group (an unbounded machine),
+        # and ROB size 0 leaves no slot for an event to wait on.
+        for name in ("width", "rob_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"PipelineConfig.{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
+
+    def columns_key(self) -> tuple:
+        """This config's fields but the scheduler-only ones (width, ROB
         size): configs with equal keys have equal :func:`event_columns`."""
-        return replace(self, width=0, rob_size=0)
+        return tuple(getattr(self, f.name) for f in fields(self)
+                     if f.name not in ("width", "rob_size"))
 
 
 class PipelineResult:
@@ -248,7 +265,9 @@ def _schedule(cols: EventColumns, width: int, rob_size: int) -> int:
     previous ``rob_size`` events followed by those of the current chunk.
     """
     ready = [0] * (_NO_DST + 1)   # per-register done time
-    window = [0] * rob_size
+    # A ROB longer than the trace never fills: its slots past the
+    # trace's length would never be read.
+    window = [0] * min(rob_size, len(cols.lat))
     issue = 1                     # earliest issue cycle of the next event
     free = width                  # fetch slots left in the current cycle
     last_done = 0
@@ -301,12 +320,17 @@ def simulate_pipeline(trace, config: PipelineConfig | None = None,
     shares one computation of them.
     """
     cfg = config or PipelineConfig()
+    kernel = active_kernel(kernel)
     memo = getattr(trace, "pipeline_columns", None)
-    cols = (memo(cfg, active_kernel(kernel)) if memo is not None
+    cols = (memo(cfg, kernel) if memo is not None
             else event_columns(trace, cfg, kernel))
-    return PipelineResult(len(cols.lat), _schedule(cols, cfg.width,
-                                                   cfg.rob_size),
-                          cols.mispredicts, cols.imisses, cols.dmisses)
+    cycles = (compiled.schedule(cols, cfg.width, cfg.rob_size)
+              if kernel == "vector" else None)
+    SCHEDULERS[kernel] = "python" if cycles is None else "c"
+    if cycles is None:
+        cycles = _schedule(cols, cfg.width, cfg.rob_size)
+    return PipelineResult(len(cols.lat), cycles, cols.mispredicts,
+                          cols.imisses, cols.dmisses)
 
 
 def ipc_by_width(trace, widths=(1, 2, 4, 8), **kwargs) -> dict[int, PipelineResult]:

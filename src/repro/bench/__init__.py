@@ -28,13 +28,14 @@ import numpy as np
 
 from ..analysis.replay import clear_replay_memo
 from ..arch.kernels import ENV_VAR, KERNELS
+from ..arch.pipeline.superscalar import SCHEDULERS
 from ..experiments.base import collect_jobs, get_experiment
 from ..obs import TRACER, measure_disabled_overhead
 from ..obs.record import correctness
 from .stats import DEFAULT_CV, DEFAULT_WINDOW, bootstrap_ci, detect_steady
 
 #: The replay-dominated experiments the acceptance targets name.
-DEFAULT_TARGETS = ("fig3", "fig7", "table3")
+DEFAULT_TARGETS = ("fig3", "fig7", "table3", "fig9")
 
 #: The committed record every kernel run's speedups are held against.
 BASELINE = os.path.normpath(os.path.join(
@@ -204,6 +205,11 @@ def run_bench(targets=DEFAULT_TARGETS, scale: str = "s0",
         say(f"{exp_id:8s} speedup {entry['speedup']:.2f}x "
             f"identical={entry['identical']}")
         report["targets"][exp_id] = entry
+    # The pipeline scheduler the vector runs used: "c", or "python" on
+    # the fallback (absent when no target ran the pipeline).
+    scheduler = SCHEDULERS.get("vector")
+    if scheduler is not None:
+        report["meta"]["scheduler"] = scheduler
     if analysis:
         say("timing static-analysis passes")
         report["analysis"] = bench_analysis(scale, benchmarks)

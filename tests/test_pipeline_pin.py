@@ -190,6 +190,21 @@ def test_pipeline_results_unchanged(traces, name, config):
     assert observe(traces[name], config) == EXPECTED[f"{name}/{config}"]
 
 
+def test_pin_holds_under_the_compiled_scheduler(traces, monkeypatch):
+    """The pin runs under whichever kernel the environment selects; this
+    case holds the compiled scheduler to it whatever that is."""
+    from repro.arch.pipeline import compiled
+    from repro.arch.pipeline.superscalar import SCHEDULERS
+
+    if compiled.find_compiler() is None:
+        pytest.skip("no C compiler on this host")
+    monkeypatch.setenv("REPRO_SIM_KERNEL", "vector")
+    for config in sorted(CONFIGS):
+        assert observe(traces["rob_bound"], config) == \
+            EXPECTED[f"rob_bound/{config}"]
+        assert SCHEDULERS["vector"] == "c"
+
+
 if __name__ == "__main__":
     print("EXPECTED = {")
     for name, trace in _traces().items():
