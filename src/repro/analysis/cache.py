@@ -4,7 +4,7 @@ Every entry lives in one of four namespaces (:data:`NAMESPACES`):
 recorded native traces (``traces/*.npy``), pickled VM results
 (``runs/*.pkl``), the shared compiled-code archive of
 :mod:`repro.vm.codecache_archive` (``code/*.pkl``) and the host-compiled
-simulation kernels of :mod:`repro.arch.pipeline.compiled`
+replay kernels of :mod:`repro.arch.compiled`
 (``kernels/*.so``, keyed by their C source and build command).  This
 module is the only code that knows how an entry is addressed, verified,
 counted, quarantined, pruned and removed; the namespaces differ only in
@@ -219,7 +219,7 @@ _STAT_FIELDS = (
     # Shared compiled-code archive (repro.vm.codecache_archive); kept
     # here so pool workers ship them parent-side with the other fields.
     "code_hits", "code_misses", "code_stores", "code_evicted",
-    # Host-compiled simulation kernels (repro.arch.pipeline.compiled).
+    # Host-compiled replay kernels (repro.arch.compiled).
     "kernel_hits", "kernel_misses", "kernel_stores",
 )
 _TIME_FIELDS = ("lookup_seconds", "store_seconds")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...native.nisa import NCat
+from .. import compiled
 from ..kernels import active_kernel
 
 
@@ -41,9 +42,8 @@ class DirectionPredictor:
 
     def predict_batch(self, pcs, takens) -> np.ndarray:
         """Predictions for a conditional-branch stream, advancing state
-        exactly as per-event predict/update would.  Subclasses override
-        with tight loops; this generic fallback keeps any custom
-        predictor usable under the vector kernel."""
+        exactly as per-event predict/update would (the reference, and
+        the path of any custom predictor under the vector kernel)."""
         out = []
         append = out.append
         for pc, taken in zip(_aslist(pcs), _aslist(takens)):
@@ -52,46 +52,66 @@ class DirectionPredictor:
         return np.asarray(out, dtype=bool)
 
 
-class SingleTwoBit(DirectionPredictor):
+class CounterTablePredictor(DirectionPredictor):
+    """2-bit counters, the shape every predictor here shares.
+
+    Branch ``pc`` reads counter ``((pc >> 2 if _xor_pc else 0) ^ h) %
+    len(_table)``, where ``h`` is the history register
+    ``_histories[(pc >> 2) % len(_histories)]``, or 0 when there are
+    none; each outcome shifts into that register under ``_hmask``.
+    :meth:`predict_batch` runs this loop in C
+    (:func:`repro.arch.compiled.predict`), converting both lists to
+    arrays and back around the call, and falls back to per-event
+    predict/update when C cannot run.
+    """
+
+    _xor_pc = True
+    _hmask = 0
+
+    def __init__(self, entries: int, histories: int = 0) -> None:
+        self._table = [2] * entries
+        self._histories = [0] * histories
+
+    def predict_batch(self, pcs, takens) -> np.ndarray:
+        table = np.asarray(self._table, dtype=np.int64)
+        histories = np.asarray(self._histories, dtype=np.int64)
+        predicted = compiled.note("branch", compiled.predict(
+            pcs, takens, table, histories, self._hmask, self._xor_pc))
+        if predicted is None:
+            return super().predict_batch(pcs, takens)
+        self._table = table.tolist()
+        self._histories = histories.tolist()
+        return predicted
+
+
+def _count(v: int, taken) -> int:
+    """A 2-bit saturating counter after one outcome."""
+    return min(3, v + 1) if taken else max(0, v - 1)
+
+
+class SingleTwoBit(CounterTablePredictor):
     """One shared 2-bit counter for every branch."""
 
     name = "2bit"
 
     def __init__(self) -> None:
-        self._counter = 2
+        super().__init__(1)
 
     def predict(self, pc: int) -> bool:
-        return self._counter >= 2
+        return self._table[0] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        if taken:
-            self._counter = min(3, self._counter + 1)
-        else:
-            self._counter = max(0, self._counter - 1)
-
-    def predict_batch(self, pcs, takens) -> np.ndarray:
-        counter = self._counter
-        out = []
-        append = out.append
-        for taken in _aslist(takens):
-            append(counter >= 2)
-            if taken:
-                if counter < 3:
-                    counter += 1
-            elif counter > 0:
-                counter -= 1
-        self._counter = counter
-        return np.asarray(out, dtype=bool)
+        self._table[0] = _count(self._table[0], taken)
 
 
-class BimodalBHT(DirectionPredictor):
+class BimodalBHT(CounterTablePredictor):
     """1-level branch history table: 2-bit counters indexed by pc."""
 
     name = "bht"
 
     def __init__(self, entries: int = 2048) -> None:
+        super().__init__(entries)
         self.entries = entries
-        self._table = [2] * entries
 
     def _index(self, pc: int) -> int:
         return (pc >> 2) % self.entries
@@ -101,113 +121,61 @@ class BimodalBHT(DirectionPredictor):
 
     def update(self, pc: int, taken: bool) -> None:
         i = self._index(pc)
-        v = self._table[i]
-        self._table[i] = min(3, v + 1) if taken else max(0, v - 1)
-
-    def predict_batch(self, pcs, takens) -> np.ndarray:
-        table = self._table
-        entries = self.entries
-        words = (np.asarray(pcs, dtype=np.int64) >> 2).tolist()
-        out = []
-        append = out.append
-        for word, taken in zip(words, _aslist(takens)):
-            i = word % entries
-            v = table[i]
-            append(v >= 2)
-            table[i] = min(3, v + 1) if taken else max(0, v - 1)
-        return np.asarray(out, dtype=bool)
+        self._table[i] = _count(self._table[i], taken)
 
 
-class Gshare(DirectionPredictor):
+class Gshare(CounterTablePredictor):
     """Global history XOR pc, 2-bit counters."""
 
     name = "gshare"
 
     def __init__(self, entries: int = 2048, history_bits: int = 5) -> None:
+        super().__init__(entries, histories=1)
         self.entries = entries
         self.history_bits = history_bits
-        self._mask = (1 << history_bits) - 1
-        self._history = 0
-        self._table = [2] * entries
+        self._hmask = (1 << history_bits) - 1
 
     def _index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._history) % self.entries
+        return ((pc >> 2) ^ self._histories[0]) % self.entries
 
     def predict(self, pc: int) -> bool:
         return self._table[self._index(pc)] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
         i = self._index(pc)
-        v = self._table[i]
-        self._table[i] = min(3, v + 1) if taken else max(0, v - 1)
-        self._history = ((self._history << 1) | int(taken)) & self._mask
-
-    def predict_batch(self, pcs, takens) -> np.ndarray:
-        table = self._table
-        entries = self.entries
-        mask = self._mask
-        history = self._history
-        words = (np.asarray(pcs, dtype=np.int64) >> 2).tolist()
-        out = []
-        append = out.append
-        for word, taken in zip(words, _aslist(takens)):
-            i = (word ^ history) % entries
-            v = table[i]
-            append(v >= 2)
-            table[i] = min(3, v + 1) if taken else max(0, v - 1)
-            history = ((history << 1) | int(taken)) & mask
-        self._history = history
-        return np.asarray(out, dtype=bool)
+        self._table[i] = _count(self._table[i], taken)
+        self._histories[0] = (
+            (self._histories[0] << 1) | int(taken)) & self._hmask
 
 
-class GAp(DirectionPredictor):
+class GAp(CounterTablePredictor):
     """Two-level, per-address history (Yeh & Patt's GAp flavour):
     a 2K-entry first-level history table and a 256-entry second-level
     pattern table of 2-bit counters."""
 
     name = "gap"
+    _xor_pc = False
 
     def __init__(self, l1_entries: int = 2048, l2_entries: int = 256,
                  history_bits: int = 5) -> None:
+        super().__init__(l2_entries, histories=l1_entries)
         self.l1_entries = l1_entries
         self.l2_entries = l2_entries
         self._hmask = (1 << history_bits) - 1
-        self._histories = [0] * l1_entries
-        self._counters = [2] * l2_entries
 
     def _l1(self, pc: int) -> int:
         return (pc >> 2) % self.l1_entries
 
     def predict(self, pc: int) -> bool:
         history = self._histories[self._l1(pc)]
-        return self._counters[history % self.l2_entries] >= 2
+        return self._table[history % self.l2_entries] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
         i = self._l1(pc)
         history = self._histories[i]
         j = history % self.l2_entries
-        v = self._counters[j]
-        self._counters[j] = min(3, v + 1) if taken else max(0, v - 1)
+        self._table[j] = _count(self._table[j], taken)
         self._histories[i] = ((history << 1) | int(taken)) & self._hmask
-
-    def predict_batch(self, pcs, takens) -> np.ndarray:
-        histories = self._histories
-        counters = self._counters
-        l1 = self.l1_entries
-        l2 = self.l2_entries
-        hmask = self._hmask
-        words = (np.asarray(pcs, dtype=np.int64) >> 2).tolist()
-        out = []
-        append = out.append
-        for word, taken in zip(words, _aslist(takens)):
-            i = word % l1
-            history = histories[i]
-            j = history % l2
-            v = counters[j]
-            append(v >= 2)
-            counters[j] = min(3, v + 1) if taken else max(0, v - 1)
-            histories[i] = ((history << 1) | int(taken)) & hmask
-        return np.asarray(out, dtype=bool)
 
 
 class BTB:

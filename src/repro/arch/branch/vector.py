@@ -1,10 +1,11 @@
-"""Vectorized branch-prediction replay — exact, shared-context.
+"""Branch-prediction replay for the ``vector`` kernel — exact,
+shared-context.
 
-The expensive sequential state machines are the *direction* predictor
-tables, which only ever see conditional branches; they run over
-pre-extracted (pc, taken) subarrays via each predictor's
-``predict_batch`` tight loop.  Everything else about a transfer stream
-is statically known:
+The sequential state machines are the *direction* predictor tables,
+which only ever see conditional branches; each predictor's
+``predict_batch`` steps them over the pre-extracted (pc, taken)
+subarrays in one C call (:func:`repro.arch.compiled.predict`).
+Everything else about a transfer stream is statically known:
 
 - category masks and transfer/conditional/indirect counts vectorize
   directly;

@@ -1,6 +1,7 @@
 """Set-associative cache simulation (the cachesim5 stand-in).
 
-Trace-driven, write-allocate, LRU replacement.  Supports:
+Trace-driven LRU replacement, write-allocate or write-no-allocate, with
+an optional victim buffer.  Supports:
 
 - miss classification (compulsory vs. other, write misses),
 - per-group attribution (e.g. translate vs. rest of JIT — Figure 5),
@@ -8,15 +9,17 @@ Trace-driven, write-allocate, LRU replacement.  Supports:
 
 Two kernels implement the same semantics bit-for-bit: the original
 event-at-a-time ``scalar`` loop (the reference oracle, kept below) and
-the batched numpy ``vector`` kernel in :mod:`.vector` (the default).
-Select per call with ``kernel=`` or globally with
-``REPRO_SIM_KERNEL=scalar|vector``.
+the ``vector`` kernel in :mod:`.vector` (the default), which classifies
+hits and misses in C and derives the statistics with numpy; it falls
+back to the scalar loop when the C kernel cannot run.  Select per call
+with ``kernel=`` or globally with ``REPRO_SIM_KERNEL=scalar|vector``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import compiled
 from ..kernels import active_kernel
 
 
@@ -142,7 +145,10 @@ class CacheSim:
         """
         if active_kernel(kernel) == "vector":
             from .vector import run_vector
-            return run_vector(self, addrs, writes, groups, n_groups, window)
+            stats = compiled.note("caches", run_vector(
+                self, addrs, writes, groups, n_groups, window))
+            if stats is not None:
+                return stats
         return self._run_scalar(addrs, writes, groups, n_groups, window)
 
     def _run_scalar(self, addrs, writes, groups, n_groups, window) -> CacheStats:

@@ -1,13 +1,16 @@
 """Simulation-kernel selection.
 
-Every hot simulator (cache, branch, pipeline) has two implementations:
+Every hot simulator (cache, branch, pipeline) has two implementations
+that produce bit-identical results:
 
 - ``scalar`` — the original event-at-a-time Python loops, kept as the
   reference oracle;
-- ``vector`` — batched numpy kernels that produce bit-identical
-  results (the default), plus the pipeline scheduler's serial
-  recurrence compiled from C (:mod:`repro.arch.pipeline.compiled`),
-  which falls back to the Python one without a C compiler.
+- ``vector`` — the default: each simulator's serial loop (the cache's
+  LRU lookup, the direction predictors' counter tables, the pipeline
+  scheduler's recurrence) runs in C, one call per stream
+  (:mod:`repro.arch.compiled`), and numpy derives everything else.
+  Without a C compiler, or for inputs the C side does not take, each
+  layer falls back to its scalar reference.
 
 The kernel is chosen per call: an explicit ``kernel=`` argument wins,
 then the ``REPRO_SIM_KERNEL`` environment variable (consulted at call

@@ -18,11 +18,12 @@ Everything but the fetch width and the ROB size is a property of the
 trace and the cache/penalty config, so :func:`event_columns` computes it
 once as per-event columns (the ``scalar`` kernel with per-event caches,
 gshare, BTB and RAS — the reference oracle — the ``vector`` kernel with
-numpy), and a ``TraceReplay`` memoizes them across a width sweep.  One
-scheduler recurrence consumes them: :func:`_schedule` in Python, the
-reference, under ``scalar``; the same recurrence compiled from C
-(:mod:`.compiled`) under ``vector``, falling back to :func:`_schedule`
-when no C compiler is available.
+the compiled cache and gshare loops and numpy), and a ``TraceReplay``
+memoizes them across a width sweep.  One scheduler recurrence consumes
+them: :func:`_schedule` in Python, the reference, under ``scalar``; the
+same recurrence compiled from C (:mod:`repro.arch.compiled`) under
+``vector``, falling back to :func:`_schedule` when no C compiler is
+available.
 
 The absolute IPC is a model artifact; the experiments use its *relative*
 behaviour across modes and widths, as the paper does.
@@ -38,8 +39,8 @@ import numpy as np
 from ...native.nisa import FLAG_TAKEN, NCat
 from ..branch.predictors import BTB, Gshare
 from ..caches import CacheConfig, CacheSim
+from .. import compiled
 from ..kernels import active_kernel
-from . import compiled
 
 #: Execution latency per category (cycles).
 LATENCY = {
@@ -61,10 +62,6 @@ _NO_SRC, _NO_DST = 33, 34
 
 #: Events per scheduler chunk; columns become lists one chunk at a time.
 _CHUNK = 1 << 16
-
-#: Kernel -> the scheduler (``"c"`` or ``"python"``) that last ran under
-#: it in this process; run manifests and kernel records name it.
-SCHEDULERS: dict[str, str] = {}
 
 
 @dataclass(frozen=True)
@@ -324,9 +321,8 @@ def simulate_pipeline(trace, config: PipelineConfig | None = None,
     memo = getattr(trace, "pipeline_columns", None)
     cols = (memo(cfg, kernel) if memo is not None
             else event_columns(trace, cfg, kernel))
-    cycles = (compiled.schedule(cols, cfg.width, cfg.rob_size)
-              if kernel == "vector" else None)
-    SCHEDULERS[kernel] = "python" if cycles is None else "c"
+    cycles = (compiled.note("pipeline", compiled.schedule(
+        cols, cfg.width, cfg.rob_size)) if kernel == "vector" else None)
     if cycles is None:
         cycles = _schedule(cols, cfg.width, cfg.rob_size)
     return PipelineResult(len(cols.lat), cycles, cols.mispredicts,

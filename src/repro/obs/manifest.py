@@ -5,9 +5,9 @@ output (``out.json`` -> ``out.manifest.json``) recording the code
 identity (git revision, source digest), the toolchain (python/numpy
 versions, platform), the effective configuration
 (``REPRO_SIM_KERNEL``, ``REPRO_TRACE_CACHE``), the cache
-hit/miss/corrupt totals, the pipeline scheduler each simulation kernel
-ran (``c`` or ``python``), per-experiment wall times (including
-failures), and — when the tracer is enabled — per-span totals covering
+hit/miss/corrupt totals, the implementation each compiled replay layer
+ran under the vector kernel (``c`` or ``python``), per-experiment wall
+times (including failures), and — when the tracer is enabled — per-span totals covering
 the VM phase splits (interp dispatch vs JIT translate/execute).
 """
 
@@ -90,7 +90,7 @@ def build_manifest(tool: str, argv=None, experiments=None,
     """
     import numpy as np
 
-    from ..arch.pipeline.superscalar import SCHEDULERS
+    from ..arch.compiled import IMPLEMENTATIONS
 
     snap = dict(cache_stats if cache_stats is not None
                 else _cache.STATS.snapshot())
@@ -109,7 +109,7 @@ def build_manifest(tool: str, argv=None, experiments=None,
         "platform": platform.platform(),
         "config": config_snapshot(),
         "cache": snap,
-        "scheduler": dict(sorted(SCHEDULERS.items())),
+        "compiled": dict(sorted(IMPLEMENTATIONS.items())),
         "faults": fault_report(),
         "tracing": TRACER.enabled,
     }

@@ -1,12 +1,14 @@
 """Scalar-vs-vector kernel equivalence (property-based).
 
-The vectorized replay kernels must be *bit-identical* to the scalar
-reference loops they replace — every statistics field, every piece of
-persistent simulator state, on adversarial streams hypothesis invents:
-mixed read/write streams, statistic groups, miss windows, victim
-buffers, write-no-allocate caches, multi-segment state continuation,
-and mixed-kernel interleaving where scalar and vector calls share one
-simulator instance.
+The vector replay kernels, whose serial loops run in C
+(:mod:`repro.arch.compiled`), must be *bit-identical* to the scalar
+reference loops — every statistics field, every piece of persistent
+simulator state, on adversarial streams hypothesis invents: mixed
+read/write streams, statistic groups, miss windows, victim buffers,
+write-no-allocate caches, multi-segment state continuation, and
+mixed-kernel interleaving where scalar and vector calls share one
+simulator instance.  Each case also checks which implementation ran,
+so a silent fallback to the reference cannot pass for C.
 """
 
 from __future__ import annotations
@@ -16,22 +18,32 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import cache
 from repro.analysis.replay import TraceReplay
+from repro.arch import compiled
+from repro.arch.branch import compare_predictors
 from repro.arch.branch.predictors import (
     PREDICTORS,
+    BimodalBHT,
     BranchSimResult,
     DirectionPredictor,
+    GAp,
+    Gshare,
     run_predictor,
 )
-from repro.arch.caches import CacheConfig, CacheSim
+from repro.arch.caches import CacheConfig, CacheSim, simulate_split_l1
 from repro.arch.kernels import ENV_VAR, active_kernel
 from repro.arch.pipeline import PipelineConfig, ipc_by_width, simulate_pipeline
 from repro.arch.pipeline.superscalar import event_columns
 from repro.native.nisa import FLAG_TAKEN, FLAG_WRITE, NCat
 from repro.native.trace import Trace
+from repro.obs import build_manifest
+
+HAVE_CC = compiled.find_compiler() is not None
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on this host")
 
 RELAXED = settings(
     max_examples=60,
@@ -45,10 +57,10 @@ RELAXED = settings(
 geometries = st.tuples(
     st.sampled_from([256, 512, 1024, 4096]),   # size
     st.sampled_from([16, 32]),                  # block
-    st.sampled_from([1, 2, 4]),                 # assoc
+    st.sampled_from([1, 2, 4, 8, 64]),          # assoc
     st.booleans(),                              # write_allocate
     st.sampled_from([0, 2, 4]),                 # victim_entries
-)
+).map(lambda g: (max(g[0], g[1] * g[2]),) + g[1:])  # at least one set
 
 # Few distinct blocks relative to the cache → constant conflict churn.
 addr_streams = st.lists(
@@ -81,8 +93,12 @@ def _run(sim, stream, kernel, n_groups=1, window=0):
         addrs = np.asarray([a for a, _ in stream], dtype=np.int64)
         writes = np.asarray([w for _, w in stream], dtype=bool)
     groups = (addrs % n_groups).astype(np.int64) if n_groups > 1 else None
-    return sim.run(addrs, writes=writes, groups=groups, n_groups=n_groups,
-                   window=window, kernel=kernel)
+    stats = sim.run(addrs, writes=writes, groups=groups, n_groups=n_groups,
+                    window=window, kernel=kernel)
+    if kernel == "vector":
+        assert compiled.IMPLEMENTATIONS["caches"] == (
+            "c" if HAVE_CC else "python"), sim.config
+    return stats
 
 
 def _assert_stats_equal(a, b, context=""):
@@ -104,11 +120,20 @@ def _assert_state_equal(a: CacheSim, b: CacheSim, context=""):
 
 # -- cache kernels -----------------------------------------------------
 
+#: One 64-way set filled, its first 40 ways touched again, then 10
+#: new blocks: each evicts a way past the 32nd, where the LRU way now is.
+WIDE_LRU = ([(16 * b, False) for b in range(64)]
+            + [(16 * b, False) for b in range(40)]
+            + [(16 * b, False) for b in range(100, 110)])
+
+
 class TestCacheParity:
     @RELAXED
     @given(geometry=geometries, stream=addr_streams,
            n_groups=st.sampled_from([1, 2, 3]),
            window=st.sampled_from([0, 7, 64]))
+    @example(geometry=(1024, 16, 64, True, 0), stream=WIDE_LRU, n_groups=1,
+             window=0)
     def test_single_run(self, geometry, stream, n_groups, window):
         scalar_sim = _build_sim(geometry)
         vector_sim = _build_sim(geometry)
@@ -212,6 +237,127 @@ class TestBranchParity:
                           btb_entries=btb_entries, use_ras=use_ras,
                           kernel="vector")
         _assert_branch_equal(s, v, f"{name} btb={btb_entries} ras={use_ras}")
+
+
+#: The table predictors at their paper sizes, and at small sizes of no
+#: particular shape, so tables and histories alias constantly.
+_TABLE_PREDICTORS = dict(
+    PREDICTORS,
+    bht3=lambda: BimodalBHT(entries=3),
+    gshare5=lambda: Gshare(entries=5, history_bits=3),
+    gap3x7=lambda: GAp(l1_entries=3, l2_entries=7, history_bits=4),
+)
+
+conditional_batches = st.lists(
+    st.lists(st.tuples(st.integers(0, 1 << 14), st.booleans()),
+             max_size=200),
+    min_size=2, max_size=2,
+)
+
+
+def _state(predictor):
+    return predictor._table, predictor._histories
+
+
+class TestCompiledPredict:
+    @RELAXED
+    @given(name=st.sampled_from(sorted(_TABLE_PREDICTORS)),
+           batches=conditional_batches)
+    @needs_cc
+    def test_c_matches_per_event(self, name, batches):
+        """C ``predict`` ≡ per-event predict/update, with the tables and
+        histories carried from one batch into the next."""
+        c_side = _TABLE_PREDICTORS[name]()
+        reference = _TABLE_PREDICTORS[name]()
+        for batch in batches:
+            pcs = np.asarray([pc for pc, _ in batch], dtype=np.int64)
+            takens = np.asarray([t for _, t in batch], dtype=bool)
+            got = c_side.predict_batch(pcs, takens)
+            assert compiled.IMPLEMENTATIONS["branch"] == "c"
+            want = DirectionPredictor.predict_batch(reference, pcs, takens)
+            assert np.array_equal(got, want), name
+            assert _state(c_side) == _state(reference), name
+
+    @pytest.mark.parametrize("name", sorted(PREDICTORS))
+    def test_negative_pc_words_take_the_fallback(self, name):
+        pcs = np.asarray([8, -4, 12, -4096, 8], dtype=np.int64)
+        takens = np.asarray([True, False, True, True, False])
+        c_side, reference = PREDICTORS[name](), PREDICTORS[name]()
+        got = c_side.predict_batch(pcs, takens)
+        assert compiled.IMPLEMENTATIONS["branch"] == "python"
+        want = DirectionPredictor.predict_batch(reference, pcs, takens)
+        assert np.array_equal(got, want)
+        assert _state(c_side) == _state(reference)
+
+    def test_streams_of_unequal_length_take_the_fallback(self):
+        """C would read past the shorter stream; the reference zips."""
+        pcs = np.arange(0, 40, 4, dtype=np.int64)
+        takens = np.ones(3, dtype=bool)
+        c_side, reference = Gshare(), Gshare()
+        got = c_side.predict_batch(pcs, takens)
+        assert compiled.IMPLEMENTATIONS["branch"] == "python"
+        assert np.array_equal(
+            got, DirectionPredictor.predict_batch(reference, pcs, takens))
+        assert len(got) == 3
+
+
+def _random_trace(n: int = 3000) -> Trace:
+    rng = np.random.default_rng(11)
+    return Trace.from_columns(
+        pc=rng.integers(0, 1 << 12, n) * 4, cat=rng.integers(0, len(NCat), n),
+        ea=rng.integers(0, 1 << 14, n) * 8,
+        flags=np.where(rng.random(n) < 0.5, FLAG_TAKEN, 0)
+        | np.where(rng.random(n) < 0.3, FLAG_WRITE, 0),
+        target=rng.integers(0, 64, n) * 4, dst=rng.integers(-1, 32, n),
+        src1=rng.integers(-1, 32, n), src2=rng.integers(-1, 32, n))
+
+
+def _replay_outputs(trace) -> list:
+    """Every compiled layer's results over ``trace``, as plain values."""
+    l1 = simulate_split_l1(trace)
+    caches = [getattr(stats, f).tolist() for stats in (l1.icache, l1.dcache)
+              for f in ("refs", "misses", "write_misses", "compulsory")]
+    branch = [vars(r) for r in compare_predictors(trace).values()]
+    return [caches, branch, vars(simulate_pipeline(trace))]
+
+
+class TestCompiledLayers:
+    @needs_cc
+    def test_disabled_store_still_runs_c(self, monkeypatch):
+        """Tier-1 runs with the store disabled; caches and branches run
+        in C there too, so the parity suites above exercise it."""
+        monkeypatch.setenv(cache.CACHE_ENV, "")
+        monkeypatch.setenv(ENV_VAR, "vector")
+        compiled.reset()
+        compiled.IMPLEMENTATIONS.clear()
+        vector = _replay_outputs(_random_trace())
+        assert compiled.IMPLEMENTATIONS == {
+            "pipeline": "c", "caches": "c", "branch": "c"}
+        monkeypatch.setenv(ENV_VAR, "scalar")
+        assert vector == _replay_outputs(_random_trace())
+
+    def test_short_write_mask_takes_the_fallback(self):
+        sim = CacheSim(CacheConfig(1024, 32, 2, write_allocate=False))
+        with pytest.raises(IndexError):
+            sim.run(np.arange(0, 4096, 32), writes=np.zeros(3, dtype=bool),
+                    kernel="vector")
+        assert compiled.IMPLEMENTATIONS["caches"] == "python"
+
+    def test_no_compiler_gives_identical_results(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv(cache.CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv(ENV_VAR, "scalar")
+        expected = _replay_outputs(_random_trace())
+        monkeypatch.setenv(ENV_VAR, "vector")
+        monkeypatch.setattr(compiled, "find_compiler", lambda: None)
+        compiled.reset()
+        try:
+            assert _replay_outputs(_random_trace()) == expected
+        finally:
+            compiled.reset()
+        assert build_manifest("t")["compiled"] == {
+            "pipeline": "python", "caches": "python", "branch": "python"}
+        assert not list(tmp_path.glob("kernels/*.so"))
 
 
 # -- pipeline kernel ---------------------------------------------------

@@ -1,11 +1,12 @@
 """The compiled pipeline scheduler against the Python reference.
 
-:mod:`repro.arch.pipeline.compiled` runs :func:`_schedule`'s recurrence
-in C.  The hypothesis suite drives both over random
+:mod:`repro.arch.compiled` runs :func:`_schedule`'s recurrence in C.
+The hypothesis suite drives both over random
 :class:`EventColumns` (ROB wrap-around, ``_CHUNK`` boundaries, the
 absent-register slots, every fetch-word bit, every compacted dtype);
-the rest covers the store row it is built into and its failure paths:
-a corrupt entry, no compiler, two processes building at once.
+the rest covers the store row the shared object of all three replay
+kernels is built into and its failure paths: a corrupt entry, no
+compiler, two processes building at once.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import cache
 from repro.arch.pipeline import PipelineConfig, simulate_pipeline
-from repro.arch.pipeline import compiled
+from repro.arch import compiled
 from repro.arch.pipeline.superscalar import (
-    _CHUNK, _NO_DST, _NO_SRC, SCHEDULERS, EventColumns, _compact, _schedule)
+    _CHUNK, _NO_DST, _NO_SRC, EventColumns, _compact, _schedule)
 from repro.native.nisa import FLAG_TAKEN, NCat
 from repro.native.trace import Trace
 from repro.obs import build_manifest
@@ -40,7 +41,7 @@ DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 @pytest.fixture
 def store(tmp_path, monkeypatch):
-    """An empty store directory, with the loaded scheduler forgotten
+    """An empty store directory, with the loaded kernels forgotten
     before and after so each test resolves its own."""
     monkeypatch.setenv(cache.CACHE_ENV, str(tmp_path))
     compiled.reset()
@@ -127,17 +128,17 @@ def _reference(trace, config=None) -> list:
 
 @needs_cc
 def test_disabled_store_still_runs_c(monkeypatch):
-    """Tier-1 runs with the store disabled: the scheduler is built into
+    """Tier-1 runs with the store disabled: the kernels are built into
     a private directory, so the pin and parity suites exercise C."""
     monkeypatch.setenv(cache.CACHE_ENV, "")
     compiled.reset()
     trace = _trace()
     assert _fields(simulate_pipeline(trace, kernel="vector")) == \
         _reference(trace)
-    assert SCHEDULERS["vector"] == "c"
+    assert compiled.IMPLEMENTATIONS["pipeline"] == "c"
     assert glob.glob(os.path.join(compiled._private_root, "kernels",
-                                  "schedule-*.so"))
-    assert build_manifest("t")["scheduler"]["vector"] == "c"
+                                  "replay-*.so"))
+    assert build_manifest("t")["compiled"]["pipeline"] == "c"
 
 
 @needs_cc
@@ -146,9 +147,9 @@ def test_build_lands_in_the_store(store):
     trace = _trace()
     assert _fields(simulate_pipeline(trace, kernel="vector")) == \
         _reference(trace)
-    entries = glob.glob(str(store / "kernels" / "schedule-*.so"))
+    entries = glob.glob(str(store / "kernels" / "replay-*.so"))
     assert [os.path.basename(p) for p in entries] == [
-        f"schedule-{compiled.KEY[:16]}.so"]
+        f"replay-{compiled.KEY[:16]}.so"]
     assert os.path.exists(entries[0] + ".sha256")
     delta = cache.CacheStats.diff(cache.STATS.snapshot(), before)
     assert (delta["kernel_misses"], delta["kernel_stores"],
@@ -165,7 +166,7 @@ def test_corrupt_entry_is_quarantined_and_rebuilt(store, damage):
     trace = _trace()
     expected = _reference(trace)
     simulate_pipeline(trace, kernel="vector")
-    (path,) = glob.glob(str(store / "kernels" / "schedule-*.so"))
+    (path,) = glob.glob(str(store / "kernels" / "replay-*.so"))
     with open(path, "rb") as fh:
         good = fh.read()
     bad = (good[:len(good) // 3] if damage == "truncate"
@@ -177,7 +178,7 @@ def test_corrupt_entry_is_quarantined_and_rebuilt(store, damage):
     before = cache.STATS.snapshot()
     compiled.reset()
     assert _fields(simulate_pipeline(trace, kernel="vector")) == expected
-    assert SCHEDULERS["vector"] == "c"
+    assert compiled.IMPLEMENTATIONS["pipeline"] == "c"
     delta = cache.CacheStats.diff(cache.STATS.snapshot(), before)
     assert (delta["quarantined"], delta["kernel_stores"]) == (1, 1)
     assert os.listdir(store / "quarantine") == [os.path.basename(path)]
@@ -188,14 +189,14 @@ def test_corrupt_entry_is_quarantined_and_rebuilt(store, damage):
 @needs_cc
 def test_unloadable_entry_without_digest_is_rebuilt(store):
     """An entry with no sidecar that the loader rejects is corrupt too."""
-    path = cache.entry_path(str(store), "kernels", "schedule", compiled.KEY)
+    path = cache.entry_path(str(store), "kernels", "replay", compiled.KEY)
     os.makedirs(os.path.dirname(path))
     with open(path, "wb") as fh:
         fh.write(b"not an ELF object")
     trace = _trace()
     assert _fields(simulate_pipeline(trace, kernel="vector")) == \
         _reference(trace)
-    assert SCHEDULERS["vector"] == "c"
+    assert compiled.IMPLEMENTATIONS["pipeline"] == "c"
     assert os.listdir(store / "quarantine") == [os.path.basename(path)]
 
 
@@ -206,8 +207,8 @@ def test_no_compiler_falls_back_to_python(store, monkeypatch):
     result = simulate_pipeline(trace, config, kernel="vector")
     assert vars(result) == vars(
         simulate_pipeline(trace, config, kernel="scalar"))
-    assert SCHEDULERS["vector"] == "python"
-    assert build_manifest("t")["scheduler"]["vector"] == "python"
+    assert compiled.IMPLEMENTATIONS["pipeline"] == "python"
+    assert build_manifest("t")["compiled"]["pipeline"] == "python"
     assert not glob.glob(str(store / "kernels" / "*.so"))
 
 
@@ -215,14 +216,14 @@ _BUILD_AT_FIRST_USE = """
 import numpy as np
 from repro.analysis import cache
 from repro.arch.pipeline import simulate_pipeline
-from repro.arch.pipeline.superscalar import SCHEDULERS
+from repro.arch.compiled import IMPLEMENTATIONS
 from repro.native.trace import Trace
 n = 500
 simulate_pipeline(Trace.from_columns(
     pc=np.arange(n) * 4, cat=np.ones(n, dtype=np.int64), ea=np.zeros(n),
     flags=np.zeros(n), target=np.zeros(n), dst=np.full(n, 3),
     src1=np.full(n, 3), src2=np.full(n, -1)), kernel="vector")
-print(SCHEDULERS["vector"], cache.STATS.kernel_stores)
+print(IMPLEMENTATIONS["pipeline"], cache.STATS.kernel_stores)
 """
 
 
@@ -241,7 +242,7 @@ def test_two_processes_building_store_one_entry(tmp_path):
     assert sorted(outputs) == [["c", "0"], ["c", "1"]]
     names = sorted(os.listdir(tmp_path / "kernels"))
     assert [n for n in names if not n.endswith(".sha256")] == [
-        f"schedule-{compiled.KEY[:16]}.so"]
+        f"replay-{compiled.KEY[:16]}.so"]
     assert not [n for n in names if n.startswith(".tmp-")
                 or n.endswith(".lock")]
 

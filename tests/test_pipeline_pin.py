@@ -192,9 +192,8 @@ def test_pipeline_results_unchanged(traces, name, config):
 
 def test_pin_holds_under_the_compiled_scheduler(traces, monkeypatch):
     """The pin runs under whichever kernel the environment selects; this
-    case holds the compiled scheduler to it whatever that is."""
-    from repro.arch.pipeline import compiled
-    from repro.arch.pipeline.superscalar import SCHEDULERS
+    case holds the compiled kernels to it whatever that is."""
+    from repro.arch import compiled
 
     if compiled.find_compiler() is None:
         pytest.skip("no C compiler on this host")
@@ -202,7 +201,8 @@ def test_pin_holds_under_the_compiled_scheduler(traces, monkeypatch):
     for config in sorted(CONFIGS):
         assert observe(traces["rob_bound"], config) == \
             EXPECTED[f"rob_bound/{config}"]
-        assert SCHEDULERS["vector"] == "c"
+        assert compiled.IMPLEMENTATIONS == {
+            "pipeline": "c", "caches": "c", "branch": "c"}
 
 
 if __name__ == "__main__":

@@ -132,3 +132,35 @@ def test_missing_manifest_fails(tmp_path):
     path, _ = _copy(tmp_path, "BENCH_tiered")
     os.remove(tmp_path / "BENCH_tiered.manifest.json")
     assert problems(path)[0].startswith("missing manifest")
+
+
+def _kernel_targets(tmp_path, keep, speedup=None):
+    """The committed kernel record cut down to the ``keep`` targets,
+    each speedup optionally overwritten."""
+    path, record = _copy(tmp_path, "BENCH_kernels")
+    record["targets"] = {t: e for t, e in record["targets"].items()
+                         if t in keep}
+    assert sorted(record["targets"]) == sorted(keep)
+    if speedup is not None:
+        for entry in record["targets"].values():
+            entry["speedup"] = speedup
+    _dump(path, record)
+    return path
+
+
+def test_target_subset_is_judged_on_its_own_targets(tmp_path):
+    """A ``--targets fig9`` run is held to the baseline's fig9 entry
+    alone, not failed for the targets it did not measure."""
+    path = _kernel_targets(tmp_path, ["fig9"])
+    assert problems(path) == []
+
+
+def test_low_speedup_fails_the_floor(tmp_path):
+    path = _kernel_targets(tmp_path, ["fig9"], speedup=1.0)
+    assert "guard speedup_floor failed" in problems(path)
+    assert bench_main(["check", path]) == 1
+
+
+def test_record_sharing_no_baseline_target_fails(tmp_path):
+    path = _kernel_targets(tmp_path, [])
+    assert "guard speedup_floor failed" in problems(path)
