@@ -15,7 +15,6 @@ import pytest
 
 from repro import faults
 from repro.analysis import cache
-from repro.analysis.replay import clear_replay_memo
 from repro.experiments import get_experiment
 
 BENCHMARKS = ("db",)
@@ -50,14 +49,12 @@ def test_disabled_fault_layer_under_one_percent_of_fig3(tmp_path,
     # Cold run populates the cache; the timed run is the warm (hook-
     # heavy, lookup-dominated) path the disabled layer must not tax.
     fn(scale="s0", benchmarks=BENCHMARKS)
-    clear_replay_memo()
     started = time.perf_counter()
     fn(scale="s0", benchmarks=BENCHMARKS)
     fig3_seconds = time.perf_counter() - started
 
     # Count the hook crossings of the same run under a plan that
     # injects nothing.
-    clear_replay_memo()
     active = faults.activate("noop")
     try:
         fn(scale="s0", benchmarks=BENCHMARKS)

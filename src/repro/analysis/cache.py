@@ -609,9 +609,9 @@ def remove_entry(path: str) -> bool:
 
 
 def load_trace(path: str) -> Trace | None:
-    """A cached trace, memory-mapped from its ``.npy`` record array;
+    """A cached trace, viewing the very bytes its digest verified;
     ``None`` on absence or corruption."""
-    return lookup("traces", path, lambda _data: Trace.load(path))
+    return lookup("traces", path, Trace.from_npy)
 
 
 def store_trace(path: str, trace: Trace) -> None:

@@ -288,6 +288,7 @@ def _run_inline(job: Job, cache_dir: str | None, policy: RetryPolicy,
         summary.retries += 1
         time.sleep(policy.backoff(attempts))
     outcome["attempts"] = attempts
+    outcome["inline"] = True
     if outcome["error"] is None and attempts > 1:
         outcome["recovery"] = "retry"
         faults.note_recovery("retry", job=job.describe())
@@ -324,6 +325,7 @@ def run_jobs(
         faults.LEDGER.absorb(outcome.pop("faults", None))
         outcome.setdefault("attempts", 1)
         outcome.setdefault("recovery", None)
+        outcome.setdefault("inline", False)
         summary.outcomes.append(outcome)
         summary.stats.merge(outcome["stats"])
         if progress is not None:
@@ -542,6 +544,7 @@ class _PoolScheduler:
             # parent, immune to pool infrastructure.
             outcome = execute_job(self.jobs[idx], self.cache_dir)
             outcome["attempts"] = self.attempts[idx] + 1
+            outcome["inline"] = True
             if outcome["error"] is None:
                 outcome["recovery"] = "serial"
                 self.summary.serial_recoveries += 1

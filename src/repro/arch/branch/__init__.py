@@ -16,7 +16,6 @@ from .predictors import (
     PREDICTORS,
     SingleTwoBit,
     compare_predictors,
-    extract_transfers,
     run_predictor,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "PREDICTORS",
     "SingleTwoBit",
     "compare_predictors",
-    "extract_transfers",
     "run_predictor",
 ]

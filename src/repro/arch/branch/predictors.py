@@ -240,24 +240,6 @@ class BranchSimResult:
                 if self.indirect else 0.0)
 
 
-def extract_transfers(trace):
-    """(pc, cat, taken, target) arrays of the trace's control transfers.
-
-    Accepts a :class:`Trace` or an ``analysis.replay.TraceReplay`` (the
-    replay caches the extraction so every consumer shares it).
-    """
-    transfers = getattr(trace, "transfers", None)
-    if transfers is not None:
-        return transfers()
-    mask = trace.is_transfer
-    return (
-        trace.pc[mask],
-        trace.cat[mask],
-        trace.is_taken[mask],
-        trace.target[mask],
-    )
-
-
 def run_predictor(
     predictor: DirectionPredictor,
     pcs, cats, takens, targets,
@@ -321,19 +303,18 @@ def compare_predictors(trace, names=("2bit", "bht", "gshare", "gap"),
                        kernel=None):
     """Misprediction results for several predictors over one trace.
 
-    Under the vector kernel all predictors share one replay context
-    (masks, BTB resolution, RAS replay are computed once).
+    Under the vector kernel all predictors share the trace's memoized
+    replay context (masks, BTB resolution, RAS replay are computed
+    once per trace).
     """
     if active_kernel(kernel) == "vector":
-        from .vector import BranchReplayContext, run_with_context
-        context = getattr(trace, "branch_context", None)
-        ctx = (context() if context is not None
-               else BranchReplayContext(*extract_transfers(trace)))
+        from .vector import run_with_context
+        ctx = trace.branch_context()
         return {
             name: run_with_context(PREDICTORS[name](), ctx)
             for name in names
         }
-    events = extract_transfers(trace)
+    events = trace.transfers()
     return {
         name: run_predictor(PREDICTORS[name](), *events, kernel="scalar")
         for name in names

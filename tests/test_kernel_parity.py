@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import cache
-from repro.analysis.replay import TraceReplay
 from repro.arch import compiled
 from repro.arch.branch import compare_predictors
 from repro.arch.branch.predictors import (
@@ -39,6 +38,7 @@ from repro.arch.kernels import ENV_VAR, active_kernel
 from repro.arch.pipeline import PipelineConfig, ipc_by_width, simulate_pipeline
 from repro.arch.pipeline.superscalar import event_columns
 from repro.native.nisa import FLAG_TAKEN, FLAG_WRITE, NCat
+from repro.native.trace import _COLUMNS as TRACE_COLUMNS
 from repro.native.trace import Trace
 from repro.obs import build_manifest
 
@@ -442,19 +442,19 @@ class TestPipelineParity:
            widths=st.permutations([1, 2, 4, 8]),
            kernel=st.sampled_from(["scalar", "vector"]))
     def test_memoized_sweep(self, events, config, widths, kernel):
-        """A width sweep over a replay's memoized columns, run twice in
-        any width order, equals a fresh run on the bare trace: no
-        scheduler state leaks through the memo."""
+        """A width sweep over a trace's memoized columns, run twice in
+        any width order, equals a fresh run on an unmemoized copy of
+        the trace: no scheduler state leaks through the memo."""
         trace = _build_trace(events)
-        replay = TraceReplay(trace)
         machine = {k: v for k, v in asdict(config).items() if k != "width"}
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv(ENV_VAR, kernel)
             for _ in range(2):
-                swept = ipc_by_width(replay, widths=widths, **machine)
+                swept = ipc_by_width(trace, widths=widths, **machine)
                 for w in widths:
-                    fresh = simulate_pipeline(trace, PipelineConfig(
-                        width=w, **machine))
+                    fresh = simulate_pipeline(_build_trace(events),
+                                              PipelineConfig(width=w,
+                                                             **machine))
                     assert vars(swept[w]) == vars(fresh), (kernel, w)
 
 
@@ -480,7 +480,6 @@ class TestExperimentParity:
     @pytest.mark.parametrize("exp_id", ["fig3", "table2"])
     def test_experiment_identical_under_both_kernels(
             self, exp_id, tmp_path, monkeypatch):
-        from repro.analysis.replay import clear_replay_memo
         from repro.experiments.base import get_experiment
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
@@ -488,12 +487,11 @@ class TestExperimentParity:
         results = {}
         for kernel in ("scalar", "vector"):
             monkeypatch.setenv(ENV_VAR, kernel)
-            clear_replay_memo()
             results[kernel] = fn(scale="s0", benchmarks=["hello"]).to_dict()
         assert results["scalar"] == results["vector"]
 
 
-# -- mmap trace archives -----------------------------------------------
+# -- .npy trace archives -----------------------------------------------
 
 class TestTraceNpyFormat:
     def _trace(self) -> Trace:
@@ -510,22 +508,69 @@ class TestTraceNpyFormat:
             src2=rng.integers(-1, 16, n),
         )
 
-    def test_npy_roundtrip_is_mapped(self, tmp_path):
+    def test_npy_roundtrip_is_one_readonly_buffer(self, tmp_path):
+        """A loaded trace's columns are read-only views of the one
+        buffer the store verified: nothing is decoded into a copy."""
         from repro.analysis.cache import load_trace, store_trace
         trace = self._trace()
         path = str(tmp_path / "traces" / "t.npy")
         store_trace(path, trace)
         loaded = load_trace(path)
-        assert isinstance(
-            loaded.pc if loaded.pc.base is None else loaded.pc.base,
-            np.memmap)
-        for column in ("pc", "cat", "ea", "flags", "target",
-                       "dst", "src1", "src2"):
-            assert np.array_equal(getattr(trace, column),
-                                  getattr(loaded, column)), column
+        records = loaded.pc.base
+        assert isinstance(records.base, bytes)
+        for column in TRACE_COLUMNS:
+            view = getattr(loaded, column)
+            assert view.base is records, column
+            assert not view.flags.writeable, column
+            assert np.array_equal(getattr(trace, column), view), column
 
     def test_npy_rejects_foreign_arrays(self, tmp_path):
-        path = str(tmp_path / "bogus.npy")
-        np.save(path, np.zeros(10, dtype=np.int64))
-        with pytest.raises(ValueError):
-            Trace.load(path)
+        """A digest-valid entry that is no 1-D trace record array with
+        all its rows is corrupt: ``None``, counted and quarantined."""
+        import io
+
+        from repro.analysis.cache import load_trace, store
+
+        def npy(array) -> bytes:
+            buf = io.BytesIO()
+            np.save(buf, array)
+            return buf.getvalue()
+
+        records = self._trace().to_records()
+        payloads = {
+            "foreign dtype": npy(np.zeros(10, dtype=np.int64)),
+            "2-D": npy(records.reshape(8, 8)),
+            "truncated": npy(records)[:-records.dtype.itemsize // 2],
+        }
+        for what, data in payloads.items():
+            path = str(tmp_path / "traces" / "bogus.npy")
+            store("traces", path, data)
+            cache.reset_stats()
+            assert load_trace(path) is None, what
+            assert cache.STATS.corrupt == 1, what
+            assert cache.STATS.trace_misses == 1, what
+            assert cache.STATS.quarantined == 1, what
+            assert not os.path.exists(path), what
+
+    def test_decodes_the_bytes_it_verified(self, tmp_path, monkeypatch):
+        """The trace a load returns is decoded from the bytes whose
+        digest was checked, not from a second read of the file: an
+        entry replaced between the two must not leak through."""
+        from repro.analysis.cache import load_trace, store_trace
+        trace = self._trace()
+        other = trace.select(np.arange(trace.n) % 2 == 0)
+        path = str(tmp_path / "traces" / "t.npy")
+        store_trace(path, trace)
+        verified = cache._read_verified
+
+        def read_then_replace(p):
+            data = verified(p)
+            store_trace(p, other)
+            return data
+
+        monkeypatch.setattr(cache, "_read_verified", read_then_replace)
+        loaded = load_trace(path)
+        assert loaded.n == trace.n
+        for column in TRACE_COLUMNS:
+            assert np.array_equal(getattr(trace, column),
+                                  getattr(loaded, column)), column

@@ -495,9 +495,12 @@ class TestTrace:
         assert (tr2.pc == tr.pc).all()
         assert (tr2.flags == tr.flags).all()
 
-    def test_load_missing_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            Trace.load(str(tmp_path / "nope.npy"))
+    def test_load_missing_is_a_miss(self, tmp_path):
+        from repro.analysis import cache
+        cache.reset_stats()
+        assert cache.load_trace(str(tmp_path / "traces" / "nope.npy")) is None
+        assert cache.STATS.trace_misses == 1
+        assert cache.STATS.corrupt == 0
 
     def test_select_and_views(self):
         sink = RecordingSink()

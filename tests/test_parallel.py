@@ -175,6 +175,30 @@ class TestCliParity:
         assert "pre-warming cache" in out
         assert json.load(open(serial_json)) == json.load(open(par_json))
 
+    def test_serial_run_executes_each_config_once(self, tmp_path,
+                                                  monkeypatch):
+        """``--jobs 1`` pre-warms inline, recordings first, so a
+        counting run and its recording twin execute one VM between
+        them, and no config runs twice."""
+        from collections import Counter
+
+        from repro.experiments.cli import main
+        from repro.vm.machine import JavaVM
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "")
+        runs = Counter()
+        run = JavaVM.run
+
+        def counted(vm, *args, **kwargs):
+            runs[vm.config.replace(record=False).token] += 1
+            return run(vm, *args, **kwargs)
+
+        monkeypatch.setattr(JavaVM, "run", counted)
+        assert main(["fig1", "table1", "table3", "--scale", "s0",
+                     "--benchmarks", "jess", "--jobs", "1",
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert runs and max(runs.values()) == 1, runs
+
     def test_warm_rerun_reports_high_hit_rate(self, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "")

@@ -80,9 +80,8 @@ def _rob_bound(n: int = 3000) -> Trace:
 
 
 def _traces() -> dict:
-    """The pinned traces, as replays so each config's event columns are
-    computed once for all widths."""
-    from repro.analysis.replay import TraceReplay
+    """The pinned traces; each memoizes a config's event columns, so
+    they are computed once for all widths."""
     from repro.analysis.runner import get_trace
 
     traces = {f"db/{mode}": get_trace("db", "s0", mode, cache_dir="")
@@ -90,7 +89,7 @@ def _traces() -> dict:
     for seed in (0, 1, 2):
         traces[f"synthetic{seed}"] = _synthetic(seed)
     traces["rob_bound"] = _rob_bound()
-    return {name: TraceReplay(trace) for name, trace in traces.items()}
+    return traces
 
 
 @pytest.fixture(scope="module")
