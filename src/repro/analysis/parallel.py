@@ -170,7 +170,9 @@ def execute_job(job: Job, cache_dir: str | None = None,
                 ship_faults: bool = False) -> dict:
     """Run one job (in a worker or inline), returning its outcome.
 
-    The useful side effect is cache population; the outcome carries
+    The useful side effect is cache population, so a job whose entries
+    are all stored reads none of them (the run that needs them verifies
+    them as it loads them); the outcome carries
     timing plus the cache-stats delta so the parent can aggregate
     hit/miss counters across processes.  With ``ship_events`` (set by
     the pool when the parent's tracer is on) the worker enables its own
@@ -200,7 +202,9 @@ def execute_job(job: Job, cache_dir: str | None = None,
             if job.config == ORACLE:
                 runner.oracle_run(job.workload, job.scale,
                                   cache_dir=cache_dir)
-            else:
+            elif not runner.is_stored(job.workload, job.scale, job.config,
+                                      cache_dir=cache_dir,
+                                      code_archive=job.code_archive):
                 runner.run_vm(job.workload, job.scale, job.config,
                               cache_dir=cache_dir,
                               code_archive=job.code_archive)

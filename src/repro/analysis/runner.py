@@ -23,6 +23,7 @@ consulted at *call* time, so tests can redirect the cache per-test.
 from __future__ import annotations
 
 import copy
+import os
 
 from ..native.trace import Trace
 from ..vm.config import RunConfig
@@ -53,13 +54,9 @@ def run_vm(workload: str, scale: str = "s1",
     """
     config = RunConfig.of(config)
     archive_dir = cache.resolve_dir(code_archive, cache.ARCHIVE_ENV)
-    resolved = None if archive_dir else cache.resolve_dir(cache_dir)
-    if resolved:
-        key = cache.cache_key("run", workload=workload, scale=scale,
-                              config=config.replace(record=False).token)
-        label = f"{workload}-{scale}-{config.name}"
-        run_path = cache.entry_path(resolved, "runs", label, key)
-        trace_path = cache.entry_path(resolved, "traces", label, key)
+    paths = _entry_paths(workload, scale, config, cache_dir, archive_dir)
+    if paths:
+        run_path, trace_path = paths
         trace = cache.load_trace(trace_path) if config.record else None
         if trace is not None or not config.record:
             cached = cache.load_run(run_path)
@@ -68,13 +65,45 @@ def run_vm(workload: str, scale: str = "s1",
                 return cached
     program = get_workload(workload).build(scale)
     result = JavaVM(program, config, code_archive=archive_dir or "").run()
-    if resolved:
+    if paths:
         if result.trace is not None:
             cache.store_trace(trace_path, result.trace)
         stripped = copy.copy(result)
         stripped.trace = None
         cache.store_run(run_path, stripped)
     return result
+
+
+def _entry_paths(workload: str, scale: str, config: RunConfig,
+                 cache_dir: str | None, archive_dir: str | None):
+    """``(run_path, trace_path)`` of ``config``'s store entries, or
+    ``None`` when ``run_vm`` bypasses the store."""
+    resolved = None if archive_dir else cache.resolve_dir(cache_dir)
+    if not resolved:
+        return None
+    key = cache.cache_key("run", workload=workload, scale=scale,
+                          config=config.replace(record=False).token)
+    label = f"{workload}-{scale}-{config.name}"
+    return (cache.entry_path(resolved, "runs", label, key),
+            cache.entry_path(resolved, "traces", label, key))
+
+
+def is_stored(workload: str, scale: str = "s1",
+              config: RunConfig | str = "jit", *,
+              cache_dir: str | None = None,
+              code_archive: str | None = None) -> bool:
+    """Whether the store holds every entry ``run_vm`` would serve this
+    call from: the run, and for a recording its trace.  Checks presence
+    only, reading nothing; a corrupt entry is caught (quarantined and
+    recomputed) by the lookup that reads it."""
+    config = RunConfig.of(config)
+    archive_dir = cache.resolve_dir(code_archive, cache.ARCHIVE_ENV)
+    paths = _entry_paths(workload, scale, config, cache_dir, archive_dir)
+    if not paths:
+        return False
+    run_path, trace_path = paths
+    return os.path.exists(run_path) and (
+        not config.record or os.path.exists(trace_path))
 
 
 def get_trace(workload: str, scale: str = "s1",

@@ -16,6 +16,7 @@ from .predictors import (
     PREDICTORS,
     SingleTwoBit,
     compare_predictors,
+    replay,
     run_predictor,
 )
 
@@ -33,5 +34,6 @@ __all__ = [
     "PREDICTORS",
     "SingleTwoBit",
     "compare_predictors",
+    "replay",
     "run_predictor",
 ]

@@ -5,7 +5,9 @@ Four direction predictors, matching the paper's setup: a single shared
 table, Gshare with 5 bits of global history, and a GAp two-level
 predictor (2K-entry per-address history, 256-entry second level).
 Targets of taken transfers are predicted by a 1K-entry BTB; returns use
-a small return-address stack.
+a 16-entry return-address stack.  Table 2 and the pipeline model
+(:mod:`repro.arch.pipeline`) share this one front end: :func:`replay`
+yields its per-transfer mispredict mask, which both count.
 
 A control transfer counts as mispredicted when its direction is wrong
 (conditional branches) or its target is wrong (any taken transfer) —
@@ -178,16 +180,21 @@ class GAp(CounterTablePredictor):
         self._histories[i] = ((history << 1) | int(taken)) & self._hmask
 
 
+#: Entries of the direct-mapped branch target buffer.
+BTB_ENTRIES = 1024
+
+#: Entries of the return-address stack; a push past them drops the
+#: oldest.
+RAS_ENTRIES = 16
+
+
 class BTB:
     """Direct-mapped branch target buffer."""
 
-    def __init__(self, entries: int = 1024) -> None:
+    def __init__(self, entries: int = BTB_ENTRIES) -> None:
         self.entries = entries
         self._tags = [-1] * entries
         self._targets = [0] * entries
-        self.hits = 0
-        self.misses = 0
-        self.wrong_target = 0
 
     def lookup(self, pc: int) -> int | None:
         i = (pc >> 2) % self.entries
@@ -208,17 +215,27 @@ PREDICTORS = {
     "gap": GAp,
 }
 
+_BRANCH, _CALL, _ICALL = int(NCat.BRANCH), int(NCat.CALL), int(NCat.ICALL)
+_IJUMP, _RET = int(NCat.IJUMP), int(NCat.RET)
+
 
 class BranchSimResult:
-    """Outcome of running one predictor over a trace's transfers."""
+    """Outcome of running one predictor over a trace's transfers,
+    counted from the front end's masks (:func:`replay`): a
+    conditional mispredict has the wrong direction, every other
+    mispredict the wrong target."""
 
-    def __init__(self) -> None:
-        self.transfers = 0
-        self.conditional = 0
-        self.cond_mispredicts = 0
-        self.target_mispredicts = 0
-        self.indirect = 0
-        self.indirect_mispredicts = 0
+    def __init__(self, cats, mispredicted: np.ndarray,
+                 wrong_direction: np.ndarray) -> None:
+        cats = np.asarray(cats)
+        indirect = (cats == _RET) | (cats == _IJUMP) | (cats == _ICALL)
+        self.transfers = len(cats)
+        self.conditional = len(wrong_direction)
+        self.cond_mispredicts = int(wrong_direction.sum())
+        self.target_mispredicts = (int(mispredicted.sum())
+                                   - self.cond_mispredicts)
+        self.indirect = int(indirect.sum())
+        self.indirect_mispredicts = int(mispredicted[indirect].sum())
 
     @property
     def mispredicts(self) -> int:
@@ -240,82 +257,76 @@ class BranchSimResult:
                 if self.indirect else 0.0)
 
 
-def run_predictor(
-    predictor: DirectionPredictor,
-    pcs, cats, takens, targets,
-    btb_entries: int = 1024,
-    use_ras: bool = True,
-    kernel: str | None = None,
-) -> BranchSimResult:
-    """Drive one direction predictor + BTB (+RAS) over transfer events."""
-    if active_kernel(kernel) == "vector":
-        from .vector import BranchReplayContext, run_with_context
-        ctx = BranchReplayContext(pcs, cats, takens, targets,
-                                  btb_entries=btb_entries, use_ras=use_ras)
-        return run_with_context(predictor, ctx)
-    pcs, cats = _aslist(pcs), _aslist(cats)
-    takens, targets = _aslist(takens), _aslist(targets)
-    btb = BTB(btb_entries)
+def _replay_scalar(predictor: DirectionPredictor, pcs, cats, takens,
+                   targets) -> tuple[np.ndarray, np.ndarray]:
+    """Reference oracle: the front end one transfer at a time."""
+    btb = BTB()
     ras: list[int] = []
-    result = BranchSimResult()
-    BRANCH, JUMP, CALL = int(NCat.BRANCH), int(NCat.JUMP), int(NCat.CALL)
-    ICALL, IJUMP, RET = int(NCat.ICALL), int(NCat.IJUMP), int(NCat.RET)
-
-    for pc, cat, taken, target in zip(pcs, cats, takens, targets):
-        result.transfers += 1
-        if cat == BRANCH:
-            result.conditional += 1
-            predicted = predictor.predict(pc)
-            if predicted != taken:
-                result.cond_mispredicts += 1
-            elif taken:
-                # Right direction; target must still come from the BTB.
-                if btb.lookup(pc) != target:
-                    result.target_mispredicts += 1
+    mispredicted: list[bool] = []
+    wrong_direction: list[bool] = []
+    for pc, cat, taken, target in zip(_aslist(pcs), _aslist(cats),
+                                      _aslist(takens), _aslist(targets)):
+        wrong = False
+        if cat == _BRANCH:
+            wrong = predictor.predict(pc) != taken
+            wrong_direction.append(wrong)
+            # Right direction; a taken branch's target comes from the BTB.
+            wrong = wrong or (taken and btb.lookup(pc) != target)
             predictor.update(pc, taken)
             if taken:
                 btb.update(pc, target)
-        elif cat in (JUMP, CALL):
-            # Direct, always-taken: decode provides the target.
-            if cat == CALL and use_ras:
-                ras.append(pc + 4)
-        elif cat == RET:
-            result.indirect += 1
-            predicted_target = ras.pop() if (use_ras and ras) else btb.lookup(pc)
-            if predicted_target != target:
-                result.target_mispredicts += 1
-                result.indirect_mispredicts += 1
+        elif cat == _RET:
+            wrong = (ras.pop() if ras else btb.lookup(pc)) != target
             btb.update(pc, target)
-        else:  # IJUMP, ICALL
-            result.indirect += 1
-            if btb.lookup(pc) != target:
-                result.target_mispredicts += 1
-                result.indirect_mispredicts += 1
+        elif cat in (_IJUMP, _ICALL):
+            wrong = btb.lookup(pc) != target
             btb.update(pc, target)
-            if cat == ICALL and use_ras:
-                ras.append(pc + 4)
-                if len(ras) > 16:
-                    del ras[0]
-    return result
+        # Direct jumps and calls: decode provides the target.
+        if cat in (_CALL, _ICALL):
+            ras.append(pc + 4)
+            if len(ras) > RAS_ENTRIES:
+                del ras[0]
+        mispredicted.append(wrong)
+    return (np.asarray(mispredicted, dtype=bool),
+            np.asarray(wrong_direction, dtype=bool))
+
+
+def replay(predictor: DirectionPredictor, trace,
+           kernel: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The front end over ``trace``'s control transfers: a per-transfer
+    mispredict mask and a per-conditional wrong-direction mask.
+
+    Under the vector kernel every predictor shares the trace's memoized
+    replay context (masks, BTB resolution and RAS replay are computed
+    once per trace); Table 2 and the pipeline model both count these
+    masks.
+    """
+    if active_kernel(kernel) == "vector":
+        return trace.branch_context().replay(predictor)
+    return _replay_scalar(predictor, *trace.transfers())
+
+
+def run_predictor(
+    predictor: DirectionPredictor,
+    pcs, cats, takens, targets,
+    kernel: str | None = None,
+) -> BranchSimResult:
+    """Drive one direction predictor + BTB + RAS over transfer events."""
+    if active_kernel(kernel) == "vector":
+        from .vector import BranchReplayContext
+        masks = BranchReplayContext(pcs, cats, takens,
+                                    targets).replay(predictor)
+    else:
+        masks = _replay_scalar(predictor, pcs, cats, takens, targets)
+    return BranchSimResult(cats, *masks)
 
 
 def compare_predictors(trace, names=("2bit", "bht", "gshare", "gap"),
                        kernel=None):
-    """Misprediction results for several predictors over one trace.
-
-    Under the vector kernel all predictors share the trace's memoized
-    replay context (masks, BTB resolution, RAS replay are computed
-    once per trace).
-    """
-    if active_kernel(kernel) == "vector":
-        from .vector import run_with_context
-        ctx = trace.branch_context()
-        return {
-            name: run_with_context(PREDICTORS[name](), ctx)
-            for name in names
-        }
-    events = trace.transfers()
+    """Misprediction results for several predictors over one trace."""
+    cats = trace.transfers()[1]
     return {
-        name: run_predictor(PREDICTORS[name](), *events, kernel="scalar")
+        name: BranchSimResult(cats, *replay(PREDICTORS[name](), trace,
+                                            kernel))
         for name in names
     }

@@ -1,6 +1,6 @@
 """Cache simulation."""
 
-from .cache import CacheConfig, CacheSim, CacheStats, simulate
+from .cache import CacheConfig, CacheStats, simulate
 from .harness import (
     DEFAULT_DCACHE,
     DEFAULT_ICACHE,
@@ -10,7 +10,6 @@ from .harness import (
 
 __all__ = [
     "CacheConfig",
-    "CacheSim",
     "CacheStats",
     "DEFAULT_DCACHE",
     "DEFAULT_ICACHE",

@@ -1,9 +1,12 @@
 """Set-associative cache simulation (the cachesim5 stand-in).
 
 Trace-driven LRU replacement, write-allocate or write-no-allocate, with
-an optional victim buffer.  Supports:
+an optional victim buffer.  :func:`simulate` is the one entry point: it
+replays one reference stream on a cache that starts empty, and keeps
+no state between calls.  Supports:
 
-- miss classification (compulsory vs. other, write misses),
+- miss classification (compulsory — the first miss of each block in
+  the stream — vs. other, write misses),
 - per-group attribution (e.g. translate vs. rest of JIT — Figure 5),
 - windowed time series of miss counts (Figure 6).
 
@@ -109,132 +112,103 @@ class CacheStats:
         )
 
 
-class CacheSim:
-    """One cache instance with persistent state across calls."""
+def simulate(
+    config: CacheConfig,
+    addrs: np.ndarray,
+    writes: np.ndarray | None = None,
+    groups: np.ndarray | None = None,
+    n_groups: int = 1,
+    window: int = 0,
+    kernel: str | None = None,
+) -> CacheStats:
+    """Simulate a reference stream on a cache that starts empty.
 
-    def __init__(self, config: CacheConfig) -> None:
-        self.config = config
-        self._sets: list[dict[int, int]] = [dict() for _ in range(config.n_sets)]
-        self._clock = 0
-        self._seen_blocks: set[int] = set()
-        self._victim: dict[int, int] = {}   # block -> lru stamp
+    ``writes``: optional boolean array marking stores.
+    ``groups``: optional small-int array attributing each reference to
+    a statistics group.
+    ``window``: if > 0, also record a (refs, misses) time series with
+    that many references per window.
+    ``kernel``: override the ``REPRO_SIM_KERNEL`` selection.
+    """
+    if active_kernel(kernel) == "vector":
+        from .vector import simulate_vector
+        stats = compiled.note("caches", simulate_vector(
+            config, addrs, writes, groups, n_groups, window))
+        if stats is not None:
+            return stats
+    return _simulate_scalar(config, addrs, writes, groups, n_groups, window)
 
-    def reset(self) -> None:
-        self._sets = [dict() for _ in range(self.config.n_sets)]
-        self._clock = 0
-        self._seen_blocks = set()
-        self._victim = {}
 
-    def run(
-        self,
-        addrs: np.ndarray,
-        writes: np.ndarray | None = None,
-        groups: np.ndarray | None = None,
-        n_groups: int = 1,
-        window: int = 0,
-        kernel: str | None = None,
-    ) -> CacheStats:
-        """Simulate a reference stream.
+def _simulate_scalar(cfg, addrs, writes, groups, n_groups,
+                     window) -> CacheStats:
+    """Reference oracle: the original event-at-a-time loop."""
+    block_shift = cfg.block.bit_length() - 1
+    set_mask = cfg.n_sets - 1
+    assoc = cfg.assoc
 
-        ``writes``: optional boolean array marking stores.
-        ``groups``: optional small-int array attributing each reference to
-        a statistics group.
-        ``window``: if > 0, also record a (refs, misses) time series with
-        that many references per window.
-        ``kernel``: override the ``REPRO_SIM_KERNEL`` selection.
-        """
-        if active_kernel(kernel) == "vector":
-            from .vector import run_vector
-            stats = compiled.note("caches", run_vector(
-                self, addrs, writes, groups, n_groups, window))
-            if stats is not None:
-                return stats
-        return self._run_scalar(addrs, writes, groups, n_groups, window)
+    n = len(addrs)
+    n_windows = (n + window - 1) // window if window else 0
+    stats = CacheStats(n_groups, n_windows)
 
-    def _run_scalar(self, addrs, writes, groups, n_groups, window) -> CacheStats:
-        """Reference oracle: the original event-at-a-time loop."""
-        cfg = self.config
-        block_shift = cfg.block.bit_length() - 1
-        set_mask = cfg.n_sets - 1
-        assoc = cfg.assoc
+    blocks = (np.asarray(addrs, dtype=np.int64) >> block_shift).tolist()
+    write_list = (
+        np.asarray(writes, dtype=bool).tolist() if writes is not None
+        else None
+    )
+    group_list = (
+        np.asarray(groups, dtype=np.int64).tolist() if groups is not None
+        else None
+    )
 
-        n = len(addrs)
-        n_windows = (n + window - 1) // window if window else 0
-        stats = CacheStats(n_groups, n_windows)
+    write_allocate = cfg.write_allocate
+    victim_entries = cfg.victim_entries
+    victim: dict[int, int] = {}   # block -> lru stamp
+    victim_hits = stats.victim_hits
+    sets: list[dict[int, int]] = [dict() for _ in range(cfg.n_sets)]
+    seen: set[int] = set()
+    clock = 0
+    refs = stats.refs
+    misses = stats.misses
+    write_refs = stats.write_refs
+    write_misses = stats.write_misses
+    compulsory = stats.compulsory
+    wm = stats.window_misses
+    wr = stats.window_refs
 
-        blocks = (np.asarray(addrs, dtype=np.int64) >> block_shift).tolist()
-        write_list = (
-            np.asarray(writes, dtype=bool).tolist() if writes is not None
-            else None
-        )
-        group_list = (
-            np.asarray(groups, dtype=np.int64).tolist() if groups is not None
-            else None
-        )
-
-        write_allocate = cfg.write_allocate
-        victim_entries = cfg.victim_entries
-        victim = self._victim
-        victim_hits = stats.victim_hits
-        sets = self._sets
-        seen = self._seen_blocks
-        clock = self._clock
-        refs = stats.refs
-        misses = stats.misses
-        write_refs = stats.write_refs
-        write_misses = stats.write_misses
-        compulsory = stats.compulsory
-        wm = stats.window_misses
-        wr = stats.window_refs
-
-        for i, block in enumerate(blocks):
-            g = group_list[i] if group_list is not None else 0
-            is_write = write_list[i] if write_list is not None else False
-            refs[g] += 1
-            if is_write:
-                write_refs[g] += 1
-            if window:
-                wr[i // window] += 1
-            s = sets[block & set_mask]
-            clock += 1
-            if block in s:
-                s[block] = clock
-                continue
-            # Miss path.
-            misses[g] += 1
-            if is_write:
-                write_misses[g] += 1
-            if block not in seen:
-                compulsory[g] += 1
-                seen.add(block)
-            if window:
-                wm[i // window] += 1
-            if is_write and not write_allocate:
-                continue   # write-around: the block is not installed
-            if victim_entries and block in victim:
-                victim_hits[g] += 1
-                del victim[block]
-            if len(s) >= assoc:
-                evicted = min(s, key=s.get)
-                del s[evicted]
-                if victim_entries:
-                    victim[evicted] = clock
-                    if len(victim) > victim_entries:
-                        oldest = min(victim, key=victim.get)
-                        del victim[oldest]
+    for i, block in enumerate(blocks):
+        g = group_list[i] if group_list is not None else 0
+        is_write = write_list[i] if write_list is not None else False
+        refs[g] += 1
+        if is_write:
+            write_refs[g] += 1
+        if window:
+            wr[i // window] += 1
+        s = sets[block & set_mask]
+        clock += 1
+        if block in s:
             s[block] = clock
-
-        self._clock = clock
-        return stats
-
-
-def simulate(addrs, writes=None, size=64 << 10, block=32, assoc=1,
-             write_allocate=True, victim_entries=0,
-             groups=None, n_groups=1, window=0,
-             kernel=None) -> CacheStats:
-    """One-shot convenience wrapper around :class:`CacheSim`."""
-    sim = CacheSim(CacheConfig(size, block, assoc,
-                               write_allocate=write_allocate,
-                               victim_entries=victim_entries))
-    return sim.run(addrs, writes=writes, groups=groups, n_groups=n_groups,
-                   window=window, kernel=kernel)
+            continue
+        # Miss path.
+        misses[g] += 1
+        if is_write:
+            write_misses[g] += 1
+        if block not in seen:
+            compulsory[g] += 1
+            seen.add(block)
+        if window:
+            wm[i // window] += 1
+        if is_write and not write_allocate:
+            continue   # write-around: the block is not installed
+        if victim_entries and block in victim:
+            victim_hits[g] += 1
+            del victim[block]
+        if len(s) >= assoc:
+            evicted = min(s, key=s.get)
+            del s[evicted]
+            if victim_entries:
+                victim[evicted] = clock
+                if len(victim) > victim_entries:
+                    oldest = min(victim, key=victim.get)
+                    del victim[oldest]
+        s[block] = clock
+    return stats

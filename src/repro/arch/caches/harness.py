@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...native.trace import Trace
-from .cache import CacheConfig, CacheSim, CacheStats
+from .cache import CacheConfig, CacheStats, simulate
 
 #: The paper's Table 3 geometries.
 DEFAULT_ICACHE = dict(size=64 << 10, block=32, assoc=2)
@@ -49,20 +49,15 @@ def simulate_split_l1(
 
     pcs, i_translate = trace.instruction_stream()
     addrs, writes, d_translate = trace.data_stream()
-    isim = CacheSim(icfg)
-    istats = isim.run(
-        pcs,
+    n_groups = 2 if attribute_translate else 1
+    istats = simulate(
+        icfg, pcs,
         groups=i_translate.astype(np.int64) if attribute_translate else None,
-        n_groups=2 if attribute_translate else 1,
-        window=window,
+        n_groups=n_groups, window=window,
     )
-
-    dsim = CacheSim(dcfg)
-    dstats = dsim.run(
-        addrs,
-        writes=writes,
+    dstats = simulate(
+        dcfg, addrs, writes=writes,
         groups=d_translate.astype(np.int64) if attribute_translate else None,
-        n_groups=2 if attribute_translate else 1,
-        window=window,
+        n_groups=n_groups, window=window,
     )
     return SplitL1Result(istats, dstats)

@@ -7,7 +7,7 @@ object:
 - ``schedule`` — :func:`.pipeline.superscalar._schedule`'s fetch / ROB
   recurrence;
 - ``cache_run`` — set-associative LRU over a block stream
-  (:meth:`.caches.cache.CacheSim._run_scalar`'s lookup, install and
+  (:func:`.caches.cache._simulate_scalar`'s lookup, install and
   eviction, with write-no-allocate);
 - ``predict`` — the 2-bit counter tables of the direction predictors
   in :mod:`.branch.predictors` (shared counter, BHT, Gshare, GAp).
@@ -92,14 +92,15 @@ int64_t schedule(int64_t n, const int64_t *fetch, const int64_t *lat,
 
 /* Set s holds fill[s] blocks in ways[s * assoc ...], each with the
    clock of its last reference in stamps[]; reference i has clock
-   clock0 + i + 1.  A write (write != 0 and write[i]) that misses is
-   not installed.  Each installing miss's index and evicted block
-   (-1 when the set had a free way) go to inst_idx / inst_evicted when
-   those are given.  Returns the number of installing misses. */
+   i + 1.  The sets start empty (fill all 0).  A write (write != 0 and
+   write[i]) that misses is not installed.  Each installing miss's
+   index and evicted block (-1 when the set had a free way) go to
+   inst_idx / inst_evicted when those are given.  Returns the number of
+   installing misses. */
 int64_t cache_run(int64_t n, const int64_t *block, const uint8_t *write,
-                  int64_t set_mask, int64_t assoc, int64_t clock0,
-                  int64_t *ways, int64_t *stamps, int64_t *fill,
-                  uint8_t *miss, int64_t *inst_idx, int64_t *inst_evicted)
+                  int64_t set_mask, int64_t assoc, int64_t *ways,
+                  int64_t *stamps, int64_t *fill, uint8_t *miss,
+                  int64_t *inst_idx, int64_t *inst_evicted)
 {
     int64_t installs = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -110,7 +111,7 @@ int64_t cache_run(int64_t n, const int64_t *block, const uint8_t *write,
             ;
         miss[i] = k == used;
         if (k < used) {
-            stamp[k] = clock0 + i + 1;
+            stamp[k] = i + 1;
             continue;
         }
         if (write && write[i])
@@ -125,7 +126,7 @@ int64_t cache_run(int64_t n, const int64_t *block, const uint8_t *write,
             evicted = way[k];
         }
         way[k] = b;
-        stamp[k] = clock0 + i + 1;
+        stamp[k] = i + 1;
         if (inst_idx) {
             inst_idx[installs] = i;
             inst_evicted[installs] = evicted;
@@ -165,8 +166,8 @@ BUILD = ("cc", "-O2", "-shared", "-fPIC")
 #: Store key of the shared object: the source and the command build it.
 KEY = hashlib.sha256("\0".join((SOURCE,) + BUILD).encode()).hexdigest()
 
-#: Cycle counts and clocks stay below this, so no ``int64`` sum can
-#: overflow.
+#: Cycle-count bounds and history masks stay below this, so no
+#: ``int64`` sum can overflow.
 _LIMIT = 1 << 62
 
 #: Layer (``pipeline``, ``caches``, ``branch``) -> the implementation
@@ -248,36 +249,35 @@ def _in_range(cols, n: int) -> bool:
 
 
 def cache_run(blocks: np.ndarray, writes, n_sets: int, assoc: int,
-              clock0: int, ways: np.ndarray, stamps: np.ndarray,
-              fill: np.ndarray, installs: bool):
-    """Classify the int64 ``blocks`` stream in C, updating the way
-    state ``ways``/``stamps`` (``n_sets`` × ``assoc`` int64) and
-    ``fill`` (per-set resident counts) in place.
+              installs: bool):
+    """Classify the int64 ``blocks`` stream in C on an ``n_sets`` ×
+    ``assoc`` cache that starts empty.
 
     ``writes`` is the boolean store mask under write-no-allocate, else
     ``None``.  Returns ``(miss, inst_idx, inst_evicted)`` — the
     per-reference miss mask and, with ``installs``, each installing
     miss's index and evicted block (-1 for none) — or ``None`` when C
     cannot run: streams that are not one-dimensional of one length, a
-    negative block in the stream or the ways, no ways, or clocks that
-    could overflow.
+    negative block or no ways.
     """
     n = len(blocks)
     if (blocks.ndim != 1
             or (writes is not None and writes.shape != blocks.shape)
-            or assoc < 1 or not 0 <= clock0 < _LIMIT - n
-            or (n and int(blocks.min()) < 0) or int(ways.min()) < 0):
+            or assoc < 1 or (n and int(blocks.min()) < 0)):
         return None
     lib = _kernels()
     if lib is None:
         return None
+    ways = np.zeros((n_sets, assoc), dtype=np.int64)
+    stamps = np.zeros_like(ways)
+    fill = np.zeros(n_sets, dtype=np.int64)
     miss = np.empty(n, dtype=np.uint8)
     idx = np.empty(n if installs else 0, dtype=np.int64)
     evicted = np.empty_like(idx)
     count = lib.cache_run(
         n, _ptr(blocks),
         None if writes is None else _ptr(writes.view(np.uint8)),
-        n_sets - 1, assoc, clock0, _ptr(ways), _ptr(stamps), _ptr(fill),
+        n_sets - 1, assoc, _ptr(ways), _ptr(stamps), _ptr(fill),
         _ptr(miss), _ptr(idx) if installs else None,
         _ptr(evicted) if installs else None)
     return miss.view(bool), idx[:count], evicted[:count]
@@ -345,8 +345,8 @@ def _bind(path: str):
     lib.schedule.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr,
                              i64]
     lib.schedule.restype = i64
-    lib.cache_run.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
-                              ptr, ptr, ptr]
+    lib.cache_run.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr,
+                              ptr, ptr]
     lib.cache_run.restype = i64
     lib.predict.argtypes = [i64, ptr, ptr, ptr, i64, ptr, i64, i64, i64,
                             ptr]

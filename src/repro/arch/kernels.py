@@ -1,7 +1,10 @@
 """Simulation-kernel selection.
 
-Every hot simulator (cache, branch, pipeline) has two implementations
-that produce bit-identical results:
+Every hot simulator has one entry point — the cache's
+:func:`~repro.arch.caches.simulate`, the branch front end's
+:func:`~repro.arch.branch.replay` (which Table 2 and the pipeline both
+count) and :func:`~repro.arch.pipeline.simulate_pipeline` — and two
+implementations behind it that produce bit-identical results:
 
 - ``scalar`` — the original event-at-a-time Python loops, kept as the
   reference oracle;

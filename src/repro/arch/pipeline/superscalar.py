@@ -4,9 +4,9 @@ An out-of-order-completion, W-wide-fetch model with the structures that
 dominate wide-issue behaviour for this study:
 
 - W-way fetch, one taken control transfer per cycle,
-- gshare + BTB + return-address stack steering the front end; a
-  mispredict stalls fetch until the branch resolves, plus a redirect
-  penalty,
+- Table 2's front end — gshare, a 1K-entry BTB and a 16-entry
+  return-address stack — steering fetch; a mispredict stalls fetch
+  until the branch resolves, plus a redirect penalty,
 - split L1 caches; an I-miss stalls fetch, a D-miss lengthens the
   load's latency (and thereby dependent instructions and branch
   resolution),
@@ -16,10 +16,10 @@ dominate wide-issue behaviour for this study:
 
 Everything but the fetch width and the ROB size is a property of the
 trace and the cache/penalty config, so :func:`event_columns` computes it
-once as per-event columns (the ``scalar`` kernel with per-event caches,
-gshare, BTB and RAS — the reference oracle — the ``vector`` kernel with
-the compiled cache and gshare loops and numpy), and the trace memoizes
-them across a width sweep.  One scheduler recurrence consumes
+once as per-event columns, from the cache model's miss masks and the
+branch front end's mispredict mask (:func:`repro.arch.branch.replay`)
+over the trace's memoized streams, and the trace memoizes the columns
+across a width sweep.  One scheduler recurrence consumes
 them: :func:`_schedule` in Python, the reference, under ``scalar``; the
 same recurrence compiled from C (:mod:`repro.arch.compiled`) under
 ``vector``, falling back to :func:`_schedule` when no C compiler is
@@ -36,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ...native.nisa import FLAG_TAKEN, NCat
-from ..branch.predictors import BTB, Gshare
-from ..caches import CacheConfig, CacheSim
+from ...native.nisa import NCat
+from ..branch.predictors import Gshare, replay
+from ..caches import CacheConfig, simulate
 from .. import compiled
 from ..kernels import active_kernel
 
@@ -51,9 +51,7 @@ LATENCY = {
     int(NCat.CALL): 1, int(NCat.ICALL): 1, int(NCat.RET): 1,
 }
 
-_BRANCH, _CALL, _ICALL = int(NCat.BRANCH), int(NCat.CALL), int(NCat.ICALL)
-_IJUMP, _RET = int(NCat.IJUMP), int(NCat.RET)
-_LOAD, _STORE = int(NCat.LOAD), int(NCat.STORE)
+_LOAD = int(NCat.LOAD)
 
 #: Scheduler register file: registers 0..32, then the slot every absent
 #: source (``-1``) reads, which stays 0, and the write-only slot every
@@ -146,27 +144,24 @@ def event_columns(trace, cfg: PipelineConfig,
     """The scheduler's per-event columns for the native ``trace`` under
     ``cfg``.
 
-    The kernels differ only in how they derive the I/D miss masks and
-    the mispredict mask; both yield identical columns.
+    The I/D miss masks come from the cache model and the mispredict
+    mask from the branch front end Table 2 counts (gshare + BTB + RAS),
+    all over the trace's memoized streams; the kernels differ only in
+    how those models run, and both yield identical columns.
     """
     kernel = active_kernel(kernel)
     n = trace.n
     cat = np.asarray(trace.cat, dtype=np.int64)
-    taken = (np.asarray(trace.flags) & FLAG_TAKEN) != 0
-    mem = (cat == _LOAD) | (cat == _STORE)
-    transfer = cat >= _BRANCH
+    mem = trace.memory_mask()
+    transfer = trace.transfer_mask()
 
     imiss = _miss_mask(cfg.icache_size, cfg.block, cfg.icache_assoc,
-                       trace.pc, kernel)
+                       trace.instruction_stream()[0], kernel)
     dmiss = np.zeros(n, dtype=bool)
     dmiss[mem] = _miss_mask(cfg.dcache_size, cfg.block, cfg.dcache_assoc,
-                            np.asarray(trace.ea)[mem], kernel)
+                            trace.data_stream()[0], kernel)
     misp = np.zeros(n, dtype=bool)
-    mispredicted = (_mispredicts_vector if kernel == "vector"
-                    else _mispredicts_scalar)
-    misp[transfer] = mispredicted(
-        np.asarray(trace.pc, dtype=np.int64)[transfer], cat[transfer],
-        taken[transfer], np.asarray(trace.target, dtype=np.int64)[transfer])
+    misp[transfer] = replay(Gshare(), trace, kernel)[0]
 
     lat_table = np.zeros(max(LATENCY) + 1, dtype=np.int64)
     lat_table[list(LATENCY)] = list(LATENCY.values())
@@ -175,7 +170,8 @@ def event_columns(trace, cfg: PipelineConfig,
 
     # An I-miss stalls fetch before its event; a mispredict or a taken
     # transfer ends the fetch group after its event.
-    ends = misp | (transfer & taken)
+    ends = misp.copy()
+    ends[transfer] |= trace.transfers()[2]
     after = np.where(misp, cfg.mispredict_penalty, ends.astype(np.int64))
     ended = np.zeros(n, dtype=bool)
     ended[1:] = ends[:-1]
@@ -201,57 +197,9 @@ def _compact(column: np.ndarray) -> np.ndarray:
 def _miss_mask(size: int, block: int, assoc: int, addrs,
                kernel: str) -> np.ndarray:
     """Per-reference miss mask of a fresh write-allocate LRU cache."""
-    stats = CacheSim(CacheConfig(size, block, assoc)).run(
-        np.asarray(addrs, dtype=np.int64), window=1, kernel=kernel)
+    stats = simulate(CacheConfig(size, block, assoc), addrs, window=1,
+                     kernel=kernel)
     return stats.window_misses.astype(bool)
-
-
-def _mispredicts_scalar(pcs, cats, takens, targets) -> np.ndarray:
-    """Reference oracle: per-transfer gshare, BTB and 16-entry RAS."""
-    predictor = Gshare()
-    btb = BTB()
-    ras: list[int] = []
-    out: list[bool] = []
-    for pc, cat, taken, target in zip(pcs.tolist(), cats.tolist(),
-                                      takens.tolist(), targets.tolist()):
-        wrong = False
-        if cat == _BRANCH:
-            wrong = (predictor.predict(pc) != taken
-                     or (taken and btb.lookup(pc) != target))
-            predictor.update(pc, taken)
-            if taken:
-                btb.update(pc, target)
-        elif cat == _RET:
-            wrong = (ras.pop() if ras else btb.lookup(pc)) != target
-            btb.update(pc, target)
-        elif cat in (_IJUMP, _ICALL):
-            wrong = btb.lookup(pc) != target
-            btb.update(pc, target)
-        if cat in (_CALL, _ICALL):
-            ras.append(pc + 4)
-            if len(ras) > 16:
-                del ras[0]
-        out.append(wrong)
-    return np.asarray(out, dtype=bool)
-
-
-def _mispredicts_vector(pcs, cats, takens, targets) -> np.ndarray:
-    """Batch replay of :func:`_mispredicts_scalar`."""
-    from ..branch.vector import BranchReplayContext
-
-    ctx = BranchReplayContext(pcs, cats, takens, targets)
-    misp = np.zeros(ctx.n, dtype=bool)
-    if ctx.n == 0:
-        return misp
-    predicted = Gshare().predict_batch(ctx.cond_pc, ctx.cond_taken)
-    wrong_dir = predicted != ctx.cond_taken
-    misp[ctx.is_branch] = wrong_dir | (
-        ctx.cond_taken & ~wrong_dir & ~ctx.btb_correct[ctx.is_branch])
-    misp[ctx.is_ijc] = ~ctx.btb_correct[ctx.is_ijc]
-    used, popped = ctx.ras_outcome(trim_call=True)
-    misp[ctx.is_ret] = np.where(used, popped != ctx.target[ctx.is_ret],
-                                ~ctx.btb_correct[ctx.is_ret])
-    return misp
 
 
 def _schedule(cols: EventColumns, width: int, rob_size: int) -> int:

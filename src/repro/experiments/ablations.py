@@ -16,7 +16,7 @@ import numpy as np
 
 from ..analysis.parallel import oracle_job, run_job, trace_job, trace_jobs
 from ..analysis.runner import get_trace, oracle_run, run_vm
-from ..arch.caches import simulate_split_l1
+from ..arch.caches import CacheConfig, simulate, simulate_split_l1
 from ..native.layout import CODE_CACHE_BASE, CODE_CACHE_SIZE
 from ..vm.config import RunConfig
 from ..workloads.base import SPEC_BENCHMARKS
@@ -80,17 +80,14 @@ def run_install(scale: str = "s1", benchmarks=None) -> ExperimentResult:
         trace = get_trace(name, scale, "jit")
         base = simulate_split_l1(trace)
         # Filter code-cache install stores out of the data stream.
-        mem = trace.is_memory
-        ea = trace.ea[mem]
-        wr = trace.is_write[mem]
+        ea, wr, _ = trace.data_stream()
         install = (
             wr & (ea >= CODE_CACHE_BASE)
             & (ea < CODE_CACHE_BASE + CODE_CACHE_SIZE)
         )
         keep = ~install
-        from ..arch.caches import CacheConfig, CacheSim
-        sim = CacheSim(CacheConfig(64 << 10, 32, 4))
-        nodata = sim.run(ea[keep], writes=wr[keep])
+        nodata = simulate(CacheConfig(64 << 10, 32, 4), ea[keep],
+                          writes=wr[keep])
         saved = base.dcache.total_misses - nodata.total_misses
         reduction = saved / max(1, base.dcache.total_misses)
         reductions.append(reduction)
@@ -403,8 +400,6 @@ def run_victim(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     """Figure 7 follow-on: the 1-way -> 2-way step dominates the
     associativity sweep; a small victim buffer (Jouppi) recovers most of
     that step on a direct-mapped cache."""
-    from ..arch.caches import CacheConfig, CacheSim
-
     benchmarks = benchmarks or _VICTIM_BENCHMARKS
     rows = []
     recovered = []
@@ -412,10 +407,10 @@ def run_victim(scale: str = "s1", benchmarks=None) -> ExperimentResult:
         for mode in ("interp", "jit"):
             trace = get_trace(name, scale, mode)
             pcs = trace.pc
-            dm = CacheSim(CacheConfig(8 << 10, 32, 1)).run(pcs)
-            dmv = CacheSim(CacheConfig(8 << 10, 32, 1,
-                                       victim_entries=8)).run(pcs)
-            two = CacheSim(CacheConfig(8 << 10, 32, 2)).run(pcs)
+            dm = simulate(CacheConfig(8 << 10, 32, 1), pcs)
+            dmv = simulate(CacheConfig(8 << 10, 32, 1, victim_entries=8),
+                           pcs)
+            two = simulate(CacheConfig(8 << 10, 32, 2), pcs)
             gap = dm.miss_rate - two.miss_rate
             got = dm.miss_rate - dmv.effective_miss_rate
             frac = got / gap if gap > 1e-9 else 1.0

@@ -193,6 +193,9 @@ class Trace:
     def memory_mask(self) -> np.ndarray:
         return self._get("memory_mask", lambda: self.is_memory)
 
+    def transfer_mask(self) -> np.ndarray:
+        return self._get("transfer_mask", lambda: self.is_transfer)
+
     def instruction_stream(self):
         """(pcs, translate_mask) of the instruction fetches."""
         return self._get("instruction_stream",
@@ -202,26 +205,27 @@ class Trace:
         """(addrs, writes, translate_mask) of the data references."""
         def build():
             mem = self.memory_mask()
-            return (self.ea[mem], self.is_write[mem], self.in_translate[mem])
+            flags = self.flags[mem]
+            return (self.ea[mem], (flags & FLAG_WRITE) != 0,
+                    (flags & FLAG_TRANSLATE) != 0)
         return self._get("data_stream", build)
 
     def transfers(self):
         """(pc, cat, taken, target) arrays of the control transfers."""
         def build():
-            mask = self.is_transfer
+            mask = self.transfer_mask()
             return (self.pc[mask], self.cat[mask], self.is_taken[mask],
                     self.target[mask])
         return self._get("transfers", build)
 
-    def branch_context(self, btb_entries: int = 1024, use_ras: bool = True):
+    def branch_context(self):
         """Shared :class:`~repro.arch.branch.vector.BranchReplayContext`
-        (read-only, so safe to reuse across predictors and calls)."""
+        of :meth:`transfers` (read-only, so safe to reuse across
+        predictors, Table 2 and the pipeline model)."""
         def build():
             from ..arch.branch.vector import BranchReplayContext
-            return BranchReplayContext(*self.transfers(),
-                                       btb_entries=btb_entries,
-                                       use_ras=use_ras)
-        return self._get(("branch_context", btb_entries, use_ras), build)
+            return BranchReplayContext(*self.transfers())
+        return self._get("branch_context", build)
 
     def pipeline_columns(self, config, kernel: str):
         """The pipeline model's width-independent

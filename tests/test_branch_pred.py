@@ -115,14 +115,26 @@ class TestBTBAndIndirect:
         res = run_predictor(Gshare(), *_events(seq))
         assert res.indirect_mispredicts == 0
 
+    @staticmethod
+    def _nest(depth):
+        """``depth`` nested calls, then their returns, innermost first."""
+        calls = [(0x1000 + 64 * d, NCat.CALL, True, 0x8000 + 64 * d)
+                 for d in range(depth)]
+        rets = [(0x8004 + 64 * d, NCat.RET, True, 0x1004 + 64 * d)
+                for d in reversed(range(depth))]
+        return calls + rets
+
+    def test_ras_holds_sixteen_returns(self):
+        res = run_predictor(Gshare(), *_events(self._nest(16)))
+        assert res.indirect_mispredicts == 0
+
     def test_returns_without_ras_fall_back_to_btb(self):
-        seq = []
-        for i in range(20):
-            call_pc = 0x1000 + 64 * i
-            seq.append((call_pc, NCat.CALL, True, 0x8000))
-            seq.append((0x8004, NCat.RET, True, call_pc + 4))
-        res = run_predictor(Gshare(), *_events(seq), use_ras=False)
-        assert res.indirect_mispredicts > 10
+        # 20 calls overflow the 16-entry stack: the 4 outermost returns
+        # find it empty and take the BTB's target for their pc, which
+        # is cold on the first pass and right on the second.
+        res = run_predictor(Gshare(), *_events(self._nest(20) * 2))
+        assert res.indirect == 40
+        assert res.indirect_mispredicts == 4
 
     def test_taken_branch_needs_btb_target(self):
         # Correct direction but unseen target still counts as a target miss.

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.caches import CacheConfig, CacheSim, simulate
+from repro.arch.caches import CacheConfig, simulate
 
 
-def _sim(size=1024, block=32, assoc=1):
-    return CacheSim(CacheConfig(size, block, assoc))
+def _run(addrs, size=1024, block=32, assoc=1, **kwargs):
+    return simulate(CacheConfig(size, block, assoc), addrs, **kwargs)
 
 
 class TestConfig:
@@ -31,7 +31,7 @@ class TestConfig:
 
 class TestDirectMapped:
     def test_cold_miss_then_hit(self):
-        stats = _sim().run(np.array([0, 0, 4, 31, 32]))
+        stats = _run(np.array([0, 0, 4, 31, 32]))
         # block 0 covers addrs 0..31: 1 miss + 3 hits; addr 32: new block
         assert stats.total_refs == 5
         assert stats.total_misses == 2
@@ -40,62 +40,60 @@ class TestDirectMapped:
     def test_conflict_misses(self):
         # 1024B direct-mapped: addresses 0 and 1024 collide in set 0.
         addrs = np.array([0, 1024, 0, 1024])
-        stats = _sim().run(addrs)
+        stats = _run(addrs)
         assert stats.total_misses == 4
         assert stats.compulsory[0] == 2   # the other two are conflicts
 
     def test_distinct_sets_do_not_conflict(self):
         addrs = np.array([0, 32, 0, 32] * 10)
-        stats = _sim().run(addrs)
+        stats = _run(addrs)
         assert stats.total_misses == 2
 
     def test_miss_rate(self):
-        stats = _sim().run(np.array([0, 0, 0, 1024]))
+        stats = _run(np.array([0, 0, 0, 1024]))
         assert stats.miss_rate == pytest.approx(0.5)
 
 
 class TestAssociativity:
     def test_two_way_absorbs_pair_conflict(self):
         addrs = np.array([0, 1024, 0, 1024] * 5)
-        assert _sim(assoc=1).run(addrs).total_misses == 20
-        assert _sim(assoc=2).run(addrs).total_misses == 2
+        assert _run(addrs, assoc=1).total_misses == 20
+        assert _run(addrs, assoc=2).total_misses == 2
 
     def test_lru_victim_selection(self):
         # 2-way set: A, B fill the set; touching A again makes B the LRU;
         # C evicts B; B then misses, A still hits.
         A, B, C = 0, 1024, 2048
-        sim = _sim(assoc=2)
-        stats = sim.run(np.array([A, B, A, C, A, B]))
+        stats = _run(np.array([A, B, A, C, A, B]), assoc=2)
         # misses: A, B, C, B(evicted) = 4
         assert stats.total_misses == 4
 
     def test_full_assoc_capacity(self):
         # 4 blocks capacity, cyclic 5-block walk: always misses (LRU worst).
-        sim = CacheSim(CacheConfig(128, 32, 4))
         addrs = np.array([32 * (i % 5) for i in range(25)])
-        assert sim.run(addrs).total_misses == 25
+        assert _run(addrs, size=128, assoc=4).total_misses == 25
 
     def test_lru_inclusion(self):
         """A larger fully-associative LRU never misses more (stack property)."""
         rng = np.random.default_rng(7)
         addrs = rng.integers(0, 4096, size=2000) * 4
-        small = CacheSim(CacheConfig(512, 32, 16))   # fully assoc, 16 blocks
-        big = CacheSim(CacheConfig(1024, 32, 32))    # fully assoc, 32 blocks
-        assert big.run(addrs).total_misses <= small.run(addrs).total_misses
+        small = _run(addrs, size=512, assoc=16)   # fully assoc, 16 blocks
+        big = _run(addrs, size=1024, assoc=32)    # fully assoc, 32 blocks
+        assert big.total_misses <= small.total_misses
 
 
 class TestWriteTracking:
     def test_write_misses_classified(self):
         addrs = np.array([0, 64, 0, 64])
         writes = np.array([True, False, True, False])
-        stats = _sim(size=32).run(addrs, writes=writes)  # 1 set, everything conflicts
+        stats = _run(addrs, writes=writes, size=32)  # 1 set, everything conflicts
         assert stats.write_refs[0] == 2
         assert stats.write_misses[0] == 2
         assert stats.write_miss_fraction == pytest.approx(0.5)
 
     def test_write_allocate(self):
         # A write miss installs the block: the following read hits.
-        stats = _sim().run(np.array([0, 4]), writes=np.array([True, False]))
+        stats = _run(np.array([0, 4]), writes=np.array([True, False]))
         assert stats.total_misses == 1
 
 
@@ -103,7 +101,7 @@ class TestGroupsAndWindows:
     def test_group_attribution(self):
         addrs = np.array([0, 1024, 0, 1024])
         groups = np.array([0, 1, 0, 1])
-        stats = _sim().run(addrs, groups=groups, n_groups=2)
+        stats = _run(addrs, groups=groups, n_groups=2)
         assert stats.refs.tolist() == [2, 2]
         assert stats.misses.tolist() == [2, 2]
 
@@ -111,23 +109,32 @@ class TestGroupsAndWindows:
         # Group 1 warms the block; group 0 then hits.
         addrs = np.array([0, 0])
         groups = np.array([1, 0])
-        stats = _sim().run(addrs, groups=groups, n_groups=2)
+        stats = _run(addrs, groups=groups, n_groups=2)
         assert stats.misses.tolist() == [0, 1]
 
     def test_window_series(self):
         addrs = np.array([0, 0, 1024, 1024, 0, 0])
-        stats = _sim().run(addrs, window=2)
+        stats = _run(addrs, window=2)
         assert stats.window_refs.tolist() == [2, 2, 2]
         assert stats.window_misses.tolist() == [1, 1, 1]
 
-    def test_state_persists_across_runs(self):
-        sim = _sim()
-        sim.run(np.array([0]))
-        stats = sim.run(np.array([0]))
-        assert stats.total_misses == 0
-        sim.reset()
-        stats = sim.run(np.array([0]))
-        assert stats.total_misses == 1
+
+class TestOneStream:
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_repeated_block_is_compulsory_once(self, kernel):
+        # Direct-mapped: block 0 is evicted by block 32 and misses
+        # again, a conflict miss; each block's first miss is compulsory.
+        stats = _run(np.array([0, 1024, 0, 1024, 0]), kernel=kernel)
+        assert stats.total_misses == 5
+        assert stats.compulsory.tolist() == [2]
+
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_each_call_starts_empty(self, kernel):
+        config = CacheConfig(1024, 32, 1)
+        for _ in range(2):
+            stats = simulate(config, np.array([0, 0]), kernel=kernel)
+            assert stats.total_misses == 1
+            assert stats.compulsory.tolist() == [1]
 
 
 class TestProperties:
@@ -136,7 +143,7 @@ class TestProperties:
                     max_size=300))
     def test_counts_consistent(self, raw):
         addrs = np.array(raw)
-        stats = simulate(addrs, size=1024, block=32, assoc=2)
+        stats = _run(addrs, assoc=2)
         assert stats.total_refs == len(raw)
         assert 0 <= stats.total_misses <= stats.total_refs
         assert stats.compulsory[0] == len({a >> 5 for a in raw} &
@@ -152,7 +159,6 @@ class TestProperties:
         footprint_blocks = len({a >> 5 for a in raw})
         if footprint_blocks > 32:
             return
-        sim = CacheSim(CacheConfig(1024, 32, 32))  # fully associative
-        sim.run(np.array(raw))
-        second = sim.run(np.array(raw))
-        assert second.total_misses == 0
+        # Fully associative; the second window is the second pass.
+        stats = _run(np.array(raw * 2), assoc=32, window=len(raw))
+        assert stats.window_misses[1] == 0

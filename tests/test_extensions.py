@@ -15,7 +15,7 @@ from repro.arch.branch import (
     TargetCache,
     run_indirect_predictor,
 )
-from repro.arch.caches import CacheConfig, CacheSim
+from repro.arch.caches import CacheConfig, simulate
 from repro.isa.opcodes import N_OPCODES, Op
 from repro.native.nisa import NCat
 
@@ -116,13 +116,13 @@ class TestIndirectPredictors:
 
 class TestWritePolicy:
     def test_write_around_does_not_install(self):
-        sim = CacheSim(CacheConfig(1024, 32, 1, write_allocate=False))
-        st = sim.run(np.array([0, 4]), writes=np.array([True, False]))
+        st = simulate(CacheConfig(1024, 32, 1, write_allocate=False),
+                      np.array([0, 4]), writes=np.array([True, False]))
         assert st.total_misses == 2
 
     def test_write_allocate_installs(self):
-        sim = CacheSim(CacheConfig(1024, 32, 1, write_allocate=True))
-        st = sim.run(np.array([0, 4]), writes=np.array([True, False]))
+        st = simulate(CacheConfig(1024, 32, 1, write_allocate=True),
+                      np.array([0, 4]), writes=np.array([True, False]))
         assert st.total_misses == 1
 
     def test_write_around_protects_read_working_set(self):
@@ -133,10 +133,10 @@ class TestWritePolicy:
         addrs = np.concatenate([reads[:32], stream_writes, reads[:32]])
         writes = np.zeros(len(addrs), dtype=bool)
         writes[32:32 + len(stream_writes)] = True
-        wa = CacheSim(CacheConfig(1024, 32, 2, write_allocate=True)).run(
-            addrs, writes=writes)
-        wna = CacheSim(CacheConfig(1024, 32, 2, write_allocate=False)).run(
-            addrs, writes=writes)
+        wa = simulate(CacheConfig(1024, 32, 2, write_allocate=True),
+                      addrs, writes=writes)
+        wna = simulate(CacheConfig(1024, 32, 2, write_allocate=False),
+                       addrs, writes=writes)
         assert wna.total_misses < wa.total_misses
 
     def test_policy_in_name(self):
@@ -237,10 +237,10 @@ class TestScaleStudyAndLocalityExperiments:
 class TestVictimCache:
     def test_victim_recovers_pair_conflicts(self):
         import numpy as np
-        from repro.arch.caches import CacheConfig, CacheSim
+        from repro.arch.caches import CacheConfig, simulate
         addrs = np.array([0, 1024, 0, 1024] * 20)
-        dm = CacheSim(CacheConfig(1024, 32, 1)).run(addrs)
-        dmv = CacheSim(CacheConfig(1024, 32, 1, victim_entries=4)).run(addrs)
+        dm = simulate(CacheConfig(1024, 32, 1), addrs)
+        dmv = simulate(CacheConfig(1024, 32, 1, victim_entries=4), addrs)
         assert dm.miss_rate > 0.9
         # the victim buffer turns the ping-pong into (near-)hits
         assert dmv.effective_miss_rate < 0.1
@@ -248,26 +248,26 @@ class TestVictimCache:
 
     def test_victim_capacity_bounded(self):
         import numpy as np
-        from repro.arch.caches import CacheConfig, CacheSim
+        from repro.arch.caches import CacheConfig, simulate
         # 8 conflicting blocks with a 2-entry victim buffer: little help
         addrs = np.array([1024 * k for k in range(8)] * 10)
-        small = CacheSim(CacheConfig(1024, 32, 1, victim_entries=2)).run(addrs)
+        small = simulate(CacheConfig(1024, 32, 1, victim_entries=2), addrs)
         assert small.effective_miss_rate > 0.7
 
     def test_no_victim_by_default(self):
         import numpy as np
-        from repro.arch.caches import CacheConfig, CacheSim
-        st = CacheSim(CacheConfig(1024, 32, 1)).run(np.array([0, 1024, 0]))
+        from repro.arch.caches import CacheConfig, simulate
+        st = simulate(CacheConfig(1024, 32, 1), np.array([0, 1024, 0]))
         assert int(st.victim_hits.sum()) == 0
         assert st.effective_miss_rate == st.miss_rate
 
     def test_victim_on_real_trace_helps_dm_icache(self):
         from repro.analysis import run_vm
-        from repro.arch.caches import CacheConfig, CacheSim
+        from repro.arch.caches import CacheConfig, simulate
         trace = run_vm("javac", "s0", "jit,record=True").trace
-        plain = CacheSim(CacheConfig(8 << 10, 32, 1)).run(trace.pc)
-        helped = CacheSim(CacheConfig(8 << 10, 32, 1,
-                                      victim_entries=8)).run(trace.pc)
+        plain = simulate(CacheConfig(8 << 10, 32, 1), trace.pc)
+        helped = simulate(CacheConfig(8 << 10, 32, 1, victim_entries=8),
+                          trace.pc)
         assert helped.effective_miss_rate <= plain.miss_rate
 
     def test_victim_ablation_never_hurts(self):

@@ -2,13 +2,12 @@
 
 The vector replay kernels, whose serial loops run in C
 (:mod:`repro.arch.compiled`), must be *bit-identical* to the scalar
-reference loops — every statistics field, every piece of persistent
-simulator state, on adversarial streams hypothesis invents: mixed
-read/write streams, statistic groups, miss windows, victim buffers,
-write-no-allocate caches, multi-segment state continuation, and
-mixed-kernel interleaving where scalar and vector calls share one
-simulator instance.  Each case also checks which implementation ran,
-so a silent fallback to the reference cannot pass for C.
+reference loops — every statistics field and every mask, on
+adversarial streams hypothesis invents: mixed read/write streams,
+statistic groups, miss windows, victim buffers, write-no-allocate
+caches, aliasing branch-target-buffer slots and overflowing
+return-address stacks.  Each case also checks which implementation
+ran, so a silent fallback to the reference cannot pass for C.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ from repro.arch.branch.predictors import (
     DirectionPredictor,
     GAp,
     Gshare,
+    replay,
     run_predictor,
 )
-from repro.arch.caches import CacheConfig, CacheSim, simulate_split_l1
+from repro.arch.caches import CacheConfig, simulate, simulate_split_l1
 from repro.arch.kernels import ENV_VAR, active_kernel
 from repro.arch.pipeline import PipelineConfig, ipc_by_width, simulate_pipeline
 from repro.arch.pipeline.superscalar import event_columns
@@ -69,23 +69,13 @@ addr_streams = st.lists(
 )
 
 
-def _build_sim(geometry) -> CacheSim:
+def _config(geometry) -> CacheConfig:
     size, block, assoc, wa, victim = geometry
-    return CacheSim(CacheConfig(size, block, assoc, write_allocate=wa,
-                                victim_entries=victim))
+    return CacheConfig(size, block, assoc, write_allocate=wa,
+                       victim_entries=victim)
 
 
-def _split(stream, cuts):
-    """Partition ``stream`` at the (sorted, deduplicated) cut points."""
-    points = sorted({min(c, len(stream)) for c in cuts})
-    segments, start = [], 0
-    for p in points + [len(stream)]:
-        segments.append(stream[start:p])
-        start = p
-    return segments
-
-
-def _run(sim, stream, kernel, n_groups=1, window=0):
+def _run(config, stream, kernel, n_groups=1, window=0):
     if not stream:
         addrs = np.zeros(0, dtype=np.int64)
         writes = np.zeros(0, dtype=bool)
@@ -93,11 +83,11 @@ def _run(sim, stream, kernel, n_groups=1, window=0):
         addrs = np.asarray([a for a, _ in stream], dtype=np.int64)
         writes = np.asarray([w for _, w in stream], dtype=bool)
     groups = (addrs % n_groups).astype(np.int64) if n_groups > 1 else None
-    stats = sim.run(addrs, writes=writes, groups=groups, n_groups=n_groups,
-                    window=window, kernel=kernel)
+    stats = simulate(config, addrs, writes=writes, groups=groups,
+                     n_groups=n_groups, window=window, kernel=kernel)
     if kernel == "vector":
         assert compiled.IMPLEMENTATIONS["caches"] == (
-            "c" if HAVE_CC else "python"), sim.config
+            "c" if HAVE_CC else "python"), config
     return stats
 
 
@@ -109,13 +99,6 @@ def _assert_stats_equal(a, b, context=""):
             f"{context}: CacheStats.{field} diverges: "
             f"{getattr(a, field)} != {getattr(b, field)}"
         )
-
-
-def _assert_state_equal(a: CacheSim, b: CacheSim, context=""):
-    assert a._clock == b._clock, context
-    assert a._seen_blocks == b._seen_blocks, context
-    assert a._victim == b._victim, context
-    assert a._sets == b._sets, context
 
 
 # -- cache kernels -----------------------------------------------------
@@ -135,41 +118,10 @@ class TestCacheParity:
     @example(geometry=(1024, 16, 64, True, 0), stream=WIDE_LRU, n_groups=1,
              window=0)
     def test_single_run(self, geometry, stream, n_groups, window):
-        scalar_sim = _build_sim(geometry)
-        vector_sim = _build_sim(geometry)
-        s = _run(scalar_sim, stream, "scalar", n_groups, window)
-        v = _run(vector_sim, stream, "vector", n_groups, window)
+        config = _config(geometry)
+        s = _run(config, stream, "scalar", n_groups, window)
+        v = _run(config, stream, "vector", n_groups, window)
         _assert_stats_equal(s, v, f"{geometry}")
-        _assert_state_equal(scalar_sim, vector_sim, f"{geometry}")
-
-    @RELAXED
-    @given(geometry=geometries, stream=addr_streams,
-           cuts=st.lists(st.integers(0, 300), max_size=3))
-    def test_segmented_state_continuation(self, geometry, stream, cuts):
-        """Per-segment runs must leave identical persistent state, so a
-        later segment classifies identically under either kernel."""
-        scalar_sim = _build_sim(geometry)
-        vector_sim = _build_sim(geometry)
-        for segment in _split(stream, cuts):
-            s = _run(scalar_sim, segment, "scalar")
-            v = _run(vector_sim, segment, "vector")
-            _assert_stats_equal(s, v, f"{geometry} segment")
-            _assert_state_equal(scalar_sim, vector_sim, f"{geometry}")
-
-    @RELAXED
-    @given(geometry=geometries, stream=addr_streams,
-           cuts=st.lists(st.integers(0, 300), max_size=3),
-           picks=st.lists(st.booleans(), min_size=4, max_size=4))
-    def test_mixed_kernel_interleave(self, geometry, stream, cuts, picks):
-        """Alternating kernels over one simulator equals all-scalar."""
-        reference = _build_sim(geometry)
-        mixed = _build_sim(geometry)
-        for i, segment in enumerate(_split(stream, cuts)):
-            s = _run(reference, segment, "scalar")
-            m = _run(mixed, segment,
-                     "vector" if picks[i % len(picks)] else "scalar")
-            _assert_stats_equal(s, m, f"{geometry} segment {i}")
-        _assert_state_equal(reference, mixed, f"{geometry}")
 
 
 # -- branch kernels ----------------------------------------------------
@@ -178,15 +130,42 @@ _TRANSFER_CATS = tuple(int(c) for c in (
     NCat.BRANCH, NCat.JUMP, NCat.IJUMP, NCat.CALL, NCat.ICALL, NCat.RET,
 ))
 
+#: Four pcs in each of four BTB slots: addresses 4096 bytes apart
+#: share a slot of the 1024-entry BTB, so lookups meet other pcs' tags
+#: (with the same target half the time), and returns often go back
+#: right after a call.
+_aliasing_pcs = st.integers(0, 15).map(lambda p: 4 * (p % 4) + 4096 * (p // 4))
+_targets = st.one_of(st.sampled_from([0x100, 0x200]),
+                     _aliasing_pcs.map(lambda pc: pc + 4))
+
 transfer_streams = st.lists(
     st.tuples(
-        st.integers(0, 63),                    # pc pool (aligned below)
+        _aliasing_pcs,
         st.sampled_from(_TRANSFER_CATS),
         st.booleans(),                         # taken
-        st.integers(0, 63),                    # target pool
+        _targets,
     ),
     min_size=0, max_size=250,
 )
+
+#: Two pcs in one BTB slot jumping to one target: the second lookup
+#: finds the first's target under another pc's tag, a miss.
+ALIASED_TAGS = [(0, int(NCat.IJUMP), True, 0x100),
+                (4096, int(NCat.IJUMP), True, 0x100)]
+
+#: Calls nested 20 deep, then their returns: the 4 outermost find the
+#: 16-entry return-address stack empty.
+DEEP_CALLS = ([(64 * d, int(NCat.CALL), True, 0x8000) for d in range(20)]
+              + [(0x8004, int(NCat.RET), True, 64 * d + 4)
+                 for d in reversed(range(20))])
+
+
+def _transfers(stream):
+    """(pcs, cats, takens, targets) arrays of a drawn transfer stream."""
+    return (np.asarray([pc for pc, _, _, _ in stream], dtype=np.int64),
+            np.asarray([c for _, c, _, _ in stream], dtype=np.int16),
+            np.asarray([t for _, _, t, _ in stream], dtype=bool),
+            np.asarray([t for _, _, _, t in stream], dtype=np.int64))
 
 
 class StutterPredictor(DirectionPredictor):
@@ -220,23 +199,50 @@ def _assert_branch_equal(a: BranchSimResult, b: BranchSimResult, context=""):
 class TestBranchParity:
     @RELAXED
     @given(stream=transfer_streams,
-           name=st.sampled_from(sorted(_BRANCH_FACTORIES)),
-           btb_entries=st.sampled_from([4, 16, 1024]),
-           use_ras=st.booleans())
-    def test_run_predictor(self, stream, name, btb_entries, use_ras):
-        pcs = np.asarray([4 * pc for pc, _, _, _ in stream], dtype=np.int64)
-        cats = np.asarray([c for _, c, _, _ in stream], dtype=np.int16)
-        takens = np.asarray([t for _, _, t, _ in stream], dtype=bool)
-        targets = np.asarray([4 * t for _, _, _, t in stream],
-                             dtype=np.int64)
+           name=st.sampled_from(sorted(_BRANCH_FACTORIES)))
+    @example(stream=ALIASED_TAGS, name="gshare")
+    @example(stream=DEEP_CALLS, name="gshare")
+    def test_run_predictor(self, stream, name):
+        events = _transfers(stream)
         factory = _BRANCH_FACTORIES[name]
-        s = run_predictor(factory(), pcs, cats, takens, targets,
-                          btb_entries=btb_entries, use_ras=use_ras,
-                          kernel="scalar")
-        v = run_predictor(factory(), pcs, cats, takens, targets,
-                          btb_entries=btb_entries, use_ras=use_ras,
-                          kernel="vector")
-        _assert_branch_equal(s, v, f"{name} btb={btb_entries} ras={use_ras}")
+        s = run_predictor(factory(), *events, kernel="scalar")
+        v = run_predictor(factory(), *events, kernel="vector")
+        _assert_branch_equal(s, v, name)
+
+    @RELAXED
+    @given(stream=transfer_streams,
+           name=st.sampled_from(sorted(_BRANCH_FACTORIES)))
+    @example(stream=ALIASED_TAGS, name="gshare")
+    @example(stream=DEEP_CALLS, name="gshare")
+    def test_replay_masks(self, stream, name):
+        """Both kernels flag the same transfers, not only as many."""
+        trace = _transfer_trace(stream)
+        factory = _BRANCH_FACTORIES[name]
+        s = replay(factory(), trace, kernel="scalar")
+        v = replay(factory(), trace, kernel="vector")
+        for a, b in zip(s, v):
+            assert np.array_equal(a, b), name
+
+    @RELAXED
+    @given(stream=transfer_streams,
+           kernel=st.sampled_from(["scalar", "vector"]))
+    def test_table2_is_the_pipeline_front_end(self, stream, kernel):
+        """Table 2's gshare row counts the mispredicts the pipeline
+        model stalls on, whatever the call depth."""
+        trace = _transfer_trace(stream)
+        table2 = run_predictor(Gshare(), *trace.transfers(), kernel=kernel)
+        pipeline = simulate_pipeline(trace, kernel=kernel)
+        assert table2.mispredicts == pipeline.mispredicts
+
+
+def _transfer_trace(stream) -> Trace:
+    """A trace of nothing but the drawn transfers."""
+    pcs, cats, takens, targets = _transfers(stream)
+    n = len(pcs)
+    return Trace.from_columns(
+        pc=pcs, cat=cats, ea=np.zeros(n),
+        flags=np.where(takens, FLAG_TAKEN, 0), target=targets,
+        dst=np.full(n, -1), src1=np.full(n, -1), src2=np.full(n, -1))
 
 
 #: The table predictors at their paper sizes, and at small sizes of no
@@ -337,10 +343,10 @@ class TestCompiledLayers:
         assert vector == _replay_outputs(_random_trace())
 
     def test_short_write_mask_takes_the_fallback(self):
-        sim = CacheSim(CacheConfig(1024, 32, 2, write_allocate=False))
+        config = CacheConfig(1024, 32, 2, write_allocate=False)
         with pytest.raises(IndexError):
-            sim.run(np.arange(0, 4096, 32), writes=np.zeros(3, dtype=bool),
-                    kernel="vector")
+            simulate(config, np.arange(0, 4096, 32),
+                     writes=np.zeros(3, dtype=bool), kernel="vector")
         assert compiled.IMPLEMENTATIONS["caches"] == "python"
 
     def test_no_compiler_gives_identical_results(self, tmp_path,

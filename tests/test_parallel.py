@@ -18,6 +18,7 @@ from repro.analysis.parallel import (
     trace_job,
     trace_jobs,
 )
+from repro.analysis.runner import is_stored, run_vm
 from repro.experiments.base import all_experiments, collect_jobs, jobs_for
 from repro.vm import RunConfig
 
@@ -108,9 +109,30 @@ class TestRunJobsInline:
         cold = run_jobs(jobs, max_workers=1, cache_dir=str(tmp_path))
         assert len(cold.outcomes) == 2 and not cold.errors
         assert cold.stats.trace_misses == 2
+        # A warm pre-warm reads no stored entry; the runs that replay
+        # the traces load (and verify) them.
         warm = run_jobs(jobs, max_workers=1, cache_dir=str(tmp_path))
-        assert warm.stats.trace_hits == 2
-        assert warm.stats.hit_rate == 1.0
+        assert len(warm.outcomes) == 2 and not warm.errors
+        assert warm.stats.hits == 0 and warm.stats.misses == 0
+        cache.reset_stats()
+        for job in jobs:
+            run_vm(job.workload, job.scale, job.config,
+                   cache_dir=str(tmp_path))
+        assert cache.STATS.trace_hits == 2
+        assert cache.STATS.hit_rate == 1.0
+
+    def test_prewarm_skips_only_complete_entries(self, tmp_path):
+        """A recording whose trace entry is missing runs again."""
+        jobs = trace_jobs(("hello",), "s0")
+        run_jobs(jobs, max_workers=1, cache_dir=str(tmp_path))
+        for name in os.listdir(tmp_path / "traces"):
+            if "interp" in name:
+                os.remove(tmp_path / "traces" / name)
+        again = run_jobs(jobs, max_workers=1, cache_dir=str(tmp_path))
+        assert again.stats.trace_misses == 1
+        assert again.stats.stores >= 1
+        assert is_stored("hello", "s0", "interp,record=True",
+                         cache_dir=str(tmp_path))
 
     def test_progress_callback_streams(self, tmp_path):
         seen = []
@@ -153,8 +175,11 @@ class TestRunJobsPooled:
                          if not f.endswith((".lock", ".sha256"))]
         assert len(archives) == 4
         # The parent sees the workers' archives as hits.
-        warm = run_jobs(jobs, max_workers=1, cache_dir=str(tmp_path))
-        assert warm.stats.hits == 4 and warm.stats.misses == 0
+        cache.reset_stats()
+        for job in jobs:
+            run_vm(job.workload, job.scale, job.config,
+                   cache_dir=str(tmp_path))
+        assert cache.STATS.hits == 5 and cache.STATS.misses == 0
 
 
 class TestCliParity:

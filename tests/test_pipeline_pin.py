@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arch.branch import Gshare, run_predictor
 from repro.arch.pipeline import PipelineConfig, simulate_pipeline
 from repro.native.nisa import FLAG_TAKEN, FLAG_WRITE, NCat
 from repro.native.trace import Trace
@@ -202,6 +203,17 @@ def test_pin_holds_under_the_compiled_scheduler(traces, monkeypatch):
             EXPECTED[f"rob_bound/{config}"]
         assert compiled.IMPLEMENTATIONS == {
             "pipeline": "c", "caches": "c", "branch": "c"}
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+def test_table2_counts_the_pipeline_mispredicts(kernel):
+    """Table 2's gshare row and the pipeline model share one front end,
+    so they count the same mispredicts, also where calls nest past the
+    16-entry return-address stack."""
+    trace = _rob_bound()
+    table2 = run_predictor(Gshare(), *trace.transfers(), kernel=kernel)
+    pipeline = simulate_pipeline(trace, kernel=kernel)
+    assert table2.mispredicts == pipeline.mispredicts
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from repro.analysis.parallel import (
     trace_job,
     trace_jobs,
 )
+from repro.analysis.runner import run_vm
 from repro.faults.plan import _dead_pid
 
 
@@ -104,12 +105,15 @@ class TestPooledResilience:
         assert summary.pool_replacements >= 1
         assert faults.LEDGER.count("injected", "worker-kill") == 1
         assert faults.LEDGER.total("recovered") >= 1
-        # the cache is complete despite the crash: warm rerun is all hits
-        # (each recording finds its trace and its run result)
+        # the cache is complete despite the crash: replaying the jobs is
+        # all hits (each recording finds its trace and its run result)
         faults.deactivate()
-        warm = run_jobs(jobs, max_workers=1, cache_dir=str(tmp_path))
-        assert warm.stats.trace_hits == warm.stats.run_hits == len(jobs)
-        assert warm.stats.misses == 0
+        cache.reset_stats()
+        for job in jobs:
+            run_vm(job.workload, job.scale, job.config,
+                   cache_dir=str(tmp_path))
+        assert cache.STATS.trace_hits == cache.STATS.run_hits == len(jobs)
+        assert cache.STATS.misses == 0
 
     def test_worker_raise_falls_back_to_serial(self, tmp_path):
         faults.activate("worker-raise@1:times=5")
