@@ -266,11 +266,18 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def format_summary(self) -> str:
+        if self.hits + self.misses:
+            lookups = (
+                f"{self.hits} hits / {self.misses} misses "
+                f"({100 * self.hit_rate:.1f}% hit rate; traces "
+                f"{self.trace_hits}/{self.trace_hits + self.trace_misses},"
+                f" runs {self.run_hits}/{self.run_hits + self.run_misses})")
+        else:
+            # e.g. a pre-warm whose every job is already stored: a
+            # 0.0% hit rate would read like a cold cache
+            lookups = "nothing looked up"
         return (
-            f"cache: {self.hits} hits / {self.misses} misses "
-            f"({100 * self.hit_rate:.1f}% hit rate; "
-            f"traces {self.trace_hits}/{self.trace_hits + self.trace_misses},"
-            f" runs {self.run_hits}/{self.run_hits + self.run_misses}), "
+            f"cache: {lookups}, "
             f"{self.corrupt} corrupt recomputed, "
             f"lookup {self.lookup_seconds:.2f}s, "
             f"store {self.store_seconds:.2f}s"

@@ -20,7 +20,7 @@ unannotated native.
 
 Intraprocedural facts are origin sets flowing through stack and locals:
 ``("p", slot)`` for parameters, ``("a", idx)`` for allocation sites.
-Summaries are solved by an outer fixpoint over the whole program —
+Summaries are solved by a worklist fixpoint over the whole program —
 monotone over a finite lattice, so it terminates; virtual calls join
 the summaries of every by-name candidate target reachable from the
 static receiver class.  Native methods default to all-``GLOBAL``
@@ -33,6 +33,8 @@ method is treated as escaped rather than tracked into callers.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from ...isa.method import Method, Program
 from ...isa.opcodes import Op, OPINFO
@@ -206,6 +208,21 @@ class MethodEscape:
         self.monitor_sites = monitor_sites       # idx -> True if elidable
 
 
+def _method_escape(events, alloc_sites) -> MethodEscape:
+    """The per-method product of one analysis (summary set by the
+    caller once the fixpoint is reached)."""
+    escaped = {i for i in alloc_sites
+               if ("a", i) in events["global"]
+               or ("a", i) in events["returned"]}
+    elidable = frozenset(alloc_sites - escaped)
+    monitor_sites = {}
+    for idx, origins in events["monitors"].items():
+        monitor_sites[idx] = bool(origins) and all(
+            o[0] == "a" and o[1] in elidable for o in origins)
+    return MethodEscape(None, frozenset(alloc_sites), frozenset(escaped),
+                        elidable, monitor_sites)
+
+
 class EscapeSummaries:
     """Whole-program escape fixpoint plus per-method results."""
 
@@ -297,56 +314,61 @@ class EscapeSummaries:
         problem.events = None
         return events, alloc_sites
 
+    def _callers(self, methods) -> dict:
+        """method -> the methods whose code may call it, in code order
+        (by :meth:`_candidates`, reachable or not)."""
+        callers: dict[Method, dict] = {}
+        for m in methods:
+            for instr in m.code:
+                if OPINFO[instr.op].kind != "invoke":
+                    continue
+                ref = m.pool[instr.a]
+                if not isinstance(ref, MethodRef):
+                    continue
+                for t in self._candidates(instr.op, ref) or ():
+                    callers.setdefault(t, {})[m] = None
+        return callers
+
     def _solve(self) -> None:
+        """Worklist fixpoint: every method is analyzed once in code
+        order, and a method is analyzed again only when the summary of
+        a method it may call changed.  Each method's results come from
+        its last analysis, which saw the final summaries of its
+        callees."""
         bytecode_methods = [m for m in self.program.all_methods()
                             if not m.is_native and m.code]
         for m in bytecode_methods:
             self.summary(m)   # seed
-        broken: set[Method] = set()
-        changed = True
-        while changed:
-            changed = False
-            for m in bytecode_methods:
-                if m in broken:
-                    continue
-                try:
-                    events, _allocs = self._analyze(m)
-                except VerifyError:
-                    broken.add(m)
-                    self._summary[m] = (GLOBAL,) * m.n_param_slots
-                    changed = True
-                    continue
-                new = []
-                for slot in range(m.n_param_slots):
-                    p = ("p", slot)
-                    if p in events["global"]:
-                        new.append(GLOBAL)
-                    elif p in events["returned"]:
-                        new.append(RETURNED)
-                    else:
-                        new.append(NO_ESCAPE)
-                new = tuple(new)
-                if new != self._summary[m]:
-                    self._summary[m] = new
-                    changed = True
-
-        # final reporting pass per method
+        callers = self._callers(bytecode_methods)
+        queue = deque(bytecode_methods)
+        queued = set(bytecode_methods)
+        info = self._info
+        while queue:
+            m = queue.popleft()
+            queued.discard(m)
+            if m in info and info[m] is None:
+                continue          # unverifiable: stays all-GLOBAL
+            try:
+                events, alloc_sites = self._analyze(m)
+            except VerifyError:
+                info[m] = None
+                new = (GLOBAL,) * m.n_param_slots
+            else:
+                info[m] = _method_escape(events, alloc_sites)
+                new = tuple(
+                    GLOBAL if ("p", slot) in events["global"]
+                    else RETURNED if ("p", slot) in events["returned"]
+                    else NO_ESCAPE
+                    for slot in range(m.n_param_slots))
+            if new != self._summary[m]:
+                self._summary[m] = new
+                for caller in callers.get(m, ()):
+                    if caller not in queued:
+                        queued.add(caller)
+                        queue.append(caller)
         for m in bytecode_methods:
-            if m in broken:
-                self._info[m] = None
-                continue
-            events, alloc_sites = self._analyze(m)
-            escaped = {i for i in alloc_sites
-                       if ("a", i) in events["global"]
-                       or ("a", i) in events["returned"]}
-            elidable = frozenset(alloc_sites - escaped)
-            monitor_sites = {}
-            for idx, origins in events["monitors"].items():
-                monitor_sites[idx] = bool(origins) and all(
-                    o[0] == "a" and o[1] in elidable for o in origins)
-            self._info[m] = MethodEscape(
-                self._summary[m], frozenset(alloc_sites),
-                frozenset(escaped), elidable, monitor_sites)
+            if info[m] is not None:
+                info[m].summary = self._summary[m]
 
     # -- public -------------------------------------------------------------
 

@@ -8,7 +8,9 @@ no state between calls.  Supports:
 - miss classification (compulsory — the first miss of each block in
   the stream — vs. other, write misses),
 - per-group attribution (e.g. translate vs. rest of JIT — Figure 5),
-- windowed time series of miss counts (Figure 6).
+- windowed time series of miss counts (Figure 6),
+- the per-reference miss mask (the superscalar model's I- and D-miss
+  columns).
 
 Two kernels implement the same semantics bit-for-bit: the original
 event-at-a-time ``scalar`` loop (the reference oracle, kept below) and
@@ -63,9 +65,14 @@ class CacheConfig:
 
 
 class CacheStats:
-    """Results of simulating one reference stream."""
+    """Results of simulating one reference stream.
 
-    def __init__(self, n_groups: int, n_windows: int = 0) -> None:
+    ``miss`` is the per-reference miss mask the counts are derived from.
+    """
+
+    def __init__(self, n_groups: int, n_windows: int,
+                 miss: np.ndarray) -> None:
+        self.miss = miss
         self.refs = np.zeros(n_groups, dtype=np.int64)
         self.misses = np.zeros(n_groups, dtype=np.int64)
         self.victim_hits = np.zeros(n_groups, dtype=np.int64)
@@ -148,7 +155,8 @@ def _simulate_scalar(cfg, addrs, writes, groups, n_groups,
 
     n = len(addrs)
     n_windows = (n + window - 1) // window if window else 0
-    stats = CacheStats(n_groups, n_windows)
+    stats = CacheStats(n_groups, n_windows, np.zeros(n, dtype=bool))
+    miss = stats.miss
 
     blocks = (np.asarray(addrs, dtype=np.int64) >> block_shift).tolist()
     write_list = (
@@ -189,6 +197,7 @@ def _simulate_scalar(cfg, addrs, writes, groups, n_groups,
             s[block] = clock
             continue
         # Miss path.
+        miss[i] = True
         misses[g] += 1
         if is_write:
             write_misses[g] += 1

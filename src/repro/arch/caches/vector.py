@@ -6,7 +6,8 @@ one call per reference stream on a cache that starts empty.  Everything
 derived from the miss mask vectorizes with numpy: per-group
 reference/miss/write counts (``np.bincount``), the miss-window series
 (``np.add.reduceat``) and compulsory misses, the first miss of each
-block in the stream (``np.unique``).  The victim buffer never
+block in the stream (``np.unique``); the mask itself is returned as
+``CacheStats.miss``.  The victim buffer never
 influences main-cache classification, so it replays in Python over the
 (small) installing-miss stream C reports.  When C cannot run,
 :func:`simulate_vector` returns ``None`` and the caller runs the scalar
@@ -42,7 +43,7 @@ def simulate_vector(cfg, addrs, writes, groups, n_groups, window):
     miss, inst_idx, inst_evicted = out
 
     n_windows = (n + window - 1) // window if window else 0
-    stats = CacheStats(n_groups, n_windows)
+    stats = CacheStats(n_groups, n_windows, miss)
     if g is None:
         stats.refs[0] = n
         stats.misses[0] = int(miss.sum())

@@ -197,9 +197,8 @@ def _compact(column: np.ndarray) -> np.ndarray:
 def _miss_mask(size: int, block: int, assoc: int, addrs,
                kernel: str) -> np.ndarray:
     """Per-reference miss mask of a fresh write-allocate LRU cache."""
-    stats = simulate(CacheConfig(size, block, assoc), addrs, window=1,
-                     kernel=kernel)
-    return stats.window_misses.astype(bool)
+    return simulate(CacheConfig(size, block, assoc), addrs,
+                    kernel=kernel).miss
 
 
 def _schedule(cols: EventColumns, width: int, rob_size: int) -> int:

@@ -199,6 +199,10 @@ class Program:
         self.name = name
         self.main_class = main_class
         self.classes: dict[str, JClass] = {}
+        #: The JIT's translation memo (``repro.vm.jit.compiler``): derived
+        #: from the classes and the VMs' link state, never read as
+        #: program state, freed with the program.
+        self.translations: dict = {}
 
     def add_class(self, jclass: JClass) -> JClass:
         if jclass.name in self.classes:

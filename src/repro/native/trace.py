@@ -59,6 +59,17 @@ _DTYPES = {
     "src1": np.int16,
     "src2": np.int16,
 }
+
+
+def _any_of(cat: np.ndarray, cats) -> np.ndarray:
+    """``np.isin(cat, cats)`` as one comparison per category, several
+    times faster on the int16 category column."""
+    mask = np.zeros(cat.shape, dtype=bool)
+    for c in sorted(cats):
+        mask |= cat == c
+    return mask
+
+
 #: Structured row dtype of the ``.npy`` archive format.  A plain
 #: ``np.save`` of this record array is its archive; :meth:`Trace.from_npy`
 #: views those bytes as columns without decoding or copying them.
@@ -156,7 +167,7 @@ class Trace:
 
     @property
     def is_memory(self) -> np.ndarray:
-        return np.isin(self.cat, list(MEMORY_CATS))
+        return _any_of(self.cat, MEMORY_CATS)
 
     @property
     def is_write(self) -> np.ndarray:
@@ -164,7 +175,7 @@ class Trace:
 
     @property
     def is_transfer(self) -> np.ndarray:
-        return np.isin(self.cat, list(TRANSFER_CATS))
+        return _any_of(self.cat, TRANSFER_CATS)
 
     @property
     def is_taken(self) -> np.ndarray:

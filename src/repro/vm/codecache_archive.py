@@ -44,12 +44,10 @@ import hashlib
 import os
 import pickle
 
-import numpy as np
-
 from ..analysis import cache
 from ..native.template import Template
 from ..obs import TRACER
-from .jit.chunks import Chunk, CompiledMethod, InlineSite
+from .jit.chunks import Chunk, CompiledMethod, InlineSite, rebased
 
 #: Payload schema version; bump on layout changes (defense in depth —
 #: the source digest in the key already invalidates on code edits).
@@ -143,20 +141,10 @@ def _find_method(program, qualified_name: str):
 
 def _rebased_chunk(payload: dict, old_entry: int, old_end: int,
                    delta: int) -> Chunk:
-    arrays = {f: np.array(payload[f]) for f in _ARRAY_FIELDS}
-    arrays["pc"] = arrays["pc"] + delta
-    # Method-internal addresses — chunk pcs in branch targets, embedded
-    # switch tables in effective addresses — move with the body.  Baked
-    # static-field addresses live in the (disjoint) VM data region and
-    # the 0 placeholders of patch slots and bounds-check targets sit
-    # below it, so the window test leaves both alone.
-    for field in ("ea", "target"):
-        arr = arrays[field]
-        window = (arr >= old_entry) & (arr < old_end)
-        if window.any():
-            arr[window] += delta
-    template = Template(name=payload["name"], **arrays)
-    return Chunk(template, payload.get("ea_plan"))
+    template = Template(name=payload["name"],
+                        **{f: payload[f] for f in _ARRAY_FIELDS})
+    return rebased(Chunk(template, payload.get("ea_plan")), old_entry,
+                   old_end, delta)
 
 
 def materialize_compiled(payload: dict, method, program,

@@ -9,6 +9,7 @@ patched in.  Spill slots are frame-relative and rebased per activation.
 
 from __future__ import annotations
 
+from ...native.template import Template
 from ..threads import Frame
 
 
@@ -22,25 +23,26 @@ class Chunk:
     are spill-slot offsets and the rest are filled from the dynamic
     values in order.  The plan is only assembled for a recording sink.
 
-    A chunk built with ``build_plan`` (the compiler's deferred
-    lowering) has a deferred template and sets ``ea_plan`` to
-    ``build_plan()`` on first read; a counting sink never reads it.
+    A chunk built with a ``lowering`` (the compiler's deferred lowering,
+    or a :func:`rebased` move) has a deferred template and sets
+    ``ea_plan`` to ``lowering.plan()`` on first read; a counting sink
+    never reads it.
     """
 
-    __slots__ = ("template", "ea_plan", "_build_plan")
+    __slots__ = ("template", "ea_plan", "_lowering")
 
-    def __init__(self, template, ea_plan=None, build_plan=None) -> None:
+    def __init__(self, template, ea_plan=None, lowering=None) -> None:
         self.template = template
-        self._build_plan = build_plan
-        if build_plan is None:
+        self._lowering = lowering
+        if lowering is None:
             self.ea_plan = ea_plan
 
     def __getattr__(self, name: str):
         # Reached only while a deferred chunk's plan is unset.
-        if name != "ea_plan" or self._build_plan is None:
+        if name != "ea_plan" or self._lowering is None:
             raise AttributeError(name)
-        self.ea_plan = self._build_plan()
-        self._build_plan = None
+        self.ea_plan = self._lowering.plan()
+        self._lowering = None
         return self.ea_plan
 
     @property
@@ -63,6 +65,53 @@ class Chunk:
 
     def __repr__(self) -> str:
         return f"Chunk({self.template.name}, n={self.template.n})"
+
+
+class _Moved:
+    """The template and plan of a chunk moved ``delta`` bytes along with
+    its method body ``[old_entry, old_end)`` (see :func:`rebased`)."""
+
+    __slots__ = ("chunk", "old_entry", "old_end", "delta")
+
+    def __init__(self, chunk, old_entry, old_end, delta) -> None:
+        self.chunk = chunk
+        self.old_entry = old_entry
+        self.old_end = old_end
+        self.delta = delta
+
+    def __call__(self) -> Template:
+        src = self.chunk.template
+        ea, target = src.ea.copy(), src.target.copy()
+        for arr in (ea, target):
+            arr[(arr >= self.old_entry) & (arr < self.old_end)] += self.delta
+        return Template(src.name, src.pc + self.delta, src.cat, ea,
+                        src.flags, target, src.dst, src.src1, src.src2,
+                        src.patch_ea, src.patch_taken, src.patch_target)
+
+    def plan(self):
+        # Spill-slot offsets and dynamic slots do not depend on the pc.
+        return self.chunk.ea_plan
+
+
+def rebased(chunk: Chunk, old_entry: int, old_end: int, delta: int) -> Chunk:
+    """``chunk`` of a method body placed at ``[old_entry, old_end)``,
+    moved ``delta`` bytes along with its body.
+
+    The new template is deferred: the columns are shifted (and the
+    source's lowered) only when a recording sink or the code archive
+    reads them.  Method-internal addresses (chunk pcs in branch
+    targets, embedded switch tables in effective addresses) move with
+    the body.  Baked static-field addresses live in the disjoint VM
+    data region, and the 0 placeholders of patch slots and bounds-check
+    targets sit below the code cache, so the window test leaves both
+    alone.
+    """
+    src = chunk.template
+    moved = _Moved(chunk, old_entry, old_end, delta)
+    template = Template.deferred(src.name, src.n, src.cycles,
+                                 src.cat_counts, src.translate,
+                                 src.base_pc + delta, moved)
+    return Chunk(template, lowering=moved)
 
 
 class CompiledMethod:

@@ -33,7 +33,7 @@ from ...native.template import PATCH, Template, TemplateBuilder
 from ...obs import TRACER
 from ..objects import ARRAY_HEADER_BYTES, OBJECT_HEADER_BYTES
 from ..threads import FRAME_HEADER_BYTES
-from .chunks import Chunk, CompiledMethod, InlineSite
+from .chunks import Chunk, CompiledMethod, InlineSite, rebased
 from .inline import ClassHierarchy, inline_field_offsets, is_inlinable
 from .translate_stubs import shared_translate_stubs
 
@@ -84,6 +84,13 @@ _OVERHEAD = tuple(
 )
 
 
+#: The compiler's counters a translation adds to; a memo hit adds the
+#: same amounts (:class:`_Body`).
+_COUNTERS = ("methods_compiled", "bytecodes_compiled",
+             "native_instructions_emitted", "inlined_sites",
+             "dead_stores_eliminated", "spill_stores_eliminated")
+
+
 def lower(name, protos, base_pc, chunk_pcs) -> tuple[Template, list | None]:
     """Lower protos to a pc-resolved Template and the chunk's ea plan."""
     b = TemplateBuilder(name)
@@ -123,23 +130,27 @@ def lower(name, protos, base_pc, chunk_pcs) -> tuple[Template, list | None]:
 
 class _Lowering:
     """The protos of one chunk until something needs them lowered: the
-    first :meth:`template` or :meth:`plan` call lowers both at once and
-    drops the protos."""
+    first call (the deferred template's build) or :meth:`plan` lowers
+    both the template and the ea plan at once and drops the protos."""
 
-    __slots__ = ("args", "lowered")
+    __slots__ = ("name", "protos", "base_pc", "chunk_pcs", "lowered")
 
     def __init__(self, name, protos, base_pc, chunk_pcs) -> None:
-        self.args = (name, protos, base_pc, chunk_pcs)
+        self.name = name
+        self.protos = protos
+        self.base_pc = base_pc
+        self.chunk_pcs = chunk_pcs
         self.lowered = None
 
-    def template(self) -> Template:
+    def __call__(self) -> Template:
         if self.lowered is None:
-            self.lowered = lower(*self.args)
-            self.args = None
+            self.lowered = lower(self.name, self.protos, self.base_pc,
+                                 self.chunk_pcs)
+            self.protos = self.chunk_pcs = None
         return self.lowered[0]
 
     def plan(self) -> list | None:
-        self.template()
+        self()
         return self.lowered[1]
 
 
@@ -176,6 +187,47 @@ class Link:
                 ref = method.pool[method.code[idx].a]
                 out.append((ref.class_name, ref.method_name, decision[0]))
         return tuple(out)
+
+
+def _install_pcs(compiled: CompiledMethod) -> list[range]:
+    """The code-cache pcs each bytecode index's chunk is installed at;
+    the prologue is generated and installed with the first chunk, which
+    it directly precedes."""
+    pcs = [range(0) if c is None else range(c.base_pc, c.template.end_pc, 4)
+           for c in compiled.chunks]
+    if pcs:
+        first = compiled.chunks[0] or compiled.prologue
+        pcs[0] = range(compiled.entry_pc, first.template.end_pc, 4)
+    return pcs
+
+
+class _Body:
+    """One memoized translation: the first body built for its key and
+    what it added to each of :data:`_COUNTERS`."""
+
+    __slots__ = ("compiled", "counts")
+
+    def __init__(self, compiled, counts) -> None:
+        self.compiled = compiled
+        self.counts = counts
+
+    def at(self, entry_pc: int) -> CompiledMethod:
+        """The body with its code at ``entry_pc``: the chunks themselves
+        when the pc matches, else chunks
+        :func:`~repro.vm.jit.chunks.rebased` onto it."""
+        src = self.compiled
+        delta = entry_pc - src.entry_pc
+        if delta == 0:
+            chunks, prologue = src.chunks, src.prologue
+        else:
+            old = (src.entry_pc, src.end_pc, delta)
+            prologue = rebased(src.prologue, *old)
+            chunks = [None if c is None else rebased(c, *old)
+                      for c in src.chunks]
+        compiled = CompiledMethod(src.method, chunks, prologue, entry_pc,
+                                  src.end_pc + delta, src.inline_info)
+        compiled.assumptions = src.assumptions
+        return compiled
 
 
 class CodeCache:
@@ -215,6 +267,7 @@ class JITCompiler:
         self.dead_stores_eliminated = 0
         self.spill_stores_eliminated = 0
         self._skip_spill = False
+        self._histograms: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -243,12 +296,12 @@ class JITCompiler:
             if archived is not None:
                 return self._install_archived(archived, method, tier)
         if not TRACER.enabled:
-            compiled = self._translate(method, link, optimize)
+            compiled = self._translation(method, link, optimize)
         else:
             with TRACER.span("vm.jit.translate",
                              method=method.qualified_name,
                              tier=tier) as sp:
-                compiled = self._translate(method, link, optimize)
+                compiled = self._translation(method, link, optimize)
                 sp.attrs["translate_cycles"] = compiled.translate_cycles
                 sp.attrs["bytecodes"] = len(method.code)
         compiled.tier = tier
@@ -325,7 +378,7 @@ class JITCompiler:
             return None
         if op is Op.INVOKESTATIC and offsets:
             return None  # field access needs a receiver
-        return target, offsets, speculative
+        return target, tuple(offsets), speculative
 
     def _install_archived(self, compiled: CompiledMethod, method: Method,
                           tier: int) -> CompiledMethod:
@@ -346,6 +399,38 @@ class JITCompiler:
         self.methods_installed += 1
         self.install_cycles_total += cycles
         self.inlined_sites += len(compiled.inline_info)
+        return compiled
+
+    def _translation(self, method: Method, link: Link,
+                     optimize: bool) -> CompiledMethod:
+        """Translate ``method``, or rebuild its program's memoized
+        translation of the same key at a fresh code-cache position.
+
+        The key is exactly what :meth:`_translate` reads besides the
+        method: the optimize flag, each static field's address and each
+        call site's inlining decision, speculative bit included.  Either
+        way the translate routine is emitted and the counters move as a
+        translation moves them, so a hit saves host work only.
+        """
+        memo = self.hierarchy.program.translations
+        key = (method, optimize, tuple(link.statics.values()),
+               tuple(link.inlines.values()))
+        body = memo.get(key)
+        if body is None:
+            before = [getattr(self, name) for name in _COUNTERS]
+            compiled = self._translate(method, link, optimize)
+            memo[key] = _Body(compiled, tuple(
+                getattr(self, name) - n for name, n in zip(_COUNTERS, before)))
+        else:
+            compiled = body.at(self.code_cache.region.alloc(
+                body.compiled.code_bytes // 4))
+            for name, n in zip(_COUNTERS, body.counts):
+                setattr(self, name, getattr(self, name) + n)
+        compiled.translate_cycles = self.stubs.emit_translation(
+            self.sink, method, self.loader.methods[method].bc_addr,
+            _install_pcs(compiled)
+        )
+        self.peak_work_bytes = max(self.peak_work_bytes, 24 * len(method.code))
         return compiled
 
     def _translate(self, method: Method, link: Link,
@@ -432,22 +517,9 @@ class JITCompiler:
             method, chunks, prologue, entry_pc, end_pc, inline_info
         )
         compiled.assumptions = link.assumptions()
-        install_pcs = [
-            range(pc, pc + 4 * len(p), 4)
-            for pc, p in zip(chunk_pcs, protos_per_index)
-        ]
-        if install_pcs:
-            # the prologue is generated/installed with the first chunk,
-            # which it directly precedes
-            install_pcs[0] = range(entry_pc, install_pcs[0].stop, 4)
-        compiled.translate_cycles = self.stubs.emit_translation(
-            self.sink, method, self.loader.methods[method].bc_addr,
-            install_pcs
-        )
         self.methods_compiled += 1
         self.bytecodes_compiled += len(method.code)
         self.native_instructions_emitted += total
-        self.peak_work_bytes = max(self.peak_work_bytes, 24 * len(method.code))
         return compiled
 
     @staticmethod
@@ -810,11 +882,11 @@ class JITCompiler:
     # ------------------------------------------------------------------
     # materialization
     # ------------------------------------------------------------------
-    @staticmethod
-    def _materialize(name, protos, base_pc, chunk_pcs) -> Chunk:
+    def _materialize(self, name, protos, base_pc, chunk_pcs) -> Chunk:
         """Wrap protos in a Chunk whose template is deferred.
 
-        One Python pass sums the cycles and the category histogram; the
+        One Python pass sums the cycles and the category histogram (one
+        read-only array per distinct histogram of this compiler); the
         columns and the ea plan are lowered only when a recording sink
         or the code archive reads them (:class:`_Lowering`).  Chunk code
         never carries ``FLAG_TRANSLATE``.
@@ -825,8 +897,13 @@ class JITCompiler:
             cat = proto.cat
             counts[cat] += 1
             cycles += _CYCLES[cat]
+        key = tuple(counts)
+        histogram = self._histograms.get(key)
+        if histogram is None:
+            histogram = np.array(counts, dtype=np.int64)
+            histogram.flags.writeable = False
+            self._histograms[key] = histogram
         lowering = _Lowering(name, protos, base_pc, chunk_pcs)
-        template = Template.deferred(
-            name, len(protos), cycles, np.array(counts, dtype=np.int64),
-            False, base_pc, lowering.template)
-        return Chunk(template, build_plan=lowering.plan)
+        template = Template.deferred(name, len(protos), cycles, histogram,
+                                     False, base_pc, lowering)
+        return Chunk(template, lowering=lowering)

@@ -137,6 +137,31 @@ class TestOneStream:
             assert stats.compulsory.tolist() == [1]
 
 
+class TestMissMask:
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_mask_marks_each_miss(self, kernel):
+        stats = _run(np.array([0, 0, 1024, 1024, 0, 32]), kernel=kernel)
+        assert stats.miss.dtype == bool
+        assert stats.miss.tolist() == [True, False, True, False, True, True]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1 << 13), st.booleans()),
+                    max_size=300),
+           st.sampled_from(["scalar", "vector"]))
+    def test_mask_is_the_one_reference_window_series(self, stream, kernel):
+        """The mask the pipeline reads equals the per-reference windows
+        it used to build, and sums to the miss count."""
+        addrs = np.array([a for a, _ in stream], dtype=np.int64)
+        writes = np.array([w for _, w in stream], dtype=bool)
+        config = CacheConfig(1024, 32, 2, write_allocate=False)
+        stats = simulate(config, addrs, writes=writes, kernel=kernel)
+        windows = simulate(config, addrs, writes=writes, window=1,
+                           kernel=kernel)
+        assert stats.miss.tolist() == windows.window_misses.astype(
+            bool).tolist()
+        assert int(stats.miss.sum()) == stats.total_misses
+
+
 class TestProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1,

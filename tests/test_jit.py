@@ -256,14 +256,13 @@ class TestDeferredTemplates:
         seen = []
         deferred = jit_compiler.JITCompiler._materialize
 
-        def spy(name, protos, base_pc, chunk_pcs):
-            chunk = deferred(name, protos, base_pc, chunk_pcs)
+        def spy(self, name, protos, base_pc, chunk_pcs):
+            chunk = deferred(self, name, protos, base_pc, chunk_pcs)
             seen.append((chunk, *jit_compiler.lower(
                 name, protos, base_pc, chunk_pcs)))
             return chunk
 
-        monkeypatch.setattr(jit_compiler.JITCompiler, "_materialize",
-                            staticmethod(spy))
+        monkeypatch.setattr(jit_compiler.JITCompiler, "_materialize", spy)
         return seen
 
     @staticmethod

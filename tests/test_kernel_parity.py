@@ -94,7 +94,7 @@ def _run(config, stream, kernel, n_groups=1, window=0):
 def _assert_stats_equal(a, b, context=""):
     for field in ("refs", "misses", "victim_hits", "write_refs",
                   "write_misses", "compulsory", "window_misses",
-                  "window_refs"):
+                  "window_refs", "miss"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), (
             f"{context}: CacheStats.{field} diverges: "
             f"{getattr(a, field)} != {getattr(b, field)}"

@@ -35,6 +35,7 @@ from repro.native.layout import (
     NATIVE_INSTR_BYTES,
     thread_stack_base,
 )
+from repro.native.nisa import MEMORY_CATS, N_CATEGORIES, TRANSFER_CATS
 from repro.native.trace import _COLUMNS as TRACE_COLUMNS
 from repro.native.trace import _DTYPES as TRACE_DTYPES
 from repro.vm.folding import _FOLDABLE_KINDS, FoldingSink
@@ -510,6 +511,19 @@ class TestTrace:
         assert mem.n == 2
         assert int(tr.is_write.sum()) == 1
         assert int(tr.is_transfer.sum()) == 1
+
+    def test_category_masks_match_isin(self):
+        """``is_memory``/``is_transfer`` compare the category column
+        directly; they equal ``np.isin`` for every category value."""
+        cats = np.arange(N_CATEGORIES, dtype=np.int16).repeat(3)
+        zeros = np.zeros(len(cats), dtype=np.int64)
+        tr = Trace.from_columns(pc=zeros, cat=cats, ea=zeros, flags=zeros,
+                                target=zeros, dst=zeros, src1=zeros,
+                                src2=zeros)
+        for mask, cats_of in ((tr.is_memory, MEMORY_CATS),
+                              (tr.is_transfer, TRANSFER_CATS)):
+            assert mask.dtype == bool
+            assert mask.tolist() == np.isin(cats, list(cats_of)).tolist()
 
     def test_concatenate(self):
         sink = RecordingSink()

@@ -147,6 +147,14 @@ class TestRunJobsInline:
         assert len(summary.errors) == 1
         assert "no-such-workload" in summary.errors[0]["error"]
 
+    def test_summary_without_lookups(self):
+        stats = cache.CacheStats()
+        assert stats.format_summary().startswith(
+            "cache: nothing looked up, 0 corrupt recomputed")
+        stats.count("trace_hits")
+        assert "100.0% hit rate; traces 1/1, runs 0/0" in \
+            stats.format_summary()
+
     def test_summary_format(self, tmp_path):
         summary = run_jobs([trace_job("hello", "s0", "interp")],
                            max_workers=1, cache_dir=str(tmp_path))
@@ -237,3 +245,9 @@ class TestCliParity:
         summary = [line for line in out.splitlines()
                    if line.startswith("run summary:")][-1]
         assert "100.0% hit rate" in summary
+        # Every pre-warm job was stored: the pre-warm looked nothing up,
+        # and says so instead of printing a cold-looking 0.0% hit rate.
+        prewarm = [line for line in out.splitlines()
+                   if line.startswith("pre-warm:")][-1]
+        assert "cache: nothing looked up," in prewarm
+        assert "hit rate" not in prewarm
