@@ -1,7 +1,9 @@
 """The content-addressed on-disk store: traces, run results, compiled code.
 
 Every entry lives in one of four namespaces (:data:`NAMESPACES`):
-recorded native traces (``traces/*.npy``), pickled VM results
+recorded native traces, each stored as the template log it expands
+from (``traces/*.tlog``, :class:`~repro.native.trace.TraceLog`),
+pickled VM results
 (``runs/*.pkl``), the shared compiled-code archive of
 :mod:`repro.vm.codecache_archive` (``code/*.pkl``) and the host-compiled
 replay kernels of :mod:`repro.arch.compiled`
@@ -46,7 +48,6 @@ recovery paths above stay exercised in CI.
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -55,10 +56,8 @@ import time
 import zipfile
 from dataclasses import dataclass
 
-import numpy as np
-
 from .. import faults
-from ..native.trace import Trace
+from ..native.trace import Trace, TraceLog
 from ..obs import TRACER
 
 #: Package-relative sources whose content feeds the cache key.  A file
@@ -89,8 +88,10 @@ class Namespace:
 
 #: Subdirectory name -> namespace.  Traces, runs and kernels live under
 #: the trace cache directory, code under the code-archive directory.
+#: An entry whose extension is not its namespace's is of a superseded
+#: format: never addressed, and deleted by :func:`prune`.
 NAMESPACES = {
-    "traces": Namespace("trace", ".npy", "trace_hits", "trace_misses",
+    "traces": Namespace("trace", ".tlog", "trace_hits", "trace_misses",
                         "stores"),
     "runs": Namespace("run", ".pkl", "run_hits", "run_misses", "stores"),
     "code": Namespace("code", ".pkl", "code_hits", "code_misses",
@@ -616,16 +617,14 @@ def remove_entry(path: str) -> bool:
 
 
 def load_trace(path: str) -> Trace | None:
-    """A cached trace, viewing the very bytes its digest verified;
-    ``None`` on absence or corruption."""
-    return lookup("traces", path, Trace.from_npy)
+    """A cached trace, expanded from the very log bytes its digest
+    verified; ``None`` on absence or corruption."""
+    return lookup("traces", path,
+                  lambda data: Trace.from_log(TraceLog.from_bytes(data)))
 
 
 def store_trace(path: str, trace: Trace) -> None:
-    # Staged through memory so the write is atomic.
-    buf = io.BytesIO()
-    np.save(buf, trace.to_records(), allow_pickle=False)
-    store("traces", path, buf.getvalue())
+    store("traces", path, trace.log.to_bytes())
 
 
 def load_run(path: str):
@@ -639,8 +638,9 @@ def store_run(path: str, result) -> None:
 
 
 def prune(cache_dir: str | None = None) -> int:
-    """Housekeeping: delete stale lock files, temp droppings, and
-    quarantined corpses in every namespace under ``cache_dir``.
+    """Housekeeping: delete stale lock files, temp droppings, entries of
+    a superseded format (an extension not their namespace's, with their
+    digest sidecars) and quarantined corpses under ``cache_dir``.
 
     Content addressing means superseded entries are never served, so
     pruning is purely about disk space; returns the number removed.
@@ -653,9 +653,12 @@ def prune(cache_dir: str | None = None) -> int:
         directory = os.path.join(cache_dir, sub)
         if not os.path.isdir(directory):
             continue
+        ext = NAMESPACES[sub].ext
         for name in os.listdir(directory):
-            if (name.endswith(".lock") or name.startswith(".tmp-")
-                    or ".lock.break-" in name):
+            # All but current entries and their sidecars: locks, broken
+            # lock graves, temp droppings and superseded formats.
+            if (name.startswith(".tmp-")
+                    or not name.removesuffix(".sha256").endswith(ext)):
                 removed += _unlink(os.path.join(directory, name))
     qdir = os.path.join(cache_dir, "quarantine")
     if os.path.isdir(qdir):

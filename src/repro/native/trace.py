@@ -16,7 +16,9 @@ when read, from a per-template emission count, so they are exact at
 any time but cost a pass over the distinct templates.  A recording
 sink writes no array per emission either: it appends the template to a
 log and the patch values to three flat lists, and expands the log into
-columns once, in :meth:`RecordingSink.trace`.  Per-event data
+columns once, in :meth:`RecordingSink.trace`.  The frozen trace keeps
+that :class:`TraceLog`: it is the trace's stored form, and a load
+rebuilds the columns with the same :func:`expand`.  Per-event data
 (effective addresses, branch outcomes, targets) is only consumed by a
 recording sink: code that would build it for the sink's sake must
 check ``sink.records`` first.
@@ -31,8 +33,7 @@ counting sink costs them one call per loop, not one per iteration.
 
 from __future__ import annotations
 
-import io
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,12 +71,6 @@ def _any_of(cat: np.ndarray, cats) -> np.ndarray:
     return mask
 
 
-#: Structured row dtype of the ``.npy`` archive format.  A plain
-#: ``np.save`` of this record array is its archive; :meth:`Trace.from_npy`
-#: views those bytes as columns without decoding or copying them.
-_RECORD_DTYPE = np.dtype([(c, _DTYPES[c]) for c in _COLUMNS])
-
-
 class Trace:
     """An immutable columnar native-instruction trace.
 
@@ -93,17 +88,23 @@ class Trace:
     the control transfers, the branch replay context, the pipeline's
     per-event columns), so every simulator and every geometry or width
     swept over one trace shares one derivation.
+
+    ``log`` is the :class:`TraceLog` the columns expand from, the form
+    a trace is stored in: a recording's template log, or for a trace
+    built from columns, one template holding every row.
     """
 
-    __slots__ = tuple(_COLUMNS) + ("n", "_memo")
+    __slots__ = tuple(_COLUMNS) + ("n", "log", "_memo")
 
-    def __init__(self, **columns: np.ndarray) -> None:
+    def __init__(self, log: "TraceLog | None" = None,
+                 **columns: np.ndarray) -> None:
         lengths = {len(columns[c]) for c in _COLUMNS}
         if len(lengths) != 1:
             raise ValueError(f"column lengths differ: {lengths}")
         for c in _COLUMNS:
             setattr(self, c, columns[c])
         self.n = lengths.pop()
+        self.log = TraceLog.whole(columns) if log is None else log
         self._memo: dict = {}
 
     # -- constructors -------------------------------------------------
@@ -130,35 +131,10 @@ class Trace:
             }
         )
 
-    # -- persistence ---------------------------------------------------
-    def to_records(self) -> np.ndarray:
-        """The trace as one structured record array (``.npy`` format)."""
-        records = np.empty(self.n, dtype=_RECORD_DTYPE)
-        for c in _COLUMNS:
-            records[c] = getattr(self, c)
-        return records
-
     @classmethod
-    def from_npy(cls, data: bytes) -> "Trace":
-        """The trace whose ``.npy`` record array (the format
-        :func:`repro.analysis.cache.store_trace` writes) is ``data``:
-        read-only column views of those very bytes, nothing copied.
-        Raises :class:`ValueError` unless ``data`` is one 1-D array of
-        the trace record dtype with every row present."""
-        fh = io.BytesIO(data)
-        version = np.lib.format.read_magic(fh)
-        read_header = {(1, 0): np.lib.format.read_array_header_1_0,
-                       (2, 0): np.lib.format.read_array_header_2_0}
-        if version not in read_header:
-            raise ValueError(f"unsupported .npy version {version}")
-        shape, _, dtype = read_header[version](fh)
-        if dtype != _RECORD_DTYPE or len(shape) != 1:
-            raise ValueError(f"not a trace record array: {dtype} {shape}")
-        if len(data) - fh.tell() != shape[0] * dtype.itemsize:
-            raise ValueError(f"truncated trace of {shape[0]} records")
-        records = np.frombuffer(data, dtype, count=shape[0],
-                                offset=fh.tell())
-        return cls(**{c: records[c] for c in _COLUMNS})
+    def from_log(cls, log: "TraceLog") -> "Trace":
+        """The trace ``log`` describes: read-only contiguous columns."""
+        return cls(log=log, **expand(*log))
 
     # -- derived views ---------------------------------------------------
     def select(self, mask: np.ndarray) -> "Trace":
@@ -373,7 +349,8 @@ class RecordingSink(CountingSink):
         self._targets.clear()
 
     def trace(self) -> Trace:
-        """Freeze the recorded stream into a :class:`Trace`.
+        """Freeze the recorded stream into a :class:`Trace` that keeps
+        its :class:`TraceLog`.
 
         Raises :class:`ValueError` naming the field when the ``ea``,
         ``taken`` or ``target`` values logged differ in number from the
@@ -384,34 +361,185 @@ class RecordingSink(CountingSink):
         # ``emits`` holds the distinct templates in first-emission order.
         table = list(self.emits)
         index = {t: i for i, t in enumerate(table)}
-        ids = np.fromiter(map(index.__getitem__, self._log), dtype=np.intp,
-                          count=len(self._log))
-        src, lengths = _expand([t.pc for t in table], ids)
-        cols = {
-            c: _concat([getattr(t, c) for t in table], _DTYPES[c])[src]
-            for c in _COLUMNS
-        }
-        starts = _exclusive_cumsum(lengths)
+        ids = np.fromiter(map(index.__getitem__, self._log),
+                          dtype=np.uint16 if len(table) <= 1 << 16
+                          else np.uint32, count=len(self._log))
         self._pack()
-        for k, field in enumerate(("ea", "taken", "target")):
-            values = np.concatenate([chunk[k] for chunk in self._packed])
-            patch = [getattr(t, "patch_" + field) for t in table]
-            pick, counts = _expand(patch, ids)
-            if len(pick) != len(values):
-                raise ValueError(
-                    f"{field}: {len(values)} patch values logged for "
-                    f"{len(pick)} patch rows"
-                )
-            rows = _concat(patch, np.intp)[pick] + np.repeat(starts, counts)
-            if field == "taken":
-                flags = cols["flags"]
-                flags[rows] = (flags[rows] & ~FLAG_TAKEN) | values * FLAG_TAKEN
-            else:
-                cols[field][rows] = values
-        return Trace(**cols)
+        values = [np.concatenate([chunk[k] for chunk in self._packed])
+                  for k in range(3)]
+        return Trace.from_log(TraceLog(TemplateTable.of(table), ids, *values))
 
     def __len__(self) -> int:
         return self.instructions
+
+
+_PATCH_FIELDS = ("ea", "taken", "target")
+
+
+class TemplateTable(NamedTuple):
+    """The distinct templates of a :class:`TraceLog`: each column's rows
+    of every template, concatenated, each template's row count, and per
+    patch field (:data:`_PATCH_FIELDS`) the templates' own ``patch_*``
+    rows, concatenated, with each template's count of them."""
+
+    columns: dict
+    sizes: np.ndarray
+    patch_rows: tuple
+    patch_counts: tuple
+
+    @classmethod
+    def of(cls, templates: Sequence[Template]) -> "TemplateTable":
+        patches = [[getattr(t, "patch_" + f) for t in templates]
+                   for f in _PATCH_FIELDS]
+        return cls(
+            {c: _concat([getattr(t, c) for t in templates], _DTYPES[c])
+             for c in _COLUMNS},
+            np.array([t.n for t in templates], dtype=np.int64),
+            tuple(_concat(rows, np.int64) for rows in patches),
+            tuple(np.array([len(r) for r in rows], dtype=np.int64)
+                  for rows in patches))
+
+
+#: Leading bytes of a stored :class:`TraceLog`, then the header: the
+#: format version, the id width in bytes and the lengths of the
+#: template count, table rows, three patch-row arrays, ids and three
+#: patch-value streams.
+_LOG_MAGIC = b"TRACELOG"
+_LOG_VERSION = 1
+_LOG_HEADER = 11
+
+
+def _layout(id_dtype) -> list:
+    """``(dtype, header length index)`` of each stored array, in order:
+    template sizes, the three patch counts, the eight table columns,
+    the three patch-row arrays, the ids and the three patch streams."""
+    return ([(np.int64, 0)] * 4 + [(_DTYPES[c], 1) for c in _COLUMNS]
+            + [(np.int64, 2), (np.int64, 3), (np.int64, 4), (id_dtype, 5),
+               (np.int64, 6), (np.int16, 7), (np.int64, 8)])
+
+
+class TraceLog(NamedTuple):
+    """A trace as the template log it expands from (:func:`expand`):
+    the distinct templates, which one each emission was (``ids``, one
+    ``uint16`` each, ``uint32`` past 65,536 templates) and the ``ea``,
+    ``taken`` and ``target`` patch values of all emissions, in order.
+
+    Its bytes (:meth:`to_bytes`) are the stored form of a trace: the
+    magic, the header, then each array of :func:`_layout` as raw
+    little-endian values padded to 8 bytes."""
+
+    table: TemplateTable
+    ids: np.ndarray
+    eas: np.ndarray
+    takens: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def whole(cls, columns: dict) -> "TraceLog":
+        """The log of one template holding every row of ``columns``,
+        emitted once, with no patch rows."""
+        none = np.zeros(0, dtype=np.int64)
+        once = np.zeros(1, dtype=np.int64)
+        table = TemplateTable(
+            {c: columns[c] for c in _COLUMNS},
+            np.array([len(columns["pc"])], dtype=np.int64),
+            (none,) * 3, (once,) * 3)
+        return cls(table, np.zeros(1, dtype=np.uint16), none,
+                   np.zeros(0, dtype=np.int16), none)
+
+    def to_bytes(self) -> bytes:
+        t = self.table
+        arrays = [t.sizes, *t.patch_counts, *(t.columns[c] for c in _COLUMNS),
+                  *t.patch_rows, self.ids, self.eas, self.takens,
+                  self.targets]
+        header = np.array(
+            [_LOG_VERSION, self.ids.dtype.itemsize, len(t.sizes),
+             len(t.columns["pc"]), *map(len, t.patch_rows), len(self.ids),
+             len(self.eas), len(self.takens), len(self.targets)],
+            dtype="<i8")
+        parts = [_LOG_MAGIC, header.tobytes()]
+        for array, (dtype, _) in zip(arrays, _layout(self.ids.dtype)):
+            raw = np.ascontiguousarray(
+                array, dtype=np.dtype(dtype).newbyteorder("<")).tobytes()
+            parts += (raw, bytes(-len(raw) % 8))
+        return b"".join(parts)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "TraceLog":
+        """The log whose :meth:`to_bytes` is ``data``, as read-only views
+        of it.  Raises :class:`ValueError` unless ``data`` holds exactly
+        one log whose ids name its templates and whose patch rows lie
+        inside their templates."""
+        start = len(_LOG_MAGIC) + 8 * _LOG_HEADER
+        if len(data) < start or data[:len(_LOG_MAGIC)] != _LOG_MAGIC:
+            raise ValueError("not a trace log")
+        header = np.frombuffer(data, "<i8", _LOG_HEADER, len(_LOG_MAGIC))
+        version, id_size, *lengths = header.tolist()
+        if version != _LOG_VERSION or id_size not in (2, 4):
+            raise ValueError(f"unsupported trace log {version}/{id_size}")
+        if min(lengths) < 0:
+            raise ValueError(f"negative trace log lengths {lengths}")
+        arrays, offset = [], start
+        for dtype, k in _layout(np.uint16 if id_size == 2 else np.uint32):
+            dtype = np.dtype(dtype).newbyteorder("<")
+            end = offset + lengths[k] * dtype.itemsize
+            if end > len(data):
+                raise ValueError("truncated trace log")
+            arrays.append(np.frombuffer(data, dtype, lengths[k], offset))
+            offset = end + -end % 8
+        if offset != len(data):
+            raise ValueError(f"trace log of {offset} bytes in {len(data)}")
+        sizes, *counts = arrays[:4]
+        rows = arrays[12:15]
+        n_templates, n_rows = lengths[:2]
+        if ((sizes < 0) | (sizes > n_rows)).any() or sizes.sum() != n_rows:
+            raise ValueError("template sizes do not cover the table")
+        for field, c, r in zip(_PATCH_FIELDS, counts, rows):
+            if ((c < 0) | (c > len(r))).any() or c.sum() != len(r):
+                raise ValueError(f"{field}: patch counts do not cover "
+                                 f"{len(r)} patch rows")
+            if ((r < 0) | (r >= np.repeat(sizes, c))).any():
+                raise ValueError(f"{field}: patch row outside its template")
+        ids = arrays[15]
+        if len(ids) and int(ids.max()) >= n_templates:
+            raise ValueError(f"template id {int(ids.max())} past "
+                             f"{n_templates} templates")
+        table = TemplateTable(dict(zip(_COLUMNS, arrays[4:12])), sizes,
+                              tuple(rows), tuple(counts))
+        return cls(table, ids, *arrays[16:])
+
+
+def expand(table: TemplateTable, ids: np.ndarray, eas: np.ndarray,
+           takens: np.ndarray, targets: np.ndarray) -> dict:
+    """The read-only columns of the trace a template log describes.
+
+    One gather index over the table's rows serves all eight columns;
+    each patch stream is then scattered into the rows its templates'
+    patch rows name.  Raises :class:`ValueError` naming the field when
+    a stream holds a different number of values than the logged
+    templates declare patch rows.
+    """
+    src, lengths = _gather_index(table.sizes, ids)
+    cols = {c: table.columns[c][src] for c in _COLUMNS}
+    starts = _exclusive_cumsum(lengths)
+    for field, rows, counts, values in zip(
+            _PATCH_FIELDS, table.patch_rows, table.patch_counts,
+            (eas, takens, targets)):
+        pick, picked = _gather_index(counts, ids)
+        if len(pick) != len(values):
+            raise ValueError(
+                f"{field}: {len(values)} patch values logged for "
+                f"{len(pick)} patch rows"
+            )
+        at = rows[pick] + np.repeat(starts, picked)
+        if field == "taken":
+            flags = cols["flags"]
+            flags[at] = (flags[at] & ~FLAG_TAKEN) | values * FLAG_TAKEN
+        else:
+            cols[field][at] = values
+    for column in cols.values():
+        column.flags.writeable = False
+    return cols
 
 
 def _concat(blocks: list, dtype) -> np.ndarray:
@@ -424,11 +552,11 @@ def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expand(blocks: list, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index into ``concat(blocks)`` that yields
-    ``concat(blocks[i] for i in ids)``, and the length of each picked
-    block: one ``repeat`` of per-pick offsets plus one ``arange``."""
-    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+def _gather_index(sizes: np.ndarray, ids: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Index into blocks of ``sizes`` rows each, laid end to end, that
+    picks block ``ids[0]``, then ``ids[1]``, ..., and the length of each
+    pick: one ``repeat`` of per-pick offsets plus one ``arange``."""
     lengths = sizes[ids]
     offsets = _exclusive_cumsum(sizes)[ids] - _exclusive_cumsum(lengths)
     gather = np.repeat(offsets, lengths) + np.arange(int(lengths.sum()),

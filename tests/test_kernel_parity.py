@@ -497,9 +497,23 @@ class TestExperimentParity:
         assert results["scalar"] == results["vector"]
 
 
-# -- .npy trace archives -----------------------------------------------
+# -- stored trace logs -------------------------------------------------
 
-class TestTraceNpyFormat:
+_LOG_EXT = cache.NAMESPACES["traces"].ext
+
+
+def _recorded_trace() -> Trace:
+    from repro.vm import JavaVM
+    from repro.workloads.base import get_workload
+    return JavaVM(get_workload("hello").build("s0"),
+                  "interp,record=True").run().trace
+
+
+class TestTraceLogFormat:
+    """A trace is stored as the template log it expands from
+    (:class:`~repro.native.trace.TraceLog`); a load expands the
+    verified bytes with the freeze's own :func:`expand`."""
+
     def _trace(self) -> Trace:
         rng = np.random.default_rng(7)
         n = 64
@@ -514,42 +528,76 @@ class TestTraceNpyFormat:
             src2=rng.integers(-1, 16, n),
         )
 
-    def test_npy_roundtrip_is_one_readonly_buffer(self, tmp_path):
-        """A loaded trace's columns are read-only views of the one
-        buffer the store verified: nothing is decoded into a copy."""
+    @pytest.mark.parametrize("built", ["recorded", "columns", "empty"])
+    def test_roundtrip_restores_every_column(self, tmp_path, built):
+        """Recorded and column-built traces come back column for column
+        and dtype for dtype, as contiguous read-only arrays."""
         from repro.analysis.cache import load_trace, store_trace
-        trace = self._trace()
-        path = str(tmp_path / "traces" / "t.npy")
+        trace = {"recorded": _recorded_trace, "columns": self._trace,
+                 "empty": Trace.empty}[built]()
+        path = str(tmp_path / "traces" / f"t{_LOG_EXT}")
         store_trace(path, trace)
         loaded = load_trace(path)
-        records = loaded.pc.base
-        assert isinstance(records.base, bytes)
+        assert loaded.n == trace.n
         for column in TRACE_COLUMNS:
             view = getattr(loaded, column)
-            assert view.base is records, column
-            assert not view.flags.writeable, column
+            assert view.dtype == getattr(trace, column).dtype, column
             assert np.array_equal(getattr(trace, column), view), column
+            assert view.flags.c_contiguous, column
+            assert not view.flags.writeable, column
 
-    def test_npy_rejects_foreign_arrays(self, tmp_path):
-        """A digest-valid entry that is no 1-D trace record array with
-        all its rows is corrupt: ``None``, counted and quarantined."""
-        import io
+    def test_wide_ids_roundtrip(self):
+        """Past 65,536 templates the ids are stored as ``uint32``."""
+        from repro.native.trace import TraceLog
+        trace = self._trace()
+        log = trace.log._replace(ids=np.zeros(1, dtype=np.uint32))
+        loaded = Trace.from_log(TraceLog.from_bytes(log.to_bytes()))
+        assert loaded.log.ids.dtype == np.uint32
+        for column in TRACE_COLUMNS:
+            assert np.array_equal(getattr(trace, column),
+                                  getattr(loaded, column)), column
 
-        from repro.analysis.cache import load_trace, store
+    def test_column_built_trace_is_one_template(self):
+        """A trace built from columns is stored as one template holding
+        every row, emitted once, with no patch rows."""
+        log = self._trace().log
+        assert log.ids.tolist() == [0]
+        assert log.table.sizes.tolist() == [64]
+        assert [len(r) for r in log.table.patch_rows] == [0, 0, 0]
+        assert [len(v) for v in log[2:]] == [0, 0, 0]
 
-        def npy(array) -> bytes:
-            buf = io.BytesIO()
-            np.save(buf, array)
-            return buf.getvalue()
-
-        records = self._trace().to_records()
-        payloads = {
-            "foreign dtype": npy(np.zeros(10, dtype=np.int64)),
-            "2-D": npy(records.reshape(8, 8)),
-            "truncated": npy(records)[:-records.dtype.itemsize // 2],
+    def _malformed(self) -> dict:
+        """Digest-valid payloads that are no trace log: each must be
+        rejected with ``ValueError`` by the decoder."""
+        log = _recorded_trace().log
+        table = log.table
+        first_ea = int(np.flatnonzero(table.patch_counts[0])[0])
+        ids = log.ids.copy()
+        ids[len(ids) // 2] = len(table.sizes)
+        rows = [r.copy() for r in table.patch_rows]
+        rows[0][int(table.patch_counts[0][:first_ea].sum())] = (
+            table.sizes[first_ea])
+        data = log.to_bytes()
+        return {
+            "id past the table": log._replace(ids=ids).to_bytes(),
+            "patch row outside its template": log._replace(
+                table=table._replace(patch_rows=tuple(rows))).to_bytes(),
+            "patch values miscounted": log._replace(
+                eas=np.append(log.eas, 0)).to_bytes(),
+            "truncated": data[:-8],
+            "overlong": data + bytes(8),
+            "foreign bytes": b"\x93NUMPY" + bytes(120),
         }
-        for what, data in payloads.items():
-            path = str(tmp_path / "traces" / "bogus.npy")
+
+    def test_malformed_payloads_are_corrupt(self, tmp_path):
+        """A digest-valid entry that is no whole, consistent log counts
+        a corrupt miss and is quarantined, never crashes the lookup."""
+        from repro.analysis.cache import load_trace, store
+        from repro.native.trace import TraceLog, expand
+        for what, data in self._malformed().items():
+            with pytest.raises(ValueError):
+                expand(*TraceLog.from_bytes(data))
+            path = str(tmp_path / "traces" / f"bogus{_LOG_EXT}")
             store("traces", path, data)
             cache.reset_stats()
             assert load_trace(path) is None, what
@@ -565,7 +613,7 @@ class TestTraceNpyFormat:
         from repro.analysis.cache import load_trace, store_trace
         trace = self._trace()
         other = trace.select(np.arange(trace.n) % 2 == 0)
-        path = str(tmp_path / "traces" / "t.npy")
+        path = str(tmp_path / "traces" / f"t{_LOG_EXT}")
         store_trace(path, trace)
         verified = cache._read_verified
 

@@ -274,7 +274,7 @@ class TestCacheSpans:
         get_trace("hello", "s0", "interp", cache_dir=cache_dir)
         traces = os.path.join(cache_dir, "traces")
         (archive,) = [f for f in os.listdir(traces)
-                      if f.endswith(".npy")]
+                      if f.endswith(cache.NAMESPACES["traces"].ext)]
         path = os.path.join(traces, archive)
         with open(path, "wb") as fh:
             fh.write(b"garbage")

@@ -372,10 +372,28 @@ class TestQuarantine:
                                                        namespace):
         directory = tmp_path / namespace
         directory.mkdir()
-        entry = directory / "x.pkl"
-        entry.write_bytes(b"entry")
-        droppings = ["x.pkl.lock", ".tmp-1-1-x.pkl", "x.pkl.lock.break-1-1"]
+        entry = "x" + cache.NAMESPACES[namespace].ext
+        (directory / entry).write_bytes(b"entry")
+        droppings = [f"{entry}.lock", f".tmp-1-1-{entry}",
+                     f"{entry}.lock.break-1-1"]
         for name in droppings:
             (directory / name).write_text("1")
         assert cache.prune(str(tmp_path)) == len(droppings)
-        assert os.listdir(directory) == ["x.pkl"]
+        assert os.listdir(directory) == [entry]
+
+    def test_prune_reclaims_superseded_formats(self, tmp_path):
+        """An entry whose extension is not its namespace's current one
+        (a trace stored as ``.npy`` before traces became template logs)
+        is never addressed again: prune deletes it with its sidecar and
+        keeps current entries, sidecars included."""
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        current = "db-s0-jit-0123456789abcdef" + cache.NAMESPACES[
+            "traces"].ext
+        kept = [current, current + ".sha256"]
+        superseded = ["db-s0-jit-fedcba9876543210.npy",
+                      "db-s0-jit-fedcba9876543210.npy.sha256"]
+        for name in kept + superseded:
+            (traces / name).write_bytes(b"entry")
+        assert cache.prune(str(tmp_path)) == len(superseded)
+        assert sorted(os.listdir(traces)) == sorted(kept)
