@@ -27,7 +27,18 @@ reference path the quickened one is tested against.  Every other op
 (invoke, return, allocation, field access, type checks, monitors) may
 load classes, compile, OSR or deoptimize mid-bytecode, so it runs its
 full handler and the profiler is charged the sink's cycle delta net of
-translate and class-loading overhead.
+translate and class-loading overhead.  Under the counting sink the
+invoke, native-call and return handlers emit only their template, with
+no effective addresses.
+
+**Frame-local loop.**  The quickened ops of one activation run in an
+inner loop that keeps the frame's code, emit mode and chunks in locals
+and sums their cycles in ``pending``.  ``pending`` is written to
+``sink.cycles`` and the frame's profile whenever the loop stops: before
+a full handler, before the back-edge hook (whose promotion rule reads
+the profile's interpreted cycles), when the budget runs out, and when a
+``sem`` raises.  The outer loop re-reads the top frame after every
+handler and hook, since either may push, pop, OSR or deoptimize.
 
 **Back-edge charge order.**  A taken backward ``goto``/``if`` emits,
 then runs ``tiered.on_backedge``, and only then is the profile charged,
@@ -310,6 +321,11 @@ def _semantics_table() -> list:
 
 _SEMANTICS = _semantics_table()
 
+#: The kind half of an interpreter invoke template's ``(kind, argc)`` key.
+_INVOKE_KIND = {Op.INVOKEVIRTUAL: "invokevirtual",
+                Op.INVOKESPECIAL: "invokespecial",
+                Op.INVOKESTATIC: "invokestatic"}
+
 
 class Interpreter:
     """Executes bytecodes for one VM instance."""
@@ -326,9 +342,7 @@ class Interpreter:
         self._sem[Op.LDC] = self._ldc
         self._handlers = self._build_dispatch()
         # Only a plain counting sink takes the quickened path.
-        counting = type(self.sink) is CountingSink
-        self._quick = self._sem if counting else [None] * N_OPCODES
-        self._emits = self.sink.emits if counting else None
+        self._counting = type(self.sink) is CountingSink
         self._traced = None
 
     # ------------------------------------------------------------------
@@ -339,65 +353,100 @@ class Interpreter:
         if TRACER.enabled:
             sems, handlers, on_backedge = self._traced_tables()
         else:
-            sems, handlers = self._quick, self._handlers
+            sems, handlers = self._sem, self._handlers
             on_backedge = (self.tiered.on_backedge
                            if self.tiered is not None else None)
         vm = self.vm
         loader = self.loader
         profiler = vm.profiler
         sink = self.sink
-        emits = self._emits
+        counting = self._counting
+        emits = sink.emits if counting else None
         interp_tpl = self.tpls.by_opcode
         opcode_counts = vm.opcode_counts
         frames = thread.frames
         executed = 0
         while executed < budget and thread.state == RUNNABLE and frames:
             frame = frames[-1]
-            ip = frame.ip
-            instr = frame.code[ip]
-            frame.ip = ip + 1
-            op = instr.op
-            opcode_counts[op] += 1
-            executed += 1
-            sem = sems[op]
-            if sem is not None:
+            backedge = False
+            if counting:
+                # The frame-local loop: this activation's pure ops, their
+                # cycles summed in ``pending`` and written to the sink and
+                # the profile before anything can read either.  A pure op
+                # pushes no frame and changes no mode, so the frame's
+                # code, mode and chunks hold until the loop breaks.
+                code = frame.code
                 mode = frame.emit_mode
-                if mode == EMIT_INTERP:
-                    tpl = interp_tpl[op]
-                elif mode:
-                    tpl = frame.chunks[ip]
-                    if tpl is not None:
-                        tpl = tpl.template
-                else:
-                    tpl = None
-                backedge = sem(frame, instr) and frame.ip <= ip
-                cycles = 0
+                chunks = frame.chunks
+                pending = 0
+                try:
+                    while executed < budget:
+                        ip = frame.ip
+                        instr = code[ip]
+                        op = instr.op
+                        sem = sems[op]
+                        if sem is None:
+                            break
+                        frame.ip = ip + 1
+                        opcode_counts[op] += 1
+                        executed += 1
+                        if mode == EMIT_INTERP:
+                            tpl = interp_tpl[op]
+                        elif mode:
+                            tpl = chunks[ip]
+                            if tpl is not None:
+                                tpl = tpl.template
+                        else:
+                            tpl = None
+                        if (sem(frame, instr) and frame.ip <= ip
+                                and on_backedge is not None):
+                            backedge = True
+                            break
+                        if tpl is not None:
+                            pending += tpl.cycles
+                            emits[tpl] = emits.get(tpl, 0) + 1
+                finally:
+                    if pending:
+                        sink.cycles += pending
+                        p = frame.profile
+                        if p is None:
+                            p = frame.profile = profiler.profile_for(
+                                frame.method)
+                        if mode == EMIT_INTERP:
+                            p.interp_cycles += pending
+                        else:
+                            p.compiled_cycles += pending
+                if not backedge and executed >= budget:
+                    break
+            cycles = 0
+            if backedge:
+                # The branch emits before the hook but is charged after
+                # it, under the frame's post-hook mode (module docs).
                 if tpl is not None:
                     cycles = tpl.cycles
                     sink.cycles += cycles
                     emits[tpl] = emits.get(tpl, 0) + 1
-                if backedge and on_backedge is not None:
-                    cycles_before = sink.cycles
-                    overhead_before = (vm.translate_overhead
-                                       + loader.overhead_cycles)
-                    on_backedge(thread, frame)
-                    cycles += (sink.cycles - cycles_before) - (
-                        vm.translate_overhead + loader.overhead_cycles
-                        - overhead_before)
-                if cycles <= 0:
-                    continue
+                cycles_before = sink.cycles
+                overhead_before = vm.translate_overhead + loader.overhead_cycles
+                on_backedge(thread, frame)
             else:
+                ip = frame.ip
+                instr = frame.code[ip]
+                frame.ip = ip + 1
+                op = instr.op
+                opcode_counts[op] += 1
+                executed += 1
                 # What a full handler emits is known only once it has
                 # run; translate and class-loading cycles land in the
                 # sink too but are overhead, not the method's.
                 cycles_before = sink.cycles
                 overhead_before = vm.translate_overhead + loader.overhead_cycles
                 handlers[op](thread, frame, instr)
-                cycles = (sink.cycles - cycles_before) - (
-                    vm.translate_overhead + loader.overhead_cycles
-                    - overhead_before)
-                if cycles <= 0:
-                    continue
+            cycles += (sink.cycles - cycles_before) - (
+                vm.translate_overhead + loader.overhead_cycles
+                - overhead_before)
+            if cycles <= 0:
+                continue
             # The frame caches its MethodProfile at push time, so
             # attribution is slot access — no per-bytecode dict lookup.
             p = frame.profile
@@ -454,7 +503,7 @@ class Interpreter:
                 return hook
 
             self._traced = (
-                [None if fn is None else timed_sem(fn) for fn in self._quick],
+                [None if fn is None else timed_sem(fn) for fn in self._sem],
                 [timed_handler(fn) for fn in self._handlers],
                 None if self.tiered is None
                 else timed_hook(self.tiered.on_backedge),
@@ -1056,8 +1105,11 @@ class Interpreter:
                 inline_site = None
         if inline_site is not None:
             callee.emit_mode = EMIT_NONE
-            dyn = tuple(receiver.addr + off for off in inline_site.field_offsets)
-            self._emit_chunk(frame, dyn)
+            if self._counting:
+                self._emit_chunk(frame)
+            else:
+                self._emit_chunk(frame, tuple(
+                    receiver.addr + off for off in inline_site.field_offsets))
             callee.return_pc = 0
             return
 
@@ -1092,47 +1144,38 @@ class Interpreter:
         """Emit the call in the caller's mode: its compiled chunk, or the
         interpreter's invoke template, which copies the args into the
         callee's locals at ``locals_base`` and saves ``saved_vpc``;
-        either transfers to ``target_pc``."""
+        either transfers to ``target_pc``.  A counting sink reads only
+        the template, so it gets nothing else."""
         mode = frame.emit_mode
         if mode == EMIT_NONE:
             return
         op = instr.op
         if mode >= EMIT_COMPILED:
-            if op is Op.INVOKEVIRTUAL:
-                self._emit_chunk(
-                    frame,
-                    (receiver.addr, mm.meta_addr),
-                    (),
-                    (target_pc,),
-                )
+            if self._counting:
+                self._emit_chunk(frame)
+            elif op is Op.INVOKEVIRTUAL:
+                self._emit_chunk(frame, (receiver.addr, mm.meta_addr), (),
+                                 (target_pc,))
             else:
                 self._emit_chunk(frame, (), (), (target_pc,))
             return
-        # Interpreter emission.
+        # Interpreter emission: one template per (kind, modelled argc).
+        static = op is Op.INVOKESTATIC
+        argc_key = min(n_args if static else n_args - 1, MAX_INVOKE_ARGS)
+        tpl = self.tpls.tpl[_INVOKE_KIND[op], argc_key]
+        if self._counting:
+            self.sink.emit(tpl)
+            return
         d = len(frame.stack)  # args already popped
         s = frame.slot_addr
-        bc = self._bc_ea(frame)
-        pool_ea = self._pool_ea(frame, instr.a)
+        eas = [self._bc_ea(frame), self._pool_ea(frame, instr.a)]
         if op is Op.INVOKEVIRTUAL:
-            argc_key = min(n_args - 1, MAX_INVOKE_ARGS)
-            eas = [bc, pool_ea, s(d), receiver.addr, mm.meta_addr]
-            pairs = argc_key + 1
-        elif op is Op.INVOKESPECIAL:
-            argc_key = min(n_args - 1, MAX_INVOKE_ARGS)
-            eas = [bc, pool_ea]
-            pairs = argc_key + 1
-        else:
-            argc_key = min(n_args, MAX_INVOKE_ARGS)
-            eas = [bc, pool_ea]
-            pairs = argc_key
-        for k in range(pairs):
+            eas += (s(d), receiver.addr, mm.meta_addr)
+        for k in range(argc_key if static else argc_key + 1):
             eas.append(s(d + k))                    # arg load (caller stack)
             eas.append(locals_base + 4 * k)         # arg store (callee locals)
         eas.append(saved_vpc)
-        key = ({Op.INVOKEVIRTUAL: "invokevirtual",
-                Op.INVOKESPECIAL: "invokespecial",
-                Op.INVOKESTATIC: "invokestatic"}[op], argc_key)
-        self.sink.emit(self.tpls.tpl[key], tuple(eas), (), (target_pc,))
+        self.sink.emit(tpl, tuple(eas), (), (target_pc,))
 
     def _invoke_native(self, thread, frame, instr, mm, args, receiver,
                        sync_obj, n_args):
@@ -1154,7 +1197,9 @@ class Interpreter:
             if sync_obj is not None:
                 vm.monitor_exit(thread, sync_obj)
             return
-        if mode != EMIT_NONE:
+        if mode != EMIT_NONE and self._counting:
+            self.sink.emit(self.stubs.native_body(target.native_cost))
+        elif mode != EMIT_NONE:
             data_addr = receiver.addr if receiver is not None else (
                 args[0].addr if args and hasattr(args[0], "addr")
                 else vm.heap.base
@@ -1184,24 +1229,19 @@ class Interpreter:
             caller.stack.append(result)
         mode = frame.emit_mode
         if mode == EMIT_INTERP:
+            tpl = self.tpls.tpl[instr.op]
+            if self._counting:
+                self.sink.emit(tpl)
+                return
             d = len(frame.stack)
             bc = self._bc_ea(frame)
             fh = frame.frame_base
             if has_result:
                 caller_push = (caller.slot_addr(push_d) if caller is not None
                                else frame.slot_addr(0))
-                self.sink.emit(
-                    self.tpls.tpl[instr.op],
-                    (bc, frame.slot_addr(d), fh, fh + 4, caller_push),
-                    (),
-                    (frame.return_pc,),
-                )
+                eas = (bc, frame.slot_addr(d), fh, fh + 4, caller_push)
             else:
-                self.sink.emit(
-                    self.tpls.tpl[Op.RETURN],
-                    (bc, fh, fh + 4),
-                    (),
-                    (frame.return_pc,),
-                )
+                eas = (bc, fh, fh + 4)
+            self.sink.emit(tpl, eas, (), (frame.return_pc,))
         elif mode >= EMIT_COMPILED:
             self._emit_chunk(frame, (), (), (frame.return_pc,))

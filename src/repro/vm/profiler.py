@@ -87,13 +87,18 @@ class Profiler:
 
     def __init__(self) -> None:
         self.profiles: dict[str, MethodProfile] = {}
+        # The same profiles by ``Method``: a hit formats no name.
+        self._by_method: dict = {}
 
     def profile_for(self, method) -> MethodProfile:
-        key = method.qualified_name
-        p = self.profiles.get(key)
+        p = self._by_method.get(method)
         if p is None:
-            p = MethodProfile(key, method.is_native)
-            self.profiles[key] = p
+            key = method.qualified_name
+            p = self.profiles.get(key)
+            if p is None:
+                p = MethodProfile(key, method.is_native)
+                self.profiles[key] = p
+            self._by_method[method] = p
         return p
 
     def count_invocation(self, method) -> int:

@@ -19,6 +19,10 @@ to the wrong emit mode shows.  Finally, a counting run equals its
 recording twin on every result attribute but the trace: the recording
 sink drives the stepper's full handlers, the counting sink its
 quickened path, and the run cache serves one's result for the other.
+The same relation holds for a run cut short by a pure op that raises,
+and for the bytecode at which a back-edge promotion fires: the counting
+stepper sums pure ops' cycles in a local that it must write back before
+either can be observed.
 
 To re-record after an *intended* model change, run
 ``PYTHONPATH=src python tests/test_identity_pin.py`` and paste its
@@ -40,10 +44,10 @@ from repro.fuzz.harness import SEED_STRIDE
 from repro.fuzz.oracle import FUEL, MATRIX, run_config, run_oracle
 from repro.traffic.engine import run_scenario
 from repro.traffic.spec import get_preset
-from repro.vm import JavaVM, RunConfig
+from repro.vm import JavaVM, RunConfig, VMError
 from repro.workloads import get_workload
 
-from helpers import observables
+from helpers import expr_main, observables
 
 WORKLOADS = ("jess", "mtrt")
 
@@ -255,6 +259,75 @@ def test_counting_run_matches_recording_run(case, monkeypatch):
             for c in (config, config.replace(record=True)))
         assert recorded.trace is not None
         assert observables(counted) == observables(recorded)
+
+
+def _pure_loop(trips: int, then_raise: bool):
+    """main(): ``trips`` iterations of a loop of pure ops, then, when
+    ``then_raise``, an ``iaload`` on null: a VMError raised by a pure op
+    in the middle of the activation."""
+    def body(m):
+        loop, done = m.new_label(), m.new_label()
+        m.iconst(0).istore(1).iconst(0).istore(2)
+        m.bind(loop)
+        m.iload(1).iconst(trips).if_icmpge(done)
+        m.iload(2).iload(1).iadd().iconst(3).ixor().istore(2)
+        m.iinc(1, 1).goto(loop)
+        m.bind(done)
+        if then_raise:
+            m.aconst_null().iload(2).iaload()
+        else:
+            m.iload(2)
+    return expr_main(body).build()
+
+
+@pytest.mark.parametrize("config", ["interp", "jit", "tiered"])
+def test_counting_run_that_raises_matches_recording_run(config,
+                                                         monkeypatch):
+    """The counting stepper sums a run of pure ops' cycles in a local:
+    a pure op that raises must still leave the sink's cycles, the
+    opcode counts and every profile equal to the recording twin's."""
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    program = _pure_loop(50, then_raise=True)
+    seen = []
+    for record in (False, True):
+        vm = JavaVM(program, RunConfig.of(config).replace(record=record))
+        with pytest.raises(VMError, match="array load"):
+            vm.run()
+        seen.append((vm.sink.cycles, list(vm.opcode_counts),
+                     vm.profiler.snapshot()))
+    assert sum(seen[0][1]) > 400
+    assert seen[0] == seen[1]
+
+
+def _promotions_and_outcome(program, config: RunConfig):
+    """Each promotion of one run, with the bytecodes executed and the
+    cycles charged when it fired, and the run's ``observables``."""
+    vm = JavaVM(program, config)
+    promote, promotions = vm.tiered._promote, []
+
+    def spy(method, st, profile, tier):
+        promotions.append((method.qualified_name, tier,
+                           sum(vm.opcode_counts), vm.sink.cycles,
+                           profile.interp_cycles))
+        return promote(method, st, profile, tier)
+
+    vm.tiered._promote = spy
+    return promotions, observables(vm.run())
+
+
+def test_backedge_promotion_matches_recording_run(monkeypatch):
+    """A tier-1 promotion fired by the back-edge hook in the middle of a
+    run of pure ops prices the method on the interpreter cycles charged
+    so far, so it must happen at the same bytecode, and lead to the same
+    transitions, under the counting stepper as under its recording
+    twin (``VMResult.tiering`` holds the transitions)."""
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    program = _pure_loop(400, then_raise=False)
+    config = RunConfig.of("tiered")
+    counted, recorded = (_promotions_and_outcome(program, c)
+                         for c in (config, config.replace(record=True)))
+    assert ("Test.main", 1) in [p[:2] for p in counted[0]]
+    assert counted == recorded
 
 
 def test_program_run_twice_matches_single_run(monkeypatch):

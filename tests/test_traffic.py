@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments.server import GUARDS, run_server
 from repro.obs.record import evaluate
+from repro.obs.tracer import TRACER
 from repro.traffic import (HANDLERS, PRESETS, ScenarioSpec, get_preset,
                            run_scenario)
 
@@ -104,6 +105,21 @@ def test_checksum_is_identical_across_execution_configs(tiered_small):
     jit = run_scenario(SMALL, "jit")
     assert (interp.vm_result.stdout == jit.vm_result.stdout
             == tiered_small.vm_result.stdout)
+
+
+def test_tracer_on_matches_tracer_off(tiered_small):
+    """With the tracer on, the stepper runs timing wrappers around the
+    same semantics, handlers and back-edge hook: the record, but for its
+    wall-clock field, must not change."""
+    TRACER.enable()
+    try:
+        traced = run_scenario(SMALL, "tiered").to_dict()
+    finally:
+        TRACER.disable()
+        TRACER.reset()
+    plain = tiered_small.to_dict()
+    del traced["wall_seconds"], plain["wall_seconds"]
+    assert traced == plain
 
 
 def test_closed_loop_sojourn_equals_service(tiered_small):
