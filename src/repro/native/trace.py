@@ -238,9 +238,11 @@ class CountingSink:
     trace.  ``cycles`` is live; the other totals are exact integer sums
     over ``emits`` (template -> times emitted), computed when read.
 
-    ``Interpreter.step`` inlines :meth:`emit` for the pure bytecodes it
-    quickens, so it relies on this layout: an emission adds
-    ``template.cycles`` to ``cycles`` and one to ``emits[template]``.
+    Under a plain counting sink, ``Interpreter.step`` counts a pure
+    bytecode's template inline instead of calling :meth:`emit` (any
+    other sink gets the call), so it relies on this layout: an emission
+    adds ``template.cycles`` to ``cycles`` and one to
+    ``emits[template]``.
     """
 
     records = False

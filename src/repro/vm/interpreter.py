@@ -11,34 +11,43 @@ program under both JVMs.
 The stepper is budgeted (bytecodes per call) so the VM's green-thread
 scheduler can interleave threads and so runaway programs are caught.
 
-**Quickened pure ops.**  Constants, locals and ``iinc``, stack shuffles,
-arithmetic and conversions, branches and switches, and array loads,
-stores and ``arraylength`` are *pure*: each has one semantics function
-``sem(frame, instr)`` in :data:`_SEMANTICS`, and its full handler is
-that function plus its emission.  Under a plain :class:`CountingSink`
-the stepper runs the semantics and counts the template inline instead
-(``cycles += t.cycles``; ``emits[t] += 1``): a counting sink ignores
-effective addresses and branch outcomes, so what a pure op emits is
-known before it runs — the interpreter template of its opcode, the
-frame's compiled chunk at that ``ip``, or nothing under ``EMIT_NONE``.
-The profiler is charged that template's cycles.  Recording and folding
-sinks need the addresses, so they run the full handlers; those are the
-reference path the quickened one is tested against.  Every other op
-(invoke, return, allocation, field access, type checks, monitors) may
-load classes, compile, OSR or deoptimize mid-bytecode, so it runs its
-full handler and the profiler is charged the sink's cycle delta net of
-translate and class-loading overhead.  Under the counting sink the
-invoke, native-call and return handlers emit only their template, with
-no effective addresses.
+**Pure ops.**  Constants and ``ldc``, locals and ``iinc``, stack
+shuffles, arithmetic and conversions, branches and switches, and array
+loads, stores and ``arraylength`` are *pure*: each has one semantics
+function ``sem(frame, instr)`` and, next to it, one effective-address
+builder ``eas(frame, instr)``, and no handler.  What a pure op emits is
+the interpreter template of its opcode, the frame's compiled chunk at
+that ``ip``, or nothing under ``EMIT_NONE``.  A plain
+:class:`CountingSink` ignores effective addresses and branch outcomes,
+so under it the stepper builds nothing and counts the template inline
+(``cycles += t.cycles``; ``emits[t] += 1``), and the profile is charged
+that template's cycles.  Any other sink gets the op's full emission:
+the builder runs before the ``sem`` and reads the interpreter
+template's addresses from the pre-op stack depth and, for an array op,
+``arraylength`` or a switch, from the operands the ``sem`` is about to
+pop; under a compiled frame an array op's builder returns the chunk's
+dynamic addresses instead (its element addresses).  A branch's outcome
+is the ``sem``'s return value, and a switch's compiled target is the pc
+of the chunk its ``sem`` lands on.  Every other op (invoke, return,
+allocation, field access, type checks, monitors) may load classes,
+compile, OSR or deoptimize mid-bytecode, so it runs its full handler
+and the profile is charged the sink's cycle delta net of translate and
+class-loading overhead.  Under the counting sink the invoke, native-call
+and return handlers emit only their template, with no effective
+addresses.
 
-**Frame-local loop.**  The quickened ops of one activation run in an
-inner loop that keeps the frame's code, emit mode and chunks in locals
-and sums their cycles in ``pending``.  ``pending`` is written to
-``sink.cycles`` and the frame's profile whenever the loop stops: before
-a full handler, before the back-edge hook (whose promotion rule reads
-the profile's interpreted cycles), when the budget runs out, and when a
-``sem`` raises.  The outer loop re-reads the top frame after every
-handler and hook, since either may push, pop, OSR or deoptimize.
+**Frame-local loop.**  The pure ops of one activation run in an inner
+loop that keeps the frame's code, emit mode and chunks in locals, under
+every sink.  A counting sink's cycles are summed in ``pending``; any
+other sink is charged by its cycle delta over the loop, because a
+:class:`~repro.vm.folding.FoldingSink` holds one emission and emits
+folded variants that cost less than the template.  The charge is
+written to the frame's profile (and a counting sink's ``cycles``)
+whenever the loop stops: before a full handler, before the back-edge
+hook (whose promotion rule reads the profile's interpreted cycles), when
+the budget runs out, and when a ``sem`` raises.  The outer loop re-reads
+the top frame after every handler and hook, since either may push, pop,
+OSR or deoptimize.
 
 **Back-edge charge order.**  A taken backward ``goto``/``if`` emits,
 then runs ``tiered.on_backedge``, and only then is the profile charged,
@@ -56,38 +65,48 @@ from __future__ import annotations
 
 import time
 
-from ..isa.opcodes import ArrayType, N_OPCODES, Op, OPINFO
-from ..native.nisa import NCat
+from ..isa.opcodes import ArrayType, N_OPCODES, Op
 from ..native.trace import CountingSink
 from ..obs import TRACER
 from . import values
+from .classloader import ClassLoader
 from .interp_templates import MAX_INVOKE_ARGS, shared_templates
 from .objects import JArray, JObject, JString
-from .threads import (
-    BLOCKED,
-    EMIT_COMPILED,
-    EMIT_INTERP,
-    EMIT_NONE,
-    FINISHED,
-    JThread,
-    RUNNABLE,
-)
+from .threads import EMIT_COMPILED, EMIT_INTERP, EMIT_NONE, JThread, RUNNABLE
 
 
 class VMError(Exception):
     """A runtime error the simulated program caused (bad cast, bounds...)."""
 
 
+def _bc_ea(frame) -> int:
+    """Address of the bytecode the frame fetched last (at ``ip - 1``)."""
+    return frame.bc_addr + frame.method.bc_offsets[frame.ip - 1]
+
+
 # ----------------------------------------------------------------------
-# semantics of the pure ops
+# the pure ops: semantics and effective addresses
 # ----------------------------------------------------------------------
 # ``sem(frame, instr)`` updates the frame and raises any VMError before
 # anything is emitted.  A goto or conditional branch returns whether it
 # was taken (the stepper runs the back-edge hook when a taken target is
 # not ahead); every other op returns None.
+#
+# ``eas(frame, instr)`` runs after the fetch (``frame.ip`` is past the
+# op) and before the ``sem``, so ``len(frame.stack)`` is the pre-op depth
+# and a popped operand is still on the stack.  It returns the addresses
+# the op's interpreter template reads and writes; an array op's
+# ``*_dyn`` twin returns its compiled chunk's dynamic addresses.  Array
+# builders return ``()`` when the operand is not an array: the ``sem``
+# raises before anything is emitted.
 
 def _nop(frame, instr):
     pass
+
+
+def _bc_eas(frame, instr):
+    # nop, pop and goto
+    return (_bc_ea(frame),)
 
 
 def _iconst(frame, instr):
@@ -102,16 +121,42 @@ def _aconst_null(frame, instr):
     frame.stack.append(None)
 
 
+def _push_eas(frame, instr):
+    # iconst, fconst and aconst_null
+    return (_bc_ea(frame), frame.slot_addr(len(frame.stack)))
+
+
+def _ldc_eas(frame, instr):
+    # the sem needs its VM's string table: ``Interpreter._ldc``
+    return (_bc_ea(frame), ClassLoader.pool_ea(frame.mirror, instr.a),
+            frame.slot_addr(len(frame.stack)))
+
+
 def _load_local(frame, instr):
     frame.stack.append(frame.locals[instr.a])
+
+
+def _load_local_eas(frame, instr):
+    return (_bc_ea(frame), frame.local_addr(instr.a),
+            frame.slot_addr(len(frame.stack)))
 
 
 def _store_local(frame, instr):
     frame.locals[instr.a] = frame.stack.pop()
 
 
+def _store_local_eas(frame, instr):
+    return (_bc_ea(frame), frame.slot_addr(len(frame.stack) - 1),
+            frame.local_addr(instr.a))
+
+
 def _iinc(frame, instr):
     frame.locals[instr.a] = values.i32(frame.locals[instr.a] + instr.b)
+
+
+def _iinc_eas(frame, instr):
+    ea = frame.local_addr(instr.a)
+    return (_bc_ea(frame), ea, ea)
 
 
 def _pop(frame, instr):
@@ -123,6 +168,11 @@ def _dup(frame, instr):
     stack.append(stack[-1])
 
 
+def _dup_eas(frame, instr):
+    d = len(frame.stack)
+    return (_bc_ea(frame), frame.slot_addr(d - 1), frame.slot_addr(d))
+
+
 def _dup_x1(frame, instr):
     stack = frame.stack
     b = stack.pop()
@@ -130,9 +180,21 @@ def _dup_x1(frame, instr):
     stack.extend((b, a, b))
 
 
+def _dup_x1_eas(frame, instr):
+    d = len(frame.stack)
+    s = frame.slot_addr
+    return (_bc_ea(frame), s(d - 1), s(d - 2), s(d - 2), s(d - 1), s(d))
+
+
 def _swap(frame, instr):
     stack = frame.stack
     stack[-1], stack[-2] = stack[-2], stack[-1]
+
+
+def _swap_eas(frame, instr):
+    d = len(frame.stack)
+    s = frame.slot_addr
+    return (_bc_ea(frame), s(d - 1), s(d - 2), s(d - 1), s(d - 2))
 
 
 def _binop(fn):
@@ -141,13 +203,6 @@ def _binop(fn):
         b = stack.pop()
         a = stack.pop()
         stack.append(fn(a, b))
-    return sem
-
-
-def _unop(fn):
-    def sem(frame, instr):
-        stack = frame.stack
-        stack[-1] = fn(stack[-1])
     return sem
 
 
@@ -160,6 +215,25 @@ def _fcmp(nan_result):
     return sem
 
 
+def _binop_eas(frame, instr):
+    # two-operand arithmetic and fcmpl/fcmpg
+    d = len(frame.stack)
+    s = frame.slot_addr
+    return (_bc_ea(frame), s(d - 2), s(d - 1), s(d - 2))
+
+
+def _unop(fn):
+    def sem(frame, instr):
+        stack = frame.stack
+        stack[-1] = fn(stack[-1])
+    return sem
+
+
+def _unop_eas(frame, instr):
+    ea = frame.slot_addr(len(frame.stack) - 1)
+    return (_bc_ea(frame), ea, ea)
+
+
 def _if1(test):
     def sem(frame, instr):
         if test(frame.stack.pop()):
@@ -167,6 +241,10 @@ def _if1(test):
             return True
         return False
     return sem
+
+
+def _if1_eas(frame, instr):
+    return (_bc_ea(frame), frame.slot_addr(len(frame.stack) - 1))
 
 
 def _if2(test):
@@ -178,6 +256,11 @@ def _if2(test):
             return True
         return False
     return sem
+
+
+def _if2_eas(frame, instr):
+    d = len(frame.stack)
+    return (_bc_ea(frame), frame.slot_addr(d - 2), frame.slot_addr(d - 1))
 
 
 def _goto(frame, instr):
@@ -196,12 +279,36 @@ def _lookupswitch(frame, instr):
     frame.ip = table.get(frame.stack.pop(), default)
 
 
+def _switch_eas(frame, instr):
+    # The key's jump-table entry (a lookupswitch's key stands for it).
+    stack = frame.stack
+    index = (stack[-1] - instr.extra[0] if instr.op is Op.TABLESWITCH
+             else stack[-1])
+    bc = _bc_ea(frame)
+    return (bc, frame.slot_addr(len(stack) - 1),
+            bc + 12 + 4 * max(0, int(index) % 64))
+
+
 def _arraylength(frame, instr):
     stack = frame.stack
     arr = stack.pop()
     if not isinstance(arr, JArray):
         raise VMError("arraylength on non-array")
     stack.append(arr.length)
+
+
+def _arraylength_eas(frame, instr):
+    stack = frame.stack
+    arr = stack[-1]
+    if not isinstance(arr, JArray):
+        return ()
+    ea = frame.slot_addr(len(stack) - 1)
+    return (_bc_ea(frame), ea, arr.addr + 8, ea)
+
+
+def _arraylength_dyn(frame, instr):
+    arr = frame.stack[-1]
+    return (arr.addr + 8,) if isinstance(arr, JArray) else ()
 
 
 def _array_load(frame, instr):
@@ -212,6 +319,25 @@ def _array_load(frame, instr):
         raise VMError(f"array load on {arr!r}")
     arr.check(index)
     stack.append(arr.data[index])
+
+
+def _array_load_eas(frame, instr):
+    stack = frame.stack
+    arr = stack[-2]
+    if not isinstance(arr, JArray):
+        return ()
+    d = len(stack)
+    s = frame.slot_addr
+    return (_bc_ea(frame), s(d - 1), s(d - 2), arr.addr + 8,
+            arr.elem_addr(stack[-1]), s(d - 2))
+
+
+def _array_load_dyn(frame, instr):
+    stack = frame.stack
+    arr = stack[-2]
+    if not isinstance(arr, JArray):
+        return ()
+    return (arr.addr + 8, arr.elem_addr(stack[-1]))
 
 
 def _array_store(coerce):
@@ -225,6 +351,25 @@ def _array_store(coerce):
         arr.check(index)
         arr.data[index] = coerce(value)
     return sem
+
+
+def _array_store_eas(frame, instr):
+    stack = frame.stack
+    arr = stack[-3]
+    if not isinstance(arr, JArray):
+        return ()
+    d = len(stack)
+    s = frame.slot_addr
+    return (_bc_ea(frame), s(d - 1), s(d - 2), s(d - 3), arr.addr + 8,
+            arr.elem_addr(stack[-2]))
+
+
+def _array_store_dyn(frame, instr):
+    stack = frame.stack
+    arr = stack[-3]
+    if not isinstance(arr, JArray):
+        return ()
+    return (arr.addr + 8, arr.elem_addr(stack[-2]))
 
 
 def _fdiv(a, b):
@@ -292,34 +437,50 @@ _ARRAY_STORE_COERCE = {
 }
 
 
-def _semantics_table() -> list:
-    """Semantics of every pure op, indexed by opcode (None: not pure).
-    ``ldc`` needs its VM's string table, so the interpreter adds it."""
-    sem: list = [None] * N_OPCODES
-    for op, fn in ((Op.NOP, _nop), (Op.ICONST, _iconst),
-                   (Op.FCONST, _fconst), (Op.ACONST_NULL, _aconst_null),
-                   (Op.IINC, _iinc), (Op.POP, _pop), (Op.DUP, _dup),
-                   (Op.DUP_X1, _dup_x1), (Op.SWAP, _swap),
-                   (Op.FCMPL, _fcmp(-1)), (Op.FCMPG, _fcmp(1)),
-                   (Op.GOTO, _goto), (Op.TABLESWITCH, _tableswitch),
-                   (Op.LOOKUPSWITCH, _lookupswitch),
-                   (Op.ARRAYLENGTH, _arraylength)):
-        sem[op] = fn
-    for op in (Op.ILOAD, Op.FLOAD, Op.ALOAD):
-        sem[op] = _load_local
-    for op in (Op.ISTORE, Op.FSTORE, Op.ASTORE):
-        sem[op] = _store_local
-    for op in (Op.IALOAD, Op.FALOAD, Op.AALOAD, Op.BALOAD, Op.CALOAD):
-        sem[op] = _array_load
-    for table, make in ((_BINOPS, _binop), (_UNOPS, _unop),
-                        (_IF1_TESTS, _if1), (_IF2_TESTS, _if2),
-                        (_ARRAY_STORE_COERCE, _array_store)):
+def _pure_tables() -> tuple[list, list, list]:
+    """The pure ops' semantics, interpreter-ea builders and chunk
+    dynamic-ea builders, indexed by opcode (None: not pure, or, in the
+    last, a chunk with no dynamic addresses).  ``ldc``'s sem needs its
+    VM's string table, so the interpreter adds it."""
+    sem, eas, dyn = ([None] * N_OPCODES for _ in range(3))
+
+    def pure(ops, fn, build, chunk=None):
+        for op in ops:
+            sem[op], eas[op], dyn[op] = fn, build, chunk
+
+    pure((Op.NOP,), _nop, _bc_eas)
+    pure((Op.ICONST,), _iconst, _push_eas)
+    pure((Op.FCONST,), _fconst, _push_eas)
+    pure((Op.ACONST_NULL,), _aconst_null, _push_eas)
+    pure((Op.LDC,), None, _ldc_eas)
+    pure((Op.ILOAD, Op.FLOAD, Op.ALOAD), _load_local, _load_local_eas)
+    pure((Op.ISTORE, Op.FSTORE, Op.ASTORE), _store_local, _store_local_eas)
+    pure((Op.IINC,), _iinc, _iinc_eas)
+    pure((Op.POP,), _pop, _bc_eas)
+    pure((Op.DUP,), _dup, _dup_eas)
+    pure((Op.DUP_X1,), _dup_x1, _dup_x1_eas)
+    pure((Op.SWAP,), _swap, _swap_eas)
+    pure((Op.FCMPL,), _fcmp(-1), _binop_eas)
+    pure((Op.FCMPG,), _fcmp(1), _binop_eas)
+    pure((Op.GOTO,), _goto, _bc_eas)
+    pure((Op.TABLESWITCH,), _tableswitch, _switch_eas)
+    pure((Op.LOOKUPSWITCH,), _lookupswitch, _switch_eas)
+    pure((Op.ARRAYLENGTH,), _arraylength, _arraylength_eas,
+         _arraylength_dyn)
+    pure((Op.IALOAD, Op.FALOAD, Op.AALOAD, Op.BALOAD, Op.CALOAD),
+         _array_load, _array_load_eas, _array_load_dyn)
+    for table, make, build in ((_BINOPS, _binop, _binop_eas),
+                               (_UNOPS, _unop, _unop_eas),
+                               (_IF1_TESTS, _if1, _if1_eas),
+                               (_IF2_TESTS, _if2, _if2_eas)):
         for op, fn in table.items():
-            sem[op] = make(fn)
-    return sem
+            pure((op,), make(fn), build)
+    for op, coerce in _ARRAY_STORE_COERCE.items():
+        pure((op,), _array_store(coerce), _array_store_eas, _array_store_dyn)
+    return sem, eas, dyn
 
 
-_SEMANTICS = _semantics_table()
+_SEMANTICS, _INTERP_EAS, _CHUNK_DYN = _pure_tables()
 
 #: The kind half of an interpreter invoke template's ``(kind, argc)`` key.
 _INVOKE_KIND = {Op.INVOKEVIRTUAL: "invokevirtual",
@@ -341,9 +502,15 @@ class Interpreter:
         self._sem = list(_SEMANTICS)
         self._sem[Op.LDC] = self._ldc
         self._handlers = self._build_dispatch()
-        # Only a plain counting sink takes the quickened path.
+        # Only a plain counting sink takes its templates inline.
         self._counting = type(self.sink) is CountingSink
         self._traced = None
+
+    def _ldc(self, frame, instr):
+        value = frame.method.pool[instr.a].value
+        if isinstance(value, str):
+            value = self.vm.intern_string(value)
+        frame.stack.append(value)
 
     # ------------------------------------------------------------------
     # stepping
@@ -362,87 +529,110 @@ class Interpreter:
         sink = self.sink
         counting = self._counting
         emits = sink.emits if counting else None
+        emit_pure = self._emit_pure
         interp_tpl = self.tpls.by_opcode
         opcode_counts = vm.opcode_counts
         frames = thread.frames
         executed = 0
         while executed < budget and thread.state == RUNNABLE and frames:
+            # The frame-local loop: this activation's pure ops, charged
+            # to the profile (and a counting sink) before anything can
+            # read either.  A pure op pushes no frame and changes no
+            # mode, so the frame's code, mode and chunks hold until the
+            # loop breaks.  ``lane`` is the mode under a counting sink,
+            # which takes the template inline, and None under any other
+            # sink, which builds the op's eas and emits them.
             frame = frames[-1]
+            code = frame.code
+            mode = frame.emit_mode
+            chunks = frame.chunks
             backedge = False
+            pending = 0
             if counting:
-                # The frame-local loop: this activation's pure ops, their
-                # cycles summed in ``pending`` and written to the sink and
-                # the profile before anything can read either.  A pure op
-                # pushes no frame and changes no mode, so the frame's
-                # code, mode and chunks hold until the loop breaks.
-                code = frame.code
-                mode = frame.emit_mode
-                chunks = frame.chunks
-                pending = 0
-                try:
-                    while executed < budget:
-                        ip = frame.ip
-                        instr = code[ip]
-                        op = instr.op
-                        sem = sems[op]
-                        if sem is None:
-                            break
-                        frame.ip = ip + 1
-                        opcode_counts[op] += 1
-                        executed += 1
-                        if mode == EMIT_INTERP:
-                            tpl = interp_tpl[op]
-                        elif mode:
-                            tpl = chunks[ip]
-                            if tpl is not None:
-                                tpl = tpl.template
-                        else:
-                            tpl = None
-                        if (sem(frame, instr) and frame.ip <= ip
+                lane = mode
+            else:
+                lane = None
+                builders = _INTERP_EAS if mode == EMIT_INTERP else _CHUNK_DYN
+                start = sink.cycles
+            try:
+                while executed < budget:
+                    ip = frame.ip
+                    instr = code[ip]
+                    op = instr.op
+                    sem = sems[op]
+                    if sem is None:
+                        break
+                    frame.ip = ip + 1
+                    opcode_counts[op] += 1
+                    executed += 1
+                    if lane == EMIT_INTERP:
+                        tpl = interp_tpl[op]
+                    elif lane:
+                        tpl = chunks[ip]
+                        if tpl is not None:
+                            tpl = tpl.template
+                    elif lane is None:
+                        if mode:
+                            build = builders[op]
+                            eas = build(frame, instr) if build else ()
+                        taken = sem(frame, instr)
+                        if (taken and frame.ip <= ip
                                 and on_backedge is not None):
                             backedge = True
                             break
-                        if tpl is not None:
-                            pending += tpl.cycles
-                            emits[tpl] = emits.get(tpl, 0) + 1
-                finally:
-                    if pending:
-                        sink.cycles += pending
-                        p = frame.profile
-                        if p is None:
-                            p = frame.profile = profiler.profile_for(
-                                frame.method)
-                        if mode == EMIT_INTERP:
-                            p.interp_cycles += pending
-                        else:
-                            p.compiled_cycles += pending
-                if not backedge and executed >= budget:
-                    break
-            cycles = 0
+                        if mode:
+                            emit_pure(frame, ip, op, eas, taken)
+                        continue
+                    else:
+                        tpl = None
+                    if (sem(frame, instr) and frame.ip <= ip
+                            and on_backedge is not None):
+                        backedge = True
+                        break
+                    if tpl is not None:
+                        pending += tpl.cycles
+                        emits[tpl] = emits.get(tpl, 0) + 1
+            finally:
+                # A folding sink emits folded variants cheaper than the
+                # templates, so any sink but a counting one is charged
+                # by its cycle delta (never written: a wrapper sink
+                # reads ``cycles`` through to the one it wraps).
+                if not counting:
+                    pending = sink.cycles - start
+                elif pending:
+                    sink.cycles += pending
+                if pending:
+                    p = frame.profile
+                    if p is None:
+                        p = frame.profile = profiler.profile_for(
+                            frame.method)
+                    if mode == EMIT_INTERP:
+                        p.interp_cycles += pending
+                    else:
+                        p.compiled_cycles += pending
+            if not backedge and executed >= budget:
+                break
+            cycles_before = sink.cycles
+            overhead_before = vm.translate_overhead + loader.overhead_cycles
             if backedge:
                 # The branch emits before the hook but is charged after
                 # it, under the frame's post-hook mode (module docs).
-                if tpl is not None:
-                    cycles = tpl.cycles
-                    sink.cycles += cycles
-                    emits[tpl] = emits.get(tpl, 0) + 1
-                cycles_before = sink.cycles
-                overhead_before = vm.translate_overhead + loader.overhead_cycles
+                if counting:
+                    if tpl is not None:
+                        sink.emit(tpl)
+                elif mode:
+                    emit_pure(frame, ip, op, eas, True)
                 on_backedge(thread, frame)
             else:
-                ip = frame.ip
-                instr = frame.code[ip]
+                # The loop stopped at ``instr``, which has a full
+                # handler.  What it emits is known only once it has run;
+                # translate and class-loading cycles land in the sink
+                # too but are overhead, not the method's.
                 frame.ip = ip + 1
-                op = instr.op
                 opcode_counts[op] += 1
                 executed += 1
-                # What a full handler emits is known only once it has
-                # run; translate and class-loading cycles land in the
-                # sink too but are overhead, not the method's.
-                cycles_before = sink.cycles
-                overhead_before = vm.translate_overhead + loader.overhead_cycles
                 handlers[op](thread, frame, instr)
-            cycles += (sink.cycles - cycles_before) - (
+            cycles = (sink.cycles - cycles_before) - (
                 vm.translate_overhead + loader.overhead_cycles
                 - overhead_before)
             if cycles <= 0:
@@ -461,14 +651,43 @@ class Interpreter:
             vm.finish_thread(thread)
         return executed
 
+    def _emit_pure(self, frame, ip, op, eas, taken) -> None:
+        """Emit pure op ``op``, fetched at ``ip``, to a sink that is not
+        a plain counting one: its interpreter template with ``eas``, or
+        the frame's chunk with ``eas`` as the chunk's dynamic addresses.
+        ``taken`` is what the op's ``sem`` returned: a conditional
+        branch's outcome, True for ``goto``, None for any other op."""
+        takens = () if taken is None or op is Op.GOTO else (taken,)
+        if frame.emit_mode == EMIT_INTERP:
+            self.sink.emit(self.tpls.by_opcode[op], eas, takens)
+            return
+        chunks = frame.chunks
+        chunk = chunks[ip]
+        if chunk is None:
+            return
+        targets = ()
+        if op is Op.TABLESWITCH or op is Op.LOOKUPSWITCH:
+            # The switch lands on the first chunk at or after its target.
+            pc = 0
+            for i in range(frame.ip, len(chunks)):
+                if chunks[i] is not None:
+                    pc = chunks[i].base_pc
+                    break
+            targets = (pc,)
+        chunk.emit(self.sink, frame, eas, takens, targets)
+
     def _traced_tables(self):
-        """The quickened-semantics and handler tables, and the back-edge
-        hook, wrapped to time each bytecode into the VM's
+        """The pure-op semantics and the handler tables, and the
+        back-edge hook, wrapped to time each bytecode into the VM's
         ``dispatch_seconds``/``dispatch_counts``, keyed by the frame's
         emit mode as the bytecode starts; ``JavaVM.run`` emits them as
-        the ``vm.interp.dispatch`` / ``vm.jit.execute`` spans.  Nested
-        JIT translation happens inside an invoke handler or the hook, so
-        its wall time also appears separately as ``vm.jit.translate``."""
+        the ``vm.interp.dispatch`` / ``vm.jit.execute`` spans.  A pure
+        op's bucket times its ``sem`` alone: its template count, and
+        under any sink but a counting one its ea building and emission,
+        fall in the enclosing ``vm.run.count``/``vm.run.record`` self
+        time.  Nested JIT translation happens inside an invoke handler
+        or the hook, so its wall time also appears separately as
+        ``vm.jit.translate``."""
         if self._traced is None:
             seconds = self.vm.dispatch_seconds
             counts = self.vm.dispatch_counts
@@ -504,7 +723,8 @@ class Interpreter:
 
             self._traced = (
                 [None if fn is None else timed_sem(fn) for fn in self._sem],
-                [timed_handler(fn) for fn in self._handlers],
+                [None if fn is None else timed_handler(fn)
+                 for fn in self._handlers],
                 None if self.tiered is None
                 else timed_hook(self.tiered.on_backedge),
             )
@@ -513,10 +733,6 @@ class Interpreter:
     # ------------------------------------------------------------------
     # address helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _bc_ea(frame) -> int:
-        return frame.bc_addr + frame.method.bc_offsets[frame.ip - 1]
-
     def _pool_ea(self, frame, idx) -> int:
         return self.loader.pool_ea(frame.mirror, idx)
 
@@ -534,23 +750,9 @@ class Interpreter:
     # dispatch-table construction
     # ------------------------------------------------------------------
     def _build_dispatch(self) -> list:
-        """Full handlers, indexed by opcode."""
+        """Full handlers, indexed by opcode; None for a pure op, which
+        has a sem instead.  Every opcode has exactly one of the two."""
         h = {
-            Op.NOP: self._op_nop,
-            Op.ICONST: self._op_push,
-            Op.FCONST: self._op_push,
-            Op.ACONST_NULL: self._op_push,
-            Op.LDC: self._op_ldc,
-            Op.IINC: self._op_iinc,
-            Op.POP: self._op_nop,
-            Op.DUP: self._op_dup,
-            Op.DUP_X1: self._op_dup_x1,
-            Op.SWAP: self._op_swap,
-            Op.FCMPL: self._op_binop,
-            Op.FCMPG: self._op_binop,
-            Op.GOTO: self._op_branch,
-            Op.TABLESWITCH: self._op_switch,
-            Op.LOOKUPSWITCH: self._op_switch,
             Op.IRETURN: self._op_return_value,
             Op.FRETURN: self._op_return_value,
             Op.ARETURN: self._op_return_value,
@@ -565,29 +767,16 @@ class Interpreter:
             Op.NEW: self._op_new,
             Op.NEWARRAY: self._op_newarray,
             Op.ANEWARRAY: self._op_anewarray,
-            Op.ARRAYLENGTH: self._op_arraylength,
             Op.CHECKCAST: self._op_checkcast,
             Op.INSTANCEOF: self._op_instanceof,
             Op.MONITORENTER: self._op_monitorenter,
             Op.MONITOREXIT: self._op_monitorexit,
         }
-        for op in (Op.ILOAD, Op.FLOAD, Op.ALOAD):
-            h[op] = self._op_load_local
-        for op in (Op.ISTORE, Op.FSTORE, Op.ASTORE):
-            h[op] = self._op_store_local
-        for op in _BINOPS:
-            h[op] = self._op_binop
-        for op in _UNOPS:
-            h[op] = self._op_unary
-        for op in (*_IF1_TESTS, *_IF2_TESTS):
-            h[op] = self._op_branch
-        for op in (Op.IALOAD, Op.FALOAD, Op.AALOAD, Op.BALOAD, Op.CALOAD):
-            h[op] = self._op_array_load
-        for op in _ARRAY_STORE_COERCE:
-            h[op] = self._op_array_store
-        missing = set(Op) - set(h)
-        assert not missing, f"unhandled opcodes: {missing}"
-        return [h[op] for op in range(N_OPCODES)]
+        handlers = [h.get(op) for op in range(N_OPCODES)]
+        wrong = [Op(op).name for op in range(N_OPCODES)
+                 if (handlers[op] is None) == (self._sem[op] is None)]
+        assert not wrong, f"not exactly one of a sem and a handler: {wrong}"
+        return handlers
 
     # ------------------------------------------------------------------
     # emission helpers
@@ -596,246 +785,6 @@ class Interpreter:
         chunk = frame.chunks[frame.ip - 1]
         if chunk is not None:
             chunk.emit(self.sink, frame, dyn, takens, targets)
-
-    # ------------------------------------------------------------------
-    # pure ops: semantics, then emission (the recording/folding path)
-    # ------------------------------------------------------------------
-    def _op_nop(self, thread, frame, instr):
-        # nop and pop
-        self._sem[instr.op](frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            self.sink.emit(self.tpls.tpl[instr.op], (self._bc_ea(frame),))
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    def _op_push(self, thread, frame, instr):
-        # iconst, fconst, aconst_null
-        self._sem[instr.op](frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            self.sink.emit(self.tpls.tpl[instr.op],
-                           (self._bc_ea(frame),
-                            frame.slot_addr(len(frame.stack) - 1)))
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    def _ldc(self, frame, instr):
-        value = frame.method.pool[instr.a].value
-        if isinstance(value, str):
-            value = self.vm.intern_string(value)
-        frame.stack.append(value)
-
-    def _op_ldc(self, thread, frame, instr):
-        self._ldc(frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            self.sink.emit(
-                self.tpls.tpl[Op.LDC],
-                (self._bc_ea(frame), self._pool_ea(frame, instr.a),
-                 frame.slot_addr(len(frame.stack) - 1)),
-            )
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    # -- locals ----------------------------------------------------------
-    def _op_load_local(self, thread, frame, instr):
-        _load_local(frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            self.sink.emit(
-                self.tpls.tpl[instr.op],
-                (self._bc_ea(frame), frame.local_addr(instr.a),
-                 frame.slot_addr(len(frame.stack) - 1)),
-            )
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    def _op_store_local(self, thread, frame, instr):
-        _store_local(frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            self.sink.emit(
-                self.tpls.tpl[instr.op],
-                (self._bc_ea(frame), frame.slot_addr(len(frame.stack)),
-                 frame.local_addr(instr.a)),
-            )
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    def _op_iinc(self, thread, frame, instr):
-        _iinc(frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            ea = frame.local_addr(instr.a)
-            self.sink.emit(self.tpls.tpl[Op.IINC],
-                           (self._bc_ea(frame), ea, ea))
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    # -- operand stack -----------------------------------------------------
-    def _op_dup(self, thread, frame, instr):
-        _dup(frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            d = len(frame.stack) - 1
-            self.sink.emit(
-                self.tpls.tpl[Op.DUP],
-                (self._bc_ea(frame), frame.slot_addr(d - 1),
-                 frame.slot_addr(d)),
-            )
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    def _op_dup_x1(self, thread, frame, instr):
-        _dup_x1(frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            d = len(frame.stack) - 3
-            s = frame.slot_addr
-            self.sink.emit(
-                self.tpls.tpl[Op.DUP_X1],
-                (self._bc_ea(frame), s(d + 1), s(d), s(d), s(d + 1), s(d + 2)),
-            )
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    def _op_swap(self, thread, frame, instr):
-        _swap(frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            d = len(frame.stack)
-            s = frame.slot_addr
-            self.sink.emit(
-                self.tpls.tpl[Op.SWAP],
-                (self._bc_ea(frame), s(d - 1), s(d - 2), s(d - 1), s(d - 2)),
-            )
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    # -- arithmetic -----------------------------------------------------------
-    def _op_binop(self, thread, frame, instr):
-        # two-operand arithmetic and fcmpl/fcmpg
-        self._sem[instr.op](frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            d = len(frame.stack) - 1
-            s = frame.slot_addr
-            self.sink.emit(self.tpls.tpl[instr.op],
-                           (self._bc_ea(frame), s(d), s(d + 1), s(d)))
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    def _op_unary(self, thread, frame, instr):
-        self._sem[instr.op](frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            ea = frame.slot_addr(len(frame.stack) - 1)
-            self.sink.emit(self.tpls.tpl[instr.op],
-                           (self._bc_ea(frame), ea, ea))
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame)
-
-    # -- control flow -----------------------------------------------------------
-    def _op_branch(self, thread, frame, instr):
-        # goto and the conditional branches
-        idx = frame.ip - 1
-        op = instr.op
-        taken = self._sem[op](frame, instr)
-        takens = () if op is Op.GOTO else (taken,)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            d = len(frame.stack)
-            bc = frame.bc_addr + frame.method.bc_offsets[idx]
-            if op is Op.GOTO:
-                eas = (bc,)
-            elif op in _IF1_TESTS:
-                eas = (bc, frame.slot_addr(d))
-            else:
-                eas = (bc, frame.slot_addr(d), frame.slot_addr(d + 1))
-            self.sink.emit(self.tpls.tpl[op], eas, takens)
-        elif mode >= EMIT_COMPILED:
-            chunk = frame.chunks[idx]
-            if chunk is not None:
-                chunk.emit(self.sink, frame, (), takens)
-        if taken and instr.a <= idx and self.tiered is not None:
-            self.tiered.on_backedge(thread, frame)
-
-    def _op_switch(self, thread, frame, instr):
-        idx = frame.ip - 1
-        key = frame.stack[-1]
-        self._sem[instr.op](frame, instr)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            index = key - instr.extra[0] if instr.op is Op.TABLESWITCH else key
-            bc = frame.bc_addr + frame.method.bc_offsets[idx]
-            self.sink.emit(
-                self.tpls.tpl[instr.op],
-                (bc, frame.slot_addr(len(frame.stack)),
-                 bc + 12 + 4 * max(0, int(index) % 64)),
-            )
-        elif mode >= EMIT_COMPILED:
-            chunk = frame.chunks[idx]
-            if chunk is not None:
-                chunk.emit(self.sink, frame, (), (),
-                           (self._chunk_pc(frame, frame.ip),))
-
-    def _chunk_pc(self, frame, index) -> int:
-        """pc of the chunk for a bytecode index (next non-empty)."""
-        chunks = frame.chunks
-        for i in range(index, len(chunks)):
-            if chunks[i] is not None:
-                return chunks[i].base_pc
-        return 0
-
-    # -- arrays -----------------------------------------------------------------
-    def _op_arraylength(self, thread, frame, instr):
-        arr = frame.stack[-1]
-        _arraylength(frame, instr)
-        d = len(frame.stack) - 1
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            self.sink.emit(
-                self.tpls.tpl[Op.ARRAYLENGTH],
-                (self._bc_ea(frame), frame.slot_addr(d), arr.addr + 8,
-                 frame.slot_addr(d)),
-            )
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame, (arr.addr + 8,))
-
-    def _op_array_load(self, thread, frame, instr):
-        stack = frame.stack
-        arr, index = stack[-2], stack[-1]
-        _array_load(frame, instr)
-        d = len(stack) - 1
-        elem_ea = arr.elem_addr(index)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            s = frame.slot_addr
-            self.sink.emit(
-                self.tpls.tpl[instr.op],
-                (self._bc_ea(frame), s(d + 1), s(d), arr.addr + 8,
-                 elem_ea, s(d)),
-            )
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame, (arr.addr + 8, elem_ea))
-
-    def _op_array_store(self, thread, frame, instr):
-        stack = frame.stack
-        arr, index = stack[-3], stack[-2]
-        self._sem[instr.op](frame, instr)
-        d = len(stack)
-        elem_ea = arr.elem_addr(index)
-        mode = frame.emit_mode
-        if mode == EMIT_INTERP:
-            s = frame.slot_addr
-            self.sink.emit(
-                self.tpls.tpl[instr.op],
-                (self._bc_ea(frame), s(d + 2), s(d + 1), s(d),
-                 arr.addr + 8, elem_ea),
-            )
-        elif mode >= EMIT_COMPILED:
-            self._emit_chunk(frame, (arr.addr + 8, elem_ea))
 
     # ------------------------------------------------------------------
     # fields
@@ -848,7 +797,7 @@ class Interpreter:
         if mode == EMIT_INTERP:
             self.sink.emit(
                 self.tpls.tpl[Op.GETSTATIC],
-                (self._bc_ea(frame), self._pool_ea(frame, instr.a),
+                (_bc_ea(frame), self._pool_ea(frame, instr.a),
                  declarer.static_addr[name], frame.slot_addr(d)),
             )
         elif mode >= EMIT_COMPILED:
@@ -863,7 +812,7 @@ class Interpreter:
         if mode == EMIT_INTERP:
             self.sink.emit(
                 self.tpls.tpl[Op.PUTSTATIC],
-                (self._bc_ea(frame), self._pool_ea(frame, instr.a),
+                (_bc_ea(frame), self._pool_ea(frame, instr.a),
                  frame.slot_addr(d), declarer.static_addr[name]),
             )
         elif mode >= EMIT_COMPILED:
@@ -883,7 +832,7 @@ class Interpreter:
         if mode == EMIT_INTERP:
             self.sink.emit(
                 self.tpls.tpl[Op.GETFIELD],
-                (self._bc_ea(frame), self._pool_ea(frame, instr.a),
+                (_bc_ea(frame), self._pool_ea(frame, instr.a),
                  frame.slot_addr(d), field_ea, frame.slot_addr(d)),
             )
         elif mode >= EMIT_COMPILED:
@@ -903,7 +852,7 @@ class Interpreter:
         if mode == EMIT_INTERP:
             self.sink.emit(
                 self.tpls.tpl[Op.PUTFIELD],
-                (self._bc_ea(frame), self._pool_ea(frame, instr.a),
+                (_bc_ea(frame), self._pool_ea(frame, instr.a),
                  frame.slot_addr(d + 1), frame.slot_addr(d), field_ea),
             )
         elif mode >= EMIT_COMPILED:
@@ -957,7 +906,7 @@ class Interpreter:
                        else frame.mirror.pool_addr)
             self.sink.emit(
                 self.tpls.tpl[instr.op],
-                (self._bc_ea(frame), pool_ea, push_ea),
+                (_bc_ea(frame), pool_ea, push_ea),
                 (),
                 (stubs.alloc_entry.base_pc,),
             )
@@ -994,7 +943,7 @@ class Interpreter:
         hdr = ref.addr if ref is not None else frame.slot_addr(d - 1)
         mode = frame.emit_mode
         if mode == EMIT_INTERP:
-            eas = (self._bc_ea(frame), frame.slot_addr(d - 1), hdr,
+            eas = (_bc_ea(frame), frame.slot_addr(d - 1), hdr,
                    cls.meta_addr)
             if op is Op.INSTANCEOF:
                 eas = eas + (frame.slot_addr(d - 1),)
@@ -1028,7 +977,7 @@ class Interpreter:
             d = len(frame.stack)
             self.sink.emit(
                 self.tpls.tpl[instr.op],
-                (self._bc_ea(frame), frame.slot_addr(d - 1)),
+                (_bc_ea(frame), frame.slot_addr(d - 1)),
                 (),
                 (self.stubs.interp_entry_pc,),
             )
@@ -1168,7 +1117,7 @@ class Interpreter:
             return
         d = len(frame.stack)  # args already popped
         s = frame.slot_addr
-        eas = [self._bc_ea(frame), self._pool_ea(frame, instr.a)]
+        eas = [_bc_ea(frame), self._pool_ea(frame, instr.a)]
         if op is Op.INVOKEVIRTUAL:
             eas += (s(d), receiver.addr, mm.meta_addr)
         for k in range(argc_key if static else argc_key + 1):
@@ -1234,7 +1183,7 @@ class Interpreter:
                 self.sink.emit(tpl)
                 return
             d = len(frame.stack)
-            bc = self._bc_ea(frame)
+            bc = _bc_ea(frame)
             fh = frame.frame_base
             if has_result:
                 caller_push = (caller.slot_addr(push_d) if caller is not None

@@ -15,14 +15,20 @@ The same digest pins that a program is never written by a run: a
 second run of one ``Program`` and every oracle config on one shared
 render equal their fresh-program runs.  A short tiered ``api`` server
 scenario pins a traffic run, profiles included, so a back-edge charged
-to the wrong emit mode shows.  Finally, a counting run equals its
-recording twin on every result attribute but the trace: the recording
-sink drives the stepper's full handlers, the counting sink its
-quickened path, and the run cache serves one's result for the other.
-The same relation holds for a run cut short by a pure op that raises,
-and for the bytecode at which a back-edge promotion fires: the counting
-stepper sums pure ops' cycles in a local that it must write back before
-either can be observed.
+to the wrong emit mode shows.  A small program that runs all 70 pure
+ops, every branch both ways and every switch on a case and its
+default, is pinned recorded under the interpreter, the JIT, the folder
+and the ladder: jess and mtrt never run 35 of those ops (all seven
+SpecJVM workloads at s0, 19), so a wrong effective address of one of
+them shows only there.  Finally,
+a counting run equals its recording twin on every result attribute but
+the trace: both run pure ops in the stepper's frame-local loop, the
+counting sink counting each template inline and the recording sink
+building each op's effective addresses and emitting them, and the run
+cache serves one's result for the other.  The same relation holds for
+a run cut short by a pure op that raises, and for the bytecode at which
+a back-edge promotion fires: the frame-local loop charges pure ops'
+cycles once it stops, and must do so before either can be observed.
 
 To re-record after an *intended* model change, run
 ``PYTHONPATH=src python tests/test_identity_pin.py`` and paste its
@@ -42,6 +48,8 @@ from repro.analysis.runner import run_vm
 from repro.fuzz.gen import gen_program
 from repro.fuzz.harness import SEED_STRIDE
 from repro.fuzz.oracle import FUEL, MATRIX, run_config, run_oracle
+from repro.isa import ArrayType, ProgramBuilder
+from repro.isa.opcodes import OPINFO, Op
 from repro.traffic.engine import run_scenario
 from repro.traffic.spec import get_preset
 from repro.vm import JavaVM, RunConfig, VMError
@@ -119,6 +127,14 @@ EXPECTED = {
         "78b5f524fc2aa47c556b1511a98e62e67784193a69d6220af39626ea04896717",
     "server/api":
         "58f76d4bb6f2ad924bfa20f7874692da73726560bff511f0ac00388cb21820f3",
+    "pure_ops/interp_rec":
+        "abe1cf1e507ac3543cde2b18f62a0d23276403c4bcf09ded0fc24a0b06692162",
+    "pure_ops/jit_rec":
+        "1758ab9a50262af480497685e3497d483e302207af6e5b27018b630a473f53f5",
+    "pure_ops/interp_fold_rec":
+        "9aadca8100da5f530ad8276e890c055739bdf9511a36d4a45fe74019cbf9ad25",
+    "pure_ops/tiered_rec":
+        "2b74f7729de4b5e2c3cdeaada3e0d8c4e3ef2defd27574cbfdd8fbfbb680dbf6",
 }
 
 
@@ -231,17 +247,25 @@ def _vm_outcome(program, config: RunConfig):
 @pytest.mark.parametrize("case", [
     *(f"{w}/{c}" for w in ("jess", "mtrt", "db")
       for c in ("interp", "jit", "tiered")),
-    "jess/interp_fold", "fuzz", "server/api",
+    "jess/interp_fold", "fuzz", "server/api", "pure_ops",
 ])
 def test_counting_run_matches_recording_run(case, monkeypatch):
-    """Counting sink (quickened stepper) == recording sink (the full
-    handlers) on every ``VMResult`` attribute but the trace, so the run
-    cache may serve a recording's stored result to counting callers."""
+    """Counting sink (templates counted inline) == recording sink
+    (effective addresses built and emitted) on every ``VMResult``
+    attribute but the trace, so the run cache may serve a recording's
+    stored result to counting callers."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
     if case == "server/api":
         config = RunConfig.of("tiered")
         assert (observables(_server_run(config))
                 == observables(_server_run(config.replace(record=True))))
+    elif case == "pure_ops":
+        for name in ("interp", "jit", "interp_fold", "tiered"):
+            config = CONFIGS[name]
+            assert (observables(JavaVM(_all_pure_ops_program(), config).run())
+                    == observables(JavaVM(_all_pure_ops_program(),
+                                          config.replace(record=True)).run())
+                    ), name
     elif case == "fuzz":
         # Every one of these seeds renders, so each is compared.
         for seed in range(20):
@@ -278,6 +302,158 @@ def _pure_loop(trips: int, then_raise: bool):
         else:
             m.iload(2)
     return expr_main(body).build()
+
+
+#: Opcode kinds whose ops may load classes, compile, OSR or deoptimize;
+#: every other opcode is pure (a semantics function plus its emission).
+_IMPURE_KINDS = frozenset({"return", "field", "invoke", "new",
+                           "typecheck", "monitor"})
+PURE_OPS = [op for op in Op if OPINFO[op].kind not in _IMPURE_KINDS]
+
+#: Calls of ``work`` from the all-pure-ops program's ``main``.
+ALL_OPS_CALLS = 12
+#: Recordings the all-pure-ops program is pinned under.
+ALL_OPS_CONFIGS = ("interp_rec", "jit_rec", "interp_fold_rec", "tiered_rec")
+
+
+def _all_pure_ops_program():
+    """A static ``work(n)`` whose loop runs every pure op, called
+    ``ALL_OPS_CALLS`` times from ``main``: each conditional branch both
+    taken and not taken (by the parity of the loop counter), each switch
+    hitting a case and its default, every array kind loaded and stored,
+    and one backward conditional branch.  ``main`` calls it often enough
+    to compile it under ``jit`` and to promote it under ``tiered``."""
+    pb = ProgramBuilder("pure_ops", main_class="Test")
+    cb = pb.cls("Test")
+    m = cb.method("work", argc=1, returns=True, static=True)
+    # locals: 0 n, 1 i, 2 acc, 3 f, 4 int[], 5 float[], 6 Test[],
+    # 7 byte[], 8 char[], 9 string, 10 i & 1, 11 inner counter
+    for local, make in ((4, lambda: m.newarray(ArrayType.INT)),
+                        (5, lambda: m.newarray(ArrayType.FLOAT)),
+                        (6, lambda: m.anewarray("Test")),
+                        (7, lambda: m.newarray(ArrayType.BYTE)),
+                        (8, lambda: m.newarray(ArrayType.CHAR))):
+        m.iconst(4)
+        make()
+        m.astore(local)
+    m.ldc_str("pin").astore(9)
+    m.aload(6).iconst(0).aload(9).aastore()
+    m.aload(6).iconst(1).aconst_null().aastore()
+    m.nop().iconst(0).istore(2).fconst(1.0).fstore(3).iconst(0).istore(1)
+    loop, done = m.new_label(), m.new_label()
+    m.bind(loop)
+    m.iload(1).iload(0).if_icmpge(done)
+    m.iload(1).iconst(1).iand().istore(10)
+    # int arithmetic and narrowing
+    m.iload(2).iload(1).iadd().iconst(3).imul().iconst(7).isub()
+    m.iconst(5).idiv().iconst(1000).irem().ineg().iconst(2).ishl()
+    m.iconst(1).ishr().iconst(3).iushr().iconst(255).iand()
+    m.iconst(16).ior().iload(1).ixor().i2b().i2c().i2s().istore(2)
+    # float arithmetic
+    m.fload(3).iload(1).i2f().fadd().ldc_float(0.25).fsub()
+    m.fconst(2.0).fmul().fconst(3.0).fdiv().fneg().fstore(3)
+    m.fload(3).f2i().iload(2).iadd().istore(2)
+    # stack shuffles
+    m.iload(2).dup().iadd().istore(2)
+    m.iload(1).iload(2).swap().isub().istore(2)
+    m.iload(1).iload(2).dup_x1().iadd().iadd().istore(2)
+    m.iconst(9).pop()
+
+    def skip(push, branch):
+        """``push`` operands, then ``branch`` over one ``iinc``: taken
+        on one parity of ``i`` and not taken on the other."""
+        over = m.new_label()
+        push()
+        branch(over)
+        m.iinc(2, 1)
+        m.bind(over)
+
+    def p():                # i & 1
+        return m.iload(10)
+
+    def p_minus_1():
+        return m.iload(10).iconst(1).isub()
+
+    def ref():              # "pin" when i is even, null when it is odd
+        return m.aload(6).iload(10).aaload()
+
+    skip(p, m.ifeq)
+    skip(p, m.ifne)
+    skip(p_minus_1, m.iflt)
+    skip(p_minus_1, m.ifge)
+    skip(p, m.ifgt)
+    skip(p, m.ifle)
+    skip(lambda: p().iconst(0), m.if_icmpeq)
+    skip(lambda: p().iconst(0), m.if_icmpne)
+    skip(lambda: p().iconst(1), m.if_icmplt)
+    skip(lambda: p().iconst(1), m.if_icmpge)
+    skip(lambda: p().iconst(0), m.if_icmpgt)
+    skip(lambda: p().iconst(0), m.if_icmple)
+    skip(lambda: ref().aload(9), m.if_acmpeq)
+    skip(lambda: ref().aload(9), m.if_acmpne)
+    skip(ref, m.ifnull)
+    skip(ref, m.ifnonnull)
+    skip(lambda: p().i2f().ldc_float(0.5).fcmpl(), m.ifle)
+    skip(lambda: p().i2f().ldc_float(0.5).fcmpg(), m.ifgt)
+    # switches: i % 3 hits a case or the default / a key or the default
+    join = m.new_label()
+    cases = [m.new_label() for _ in range(3)]
+    m.iload(1).iconst(3).irem().tableswitch(0, cases[:2], cases[2])
+    for delta, case in zip((3, 5, 7), cases):
+        m.bind(case)
+        m.iinc(2, delta).goto(join)
+    m.bind(join)
+    join = m.new_label()
+    hit, miss = m.new_label(), m.new_label()
+    m.iload(1).iconst(3).irem().lookupswitch({0: hit, 5: hit}, miss)
+    m.bind(hit)
+    m.iinc(2, 11).goto(join)
+    m.bind(miss)
+    m.iinc(2, 13)
+    m.bind(join)
+    # array stores then loads, indexed by i & 1
+    m.aload(4).iload(10).iload(2).iastore()
+    m.aload(5).iload(10).fload(3).fastore()
+    m.aload(7).iload(10).iload(2).bastore()
+    m.aload(8).iload(10).iload(2).castore()
+    m.aload(4).iload(10).iaload()
+    m.aload(5).iload(10).faload().f2i().iadd()
+    m.aload(7).iload(10).baload().iadd()
+    m.aload(8).iload(10).caload().iadd()
+    m.aload(4).arraylength().iadd().istore(2)
+    # a backward conditional branch: a two-trip inner loop
+    inner = m.new_label()
+    m.iconst(0).istore(11)
+    m.bind(inner)
+    m.iinc(11, 1).iload(11).iconst(2).if_icmplt(inner)
+    m.iinc(1, 1).goto(loop)
+    m.bind(done)
+    m.iload(2).ireturn()
+
+    main = cb.method("main", static=True)
+    top, end = main.new_label(), main.new_label()
+    main.iconst(0).istore(0).iconst(0).istore(1)
+    main.bind(top)
+    main.iload(0).iconst(ALL_OPS_CALLS).if_icmpge(end)
+    main.iload(1).iload(0).iconst(6).iadd().invokestatic(
+        "Test", "work", 1, True).ixor().istore(1)
+    main.iinc(0, 1).goto(top)
+    main.bind(end)
+    main.getstatic("java/lang/System", "out").iload(1)
+    main.invokevirtual("java/io/PrintStream", "printlnInt", 1, False)
+    main.return_()
+    return pb.build()
+
+
+@pytest.mark.parametrize("config", ALL_OPS_CONFIGS)
+def test_all_pure_ops_recording_unchanged(config, monkeypatch):
+    """Every pure op, run and recorded: a wrong effective address, branch
+    outcome or switch target of any one of them changes the trace."""
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    result = JavaVM(_all_pure_ops_program(), CONFIGS[config]).run()
+    assert len(PURE_OPS) == 70
+    assert [op.name for op in PURE_OPS if not result.opcode_counts[op]] == []
+    assert digest(result) == EXPECTED[f"pure_ops/{config}"]
 
 
 @pytest.mark.parametrize("config", ["interp", "jit", "tiered"])
@@ -378,4 +554,7 @@ if __name__ == "__main__":
             print(f'    "{key}":\n        "{value}",')
     print(f'    "fuzz/seed0x20":\n        "{fuzz_digest()}",')
     print(f'    "server/api":\n        "{digest(_server_run())}",')
+    for c in ALL_OPS_CONFIGS:
+        result = JavaVM(_all_pure_ops_program(), CONFIGS[c]).run()
+        print(f'    "pure_ops/{c}":\n        "{digest(result)}",')
     print("}")

@@ -8,8 +8,11 @@ methodology compare the two modes on one workload.
 import pytest
 
 from repro.isa import ArrayType
+from repro.isa.opcodes import Op
+from repro.vm import JavaVM
+from repro.vm.interpreter import _CHUNK_DYN, _INTERP_EAS
 
-from helpers import eval_both_modes
+from helpers import eval_both_modes, expr_main
 
 
 class TestArithmetic:
@@ -377,3 +380,17 @@ class TestFieldsAndObjects:
             m.iconst(0)
         with pytest.raises(VMError, match="ClassCastException"):
             run_program(expr_main(body))
+
+
+class TestDispatchTables:
+    def test_each_opcode_has_a_sem_or_a_handler(self):
+        """A pure op runs its sem and its ea builder in the stepper's
+        frame-local loop and has no handler; every other op runs its
+        full handler and has no sem or builder."""
+        program = expr_main(lambda m: m.iconst(0)).build()
+        interp = JavaVM(program, "interp").interp
+        for op in Op:
+            sem, handler = interp._sem[op], interp._handlers[op]
+            assert (sem is None) != (handler is None), op.name
+            assert (_INTERP_EAS[op] is None) == (sem is None), op.name
+            assert _CHUNK_DYN[op] is None or sem is not None, op.name
