@@ -67,7 +67,7 @@ class ConcurrencyAnalysis:
         then visited in load order, methods not loaded yet first."""
         self.program = program
         self.escape = escape if escape is not None else EscapeSummaries(program)
-        self.cg = CallGraph(program, self.escape)
+        self.cg = CallGraph(program)
         self.mhp = MHP(program, self.cg)
         self.entries = self.mhp.entries
         self._infos: dict[Method, MethodConcurrency | None] = {}
@@ -159,7 +159,7 @@ class ConcurrencyAnalysis:
             for (_idx, rcls, is_class_lock) in info.sync_calls:
                 if is_class_lock:
                     continue              # class locks never alias instances
-                for cls in self.escape._subclasses.get(rcls, ()):
+                for cls in self.program.subclasses(rcls):
                     lock_entries.setdefault(cls.name, set()).update(ents)
         return lock_entries, frozenset(top)
 

@@ -1,11 +1,12 @@
 """Whole-program call graph with by-name candidate resolution.
 
-Edges come from the same resolution rules the escape analysis uses
-(:meth:`EscapeSummaries._candidates`): ``invokestatic``/``invokespecial``
-resolve along the super chain, ``invokevirtual`` additionally fans out to
-every subclass override of the static receiver type.  Unresolvable call
-sites (the referenced class is not in the program) are kept as explicit
-``targets=None`` sites so downstream passes can stay conservative.
+Edges come from ``Program.call_targets``, the resolution the escape
+analysis and the JIT's class-hierarchy analysis use too:
+``invokestatic``/``invokespecial`` resolve along the super chain,
+``invokevirtual`` additionally fans out to every subclass override of
+the static receiver type.  Unresolvable call sites (the referenced class
+is not in the program) are kept as explicit ``targets=None`` sites so
+downstream passes can stay conservative.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from ...isa.method import Method, Program
-from ...isa.opcodes import Op, OPINFO
+from ...isa.opcodes import OPINFO
 from ...isa.pool import MethodRef
 
 
@@ -36,40 +37,11 @@ class CallSite:
                 f"{self.ref.class_name}.{self.ref.method_name} [{n}])")
 
 
-def declaring_class(program: Program, class_name: str, field_name: str) -> str:
-    """Walk the super chain to the class that declares ``field_name``.
-
-    Falls back to the symbolic class when the field (or the class) is
-    unknown, so tokens built from dangling refs still compare stably.
-    """
-    cls = program.classes.get(class_name)
-    while cls is not None:
-        if any(f.name == field_name for f in cls.fields):
-            return cls.name
-        cls = (program.classes.get(cls.super_name)
-               if cls.super_name else None)
-    return class_name
-
-
-def is_thread_class(program: Program, class_name: str) -> bool:
-    """True when ``class_name`` is ``java/lang/Thread`` or a subclass."""
-    seen = set()
-    cur = program.classes.get(class_name)
-    while cur is not None and cur.name not in seen:
-        if cur.name == "java/lang/Thread":
-            return True
-        seen.add(cur.name)
-        cur = (program.classes.get(cur.super_name)
-               if cur.super_name else None)
-    return False
-
-
 class CallGraph:
     """Per-method call sites plus reachability over resolved edges."""
 
-    def __init__(self, program: Program, escape) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
-        self.escape = escape              # EscapeSummaries (resolution rules)
         self._sites: dict[Method, list[CallSite]] = {}
 
     def call_sites(self, method: Method) -> list[CallSite]:
@@ -83,7 +55,7 @@ class CallGraph:
                     ref = method.pool[instr.a]
                     if not isinstance(ref, MethodRef):
                         continue
-                    targets = self.escape._candidates(instr.op, ref)
+                    targets = self.program.call_targets(instr.op, ref)
                     sites.append(CallSite(
                         method, idx, instr.op, ref,
                         tuple(targets) if targets is not None else None))

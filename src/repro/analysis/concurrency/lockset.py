@@ -29,7 +29,6 @@ from ...isa.opcodes import Op, OPINFO
 from ...isa.pool import MethodRef
 from ...isa.verifier import VerifyError, _stack_delta
 from ..dataflow.escape import GLOBAL, RETURNED
-from .callgraph import declaring_class
 
 _EMPTY: frozenset = frozenset()
 _NO_LOCKS: frozenset = frozenset()
@@ -91,8 +90,11 @@ class _LockProblem(DataflowProblem):
         key = (class_name, field_name)
         decl = self._decl_cache.get(key)
         if decl is None:
-            decl = self._decl_cache[key] = declaring_class(
-                self.program, class_name, field_name)
+            # A dangling ref keeps its symbolic class, so its key still
+            # compares stably.
+            owner = self.program.field_owner(class_name, field_name)
+            decl = self._decl_cache[key] = (owner.name if owner
+                                            else class_name)
         return decl
 
     def boundary(self, method: Method):
@@ -241,7 +243,7 @@ class _LockProblem(DataflowProblem):
         n_args = ref.argc + (0 if instr.op is Op.INVOKESTATIC else 1)
         arg_origins = [pop() for _ in range(n_args)]
         arg_origins.reverse()
-        targets = self.summaries._candidates(instr.op, ref)
+        targets = self.program.call_targets(instr.op, ref)
         ev = self.events
         if ev is not None:
             ev.calls.append((idx, tuple(targets) if targets else None,

@@ -27,7 +27,7 @@ from ..dataflow.cfg import build_cfg
 from ..dataflow.solver import DataflowProblem, solve
 from ...isa.method import Method, Program
 from ...isa.opcodes import Op
-from .callgraph import CallGraph, is_thread_class
+from .callgraph import CallGraph
 
 DAEMON_CLASSES = ("repro/Finalizer", "repro/RefCleaner")
 
@@ -128,7 +128,7 @@ class MHP:
             "main", "main", self.program.main_class, main, False)
         if "repro/Finalizer" in self.program.classes:
             for name in DAEMON_CLASSES:
-                run = self.cg.escape._resolve_static(name, "run")
+                run = self.program.resolve_method(name, "run")
                 if run is not None and not run.is_native and run.code:
                     self.entries[f"daemon:{name}"] = ThreadEntry(
                         f"daemon:{name}", "daemon", name, run, False)
@@ -148,10 +148,10 @@ class MHP:
                     if instr.op is not Op.NEW:
                         continue
                     cname = m.pool[instr.a].class_name
-                    if is_thread_class(self.program, cname):
+                    if self.program.is_subclass(cname, "java/lang/Thread"):
                         sites.setdefault(cname, []).append((m, idx))
             for cname, slist in sorted(sites.items()):
-                run = self.cg.escape._resolve_static(cname, "run")
+                run = self.program.resolve_method(cname, "run")
                 if run is None or run.is_native or not run.code:
                     continue
                 multi = (len(slist) > 1

@@ -176,7 +176,7 @@ class _OriginProblem(DataflowProblem):
         # stack: [receiver,] arg1 .. argN — pop args last-first
         arg_origins = [pop() for _ in range(n_args)]
         arg_origins.reverse()
-        targets = self.summaries._candidates(instr.op, ref)
+        targets = self.summaries.program.call_targets(instr.op, ref)
         result = _EMPTY
         if targets is None:
             # unknown callee: everything handed to it escapes
@@ -230,53 +230,7 @@ class EscapeSummaries:
         self.program = program
         self._summary: dict[Method, tuple] = {}
         self._info: dict[Method, MethodEscape | None] = {}
-        self._subclasses = self._index_subclasses(program)
         self._solve()
-
-    # -- hierarchy ----------------------------------------------------------
-
-    @staticmethod
-    def _index_subclasses(program: Program) -> dict[str, list]:
-        """class name -> classes at-or-below it (by super_name chains)."""
-        index: dict[str, list] = {name: [] for name in program.classes}
-        for cls in program.classes.values():
-            cur = cls
-            seen = set()
-            while cur is not None and cur.name not in seen:
-                seen.add(cur.name)
-                if cur.name in index:
-                    index[cur.name].append(cls)
-                cur = (program.classes.get(cur.super_name)
-                       if cur.super_name else None)
-        return index
-
-    def _resolve_static(self, class_name: str, method_name: str):
-        cls = self.program.classes.get(class_name)
-        while cls is not None:
-            m = cls.methods.get(method_name)
-            if m is not None:
-                return m
-            cls = (self.program.classes.get(cls.super_name)
-                   if cls.super_name else None)
-        return None
-
-    def _candidates(self, op, ref: MethodRef):
-        """Possible targets of a call, or None when unresolvable."""
-        if ref.class_name not in self.program.classes:
-            return None
-        if op in (Op.INVOKESTATIC, Op.INVOKESPECIAL):
-            m = self._resolve_static(ref.class_name, ref.method_name)
-            return [m] if m is not None else None
-        # virtual: the static resolution plus every subclass override
-        out = []
-        m = self._resolve_static(ref.class_name, ref.method_name)
-        if m is not None:
-            out.append(m)
-        for cls in self._subclasses.get(ref.class_name, ()):
-            m = cls.methods.get(ref.method_name)
-            if m is not None and m not in out:
-                out.append(m)
-        return out or None
 
     # -- fixpoint -----------------------------------------------------------
 
@@ -316,7 +270,7 @@ class EscapeSummaries:
 
     def _callers(self, methods) -> dict:
         """method -> the methods whose code may call it, in code order
-        (by :meth:`_candidates`, reachable or not)."""
+        (by ``Program.call_targets``, reachable or not)."""
         callers: dict[Method, dict] = {}
         for m in methods:
             for instr in m.code:
@@ -325,7 +279,7 @@ class EscapeSummaries:
                 ref = m.pool[instr.a]
                 if not isinstance(ref, MethodRef):
                     continue
-                for t in self._candidates(instr.op, ref) or ():
+                for t in self.program.call_targets(instr.op, ref) or ():
                     callers.setdefault(t, {})[m] = None
         return callers
 

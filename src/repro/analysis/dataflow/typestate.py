@@ -123,18 +123,19 @@ def _entry_locals(method: Method):
     return tuple(locals_)
 
 
+#: Field declaration type -> lattice type.
+_FIELD_TYPES = {"int": INT, "byte": INT, "char": INT, "float": FLOAT,
+                "ref": ref(None)}
+
+
 def _resolve_field(program: Program | None, fref: FieldRef):
     """Declared lattice type of a field, or ANY when unresolvable."""
-    if program is None:
+    owner = (program.field_owner(fref.class_name, fref.field_name)
+             if program is not None else None)
+    if owner is None:
         return ANY
-    cls = program.classes.get(fref.class_name)
-    while cls is not None:
-        for field in cls.fields:
-            if field.name == fref.field_name:
-                return {"int": INT, "byte": INT, "char": INT,
-                        "float": FLOAT, "ref": ref(None)}[field.ftype]
-        cls = program.classes.get(cls.super_name) if cls.super_name else None
-    return ANY
+    return next(_FIELD_TYPES[f.ftype] for f in owner.fields
+                if f.name == fref.field_name)
 
 
 class TypeProblem(DataflowProblem):

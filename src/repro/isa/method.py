@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .instruction import Instr
+from .opcodes import Op
 from .pool import ConstantPool
 
 
@@ -193,7 +194,16 @@ class JClass:
 
 
 class Program:
-    """A closed set of classes plus an entry point."""
+    """A closed set of classes plus an entry point.
+
+    It also answers the class-hierarchy queries of the JIT's CHA and of
+    every static analysis.  They read the classes as declared: each walk
+    goes up ``super_name`` by name, needs no linking, and stops at a
+    superclass missing from the program or at a class seen before.  For
+    a linked class this finds what ``JClass.find_method`` finds; the
+    run-time resolution the interpreter charges cycles for stays in
+    ``repro.vm.classloader``.
+    """
 
     def __init__(self, name: str, main_class: str = "Main") -> None:
         self.name = name
@@ -203,11 +213,14 @@ class Program:
         #: from the classes and the VMs' link state, never read as
         #: program state, freed with the program.
         self.translations: dict = {}
+        #: class name -> the classes at or below it; built on first use
+        self._subclasses: dict[str, tuple[JClass, ...]] | None = None
 
     def add_class(self, jclass: JClass) -> JClass:
         if jclass.name in self.classes:
             raise ValueError(f"duplicate class {jclass.name!r}")
         self.classes[jclass.name] = jclass
+        self._subclasses = None
         return jclass
 
     def get_class(self, name: str) -> JClass:
@@ -238,6 +251,80 @@ class Program:
                 return False
         cls.link(sup)
         return True
+
+    # -- class hierarchy -------------------------------------------------
+
+    def _ancestors(self, class_name: str):
+        """The named class, then its superclasses, nearest first."""
+        seen = set()
+        cls = self.classes.get(class_name)
+        while cls is not None and cls.name not in seen:
+            seen.add(cls.name)
+            yield cls
+            cls = self.classes.get(cls.super_name) if cls.super_name else None
+
+    def subclasses(self, class_name: str) -> tuple[JClass, ...]:
+        """The named class and every class below it, in program order
+        (empty when the class is not in the program)."""
+        index = self._subclasses
+        if index is None:
+            below: dict[str, list[JClass]] = {}
+            for cls in self.classes.values():
+                for sup in self._ancestors(cls.name):
+                    below.setdefault(sup.name, []).append(cls)
+            index = self._subclasses = {k: tuple(v) for k, v in below.items()}
+        return index.get(class_name, ())
+
+    def is_subclass(self, class_name: str, ancestor: str) -> bool:
+        """True when ``ancestor`` is the named class or above it."""
+        return any(cls.name == ancestor for cls in self._ancestors(class_name))
+
+    def resolve_method(self, class_name: str, method_name: str) -> Method | None:
+        """The method a by-name call on ``class_name`` finds."""
+        for cls in self._ancestors(class_name):
+            m = cls.methods.get(method_name)
+            if m is not None:
+                return m
+        return None
+
+    def field_owner(self, class_name: str, field_name: str) -> JClass | None:
+        """The nearest class at or above ``class_name`` that declares a
+        field (static or instance) named ``field_name``."""
+        for cls in self._ancestors(class_name):
+            if any(f.name == field_name for f in cls.fields):
+                return cls
+        return None
+
+    def call_targets(self, op: Op, ref) -> list[Method] | None:
+        """The methods an invoke of the ``MethodRef`` ``ref`` may reach,
+        or None when unresolvable: ``invokestatic``/``invokespecial``
+        reach the resolved method, a virtual call also every override
+        declared below the referenced class."""
+        if ref.class_name not in self.classes:
+            return None
+        m = self.resolve_method(ref.class_name, ref.method_name)
+        if op in (Op.INVOKESTATIC, Op.INVOKESPECIAL):
+            return [m] if m is not None else None
+        out = [m] if m is not None else []
+        for cls in self.subclasses(ref.class_name):
+            m = cls.methods.get(ref.method_name)
+            if m is not None and m not in out:
+                out.append(m)
+        return out or None
+
+    def unique_target(self, class_name: str, method_name: str,
+                      loaded=None) -> Method | None:
+        """Class-hierarchy analysis: the one implementation a virtual
+        call can reach on any class at or below ``class_name``, else
+        None.  Closed-world by default; with ``loaded`` (a VM's
+        ``loader.mirrors``) only loaded classes count, a speculation
+        that loading an overriding class later breaks, so callers must
+        register it for deoptimization."""
+        targets = {self.resolve_method(cls.name, method_name)
+                   for cls in self.subclasses(class_name)
+                   if loaded is None or cls in loaded}
+        targets.discard(None)
+        return targets.pop() if len(targets) == 1 else None
 
     @property
     def entry_method(self) -> Method:

@@ -218,7 +218,7 @@ class CodeArchive:
             if payload.get("schema") != SCHEMA:
                 raise cache.CorruptEntry(os.path.basename(path))
             return materialize_compiled(
-                payload, method, compiler.hierarchy.program,
+                payload, method, compiler.program,
                 compiler.code_cache)
 
         compiled = cache.lookup("code", path, decode)

@@ -19,7 +19,6 @@ entries, so the default (tracker off) costs nothing.
 
 from __future__ import annotations
 
-from ..analysis.concurrency.callgraph import declaring_class
 from ..isa.opcodes import Op
 
 
@@ -61,8 +60,10 @@ class ConfinementTracker:
         key = (class_name, field_name)
         decl = self._decl_cache.get(key)
         if decl is None:
-            decl = self._decl_cache[key] = declaring_class(
-                self.vm.program, class_name, field_name)
+            # keyed as the lockset pass keys a field (``lockset._decl``)
+            owner = self.vm.program.field_owner(class_name, field_name)
+            decl = self._decl_cache[key] = (owner.name if owner
+                                            else class_name)
         return decl
 
     def _wrap_field(self, orig, kind: str, write: bool):

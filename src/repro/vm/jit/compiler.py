@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...isa.method import Method
+from ...isa.method import Method, Program
 from ...isa.opcodes import Op, OPINFO
 from ...native.costs import CYCLES_BY_CAT
 from ...native.layout import CODE_CACHE_BASE, CODE_CACHE_SIZE, TextRegion
@@ -34,7 +34,7 @@ from ...obs import TRACER
 from ..objects import ARRAY_HEADER_BYTES, OBJECT_HEADER_BYTES
 from ..threads import FRAME_HEADER_BYTES
 from .chunks import Chunk, CompiledMethod, InlineSite, rebased
-from .inline import ClassHierarchy, inline_field_offsets, is_inlinable
+from .inline import inline_field_offsets, is_inlinable
 from .translate_stubs import shared_translate_stubs
 
 #: Registers available for operand-stack slots.
@@ -245,12 +245,12 @@ class JITCompiler:
     """Compiles methods for one VM instance."""
 
     def __init__(self, loader, code_cache: CodeCache, sink,
-                 hierarchy: ClassHierarchy, inline: bool = True,
+                 program: Program, inline: bool = True,
                  optimize: bool = False) -> None:
         self.loader = loader
         self.code_cache = code_cache
         self.sink = sink
-        self.hierarchy = hierarchy
+        self.program = program
         self.inline_enabled = inline
         self.optimize_enabled = optimize
         self.stubs = shared_translate_stubs()
@@ -353,8 +353,8 @@ class JITCompiler:
         op = instr.op
         speculative = False
         if op is Op.INVOKEVIRTUAL:
-            target = self.hierarchy.unique_target(ref.class_name,
-                                                  ref.method_name)
+            target = self.program.unique_target(ref.class_name,
+                                                ref.method_name)
             if (target is None and link.speculate_cha
                     and (ref.class_name, ref.method_name)
                     not in link.cha_blacklist):
@@ -362,7 +362,7 @@ class JITCompiler:
                 # one is loaded so far: devirtualize speculatively and
                 # record the assumption.  Loading an overriding class
                 # later triggers deoptimization of this method.
-                target = self.hierarchy.unique_loaded_target(
+                target = self.program.unique_target(
                     ref.class_name, ref.method_name, self.loader.mirrors)
                 speculative = target is not None
         else:
@@ -412,7 +412,7 @@ class JITCompiler:
         way the translate routine is emitted and the counters move as a
         translation moves them, so a hit saves host work only.
         """
-        memo = self.hierarchy.program.translations
+        memo = self.program.translations
         key = (method, optimize, tuple(link.statics.values()),
                tuple(link.inlines.values()))
         body = memo.get(key)

@@ -1,16 +1,18 @@
-"""Method inlining support: CHA devirtualization and tiny-body matching.
+"""Method inlining support: tiny-body matching.
 
 The JIT inlines monomorphic calls to tiny, straight-line methods
 (getters, setters, small arithmetic helpers).  Monomorphism is proven by
-class-hierarchy analysis over the closed program: if exactly one
-implementation can be the target for any receiver subtype, the call is
-devirtualized.  This is the optimization the paper credits for the JIT
-mode's much lower indirect-branch frequency.
+class-hierarchy analysis over the closed program
+(``Program.unique_target``, the hierarchy model the static analyses'
+call graph uses too): if exactly one implementation can be the target
+for any receiver subtype, the call is devirtualized.  This is the
+optimization the paper credits for the JIT mode's much lower
+indirect-branch frequency.
 """
 
 from __future__ import annotations
 
-from ...isa.method import JClass, Method, Program
+from ...isa.method import Method
 from ...isa.opcodes import Op, OPINFO
 
 #: Maximum bytecode length of an inlinable body.
@@ -28,53 +30,6 @@ _INLINABLE_OPS = frozenset({
     Op.IRETURN, Op.FRETURN, Op.ARETURN, Op.RETURN,
     Op.DUP, Op.POP,
 })
-
-
-class ClassHierarchy:
-    """Closed-world class-hierarchy analysis over a program."""
-
-    def __init__(self, program: Program) -> None:
-        self.program = program
-        self._subclasses: dict[str, list[JClass]] = {}
-        for cls in program.classes.values():
-            node: JClass | None = cls
-            while node is not None:
-                self._subclasses.setdefault(node.name, []).append(cls)
-                sup = node.super_name
-                node = program.classes.get(sup) if sup else None
-
-    def subclasses(self, class_name: str) -> list[JClass]:
-        """All classes that are (transitively) the named class or below."""
-        return self._subclasses.get(class_name, [])
-
-    def unique_target(self, class_name: str, method_name: str) -> Method | None:
-        """The single possible implementation for a virtual call, if any."""
-        targets = set()
-        for cls in self.subclasses(class_name):
-            m = cls.find_method(method_name)
-            if m is not None:
-                targets.add(m)
-        if len(targets) == 1:
-            return targets.pop()
-        return None
-
-    def unique_loaded_target(self, class_name: str, method_name: str,
-                             loaded) -> Method | None:
-        """Open-world CHA: the single implementation among the
-        ``loaded`` classes (a VM's ``loader.mirrors``).  Unlike
-        :meth:`unique_target` this is a speculation — loading an
-        overriding class later invalidates it, so callers must register
-        the assumption for deoptimization."""
-        targets = set()
-        for cls in self.subclasses(class_name):
-            if cls not in loaded:
-                continue
-            m = cls.find_method(method_name)
-            if m is not None:
-                targets.add(m)
-        if len(targets) == 1:
-            return targets.pop()
-        return None
 
 
 def is_inlinable(method: Method) -> bool:

@@ -24,7 +24,6 @@ from .heap import Heap
 from .interp_templates import shared_templates
 from .interpreter import Interpreter, VMError
 from .jit.compiler import CodeCache, JITCompiler
-from .jit.inline import ClassHierarchy
 from .objects import JObject, JString
 from .profiler import Profiler
 from .stubs import shared_stubs
@@ -124,10 +123,9 @@ class JavaVM:
         self.heap = Heap(limit_bytes=config.heap_limit)
         self.heap.root_provider = self._gc_roots
         self.lock_manager = LOCK_MANAGERS[config.lock_manager]()
-        self.hierarchy = ClassHierarchy(program)
         self.code_cache = CodeCache()
         self.jit = JITCompiler(self.loader, self.code_cache, self.sink,
-                               self.hierarchy, inline=config.inline,
+                               program, inline=config.inline,
                                optimize=config.jit_opt)
         from ..analysis.cache import ARCHIVE_ENV, resolve_dir
         from .codecache_archive import CodeArchive

@@ -398,15 +398,15 @@ class TieredController:
         """
         if not self.assumptions:
             return
-        hierarchy = self.vm.hierarchy
+        program = self.vm.program
         for key, deps in list(self.assumptions.items()):
             if not deps:
                 continue
             cname, mname = key
-            if cls not in hierarchy.subclasses(cname):
+            if not program.is_subclass(cls.name, cname):
                 continue
-            current = hierarchy.unique_loaded_target(
-                cname, mname, self.vm.loader.mirrors)
+            current = program.unique_target(cname, mname,
+                                            self.vm.loader.mirrors)
             for method, assumed in list(deps):
                 if current is not assumed:
                     self.state_for(method).cha_blacklist.add(key)

@@ -53,8 +53,7 @@ def _thread_program(copies=2, in_loop=False):
 
 
 def _mhp_for(program):
-    escape = EscapeSummaries(program)
-    return MHP(program, CallGraph(program, escape))
+    return MHP(program, CallGraph(program))
 
 
 class TestMHP:

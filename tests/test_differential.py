@@ -19,8 +19,10 @@ import itertools
 import pytest
 
 from repro.analysis.runner import run_vm
-from repro.vm import RunConfig
+from repro.vm import JavaVM, RunConfig
 from repro.workloads.base import all_workloads
+
+from helpers import all_pure_ops_program
 
 WORKLOADS = sorted(all_workloads())
 
@@ -93,6 +95,17 @@ class TestConfigMatrix:
                 f"{workload}@s0: {left}/{right} diverge on {key}: "
                 f"{lo[key]!r} != {ro[key]!r}"
             )
+
+
+@pytest.mark.parametrize("left,right", CONFIG_PAIRS,
+                         ids=[f"{a}-vs-{b}" for a, b in CONFIG_PAIRS])
+def test_all_pure_ops_pair_equivalent(left, right):
+    """The matrix over a program that runs every pure op: the fuzz
+    generator never emits 19 of them."""
+    elision = bool(ELIDING & {left, right})
+    lo, ro = (_observables(JavaVM(all_pure_ops_program(), CONFIGS[c]).run(),
+                           elision) for c in (left, right))
+    assert lo == ro
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

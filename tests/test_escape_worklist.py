@@ -177,5 +177,5 @@ def test_callers_cover_every_invoke():
             ref = m.pool[instr.a]
             if not isinstance(ref, MethodRef):
                 continue
-            for target in summaries._candidates(instr.op, ref) or ():
+            for target in program.call_targets(instr.op, ref) or ():
                 assert m in callers[target]

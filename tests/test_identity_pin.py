@@ -29,6 +29,10 @@ cache serves one's result for the other.  The same relation holds for
 a run cut short by a pure op that raises, and for the bytecode at which
 a back-edge promotion fires: the frame-local loop charges pure ops'
 cycles once it stops, and must do so before either can be observed.
+Adding a class that nothing references leaves every result attribute
+and the recording unchanged, while an unreferenced override of a
+devirtualized target lowers the JIT's inlined sites: closed-world
+class-hierarchy analysis reads every class of the program.
 
 To re-record after an *intended* model change, run
 ``PYTHONPATH=src python tests/test_identity_pin.py`` and paste its
@@ -48,14 +52,14 @@ from repro.analysis.runner import run_vm
 from repro.fuzz.gen import gen_program
 from repro.fuzz.harness import SEED_STRIDE
 from repro.fuzz.oracle import FUEL, MATRIX, run_config, run_oracle
-from repro.isa import ArrayType, ProgramBuilder
-from repro.isa.opcodes import OPINFO, Op
+from repro.isa import ClassBuilder
 from repro.traffic.engine import run_scenario
 from repro.traffic.spec import get_preset
 from repro.vm import JavaVM, RunConfig, VMError
+from repro.vm.library import ensure_library
 from repro.workloads import get_workload
 
-from helpers import expr_main, observables
+from helpers import PURE_OPS, all_pure_ops_program, expr_main, observables
 
 WORKLOADS = ("jess", "mtrt")
 
@@ -262,8 +266,8 @@ def test_counting_run_matches_recording_run(case, monkeypatch):
     elif case == "pure_ops":
         for name in ("interp", "jit", "interp_fold", "tiered"):
             config = CONFIGS[name]
-            assert (observables(JavaVM(_all_pure_ops_program(), config).run())
-                    == observables(JavaVM(_all_pure_ops_program(),
+            assert (observables(JavaVM(all_pure_ops_program(), config).run())
+                    == observables(JavaVM(all_pure_ops_program(),
                                           config.replace(record=True)).run())
                     ), name
     elif case == "fuzz":
@@ -304,145 +308,8 @@ def _pure_loop(trips: int, then_raise: bool):
     return expr_main(body).build()
 
 
-#: Opcode kinds whose ops may load classes, compile, OSR or deoptimize;
-#: every other opcode is pure (a semantics function plus its emission).
-_IMPURE_KINDS = frozenset({"return", "field", "invoke", "new",
-                           "typecheck", "monitor"})
-PURE_OPS = [op for op in Op if OPINFO[op].kind not in _IMPURE_KINDS]
-
-#: Calls of ``work`` from the all-pure-ops program's ``main``.
-ALL_OPS_CALLS = 12
 #: Recordings the all-pure-ops program is pinned under.
 ALL_OPS_CONFIGS = ("interp_rec", "jit_rec", "interp_fold_rec", "tiered_rec")
-
-
-def _all_pure_ops_program():
-    """A static ``work(n)`` whose loop runs every pure op, called
-    ``ALL_OPS_CALLS`` times from ``main``: each conditional branch both
-    taken and not taken (by the parity of the loop counter), each switch
-    hitting a case and its default, every array kind loaded and stored,
-    and one backward conditional branch.  ``main`` calls it often enough
-    to compile it under ``jit`` and to promote it under ``tiered``."""
-    pb = ProgramBuilder("pure_ops", main_class="Test")
-    cb = pb.cls("Test")
-    m = cb.method("work", argc=1, returns=True, static=True)
-    # locals: 0 n, 1 i, 2 acc, 3 f, 4 int[], 5 float[], 6 Test[],
-    # 7 byte[], 8 char[], 9 string, 10 i & 1, 11 inner counter
-    for local, make in ((4, lambda: m.newarray(ArrayType.INT)),
-                        (5, lambda: m.newarray(ArrayType.FLOAT)),
-                        (6, lambda: m.anewarray("Test")),
-                        (7, lambda: m.newarray(ArrayType.BYTE)),
-                        (8, lambda: m.newarray(ArrayType.CHAR))):
-        m.iconst(4)
-        make()
-        m.astore(local)
-    m.ldc_str("pin").astore(9)
-    m.aload(6).iconst(0).aload(9).aastore()
-    m.aload(6).iconst(1).aconst_null().aastore()
-    m.nop().iconst(0).istore(2).fconst(1.0).fstore(3).iconst(0).istore(1)
-    loop, done = m.new_label(), m.new_label()
-    m.bind(loop)
-    m.iload(1).iload(0).if_icmpge(done)
-    m.iload(1).iconst(1).iand().istore(10)
-    # int arithmetic and narrowing
-    m.iload(2).iload(1).iadd().iconst(3).imul().iconst(7).isub()
-    m.iconst(5).idiv().iconst(1000).irem().ineg().iconst(2).ishl()
-    m.iconst(1).ishr().iconst(3).iushr().iconst(255).iand()
-    m.iconst(16).ior().iload(1).ixor().i2b().i2c().i2s().istore(2)
-    # float arithmetic
-    m.fload(3).iload(1).i2f().fadd().ldc_float(0.25).fsub()
-    m.fconst(2.0).fmul().fconst(3.0).fdiv().fneg().fstore(3)
-    m.fload(3).f2i().iload(2).iadd().istore(2)
-    # stack shuffles
-    m.iload(2).dup().iadd().istore(2)
-    m.iload(1).iload(2).swap().isub().istore(2)
-    m.iload(1).iload(2).dup_x1().iadd().iadd().istore(2)
-    m.iconst(9).pop()
-
-    def skip(push, branch):
-        """``push`` operands, then ``branch`` over one ``iinc``: taken
-        on one parity of ``i`` and not taken on the other."""
-        over = m.new_label()
-        push()
-        branch(over)
-        m.iinc(2, 1)
-        m.bind(over)
-
-    def p():                # i & 1
-        return m.iload(10)
-
-    def p_minus_1():
-        return m.iload(10).iconst(1).isub()
-
-    def ref():              # "pin" when i is even, null when it is odd
-        return m.aload(6).iload(10).aaload()
-
-    skip(p, m.ifeq)
-    skip(p, m.ifne)
-    skip(p_minus_1, m.iflt)
-    skip(p_minus_1, m.ifge)
-    skip(p, m.ifgt)
-    skip(p, m.ifle)
-    skip(lambda: p().iconst(0), m.if_icmpeq)
-    skip(lambda: p().iconst(0), m.if_icmpne)
-    skip(lambda: p().iconst(1), m.if_icmplt)
-    skip(lambda: p().iconst(1), m.if_icmpge)
-    skip(lambda: p().iconst(0), m.if_icmpgt)
-    skip(lambda: p().iconst(0), m.if_icmple)
-    skip(lambda: ref().aload(9), m.if_acmpeq)
-    skip(lambda: ref().aload(9), m.if_acmpne)
-    skip(ref, m.ifnull)
-    skip(ref, m.ifnonnull)
-    skip(lambda: p().i2f().ldc_float(0.5).fcmpl(), m.ifle)
-    skip(lambda: p().i2f().ldc_float(0.5).fcmpg(), m.ifgt)
-    # switches: i % 3 hits a case or the default / a key or the default
-    join = m.new_label()
-    cases = [m.new_label() for _ in range(3)]
-    m.iload(1).iconst(3).irem().tableswitch(0, cases[:2], cases[2])
-    for delta, case in zip((3, 5, 7), cases):
-        m.bind(case)
-        m.iinc(2, delta).goto(join)
-    m.bind(join)
-    join = m.new_label()
-    hit, miss = m.new_label(), m.new_label()
-    m.iload(1).iconst(3).irem().lookupswitch({0: hit, 5: hit}, miss)
-    m.bind(hit)
-    m.iinc(2, 11).goto(join)
-    m.bind(miss)
-    m.iinc(2, 13)
-    m.bind(join)
-    # array stores then loads, indexed by i & 1
-    m.aload(4).iload(10).iload(2).iastore()
-    m.aload(5).iload(10).fload(3).fastore()
-    m.aload(7).iload(10).iload(2).bastore()
-    m.aload(8).iload(10).iload(2).castore()
-    m.aload(4).iload(10).iaload()
-    m.aload(5).iload(10).faload().f2i().iadd()
-    m.aload(7).iload(10).baload().iadd()
-    m.aload(8).iload(10).caload().iadd()
-    m.aload(4).arraylength().iadd().istore(2)
-    # a backward conditional branch: a two-trip inner loop
-    inner = m.new_label()
-    m.iconst(0).istore(11)
-    m.bind(inner)
-    m.iinc(11, 1).iload(11).iconst(2).if_icmplt(inner)
-    m.iinc(1, 1).goto(loop)
-    m.bind(done)
-    m.iload(2).ireturn()
-
-    main = cb.method("main", static=True)
-    top, end = main.new_label(), main.new_label()
-    main.iconst(0).istore(0).iconst(0).istore(1)
-    main.bind(top)
-    main.iload(0).iconst(ALL_OPS_CALLS).if_icmpge(end)
-    main.iload(1).iload(0).iconst(6).iadd().invokestatic(
-        "Test", "work", 1, True).ixor().istore(1)
-    main.iinc(0, 1).goto(top)
-    main.bind(end)
-    main.getstatic("java/lang/System", "out").iload(1)
-    main.invokevirtual("java/io/PrintStream", "printlnInt", 1, False)
-    main.return_()
-    return pb.build()
 
 
 @pytest.mark.parametrize("config", ALL_OPS_CONFIGS)
@@ -450,7 +317,7 @@ def test_all_pure_ops_recording_unchanged(config, monkeypatch):
     """Every pure op, run and recorded: a wrong effective address, branch
     outcome or switch target of any one of them changes the trace."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
-    result = JavaVM(_all_pure_ops_program(), CONFIGS[config]).run()
+    result = JavaVM(all_pure_ops_program(), CONFIGS[config]).run()
     assert len(PURE_OPS) == 70
     assert [op.name for op in PURE_OPS if not result.opcode_counts[op]] == []
     assert digest(result) == EXPECTED[f"pure_ops/{config}"]
@@ -517,6 +384,60 @@ def test_program_run_twice_matches_single_run(monkeypatch):
     assert second == first
 
 
+def _unreferenced_class(name: str, super_name: str = "java/lang/Object",
+                        method: str = "unreferencedBump"):
+    """A class declaring an int field and one synchronized ``method``
+    that bumps it and returns the new value."""
+    cb = ClassBuilder(name, super_name)
+    cb.field("count", "int")
+    m = cb.method(method, returns=True, synchronized=True)
+    m.aload(0).aload(0).getfield(name, "count").iconst(1).iadd()
+    m.putfield(name, "count").aload(0).getfield(name, "count").ireturn()
+    return cb.build()
+
+
+@pytest.mark.parametrize("config", [
+    "interp", "jit", "tiered", "jit,lock_elision=True",
+    "tiered,static_concurrency=True"])
+@pytest.mark.parametrize("workload", ["db", "jess"])
+def test_unreachable_method_leaves_run_unchanged(workload, config,
+                                                 monkeypatch):
+    """Adding a class that nothing references, whose method name no
+    other class declares, changes no ``VMResult`` attribute and no
+    recording: the JIT's CHA and the static analyses read every class,
+    but such a class answers none of their queries."""
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    config = RunConfig.of(config)
+    program = get_workload(workload).build("s0")
+    extra = _unreferenced_class("Unreferenced")
+    program.add_class(extra)
+    ensure_library(program)
+    assert all(m.jclass is extra for m in program.all_methods()
+               if m.name == "unreferencedBump")
+    for c in (config, config.replace(record=True)):
+        base = JavaVM(get_workload(workload).build("s0"), c).run()
+        run = JavaVM(program, c).run()
+        assert observables(run) == observables(base)
+        assert digest(run) == digest(base)
+
+
+def test_unreferenced_override_blocks_devirtualization(monkeypatch):
+    """The relation's boundary: closed-world CHA reads every class, so
+    an unreferenced subclass that overrides a devirtualized target makes
+    its calls polymorphic, and the JIT inlines fewer sites."""
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    base = get_workload("db").build("s0")
+    program = get_workload("db").build("s0")
+    program.add_class(_unreferenced_class("spec/RecordOverride",
+                                          "spec/Record", "getKey"))
+    assert base.unique_target("spec/Record", "getKey") is not None
+    assert program.unique_target("spec/Record", "getKey") is None
+    base_run = JavaVM(base, "jit").run()
+    run = JavaVM(program, "jit").run()
+    assert run.inlined_sites < base_run.inlined_sites
+    assert run.stdout == base_run.stdout
+
+
 def _outcome_digest(outcome) -> str:
     return outcome.error if outcome.result is None else digest(
         outcome.result)
@@ -555,6 +476,6 @@ if __name__ == "__main__":
     print(f'    "fuzz/seed0x20":\n        "{fuzz_digest()}",')
     print(f'    "server/api":\n        "{digest(_server_run())}",')
     for c in ALL_OPS_CONFIGS:
-        result = JavaVM(_all_pure_ops_program(), CONFIGS[c]).run()
+        result = JavaVM(all_pure_ops_program(), CONFIGS[c]).run()
         print(f'    "pure_ops/{c}":\n        "{digest(result)}",')
     print("}")

@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.runner import run_vm
 from repro.fuzz.gen import gen_program
 from repro.fuzz.oracle import run_oracle
-from repro.isa import ArrayType, ProgramBuilder
+from repro.isa import ArrayType, Field, JClass, Method, Op, Program, \
+    ProgramBuilder
+from repro.isa.pool import MethodRef
 from repro.native.layout import CODE_CACHE_BASE
 from repro.native.nisa import NCat
 from repro.native.template import _COLUMN_FIELDS
 from repro.vm import JavaVM
 from repro.vm.jit import compiler as jit_compiler
-from repro.vm.jit.inline import ClassHierarchy, is_inlinable
+from repro.vm.jit.inline import is_inlinable
 
 from helpers import eval_both_modes, expr_main, run_program
 
@@ -180,23 +183,9 @@ class TestInlining:
         m.getstatic("java/lang/System", "out").iload(1)
         m.invokevirtual("java/io/PrintStream", "printlnInt", 1, False)
         m.return_()
-        program = pb.build()
-        hierarchy = ClassHierarchy(program)
-        assert hierarchy.unique_target("B", "f") is None
+        assert pb.build().unique_target("B", "f") is None
         result = run_program(pb, "jit")
         assert result.stdout == ["2"]
-
-    def test_cha_unique_target(self):
-        pb = ProgramBuilder("t", main_class="Main")
-        base = pb.cls("B")
-        bm = base.method("f", returns=True)
-        bm.iconst(1).ireturn()
-        pb.cls("S", super_name="B")
-        pb.cls("Main").method("main", static=True).return_()
-        program = pb.build()
-        hierarchy = ClassHierarchy(program)
-        target = hierarchy.unique_target("B", "f")
-        assert target is program.get_class("B").methods["f"]
 
     def test_is_inlinable_filters(self):
         pb = ProgramBuilder("t", main_class="M")
@@ -216,6 +205,100 @@ class TestInlining:
         assert is_inlinable(methods["tiny"])
         assert not is_inlinable(methods["loopy"])   # has a branch
         assert not is_inlinable(methods["sync"])    # synchronized
+
+
+#: A superclass name no class of a generated forest declares.
+_DANGLING = "Gone"
+
+
+@st.composite
+def _class_forests(draw):
+    """2-8 classes whose ``super_name`` chains end at a root (None) or
+    at a missing class, at least one chain dangling; each class declares
+    random methods and fields, and the classes are added in a random
+    order."""
+    n = draw(st.integers(2, 8))
+    names = [f"C{i}" for i in range(n)]
+    dangling = draw(st.integers(0, n - 1))
+    classes = []
+    for i, name in enumerate(names):
+        if i == dangling:
+            sup = _DANGLING
+        else:
+            sup = draw(st.sampled_from([None, _DANGLING] + names[:i]))
+        cls = JClass(name, sup)
+        for m in draw(st.sets(st.sampled_from("fgh"))):
+            cls.add_method(Method(m))
+        for f in sorted(draw(st.sets(st.sampled_from("xy")))):
+            cls.add_field(Field(f, is_static=draw(st.booleans())))
+        classes.append(cls)
+    program = Program("forest")
+    for cls in draw(st.permutations(classes)):
+        program.add_class(cls)
+    loaded = draw(st.sets(st.sampled_from(names)))
+    return program, {program.classes[c] for c in loaded}
+
+
+class TestHierarchyQueries:
+    """``Program``'s class-hierarchy queries against brute-force
+    definitions over random class forests."""
+
+    @staticmethod
+    def _chain(program, name):
+        out = []
+        while name in program.classes:
+            out.append(program.classes[name])
+            name = program.classes[name].super_name
+        return out
+
+    @given(_class_forests())
+    @settings(max_examples=150, deadline=None)
+    def test_queries_match_brute_force(self, forest):
+        program, loaded = forest
+        chain = {name: self._chain(program, name) for name in program.classes}
+        for name in [*program.classes, _DANGLING]:
+            below = tuple(c for c in program.classes.values()
+                          if name in (a.name for a in chain[c.name]))
+            assert program.subclasses(name) == below
+            for other in program.classes:
+                assert program.is_subclass(other, name) == (
+                    name in (a.name for a in chain[other]))
+            for m in "fgh":
+                def resolve(cname):
+                    return next((a.methods[m] for a in chain.get(cname, ())
+                                 if m in a.methods), None)
+                assert program.resolve_method(name, m) is resolve(name)
+                ref = MethodRef(name, m, 0, False)
+                virtual = {resolve(c.name) for c in below} - {None}
+                got = program.call_targets(Op.INVOKEVIRTUAL, ref)
+                assert set(got or ()) == virtual
+                assert got is None or len(got) == len(virtual)
+                static = program.call_targets(Op.INVOKESTATIC, ref)
+                assert static == ([resolve(name)] if resolve(name) else None)
+                assert program.unique_target(name, m) is (
+                    virtual.pop() if len(virtual) == 1 else None)
+                seen = {resolve(c.name) for c in below if c in loaded} - {None}
+                assert program.unique_target(name, m, loaded) is (
+                    seen.pop() if len(seen) == 1 else None)
+            for f in "xy":
+                owner = next((a for a in chain.get(name, ())
+                              if f in (d.name for d in a.fields)), None)
+                assert program.field_owner(name, f) is owner
+
+        # The analyses walk by name; the interpreter's linked walk stops
+        # at a class whose chain dangles, since it cannot be linked.
+        program.link()
+        for cls in program.classes.values():
+            for m in "fgh":
+                found = program.resolve_method(cls.name, m)
+                if cls.linked:
+                    assert cls.find_method(m) is found
+                else:
+                    assert cls.find_method(m) is cls.methods.get(m)
+
+        # add_class drops the subclass index.
+        leaf = program.add_class(JClass("Leaf", "C0"))
+        assert program.subclasses("C0")[-1] is leaf
 
 
 class TestTranslateTrace:

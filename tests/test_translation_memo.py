@@ -44,7 +44,7 @@ class _Checker:
         checker = self
 
         def checked(compiler, method, link, optimize):
-            memo = compiler.hierarchy.program.translations
+            memo = compiler.program.translations
             size = len(memo)
             before = _counters(compiler)
             compiled = original(compiler, method, link, optimize)
@@ -61,9 +61,8 @@ class _Checker:
         """A translation at ``entry_pc`` by a compiler with an empty memo,
         its own code cache, sink and zeroed counters."""
         ref = copy.copy(compiler)
-        ref.hierarchy = copy.copy(compiler.hierarchy)
-        ref.hierarchy.program = copy.copy(compiler.hierarchy.program)
-        ref.hierarchy.program.translations = {}
+        ref.program = copy.copy(compiler.program)
+        ref.program.translations = {}
         ref.code_cache = CodeCache()
         ref.code_cache.region.alloc((entry_pc - CODE_CACHE_BASE) // 4)
         ref.sink = CountingSink()
@@ -74,7 +73,7 @@ class _Checker:
         return compiled, ref
 
     def compare(self, compiler, method, link, optimize, hit, before):
-        memo = compiler.hierarchy.program.translations
+        memo = compiler.program.translations
         moved = not any(body.compiled.prologue is hit.prologue
                         for body in memo.values())
         self.hits["rebased" if moved else "same pc"] += 1
