@@ -200,7 +200,10 @@ def pop_only_pushes(method: Method, cfg: CFG | None = None) -> set[int]:
     but its *spill store* is not: nothing ever reloads the slot.  Only
     single-push producers qualify (shuffles and invokes are excluded by
     construction: shuffles aren't producers, invokes push at most one).
+    A method without a ``POP`` has none, and is not analyzed.
     """
+    if not any(instr.op is Op.POP for instr in method.code):
+        return set()
     cfg = cfg or build_cfg(method)
     consumers = stack_def_use(method, cfg=cfg)
     out = set()

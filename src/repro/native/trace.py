@@ -239,10 +239,15 @@ class CountingSink:
     over ``emits`` (template -> times emitted), computed when read.
 
     Under a plain counting sink, ``Interpreter.step`` counts a pure
-    bytecode's template inline instead of calling :meth:`emit` (any
-    other sink gets the call), so it relies on this layout: an emission
+    bytecode's template inline instead of calling :meth:`emit`, and the
+    JIT charges a translation's whole translate routine as one
+    histogram through :meth:`emit_counts` instead of walking it (any
+    other sink gets the calls).  Both rely on this layout: an emission
     adds ``template.cycles`` to ``cycles`` and one to
-    ``emits[template]``.
+    ``emits[template]``, and nothing else, so any sequence of emissions
+    is fully described by its per-template counts and their cycles.
+    ``cat_counts`` is one product of the count vector with the stacked
+    per-template category rows.
     """
 
     records = False
@@ -274,14 +279,27 @@ class CountingSink:
 
     @property
     def cat_counts(self) -> np.ndarray:
-        counts = np.zeros(N_CATEGORIES, dtype=np.int64)
-        for t, k in self.emits.items():
-            counts += t.cat_counts * k
-        return counts
+        emits = self.emits
+        if not emits:
+            return np.zeros(N_CATEGORIES, dtype=np.int64)
+        times = np.fromiter(emits.values(), np.int64, len(emits))
+        return times @ np.array([t.cat_counts for t in emits],
+                                dtype=np.int64)
 
     def emit_cycles(self, cycles: int) -> None:
         """Charge raw cycles with no instruction stream (lock spins etc.)."""
         self.cycles += cycles
+
+    def emit_counts(self, counts: dict[Template, int], cycles: int) -> None:
+        """Emissions given as ``template -> times emitted`` with their
+        total ``cycles``, in one step: the counting effect of any
+        sequence of :meth:`emit` and :meth:`emit_run` calls of those
+        templates.  It carries no events, so only a plain counting sink
+        may be charged this way."""
+        self.cycles += cycles
+        emits = self.emits
+        for t, k in counts.items():
+            emits[t] = emits.get(t, 0) + k
 
 
 #: Patch values a recording sink keeps as Python ints before packing

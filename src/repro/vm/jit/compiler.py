@@ -9,7 +9,9 @@ monomorphic tiny calls are inlined after class-hierarchy analysis.
 Compilation also *charges itself to the trace*: the translator's driver
 / generator / install-store templates are emitted for every bytecode
 translated, producing the translate-portion footprint (including the
-code-cache write misses) that Section 4.3 of the paper studies.
+code-cache write misses) that Section 4.3 of the paper studies.  A
+counting sink, which keeps no events, is charged the same templates as
+one histogram per body.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ...native.nisa import (
     REG_TMP1,
 )
 from ...native.template import PATCH, Template, TemplateBuilder
+from ...native.trace import CountingSink
 from ...obs import TRACER
 from ..objects import ARRAY_HEADER_BYTES, OBJECT_HEADER_BYTES
 from ..threads import FRAME_HEADER_BYTES
@@ -89,6 +92,8 @@ _OVERHEAD = tuple(
 _COUNTERS = ("methods_compiled", "bytecodes_compiled",
              "native_instructions_emitted", "inlined_sites",
              "dead_stores_eliminated", "spill_stores_eliminated")
+#: The counter holding the native instructions a body installs.
+_INSTALLED = _COUNTERS.index("native_instructions_emitted")
 
 
 def lower(name, protos, base_pc, chunk_pcs) -> tuple[Template, list | None]:
@@ -202,14 +207,18 @@ def _install_pcs(compiled: CompiledMethod) -> list[range]:
 
 
 class _Body:
-    """One memoized translation: the first body built for its key and
-    what it added to each of :data:`_COUNTERS`."""
+    """One memoized translation: the first body built for its key, what
+    it added to each of :data:`_COUNTERS`, and its translate routine's
+    ``(template -> times emitted, cycles)``
+    (:meth:`~repro.vm.jit.translate_stubs.TranslateStubs.translation_counts`),
+    which a counting sink is charged instead of the walk."""
 
-    __slots__ = ("compiled", "counts")
+    __slots__ = ("compiled", "counts", "charge")
 
-    def __init__(self, compiled, counts) -> None:
+    def __init__(self, compiled, counts, charge) -> None:
         self.compiled = compiled
         self.counts = counts
+        self.charge = charge
 
     def at(self, entry_pc: int) -> CompiledMethod:
         """The body with its code at ``entry_pc``: the chunks themselves
@@ -409,8 +418,10 @@ class JITCompiler:
         The key is exactly what :meth:`_translate` reads besides the
         method: the optimize flag, each static field's address and each
         call site's inlining decision, speculative bit included.  Either
-        way the translate routine is emitted and the counters move as a
-        translation moves them, so a hit saves host work only.
+        way the translate routine is charged and the counters move as a
+        translation moves them, so a hit saves host work only.  A plain
+        counting sink is charged the body's translate histogram in one
+        step; any other sink gets the walk that emits it.
         """
         memo = self.program.translations
         key = (method, optimize, tuple(link.statics.values()),
@@ -419,17 +430,24 @@ class JITCompiler:
         if body is None:
             before = [getattr(self, name) for name in _COUNTERS]
             compiled = self._translate(method, link, optimize)
-            memo[key] = _Body(compiled, tuple(
-                getattr(self, name) - n for name, n in zip(_COUNTERS, before)))
+            counts = tuple(getattr(self, name) - n
+                           for name, n in zip(_COUNTERS, before))
+            body = memo[key] = _Body(compiled, counts,
+                                     self.stubs.translation_counts(
+                                         method.code, counts[_INSTALLED]))
         else:
             compiled = body.at(self.code_cache.region.alloc(
                 body.compiled.code_bytes // 4))
             for name, n in zip(_COUNTERS, body.counts):
                 setattr(self, name, getattr(self, name) + n)
-        compiled.translate_cycles = self.stubs.emit_translation(
-            self.sink, method, self.loader.methods[method].bc_addr,
-            _install_pcs(compiled)
-        )
+        sink = self.sink
+        if type(sink) is CountingSink:
+            sink.emit_counts(*body.charge)
+            compiled.translate_cycles = body.charge[1]
+        else:
+            compiled.translate_cycles = self.stubs.emit_translation(
+                sink, method, self.loader.methods[method].bc_addr,
+                _install_pcs(compiled))
         self.peak_work_bytes = max(self.peak_work_bytes, 24 * len(method.code))
         return compiled
 

@@ -10,10 +10,19 @@ dominate the translate portion's data-cache behaviour (Figure 5).
 
 Every instruction carries ``FLAG_TRANSLATE`` so the cache studies can
 attribute misses to the translate portion in isolation.
+
+:meth:`TranslateStubs.emit_translation` walks the bytecode and emits
+every event, with its effective addresses; a recording sink gets that
+walk.  A counting sink keeps no events, so its whole effect is a
+template -> count histogram that depends only on the opcodes and on how
+many native instructions the body installs:
+:meth:`TranslateStubs.translation_counts` computes it in closed form,
+and the compiler charges it in one step.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 
 from ...isa.opcodes import Op, OPINFO
@@ -157,6 +166,9 @@ class TranslateStubs:
         self.method_overhead = b.build(region=region)
 
         self.text_bytes = region.used_bytes
+        #: The generator routine of each opcode.
+        self.generator_of = {op: self.generators[generator_class(op)]
+                             for op in Op}
 
     # ------------------------------------------------------------------
     def emit_translation(self, sink, method, bc_addr: int,
@@ -174,7 +186,7 @@ class TranslateStubs:
         n = len(method.code)
         for idx, instr in enumerate(method.code):
             bc_ea = bc_addr + method.bc_offsets[idx]
-            gen = self.generators[generator_class(instr.op)]
+            gen = self.generator_of[instr.op]
             w = work + (idx * 32) % WORK_AREA_BYTES
             sink.emit(
                 self.driver,
@@ -196,6 +208,25 @@ class TranslateStubs:
             (0,),
         )
         return sink.cycles - before
+
+    def translation_counts(self, code, installed: int
+                           ) -> tuple[dict[Template, int], int]:
+        """What :meth:`emit_translation` emits for a method of bytecode
+        ``code`` whose body installs ``installed`` native instructions,
+        as ``(template -> times emitted, cycles)``: the driver once per
+        bytecode, each opcode's generator once per occurrence, the
+        install store once per installed instruction and the per-method
+        overhead once.  A counting sink takes it in one step
+        (:meth:`~repro.native.trace.CountingSink.emit_counts`)."""
+        counts: dict[Template, int] = {}
+        if code:
+            counts[self.driver] = len(code)
+        generator_of = self.generator_of
+        counts.update(Counter(generator_of[instr.op] for instr in code))
+        if installed:
+            counts[self.emit_instr] = installed
+        counts[self.method_overhead] = 1
+        return counts, sum(t.cycles * k for t, k in counts.items())
 
     def emit_install(self, sink, compiled) -> int:
         """Emit the archive-install trace for one compiled method: a

@@ -10,7 +10,8 @@ every one of these bit-for-bit unchanged; the qualitative margins in
 ``test_golden_claims.py`` would not notice an off-by-one.  Two more
 pins cover the JIT's other paths: a recorded jess run cold and then
 warm against one code archive (translate vs. install), and the totals
-of every oracle config over a short fuzz campaign (many small compiles).
+of every oracle config over a short fuzz campaign (many small compiles),
+with a second digest over their category and opcode histograms.
 The same digest pins that a program is never written by a run: a
 second run of one ``Program`` and every oracle config on one shared
 render equal their fresh-program runs.  A short tiered ``api`` server
@@ -129,6 +130,8 @@ EXPECTED = {
         "31442f74821f93a05e30ef3c3b514e44950d31ddd64d00093a0f604a59939099",
     "fuzz/seed0x20":
         "78b5f524fc2aa47c556b1511a98e62e67784193a69d6220af39626ea04896717",
+    "fuzz/seed0x20/histograms":
+        "a6ceff3cc15d987c93c0e94235efce5d366adcfc24889cbe9ba4646b9ae6d8ea",
     "server/api":
         "58f76d4bb6f2ad924bfa20f7874692da73726560bff511f0ac00388cb21820f3",
     "pure_ops/interp_rec":
@@ -188,9 +191,21 @@ def _archive_runs(directory: str) -> dict[str, str]:
 FUZZ_SEED, FUZZ_PROGRAMS = 0, 20
 
 
-def fuzz_digest() -> str:
-    """SHA-256 over the simulated totals of every oracle config of a
-    short fuzz campaign (the e2e reference pins only its verdicts)."""
+def _totals(r) -> list:
+    return [int(r.cycles), int(r.instructions), int(r.translate_cycles),
+            int(r.execute_cycles)]
+
+
+def _histograms(r) -> list:
+    return [[int(v) for v in r.category_counts],
+            [int(v) for v in r.opcode_counts]]
+
+
+def fuzz_digest(observe=_totals) -> str:
+    """SHA-256 over ``observe(result)`` of every oracle config of a short
+    fuzz campaign (the e2e reference pins only its verdicts): the
+    simulated totals by default, or with :func:`_histograms` the
+    category and opcode histograms."""
     h = hashlib.sha256()
     for index in range(FUZZ_PROGRAMS):
         spec = gen_program(FUZZ_SEED * SEED_STRIDE + index)
@@ -201,10 +216,8 @@ def fuzz_digest() -> str:
             continue
         for config, outcome in run_oracle(spec).outcomes.items():
             r = outcome.result
-            totals = (outcome.error if r is None else
-                      [int(r.cycles), int(r.instructions),
-                       int(r.translate_cycles), int(r.execute_cycles)])
-            h.update(json.dumps([index, config, totals]).encode())
+            seen = outcome.error if r is None else observe(r)
+            h.update(json.dumps([index, config, seen]).encode())
     return h.hexdigest()
 
 
@@ -234,6 +247,12 @@ def test_code_archive_cold_and_warm_unchanged(tmp_path):
 def test_fuzz_campaign_totals_unchanged(monkeypatch):
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
     assert fuzz_digest() == EXPECTED["fuzz/seed0x20"]
+
+
+def test_fuzz_campaign_histograms_unchanged(monkeypatch):
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    assert (fuzz_digest(_histograms)
+            == EXPECTED["fuzz/seed0x20/histograms"])
 
 
 def test_server_run_unchanged():
@@ -474,6 +493,8 @@ if __name__ == "__main__":
         for key, value in _archive_runs(os.path.join(tmp, "a")).items():
             print(f'    "{key}":\n        "{value}",')
     print(f'    "fuzz/seed0x20":\n        "{fuzz_digest()}",')
+    print(f'    "fuzz/seed0x20/histograms":\n'
+          f'        "{fuzz_digest(_histograms)}",')
     print(f'    "server/api":\n        "{digest(_server_run())}",')
     for c in ALL_OPS_CONFIGS:
         result = JavaVM(all_pure_ops_program(), CONFIGS[c]).run()

@@ -247,18 +247,7 @@ class TestRecordingSink:
         """The totals a sink derives from its per-template emission
         counts equal a reference that sums eagerly on every emit, at
         every point of a random emit / emit_cycles sequence."""
-        # A small pool of templates; each instruction may carry
-        # FLAG_TRANSLATE (only the first one decides), and a template
-        # may be empty.
-        rows = st.tuples(st.sampled_from(list(NCat)),
-                         st.sampled_from([0, FLAG_TRANSLATE]))
-        pool = []
-        for spec in data.draw(st.lists(st.lists(rows, max_size=5),
-                                       min_size=1, max_size=6)):
-            b = TemplateBuilder(f"t{len(pool)}")
-            for cat, flags in spec:
-                b.instr(cat, ea=0x40, flags=flags)
-            pool.append(b.build(base_pc=0x1000 * (len(pool) + 1)))
+        pool = _draw_pool(data)
         ops = data.draw(st.lists(
             st.one_of(st.integers(0, len(pool) - 1),
                       st.tuples(st.just("cycles"), st.integers(0, 500))),
@@ -288,6 +277,45 @@ class TestRecordingSink:
             trace = sink.trace()
             assert trace.n == instructions
             assert trace.category_counts().tolist() == cats.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_totals_equal_per_template_sums(self, data):
+        """``cat_counts``, ``instructions`` and ``translate_cycles`` of
+        any ``emits`` dict equal a loop over each template's rows, and
+        ``emit_counts`` of it equals one ``emit_run`` per template."""
+        pool = _draw_pool(data)
+        emits = data.draw(st.dictionaries(st.sampled_from(pool),
+                                          st.integers(1, 2**40)))
+        cats = [0] * N_CATEGORIES
+        instructions = translate = cycles = 0
+        for t, k in emits.items():
+            for cat in t.cat.tolist():
+                cats[cat] += k
+            cost = int(CYCLES_BY_CAT[t.cat].sum())
+            instructions += t.n * k
+            cycles += cost * k
+            if t.n and t.flags[0] & FLAG_TRANSLATE:
+                translate += cost * k
+        sink = CountingSink()
+        sink.emits = dict(emits)
+        got = sink.cat_counts
+        assert got.dtype == np.int64 and got.shape == (N_CATEGORIES,)
+        assert got.tolist() == cats
+        assert sink.instructions == instructions
+        assert sink.translate_cycles == translate
+
+        ran, counted = CountingSink(), CountingSink()
+        for t, k in emits.items():
+            ran.emit_run(t, k)
+        counted.emit_counts(emits, cycles)
+        assert counted.cycles == ran.cycles == cycles
+        assert counted.emits == ran.emits == emits
+
+    def test_empty_totals_are_int64_zeros(self):
+        got = CountingSink().cat_counts
+        assert got.dtype == np.int64
+        assert got.tolist() == [0] * N_CATEGORIES
 
     def test_translate_cycles_tracked_by_flag(self):
         b = TemplateBuilder("x", base_flags=FLAG_TRANSLATE)
@@ -360,6 +388,22 @@ _ROWS = st.tuples(
     st.one_of(st.just(PATCH), st.none(), st.integers(0, 2**40)),
     st.sampled_from([0, FLAG_TRANSLATE]),
 )
+
+
+def _draw_pool(data):
+    """A small pool of templates; each instruction may carry
+    FLAG_TRANSLATE (only the first one decides), and a template may be
+    empty."""
+    rows = st.tuples(st.sampled_from(list(NCat)),
+                     st.sampled_from([0, FLAG_TRANSLATE]))
+    pool = []
+    for spec in data.draw(st.lists(st.lists(rows, max_size=5),
+                                   min_size=1, max_size=6)):
+        b = TemplateBuilder(f"t{len(pool)}")
+        for cat, flags in spec:
+            b.instr(cat, ea=0x40, flags=flags)
+        pool.append(b.build(base_pc=0x1000 * (len(pool) + 1)))
+    return pool
 
 
 def _build(name, rows, base_pc, handler=False):

@@ -9,6 +9,14 @@ fresh translation of the same method and link at the same pc, by a
 compiler that shares nothing with the memo: every template column and
 scalar, every ea plan, the translate cycles, the assumptions, the
 inline sites and the compiler's counters.
+
+Under a plain counting sink, a translation is charged in closed form:
+its body's translate histogram is added in one step instead of walking
+the method's bytecode (``TranslateStubs.translation_counts``).  Every
+fresh translation and every hit below is also checked against the walk:
+the sink's cycles and per-template counts must move exactly as
+``emit_translation`` moves a fresh counting sink's for the same method
+and body.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ class _Checker:
 
     def __init__(self, monkeypatch) -> None:
         self.hits = {"same pc": 0, "rebased": 0}
+        self.walked = {"fresh": 0, "hit": 0}
         original = jit_compiler.JITCompiler._translation
         checker = self
 
@@ -47,8 +56,14 @@ class _Checker:
             memo = compiler.program.translations
             size = len(memo)
             before = _counters(compiler)
+            sink = compiler.sink
+            charged = (sink.cycles, dict(sink.emits))
             compiled = original(compiler, method, link, optimize)
-            if len(memo) == size:            # a hit adds no entry
+            hit = len(memo) == size          # a hit adds no entry
+            if type(sink) is CountingSink:
+                checker.walked["hit" if hit else "fresh"] += 1
+                checker.compare_walk(compiler, method, compiled, charged)
+            if hit:
                 checker.compare(compiler, method, link, optimize, compiled,
                                 before)
             return compiled
@@ -71,6 +86,23 @@ class _Checker:
             setattr(ref, name, 0)
         compiled = self.original(ref, method, link, optimize)
         return compiled, ref
+
+    @staticmethod
+    def compare_walk(compiler, method, compiled, charged):
+        """The closed-form charge of ``compiled`` equals the walk of
+        ``emit_translation`` into a fresh counting sink."""
+        cycles, emits = charged
+        sink = compiler.sink
+        delta = {t: k - emits.get(t, 0) for t, k in sink.emits.items()
+                 if k != emits.get(t, 0)}
+        walk = CountingSink()
+        walked = compiler.stubs.emit_translation(
+            walk, method, compiler.loader.methods[method].bc_addr,
+            jit_compiler._install_pcs(compiled))
+        where = f"{method.qualified_name} @{compiled.entry_pc:#x}"
+        assert sink.cycles - cycles == walked == walk.cycles, where
+        assert compiled.translate_cycles == walked, where
+        assert delta == walk.emits, where
 
     def compare(self, compiler, method, link, optimize, hit, before):
         memo = compiler.program.translations
@@ -145,12 +177,14 @@ def test_fuzz_campaign_hits_both_ways(checker):
     for seed in range(6):
         _run_matrix(gen_program(seed).render(), FUEL)
     assert checker.hits["same pc"] and checker.hits["rebased"], checker.hits
+    assert checker.walked["fresh"] and checker.walked["hit"], checker.walked
 
 
 @pytest.mark.parametrize("workload", SPEC_BENCHMARKS)
 def test_workload_hits_equal_fresh_translations(checker, workload):
     _run_matrix(get_workload(workload).build("s0"))
     assert sum(checker.hits.values()), checker.hits
+    assert checker.walked["fresh"] and checker.walked["hit"], checker.walked
 
 
 def test_memo_is_keyed_on_what_translation_reads(checker):
