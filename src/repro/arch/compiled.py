@@ -1,7 +1,8 @@
 """Compiled replay kernels: the serial loops of the pipeline, cache and
-branch-predictor models in C, called through :mod:`ctypes`.
+branch-predictor models, and of a trace's decode, in C, called through
+:mod:`ctypes`.
 
-One C source holds three functions, built together into one shared
+One C source holds four functions, built together into one shared
 object:
 
 - ``schedule`` — :func:`.pipeline.superscalar._schedule`'s fetch / ROB
@@ -10,7 +11,11 @@ object:
   (:func:`.caches.cache._simulate_scalar`'s lookup, install and
   eviction, with write-no-allocate);
 - ``predict`` — the 2-bit counter tables of the direction predictors
-  in :mod:`.branch.predictors` (shared counter, BHT, Gshare, GAp).
+  in :mod:`.branch.predictors` (shared counter, BHT, Gshare, GAp);
+- ``gather_rows`` — one column of a template log's events over the rows
+  a selection keeps, patch values applied
+  (:meth:`repro.native.trace.Trace._gather`; the reference is
+  :func:`repro.native.trace.expand` plus the stream masks).
 
 The object is built lazily, on the first call, with the system C
 compiler (``cc -O2 -shared -fPIC``) into the ``kernels`` row of the
@@ -158,6 +163,68 @@ void predict(int64_t n, const int64_t *word, const uint8_t *taken,
             *hp = ((h << 1) | t) & hmask;
     }
 }
+
+/* One column of a template log's events, over the rows a selection
+   keeps.  Emission e is template t = ids[e] (id_bytes 2 or 4 each);
+   its kept rows are block[first[t] .. first[t] + count[t]), of
+   item_bytes 2 or 8 each, written whole.  With a patch stream (pcount
+   given), template t also owns the patches rank[pfirst[t] ..
+   pfirst[t] + pcount[t]): each takes the stream's next value, and one
+   whose rank is not negative writes it at that kept row of the
+   emission, whole (bit 0, int64) or as the flag bit
+   (row & ~bit) | value * bit (int16).  Returns the rows written, or -1
+   when an id, the output or the patch stream would be overrun. */
+int64_t gather_rows(int64_t n, const void *ids, int64_t id_bytes,
+                    int64_t templates, const int64_t *first,
+                    const int64_t *count, const void *block,
+                    int64_t item_bytes, const int64_t *pfirst,
+                    const int64_t *pcount, const int64_t *rank,
+                    const void *values, int64_t n_values, int64_t bit,
+                    void *out, int64_t n_out)
+{
+    int64_t k = 0, cursor = 0;
+    for (int64_t e = 0; e < n; e++) {
+        int64_t t = id_bytes == 2 ? ((const uint16_t *)ids)[e]
+                                  : ((const uint32_t *)ids)[e];
+        int64_t m;
+        if (t >= templates || count[t] > n_out - k)
+            return -1;
+        m = count[t];
+        if (item_bytes == 8) {
+            const int64_t *s = (const int64_t *)block + first[t];
+            int64_t *o = (int64_t *)out + k;
+            for (int64_t j = 0; j < m; j++)
+                o[j] = s[j];
+        } else {
+            const int16_t *s = (const int16_t *)block + first[t];
+            int16_t *o = (int16_t *)out + k;
+            for (int64_t j = 0; j < m; j++)
+                o[j] = s[j];
+        }
+        if (pcount) {
+            int64_t p = pcount[t];
+            const int64_t *r = rank + pfirst[t];
+            if (p > n_values - cursor)
+                return -1;
+            for (int64_t j = 0; j < p; j++) {
+                if (r[j] < 0)
+                    continue;
+                if (bit) {
+                    int16_t *o = (int16_t *)out + k + r[j];
+                    *o = (int16_t)((*o & ~bit)
+                                   | ((const int16_t *)values)[cursor + j]
+                                     * bit);
+                } else {
+                    ((int64_t *)out)[k + r[j]] =
+                        ((const int64_t *)values)[cursor + j];
+                }
+            }
+            cursor += p;
+        }
+        k += m;
+    }
+    return k;
+}
 """ % {"nregs": NREGS}
 
 #: The build command, less its input and output paths.
@@ -170,9 +237,11 @@ KEY = hashlib.sha256("\0".join((SOURCE,) + BUILD).encode()).hexdigest()
 #: ``int64`` sum can overflow.
 _LIMIT = 1 << 62
 
-#: Layer (``pipeline``, ``caches``, ``branch``) -> the implementation
-#: (``"c"`` or ``"python"``) that last ran it under the ``vector``
-#: kernel in this process; run manifests and kernel records name it.
+#: Layer (``pipeline``, ``caches``, ``branch``, ``decode``) -> the
+#: implementation (``"c"`` or ``"python"``) that last ran it in this
+#: process, under the ``vector`` kernel (``decode`` under either: the
+#: ``scalar`` kernel decodes in Python); run manifests and kernel
+#: records name it.
 IMPLEMENTATIONS: dict[str, str] = {}
 
 _UNRESOLVED = object()
@@ -310,6 +379,64 @@ def predict(pcs, takens, table: np.ndarray, hist: np.ndarray,
     return out.view(bool)
 
 
+def gather_rows(ids: np.ndarray, first: np.ndarray, count: np.ndarray,
+                block: np.ndarray, n_out: int, patch=None):
+    """One column of a template log's events, gathered in C: emission
+    ``e`` contributes ``block[first[t]:first[t] + count[t]]`` for its
+    template ``t = ids[e]``, ``n_out`` rows in all.
+
+    ``patch`` is ``None`` or ``(pcount, rank, values, bit)``: template
+    ``t`` owns the next ``pcount[t]`` entries of ``rank`` (laid end to
+    end in template order), each taking the next of the int64
+    ``values`` (int16 with a flag ``bit``) and writing it at kept row
+    ``rank`` of the emission, none where ``rank`` is negative.  Returns
+    a new column of ``block``'s dtype, or ``None`` when C cannot run:
+    ids that are not ``uint16``/``uint32``, a block that is not
+    ``int16``/``int64``, per-template arrays of other lengths, rows or
+    a rank past what their template keeps, values of another dtype, or
+    an id, row count or patch count that does not match the log.
+    """
+    ids, block = np.asarray(ids), np.asarray(block)
+    first = np.ascontiguousarray(first, dtype=np.int64)
+    count = np.ascontiguousarray(count, dtype=np.int64)
+    if (ids.ndim != 1 or ids.dtype not in (np.uint16, np.uint32)
+            or block.ndim != 1 or block.dtype not in (np.int16, np.int64)
+            or first.shape != count.shape or n_out < 0
+            or (len(count) and (int(first.min()) < 0
+                                or int(count.min()) < 0
+                                or int((first + count).max()) > len(block)))):
+        return None
+    patched = (None,) * 4 + (0, 0)
+    if patch is not None:
+        pcount, rank, values, bit = patch
+        pcount = np.ascontiguousarray(pcount, dtype=np.int64)
+        rank = np.ascontiguousarray(rank, dtype=np.int64)
+        values = np.ascontiguousarray(values)
+        dtype = np.int16 if bit else np.int64
+        if (pcount.shape != count.shape or rank.ndim != 1
+                or values.ndim != 1 or values.dtype != dtype
+                or block.dtype != dtype or not 0 <= bit < 1 << 15
+                or (len(pcount) and int(pcount.min()) < 0)
+                or int(pcount.sum()) != len(rank)
+                or (rank >= np.repeat(count, pcount)).any()):
+            return None
+        pfirst = np.zeros_like(pcount)
+        np.cumsum(pcount[:-1], out=pfirst[1:])
+        patched = (*map(_ptr, (pfirst, pcount, rank, values)), len(values),
+                   bit)
+    lib = _kernels()
+    if lib is None:
+        return None
+    ids = np.ascontiguousarray(ids)
+    block = np.ascontiguousarray(block)
+    out = np.empty(n_out, dtype=block.dtype)
+    written = lib.gather_rows(
+        len(ids), _ptr(ids), ids.itemsize, len(count), _ptr(first),
+        _ptr(count), _ptr(block), block.itemsize, *patched, _ptr(out),
+        n_out)
+    return out if written == n_out else None
+
+
 # -- build and load ------------------------------------------------------
 
 def _resolve():
@@ -337,7 +464,7 @@ def _resolve():
 
 
 def _bind(path: str):
-    """The shared object at ``path`` with its three functions typed; an
+    """The shared object at ``path`` with its four functions typed; an
     unloadable object raises ``OSError``, which the store treats as a
     corrupt entry."""
     lib = ctypes.CDLL(path)
@@ -351,6 +478,9 @@ def _bind(path: str):
     lib.predict.argtypes = [i64, ptr, ptr, ptr, i64, ptr, i64, i64, i64,
                             ptr]
     lib.predict.restype = None
+    lib.gather_rows.argtypes = [i64, ptr, i64, i64, ptr, ptr, ptr, i64,
+                                ptr, ptr, ptr, ptr, i64, i64, ptr, i64]
+    lib.gather_rows.restype = i64
     return lib
 
 

@@ -15,10 +15,11 @@ Only ``cycles`` is a live running total that callers may read mid-run
 when read, from a per-template emission count, so they are exact at
 any time but cost a pass over the distinct templates.  A recording
 sink writes no array per emission either: it appends the template to a
-log and the patch values to three flat lists, and expands the log into
-columns once, in :meth:`RecordingSink.trace`.  The frozen trace keeps
-that :class:`TraceLog`: it is the trace's stored form, and a load
-rebuilds the columns with the same :func:`expand`.  Per-event data
+log and the patch values to three flat lists, and
+:meth:`RecordingSink.trace` freezes them into a :class:`TraceLog`
+without expanding it.  That log is the trace's stored form, and a
+frozen or loaded trace holds only it: each column, and each stream a
+simulator reads, is decoded from it when first read.  Per-event data
 (effective addresses, branch outcomes, targets) is only consumed by a
 recording sink: code that would build it for the sink's sake must
 check ``sink.records`` first.
@@ -91,21 +92,36 @@ class Trace:
 
     ``log`` is the :class:`TraceLog` the columns expand from, the form
     a trace is stored in: a recording's template log, or for a trace
-    built from columns, one template holding every row.
+    built from columns, one template holding every row.  A trace made
+    :meth:`from_log` is decoded on demand: a column is gathered from
+    the log when first read and memoized, contiguous and read-only,
+    and :meth:`data_stream` and :meth:`transfers` gather only the rows
+    they keep, so no full ``ea`` or ``target`` column is ever built
+    for them.  The gathers run in C
+    (:func:`~repro.arch.compiled.gather_rows`) under the ``vector``
+    kernel; otherwise, or when C cannot run, the first read builds
+    every column at once with :func:`expand`.
     """
 
-    __slots__ = tuple(_COLUMNS) + ("n", "log", "_memo")
+    __slots__ = ("n", "log", "_cols", "_memo")
 
-    def __init__(self, log: "TraceLog | None" = None,
-                 **columns: np.ndarray) -> None:
+    def __init__(self, **columns: np.ndarray) -> None:
         lengths = {len(columns[c]) for c in _COLUMNS}
         if len(lengths) != 1:
             raise ValueError(f"column lengths differ: {lengths}")
-        for c in _COLUMNS:
-            setattr(self, c, columns[c])
+        self._cols = {c: columns[c] for c in _COLUMNS}
         self.n = lengths.pop()
-        self.log = TraceLog.whole(columns) if log is None else log
+        self.log = TraceLog.whole(columns)
         self._memo: dict = {}
+
+    pc = property(lambda self: self._column("pc"))
+    cat = property(lambda self: self._column("cat"))
+    ea = property(lambda self: self._column("ea"))
+    flags = property(lambda self: self._column("flags"))
+    target = property(lambda self: self._column("target"))
+    dst = property(lambda self: self._column("dst"))
+    src1 = property(lambda self: self._column("src1"))
+    src2 = property(lambda self: self._column("src2"))
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -133,8 +149,90 @@ class Trace:
 
     @classmethod
     def from_log(cls, log: "TraceLog") -> "Trace":
-        """The trace ``log`` describes: read-only contiguous columns."""
-        return cls(log=log, **expand(*log))
+        """The trace ``log`` describes, holding only the log: nothing is
+        decoded until read.  Raises :class:`ValueError` as
+        :func:`expand` would, naming the field whose patch stream holds
+        a different number of values than the logged templates declare
+        patch rows."""
+        table = log.table
+        emits = np.bincount(log.ids, minlength=len(table.sizes))
+        for field, counts, values in zip(_PATCH_FIELDS, table.patch_counts,
+                                         log[2:]):
+            rows = int(emits @ counts)
+            if rows != len(values):
+                raise ValueError(
+                    f"{field}: {len(values)} patch values logged for "
+                    f"{rows} patch rows"
+                )
+        trace = cls.__new__(cls)
+        trace._cols = {}
+        trace.n = int(emits @ table.sizes)
+        trace.log = log
+        trace._memo = {"emits": emits}
+        return trace
+
+    # -- decoding ---------------------------------------------------------
+    def _column(self, name: str) -> np.ndarray:
+        column = self._cols.get(name)
+        if column is None:
+            column = self._gather(name)
+            column.flags.writeable = False
+            self._cols[name] = column
+        return column
+
+    def _gather(self, name: str, selection: str | None = None
+                ) -> np.ndarray:
+        """Column ``name`` at the ``"memory"`` or ``"transfer"`` rows,
+        or at every row for ``None``: gathered from the log in C while
+        columns are missing, else from the columns."""
+        if len(self._cols) < len(_COLUMNS):
+            from ..arch import compiled
+            from ..arch.kernels import active_kernel
+            out = None
+            if active_kernel() == "vector":
+                out = self._decode(name, selection)
+            if compiled.note("decode", out) is not None:
+                return out
+            self._cols = expand(*self.log)
+        column = self._cols[name]
+        if selection is None:
+            return column
+        return column[self.memory_mask() if selection == "memory"
+                      else self.transfer_mask()]
+
+    def _decode(self, name: str, selection: str | None):
+        """:meth:`_gather`'s C gather, or ``None`` when C cannot run."""
+        from ..arch.compiled import gather_rows
+        plan = self._plan(selection)
+        table, patch = self.log.table, None
+        k = _PATCHED.get(name)
+        if k is not None:
+            patch = (table.patch_counts[k], plan.patch_ranks[k],
+                     self.log[2 + k], FLAG_TAKEN if name == "flags" else 0)
+        return gather_rows(self.log.ids, plan.first, plan.count,
+                           table.columns[name][plan.rows], plan.n, patch)
+
+    def _plan(self, selection: str | None) -> "_Plan":
+        """Which rows of each template ``selection`` keeps, and where in
+        the kept rows each patch row lands (-1 when it is dropped)."""
+        def build():
+            table = self.log.table
+            cat, sizes = table.columns["cat"], table.sizes
+            keep = (np.ones(len(cat), dtype=bool) if selection is None
+                    else _any_of(cat, _SELECTIONS[selection]))
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            count = np.bincount(owner[keep], minlength=len(sizes))
+            first = _exclusive_cumsum(count)
+            rank = np.cumsum(keep) - 1 - first[owner]
+            rank[~keep] = -1
+            starts = _exclusive_cumsum(sizes)
+            return _Plan(
+                first, count, np.flatnonzero(keep),
+                int(self._memo["emits"] @ count),
+                tuple(rank[np.repeat(starts, counts) + rows]
+                      for rows, counts in zip(table.patch_rows,
+                                              table.patch_counts)))
+        return self._get(("plan", selection), build)
 
     # -- derived views ---------------------------------------------------
     def select(self, mask: np.ndarray) -> "Trace":
@@ -152,10 +250,6 @@ class Trace:
     @property
     def is_transfer(self) -> np.ndarray:
         return _any_of(self.cat, TRANSFER_CATS)
-
-    @property
-    def is_taken(self) -> np.ndarray:
-        return (self.flags & FLAG_TAKEN) != 0
 
     @property
     def in_translate(self) -> np.ndarray:
@@ -191,18 +285,18 @@ class Trace:
     def data_stream(self):
         """(addrs, writes, translate_mask) of the data references."""
         def build():
-            mem = self.memory_mask()
-            flags = self.flags[mem]
-            return (self.ea[mem], (flags & FLAG_WRITE) != 0,
+            flags = self._gather("flags", "memory")
+            return (self._gather("ea", "memory"), (flags & FLAG_WRITE) != 0,
                     (flags & FLAG_TRANSLATE) != 0)
         return self._get("data_stream", build)
 
     def transfers(self):
         """(pc, cat, taken, target) arrays of the control transfers."""
         def build():
-            mask = self.transfer_mask()
-            return (self.pc[mask], self.cat[mask], self.is_taken[mask],
-                    self.target[mask])
+            return (self._gather("pc", "transfer"),
+                    self._gather("cat", "transfer"),
+                    (self._gather("flags", "transfer") & FLAG_TAKEN) != 0,
+                    self._gather("target", "transfer"))
         return self._get("transfers", build)
 
     def branch_context(self):
@@ -312,14 +406,12 @@ _PACK_VALUES = 1 << 13
 class RecordingSink(CountingSink):
     """Counts *and* records the full native event stream.
 
-    Recording is a log, expanded once.  ``emit`` appends the template to
-    the log and extends three flat lists with the emission's patch
-    values, which are packed into arrays every few thousand values; no
-    column is written per emission (``emit_run`` appends ``k`` log
-    entries and the run's concatenated values the same way).
-    :meth:`trace` builds every column with one gather over the
-    concatenated rows of the distinct templates, then scatters each
-    patch stream into the rows its templates' ``patch_*`` indices name.
+    Recording is a log.  ``emit`` appends the template to the log and
+    extends three flat lists with the emission's patch values, which
+    are packed into arrays every few thousand values; no column is
+    written per emission (``emit_run`` appends ``k`` log entries and
+    the run's concatenated values the same way).  :meth:`trace` freezes
+    the log into a :class:`Trace` that decodes it on demand.
     """
 
     records = True
@@ -394,6 +486,23 @@ class RecordingSink(CountingSink):
 
 
 _PATCH_FIELDS = ("ea", "taken", "target")
+#: The column each patch field writes -> the field's index.
+_PATCHED = {"ea": 0, "flags": 1, "target": 2}
+#: The rows :meth:`Trace.data_stream` and :meth:`Trace.transfers` keep.
+_SELECTIONS = {"memory": MEMORY_CATS, "transfer": TRANSFER_CATS}
+
+
+class _Plan(NamedTuple):
+    """The rows one selection keeps of a :class:`TemplateTable`: per
+    template, its kept rows ``rows[first[t]:first[t] + count[t]]``; the
+    ``n`` kept events of the whole log; and per patch field, the kept
+    row each patch row lands on, -1 where it is dropped."""
+
+    first: np.ndarray
+    count: np.ndarray
+    rows: np.ndarray
+    n: int
+    patch_ranks: tuple
 
 
 class TemplateTable(NamedTuple):
@@ -531,7 +640,9 @@ class TraceLog(NamedTuple):
 
 def expand(table: TemplateTable, ids: np.ndarray, eas: np.ndarray,
            takens: np.ndarray, targets: np.ndarray) -> dict:
-    """The read-only columns of the trace a template log describes.
+    """The read-only columns of the trace a template log describes, all
+    at once: the reference :class:`Trace`'s on-demand decode equals,
+    and what it runs when it cannot gather in C.
 
     One gather index over the table's rows serves all eight columns;
     each patch stream is then scattered into the rows its templates'

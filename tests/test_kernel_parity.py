@@ -357,6 +357,7 @@ class TestCompiledLayers:
         monkeypatch.setenv(ENV_VAR, "vector")
         monkeypatch.setattr(compiled, "find_compiler", lambda: None)
         compiled.reset()
+        compiled.IMPLEMENTATIONS.clear()
         try:
             assert _replay_outputs(_random_trace()) == expected
         finally:
@@ -584,6 +585,8 @@ class TestTraceLogFormat:
                 table=table._replace(patch_rows=tuple(rows))).to_bytes(),
             "patch values miscounted": log._replace(
                 eas=np.append(log.eas, 0)).to_bytes(),
+            "taken values short": log._replace(
+                takens=log.takens[:-1]).to_bytes(),
             "truncated": data[:-8],
             "overlong": data + bytes(8),
             "foreign bytes": b"\x93NUMPY" + bytes(120),
@@ -591,7 +594,9 @@ class TestTraceLogFormat:
 
     def test_malformed_payloads_are_corrupt(self, tmp_path):
         """A digest-valid entry that is no whole, consistent log counts
-        a corrupt miss and is quarantined, never crashes the lookup."""
+        a corrupt miss and is quarantined, never crashes the lookup: a
+        miscounted patch stream too, though a loaded trace decodes
+        nothing until read."""
         from repro.analysis.cache import load_trace, store
         from repro.native.trace import TraceLog, expand
         for what, data in self._malformed().items():
