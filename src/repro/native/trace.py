@@ -342,17 +342,34 @@ class CountingSink:
     is fully described by its per-template counts and their cycles.
     ``cat_counts`` is one product of the count vector with the stacked
     per-template category rows.
+
+    A producer may count emissions of its own and add them to ``tally``
+    later, as the stepper's hot lines do (``repro.vm.lines``): it
+    registers a callable in ``deferred`` that adds them, and reading
+    ``emits`` calls each first, so ``emits`` is exact whenever read.
+    ``tally`` is the same dict without that fold, for the producers.
     """
 
     records = False
 
     def __init__(self) -> None:
         self.cycles = 0
-        self.emits: dict[Template, int] = {}
+        self.tally: dict[Template, int] = {}
+        self.deferred: list = []
+
+    @property
+    def emits(self) -> dict[Template, int]:
+        for fold in self.deferred:
+            fold()
+        return self.tally
+
+    @emits.setter
+    def emits(self, value: dict[Template, int]) -> None:
+        self.tally = value
 
     def emit(self, template: Template, eas=(), takens=(), targets=()) -> None:
         self.cycles += template.cycles
-        emits = self.emits
+        emits = self.tally
         emits[template] = emits.get(template, 0) + 1
 
     def emit_run(self, template: Template, k: int, eas=(), takens=(),
@@ -360,7 +377,7 @@ class CountingSink:
         """``k`` consecutive emissions of ``template`` (module docs)."""
         if k:
             self.cycles += template.cycles * k
-            emits = self.emits
+            emits = self.tally
             emits[template] = emits.get(template, 0) + k
 
     @property
@@ -391,7 +408,7 @@ class CountingSink:
         templates.  It carries no events, so only a plain counting sink
         may be charged this way."""
         self.cycles += cycles
-        emits = self.emits
+        emits = self.tally
         for t, k in counts.items():
             emits[t] = emits.get(t, 0) + k
 
@@ -428,7 +445,7 @@ class RecordingSink(CountingSink):
     def emit(self, template: Template, eas=(), takens=(), targets=()) -> None:
         # CountingSink.emit, inlined: this runs once per emission.
         self.cycles += template.cycles
-        emits = self.emits
+        emits = self.tally
         emits[template] = emits.get(template, 0) + 1
         self._log.append(template)
         self._eas.extend(eas)
@@ -442,7 +459,7 @@ class RecordingSink(CountingSink):
         if not k:
             return
         self.cycles += template.cycles * k
-        emits = self.emits
+        emits = self.tally
         emits[template] = emits.get(template, 0) + k
         self._log.extend([template] * k)
         self._eas.extend(eas)

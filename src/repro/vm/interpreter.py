@@ -49,6 +49,24 @@ the budget runs out, and when a ``sem`` raises.  The outer loop re-reads
 the top frame after every handler and hook, since either may push, pop,
 OSR or deoptimize.
 
+**Hot lines.**  Under a plain counting sink, a method charged
+``lines.HOT_CYCLES`` cycles is hot: its profile holds line tables, and
+its activations run a second copy of the frame-local loop, which runs
+each straight line of pure ops as one generated function
+(:mod:`repro.vm.lines`) once the line's first ``ip`` has been reached
+``lines.VISITS`` times.  A line is taken only if all of it fits the
+remaining budget, so the green threads interleave exactly as op by op.
+The loop adds the line's precomputed cycles to ``pending`` once; the
+line counts its run, and ``vm.opcode_counts`` and ``sink.emits`` fold
+the runs into the counts when read.  If an op of the line raises, the
+line leaves the frame as that op's ``sem`` would and the loop charges
+the cycles of the ops before it; at a taken backward branch the line
+returns before counting the branch's template, and the loop charges the
+ops before the branch and then the branch as below.  A cold frame pays
+two tests per loop and none per op: whether its method's profile holds
+tables, and, when the loop charges the profile, whether the method has
+just turned hot.  The tables, the code and the counts die with the VM.
+
 **Back-edge charge order.**  A taken backward ``goto``/``if`` emits,
 then runs ``tiered.on_backedge``, and only then is the profile charged,
 under the frame's *post-hook* emit mode: an OSR inside the hook turns
@@ -58,7 +76,9 @@ bytecode.  Switches never run the hook.
 
 With the tracer on, the same loop runs over semantics and handler
 tables wrapped once in timing wrappers, which fill the VM's
-per-emit-mode ``dispatch_seconds``/``dispatch_counts`` buckets.
+per-emit-mode ``dispatch_seconds``/``dispatch_counts`` buckets; a line
+runs through a timed twin that adds its time and its ops to the bucket
+of the frame's mode.
 """
 
 from __future__ import annotations
@@ -68,6 +88,7 @@ import time
 from ..isa.opcodes import ArrayType, N_OPCODES, Op
 from ..native.trace import CountingSink
 from ..obs import TRACER
+from . import lines as _lines
 from . import values
 from .classloader import ClassLoader
 from .interp_templates import MAX_INVOKE_ARGS, shared_templates
@@ -372,12 +393,6 @@ def _array_store_dyn(frame, instr):
     return (arr.addr + 8, arr.elem_addr(stack[-2]))
 
 
-def _fdiv(a, b):
-    if b != 0.0:
-        return a / b
-    return float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
-
-
 _BINOPS = {
     Op.IADD: lambda a, b: values.i32(a + b),
     Op.ISUB: lambda a, b: values.i32(a - b),
@@ -393,7 +408,7 @@ _BINOPS = {
     Op.FADD: lambda a, b: a + b,
     Op.FSUB: lambda a, b: a - b,
     Op.FMUL: lambda a, b: a * b,
-    Op.FDIV: _fdiv,
+    Op.FDIV: values.fdiv,
 }
 
 _UNOPS = {
@@ -505,6 +520,23 @@ class Interpreter:
         # Only a plain counting sink takes its templates inline.
         self._counting = type(self.sink) is CountingSink
         self._traced = None
+        # Hot lines (``repro.vm.lines``), made when a first method turns
+        # hot under a plain counting sink.
+        self._lines = None
+
+    def _hot_lines(self):
+        """This VM's hot lines; the sink and the VM fold their counts in
+        when read."""
+        if self._lines is None:
+            self._lines = _lines.Lines(self.vm, self.sink,
+                                       self.tiered is not None, VMError)
+            self.sink.deferred.append(self._lines.fold)
+        return self._lines
+
+    def fold_lines(self) -> None:
+        """Add the hot lines' runs to the opcode and template counts."""
+        if self._lines is not None:
+            self._lines.fold()
 
     def _ldc(self, frame, instr):
         value = frame.method.pool[instr.a].value
@@ -517,21 +549,26 @@ class Interpreter:
     # ------------------------------------------------------------------
     def step(self, thread: JThread, budget: int) -> int:
         """Run up to ``budget`` bytecodes; returns the number executed."""
+        # ``run`` indexes a line entry's function, or its timed twin.
         if TRACER.enabled:
             sems, handlers, on_backedge = self._traced_tables()
+            run = 7
         else:
             sems, handlers = self._sem, self._handlers
             on_backedge = (self.tiered.on_backedge
                            if self.tiered is not None else None)
+            run = 0
         vm = self.vm
         loader = self.loader
-        profiler = vm.profiler
         sink = self.sink
         counting = self._counting
-        emits = sink.emits if counting else None
+        emits = sink.tally if counting else None
         emit_pure = self._emit_pure
         interp_tpl = self.tpls.by_opcode
-        opcode_counts = vm.opcode_counts
+        opcode_counts = vm.opcode_tally
+        # Lines need a plain counting sink.
+        hot_cycles = _lines.HOT_CYCLES if counting else float("inf")
+        hot = self._lines
         frames = thread.frames
         executed = 0
         while executed < budget and thread.state == RUNNABLE and frames:
@@ -548,6 +585,9 @@ class Interpreter:
             chunks = frame.chunks
             backedge = False
             pending = 0
+            # Every frame gets its profile when pushed.  Only a hot
+            # method's profile holds line tables (``repro.vm.lines``).
+            tables = frame.profile.lines
             if counting:
                 lane = mode
             else:
@@ -555,43 +595,94 @@ class Interpreter:
                 builders = _INTERP_EAS if mode == EMIT_INTERP else _CHUNK_DYN
                 start = sink.cycles
             try:
-                while executed < budget:
-                    ip = frame.ip
-                    instr = code[ip]
-                    op = instr.op
-                    sem = sems[op]
-                    if sem is None:
-                        break
-                    frame.ip = ip + 1
-                    opcode_counts[op] += 1
-                    executed += 1
-                    if lane == EMIT_INTERP:
-                        tpl = interp_tpl[op]
-                    elif lane:
-                        tpl = chunks[ip]
-                        if tpl is not None:
-                            tpl = tpl.template
-                    elif lane is None:
-                        if mode:
-                            build = builders[op]
-                            eas = build(frame, instr) if build else ()
-                        taken = sem(frame, instr)
-                        if (taken and frame.ip <= ip
+                if tables is not None:
+                    # A hot activation: each line that fits the budget runs
+                    # as one call, charged once (module docs); any other
+                    # op runs as in the loop below.
+                    lines = tables.get(
+                        mode if mode < EMIT_COMPILED else id(chunks))
+                    if lines is None:
+                        lines = hot.table(frame, tables)
+                    while executed < budget:
+                        ip = frame.ip
+                        line = lines[ip]
+                        if line is None:
+                            line = hot.visit(lines, frame, ip)
+                        if line and executed + line[1] <= budget:
+                            try:
+                                back = line[run](frame)
+                            except BaseException:
+                                pending += line[5][frame.ip - ip - 1]
+                                raise
+                            executed += line[1]
+                            if back:
+                                pending += line[3]
+                                tpl = line[4]
+                                backedge = True
+                                break
+                            pending += line[2]
+                            continue
+                        instr = code[ip]
+                        op = instr.op
+                        sem = sems[op]
+                        if sem is None:
+                            break
+                        frame.ip = ip + 1
+                        opcode_counts[op] += 1
+                        executed += 1
+                        if lane == EMIT_INTERP:
+                            tpl = interp_tpl[op]
+                        elif lane:
+                            tpl = chunks[ip]
+                            if tpl is not None:
+                                tpl = tpl.template
+                        else:
+                            tpl = None
+                        if (sem(frame, instr) and frame.ip <= ip
                                 and on_backedge is not None):
                             backedge = True
                             break
-                        if mode:
-                            emit_pure(frame, ip, op, eas, taken)
-                        continue
-                    else:
-                        tpl = None
-                    if (sem(frame, instr) and frame.ip <= ip
-                            and on_backedge is not None):
-                        backedge = True
-                        break
-                    if tpl is not None:
-                        pending += tpl.cycles
-                        emits[tpl] = emits.get(tpl, 0) + 1
+                        if tpl is not None:
+                            pending += tpl.cycles
+                            emits[tpl] = emits.get(tpl, 0) + 1
+                else:
+                    while executed < budget:
+                        ip = frame.ip
+                        instr = code[ip]
+                        op = instr.op
+                        sem = sems[op]
+                        if sem is None:
+                            break
+                        frame.ip = ip + 1
+                        opcode_counts[op] += 1
+                        executed += 1
+                        if lane == EMIT_INTERP:
+                            tpl = interp_tpl[op]
+                        elif lane:
+                            tpl = chunks[ip]
+                            if tpl is not None:
+                                tpl = tpl.template
+                        elif lane is None:
+                            if mode:
+                                build = builders[op]
+                                eas = build(frame, instr) if build else ()
+                            taken = sem(frame, instr)
+                            if (taken and frame.ip <= ip
+                                    and on_backedge is not None):
+                                backedge = True
+                                break
+                            if mode:
+                                emit_pure(frame, ip, op, eas, taken)
+                            continue
+                        else:
+                            tpl = None
+                        if (sem(frame, instr) and frame.ip <= ip
+                                and on_backedge is not None):
+                            backedge = True
+                            break
+                        if tpl is not None:
+                            pending += tpl.cycles
+                            emits[tpl] = emits.get(tpl, 0) + 1
             finally:
                 # A folding sink emits folded variants cheaper than the
                 # templates, so any sink but a counting one is charged
@@ -603,13 +694,15 @@ class Interpreter:
                     sink.cycles += pending
                 if pending:
                     p = frame.profile
-                    if p is None:
-                        p = frame.profile = profiler.profile_for(
-                            frame.method)
                     if mode == EMIT_INTERP:
                         p.interp_cycles += pending
                     else:
                         p.compiled_cycles += pending
+                    # A method turns hot here (module docs).
+                    if (p.interp_cycles + p.compiled_cycles >= hot_cycles
+                            and tables is None):
+                        p.lines = {}
+                        hot = self._hot_lines()
             if not backedge and executed >= budget:
                 break
             cycles_before = sink.cycles
@@ -640,8 +733,6 @@ class Interpreter:
             # The frame caches its MethodProfile at push time, so
             # attribution is slot access — no per-bytecode dict lookup.
             p = frame.profile
-            if p is None:
-                p = frame.profile = profiler.profile_for(frame.method)
             if frame.emit_mode == EMIT_INTERP:
                 p.interp_cycles += cycles
             else:

@@ -137,6 +137,17 @@ class JavaVM:
         # Static concurrency summaries (analysis.concurrency): safe sites
         # pre-seed tier-2 elision, racy sites are pre-blacklisted.
         self._concurrency = None
+        #: dynamic bytecode-frequency histogram (locality studies), read
+        #: as ``opcode_counts``, which adds the hot lines' runs first; a
+        #: plain list because the stepper bumps it once per bytecode —
+        #: VMResult hands it out as an int64 array
+        self.opcode_tally = [0] * N_OPCODES
+        # Per-emit-mode dispatch wall time / bytecode counts, filled by
+        # the stepper's timing wrappers (observability only; empty when
+        # tracing is off).  Indexed by EMIT_NONE / EMIT_INTERP /
+        # EMIT_COMPILED / EMIT_OSR.
+        self.dispatch_seconds = [0.0, 0.0, 0.0, 0.0]
+        self.dispatch_counts = [0, 0, 0, 0]
         self._concurrency_plan: dict[Method, tuple] = {}
         self.profiler = Profiler()
         if config.policy == "tiered":
@@ -152,18 +163,8 @@ class JavaVM:
         else:
             self.confinement = None
 
-        #: dynamic bytecode-frequency histogram (locality studies); a
-        #: plain list because the stepper bumps it once per bytecode —
-        #: VMResult hands it out as an int64 array
-        self.opcode_counts = [0] * N_OPCODES
         self.threads: list[JThread] = []
         self.stdout: list[str] = []
-        # Per-emit-mode dispatch wall time / bytecode counts, filled by
-        # the stepper's timing wrappers (observability only; empty when
-        # tracing is off).  Indexed by EMIT_NONE / EMIT_INTERP /
-        # EMIT_COMPILED / EMIT_OSR.
-        self.dispatch_seconds = [0.0, 0.0, 0.0, 0.0]
-        self.dispatch_counts = [0, 0, 0, 0]
         # External request dispatcher (repro.traffic): an object with
         # poll/complete natives hooks and an ``on_idle(vm)`` callback the
         # scheduler consults before declaring deadlock — lets open-loop
@@ -240,6 +241,12 @@ class JavaVM:
         else:
             frame.emit_mode = EMIT_INTERP
         frame.return_pc = self.templates.dispatch_pc
+
+    @property
+    def opcode_counts(self) -> list:
+        """Bytecodes executed per opcode, hot lines' runs included."""
+        self.interp.fold_lines()
+        return self.opcode_tally
 
     def run(self, max_bytecodes: int | None = None) -> VMResult:
         """Execute to completion and return the results.

@@ -36,6 +36,7 @@ class MethodProfile:
         "promotions",
         "osr_entries",
         "deopts",
+        "lines",
     )
 
     def __init__(self, qualified_name: str, is_native: bool = False) -> None:
@@ -53,6 +54,9 @@ class MethodProfile:
         self.promotions = 0
         self.osr_entries = 0
         self.deopts = 0
+        # The counting stepper's hot-line tables of this method once it
+        # is hot (``repro.vm.lines``), keyed by emit mode or chunk list.
+        self.lines = None
 
     def snapshot(self) -> dict:
         snap = {

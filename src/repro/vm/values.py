@@ -62,6 +62,13 @@ def iushr(a: int, b: int) -> int:
     return i32((a & _I32_MASK) >> (b & 31))
 
 
+def fdiv(a: float, b: float) -> float:
+    """fdiv: IEEE division, so a zero divisor gives an infinity or NaN."""
+    if b != 0.0:
+        return a / b
+    return float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
+
+
 def fcmp(a: float, b: float, nan_result: int) -> int:
     """fcmpl/fcmpg semantics: -1/0/1, NaN yields ``nan_result``."""
     if a != a or b != b:  # NaN

@@ -30,6 +30,10 @@ cache serves one's result for the other.  The same relation holds for
 a run cut short by a pure op that raises, and for the bytecode at which
 a back-edge promotion fires: the frame-local loop charges pure ops'
 cycles once it stops, and must do so before either can be observed.
+Each of these counting cases runs again (``hot:``) with every straight
+line of pure ops generated as one function on its first visit
+(``repro.vm.lines``): at the default gate their short loops never turn
+hot.
 Adding a class that nothing references leaves every result attribute
 and the recording unchanged, while an unreferenced override of a
 devirtualized target lowers the JIT's inlined sites: closed-world
@@ -56,7 +60,7 @@ from repro.fuzz.oracle import FUEL, MATRIX, run_config, run_oracle
 from repro.isa import ClassBuilder
 from repro.traffic.engine import run_scenario
 from repro.traffic.spec import get_preset
-from repro.vm import JavaVM, RunConfig, VMError
+from repro.vm import JavaVM, RunConfig, VMError, lines
 from repro.vm.library import ensure_library
 from repro.workloads import get_workload
 
@@ -267,17 +271,42 @@ def _vm_outcome(program, config: RunConfig):
         return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize("case", [
+def _force_lines(monkeypatch) -> list:
+    """Generate every hot line of the counting stepper on its first
+    visit (``repro.vm.lines``); returns the list of lines built."""
+    built, build = [], lines.build
+
+    def spy(*args):
+        line = build(*args)
+        built.append(line)
+        return line
+
+    monkeypatch.setattr(lines, "HOT_CYCLES", 0)
+    monkeypatch.setattr(lines, "VISITS", 1)
+    monkeypatch.setattr(lines, "build", spy)
+    return built
+
+
+_COUNTING_CASES = [
     *(f"{w}/{c}" for w in ("jess", "mtrt", "db")
       for c in ("interp", "jit", "tiered")),
     "jess/interp_fold", "fuzz", "server/api", "pure_ops",
-])
+]
+
+
+@pytest.mark.parametrize("case", [
+    *_COUNTING_CASES,
+    # Lines run only under a plain counting sink, never the folder's.
+    *(f"hot:{case}" for case in _COUNTING_CASES if "fold" not in case)])
 def test_counting_run_matches_recording_run(case, monkeypatch):
     """Counting sink (templates counted inline) == recording sink
     (effective addresses built and emitted) on every ``VMResult``
     attribute but the trace, so the run cache may serve a recording's
-    stored result to counting callers."""
+    stored result to counting callers.  A ``hot:`` case runs every
+    straight line of pure ops as one generated function."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    hot, case = case.startswith("hot:"), case.removeprefix("hot:")
+    built = _force_lines(monkeypatch) if hot else []
     if case == "server/api":
         config = RunConfig.of("tiered")
         assert (observables(_server_run(config))
@@ -306,6 +335,7 @@ def test_counting_run_matches_recording_run(case, monkeypatch):
             for c in (config, config.replace(record=True)))
         assert recorded.trace is not None
         assert observables(counted) == observables(recorded)
+    assert bool(built) == hot
 
 
 def _pure_loop(trips: int, then_raise: bool):
@@ -342,13 +372,17 @@ def test_all_pure_ops_recording_unchanged(config, monkeypatch):
     assert digest(result) == EXPECTED[f"pure_ops/{config}"]
 
 
-@pytest.mark.parametrize("config", ["interp", "jit", "tiered"])
+@pytest.mark.parametrize("config", ["interp", "jit", "tiered",
+                                    "hot:interp", "hot:jit", "hot:tiered"])
 def test_counting_run_that_raises_matches_recording_run(config,
                                                          monkeypatch):
     """The counting stepper sums a run of pure ops' cycles in a local:
     a pure op that raises must still leave the sink's cycles, the
-    opcode counts and every profile equal to the recording twin's."""
+    opcode counts and every profile equal to the recording twin's.
+    Under ``hot:`` the ``iaload`` raises inside a generated line."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    hot, config = config.startswith("hot:"), config.removeprefix("hot:")
+    built = _force_lines(monkeypatch) if hot else []
     program = _pure_loop(50, then_raise=True)
     seen = []
     for record in (False, True):
@@ -359,6 +393,7 @@ def test_counting_run_that_raises_matches_recording_run(config,
                      vm.profiler.snapshot()))
     assert sum(seen[0][1]) > 400
     assert seen[0] == seen[1]
+    assert bool(built) == hot
 
 
 def _promotions_and_outcome(program, config: RunConfig):
@@ -384,6 +419,19 @@ def test_backedge_promotion_matches_recording_run(monkeypatch):
     transitions, under the counting stepper as under its recording
     twin (``VMResult.tiering`` holds the transitions)."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    _check_backedge_promotion()
+
+
+def test_backedge_promotion_in_hot_lines_matches_recording_run(monkeypatch):
+    """The same, with the loop run as generated lines: a line ending at
+    the taken back edge counts its ops before the hook runs."""
+    monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    built = _force_lines(monkeypatch)
+    _check_backedge_promotion()
+    assert built
+
+
+def _check_backedge_promotion() -> None:
     program = _pure_loop(400, then_raise=False)
     config = RunConfig.of("tiered")
     counted, recorded = (_promotions_and_outcome(program, c)

@@ -16,6 +16,7 @@ from repro.obs.record import evaluate
 from repro.obs.tracer import TRACER
 from repro.traffic import (HANDLERS, PRESETS, ScenarioSpec, get_preset,
                            run_scenario)
+from repro.vm import lines
 
 SMALL = get_preset("api").replace(requests=1500)
 
@@ -107,19 +108,43 @@ def test_checksum_is_identical_across_execution_configs(tiered_small):
             == tiered_small.vm_result.stdout)
 
 
-def test_tracer_on_matches_tracer_off(tiered_small):
+def _counting_line_runs(monkeypatch) -> list:
+    """Count, in ``runs[0]``, the calls of every hot line generated from
+    now on (``repro.vm.lines``), timed or not."""
+    runs, build = [0], lines.build
+
+    def spy(*args):
+        line = build(*args)
+        if line is None:
+            return None
+        fn = line[0]
+
+        def counted(*call):
+            runs[0] += 1
+            return fn(*call)
+        return (counted, *line[1:])
+
+    monkeypatch.setattr(lines, "build", spy)
+    return runs
+
+
+def test_tracer_on_matches_tracer_off(monkeypatch):
     """With the tracer on, the stepper runs timing wrappers around the
-    same semantics, handlers and back-edge hook: the record, but for its
-    wall-clock field, must not change."""
+    same semantics, handlers, hot lines and back-edge hook: the record,
+    but for its wall-clock field, must not change, and lines must run
+    in both runs."""
+    runs = _counting_line_runs(monkeypatch)
+    plain = run_scenario(SMALL, "tiered").to_dict()
+    untraced_runs = runs[0]
     TRACER.enable()
     try:
         traced = run_scenario(SMALL, "tiered").to_dict()
     finally:
         TRACER.disable()
         TRACER.reset()
-    plain = tiered_small.to_dict()
     del traced["wall_seconds"], plain["wall_seconds"]
     assert traced == plain
+    assert untraced_runs > 0 and runs[0] - untraced_runs == untraced_runs
 
 
 def test_closed_loop_sojourn_equals_service(tiered_small):
