@@ -53,10 +53,12 @@ def run_server(spec: ScenarioSpec, *, windows: int = 50,
     configs["jit"] = run_scenario(spec, "jit", **kw).to_dict()
     configs["tiered"] = run_scenario(spec, "tiered", **kw).to_dict()
     with tempfile.TemporaryDirectory(prefix="repro-archive-") as d:
-        configs["tiered_cold"] = run_scenario(
-            spec, "tiered", code_archive=d, **kw).to_dict()
-        configs["tiered_warm"] = run_scenario(
-            spec, "tiered", code_archive=d, **kw).to_dict()
+        for name in ("tiered_cold", "tiered_warm"):
+            config = configs[name] = run_scenario(
+                spec, "tiered", code_archive=d, **kw).to_dict()
+            # The archive's temporary directory is no result; the
+            # config's name gives its role.
+            del config["archive"]["dir"]
     return {
         "spec": spec.to_dict(),
         "steady_params": {"window": steady_window, "cv": steady_cv,

@@ -24,6 +24,14 @@ simulator reads, is decoded from it when first read.  Per-event data
 recording sink: code that would build it for the sink's sake must
 check ``sink.records`` first.
 
+A producer may log a whole run of emissions in one step through
+:meth:`RecordingSink.appenders`, as the stepper's hot lines do
+(``repro.vm.lines``): it extends the log and the three lists itself,
+adds the run's cycles, and defers the run's template counts.
+:meth:`RecordingSink.trace` numbers the templates in order of their
+first appearance in the log, so when those counts fold in never
+changes a stored trace's bytes.
+
 ``emit_run(template, k, eas, takens, targets)`` stands for ``k``
 consecutive ``emit`` calls of one template, with the patch streams of
 the ``k`` emissions concatenated: a counting sink multiplies, and a
@@ -468,6 +476,15 @@ class RecordingSink(CountingSink):
         if len(self._eas) > _PACK_VALUES:
             self._pack()
 
+    def appenders(self) -> tuple:
+        """``(log, eas, takens, targets, pack)``: the log, the three
+        patch-value lists and the step that packs the lists once the eas
+        pass :data:`_PACK_VALUES`.  A producer that logs a whole run of
+        emissions at once (the stepper's hot lines, ``repro.vm.lines``)
+        extends them itself, adds the run's cycles to ``cycles`` and
+        defers its template counts (:class:`CountingSink`)."""
+        return self._log, self._eas, self._takens, self._targets, self._pack
+
     def _pack(self) -> None:
         """Move the listed patch values into one packed array each."""
         self._packed.append((np.array(self._eas, dtype=np.int64),
@@ -487,8 +504,9 @@ class RecordingSink(CountingSink):
         """
         if not self._log:
             return Trace.empty()
-        # ``emits`` holds the distinct templates in first-emission order.
-        table = list(self.emits)
+        # Templates are numbered in first-emission order, read from the
+        # log: a producer's deferred counts fold into ``emits`` out of it.
+        table = list(dict.fromkeys(self._log))
         index = {t: i for i, t in enumerate(table)}
         ids = np.fromiter(map(index.__getitem__, self._log),
                           dtype=np.uint16 if len(table) <= 1 << 16
@@ -496,6 +514,9 @@ class RecordingSink(CountingSink):
         self._pack()
         values = [np.concatenate([chunk[k] for chunk in self._packed])
                   for k in range(3)]
+        # The frozen log's values stand for the packed arrays from now
+        # on, so the sink keeps no second copy of them.
+        self._packed = [tuple(values)]
         return Trace.from_log(TraceLog(TemplateTable.of(table), ids, *values))
 
     def __len__(self) -> int:

@@ -49,23 +49,28 @@ the budget runs out, and when a ``sem`` raises.  The outer loop re-reads
 the top frame after every handler and hook, since either may push, pop,
 OSR or deoptimize.
 
-**Hot lines.**  Under a plain counting sink, a method charged
-``lines.HOT_CYCLES`` cycles is hot: its profile holds line tables, and
-its activations run a second copy of the frame-local loop, which runs
+**Hot lines.**  Under a plain counting or recording sink, a method
+charged ``lines.HOT_CYCLES`` cycles is hot: its profile holds line
+tables, and its activations run a second copy of the frame-local loop
+(one for each of the two sinks, chosen as the loop starts), which runs
 each straight line of pure ops as one generated function
 (:mod:`repro.vm.lines`) once the line's first ``ip`` has been reached
 ``lines.VISITS`` times.  A line is taken only if all of it fits the
 remaining budget, so the green threads interleave exactly as op by op.
-The loop adds the line's precomputed cycles to ``pending`` once; the
-line counts its run, and ``vm.opcode_counts`` and ``sink.emits`` fold
-the runs into the counts when read.  If an op of the line raises, the
-line leaves the frame as that op's ``sem`` would and the loop charges
-the cycles of the ops before it; at a taken backward branch the line
-returns before counting the branch's template, and the loop charges the
-ops before the branch and then the branch as below.  A cold frame pays
-two tests per loop and none per op: whether its method's profile holds
-tables, and, when the loop charges the profile, whether the method has
-just turned hot.  The tables, the code and the counts die with the VM.
+The loop adds the line's precomputed cycles to ``pending`` once (under
+a recording sink ``pending`` holds only the lines' cycles, added to the
+sink's before its delta is charged); the line counts its run, and
+``vm.opcode_counts`` and ``sink.emits`` fold the runs into the counts
+when read.  Under a recording sink the line also logs its templates
+and patch values in one step.  If an op of the line raises, the line
+leaves the frame as that op's ``sem`` would, having logged the ops
+before it, and the loop charges their cycles; at a taken backward
+branch the line returns before counting or logging the branch, and the
+loop charges the ops before the branch and then emits the branch as
+below.  A folding sink never runs lines.  A cold frame pays two tests
+per loop and none per op: whether its method's profile holds tables,
+and, when the loop charges the profile, whether the method has just
+turned hot.  The tables and the counts die with the VM.
 
 **Back-edge charge order.**  A taken backward ``goto``/``if`` emits,
 then runs ``tiered.on_backedge``, and only then is the profile charged,
@@ -86,7 +91,7 @@ from __future__ import annotations
 import time
 
 from ..isa.opcodes import ArrayType, N_OPCODES, Op
-from ..native.trace import CountingSink
+from ..native.trace import CountingSink, RecordingSink
 from ..obs import TRACER
 from . import lines as _lines
 from . import values
@@ -519,9 +524,11 @@ class Interpreter:
         self._handlers = self._build_dispatch()
         # Only a plain counting sink takes its templates inline.
         self._counting = type(self.sink) is CountingSink
+        # Hot lines run under a plain counting or recording sink.
+        self._lineable = type(self.sink) in (CountingSink, RecordingSink)
         self._traced = None
         # Hot lines (``repro.vm.lines``), made when a first method turns
-        # hot under a plain counting sink.
+        # hot.
         self._lines = None
 
     def _hot_lines(self):
@@ -566,8 +573,8 @@ class Interpreter:
         emit_pure = self._emit_pure
         interp_tpl = self.tpls.by_opcode
         opcode_counts = vm.opcode_tally
-        # Lines need a plain counting sink.
-        hot_cycles = _lines.HOT_CYCLES if counting else float("inf")
+        # Lines need a plain counting or recording sink.
+        hot_cycles = _lines.HOT_CYCLES if self._lineable else float("inf")
         hot = self._lines
         frames = thread.frames
         executed = 0
@@ -598,53 +605,98 @@ class Interpreter:
                 if tables is not None:
                     # A hot activation: each line that fits the budget runs
                     # as one call, charged once (module docs); any other
-                    # op runs as in the loop below.
+                    # op runs as in the loop below.  Under a recording
+                    # sink ``pending`` sums the lines' cycles only.
                     lines = tables.get(
                         mode if mode < EMIT_COMPILED else id(chunks))
                     if lines is None:
                         lines = hot.table(frame, tables)
-                    while executed < budget:
-                        ip = frame.ip
-                        line = lines[ip]
-                        if line is None:
-                            line = hot.visit(lines, frame, ip)
-                        if line and executed + line[1] <= budget:
-                            try:
-                                back = line[run](frame)
-                            except BaseException:
-                                pending += line[5][frame.ip - ip - 1]
-                                raise
-                            executed += line[1]
-                            if back:
-                                pending += line[3]
-                                tpl = line[4]
+                    if counting:
+                        while executed < budget:
+                            ip = frame.ip
+                            line = lines[ip]
+                            if line is None:
+                                line = hot.visit(lines, frame, ip)
+                            if line and executed + line[1] <= budget:
+                                try:
+                                    back = line[run](frame)
+                                except BaseException:
+                                    pending += line[5][frame.ip - ip - 1]
+                                    raise
+                                executed += line[1]
+                                if back:
+                                    pending += line[3]
+                                    tpl = line[4]
+                                    backedge = True
+                                    break
+                                pending += line[2]
+                                continue
+                            instr = code[ip]
+                            op = instr.op
+                            sem = sems[op]
+                            if sem is None:
+                                break
+                            frame.ip = ip + 1
+                            opcode_counts[op] += 1
+                            executed += 1
+                            if lane == EMIT_INTERP:
+                                tpl = interp_tpl[op]
+                            elif lane:
+                                tpl = chunks[ip]
+                                if tpl is not None:
+                                    tpl = tpl.template
+                            else:
+                                tpl = None
+                            if (sem(frame, instr) and frame.ip <= ip
+                                    and on_backedge is not None):
                                 backedge = True
                                 break
-                            pending += line[2]
-                            continue
-                        instr = code[ip]
-                        op = instr.op
-                        sem = sems[op]
-                        if sem is None:
-                            break
-                        frame.ip = ip + 1
-                        opcode_counts[op] += 1
-                        executed += 1
-                        if lane == EMIT_INTERP:
-                            tpl = interp_tpl[op]
-                        elif lane:
-                            tpl = chunks[ip]
                             if tpl is not None:
-                                tpl = tpl.template
-                        else:
-                            tpl = None
-                        if (sem(frame, instr) and frame.ip <= ip
-                                and on_backedge is not None):
-                            backedge = True
-                            break
-                        if tpl is not None:
-                            pending += tpl.cycles
-                            emits[tpl] = emits.get(tpl, 0) + 1
+                                pending += tpl.cycles
+                                emits[tpl] = emits.get(tpl, 0) + 1
+                    else:
+                        while executed < budget:
+                            ip = frame.ip
+                            line = lines[ip]
+                            if line is None:
+                                line = hot.visit(lines, frame, ip)
+                            if line and executed + line[1] <= budget:
+                                try:
+                                    back = line[run](frame)
+                                except BaseException:
+                                    pending += line[5][frame.ip - ip - 1]
+                                    raise
+                                executed += line[1]
+                                if back:
+                                    # The line logged all but the branch,
+                                    # fetched at ``ip``; ``back`` is its eas
+                                    # when the emission needs them.
+                                    pending += line[3]
+                                    ip += line[1] - 1
+                                    op = code[ip].op
+                                    eas = () if back is True else back
+                                    backedge = True
+                                    break
+                                pending += line[2]
+                                continue
+                            instr = code[ip]
+                            op = instr.op
+                            sem = sems[op]
+                            if sem is None:
+                                break
+                            frame.ip = ip + 1
+                            opcode_counts[op] += 1
+                            executed += 1
+                            if mode:
+                                build = builders[op]
+                                eas = build(frame, instr) if build else ()
+                            taken = sem(frame, instr)
+                            if (taken and frame.ip <= ip
+                                    and on_backedge is not None):
+                                backedge = True
+                                break
+                            if mode:
+                                emit_pure(frame, ip, op, eas, taken)
                 else:
                     while executed < budget:
                         ip = frame.ip
@@ -689,6 +741,10 @@ class Interpreter:
                 # by its cycle delta (never written: a wrapper sink
                 # reads ``cycles`` through to the one it wraps).
                 if not counting:
+                    if pending:
+                        # A recording sink's lines leave their cycles to
+                        # the loop.
+                        sink.cycles += pending
                     pending = sink.cycles - start
                 elif pending:
                     sink.cycles += pending
@@ -752,19 +808,12 @@ class Interpreter:
         if frame.emit_mode == EMIT_INTERP:
             self.sink.emit(self.tpls.by_opcode[op], eas, takens)
             return
-        chunks = frame.chunks
-        chunk = chunks[ip]
+        chunk = frame.chunks[ip]
         if chunk is None:
             return
         targets = ()
         if op is Op.TABLESWITCH or op is Op.LOOKUPSWITCH:
-            # The switch lands on the first chunk at or after its target.
-            pc = 0
-            for i in range(frame.ip, len(chunks)):
-                if chunks[i] is not None:
-                    pc = chunks[i].base_pc
-                    break
-            targets = (pc,)
+            targets = (frame.compiled.landing[frame.ip],)
         chunk.emit(self.sink, frame, eas, takens, targets)
 
     def _traced_tables(self):

@@ -130,6 +130,7 @@ class CompiledMethod:
         "from_archive",
         "tier",
         "assumptions",
+        "_landing",
     )
 
     def __init__(self, method, chunks, prologue, entry_pc, end_pc,
@@ -153,6 +154,21 @@ class CompiledMethod:
         #: speculative CHA facts this code depends on:
         #: (class_name, method_name, assumed_target) triples
         self.assumptions: tuple = ()
+        self._landing = None
+
+    @property
+    def landing(self) -> list[int]:
+        """Per ip, the pc a compiled switch landing on that ip resumes
+        at: the first chunk's at or after it (0 past the last chunk)."""
+        if self._landing is None:
+            chunks = self.chunks
+            pcs, pc = [0] * (len(chunks) + 1), 0
+            for ip in range(len(chunks) - 1, -1, -1):
+                if chunks[ip] is not None:
+                    pc = chunks[ip].base_pc
+                pcs[ip] = pc
+            self._landing = pcs
+        return self._landing
 
     @property
     def n_native_instructions(self) -> int:

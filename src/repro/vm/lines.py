@@ -1,14 +1,15 @@
 """Hot straight lines: runs of pure ops executed as one generated function.
 
-Under a plain :class:`~repro.native.trace.CountingSink`, the stepper
-runs the pure ops of a *hot* method line by line.  A method is hot once
-it has been charged :data:`HOT_CYCLES` cycles, and a line is generated
-at an ``ip`` the stepper has then reached :data:`VISITS` times.  A line
-runs forward over consecutive pure ops.  It ends after its first
-``goto``, conditional branch or switch, before the first op with a
-full handler or an ``ldc``, or after :data:`MAX_OPS` ops.  :func:`build`
-turns it into one Python function, as Shade's translation cache turned
-a hot block into one host routine.
+Under a plain :class:`~repro.native.trace.CountingSink` or
+:class:`~repro.native.trace.RecordingSink`, the stepper runs the pure
+ops of a *hot* method line by line.  A method is hot once it has been
+charged :data:`HOT_CYCLES` cycles, and a line is generated at an ``ip``
+the stepper has then reached :data:`VISITS` times.  A line runs forward
+over consecutive pure ops.  It ends after its first ``goto``,
+conditional branch or switch, before the first op with a full handler
+or an ``ldc``, or after :data:`MAX_OPS` ops.  :func:`build` turns it
+into one Python function, as Shade's translation cache turned a hot
+block into one host routine.
 
 The function keeps operands in Python locals instead of pushing and
 popping ``frame.stack``.  It reads each entry value it consumes from
@@ -20,6 +21,20 @@ the line's cycles.  The line only counts its run in its ``hits`` cell;
 attributes fold before they are read, so the counts are exact whenever
 anything reads them.
 
+Under a recording sink a line also logs its run in one step, as
+Shade's translated blocks wrote their own trace records: one ``extend``
+of the sink's log with the line's templates and one of its eas, the
+branch's ``taken`` outcome or the switch's ``target``, and one test of
+the sink's pack threshold.  The eas are the ones the ops' builders in
+``interpreter.py`` make, or the chunks' ``ea_plan`` assembles, each
+written as a base plus a constant offset.  The bases are what the line
+reads on entry (the bytecode address of its first op, the stack slot
+at its entry depth and the first local, or, compiled, the frame's
+base) and the arrays and switch keys it touches.  A compiled switch's
+target is the pc of the first chunk at or after the ip it lands on
+(:attr:`~repro.vm.jit.chunks.CompiledMethod.landing`).
+Folding sinks fuse emissions across ops and never run lines.
+
 Exactness, against running the same ops one at a time:
 
 - **A raising op.**  The ops that can raise on well-typed operands (a
@@ -29,31 +44,42 @@ Exactness, against running the same ops one at a time:
   op's ``sem`` would (the ``sem`` pops its operands before it raises;
   ``f2i`` overwrites its operand only once it succeeded), counts ops
   ``0..j`` in the opcode counts and the templates of ops ``0..j-1``,
-  and re-raises.  The stepper charges ``prefix[j]``, the cycles of the
-  ops before ``j``.  A line assumes the verifier's typing: an op given
-  an operand of the wrong type may raise another message than its
-  ``sem``, or leave the frame otherwise.
-- **A taken backward branch** under a back-edge hook returns True
-  having counted everything but the branch's template.  The stepper
-  charges ``head``, the cycles of the ops before the branch, and then
-  emits the branch and runs the hook as it does for a single op.
+  logs ops ``0..j-1`` under a recording sink, and re-raises.  The
+  stepper charges ``prefix[j]``, the cycles of the ops before ``j``.  A
+  line assumes the verifier's typing: an op given an operand of the
+  wrong type may raise another message than its ``sem``, or leave the
+  frame otherwise.
+- **A taken backward branch** under a back-edge hook returns having
+  counted and logged everything but the branch: True, or, from an
+  interpreted frame under a recording sink, the branch's eas.  The
+  stepper charges ``head``, the cycles of the ops before the branch,
+  and then emits the branch and runs the hook as it does for a single
+  op.
 - **The budget.**  The stepper takes a line only if all ``n`` of its
   ops fit the remaining budget; otherwise it runs the ops one at a time.
 
 The computing expressions are the ``sem`` functions' own, with
 ``values.i32`` and its narrow twins written inline as masks.  Tables,
-visit counts, code and deferred counts belong to one VM's
-:class:`Lines` and die with it.
+visit counts and deferred counts belong to one VM's :class:`Lines` and
+die with it.  The compiled code of each line's source is shared by the
+whole process (:data:`_SHAPES`): it refers to no VM object, since a
+line binds its constants, its cells and the sink's lists as default
+arguments when it is made.
 """
 
 from __future__ import annotations
 
+import builtins
 import time
+from operator import add
+from types import CodeType, FunctionType
 
 from ..isa.opcodes import Op
+from ..native import trace as _trace
+from ..native.layout import WORD_BYTES
 from . import values
 from .interp_templates import shared_templates
-from .objects import JArray
+from .objects import ARRAY_HEADER_BYTES, JArray
 from .threads import EMIT_COMPILED, EMIT_INTERP
 
 #: A method's lines are generated once it has been charged this many
@@ -64,6 +90,13 @@ HOT_CYCLES = 20_000
 VISITS = 16
 #: The most ops in one line.
 MAX_OPS = 16
+
+#: Each line source compiled in this process -> its code.  Lines of one
+#: shape differ only in the constants bound when each is made.
+_SHAPES: dict = {}
+#: :data:`_SHAPES` starts over past this many sources, so a process that
+#: runs many programs keeps it bounded.
+_MAX_SHAPES = 2048
 
 
 def _i32(expr: str) -> str:
@@ -138,12 +171,13 @@ _ARRAY_LOADS = frozenset({Op.IALOAD, Op.FALOAD, Op.AALOAD, Op.BALOAD,
 _LOADS = frozenset({Op.ILOAD, Op.FLOAD, Op.ALOAD})
 _STORES = frozenset({Op.ISTORE, Op.FSTORE, Op.ASTORE})
 _SWITCHES = frozenset({Op.TABLESWITCH, Op.LOOKUPSWITCH})
+_PUSHES = frozenset({Op.ICONST, Op.FCONST, Op.ACONST_NULL})
 
 #: Every op a line may hold; a line ends after the branches.
 _LINEABLE = frozenset(
-    {Op.NOP, Op.ICONST, Op.FCONST, Op.ACONST_NULL, Op.IINC, Op.POP,
-     Op.DUP, Op.DUP_X1, Op.SWAP, Op.GOTO, Op.ARRAYLENGTH}
-    | _LOADS | _STORES | _ARRAY_LOADS | _SWITCHES
+    {Op.NOP, Op.IINC, Op.POP, Op.DUP, Op.DUP_X1, Op.SWAP, Op.GOTO,
+     Op.ARRAYLENGTH}
+    | _PUSHES | _LOADS | _STORES | _ARRAY_LOADS | _SWITCHES
     | _BINARY.keys() | _UNARY.keys() | _TEST1.keys() | _TEST2.keys()
     | _COERCE.keys())
 _BRANCHES = frozenset({Op.GOTO} | _SWITCHES | _TEST1.keys() | _TEST2.keys())
@@ -152,15 +186,24 @@ _BRANCHES = frozenset({Op.GOTO} | _SWITCHES | _TEST1.keys() | _TEST2.keys())
 _RAISING = frozenset({Op.IDIV, Op.IREM, Op.F2I, Op.ARRAYLENGTH}
                      | _ARRAY_LOADS | _COERCE.keys())
 
-_GLOBALS = {"JArray": JArray, "idiv": values.idiv, "irem": values.irem,
-            "fdiv": values.fdiv, "fcmp": values.fcmp}
+#: Every line's globals.
+_GLOBALS = {"__builtins__": builtins, "JArray": JArray, "idiv": values.idiv,
+            "irem": values.irem, "fdiv": values.fdiv, "fcmp": values.fcmp}
+#: The recording sink's lists and pack step, as a line names them.
+_SINK_NAMES = ("log", "E", "K", "G", "pack")
 
 
 def _fixup(start: int, ops: list, templates: list, oc: list,
-           emits: dict):
+           emits: dict, sink, offsets: dict):
     """The handler every raising op of one line calls: op ``j`` raised
-    with ``consumed`` entry values gone and ``live`` above them."""
-    def raised(frame, j, consumed, live):
+    with ``consumed`` entry values gone and ``live`` above them.  Under
+    a recording sink (``sink``, its
+    :meth:`~repro.native.trace.RecordingSink.appenders`), ops
+    ``0..j-1`` made eas over ``bases``, and ``offsets[j]`` picks each
+    ea's base and gives its offset."""
+    log, eas, _, _, pack = sink or (None,) * 5
+
+    def raised(frame, j, consumed, live, bases=()):
         stack = frame.stack
         if consumed:
             del stack[-consumed:]
@@ -171,7 +214,130 @@ def _fixup(start: int, ops: list, templates: list, oc: list,
         for t in templates[:j]:
             if t is not None:
                 emits[t] = emits.get(t, 0) + 1
+                if log is not None:
+                    log.append(t)
+        if bases:
+            picks, offs = offsets[j]
+            eas.extend(map(add, map(bases.__getitem__, picks), offs))
+            if len(eas) > _trace._PACK_VALUES:
+                pack()
     return raised
+
+
+class _InterpEas:
+    """The eas an op's interpreter template logs (``interpreter.py``'s
+    ``eas`` builders), as ``(base, offset)`` pairs over ``b``, the
+    bytecode address of the line's first op, ``s``, the stack slot at
+    the line's entry depth, and ``l``, the first local."""
+
+    #: At a taken back edge the line hands the stepper the branch's eas.
+    hands_eas = True
+
+    def __init__(self, offsets, start: int) -> None:
+        self.offsets, self.start = offsets, start
+
+    def base(self, w: "_Writer", name: str) -> str:
+        if name == "b":
+            return f"frame.bc_addr + {w.const(self.offsets[self.start])}"
+        if name == "s":
+            return f"frame.stack_addr + {WORD_BYTES} * len(frame.stack)"
+        return "frame.locals_addr"
+
+    def target(self, w: "_Writer"):
+        return None
+
+    def __call__(self, w: "_Writer", ip: int, instr, r: int, args) -> list:
+        """Op ``instr`` at ``ip``, ``r`` values above the entry depth."""
+        op, a = instr.op, instr.a
+        bc_off = self.offsets[ip] - self.offsets[self.start]
+        bc = w.at("b", bc_off)
+
+        def s(k):
+            return w.at("s", WORD_BYTES * (r + k))
+
+        if op in (Op.NOP, Op.POP, Op.GOTO):
+            return [bc]
+        if op in _PUSHES:
+            return [bc, s(0)]
+        if op in _LOADS:
+            return [bc, w.at("l", WORD_BYTES * a), s(0)]
+        if op in _STORES:
+            return [bc, s(-1), w.at("l", WORD_BYTES * a)]
+        if op is Op.IINC:
+            local = w.at("l", WORD_BYTES * a)
+            return [bc, local, local]
+        if op is Op.DUP:
+            return [bc, s(-1), s(0)]
+        if op is Op.DUP_X1:
+            return [bc, s(-1), s(-2), s(-2), s(-1), s(0)]
+        if op is Op.SWAP:
+            return [bc, s(-1), s(-2), s(-1), s(-2)]
+        if op in _BINARY:
+            return [bc, s(-2), s(-1), s(-2)]
+        if op in _UNARY:
+            return [bc, s(-1), s(-1)]
+        if op in _TEST1:
+            return [bc, s(-1)]
+        if op in _TEST2:
+            return [bc, s(-2), s(-1)]
+        if op in _SWITCHES:
+            # The key's jump-table entry (``_switch_eas``).
+            return [bc, s(-1), (f"b + 4 * ({args[0]} % 64)", bc_off + 12)]
+        dyn = _dynamic(op, args)
+        if op is Op.ARRAYLENGTH:
+            return [bc, s(-1), *dyn, s(-1)]
+        if op in _ARRAY_LOADS:
+            return [bc, s(-1), s(-2), *dyn, s(-2)]
+        return [bc, s(-1), s(-2), s(-3), *dyn]
+
+
+class _ChunkEas:
+    """The eas an op's compiled chunk logs: its ``ea_plan``, read when
+    the line is built, with frame-relative entries over ``f``, the
+    frame's base, and the rest from an array op's dynamic addresses."""
+
+    hands_eas = False
+
+    def __init__(self, chunks, landing) -> None:
+        self.chunks, self.landing = chunks, landing
+
+    def base(self, w: "_Writer", name: str) -> str:
+        return "frame.frame_base"
+
+    def target(self, w: "_Writer") -> str:
+        return f"{w.const(self.landing)}[target]"
+
+    def __call__(self, w: "_Writer", ip: int, instr, r: int, args) -> list:
+        chunk = self.chunks[ip]
+        if chunk is None:
+            return []
+        dyn = _dynamic(instr.op, args)
+        plan = chunk.ea_plan
+        if plan is None:
+            return dyn
+        rest = iter(dyn)
+        return [w.at("f", value) if rel else next(rest)
+                for rel, value in plan]
+
+
+def _sum(ea: tuple) -> str:
+    """The expression of ``ea``, a ``(base, offset)`` pair."""
+    base, off = ea
+    return base if not off else (f"{base} + {off}" if off > 0
+                                 else f"{base} - {-off}")
+
+
+def _dynamic(op, args) -> list:
+    """An array op's addresses, as ``(base, offset)`` pairs: the length
+    word and, but for ``arraylength``, the element (the ``*_dyn``
+    builders)."""
+    if op is Op.ARRAYLENGTH:
+        return [(f"{args[0]}.addr", 8)]
+    if op in _ARRAY_LOADS or op in _COERCE:
+        x, i = args
+        return [(f"{x}.addr", 8),
+                (f"{x}.addr + {x}.elem_bytes * {i}", ARRAY_HEADER_BYTES)]
+    return []
 
 
 class _Writer:
@@ -181,16 +347,25 @@ class _Writer:
     per value above the ``consumed`` entry values the line has taken
     from ``frame.stack``.  Every expression is a name bound once, a
     constant or ``None``, so a value means the same wherever it is
-    read."""
+    read.  ``eas`` writes each op's effective addresses when the line
+    logs its run (a recording sink), and is None otherwise."""
 
-    def __init__(self) -> None:
+    def __init__(self, eas=None) -> None:
         self.out: list[str] = []
         self.sym: list[str] = []
         self.consumed = 0
         self.names = 0
         self.consts: dict[str, object] = {}
         self.local: dict[int, str] = {}
-        self.uses_stack = self.uses_locals = False
+        self.uses_stack = self.uses_locals = self.uses_error = False
+        self.eas = eas
+        #: Each base an ea is written over -> its definition.
+        self.bases: dict[str, str] = {}
+        #: Per op so far: its template (None: it emits nothing) and eas.
+        self.logged: list[tuple] = []
+        #: Per raising op, the eas of the ops before it: which of the
+        #: bases it passes its handler each is over, and the offsets.
+        self.raising: dict[int, tuple] = {}
 
     def fresh(self) -> str:
         self.names += 1
@@ -203,6 +378,10 @@ class _Writer:
 
     def emit(self, line: str, depth: int = 1) -> None:
         self.out.append("    " * depth + line)
+
+    def depth(self) -> int:
+        """The symbolic stack's depth over the line's entry depth."""
+        return len(self.sym) - self.consumed
 
     def take(self, k: int) -> list[str]:
         """The top ``k`` values, reading entry values as needed."""
@@ -231,6 +410,51 @@ class _Writer:
         self.uses_locals = True
         self.emit(f"L[{index}] = {expr}")
         self.local[index] = expr
+
+    def at(self, base: str, off: int) -> tuple:
+        """The address ``off`` bytes past ``base``, read on entry."""
+        if base not in self.bases:
+            self.bases[base] = self.eas.base(self, base)
+        return base, int(off)
+
+    def note(self, template, ip: int, instr, r: int, args) -> None:
+        """Op ``instr`` at ``ip`` emits ``template`` (see ``eas``)."""
+        eas = [] if self.eas is None or template is None \
+            else self.eas(self, ip, instr, r, args)
+        self.logged.append((template, eas))
+
+    def eas_of(self, lo: int, hi: int) -> list:
+        return [ea for _, eas in self.logged[lo:hi] for ea in eas]
+
+    def log(self, lo: int, hi: int, taken: str | None = None,
+            target: bool = False) -> None:
+        """Statements logging the run of ops ``lo..hi-1`` under a
+        recording sink: the last op's ``taken`` outcome or its switch
+        ``target`` with it.  None when the line logs nothing."""
+        if self.eas is None:
+            return
+        templates = tuple(t for t, _ in self.logged[lo:hi] if t is not None)
+        eas = self.eas_of(lo, hi)
+        if len(templates) == 1:
+            self.emit(f"log.append({self.const(templates[0])})")
+        elif templates:
+            self.emit(f"log.extend({self.const(templates)})")
+        if eas:
+            self.emit(f"E.extend(({''.join(_sum(ea) + ', ' for ea in eas)}))")
+        if self.logged[hi - 1][0] is not None:
+            if taken is not None:
+                self.emit(f"K.append({taken})")
+            if target and (expr := self.eas.target(self)) is not None:
+                self.emit(f"G.append({expr})")
+        if eas:
+            self.emit(f"if len(E) > {_trace._PACK_VALUES}:")
+            self.emit("pack()", 2)
+
+    def handed(self) -> str:
+        """What the line returns at a taken back edge (module docs)."""
+        if self.eas is None or not self.eas.hands_eas:
+            return "True"
+        return f"({''.join(_sum(ea) + ', ' for ea in self.logged[-1][1])})"
 
     def commit(self) -> None:
         """Write the symbolic stack back over the consumed entries."""
@@ -265,8 +489,16 @@ class _Writer:
         for text in body:
             self.emit(text, 2)
         self.emit("except BaseException:")
-        live = "".join(f"{v}, " for v in self.sym)
-        self.emit(f"raised(frame, {j}, {self.consumed}, ({live}))", 2)
+        args = f"{j}, {self.consumed}, ({''.join(v + ', ' for v in self.sym)})"
+        # Under a recording sink, the distinct bases of the eas of the
+        # ops before this one; the handler picks and offsets them.
+        before = self.eas_of(0, j)
+        if before:
+            bases = list(dict.fromkeys(base for base, _ in before))
+            self.raising[j] = ([bases.index(base) for base, _ in before],
+                               [off for _, off in before])
+            args += f", ({''.join(base + ', ' for base in bases)})"
+        self.emit(f"raised(frame, {args})", 2)
         self.emit("raise", 2)
 
 
@@ -283,25 +515,25 @@ def _scan(code, start: int) -> list:
     return instrs
 
 
-def build(code, start: int, templates, hook: bool, env: dict,
-          memo: dict):
+def build(code, start: int, templates, hook: bool, env: dict, eas=None):
     """The line starting at ``code[start]``, or None if none can.
 
     ``templates(ip, op)`` is what the op at ``ip`` emits (None:
     nothing); ``hook`` says whether a taken backward branch stops for
-    the back-edge hook.  ``env`` names the VM's ``VMError`` and its raw
-    opcode and template counts, ``oc`` and ``emits``.  ``memo`` maps
-    each source already compiled to its code: lines of the same shape
-    differ only in their constants, which are bound as default
-    arguments, so one VM compiles each shape once.
+    the back-edge hook.  ``env`` names the VM's ``VMError``, its raw
+    opcode and template counts, ``oc`` and ``emits``, and ``sink``, the
+    recording sink's lists or None.  ``eas`` writes the effective
+    addresses of each op that emits (:class:`_InterpEas`,
+    :class:`_ChunkEas`) when the line logs its run, and is None when it
+    only counts it.
 
     Returns ``(fn, n, cycles, head, branch, prefix, tally)``.
-    ``fn(frame)`` runs the line and returns True at a taken backward
-    branch under the hook.  Its ``n`` ops cost ``cycles``, or ``head``
-    plus the ``branch`` template's when the hook stops them;
-    ``prefix[j]`` is the cost of the ops before op ``j``.  ``tally`` is
-    ``(hits, ops, templates, back)``: ``fn`` counts a run in
-    ``hits[0]``, or in ``hits[1]`` when it stops for the hook, and
+    ``fn(frame)`` runs the line and returns something true at a taken
+    backward branch under the hook (module docs).  Its ``n`` ops cost
+    ``cycles``, or ``head`` plus the ``branch`` template's when the hook
+    stops them; ``prefix[j]`` is the cost of the ops before op ``j``.
+    ``tally`` is ``(hits, ops, templates, back)``: ``fn`` counts a run
+    in ``hits[0]``, or in ``hits[1]`` when it stops for the hook, and
     :meth:`Lines.fold` adds the runs' opcode and template counts."""
     instrs = _scan(code, start)
     if not instrs:
@@ -311,10 +543,12 @@ def build(code, start: int, templates, hook: bool, env: dict,
     tpls = [templates(start + j, instr.op) for j, instr in enumerate(instrs)]
     costs = [0 if t is None else t.cycles for t in tpls]
     prefix = tuple(sum(costs[:j]) for j in range(n))
-    w = _Writer()
+    w = _Writer(eas)
     cond = None
     for j, instr in enumerate(instrs):
         op, a = instr.op, instr.a
+        r = w.depth()
+        args = ()
         if op is Op.NOP:
             pass
         elif op is Op.ICONST:
@@ -354,7 +588,9 @@ def build(code, start: int, templates, hook: bool, env: dict,
             w.guarded(op, j, [f"{name} = " + _UNARY[op].format(v=x)])
             w.sym[-1] = name
         elif op is Op.ARRAYLENGTH:
+            w.uses_error = True
             x = w.pop(1)[0]
+            args = (x,)
             name = w.fresh()
             w.guarded(op, j, [
                 f"if not isinstance({x}, JArray):",
@@ -362,7 +598,8 @@ def build(code, start: int, templates, hook: bool, env: dict,
                 f"{name} = len({x}.data)"])
             w.sym.append(name)
         elif op in _ARRAY_LOADS:
-            x, i = w.pop(2)
+            w.uses_error = True
+            x, i = args = w.pop(2)
             name, data = w.fresh(), w.fresh()
             w.guarded(op, j, [
                 f"if not isinstance({x}, JArray):",
@@ -373,7 +610,9 @@ def build(code, start: int, templates, hook: bool, env: dict,
                 f"{name} = {data}[{i}]"])
             w.sym.append(name)
         elif op in _COERCE:
+            w.uses_error = True
             x, i, v = w.pop(3)
+            args = (x, i)
             data = w.fresh()
             w.guarded(op, j, [
                 f"if not isinstance({x}, JArray):",
@@ -384,22 +623,24 @@ def build(code, start: int, templates, hook: bool, env: dict,
                 f"{data}[{i}] = " + _COERCE[op].format(v=v)])
         elif op in _TEST1 or op in _TEST2:
             args = w.pop(1 if op in _TEST1 else 2)
-            test = (_TEST1[op].format(v=args[0]) if op in _TEST1
+            cond = (_TEST1[op].format(v=args[0]) if op in _TEST1
                     else _TEST2[op].format(a=args[0], b=args[1]))
-            cond = test
         elif op is Op.TABLESWITCH:
             x = w.pop(1)[0]
             low, targets, default = instr.extra
             index = w.fresh()
+            args = (index,)
             w.emit(f"{index} = {x} - {w.const(low)}")
             w.emit(f"target = ({w.const(targets)}[{index}] "
                    f"if 0 <= {index} < {len(targets)} "
                    f"else {w.const(default)})")
         else:  # LOOKUPSWITCH
             x = w.pop(1)[0]
+            args = (x,)
             table, default = instr.extra
             w.emit(f"target = {w.const(table)}.get({x}, "
                    f"{w.const(default)})")
+        w.note(tpls[j], start + j, instr, r, args)
     last = instrs[-1]
     # A taken backward branch leaves its own template to the stepper.
     back = hook and last.op in _BRANCHES and last.op not in _SWITCHES \
@@ -408,62 +649,93 @@ def build(code, start: int, templates, hook: bool, env: dict,
     if not back:
         w.emit("hits[0] += 1")
     end = start + n
+    # Under a recording sink, each exit logs its run once: a run that
+    # stops for the hook logs all but the branch.
     if last.op in _SWITCHES:
+        w.log(0, n, target=True)
         w.emit("frame.ip = target")
     elif last.op is Op.GOTO:
         w.emit(f"frame.ip = {w.const(last.a)}")
         if back:
+            w.log(0, n - 1)
             w.emit("hits[1] += 1")
-            w.emit("return True")
-    elif cond is not None:
+            w.emit(f"return {w.handed()}")
+        else:
+            w.log(0, n)
+    elif back:
+        w.log(0, n - 1)
         w.emit(f"if {cond}:")
         w.emit(f"frame.ip = {w.const(last.a)}", 2)
-        if back:
-            w.emit("hits[1] += 1", 2)
-            w.emit("return True", 2)
-            w.emit("hits[0] += 1")
-        else:
-            w.emit("return", 2)
+        w.emit("hits[1] += 1", 2)
+        w.emit(f"return {w.handed()}", 2)
+        w.emit("hits[0] += 1")
+        w.log(n - 1, n, taken="False")
+        w.emit(f"frame.ip = {w.const(end)}")
+    elif cond is not None:
+        if w.eas is not None:
+            w.emit(f"taken = {cond}")
+            w.log(0, n, taken="taken")
+            cond = "taken"
+        w.emit(f"if {cond}:")
+        w.emit(f"frame.ip = {w.const(last.a)}", 2)
+        w.emit("return", 2)
         w.emit(f"frame.ip = {w.const(end)}")
     else:
+        w.log(0, n)
         w.emit(f"frame.ip = {w.const(end)}")
     hits = [0, 0]
-    fn = _function(w, memo, {
-        "VMError": env["VMError"], "hits": hits,
-        "raised": _fixup(start, ops, tpls, env["oc"], env["emits"])})
+    sink = env["sink"] if eas is not None else None
+    bound = {"hits": hits, "VMError": env["VMError"],
+             "raised": _fixup(start, ops, tpls, env["oc"], env["emits"],
+                              sink, w.raising)}
+    if sink is not None:
+        bound.update(zip(_SINK_NAMES, sink))
+    fn = _function(w, bound)
     cycles = sum(costs)
     branch = tpls[-1] if back else None
     return (fn, n, cycles, cycles - costs[-1] if back else cycles, branch,
             prefix, (hits, ops, tpls, back))
 
 
-def _function(w: _Writer, memo: dict, namespace: dict):
+def _function(w: _Writer, bound: dict):
+    """The line ``w`` wrote, its parameters after ``frame`` bound to
+    ``bound``'s values and its constants: no namespace per line.  Each
+    source compiles once per process (:data:`_SHAPES`)."""
     head = []
     if w.uses_stack:
         head.append("    stack = frame.stack")
     if w.uses_locals:
         head.append("    L = frame.locals")
-    consts = "".join(f", {name}={name}" for name in w.consts)
-    source = "\n".join(
-        [f"def line(frame, hits=hits, raised=raised{consts}):", *head,
-         *w.out])
-    code = memo.get(source)
+    head += [f"    {name} = {value}" for name, value in w.bases.items()]
+    names = ["hits", "raised"]
+    if w.uses_error:
+        names.append("VMError")
+    if w.eas is not None:
+        names += _SINK_NAMES
+    params = ", ".join(("frame", *names, *w.consts))
+    source = "\n".join([f"def line({params}):", *head, *w.out])
+    code = _SHAPES.get(source)
     if code is None:
-        code = memo[source] = compile(source, "<line>", "exec")
-    namespace.update(_GLOBALS, **w.consts)
-    exec(code, namespace)
-    return namespace["line"]
+        if len(_SHAPES) >= _MAX_SHAPES:
+            _SHAPES.clear()
+        module = compile(source, "<line>", "exec")
+        code = _SHAPES[source] = next(
+            c for c in module.co_consts if isinstance(c, CodeType))
+    return FunctionType(code, _GLOBALS, "line",
+                        (*map(bound.__getitem__, names), *w.consts.values()))
 
 
 class Lines:
-    """One VM's hot lines: the tables of its hot methods, the compiled
-    code of each line shape, and the lines' runs not yet folded into
-    the counts."""
+    """One VM's hot lines: the tables of its hot methods, and the lines'
+    runs not yet folded into the counts.  Under a recording sink its
+    lines also log their runs (module docs)."""
 
     def __init__(self, vm, sink, hook: bool, error: type) -> None:
         self.hook = hook
+        self.records = sink.records
         self.env = {"VMError": error, "oc": vm.opcode_tally,
-                    "emits": sink.tally}
+                    "emits": sink.tally,
+                    "sink": sink.appenders() if sink.records else None}
         self.seconds = vm.dispatch_seconds
         self.counts = vm.dispatch_counts
         # Each hot method's profile holds its tables: one per emit mode
@@ -473,7 +745,6 @@ class Lines:
         # then the line's tuple plus its timed twin at index 7, or False
         # when no line starts there), then one visit count per ip.
         self.owners: list = []  # keeps each keyed list, so its id, alive
-        self.memo: dict = {}
         self.tallies: list = []
 
     def table(self, frame, tables: dict) -> list:
@@ -501,22 +772,26 @@ class Lines:
 
     def _entry(self, frame, ip: int):
         mode = frame.emit_mode
+        eas = None
         if mode == EMIT_INTERP:
             by_opcode = shared_templates().by_opcode
 
             def templates(i, op):
                 return by_opcode[op]
+            if self.records:
+                eas = _InterpEas(frame.method.bc_offsets, ip)
         elif mode:
             chunks = frame.chunks
 
             def templates(i, op):
                 chunk = chunks[i]
                 return None if chunk is None else chunk.template
+            if self.records:
+                eas = _ChunkEas(chunks, frame.compiled.landing)
         else:
             def templates(i, op):
                 return None
-        line = build(frame.code, ip, templates, self.hook, self.env,
-                     self.memo)
+        line = build(frame.code, ip, templates, self.hook, self.env, eas)
         if line is None:
             return False
         self.tallies.append(line[6])

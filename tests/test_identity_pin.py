@@ -272,13 +272,14 @@ def _vm_outcome(program, config: RunConfig):
 
 
 def _force_lines(monkeypatch) -> list:
-    """Generate every hot line of the counting stepper on its first
-    visit (``repro.vm.lines``); returns the list of lines built."""
+    """Generate every hot line of the stepper on its first visit
+    (``repro.vm.lines``); returns the list of lines built, each with
+    whether it logs its runs (under a recording sink)."""
     built, build = [], lines.build
 
-    def spy(*args):
-        line = build(*args)
-        built.append(line)
+    def spy(code, start, templates, hook, env, eas=None):
+        line = build(code, start, templates, hook, env, eas)
+        built.append((line, eas is not None))
         return line
 
     monkeypatch.setattr(lines, "HOT_CYCLES", 0)
@@ -303,7 +304,8 @@ def test_counting_run_matches_recording_run(case, monkeypatch):
     (effective addresses built and emitted) on every ``VMResult``
     attribute but the trace, so the run cache may serve a recording's
     stored result to counting callers.  A ``hot:`` case runs every
-    straight line of pure ops as one generated function."""
+    straight line of pure ops as one generated function, in the
+    recording twin too."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
     hot, case = case.startswith("hot:"), case.removeprefix("hot:")
     built = _force_lines(monkeypatch) if hot else []
@@ -336,6 +338,7 @@ def test_counting_run_matches_recording_run(case, monkeypatch):
         assert recorded.trace is not None
         assert observables(counted) == observables(recorded)
     assert bool(built) == hot
+    assert any(logs for _, logs in built) == hot
 
 
 def _pure_loop(trips: int, then_raise: bool):
@@ -361,15 +364,24 @@ def _pure_loop(trips: int, then_raise: bool):
 ALL_OPS_CONFIGS = ("interp_rec", "jit_rec", "interp_fold_rec", "tiered_rec")
 
 
-@pytest.mark.parametrize("config", ALL_OPS_CONFIGS)
+@pytest.mark.parametrize("config", [
+    *ALL_OPS_CONFIGS,
+    # Lines log their runs under a plain recording sink, never the
+    # folder's.
+    *(f"hot:{config}" for config in ALL_OPS_CONFIGS if "fold" not in config)])
 def test_all_pure_ops_recording_unchanged(config, monkeypatch):
     """Every pure op, run and recorded: a wrong effective address, branch
-    outcome or switch target of any one of them changes the trace."""
+    outcome or switch target of any one of them changes the trace.  A
+    ``hot:`` case runs and logs every straight line of pure ops as one
+    generated function."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    hot, config = config.startswith("hot:"), config.removeprefix("hot:")
+    built = _force_lines(monkeypatch) if hot else []
     result = JavaVM(all_pure_ops_program(), CONFIGS[config]).run()
     assert len(PURE_OPS) == 70
     assert [op.name for op in PURE_OPS if not result.opcode_counts[op]] == []
     assert digest(result) == EXPECTED[f"pure_ops/{config}"]
+    assert any(logs for _, logs in built) == hot
 
 
 @pytest.mark.parametrize("config", ["interp", "jit", "tiered",
@@ -394,6 +406,7 @@ def test_counting_run_that_raises_matches_recording_run(config,
     assert sum(seen[0][1]) > 400
     assert seen[0] == seen[1]
     assert bool(built) == hot
+    assert any(logs for _, logs in built) == hot
 
 
 def _promotions_and_outcome(program, config: RunConfig):
@@ -428,7 +441,7 @@ def test_backedge_promotion_in_hot_lines_matches_recording_run(monkeypatch):
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
     built = _force_lines(monkeypatch)
     _check_backedge_promotion()
-    assert built
+    assert any(logs for _, logs in built)
 
 
 def _check_backedge_promotion() -> None:

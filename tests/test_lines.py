@@ -12,7 +12,9 @@ random budgets, once with every line generated on its first visit and
 once with none, and after every step the two must agree on the frame's
 stack, locals and ``ip``, the sink's cycles and template counts, the
 opcode counts, the profiles, and the exception raised, by type and
-message.
+message.  Under a recording sink, where a line also logs its run, they
+must agree on the log, its three patch streams and the frozen trace's
+stored bytes as well.
 """
 
 from __future__ import annotations
@@ -191,6 +193,15 @@ def _templates(emits) -> Counter:
     return counts
 
 
+def _recorded(sink) -> tuple:
+    """A recording sink's log, its patch streams and the bytes of the
+    trace it freezes to."""
+    log = sink.trace().log
+    return ([(t.name, t.base_pc, t.n, t.cycles) for t in sink.appenders()[0]],
+            log.eas.tolist(), log.takens.tolist(), log.targets.tolist(),
+            log.to_bytes())
+
+
 def _stepped(program, config: RunConfig, budgets) -> list:
     """The observable state after each step of the main thread."""
     vm = JavaVM(program, config)
@@ -213,7 +224,8 @@ def _stepped(program, config: RunConfig, budgets) -> list:
                 frame.ip, frame.emit_mode, [_norm(v) for v in frame.stack],
                 [_norm(v) for v in frame.locals]),
             vm.sink.cycles, _templates(vm.sink.emits),
-            list(vm.opcode_counts), vm.profiler.snapshot()))
+            list(vm.opcode_counts), vm.profiler.snapshot(),
+            _recorded(vm.sink) if config.record else None))
         if error:
             break
     return seen
@@ -224,11 +236,12 @@ def _force(monkeypatch, on: bool) -> None:
     monkeypatch.setattr(lines_mod, "VISITS", 1)
 
 
-def _fixed(body, ints=(5, 0, 7)) -> dict:
+def _fixed(body, ints=(5, 0, 7), closer=("fall", None),
+           where="next") -> dict:
     """A spec of ``body`` with budget to spare for the whole line."""
     return {"ints": list(ints), "floats": [math.nan, 1.5],
-            "array": [1, 2, 3], "body": body, "closer": ("fall", None),
-            "where": "next", "keys": [0], "budgets": [60]}
+            "array": [1, 2, 3], "body": body, "closer": closer,
+            "where": where, "keys": [0], "budgets": [60]}
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -254,6 +267,39 @@ def test_line_matches_op_by_op(config, spec, monkeypatch):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(spec=programs())
+# Raises deep in a line, and taken back edges to the line's start (the
+# back-edge hook runs under tiered): the line logs only what precedes.
+@example(spec=_fixed([(Op.ILOAD, 2, 0), (Op.ILOAD, 3, 0), (Op.POP, 0, 0),
+                      (Op.ILOAD, 3, 0), (Op.IDIV, 0, 0)]))
+@example(spec=_fixed([(Op.ILOAD, 4, 0), (Op.ALOAD, 0, 0), (Op.ICONST, 1, 0),
+                      (Op.IALOAD, 0, 0), (Op.ALOAD, 1, 0), (Op.ICONST, 1, 0),
+                      (Op.IALOAD, 0, 0)]))
+@example(spec=_fixed([(Op.ILOAD, 2, 0), (Op.ISTORE, 4, 0)],
+                     closer=("goto", Op.GOTO), where="start"))
+@example(spec=_fixed([(Op.ILOAD, 2, 0), (Op.IINC, 2, -3)],
+                     closer=("if", Op.IFGT), where="start"))
+# Switches on a negative key: its jump-table entry wraps (``_switch_eas``).
+@example(spec=_fixed([(Op.ALOAD, 0, 0), (Op.ICONST, 2, 0), (Op.ILOAD, 4, 0),
+                      (Op.IASTORE, 0, 0), (Op.ILOAD, 2, 0)], ints=(-1, 0, 7),
+                     closer=("tableswitch", Op.TABLESWITCH), where="taken"))
+@example(spec=_fixed([(Op.ILOAD, 2, 0)], ints=(-1, 0, 7),
+                     closer=("lookupswitch", Op.LOOKUPSWITCH), where="taken"))
+def test_recording_line_matches_op_by_op(config, spec, monkeypatch):
+    """The same relation under a recording sink."""
+    program = _build(spec)
+    runs = []
+    for on in (True, False):
+        _force(monkeypatch, on)
+        runs.append(_stepped(program, CONFIGS[config].replace(record=True),
+                             spec["budgets"]))
+    assert runs[0] == runs[1]
+
+
 def test_lines_run_when_forced(monkeypatch):
     """The relation above compares something: forced on, a line is
     built at the first op after the handler and runs."""
@@ -275,3 +321,31 @@ def test_lines_run_when_forced(monkeypatch):
     _stepped(_build(spec), CONFIGS["interp"], spec["budgets"])
     # The body, then the fall-through block's ``iinc`` and ``goto``.
     assert any(n == 6 for _, n in built), built
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_recording_lines_log_when_forced(config, monkeypatch):
+    """The recording relation compares something: forced on, lines that
+    log their runs are built and run under every config."""
+    spec = _fixed([(Op.ILOAD, 2, 0), (Op.ILOAD, 3, 0), (Op.IADD, 0, 0),
+                   (Op.ISTORE, 4, 0)], closer=("goto", Op.GOTO),
+                  where="start")
+    runs = [0]
+    build = lines_mod.build
+
+    def spy(code, start, templates, hook, env, eas=None):
+        line = build(code, start, templates, hook, env, eas)
+        if line is None or eas is None:
+            return line
+        fn = line[0]
+
+        def counted(frame):
+            runs[0] += 1
+            return fn(frame)
+        return (counted, *line[1:])
+
+    monkeypatch.setattr(lines_mod, "build", spy)
+    _force(monkeypatch, True)
+    _stepped(_build(spec), CONFIGS[config].replace(record=True),
+             spec["budgets"])
+    assert runs[0] > 1

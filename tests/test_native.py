@@ -229,6 +229,37 @@ class TestRecordingSink:
         assert tr.ea[0] == 0x99 and tr.target[1] == 0x123
         assert tr.flags[1] & FLAG_TAKEN
 
+    def test_late_folded_tally_freezes_to_the_same_bytes(self):
+        """Templates are numbered by first appearance in the log, so a
+        producer that logs its runs through ``appenders`` and folds its
+        template counts in later, in another order, freezes to the same
+        stored bytes as the same emissions made one ``emit`` at a time."""
+        a = _simple_template()
+        b = TemplateBuilder("u")
+        b.store(src1=1, ea=PATCH)
+        b = b.build(base_pc=0x80)
+        one_by_one = RecordingSink()
+        one_by_one.emit(a, (1,), (True,), (2,))
+        one_by_one.emit(b, (3,))
+        one_by_one.emit(a, (4,), (False,), (5,))
+        late = RecordingSink()
+        log, eas, takens, targets, _ = late.appenders()
+        log.extend((a, b, a))
+        eas.extend((1, 3, 4))
+        takens.extend((True, False))
+        targets.extend((2, 5))
+        late.cycles += 2 * a.cycles + b.cycles
+
+        def fold():
+            late.tally[b] = late.tally.get(b, 0) + 1
+            late.tally[a] = late.tally.get(a, 0) + 2
+            late.deferred.clear()
+        late.deferred.append(fold)
+        assert list(late.emits) == [b, a]
+        assert (late.trace().log.to_bytes()
+                == one_by_one.trace().log.to_bytes())
+        assert late.cycles == one_by_one.cycles
+
     def test_counting_totals_match(self):
         t = _simple_template()
         c = CountingSink()
