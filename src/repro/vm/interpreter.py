@@ -36,10 +36,14 @@ class-loading overhead.  Under the counting sink the invoke, native-call
 and return handlers emit only their template, with no effective
 addresses.
 
-**Frame-local loop.**  The pure ops of one activation run in an inner
-loop that keeps the frame's code, emit mode and chunks in locals, under
-every sink.  A counting sink's cycles are summed in ``pending``; any
-other sink is charged by its cycle delta over the loop, because a
+**Frame-local loop.**  The pure ops of one activation run in one inner
+loop, the same for every sink and for hot and cold activations, that
+keeps the frame's code, emit mode, chunks and line table in locals.
+Its ``lane`` is the frame's mode under a plain counting sink, which
+takes each op's template inline, and None under any other sink, for
+which each op builds its addresses and emits them.  A counting sink's
+cycles are summed in ``pending``; any other sink is charged by its
+cycle delta over the loop, because a
 :class:`~repro.vm.folding.FoldingSink` holds one emission and emits
 folded variants that cost less than the template.  The charge is
 written to the frame's profile (and a counting sink's ``cycles``)
@@ -51,26 +55,27 @@ OSR or deoptimize.
 
 **Hot lines.**  Under a plain counting or recording sink, a method
 charged ``lines.HOT_CYCLES`` cycles is hot: its profile holds line
-tables, and its activations run a second copy of the frame-local loop
-(one for each of the two sinks, chosen as the loop starts), which runs
-each straight line of pure ops as one generated function
-(:mod:`repro.vm.lines`) once the line's first ``ip`` has been reached
-``lines.VISITS`` times.  A line is taken only if all of it fits the
-remaining budget, so the green threads interleave exactly as op by op.
-The loop adds the line's precomputed cycles to ``pending`` once (under
-a recording sink ``pending`` holds only the lines' cycles, added to the
-sink's before its delta is charged); the line counts its run, and
-``vm.opcode_counts`` and ``sink.emits`` fold the runs into the counts
-when read.  Under a recording sink the line also logs its templates
-and patch values in one step.  If an op of the line raises, the line
-leaves the frame as that op's ``sem`` would, having logged the ops
-before it, and the loop charges their cycles; at a taken backward
-branch the line returns before counting or logging the branch, and the
-loop charges the ops before the branch and then emits the branch as
-below.  A folding sink never runs lines.  A cold frame pays two tests
-per loop and none per op: whether its method's profile holds tables,
-and, when the loop charges the profile, whether the method has just
-turned hot.  The tables and the counts die with the VM.
+tables, and the frame-local loop of each of its activations holds the
+table of the frame's code and mode.  Before each op it runs the
+straight line of pure ops starting at ``ip`` as one generated function
+(:mod:`repro.vm.lines`) once that ``ip`` has been reached
+``lines.VISITS`` times, if all of the line fits the remaining budget,
+so the green threads interleave exactly as op by op; otherwise the op
+runs as in a cold frame.  The loop adds the line's precomputed cycles
+to ``pending`` once (under a recording sink ``pending`` holds only the
+lines' cycles, added to the sink's before its delta is charged); the
+line counts its run, and ``vm.opcode_counts`` and ``sink.emits`` fold
+the runs into the counts when read.  Under a recording sink the line
+also logs its templates and patch values in one step.  If an op of the
+line raises, the line leaves the frame as that op's ``sem`` would,
+having logged the ops before it, and the loop charges their cycles; at
+a taken backward branch the line returns before counting or logging
+the branch, and the loop charges the ops before the branch and then
+emits the branch as below, under either sink.  A folding sink never
+runs lines.  A cold frame's table is None, so it pays one test per op,
+and, when the loop charges the profile, one whether the method has
+just turned hot; a hot frame's ops that no line covers pay the sink
+tests a cold frame's do.  The tables and the counts die with the VM.
 
 **Back-edge charge order.**  A taken backward ``goto``/``if`` emits,
 then runs ``tiered.on_backedge``, and only then is the profile charged,
@@ -601,153 +606,90 @@ class Interpreter:
                 lane = None
                 builders = _INTERP_EAS if mode == EMIT_INTERP else _CHUNK_DYN
                 start = sink.cycles
+            # A hot activation's line table (``repro.vm.lines``); None
+            # for a cold one.
+            lines = None
+            if tables is not None:
+                lines = tables.get(
+                    mode if mode < EMIT_COMPILED else id(chunks))
+                if lines is None:
+                    lines = hot.table(frame, tables)
             try:
-                if tables is not None:
-                    # A hot activation: each line that fits the budget runs
-                    # as one call, charged once (module docs); any other
-                    # op runs as in the loop below.  Under a recording
-                    # sink ``pending`` sums the lines' cycles only.
-                    lines = tables.get(
-                        mode if mode < EMIT_COMPILED else id(chunks))
-                    if lines is None:
-                        lines = hot.table(frame, tables)
-                    if counting:
-                        while executed < budget:
-                            ip = frame.ip
-                            line = lines[ip]
-                            if line is None:
-                                line = hot.visit(lines, frame, ip)
-                            if line and executed + line[1] <= budget:
-                                try:
-                                    back = line[run](frame)
-                                except BaseException:
-                                    pending += line[5][frame.ip - ip - 1]
-                                    raise
-                                executed += line[1]
-                                if back:
-                                    pending += line[3]
-                                    tpl = line[4]
-                                    backedge = True
-                                    break
-                                pending += line[2]
-                                continue
-                            instr = code[ip]
-                            op = instr.op
-                            sem = sems[op]
-                            if sem is None:
-                                break
-                            frame.ip = ip + 1
-                            opcode_counts[op] += 1
-                            executed += 1
-                            if lane == EMIT_INTERP:
-                                tpl = interp_tpl[op]
-                            elif lane:
-                                tpl = chunks[ip]
-                                if tpl is not None:
-                                    tpl = tpl.template
-                            else:
-                                tpl = None
-                            if (sem(frame, instr) and frame.ip <= ip
-                                    and on_backedge is not None):
+                while executed < budget:
+                    ip = frame.ip
+                    if lines is not None:
+                        # Each line that fits the budget runs as one
+                        # call, charged once (module docs); any other op
+                        # runs as below.
+                        line = lines[ip]
+                        if line is None:
+                            line = hot.visit(lines, frame, ip)
+                        if line and executed + line[1] <= budget:
+                            try:
+                                back = line[run](frame)
+                            except BaseException:
+                                pending += line[5][frame.ip - ip - 1]
+                                raise
+                            executed += line[1]
+                            if back:
+                                # The line ran all but the branch, fetched
+                                # at ``ip``; ``back`` is its eas when a
+                                # recording emission needs them.
+                                pending += line[3]
+                                ip += line[1] - 1
+                                op = code[ip].op
+                                tpl = line[4]
+                                eas = () if back is True else back
                                 backedge = True
                                 break
-                            if tpl is not None:
-                                pending += tpl.cycles
-                                emits[tpl] = emits.get(tpl, 0) + 1
-                    else:
-                        while executed < budget:
-                            ip = frame.ip
-                            line = lines[ip]
-                            if line is None:
-                                line = hot.visit(lines, frame, ip)
-                            if line and executed + line[1] <= budget:
-                                try:
-                                    back = line[run](frame)
-                                except BaseException:
-                                    pending += line[5][frame.ip - ip - 1]
-                                    raise
-                                executed += line[1]
-                                if back:
-                                    # The line logged all but the branch,
-                                    # fetched at ``ip``; ``back`` is its eas
-                                    # when the emission needs them.
-                                    pending += line[3]
-                                    ip += line[1] - 1
-                                    op = code[ip].op
-                                    eas = () if back is True else back
-                                    backedge = True
-                                    break
-                                pending += line[2]
-                                continue
-                            instr = code[ip]
-                            op = instr.op
-                            sem = sems[op]
-                            if sem is None:
-                                break
-                            frame.ip = ip + 1
-                            opcode_counts[op] += 1
-                            executed += 1
-                            if mode:
-                                build = builders[op]
-                                eas = build(frame, instr) if build else ()
-                            taken = sem(frame, instr)
-                            if (taken and frame.ip <= ip
-                                    and on_backedge is not None):
-                                backedge = True
-                                break
-                            if mode:
-                                emit_pure(frame, ip, op, eas, taken)
-                else:
-                    while executed < budget:
-                        ip = frame.ip
-                        instr = code[ip]
-                        op = instr.op
-                        sem = sems[op]
-                        if sem is None:
-                            break
-                        frame.ip = ip + 1
-                        opcode_counts[op] += 1
-                        executed += 1
-                        if lane == EMIT_INTERP:
-                            tpl = interp_tpl[op]
-                        elif lane:
-                            tpl = chunks[ip]
-                            if tpl is not None:
-                                tpl = tpl.template
-                        elif lane is None:
-                            if mode:
-                                build = builders[op]
-                                eas = build(frame, instr) if build else ()
-                            taken = sem(frame, instr)
-                            if (taken and frame.ip <= ip
-                                    and on_backedge is not None):
-                                backedge = True
-                                break
-                            if mode:
-                                emit_pure(frame, ip, op, eas, taken)
+                            pending += line[2]
                             continue
-                        else:
-                            tpl = None
-                        if (sem(frame, instr) and frame.ip <= ip
+                    instr = code[ip]
+                    op = instr.op
+                    sem = sems[op]
+                    if sem is None:
+                        break
+                    frame.ip = ip + 1
+                    opcode_counts[op] += 1
+                    executed += 1
+                    if lane == EMIT_INTERP:
+                        tpl = interp_tpl[op]
+                    elif lane:
+                        tpl = chunks[ip]
+                        if tpl is not None:
+                            tpl = tpl.template
+                    elif lane is None:
+                        if mode:
+                            build = builders[op]
+                            eas = build(frame, instr) if build else ()
+                        taken = sem(frame, instr)
+                        if (taken and frame.ip <= ip
                                 and on_backedge is not None):
                             backedge = True
                             break
-                        if tpl is not None:
-                            pending += tpl.cycles
-                            emits[tpl] = emits.get(tpl, 0) + 1
+                        if mode:
+                            emit_pure(frame, ip, op, eas, taken)
+                        continue
+                    else:
+                        tpl = None
+                    if (sem(frame, instr) and frame.ip <= ip
+                            and on_backedge is not None):
+                        backedge = True
+                        break
+                    if tpl is not None:
+                        pending += tpl.cycles
+                        emits[tpl] = emits.get(tpl, 0) + 1
             finally:
-                # A folding sink emits folded variants cheaper than the
-                # templates, so any sink but a counting one is charged
-                # by its cycle delta (never written: a wrapper sink
-                # reads ``cycles`` through to the one it wraps).
-                if not counting:
-                    if pending:
-                        # A recording sink's lines leave their cycles to
-                        # the loop.
-                        sink.cycles += pending
-                    pending = sink.cycles - start
-                elif pending:
+                # A counting sink's ops and the lines leave their cycles
+                # to the loop.  A folding sink emits folded variants
+                # cheaper than the templates, so any sink but a counting
+                # one is charged by its cycle delta (a folding sink runs
+                # no lines, so its ``cycles``, which a wrapper reads
+                # through to the sink it wraps, is never written here).
+                if pending:
                     sink.cycles += pending
+                if not counting:
+                    pending = sink.cycles - start
                 if pending:
                     p = frame.profile
                     if mode == EMIT_INTERP:

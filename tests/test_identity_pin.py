@@ -33,7 +33,8 @@ cycles once it stops, and must do so before either can be observed.
 Each of these counting cases runs again (``hot:``) with every straight
 line of pure ops generated as one function on its first visit
 (``repro.vm.lines``): at the default gate their short loops never turn
-hot.
+hot.  The folder's cases build no line, and the all-pure-ops recordings
+run their lines' timed twins once more with the tracer on.
 Adding a class that nothing references leaves every result attribute
 and the recording unchanged, while an unreferenced override of a
 devirtualized target lowers the JIT's inlined sites: closed-world
@@ -58,6 +59,7 @@ from repro.fuzz.gen import gen_program
 from repro.fuzz.harness import SEED_STRIDE
 from repro.fuzz.oracle import FUEL, MATRIX, run_config, run_oracle
 from repro.isa import ClassBuilder
+from repro.obs.tracer import TRACER
 from repro.traffic.engine import run_scenario
 from repro.traffic.spec import get_preset
 from repro.vm import JavaVM, RunConfig, VMError, lines
@@ -274,13 +276,22 @@ def _vm_outcome(program, config: RunConfig):
 def _force_lines(monkeypatch) -> list:
     """Generate every hot line of the stepper on its first visit
     (``repro.vm.lines``); returns the list of lines built, each with
-    whether it logs its runs (under a recording sink)."""
+    the number of runs it logged (under a recording sink; 0 for a line
+    that only counts its runs)."""
     built, build = [], lines.build
 
     def spy(code, start, templates, hook, env, eas=None):
         line = build(code, start, templates, hook, env, eas)
-        built.append((line, eas is not None))
-        return line
+        entry = [line, 0]
+        built.append(entry)
+        if line is None or eas is None:
+            return line
+        fn = line[0]
+
+        def logged(frame):
+            entry[1] += 1
+            return fn(frame)
+        return (logged, *line[1:])
 
     monkeypatch.setattr(lines, "HOT_CYCLES", 0)
     monkeypatch.setattr(lines, "VISITS", 1)
@@ -296,16 +307,14 @@ _COUNTING_CASES = [
 
 
 @pytest.mark.parametrize("case", [
-    *_COUNTING_CASES,
-    # Lines run only under a plain counting sink, never the folder's.
-    *(f"hot:{case}" for case in _COUNTING_CASES if "fold" not in case)])
+    *_COUNTING_CASES, *(f"hot:{case}" for case in _COUNTING_CASES)])
 def test_counting_run_matches_recording_run(case, monkeypatch):
     """Counting sink (templates counted inline) == recording sink
     (effective addresses built and emitted) on every ``VMResult``
     attribute but the trace, so the run cache may serve a recording's
     stored result to counting callers.  A ``hot:`` case runs every
     straight line of pure ops as one generated function, in the
-    recording twin too."""
+    recording twin too; a folding sink never takes one."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
     hot, case = case.startswith("hot:"), case.removeprefix("hot:")
     built = _force_lines(monkeypatch) if hot else []
@@ -337,8 +346,11 @@ def test_counting_run_matches_recording_run(case, monkeypatch):
             for c in (config, config.replace(record=True)))
         assert recorded.trace is not None
         assert observables(counted) == observables(recorded)
-    assert bool(built) == hot
-    assert any(logs for _, logs in built) == hot
+    if "fold" in case:
+        assert built == []
+    else:
+        assert bool(built) == hot
+        assert any(logs for _, logs in built) == hot
 
 
 def _pure_loop(trips: int, then_raise: bool):
@@ -365,23 +377,36 @@ ALL_OPS_CONFIGS = ("interp_rec", "jit_rec", "interp_fold_rec", "tiered_rec")
 
 
 @pytest.mark.parametrize("config", [
-    *ALL_OPS_CONFIGS,
-    # Lines log their runs under a plain recording sink, never the
-    # folder's.
-    *(f"hot:{config}" for config in ALL_OPS_CONFIGS if "fold" not in config)])
+    *ALL_OPS_CONFIGS, *(f"hot:{config}" for config in ALL_OPS_CONFIGS),
+    # The tracer's timed twin of each line.
+    *(f"traced:hot:{config}" for config in ALL_OPS_CONFIGS
+      if "fold" not in config)])
 def test_all_pure_ops_recording_unchanged(config, monkeypatch):
     """Every pure op, run and recorded: a wrong effective address, branch
     outcome or switch target of any one of them changes the trace.  A
     ``hot:`` case runs and logs every straight line of pure ops as one
-    generated function."""
+    generated function, except under the folder, which never takes a
+    line; a ``traced:`` case does so with the tracer on."""
     monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+    traced, config = (config.startswith("traced:"),
+                      config.removeprefix("traced:"))
     hot, config = config.startswith("hot:"), config.removeprefix("hot:")
     built = _force_lines(monkeypatch) if hot else []
-    result = JavaVM(all_pure_ops_program(), CONFIGS[config]).run()
+    if traced:
+        TRACER.enable()
+    try:
+        result = JavaVM(all_pure_ops_program(), CONFIGS[config]).run()
+    finally:
+        if traced:
+            TRACER.disable()
+            TRACER.reset()
     assert len(PURE_OPS) == 70
     assert [op.name for op in PURE_OPS if not result.opcode_counts[op]] == []
     assert digest(result) == EXPECTED[f"pure_ops/{config}"]
-    assert any(logs for _, logs in built) == hot
+    if "fold" in config:
+        assert built == []
+    else:
+        assert any(logs for _, logs in built) == hot
 
 
 @pytest.mark.parametrize("config", ["interp", "jit", "tiered",
