@@ -2,11 +2,11 @@
 branch-predictor models, and of a trace's decode, in C, called through
 :mod:`ctypes`.
 
-One C source holds four functions, built together into one shared
+One C source holds five functions, built together into one shared
 object:
 
 - ``schedule`` — :func:`.pipeline.superscalar._schedule`'s fetch / ROB
-  recurrence;
+  recurrence, over the ``uint8`` columns as they are stored;
 - ``cache_run`` — set-associative LRU over a block stream
   (:func:`.caches.cache._simulate_scalar`'s lookup, install and
   eviction, with write-no-allocate);
@@ -15,7 +15,12 @@ object:
 - ``gather_rows`` — one column of a template log's events over the rows
   a selection keeps, patch values applied
   (:meth:`repro.native.trace.Trace._gather`; the reference is
-  :func:`repro.native.trace.expand` plus the stream masks).
+  :func:`repro.native.trace.expand` plus the stream masks);
+- ``event_columns`` — the scheduler's five per-event columns, walked
+  once over a template log from each template row's static part and
+  the miss, mispredict and taken masks
+  (:func:`.pipeline.superscalar.event_columns`, whose numpy body is the
+  reference).
 
 The object is built lazily, on the first call, with the system C
 compiler (``cc -O2 -shared -fPIC``) into the ``kernels`` row of the
@@ -28,7 +33,8 @@ directory removed at exit.
 
 Each loop is serial, so a native call pays only when it does a whole
 stream's work: every wrapper below makes one call per stream, with its
-inputs widened to contiguous arrays for that call alone.  Each checks
+inputs made contiguous arrays of the C side's types for that call
+alone.  Each checks
 first that its inputs lie in the range the C side handles; whenever C
 cannot run (no compiler, a failed build, inputs out of range) it
 returns ``None`` and the caller runs its Python reference instead, with
@@ -54,9 +60,9 @@ NREGS = 35
 SOURCE = r"""
 #include <stdint.h>
 
-int64_t schedule(int64_t n, const int64_t *fetch, const int64_t *lat,
-                 const int64_t *dst, const int64_t *src1,
-                 const int64_t *src2, int64_t drain, int64_t width,
+int64_t schedule(int64_t n, const uint8_t *fetch, const uint8_t *lat,
+                 const uint8_t *dst, const uint8_t *src1,
+                 const uint8_t *src2, int64_t drain, int64_t width,
                  int64_t *ring, int64_t rob_size)
 {
     int64_t ready[%(nregs)d] = {0};
@@ -225,6 +231,81 @@ int64_t gather_rows(int64_t n, const void *ids, int64_t id_bytes,
     }
     return k;
 }
+
+/* Fig. 9's scheduler inputs in one walk of a template log.  Emission e
+   is template t = ids[e] (id_bytes 2 or 4 each); its events are the
+   rows first[t] .. first[t] + size[t] of the per-row static part: base
+   latency, remapped dst/src1/src2 and a kind byte (bit 0 memory, bit 1
+   load, bit 2 transfer).  imiss holds one entry per event; a memory
+   event takes the next dmiss entry, a transfer the next misp and taken
+   entries.  Writes the five columns and totals = {drain, mispredicts,
+   imisses, dmisses}.  Returns 0, or -1 when an id, the output or a
+   stream would be overrun or a stream is not read to its end. */
+int64_t event_columns(int64_t n_ids, const void *ids, int64_t id_bytes,
+                      int64_t templates, const int64_t *first,
+                      const int64_t *size, const uint8_t *row_lat,
+                      const uint8_t *row_dst, const uint8_t *row_src1,
+                      const uint8_t *row_src2, const uint8_t *row_kind,
+                      const uint8_t *imiss, int64_t n,
+                      const uint8_t *dmiss, int64_t n_mem,
+                      const uint8_t *misp, const uint8_t *taken,
+                      int64_t n_transfer, int64_t imiss_penalty,
+                      int64_t dmiss_penalty, int64_t mispredict_penalty,
+                      uint8_t *fetch, uint8_t *lat, uint8_t *dst,
+                      uint8_t *src1, uint8_t *src2, int64_t *totals)
+{
+    int64_t k = 0, m = 0, x = 0, after = 0, ended = 0;
+    int64_t mispredicts = 0, imisses = 0, dmisses = 0;
+    for (int64_t e = 0; e < n_ids; e++) {
+        int64_t t = id_bytes == 2 ? ((const uint16_t *)ids)[e]
+                                  : ((const uint32_t *)ids)[e];
+        if (t >= templates || size[t] > n - k)
+            return -1;
+        for (int64_t j = first[t], end = j + size[t]; j < end; j++, k++) {
+            int64_t miss = imiss[k] != 0, kind = row_kind[j];
+            int64_t l = row_lat[j];
+            /* An I-miss stalls fetch before its event; the previous
+               event's mispredict or taken transfer ended the group. */
+            fetch[k] = (uint8_t)(ended || miss
+                ? 4 * (after + (miss ? imiss_penalty : 0)) + 2
+                  + (miss && !ended)
+                : 0);
+            imisses += miss;
+            if (kind & 1) {
+                if (m == n_mem)
+                    return -1;
+                if (dmiss[m++]) {
+                    dmisses++;
+                    if (kind & 2)
+                        l += dmiss_penalty;
+                }
+            }
+            lat[k] = (uint8_t)l;
+            dst[k] = row_dst[j];
+            src1[k] = row_src1[j];
+            src2[k] = row_src2[j];
+            if (kind & 4) {
+                int64_t wrong;
+                if (x == n_transfer)
+                    return -1;
+                wrong = misp[x] != 0;
+                ended = wrong || taken[x];
+                after = wrong ? mispredict_penalty : ended;
+                mispredicts += wrong;
+                x++;
+            } else {
+                ended = after = 0;
+            }
+        }
+    }
+    if (k != n || m != n_mem || x != n_transfer)
+        return -1;
+    totals[0] = after;
+    totals[1] = mispredicts;
+    totals[2] = imisses;
+    totals[3] = dmisses;
+    return 0;
+}
 """ % {"nregs": NREGS}
 
 #: The build command, less its input and output paths.
@@ -241,7 +322,8 @@ _LIMIT = 1 << 62
 #: implementation (``"c"`` or ``"python"``) that last ran it in this
 #: process, under the ``vector`` kernel (``decode`` under either: the
 #: ``scalar`` kernel decodes in Python); run manifests and kernel
-#: records name it.
+#: records name it.  ``pipeline`` covers both the event pass and the
+#: scheduler.
 IMPLEMENTATIONS: dict[str, str] = {}
 
 _UNRESOLVED = object()
@@ -282,39 +364,34 @@ def _ptr(array: np.ndarray) -> int:
 
 def schedule(cols, width: int, rob_size: int) -> int | None:
     """Total cycles of ``cols`` on a ``width``-wide machine with a
-    ``rob_size``-entry ROB, computed in C; ``None`` when C cannot run."""
+    ``rob_size``-entry ROB, computed in C from the ``uint8`` columns as
+    they are stored; ``None`` when C cannot run."""
+    columns = (cols.fetch, cols.lat, cols.dst, cols.src1, cols.src2)
     n = len(cols.lat)
-    if width < 1 or rob_size < 1 or not _in_range(cols, n):
+    if width < 1 or rob_size < 1 or not _in_range(columns, cols.drain, n):
         return None
     lib = _kernels()
     if lib is None:
         return None
-    wide = [np.ascontiguousarray(c, dtype=np.int64) for c in (
-        cols.fetch, cols.lat, cols.dst, cols.src1, cols.src2)]
+    columns = [np.ascontiguousarray(c) for c in columns]
     # Slots past the trace's length would never be read.
     ring = np.zeros(min(rob_size, max(n, 1)), dtype=np.int64)
-    return int(lib.schedule(n, *map(_ptr, wide), cols.drain, width,
+    return int(lib.schedule(n, *map(_ptr, columns), cols.drain, width,
                             _ptr(ring), len(ring)))
 
 
-def _in_range(cols, n: int) -> bool:
-    """Every column is one-dimensional of length ``n``, every register
-    operand indexes the C register file, and a bound on the total cycle
-    count fits well inside ``int64``."""
-    if any(np.shape(c) != (n,) for c in (
-            cols.fetch, cols.lat, cols.dst, cols.src1, cols.src2)):
+def _in_range(columns, drain: int, n: int) -> bool:
+    """Every column is a one-dimensional ``uint8`` array of length
+    ``n``, every register operand indexes the C register file, and a
+    bound on the total cycle count fits well inside ``int64``."""
+    if any(getattr(c, "dtype", None) != np.uint8 or c.shape != (n,)
+           for c in columns):
         return False
-    if not n:
-        return True
-    for column in (cols.dst, cols.src1, cols.src2):
-        if int(column.min()) < 0 or int(column.max()) >= NREGS:
-            return False
+    if n and max(int(c.max()) for c in columns[2:]) >= NREGS:
+        return False
     # Each event advances the issue cycle and the latest done time by
     # at most one fetch cycle, its fetch stall and its latency.
-    fetch = max(abs(int(cols.fetch.min())), abs(int(cols.fetch.max())))
-    lat = max(abs(int(cols.lat.min())), abs(int(cols.lat.max())))
-    bound = 1 + n * (2 + (fetch >> 2) + lat) + abs(int(cols.drain))
-    return bound < _LIMIT
+    return 1 + n * (2 + (255 >> 2) + 255) + abs(int(drain)) < _LIMIT
 
 
 def cache_run(blocks: np.ndarray, writes, n_sets: int, assoc: int,
@@ -437,6 +514,62 @@ def gather_rows(ids: np.ndarray, first: np.ndarray, count: np.ndarray,
     return out if written == n_out else None
 
 
+def event_columns(log, rows, imiss: np.ndarray, dmiss: np.ndarray,
+                  misp: np.ndarray, taken: np.ndarray, imiss_penalty: int,
+                  dmiss_penalty: int, mispredict_penalty: int):
+    """Fig. 9's scheduler inputs in one C pass over the template ``log``.
+
+    ``rows`` is the static part of each row of ``log.table``: its base
+    latency, its remapped ``dst``/``src1``/``src2`` and a kind byte (bit
+    0 memory, bit 1 load, bit 2 transfer).  ``imiss`` is the per-event
+    I-miss mask, ``dmiss`` the per-memory-event D-miss mask, and
+    ``misp`` and ``taken`` the per-transfer mispredict and taken masks.
+    Returns ``(fetch, lat, dst, src1, src2, drain, mispredicts,
+    imisses, dmisses)``, the columns ``uint8``, or ``None`` when C
+    cannot run: ids that are not ``uint16``/``uint32``, row arrays of
+    other lengths or with a value outside a byte, a negative penalty or
+    one that could overflow a byte, or masks whose lengths do not match
+    the log.
+    """
+    ids, sizes = np.asarray(log.ids), np.asarray(log.table.sizes)
+    rows = [np.asarray(r) for r in rows]
+    masks = [np.ascontiguousarray(m, dtype=bool).view(np.uint8)
+             for m in (imiss, dmiss, misp, taken)]
+    if (ids.ndim != 1 or ids.dtype not in (np.uint16, np.uint32)
+            or sizes.ndim != 1 or (len(sizes) and int(sizes.min()) < 0)
+            or any(r.shape != (int(sizes.sum()),) for r in rows)
+            or any(m.ndim != 1 for m in masks)
+            or len(masks[2]) != len(masks[3])
+            or min(imiss_penalty, dmiss_penalty, mispredict_penalty) < 0
+            # The largest fetch word an I-miss after a mispredict (or
+            # after a taken transfer, one cycle) can give.
+            or 4 * (imiss_penalty + max(mispredict_penalty, 1)) + 3 > 255
+            or any(len(r) and (int(r.min()) < 0 or int(r.max()) > 255)
+                   for r in rows)
+            or (len(rows[0]) and int(rows[0].max()) + dmiss_penalty > 255)):
+        return None
+    lib = _kernels()
+    if lib is None:
+        return None
+    rows = [np.ascontiguousarray(r, dtype=np.uint8) for r in rows]
+    first = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=first[1:])
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+    ids = np.ascontiguousarray(ids)
+    n = len(masks[0])
+    out = [np.empty(n, dtype=np.uint8) for _ in range(5)]
+    totals = np.zeros(4, dtype=np.int64)
+    status = lib.event_columns(
+        len(ids), _ptr(ids), ids.itemsize, len(sizes), _ptr(first),
+        _ptr(sizes), *map(_ptr, rows), _ptr(masks[0]), n, _ptr(masks[1]),
+        len(masks[1]), _ptr(masks[2]), _ptr(masks[3]), len(masks[2]),
+        imiss_penalty, dmiss_penalty, mispredict_penalty,
+        *map(_ptr, out), _ptr(totals))
+    if status:
+        return None
+    return (*out, *map(int, totals))
+
+
 # -- build and load ------------------------------------------------------
 
 def _resolve():
@@ -464,7 +597,7 @@ def _resolve():
 
 
 def _bind(path: str):
-    """The shared object at ``path`` with its four functions typed; an
+    """The shared object at ``path`` with its five functions typed; an
     unloadable object raises ``OSError``, which the store treats as a
     corrupt entry."""
     lib = ctypes.CDLL(path)
@@ -481,6 +614,11 @@ def _bind(path: str):
     lib.gather_rows.argtypes = [i64, ptr, i64, i64, ptr, ptr, ptr, i64,
                                 ptr, ptr, ptr, ptr, i64, i64, ptr, i64]
     lib.gather_rows.restype = i64
+    lib.event_columns.argtypes = [i64, ptr, i64, i64, ptr, ptr, ptr, ptr,
+                                  ptr, ptr, ptr, ptr, i64, ptr, i64, ptr,
+                                  ptr, i64, i64, i64, i64, ptr, ptr, ptr,
+                                  ptr, ptr, ptr]
+    lib.event_columns.restype = i64
     return lib
 
 

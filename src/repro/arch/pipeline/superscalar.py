@@ -16,14 +16,26 @@ dominate wide-issue behaviour for this study:
 
 Everything but the fetch width and the ROB size is a property of the
 trace and the cache/penalty config, so :func:`event_columns` computes it
-once as per-event columns, from the cache model's miss masks and the
-branch front end's mispredict mask (:func:`repro.arch.branch.replay`)
-over the trace's memoized streams, and the trace memoizes the columns
-across a width sweep.  One scheduler recurrence consumes
-them: :func:`_schedule` in Python, the reference, under ``scalar``; the
-same recurrence compiled from C (:mod:`repro.arch.compiled`) under
-``vector``, falling back to :func:`_schedule` when no C compiler is
-available.
+once as per-event columns, and the trace memoizes them across a width
+sweep.  Each column has one source:
+
+- ``fetch`` — the I-cache miss mask over ``trace.pc``, and the previous
+  event's taken bit (``trace.transfers()``) and mispredict from the
+  branch front end (:func:`repro.arch.branch.replay`);
+- ``lat`` — the row's base :data:`LATENCY`, plus the D-miss penalty for
+  a load the D-cache misses (over ``trace.data_stream()``);
+- ``dst``/``src1``/``src2`` — the row's register operands, absent ones
+  remapped.
+
+The latency and operands are properties of a template's row, so under
+``vector`` one C pass over the trace's template log
+(:func:`repro.arch.compiled.event_columns`) combines each row's static
+part with the masks and writes ``uint8`` columns; the numpy body of
+:func:`_event_columns` is the reference.  One scheduler recurrence
+consumes them: :func:`_schedule` in Python, the reference, under
+``scalar``; the same recurrence compiled from C under ``vector``, which
+reads the ``uint8`` columns as stored and falls back to
+:func:`_schedule` for wider ones or when no C compiler is available.
 
 The absolute IPC is a model artifact; the experiments use its *relative*
 behaviour across modes and widths, as the paper does.
@@ -36,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ...native.nisa import NCat
+from ...native.nisa import MEMORY_CATS, NCat, TRANSFER_CATS
 from ..branch.predictors import Gshare, replay
 from ..caches import CacheConfig, simulate
 from .. import compiled
@@ -52,6 +64,10 @@ LATENCY = {
 }
 
 _LOAD = int(NCat.LOAD)
+
+#: :data:`LATENCY` indexed by category.
+_LATENCIES = np.zeros(max(LATENCY) + 1, dtype=np.uint8)
+_LATENCIES[list(LATENCY)] = list(LATENCY.values())
 
 #: Scheduler register file: registers 0..32, then the slot every absent
 #: source (``-1``) reads, which stays 0, and the write-only slot every
@@ -144,34 +160,68 @@ def event_columns(trace, cfg: PipelineConfig,
     """The scheduler's per-event columns for the native ``trace`` under
     ``cfg``.
 
-    The I/D miss masks come from the cache model and the mispredict
-    mask from the branch front end Table 2 counts (gshare + BTB + RAS),
-    all over the trace's memoized streams; the kernels differ only in
-    how those models run, and both yield identical columns.
+    The I/D miss masks come from the cache model over ``trace.pc`` and
+    the memory rows' addresses, and the mispredict mask from the branch
+    front end Table 2 counts (gshare + BTB + RAS) over the transfer
+    rows.  Under the ``vector`` kernel one C pass over the trace's
+    template log (:func:`repro.arch.compiled.event_columns`) builds the
+    columns from each template row's static part and those masks;
+    :func:`_event_columns` is the reference, run under ``scalar`` and
+    whenever C cannot run.  Both yield identical columns.
     """
     kernel = active_kernel(kernel)
+    imiss = _miss_mask(cfg.icache_size, cfg.block, cfg.icache_assoc,
+                       trace.pc, kernel)
+    dmiss = _miss_mask(cfg.dcache_size, cfg.block, cfg.dcache_assoc,
+                       trace.data_stream()[0], kernel)
+    misp = replay(Gshare(), trace, kernel)[0]
+    taken = trace.transfers()[2]
+    if kernel == "vector":
+        cols = compiled.note("pipeline", compiled.event_columns(
+            trace.log, _static_rows(trace.log.table), imiss, dmiss, misp,
+            taken, cfg.imiss_penalty, cfg.dmiss_penalty,
+            cfg.mispredict_penalty))
+        if cols is not None:
+            return EventColumns(*cols)
+    return _event_columns(trace, cfg, imiss, dmiss, misp, taken)
+
+
+def _static_rows(table) -> tuple:
+    """Per template-table row: base latency, ``dst``/``src1``/``src2``
+    remapped to :data:`_NO_DST`/:data:`_NO_SRC`, and a kind byte (bit 0
+    memory, bit 1 load, bit 2 transfer)."""
+    cat = table.columns["cat"]
+    kind = (np.isin(cat, list(MEMORY_CATS)).view(np.uint8)
+            | (cat == _LOAD).view(np.uint8) << 1
+            | np.isin(cat, list(TRANSFER_CATS)).view(np.uint8) << 2)
+    return (_LATENCIES[cat],
+            *(np.where(table.columns[c] < 0, absent, table.columns[c])
+              for c, absent in (("dst", _NO_DST), ("src1", _NO_SRC),
+                                ("src2", _NO_SRC))),
+            kind)
+
+
+def _event_columns(trace, cfg: PipelineConfig, imiss, dmiss_mem,
+                   misp_transfer, taken) -> EventColumns:
+    """:func:`event_columns` in numpy over full columns, from the per-event
+    I-miss, per-memory-event D-miss and per-transfer mispredict and
+    taken masks: the reference."""
     n = trace.n
     cat = np.asarray(trace.cat, dtype=np.int64)
-    mem = trace.memory_mask()
-    transfer = trace.transfer_mask()
-
-    imiss = _miss_mask(cfg.icache_size, cfg.block, cfg.icache_assoc,
-                       trace.instruction_stream()[0], kernel)
+    mem = trace.is_memory
+    transfer = trace.is_transfer
     dmiss = np.zeros(n, dtype=bool)
-    dmiss[mem] = _miss_mask(cfg.dcache_size, cfg.block, cfg.dcache_assoc,
-                            trace.data_stream()[0], kernel)
+    dmiss[mem] = dmiss_mem
     misp = np.zeros(n, dtype=bool)
-    misp[transfer] = replay(Gshare(), trace, kernel)[0]
+    misp[transfer] = misp_transfer
 
-    lat_table = np.zeros(max(LATENCY) + 1, dtype=np.int64)
-    lat_table[list(LATENCY)] = list(LATENCY.values())
-    lat = lat_table[cat]
+    lat = _LATENCIES.astype(np.int64)[cat]
     lat[(cat == _LOAD) & dmiss] += cfg.dmiss_penalty
 
     # An I-miss stalls fetch before its event; a mispredict or a taken
     # transfer ends the fetch group after its event.
     ends = misp.copy()
-    ends[transfer] |= trace.transfers()[2]
+    ends[transfer] |= taken
     after = np.where(misp, cfg.mispredict_penalty, ends.astype(np.int64))
     ended = np.zeros(n, dtype=bool)
     ended[1:] = ends[:-1]

@@ -205,8 +205,8 @@ class Trace:
         column = self._cols[name]
         if selection is None:
             return column
-        return column[self.memory_mask() if selection == "memory"
-                      else self.transfer_mask()]
+        return column[self.is_memory if selection == "memory"
+                      else self.is_transfer]
 
     def _decode(self, name: str, selection: str | None):
         """:meth:`_gather`'s C gather, or ``None`` when C cannot run."""
@@ -280,10 +280,9 @@ class Trace:
         return value
 
     def memory_mask(self) -> np.ndarray:
-        return self._get("memory_mask", lambda: self.is_memory)
-
-    def transfer_mask(self) -> np.ndarray:
-        return self._get("transfer_mask", lambda: self.is_transfer)
+        # Nothing in the replay reads it; the end-to-end benchmark's
+        # ledger still names it among the replay streams it times.
+        return self.is_memory
 
     def instruction_stream(self):
         """(pcs, translate_mask) of the instruction fetches."""

@@ -1,12 +1,15 @@
-"""The compiled pipeline scheduler against the Python reference.
+"""The compiled pipeline scheduler and event pass against the Python
+reference.
 
-:mod:`repro.arch.compiled` runs :func:`_schedule`'s recurrence in C.
-The hypothesis suite drives both over random
-:class:`EventColumns` (ROB wrap-around, ``_CHUNK`` boundaries, the
-absent-register slots, every fetch-word bit, every compacted dtype);
-the rest covers the store row the shared object of all three replay
-kernels is built into and its failure paths: a corrupt entry, no
-compiler, two processes building at once.
+:mod:`repro.arch.compiled` runs :func:`_schedule`'s recurrence and
+:func:`event_columns`' per-event columns in C.  One hypothesis suite
+drives both schedulers over random :class:`EventColumns` (ROB
+wrap-around, ``_CHUNK`` boundaries, the absent-register slots, every
+fetch-word bit, every compacted dtype, of which C takes ``uint8``
+only); another drives both event passes over random template logs;
+the rest covers the store row the shared object of the replay kernels
+is built into and its failure paths: a corrupt entry, no compiler, two
+processes building at once.
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ from repro.analysis import cache
 from repro.arch.pipeline import PipelineConfig, simulate_pipeline
 from repro.arch import compiled
 from repro.arch.pipeline.superscalar import (
-    _CHUNK, _NO_DST, _NO_SRC, EventColumns, _compact, _schedule)
+    _CHUNK, _NO_DST, _NO_SRC, LATENCY, EventColumns, _compact, _schedule,
+    _static_rows, event_columns)
+from repro.native import PATCH
 from repro.native.nisa import FLAG_TAKEN, NCat
-from repro.native.trace import Trace
+from repro.native.trace import TemplateTable, Trace, TraceLog
 from repro.obs import build_manifest
+from tests.test_native import _ROWS, _build
 
 needs_cc = pytest.mark.skipif(compiled.find_compiler() is None,
                               reason="no C compiler on this host")
@@ -91,20 +97,109 @@ def test_c_matches_python(seed, n, width, rob, lat_max, dtype):
     rob_size = {"n": max(n, 1), "n+1": n + 1,
                 "big": 3 * n + 100}.get(rob, rob)
     cols = _columns(seed, n, lat_max, dtype)
-    assert compiled.schedule(cols, width, rob_size) == _schedule(
-        cols, width, rob_size)
+    got = compiled.schedule(cols, width, rob_size)
+    # C reads the columns as stored, so only uint8 columns run there.
+    if all(c.dtype == np.uint8 for c in cols[:5]):
+        assert got == _schedule(cols, width, rob_size)
+    else:
+        assert got is None
 
 
 def test_out_of_range_columns_take_the_python_path():
     assert compiled.NREGS == _NO_DST + 1
     ok = _columns(0, 50, 20, np.uint8)
-    bad_reg = ok._replace(src1=ok.src1.astype(np.uint16) + 35)
+    assert compiled.schedule(ok, 4, 8) is not None
+    bad_reg = ok._replace(src1=ok.src1 + np.uint8(35))
+    wide = ok._replace(dst=ok.dst.astype(np.uint16))
     huge = ok._replace(lat=ok.lat.astype(np.uint64) + (1 << 62))
     short = ok._replace(dst=ok.dst[:-1])
-    for cols in (bad_reg, huge, short):
+    for cols in (bad_reg, wide, huge, short):
         assert compiled.schedule(cols, 4, 8) is None
     assert compiled.schedule(ok, 0, 8) is None
     assert compiled.schedule(ok, 4, 0) is None
+
+
+# -- the event pass ------------------------------------------------------
+
+#: The largest base latency of a template row.
+_LAT_MAX = max(LATENCY.values())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(),
+       imiss_penalty=st.sampled_from([0, 8, 61, 62, 63]),
+       mispredict_penalty=st.sampled_from([0, 1, 2, 4]),
+       dmiss_penalty=st.sampled_from([0, 8, 255 - _LAT_MAX,
+                                      256 - _LAT_MAX]))
+@needs_cc
+def test_event_pass_matches_numpy(data, imiss_penalty, mispredict_penalty,
+                                  dmiss_penalty):
+    """The C event pass over random template logs (many templates, patch
+    streams, zero or one event, a transfer as the last event) equals
+    the numpy reference in value and dtype, with penalties at the byte
+    limit and one past it, where the reference runs instead."""
+    pool = [_build(f"t{i}", rows, 0x400 * (i + 1)) for i, rows in enumerate(
+        data.draw(st.lists(st.lists(_ROWS, max_size=8), min_size=1,
+                           max_size=40), label="templates"))]
+    ids = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=120),
+                    label="ids")
+    if data.draw(st.booleans(), label="transfer last"):
+        pool.append(_build("last", [(NCat.BRANCH, None, PATCH, PATCH, 0)],
+                           0x400 * (len(pool) + 1)))
+        ids.append(len(pool) - 1)
+    ids = np.array(ids, dtype=data.draw(st.sampled_from([np.uint16,
+                                                          np.uint32])))
+    emitted = [pool[i] for i in ids]
+
+    def stream(field, values, dtype):
+        n = sum(len(getattr(t, "patch_" + field)) for t in emitted)
+        return np.array(data.draw(st.lists(values, min_size=n, max_size=n),
+                                  label=field), dtype=dtype)
+
+    log = TraceLog(TemplateTable.of(pool), ids,
+                   stream("ea", st.integers(0, 1 << 14), np.int64),
+                   stream("taken", st.integers(0, 1), np.int16),
+                   stream("target", st.integers(0, 1 << 14), np.int64))
+    config = PipelineConfig(
+        icache_size=1024, dcache_size=1024, block=16, icache_assoc=1,
+        dcache_assoc=2, imiss_penalty=imiss_penalty,
+        dmiss_penalty=dmiss_penalty, mispredict_penalty=mispredict_penalty)
+    compiled.IMPLEMENTATIONS.pop("pipeline", None)
+    got = event_columns(Trace.from_log(log), config, kernel="vector")
+    lat_max = max((LATENCY[int(c)] for c in log.table.columns["cat"]),
+                  default=0)
+    fits = (4 * (imiss_penalty + max(mispredict_penalty, 1)) + 3 <= 255
+            and lat_max + dmiss_penalty <= 255)
+    assert compiled.IMPLEMENTATIONS["pipeline"] == ("c" if fits
+                                                    else "python")
+    want = event_columns(Trace.from_log(log), config, kernel="scalar")
+    for field, a, b in zip(want._fields, got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field
+            assert np.array_equal(a, b), field
+        else:
+            assert a == b, field
+
+
+def test_event_pass_rejects_mismatched_streams():
+    """Masks whose lengths do not match the log leave C unrun."""
+    trace = _trace(200)
+    config = PipelineConfig()
+    rows = _static_rows(trace.log.table)
+    memory = int(trace.is_memory.sum())
+    transfers = int(trace.is_transfer.sum())
+    good = (np.zeros(200, bool), np.zeros(memory, bool),
+            np.zeros(transfers, bool), np.zeros(transfers, bool))
+    if compiled.find_compiler() is not None:
+        assert compiled.event_columns(trace.log, rows, *good, 8, 8,
+                                      4) is not None
+    for k in range(4):
+        short = list(good)
+        short[k] = short[k][:-1]
+        assert compiled.event_columns(trace.log, rows, *short, 8, 8,
+                                      4) is None
+    assert compiled.event_columns(trace.log, rows, *good, -1, 8, 4) is None
 
 
 def _trace(n: int = 3000) -> Trace:

@@ -36,18 +36,20 @@ def test_one_derivation_per_trace(monkeypatch):
     sweep over one bare trace extract its transfers once, and the
     sweep computes its event columns once."""
     derived = Counter()
-    is_transfer = Trace.is_transfer
+    gather = Trace._gather
     event_columns = superscalar.event_columns
 
-    def counted_transfers(trace):
-        derived["transfers"] += 1
-        return is_transfer.fget(trace)
+    def counted_transfers(trace, name, selection=None):
+        # Each derivation of the transfers gathers their categories once.
+        if (name, selection) == ("cat", "transfer"):
+            derived["transfers"] += 1
+        return gather(trace, name, selection)
 
     def counted_columns(*args, **kwargs):
         derived["event_columns"] += 1
         return event_columns(*args, **kwargs)
 
-    monkeypatch.setattr(Trace, "is_transfer", property(counted_transfers))
+    monkeypatch.setattr(Trace, "_gather", counted_transfers)
     monkeypatch.setattr(superscalar, "event_columns", counted_columns)
     trace = get_trace("hello", "s0", "interp", cache_dir="")
     vector = compare_predictors(trace, kernel="vector")

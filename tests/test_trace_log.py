@@ -7,8 +7,9 @@ simulators derive must come back identical: over fuzz programs
 recorded under the interpreter and the JIT, and over a SPEC workload
 through the run store itself.  Decoding on demand must equal the eager
 :func:`~repro.native.trace.expand` plus the masks over random logs,
-under both kernels, and freezing, storing or loading a trace decodes
-nothing.
+under both kernels, and so must the pipeline's event columns of the
+log-built trace and of the column-built one; freezing, storing or
+loading a trace decodes nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.analysis import cache
 from repro.analysis.runner import run_vm
 from repro.arch import compiled
 from repro.arch.kernels import ENV_VAR
+from repro.arch.pipeline import PipelineConfig
+from repro.arch.pipeline.superscalar import event_columns
 from repro.fuzz.gen import gen_program
 from repro.fuzz.oracle import FUEL
 from repro.native import PATCH
@@ -36,7 +39,7 @@ from tests.test_native import _ROWS, _build
 
 _STREAMS = ("instruction_stream", "data_stream", "transfers")
 #: Every derived stream and mask a replay reads.
-_DERIVED = _STREAMS + ("memory_mask", "transfer_mask")
+_DERIVED = _STREAMS + ("memory_mask",)
 
 
 def _assert_same_trace(loaded, frozen) -> None:
@@ -162,6 +165,15 @@ def _assert_decodes_as_expand(log) -> None:
             assert len(got) == len(want), stream
             for a, b in zip(got, want):
                 _assert_equal(a, b, stream)
+        # The pipeline's columns, from the log's templates and from the
+        # column-built trace's one template.
+        got = event_columns(trace, PipelineConfig())
+        for field, a, b in zip(got._fields, got,
+                               event_columns(reference, PipelineConfig())):
+            if isinstance(a, np.ndarray):
+                _assert_equal(a, b, field)
+            else:
+                assert a == b, field
 
 
 @settings(max_examples=80, deadline=None)
