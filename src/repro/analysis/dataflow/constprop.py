@@ -1,8 +1,9 @@
 """Forward constant and copy propagation.
 
-Folds with the interpreter's exact semantics (``vm.values`` int32
-wrapping, fcmp NaN rules), so a branch this pass calls constant really
-is constant at run time.
+Folds with the interpreter's exact semantics: each folded op runs the
+expression of its row in ``vm.pureops``, the one the stepper and the
+hot lines run (int32 wrapping, truncating division, fcmp NaN rules), so
+a branch this pass calls constant really is constant at run time.
 
 Value lattice per local / stack slot::
 
@@ -31,57 +32,20 @@ from __future__ import annotations
 from ...isa.method import Method
 from ...isa.opcodes import Op, OPINFO
 from ...isa.pool import FloatConst
-from ...vm import values
+from ...vm import pureops
 from .cfg import CFG, build_cfg
 from .findings import Finding
 from .solver import DataflowProblem, Solution, solve
 
 NAC = "nac"
 
-_INT_FOLD = {
-    Op.IADD: lambda a, b: values.i32(a + b),
-    Op.ISUB: lambda a, b: values.i32(a - b),
-    Op.IMUL: lambda a, b: values.i32(a * b),
-    Op.IDIV: values.idiv,
-    Op.IREM: values.irem,
-    Op.ISHL: values.ishl,
-    Op.ISHR: values.ishr,
-    Op.IUSHR: values.iushr,
-    Op.IAND: lambda a, b: values.i32(a & b),
-    Op.IOR: lambda a, b: values.i32(a | b),
-    Op.IXOR: lambda a, b: values.i32(a ^ b),
-    Op.FADD: lambda a, b: a + b,
-    Op.FSUB: lambda a, b: a - b,
-    Op.FMUL: lambda a, b: a * b,
-}
-
-_UN_FOLD = {
-    Op.INEG: lambda v: values.i32(-v),
-    Op.FNEG: lambda v: -v,
-    Op.I2F: float,
-    Op.F2I: lambda v: values.i32(int(v)),
-    Op.I2B: values.i8,
-    Op.I2C: values.u16,
-    Op.I2S: values.i16,
-}
-
-_IF1_TESTS = {
-    Op.IFEQ: lambda v: v == 0,
-    Op.IFNE: lambda v: v != 0,
-    Op.IFLT: lambda v: v < 0,
-    Op.IFGE: lambda v: v >= 0,
-    Op.IFGT: lambda v: v > 0,
-    Op.IFLE: lambda v: v <= 0,
-}
-
-_IF2_TESTS = {
-    Op.IF_ICMPEQ: lambda a, b: a == b,
-    Op.IF_ICMPNE: lambda a, b: a != b,
-    Op.IF_ICMPLT: lambda a, b: a < b,
-    Op.IF_ICMPGE: lambda a, b: a >= b,
-    Op.IF_ICMPGT: lambda a, b: a > b,
-    Op.IF_ICMPLE: lambda a, b: a <= b,
-}
+#: Each folded op's expression, a function of its operands (and, for
+#: ``iinc``, its local and increment): the interpreter's own
+#: (``vm.pureops``).  References are not folded, so neither are the
+#: null and reference tests.
+_FOLD = {op: fn for op, fn in enumerate(pureops.EVAL)
+         if fn is not None and op not in (Op.IFNULL, Op.IFNONNULL,
+                                          Op.IF_ACMPEQ, Op.IF_ACMPNE)}
 
 
 class ConstProblem(DataflowProblem):
@@ -139,7 +103,7 @@ class ConstProblem(DataflowProblem):
         elif kind == "iinc":
             v = locs[instr.a]
             _kill_copies(stack, v, instr.a)
-            locs[instr.a] = (("c", values.i32(v[1] + instr.b))
+            locs[instr.a] = (("c", _FOLD[op](v[1], instr.b))
                              if v[0] == "c" else NAC)
         elif kind == "stack":
             if op is Op.POP:
@@ -157,24 +121,20 @@ class ConstProblem(DataflowProblem):
         elif kind == "binop":
             b = _value(pop(), locs)
             a = _value(pop(), locs)
-            fold = _INT_FOLD.get(op)
-            if fold and a[0] == "c" and b[0] == "c":
+            # A float division by zero is left unfolded.
+            if (a[0] == "c" and b[0] == "c"
+                    and not (op is Op.FDIV and b[1] == 0.0)):
                 try:
-                    stack.append(("c", fold(a[1], b[1])))
+                    stack.append(("c", _FOLD[op](a[1], b[1])))
                 except ZeroDivisionError:
                     stack.append(NAC)   # traps at runtime; don't fold
-            elif op in (Op.FCMPL, Op.FCMPG) and a[0] == "c" and b[0] == "c":
-                stack.append(("c", values.fcmp(a[1], b[1],
-                                               -1 if op is Op.FCMPL else 1)))
-            elif op is Op.FDIV and a[0] == "c" and b[0] == "c" and b[1] != 0.0:
-                stack.append(("c", a[1] / b[1]))
             else:
                 stack.append(NAC)
         elif kind == "unop":
             v = _value(pop(), locs)
             if v[0] == "c":
                 try:
-                    stack.append(("c", _UN_FOLD[op](v[1])))
+                    stack.append(("c", _FOLD[op](v[1])))
                 except (OverflowError, ValueError):   # e.g. f2i of inf/nan
                     stack.append(NAC)
             else:
@@ -235,17 +195,12 @@ def constant_branches(method: Method, cfg: CFG | None = None) -> list[Finding]:
             continue
         stack, locs = state
         op = instr.op
-        verdict = None
-        if op in _IF1_TESTS and stack:
-            v = _value(stack[-1], locs)
-            if v[0] == "c":
-                verdict = _IF1_TESTS[op](v[1])
-        elif op in _IF2_TESTS and len(stack) >= 2:
-            b = _value(stack[-1], locs)
-            a = _value(stack[-2], locs)
-            if a[0] == "c" and b[0] == "c":
-                verdict = _IF2_TESTS[op](a[1], b[1])
-        if verdict is not None:
+        n = OPINFO[op].pops
+        if OPINFO[op].kind != "branch" or op not in _FOLD or len(stack) < n:
+            continue
+        operands = [_value(v, locs) for v in stack[-n:]]
+        if all(v[0] == "c" for v in operands):
+            verdict = _FOLD[op](*(v[1] for v in operands))
             findings.append(Finding(
                 "RL003", qn, i,
                 f"{OPINFO[op].mnemonic} is always "

@@ -13,9 +13,13 @@ scheduler can interleave threads and so runaway programs are caught.
 
 **Pure ops.**  Constants and ``ldc``, locals and ``iinc``, stack
 shuffles, arithmetic and conversions, branches and switches, and array
-loads, stores and ``arraylength`` are *pure*: each has one semantics
-function ``sem(frame, instr)`` and, next to it, one effective-address
-builder ``eas(frame, instr)``, and no handler.  What a pure op emits is
+loads, stores and ``arraylength`` are *pure*: they have no handler.
+One row of :mod:`repro.vm.pureops` describes each, and generates its
+semantics function ``sem(frame, instr)`` (``ldc``'s needs this VM's
+string table: :meth:`Interpreter._ldc`) and its effective-address
+builder ``eas(frame, instr)``.  A ``sem`` updates the frame and raises
+any ``VMError`` before anything is emitted; a goto or conditional
+branch returns whether it was taken.  What a pure op emits is
 the interpreter template of its opcode, the frame's compiled chunk at
 that ``ip``, or nothing under ``EMIT_NONE``.  A plain
 :class:`CountingSink` ignores effective addresses and branch outcomes,
@@ -99,413 +103,16 @@ from ..isa.opcodes import ArrayType, N_OPCODES, Op
 from ..native.trace import CountingSink, RecordingSink
 from ..obs import TRACER
 from . import lines as _lines
-from . import values
-from .classloader import ClassLoader
 from .interp_templates import MAX_INVOKE_ARGS, shared_templates
 from .objects import JArray, JObject, JString
+from .pureops import DYN, EAS, SEMS, VMError
 from .threads import EMIT_COMPILED, EMIT_INTERP, EMIT_NONE, JThread, RUNNABLE
-
-
-class VMError(Exception):
-    """A runtime error the simulated program caused (bad cast, bounds...)."""
 
 
 def _bc_ea(frame) -> int:
     """Address of the bytecode the frame fetched last (at ``ip - 1``)."""
     return frame.bc_addr + frame.method.bc_offsets[frame.ip - 1]
 
-
-# ----------------------------------------------------------------------
-# the pure ops: semantics and effective addresses
-# ----------------------------------------------------------------------
-# ``sem(frame, instr)`` updates the frame and raises any VMError before
-# anything is emitted.  A goto or conditional branch returns whether it
-# was taken (the stepper runs the back-edge hook when a taken target is
-# not ahead); every other op returns None.
-#
-# ``eas(frame, instr)`` runs after the fetch (``frame.ip`` is past the
-# op) and before the ``sem``, so ``len(frame.stack)`` is the pre-op depth
-# and a popped operand is still on the stack.  It returns the addresses
-# the op's interpreter template reads and writes; an array op's
-# ``*_dyn`` twin returns its compiled chunk's dynamic addresses.  Array
-# builders return ``()`` when the operand is not an array: the ``sem``
-# raises before anything is emitted.
-
-def _nop(frame, instr):
-    pass
-
-
-def _bc_eas(frame, instr):
-    # nop, pop and goto
-    return (_bc_ea(frame),)
-
-
-def _iconst(frame, instr):
-    frame.stack.append(instr.a)
-
-
-def _fconst(frame, instr):
-    frame.stack.append(float(instr.a))
-
-
-def _aconst_null(frame, instr):
-    frame.stack.append(None)
-
-
-def _push_eas(frame, instr):
-    # iconst, fconst and aconst_null
-    return (_bc_ea(frame), frame.slot_addr(len(frame.stack)))
-
-
-def _ldc_eas(frame, instr):
-    # the sem needs its VM's string table: ``Interpreter._ldc``
-    return (_bc_ea(frame), ClassLoader.pool_ea(frame.mirror, instr.a),
-            frame.slot_addr(len(frame.stack)))
-
-
-def _load_local(frame, instr):
-    frame.stack.append(frame.locals[instr.a])
-
-
-def _load_local_eas(frame, instr):
-    return (_bc_ea(frame), frame.local_addr(instr.a),
-            frame.slot_addr(len(frame.stack)))
-
-
-def _store_local(frame, instr):
-    frame.locals[instr.a] = frame.stack.pop()
-
-
-def _store_local_eas(frame, instr):
-    return (_bc_ea(frame), frame.slot_addr(len(frame.stack) - 1),
-            frame.local_addr(instr.a))
-
-
-def _iinc(frame, instr):
-    frame.locals[instr.a] = values.i32(frame.locals[instr.a] + instr.b)
-
-
-def _iinc_eas(frame, instr):
-    ea = frame.local_addr(instr.a)
-    return (_bc_ea(frame), ea, ea)
-
-
-def _pop(frame, instr):
-    frame.stack.pop()
-
-
-def _dup(frame, instr):
-    stack = frame.stack
-    stack.append(stack[-1])
-
-
-def _dup_eas(frame, instr):
-    d = len(frame.stack)
-    return (_bc_ea(frame), frame.slot_addr(d - 1), frame.slot_addr(d))
-
-
-def _dup_x1(frame, instr):
-    stack = frame.stack
-    b = stack.pop()
-    a = stack.pop()
-    stack.extend((b, a, b))
-
-
-def _dup_x1_eas(frame, instr):
-    d = len(frame.stack)
-    s = frame.slot_addr
-    return (_bc_ea(frame), s(d - 1), s(d - 2), s(d - 2), s(d - 1), s(d))
-
-
-def _swap(frame, instr):
-    stack = frame.stack
-    stack[-1], stack[-2] = stack[-2], stack[-1]
-
-
-def _swap_eas(frame, instr):
-    d = len(frame.stack)
-    s = frame.slot_addr
-    return (_bc_ea(frame), s(d - 1), s(d - 2), s(d - 1), s(d - 2))
-
-
-def _binop(fn):
-    def sem(frame, instr):
-        stack = frame.stack
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(fn(a, b))
-    return sem
-
-
-def _fcmp(nan_result):
-    def sem(frame, instr):
-        stack = frame.stack
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(values.fcmp(a, b, nan_result))
-    return sem
-
-
-def _binop_eas(frame, instr):
-    # two-operand arithmetic and fcmpl/fcmpg
-    d = len(frame.stack)
-    s = frame.slot_addr
-    return (_bc_ea(frame), s(d - 2), s(d - 1), s(d - 2))
-
-
-def _unop(fn):
-    def sem(frame, instr):
-        stack = frame.stack
-        stack[-1] = fn(stack[-1])
-    return sem
-
-
-def _unop_eas(frame, instr):
-    ea = frame.slot_addr(len(frame.stack) - 1)
-    return (_bc_ea(frame), ea, ea)
-
-
-def _if1(test):
-    def sem(frame, instr):
-        if test(frame.stack.pop()):
-            frame.ip = instr.a
-            return True
-        return False
-    return sem
-
-
-def _if1_eas(frame, instr):
-    return (_bc_ea(frame), frame.slot_addr(len(frame.stack) - 1))
-
-
-def _if2(test):
-    def sem(frame, instr):
-        stack = frame.stack
-        b = stack.pop()
-        if test(stack.pop(), b):
-            frame.ip = instr.a
-            return True
-        return False
-    return sem
-
-
-def _if2_eas(frame, instr):
-    d = len(frame.stack)
-    return (_bc_ea(frame), frame.slot_addr(d - 2), frame.slot_addr(d - 1))
-
-
-def _goto(frame, instr):
-    frame.ip = instr.a
-    return True
-
-
-def _tableswitch(frame, instr):
-    low, targets, default = instr.extra
-    index = frame.stack.pop() - low
-    frame.ip = targets[index] if 0 <= index < len(targets) else default
-
-
-def _lookupswitch(frame, instr):
-    table, default = instr.extra
-    frame.ip = table.get(frame.stack.pop(), default)
-
-
-def _switch_eas(frame, instr):
-    # The key's jump-table entry (a lookupswitch's key stands for it).
-    stack = frame.stack
-    index = (stack[-1] - instr.extra[0] if instr.op is Op.TABLESWITCH
-             else stack[-1])
-    bc = _bc_ea(frame)
-    return (bc, frame.slot_addr(len(stack) - 1),
-            bc + 12 + 4 * max(0, int(index) % 64))
-
-
-def _arraylength(frame, instr):
-    stack = frame.stack
-    arr = stack.pop()
-    if not isinstance(arr, JArray):
-        raise VMError("arraylength on non-array")
-    stack.append(arr.length)
-
-
-def _arraylength_eas(frame, instr):
-    stack = frame.stack
-    arr = stack[-1]
-    if not isinstance(arr, JArray):
-        return ()
-    ea = frame.slot_addr(len(stack) - 1)
-    return (_bc_ea(frame), ea, arr.addr + 8, ea)
-
-
-def _arraylength_dyn(frame, instr):
-    arr = frame.stack[-1]
-    return (arr.addr + 8,) if isinstance(arr, JArray) else ()
-
-
-def _array_load(frame, instr):
-    stack = frame.stack
-    index = stack.pop()
-    arr = stack.pop()
-    if not isinstance(arr, JArray):
-        raise VMError(f"array load on {arr!r}")
-    arr.check(index)
-    stack.append(arr.data[index])
-
-
-def _array_load_eas(frame, instr):
-    stack = frame.stack
-    arr = stack[-2]
-    if not isinstance(arr, JArray):
-        return ()
-    d = len(stack)
-    s = frame.slot_addr
-    return (_bc_ea(frame), s(d - 1), s(d - 2), arr.addr + 8,
-            arr.elem_addr(stack[-1]), s(d - 2))
-
-
-def _array_load_dyn(frame, instr):
-    stack = frame.stack
-    arr = stack[-2]
-    if not isinstance(arr, JArray):
-        return ()
-    return (arr.addr + 8, arr.elem_addr(stack[-1]))
-
-
-def _array_store(coerce):
-    def sem(frame, instr):
-        stack = frame.stack
-        value = stack.pop()
-        index = stack.pop()
-        arr = stack.pop()
-        if not isinstance(arr, JArray):
-            raise VMError(f"array store on {arr!r}")
-        arr.check(index)
-        arr.data[index] = coerce(value)
-    return sem
-
-
-def _array_store_eas(frame, instr):
-    stack = frame.stack
-    arr = stack[-3]
-    if not isinstance(arr, JArray):
-        return ()
-    d = len(stack)
-    s = frame.slot_addr
-    return (_bc_ea(frame), s(d - 1), s(d - 2), s(d - 3), arr.addr + 8,
-            arr.elem_addr(stack[-2]))
-
-
-def _array_store_dyn(frame, instr):
-    stack = frame.stack
-    arr = stack[-3]
-    if not isinstance(arr, JArray):
-        return ()
-    return (arr.addr + 8, arr.elem_addr(stack[-2]))
-
-
-_BINOPS = {
-    Op.IADD: lambda a, b: values.i32(a + b),
-    Op.ISUB: lambda a, b: values.i32(a - b),
-    Op.IMUL: lambda a, b: values.i32(a * b),
-    Op.IDIV: values.idiv,
-    Op.IREM: values.irem,
-    Op.ISHL: values.ishl,
-    Op.ISHR: values.ishr,
-    Op.IUSHR: values.iushr,
-    Op.IAND: lambda a, b: values.i32(a & b),
-    Op.IOR: lambda a, b: values.i32(a | b),
-    Op.IXOR: lambda a, b: values.i32(a ^ b),
-    Op.FADD: lambda a, b: a + b,
-    Op.FSUB: lambda a, b: a - b,
-    Op.FMUL: lambda a, b: a * b,
-    Op.FDIV: values.fdiv,
-}
-
-_UNOPS = {
-    Op.INEG: lambda v: values.i32(-v),
-    Op.FNEG: lambda v: -v,
-    Op.I2F: float,
-    Op.F2I: lambda v: values.i32(int(v)),
-    Op.I2B: values.i8,
-    Op.I2C: values.u16,
-    Op.I2S: values.i16,
-}
-
-_IF1_TESTS = {
-    Op.IFEQ: lambda v: v == 0,
-    Op.IFNE: lambda v: v != 0,
-    Op.IFLT: lambda v: v < 0,
-    Op.IFGE: lambda v: v >= 0,
-    Op.IFGT: lambda v: v > 0,
-    Op.IFLE: lambda v: v <= 0,
-    Op.IFNULL: lambda v: v is None,
-    Op.IFNONNULL: lambda v: v is not None,
-}
-
-_IF2_TESTS = {
-    Op.IF_ICMPEQ: lambda a, b: a == b,
-    Op.IF_ICMPNE: lambda a, b: a != b,
-    Op.IF_ICMPLT: lambda a, b: a < b,
-    Op.IF_ICMPGE: lambda a, b: a >= b,
-    Op.IF_ICMPGT: lambda a, b: a > b,
-    Op.IF_ICMPLE: lambda a, b: a <= b,
-    Op.IF_ACMPEQ: lambda a, b: a is b,
-    Op.IF_ACMPNE: lambda a, b: a is not b,
-}
-
-_ARRAY_STORE_COERCE = {
-    Op.IASTORE: values.i32,
-    Op.FASTORE: float,
-    Op.BASTORE: values.i8,
-    Op.CASTORE: values.u16,
-    Op.AASTORE: lambda v: v,
-}
-
-
-def _pure_tables() -> tuple[list, list, list]:
-    """The pure ops' semantics, interpreter-ea builders and chunk
-    dynamic-ea builders, indexed by opcode (None: not pure, or, in the
-    last, a chunk with no dynamic addresses).  ``ldc``'s sem needs its
-    VM's string table, so the interpreter adds it."""
-    sem, eas, dyn = ([None] * N_OPCODES for _ in range(3))
-
-    def pure(ops, fn, build, chunk=None):
-        for op in ops:
-            sem[op], eas[op], dyn[op] = fn, build, chunk
-
-    pure((Op.NOP,), _nop, _bc_eas)
-    pure((Op.ICONST,), _iconst, _push_eas)
-    pure((Op.FCONST,), _fconst, _push_eas)
-    pure((Op.ACONST_NULL,), _aconst_null, _push_eas)
-    pure((Op.LDC,), None, _ldc_eas)
-    pure((Op.ILOAD, Op.FLOAD, Op.ALOAD), _load_local, _load_local_eas)
-    pure((Op.ISTORE, Op.FSTORE, Op.ASTORE), _store_local, _store_local_eas)
-    pure((Op.IINC,), _iinc, _iinc_eas)
-    pure((Op.POP,), _pop, _bc_eas)
-    pure((Op.DUP,), _dup, _dup_eas)
-    pure((Op.DUP_X1,), _dup_x1, _dup_x1_eas)
-    pure((Op.SWAP,), _swap, _swap_eas)
-    pure((Op.FCMPL,), _fcmp(-1), _binop_eas)
-    pure((Op.FCMPG,), _fcmp(1), _binop_eas)
-    pure((Op.GOTO,), _goto, _bc_eas)
-    pure((Op.TABLESWITCH,), _tableswitch, _switch_eas)
-    pure((Op.LOOKUPSWITCH,), _lookupswitch, _switch_eas)
-    pure((Op.ARRAYLENGTH,), _arraylength, _arraylength_eas,
-         _arraylength_dyn)
-    pure((Op.IALOAD, Op.FALOAD, Op.AALOAD, Op.BALOAD, Op.CALOAD),
-         _array_load, _array_load_eas, _array_load_dyn)
-    for table, make, build in ((_BINOPS, _binop, _binop_eas),
-                               (_UNOPS, _unop, _unop_eas),
-                               (_IF1_TESTS, _if1, _if1_eas),
-                               (_IF2_TESTS, _if2, _if2_eas)):
-        for op, fn in table.items():
-            pure((op,), make(fn), build)
-    for op, coerce in _ARRAY_STORE_COERCE.items():
-        pure((op,), _array_store(coerce), _array_store_eas, _array_store_dyn)
-    return sem, eas, dyn
-
-
-_SEMANTICS, _INTERP_EAS, _CHUNK_DYN = _pure_tables()
 
 #: The kind half of an interpreter invoke template's ``(kind, argc)`` key.
 _INVOKE_KIND = {Op.INVOKEVIRTUAL: "invokevirtual",
@@ -524,7 +131,7 @@ class Interpreter:
         self.loader = vm.loader
         self.tiered = vm.tiered
         self.lock_elision = vm.config.lock_elision
-        self._sem = list(_SEMANTICS)
+        self._sem = list(SEMS)
         self._sem[Op.LDC] = self._ldc
         self._handlers = self._build_dispatch()
         # Only a plain counting sink takes its templates inline.
@@ -541,7 +148,7 @@ class Interpreter:
         when read."""
         if self._lines is None:
             self._lines = _lines.Lines(self.vm, self.sink,
-                                       self.tiered is not None, VMError)
+                                       self.tiered is not None)
             self.sink.deferred.append(self._lines.fold)
         return self._lines
 
@@ -604,7 +211,7 @@ class Interpreter:
                 lane = mode
             else:
                 lane = None
-                builders = _INTERP_EAS if mode == EMIT_INTERP else _CHUNK_DYN
+                builders = EAS if mode == EMIT_INTERP else DYN
                 start = sink.cycles
             # A hot activation's line table (``repro.vm.lines``); None
             # for a cold one.

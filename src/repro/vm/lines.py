@@ -25,8 +25,9 @@ Under a recording sink a line also logs its run in one step, as
 Shade's translated blocks wrote their own trace records: one ``extend``
 of the sink's log with the line's templates and one of its eas, the
 branch's ``taken`` outcome or the switch's ``target``, and one test of
-the sink's pack threshold.  The eas are the ones the ops' builders in
-``interpreter.py`` make, or the chunks' ``ea_plan`` assembles, each
+the sink's pack threshold.  The eas are the ones each op's row in
+:mod:`repro.vm.pureops` lays out for its interpreter template, or its
+chunk's ``ea_plan`` assembles around the row's dynamic addresses, each
 written as a base plus a constant offset.  The bases are what the line
 reads on entry (the bytecode address of its first op, the stack slot
 at its entry depth and the first local, or, compiled, the frame's
@@ -41,8 +42,7 @@ Exactness, against running the same ops one at a time:
   zero divisor, ``f2i`` of a NaN or infinity, an array op or
   ``arraylength`` on null or out of bounds) run inside a ``try``.  If
   op ``j`` raises, its handler leaves the stack and ``frame.ip`` as the
-  op's ``sem`` would (the ``sem`` pops its operands before it raises;
-  ``f2i`` overwrites its operand only once it succeeded), counts ops
+  op's ``sem`` would (with its operands popped), counts ops
   ``0..j`` in the opcode counts and the templates of ops ``0..j-1``,
   logs ops ``0..j-1`` under a recording sink, and re-raises.  The
   stepper charges ``prefix[j]``, the cycles of the ops before ``j``.  A
@@ -58,8 +58,10 @@ Exactness, against running the same ops one at a time:
 - **The budget.**  The stepper takes a line only if all ``n`` of its
   ops fit the remaining budget; otherwise it runs the ops one at a time.
 
-The computing expressions are the ``sem`` functions' own, with
-``values.i32`` and its narrow twins written inline as masks.  Tables,
+:func:`build` writes each op from its row in :mod:`repro.vm.pureops`,
+the one the op's ``sem`` is generated from, through
+:func:`~repro.vm.pureops.statements`: the same expressions, operand
+names bound to the line's symbolic values.  Tables,
 visit counts and deferred counts belong to one VM's :class:`Lines` and
 die with it.  The compiled code of each line's source is shared by the
 whole process (:data:`_SHAPES`): it refers to no VM object, since a
@@ -69,17 +71,15 @@ arguments when it is made.
 
 from __future__ import annotations
 
-import builtins
 import time
 from operator import add
 from types import CodeType, FunctionType
 
-from ..isa.opcodes import Op
 from ..native import trace as _trace
 from ..native.layout import WORD_BYTES
-from . import values
+from . import pureops
 from .interp_templates import shared_templates
-from .objects import ARRAY_HEADER_BYTES, JArray
+from .pureops import ea_expr
 from .threads import EMIT_COMPILED, EMIT_INTERP
 
 #: A method's lines are generated once it has been charged this many
@@ -97,98 +97,9 @@ _SHAPES: dict = {}
 #: :data:`_SHAPES` starts over past this many sources, so a process that
 #: runs many programs keeps it bounded.
 _MAX_SHAPES = 2048
-
-
-def _i32(expr: str) -> str:
-    return f"(({expr}) + 2147483648 & 4294967295) - 2147483648"
-
-
-_BINARY = {
-    Op.IADD: _i32("{a} + {b}"),
-    Op.ISUB: _i32("{a} - {b}"),
-    Op.IMUL: _i32("{a} * {b}"),
-    Op.IDIV: "idiv({a}, {b})",
-    Op.IREM: "irem({a}, {b})",
-    Op.ISHL: _i32("{a} << ({b} & 31)"),
-    Op.ISHR: _i32("{a} >> ({b} & 31)"),
-    Op.IUSHR: _i32("({a} & 4294967295) >> ({b} & 31)"),
-    Op.IAND: _i32("{a} & {b}"),
-    Op.IOR: _i32("{a} | {b}"),
-    Op.IXOR: _i32("{a} ^ {b}"),
-    Op.FADD: "{a} + {b}",
-    Op.FSUB: "{a} - {b}",
-    Op.FMUL: "{a} * {b}",
-    Op.FDIV: "fdiv({a}, {b})",
-    Op.FCMPL: "fcmp({a}, {b}, -1)",
-    Op.FCMPG: "fcmp({a}, {b}, 1)",
-}
-
-_I8 = "(({v}) + 128 & 255) - 128"
-_U16 = "({v}) & 65535"
-
-_UNARY = {
-    Op.INEG: _i32("-{v}"),
-    Op.FNEG: "-{v}",
-    Op.I2F: "float({v})",
-    Op.F2I: _i32("int({v})"),
-    Op.I2B: _I8,
-    Op.I2C: _U16,
-    Op.I2S: "(({v}) + 32768 & 65535) - 32768",
-}
-
-_TEST1 = {
-    Op.IFEQ: "{v} == 0",
-    Op.IFNE: "{v} != 0",
-    Op.IFLT: "{v} < 0",
-    Op.IFGE: "{v} >= 0",
-    Op.IFGT: "{v} > 0",
-    Op.IFLE: "{v} <= 0",
-    Op.IFNULL: "{v} is None",
-    Op.IFNONNULL: "{v} is not None",
-}
-
-_TEST2 = {
-    Op.IF_ICMPEQ: "{a} == {b}",
-    Op.IF_ICMPNE: "{a} != {b}",
-    Op.IF_ICMPLT: "{a} < {b}",
-    Op.IF_ICMPGE: "{a} >= {b}",
-    Op.IF_ICMPGT: "{a} > {b}",
-    Op.IF_ICMPLE: "{a} <= {b}",
-    Op.IF_ACMPEQ: "{a} is {b}",
-    Op.IF_ACMPNE: "{a} is not {b}",
-}
-
-_COERCE = {
-    Op.IASTORE: _i32("{v}"),
-    Op.FASTORE: "float({v})",
-    Op.BASTORE: _I8,
-    Op.CASTORE: _U16,
-    Op.AASTORE: "{v}",
-}
-
-_ARRAY_LOADS = frozenset({Op.IALOAD, Op.FALOAD, Op.AALOAD, Op.BALOAD,
-                          Op.CALOAD})
-_LOADS = frozenset({Op.ILOAD, Op.FLOAD, Op.ALOAD})
-_STORES = frozenset({Op.ISTORE, Op.FSTORE, Op.ASTORE})
-_SWITCHES = frozenset({Op.TABLESWITCH, Op.LOOKUPSWITCH})
-_PUSHES = frozenset({Op.ICONST, Op.FCONST, Op.ACONST_NULL})
-
 #: Every op a line may hold; a line ends after the branches.
-_LINEABLE = frozenset(
-    {Op.NOP, Op.IINC, Op.POP, Op.DUP, Op.DUP_X1, Op.SWAP, Op.GOTO,
-     Op.ARRAYLENGTH}
-    | _PUSHES | _LOADS | _STORES | _ARRAY_LOADS | _SWITCHES
-    | _BINARY.keys() | _UNARY.keys() | _TEST1.keys() | _TEST2.keys()
-    | _COERCE.keys())
-_BRANCHES = frozenset({Op.GOTO} | _SWITCHES | _TEST1.keys() | _TEST2.keys())
-#: The ops that raise on well-typed operands: a zero divisor, a NaN or
-#: infinite float to int, a null array or an index out of bounds.
-_RAISING = frozenset({Op.IDIV, Op.IREM, Op.F2I, Op.ARRAYLENGTH}
-                     | _ARRAY_LOADS | _COERCE.keys())
-
-#: Every line's globals.
-_GLOBALS = {"__builtins__": builtins, "JArray": JArray, "idiv": values.idiv,
-            "irem": values.irem, "fdiv": values.fdiv, "fcmp": values.fcmp}
+_LINEABLE = frozenset(op for row in pureops.ROWS if not row.vm
+                      for op in row.ops)
 #: The recording sink's lists and pack step, as a line names them.
 _SINK_NAMES = ("log", "E", "K", "G", "pack")
 
@@ -225,10 +136,10 @@ def _fixup(start: int, ops: list, templates: list, oc: list,
 
 
 class _InterpEas:
-    """The eas an op's interpreter template logs (``interpreter.py``'s
-    ``eas`` builders), as ``(base, offset)`` pairs over ``b``, the
-    bytecode address of the line's first op, ``s``, the stack slot at
-    the line's entry depth, and ``l``, the first local."""
+    """The eas an op's interpreter template logs (its row's ``eas``),
+    as ``(base, offset)`` pairs over ``b``, the bytecode address of the
+    line's first op, ``s``, the stack slot at the line's entry depth,
+    and ``l``, the first local."""
 
     #: At a taken back edge the line hands the stepper the branch's eas.
     hands_eas = True
@@ -243,58 +154,27 @@ class _InterpEas:
             return f"frame.stack_addr + {WORD_BYTES} * len(frame.stack)"
         return "frame.locals_addr"
 
-    def target(self, w: "_Writer"):
+    def target(self, w: "_Writer", target: str):
         return None
 
-    def __call__(self, w: "_Writer", ip: int, instr, r: int, args) -> list:
-        """Op ``instr`` at ``ip``, ``r`` values above the entry depth."""
-        op, a = instr.op, instr.a
+    def __call__(self, w: "_Writer", ip: int, instr, r: int, row,
+                 names: dict) -> list:
+        """Op ``instr`` of ``row`` at ``ip``, ``r`` values above the
+        entry depth, its row's names bound to ``names``."""
         bc_off = self.offsets[ip] - self.offsets[self.start]
-        bc = w.at("b", bc_off)
-
-        def s(k):
-            return w.at("s", WORD_BYTES * (r + k))
-
-        if op in (Op.NOP, Op.POP, Op.GOTO):
-            return [bc]
-        if op in _PUSHES:
-            return [bc, s(0)]
-        if op in _LOADS:
-            return [bc, w.at("l", WORD_BYTES * a), s(0)]
-        if op in _STORES:
-            return [bc, s(-1), w.at("l", WORD_BYTES * a)]
-        if op is Op.IINC:
-            local = w.at("l", WORD_BYTES * a)
-            return [bc, local, local]
-        if op is Op.DUP:
-            return [bc, s(-1), s(0)]
-        if op is Op.DUP_X1:
-            return [bc, s(-1), s(-2), s(-2), s(-1), s(0)]
-        if op is Op.SWAP:
-            return [bc, s(-1), s(-2), s(-1), s(-2)]
-        if op in _BINARY:
-            return [bc, s(-2), s(-1), s(-2)]
-        if op in _UNARY:
-            return [bc, s(-1), s(-1)]
-        if op in _TEST1:
-            return [bc, s(-1)]
-        if op in _TEST2:
-            return [bc, s(-2), s(-1)]
-        if op in _SWITCHES:
-            # The key's jump-table entry (``_switch_eas``).
-            return [bc, s(-1), (f"b + 4 * ({args[0]} % 64)", bc_off + 12)]
-        dyn = _dynamic(op, args)
-        if op is Op.ARRAYLENGTH:
-            return [bc, s(-1), *dyn, s(-1)]
-        if op in _ARRAY_LOADS:
-            return [bc, s(-1), s(-2), *dyn, s(-2)]
-        return [bc, s(-1), s(-2), s(-3), *dyn]
+        fixed = {"b": bc_off, "s": WORD_BYTES * r, "l": WORD_BYTES * instr.a}
+        # An ea over the op's own bytecode is written over the line's.
+        names = {**names, "bc": "b"}
+        return [w.at(base, fixed[base] + off) if base in fixed
+                else (base.format_map(names),
+                      off + bc_off if "{bc}" in base else off)
+                for base, off in row.eas]
 
 
 class _ChunkEas:
     """The eas an op's compiled chunk logs: its ``ea_plan``, read when
     the line is built, with frame-relative entries over ``f``, the
-    frame's base, and the rest from an array op's dynamic addresses."""
+    frame's base, and the rest from its row's ``dyn``."""
 
     hands_eas = False
 
@@ -304,40 +184,21 @@ class _ChunkEas:
     def base(self, w: "_Writer", name: str) -> str:
         return "frame.frame_base"
 
-    def target(self, w: "_Writer") -> str:
-        return f"{w.const(self.landing)}[target]"
+    def target(self, w: "_Writer", target: str) -> str:
+        return f"{w.const(self.landing)}[{target}]"
 
-    def __call__(self, w: "_Writer", ip: int, instr, r: int, args) -> list:
+    def __call__(self, w: "_Writer", ip: int, instr, r: int, row,
+                 names: dict) -> list:
         chunk = self.chunks[ip]
         if chunk is None:
             return []
-        dyn = _dynamic(instr.op, args)
+        dyn = [(base.format_map(names), off) for base, off in row.dyn]
         plan = chunk.ea_plan
         if plan is None:
             return dyn
         rest = iter(dyn)
         return [w.at("f", value) if rel else next(rest)
                 for rel, value in plan]
-
-
-def _sum(ea: tuple) -> str:
-    """The expression of ``ea``, a ``(base, offset)`` pair."""
-    base, off = ea
-    return base if not off else (f"{base} + {off}" if off > 0
-                                 else f"{base} - {-off}")
-
-
-def _dynamic(op, args) -> list:
-    """An array op's addresses, as ``(base, offset)`` pairs: the length
-    word and, but for ``arraylength``, the element (the ``*_dyn``
-    builders)."""
-    if op is Op.ARRAYLENGTH:
-        return [(f"{args[0]}.addr", 8)]
-    if op in _ARRAY_LOADS or op in _COERCE:
-        x, i = args
-        return [(f"{x}.addr", 8),
-                (f"{x}.addr + {x}.elem_bytes * {i}", ARRAY_HEADER_BYTES)]
-    return []
 
 
 class _Writer:
@@ -357,7 +218,7 @@ class _Writer:
         self.names = 0
         self.consts: dict[str, object] = {}
         self.local: dict[int, str] = {}
-        self.uses_stack = self.uses_locals = self.uses_error = False
+        self.uses_stack = self.uses_locals = False
         self.eas = eas
         #: Each base an ea is written over -> its definition.
         self.bases: dict[str, str] = {}
@@ -417,17 +278,18 @@ class _Writer:
             self.bases[base] = self.eas.base(self, base)
         return base, int(off)
 
-    def note(self, template, ip: int, instr, r: int, args) -> None:
+    def note(self, template, ip: int, instr, r: int, row,
+             names: dict) -> None:
         """Op ``instr`` at ``ip`` emits ``template`` (see ``eas``)."""
         eas = [] if self.eas is None or template is None \
-            else self.eas(self, ip, instr, r, args)
+            else self.eas(self, ip, instr, r, row, names)
         self.logged.append((template, eas))
 
     def eas_of(self, lo: int, hi: int) -> list:
         return [ea for _, eas in self.logged[lo:hi] for ea in eas]
 
     def log(self, lo: int, hi: int, taken: str | None = None,
-            target: bool = False) -> None:
+            target: str | None = None) -> None:
         """Statements logging the run of ops ``lo..hi-1`` under a
         recording sink: the last op's ``taken`` outcome or its switch
         ``target`` with it.  None when the line logs nothing."""
@@ -440,11 +302,13 @@ class _Writer:
         elif templates:
             self.emit(f"log.extend({self.const(templates)})")
         if eas:
-            self.emit(f"E.extend(({''.join(_sum(ea) + ', ' for ea in eas)}))")
+            items = "".join(ea_expr(*ea) + ", " for ea in eas)
+            self.emit(f"E.extend(({items}))")
         if self.logged[hi - 1][0] is not None:
             if taken is not None:
                 self.emit(f"K.append({taken})")
-            if target and (expr := self.eas.target(self)) is not None:
+            if target and (expr := self.eas.target(self, target)) \
+                    is not None:
                 self.emit(f"G.append({expr})")
         if eas:
             self.emit(f"if len(E) > {_trace._PACK_VALUES}:")
@@ -454,7 +318,7 @@ class _Writer:
         """What the line returns at a taken back edge (module docs)."""
         if self.eas is None or not self.eas.hands_eas:
             return "True"
-        return f"({''.join(_sum(ea) + ', ' for ea in self.logged[-1][1])})"
+        return f"({''.join(ea_expr(*ea) + ', ' for ea in self.logged[-1][1])})"
 
     def commit(self) -> None:
         """Write the symbolic stack back over the consumed entries."""
@@ -476,12 +340,11 @@ class _Writer:
         else:
             self.emit(f"stack[-{keep}:] = ({', '.join(live)},)")
 
-    def guarded(self, op, j: int, body: list[str]) -> None:
+    def guarded(self, raising: bool, j: int, body: list[str]) -> None:
         """``body`` as op ``j``.  If the op can raise on well-typed
-        operands, a ``try`` leaves the stack as the op's ``sem`` would:
-        its operands popped, but for a conversion, which overwrites its
-        operand only once it succeeded (module docs)."""
-        if op not in _RAISING:
+        operands, a ``try`` leaves the stack as the op's ``sem`` would,
+        its operands popped (module docs)."""
+        if not raising:
             for text in body:
                 self.emit(text)
             return
@@ -510,7 +373,7 @@ def _scan(code, start: int) -> list:
         if instr.op not in _LINEABLE:
             break
         instrs.append(instr)
-        if instr.op in _BRANCHES:
+        if pureops.ROW[instr.op].branch:
             break
     return instrs
 
@@ -520,9 +383,9 @@ def build(code, start: int, templates, hook: bool, env: dict, eas=None):
 
     ``templates(ip, op)`` is what the op at ``ip`` emits (None:
     nothing); ``hook`` says whether a taken backward branch stops for
-    the back-edge hook.  ``env`` names the VM's ``VMError``, its raw
-    opcode and template counts, ``oc`` and ``emits``, and ``sink``, the
-    recording sink's lists or None.  ``eas`` writes the effective
+    the back-edge hook.  ``env`` names the VM's raw opcode and template
+    counts, ``oc`` and ``emits``, and ``sink``, the recording sink's
+    lists or None.  ``eas`` writes the effective
     addresses of each op that emits (:class:`_InterpEas`,
     :class:`_ChunkEas`) when the line logs its run, and is None when it
     only counts it.
@@ -544,117 +407,41 @@ def build(code, start: int, templates, hook: bool, env: dict, eas=None):
     costs = [0 if t is None else t.cycles for t in tpls]
     prefix = tuple(sum(costs[:j]) for j in range(n))
     w = _Writer(eas)
-    cond = None
+    cond = target = None
     for j, instr in enumerate(instrs):
-        op, a = instr.op, instr.a
+        op = instr.op
+        row = pureops.ROW[op]
         r = w.depth()
-        args = ()
-        if op is Op.NOP:
-            pass
-        elif op is Op.ICONST:
-            w.sym.append(w.const(a))
-        elif op is Op.FCONST:
-            w.sym.append(w.const(float(a)))
-        elif op is Op.ACONST_NULL:
-            w.sym.append("None")
-        elif op in _LOADS:
-            w.sym.append(w.load(a))
-        elif op in _STORES:
-            w.store(a, w.pop(1)[0])
-        elif op is Op.IINC:
-            name = w.fresh()
-            w.emit(f"{name} = {_i32(w.load(a) + ' + ' + repr(int(instr.b)))}")
-            w.store(a, name)
-        elif op is Op.POP:
-            w.pop(1)
-        elif op is Op.DUP:
-            w.sym.append(w.take(1)[0])
-        elif op is Op.DUP_X1:
-            x, y = w.pop(2)
-            w.sym += (y, x, y)
-        elif op is Op.SWAP:
-            x, y = w.pop(2)
-            w.sym += (y, x)
-        elif op is Op.GOTO:
-            pass
-        elif op in _BINARY:
-            x, y = w.pop(2)
-            name = w.fresh()
-            w.guarded(op, j, [f"{name} = " + _BINARY[op].format(a=x, b=y)])
-            w.sym.append(name)
-        elif op in _UNARY:
-            x = w.take(1)[0]
-            name = w.fresh()
-            w.guarded(op, j, [f"{name} = " + _UNARY[op].format(v=x)])
-            w.sym[-1] = name
-        elif op is Op.ARRAYLENGTH:
-            w.uses_error = True
-            x = w.pop(1)[0]
-            args = (x,)
-            name = w.fresh()
-            w.guarded(op, j, [
-                f"if not isinstance({x}, JArray):",
-                "    raise VMError('arraylength on non-array')",
-                f"{name} = len({x}.data)"])
-            w.sym.append(name)
-        elif op in _ARRAY_LOADS:
-            w.uses_error = True
-            x, i = args = w.pop(2)
-            name, data = w.fresh(), w.fresh()
-            w.guarded(op, j, [
-                f"if not isinstance({x}, JArray):",
-                f"    raise VMError(f'array load on {{{x}!r}}')",
-                f"{data} = {x}.data",
-                f"if not 0 <= {i} < len({data}):",
-                f"    {x}.check({i})",
-                f"{name} = {data}[{i}]"])
-            w.sym.append(name)
-        elif op in _COERCE:
-            w.uses_error = True
-            x, i, v = w.pop(3)
-            args = (x, i)
-            data = w.fresh()
-            w.guarded(op, j, [
-                f"if not isinstance({x}, JArray):",
-                f"    raise VMError(f'array store on {{{x}!r}}')",
-                f"{data} = {x}.data",
-                f"if not 0 <= {i} < len({data}):",
-                f"    {x}.check({i})",
-                f"{data}[{i}] = " + _COERCE[op].format(v=v)])
-        elif op in _TEST1 or op in _TEST2:
-            args = w.pop(1 if op in _TEST1 else 2)
-            cond = (_TEST1[op].format(v=args[0]) if op in _TEST1
-                    else _TEST2[op].format(a=args[0], b=args[1]))
-        elif op is Op.TABLESWITCH:
-            x = w.pop(1)[0]
-            low, targets, default = instr.extra
-            index = w.fresh()
-            args = (index,)
-            w.emit(f"{index} = {x} - {w.const(low)}")
-            w.emit(f"target = ({w.const(targets)}[{index}] "
-                   f"if 0 <= {index} < {len(targets)} "
-                   f"else {w.const(default)})")
-        else:  # LOOKUPSWITCH
-            x = w.pop(1)[0]
-            args = (x,)
-            table, default = instr.extra
-            w.emit(f"target = {w.const(table)}.get({x}, "
-                   f"{w.const(default)})")
-        w.note(tpls[j], start + j, instr, r, args)
+        names = {}
+        if row.imm:
+            names.update(zip(row.imm, map(w.const, pureops.IMMS[op](instr))))
+        if row.pops:
+            names.update(zip(row.pops, w.pop(len(row.pops))))
+        if row.reads_local(op):
+            names["local"] = w.load(instr.a)
+        body, pushed, stored, test = pureops.statements(
+            row, row.ops[op], names, w.fresh)
+        w.guarded(row.raising, j, body)
+        if stored is not None:
+            w.store(instr.a, stored)
+        w.sym += pushed
+        cond = test
+        target = names.get("target")
+        w.note(tpls[j], start + j, instr, r, row, names)
     last = instrs[-1]
+    kind = pureops.ROW[last.op].branch
     # A taken backward branch leaves its own template to the stepper.
-    back = hook and last.op in _BRANCHES and last.op not in _SWITCHES \
-        and last.a <= start + n - 1
+    back = hook and kind in ("goto", "if") and last.a <= start + n - 1
     w.commit()
     if not back:
         w.emit("hits[0] += 1")
     end = start + n
     # Under a recording sink, each exit logs its run once: a run that
     # stops for the hook logs all but the branch.
-    if last.op in _SWITCHES:
-        w.log(0, n, target=True)
-        w.emit("frame.ip = target")
-    elif last.op is Op.GOTO:
+    if kind == "switch":
+        w.log(0, n, target=target)
+        w.emit(f"frame.ip = {target}")
+    elif kind == "goto":
         w.emit(f"frame.ip = {w.const(last.a)}")
         if back:
             w.log(0, n - 1)
@@ -685,7 +472,7 @@ def build(code, start: int, templates, hook: bool, env: dict, eas=None):
         w.emit(f"frame.ip = {w.const(end)}")
     hits = [0, 0]
     sink = env["sink"] if eas is not None else None
-    bound = {"hits": hits, "VMError": env["VMError"],
+    bound = {"hits": hits,
              "raised": _fixup(start, ops, tpls, env["oc"], env["emits"],
                               sink, w.raising)}
     if sink is not None:
@@ -708,8 +495,6 @@ def _function(w: _Writer, bound: dict):
         head.append("    L = frame.locals")
     head += [f"    {name} = {value}" for name, value in w.bases.items()]
     names = ["hits", "raised"]
-    if w.uses_error:
-        names.append("VMError")
     if w.eas is not None:
         names += _SINK_NAMES
     params = ", ".join(("frame", *names, *w.consts))
@@ -721,7 +506,7 @@ def _function(w: _Writer, bound: dict):
         module = compile(source, "<line>", "exec")
         code = _SHAPES[source] = next(
             c for c in module.co_consts if isinstance(c, CodeType))
-    return FunctionType(code, _GLOBALS, "line",
+    return FunctionType(code, pureops.GLOBALS, "line",
                         (*map(bound.__getitem__, names), *w.consts.values()))
 
 
@@ -730,10 +515,10 @@ class Lines:
     runs not yet folded into the counts.  Under a recording sink its
     lines also log their runs (module docs)."""
 
-    def __init__(self, vm, sink, hook: bool, error: type) -> None:
+    def __init__(self, vm, sink, hook: bool) -> None:
         self.hook = hook
         self.records = sink.records
-        self.env = {"VMError": error, "oc": vm.opcode_tally,
+        self.env = {"oc": vm.opcode_tally,
                     "emits": sink.tally,
                     "sink": sink.appenders() if sink.records else None}
         self.seconds = vm.dispatch_seconds

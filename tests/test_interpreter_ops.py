@@ -10,9 +10,10 @@ import pytest
 from repro.isa import ArrayType
 from repro.isa.opcodes import Op
 from repro.vm import JavaVM
-from repro.vm.interpreter import _CHUNK_DYN, _INTERP_EAS
+from repro.vm import interpreter, pureops
+from repro.vm.interp_templates import shared_templates
 
-from helpers import eval_both_modes, expr_main
+from helpers import all_pure_ops_program, eval_both_modes, expr_main
 
 
 class TestArithmetic:
@@ -392,5 +393,29 @@ class TestDispatchTables:
         for op in Op:
             sem, handler = interp._sem[op], interp._handlers[op]
             assert (sem is None) != (handler is None), op.name
-            assert (_INTERP_EAS[op] is None) == (sem is None), op.name
-            assert _CHUNK_DYN[op] is None or sem is not None, op.name
+            assert (pureops.EAS[op] is None) == (sem is None), op.name
+            assert pureops.DYN[op] is None or sem is not None, op.name
+
+    def test_each_pure_op_builds_its_templates_eas(self, monkeypatch):
+        """Each pure op's interpreter-ea builder returns one ea per
+        patched ea row of its template, on a program that runs them all
+        (a mismatch would otherwise surface only when the recording
+        freezes)."""
+        tpls = shared_templates().by_opcode
+        counts: dict = {}
+
+        def counted(op, build):
+            def eas(frame, instr):
+                built = build(frame, instr)
+                counts.setdefault(op, set()).add(len(built))
+                return built
+            return eas
+
+        monkeypatch.setattr(interpreter, "EAS", [
+            build and counted(Op(op), build)
+            for op, build in enumerate(pureops.EAS)])
+        JavaVM(all_pure_ops_program(), "interp,record=True").run()
+        pure = [Op(op) for op, build in enumerate(pureops.EAS) if build]
+        assert sorted(counts) == pure
+        assert {op.name: counts[op] for op in pure} == {
+            op.name: {len(tpls[op].patch_ea)} for op in pure}
